@@ -13,12 +13,12 @@
 //! "not found within budget".
 
 use crate::intervals::{IntDomain, NumDomain};
-use crate::sat::SatBudget;
 use crate::simplify::simplify;
 use crate::typing::{absorb_type_fact, infer, TypeEnv};
 use crate::uf::UnionFind;
 use gillian_gil::eval::{eval, Store};
-use gillian_gil::{BinOp, Expr, LVar, Sym, TypeTag, Value};
+use gillian_gil::ops::{eval_binop, eval_lstcat, eval_strcat, eval_unop};
+use gillian_gil::{BinOp, EvalError, Expr, LVar, Sym, TypeTag, Value};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A logical environment: a concrete value for each logical variable.
@@ -53,26 +53,49 @@ impl Model {
         self.assignment.is_empty()
     }
 
-    /// Substitutes the assignment into `e` and evaluates it concretely.
+    /// Evaluates `e` concretely, reading logical variables from the
+    /// assignment. Builds no terms: the result, error text included, is
+    /// that of evaluating `e` with the assignment substituted in.
     ///
     /// # Errors
     ///
-    /// Fails when `e` mentions an unassigned variable or an operator is
-    /// applied outside its domain.
-    pub fn eval(&self, e: &Expr) -> Result<Value, gillian_gil::EvalError> {
-        let substituted = e.subst(&|sub| match sub {
-            Expr::LVar(x) => self.assignment.get(x).map(|v| Expr::Val(v.clone())),
-            _ => None,
-        });
-        eval(&Store::new(), &substituted)
+    /// Fails when `e` mentions an unassigned or program variable, or an
+    /// operator is applied outside its domain.
+    pub fn eval(&self, e: &Expr) -> Result<Value, EvalError> {
+        eval_in(&self.assignment, e)
     }
 
     /// Checks that every conjunct evaluates to `true` under the model.
     pub fn satisfies(&self, conjuncts: &[Expr]) -> bool {
-        conjuncts
-            .iter()
-            .all(|c| matches!(self.eval(c), Ok(Value::Bool(true))))
+        conjuncts.iter().all(|c| holds(&self.assignment, c))
     }
+}
+
+/// Concrete evaluation with logical variables read from `assignment`, in
+/// the operand order of [`gillian_gil::eval::eval`]. Variables it cannot
+/// read fall through to that evaluator, so their errors are its errors.
+fn eval_in(assignment: &BTreeMap<LVar, Value>, e: &Expr) -> Result<Value, EvalError> {
+    let all = |es: &[Expr]| -> Result<Vec<Value>, EvalError> {
+        es.iter().map(|e| eval_in(assignment, e)).collect()
+    };
+    match e {
+        Expr::Val(v) => Ok(v.clone()),
+        Expr::LVar(x) => match assignment.get(x) {
+            Some(v) => Ok(v.clone()),
+            None => eval(&Store::new(), e),
+        },
+        Expr::PVar(_) => eval(&Store::new(), e),
+        Expr::Un(op, a) => eval_unop(*op, &eval_in(assignment, a)?),
+        Expr::Bin(op, a, b) => eval_binop(*op, &eval_in(assignment, a)?, &eval_in(assignment, b)?),
+        Expr::List(es) => all(es).map(Value::List),
+        Expr::StrCat(es) => eval_strcat(&all(es)?),
+        Expr::LstCat(es) => eval_lstcat(&all(es)?),
+    }
+}
+
+/// True when `c` evaluates to `true` under `assignment`.
+fn holds(assignment: &BTreeMap<LVar, Value>, c: &Expr) -> bool {
+    matches!(eval_in(assignment, c), Ok(Value::Bool(true)))
 }
 
 impl std::fmt::Display for Model {
@@ -104,6 +127,16 @@ impl Default for ModelBudget {
             candidates_per_var: 16,
         }
     }
+}
+
+/// Work done by one model search, for `SolverStats` and telemetry.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct SearchWork {
+    /// Search-tree nodes visited, over every tier run.
+    pub(crate) nodes: u64,
+    /// Budget tiers not run because an earlier tier exhausted the
+    /// search space.
+    pub(crate) tiers_skipped: u64,
 }
 
 /// Extracts a witness model for the implication index from the
@@ -194,10 +227,110 @@ pub(crate) fn harvest_witness(
 
 /// Attempts to find a verified model of the conjunction.
 pub fn find_model(conjuncts: &[Expr], budget: ModelBudget) -> Option<Model> {
+    find_model_tiers(conjuncts, &[budget], &mut SearchWork::default())
+}
+
+/// Finds a model under escalating budgets: the given budget first, then
+/// two progressively larger searches (8×/64× nodes, 4×/8× more
+/// candidates per variable).
+///
+/// The differential oracle uses this to make witness extraction *total
+/// modulo budget*: a path condition the configured search cannot crack —
+/// typically a case-split `Sat` whose end-of-solve witness harvest failed
+/// — gets genuinely deeper searches before the path is (reported as)
+/// skipped. `None` still never means "unsat", only "not found within the
+/// largest budget". The answer is always that of running [`find_model`]
+/// at each budget in turn; tiers that provably cannot change it are
+/// skipped (see [`find_model_tiers`]).
+pub fn find_model_escalating(conjuncts: &[Expr], budget: ModelBudget) -> Option<Model> {
+    find_model_tiers(
+        conjuncts,
+        &escalation_tiers(budget),
+        &mut SearchWork::default(),
+    )
+}
+
+/// The budgets [`find_model_escalating`] tries, in order.
+pub(crate) fn escalation_tiers(budget: ModelBudget) -> [ModelBudget; 3] {
+    let scale = |b: ModelBudget, cands: usize| ModelBudget {
+        max_nodes: b.max_nodes.saturating_mul(8),
+        candidates_per_var: b.candidates_per_var.saturating_mul(cands),
+    };
+    let second = scale(budget, 4);
+    [budget, second, scale(second, 2)]
+}
+
+/// Runs the search at each budget in `tiers` until one finds a model,
+/// preparing the budget-independent part once.
+///
+/// Stops early at the first [`Tier::Exhausted`]: every later tier would
+/// search the very same tree and fail the same way, so the answer equals
+/// `tiers.iter().find_map(|&b| find_model(conjuncts, b))`.
+pub(crate) fn find_model_tiers(
+    conjuncts: &[Expr],
+    tiers: &[ModelBudget],
+    work: &mut SearchWork,
+) -> Option<Model> {
+    let prepared = prepare(conjuncts);
+    for (i, &budget) in tiers.iter().enumerate() {
+        let outcome = match &prepared {
+            Ok(p) => p.run(budget, &mut work.nodes),
+            Err(early) => early.clone(),
+        };
+        match outcome {
+            Tier::Found(m) => return Some(m),
+            Tier::Exhausted => {
+                work.tiers_skipped += (tiers.len() - 1 - i) as u64;
+                return None;
+            }
+            Tier::OutOfBudget => {}
+        }
+    }
+    None
+}
+
+/// How the search at one budget ended.
+#[derive(Clone, Debug)]
+enum Tier {
+    /// A model, verified against the original conjuncts.
+    Found(Model),
+    /// No model at any budget: either a budget-independent early failure
+    /// (type conflict, false conjunct, union-find conflict, or no
+    /// variables), or a search that covered its whole tree under the node
+    /// budget with no candidate list cut short — a larger budget builds
+    /// identical candidate lists and so searches the identical tree.
+    Exhausted,
+    /// The node budget or a candidate cap cut the search, or the model it
+    /// found failed the final check (longer candidate lists reorder the
+    /// search, so a larger budget may still succeed).
+    OutOfBudget,
+}
+
+/// The budget-independent half of a model search.
+struct Prepared<'a> {
+    /// The conjuncts as given, for the final verification.
+    conjuncts: &'a [Expr],
+    env: TypeEnv,
+    ints: IntDomain,
+    nums: NumDomain,
+    /// Literals of the formula, by type.
+    pool: BTreeMap<TypeTag, Vec<Value>>,
+    /// Variables the equality classes pin to a value.
+    fixed: BTreeMap<LVar, Value>,
+    /// The remaining variables, in search order.
+    free: Vec<LVar>,
+    /// The simplified, flattened conjuncts by ready level (see
+    /// [`ready_levels`]).
+    ready: Vec<Vec<Expr>>,
+}
+
+/// Does the budget-independent half of the search, or returns the
+/// outcome of every tier when that half already decides it.
+fn prepare(conjuncts: &[Expr]) -> Result<Prepared<'_>, Tier> {
     let mut env = TypeEnv::new();
     for c in conjuncts {
         if !absorb_type_fact(&mut env, c) {
-            return None;
+            return Err(Tier::Exhausted);
         }
     }
     crate::sat::absorb_usage_types_pub(&mut env, conjuncts);
@@ -205,7 +338,7 @@ pub fn find_model(conjuncts: &[Expr], budget: ModelBudget) -> Option<Model> {
     let mut flat: Vec<Expr> = Vec::new();
     for c in conjuncts {
         if !flatten(&simplify(&env, c), &mut flat) {
-            return None;
+            return Err(Tier::Exhausted);
         }
     }
 
@@ -223,7 +356,11 @@ pub fn find_model(conjuncts: &[Expr], budget: ModelBudget) -> Option<Model> {
         // Verify against the *original* conjuncts too: simplification may
         // have discharged a conjunct whose evaluation actually errors.
         let m = Model::default();
-        return (m.satisfies(&flat) && m.satisfies(conjuncts)).then_some(m);
+        return Err(if m.satisfies(&flat) && m.satisfies(conjuncts) {
+            Tier::Found(m)
+        } else {
+            Tier::Exhausted
+        });
     }
 
     // Equality classes pin some variables outright.
@@ -233,7 +370,7 @@ pub fn find_model(conjuncts: &[Expr], budget: ModelBudget) -> Option<Model> {
     for c in &flat {
         match c {
             Expr::Bin(BinOp::Eq, a, b) if !uf.union(a, b) => {
-                return None;
+                return Err(Tier::Exhausted);
             }
             Expr::Bin(op @ (BinOp::Lt | BinOp::Leq), a, b) => {
                 let strict = *op == BinOp::Lt;
@@ -284,29 +421,67 @@ pub fn find_model(conjuncts: &[Expr], budget: ModelBudget) -> Option<Model> {
         .copied()
         .filter(|x| !fixed.contains_key(x))
         .collect();
-    let candidates: Vec<Vec<Value>> = free
-        .iter()
-        .map(|x| candidate_values(*x, &env, &pool, &ints, &nums, budget.candidates_per_var))
-        .collect();
+    let ready = ready_levels(flat, &free);
+    Ok(Prepared {
+        conjuncts,
+        env,
+        ints,
+        nums,
+        pool,
+        fixed,
+        free,
+        ready,
+    })
+}
 
-    let mut nodes = 0usize;
-    let mut assignment = fixed;
-    if search(
-        &flat,
-        &free,
-        &candidates,
-        0,
-        &mut assignment,
-        &mut nodes,
-        budget.max_nodes,
-    ) {
-        let m = Model::from_assignment(assignment);
-        debug_assert!(m.satisfies(&flat));
-        // `flat` came from `conjuncts` by semantics-preserving rewrites,
-        // but verify against the originals to be safe.
-        m.satisfies(conjuncts).then_some(m)
-    } else {
-        None
+impl Prepared<'_> {
+    /// Builds the candidate lists for `budget` and searches, adding the
+    /// nodes visited to `nodes`.
+    fn run(&self, budget: ModelBudget, nodes: &mut u64) -> Tier {
+        let mut cut = false;
+        let candidates: Vec<Vec<Value>> = self
+            .free
+            .iter()
+            .map(|x| {
+                candidate_values(
+                    *x,
+                    &self.env,
+                    &self.pool,
+                    &self.ints,
+                    &self.nums,
+                    budget.candidates_per_var,
+                    &mut cut,
+                )
+            })
+            .collect();
+        let mut visited = 0usize;
+        let mut assignment = self.fixed.clone();
+        let found = search(
+            &self.ready,
+            &self.free,
+            &candidates,
+            0,
+            &mut assignment,
+            &mut visited,
+            budget.max_nodes,
+        );
+        *nodes += visited as u64;
+        if found {
+            let m = Model::from_assignment(assignment);
+            debug_assert!(self.ready.iter().flatten().all(|c| holds(&m.assignment, c)));
+            // The flattened conjuncts came from the originals by
+            // semantics-preserving rewrites, but verify against the
+            // originals to be safe.
+            if m.satisfies(self.conjuncts) {
+                Tier::Found(m)
+            } else {
+                Tier::OutOfBudget
+            }
+        } else if visited < budget.max_nodes && !cut {
+            Tier::Exhausted
+        } else {
+            Tier::OutOfBudget
+        }
     }
 }
 
@@ -322,6 +497,27 @@ fn flatten(e: &Expr, out: &mut Vec<Expr>) -> bool {
     }
 }
 
+/// Groups conjuncts by *ready level*: the 1-based position in `free` of a
+/// conjunct's last free variable, or 0 when it mentions fixed variables
+/// only. A conjunct at level `k` is fully assigned from search depth `k`
+/// on. `free` must be sorted, and every variable of a conjunct must be
+/// fixed or in `free`.
+fn ready_levels(flat: Vec<Expr>, free: &[LVar]) -> Vec<Vec<Expr>> {
+    let mut ready: Vec<Vec<Expr>> = vec![Vec::new(); free.len() + 1];
+    for c in flat {
+        let level = c
+            .lvars()
+            .iter()
+            .filter_map(|x| free.binary_search(x).ok())
+            .max()
+            .map_or(0, |i| i + 1);
+        ready[level].push(c);
+    }
+    ready
+}
+
+/// The candidate values for `x`, at most `cap` of them; sets `cut` when
+/// the cap turned a distinct value away.
 fn candidate_values(
     x: LVar,
     env: &TypeEnv,
@@ -329,12 +525,17 @@ fn candidate_values(
     ints: &IntDomain,
     nums: &NumDomain,
     cap: usize,
+    cut: &mut bool,
 ) -> Vec<Value> {
     let term = Expr::LVar(x);
     let mut out: Vec<Value> = Vec::new();
-    let push = |v: Value, out: &mut Vec<Value>| {
-        if !out.contains(&v) && out.len() < cap {
-            out.push(v);
+    let mut push = |v: Value, out: &mut Vec<Value>| {
+        if !out.contains(&v) {
+            if out.len() < cap {
+                out.push(v);
+            } else {
+                *cut = true;
+            }
         }
     };
     let ty = env.get(&x).copied();
@@ -377,7 +578,7 @@ fn candidate_values(
     }
 
     // Literals of the right type from the formula.
-    let add_pool = |t: TypeTag, out: &mut Vec<Value>| {
+    let mut add_pool = |t: TypeTag, out: &mut Vec<Value>| {
         if let Some(vs) = pool.get(&t) {
             for v in vs {
                 push(v.clone(), out);
@@ -426,10 +627,12 @@ fn candidate_values(
     out
 }
 
-/// DFS with incremental constraint checking: after each assignment, every
-/// conjunct whose variables are all assigned must evaluate to `true`.
+/// DFS over `free` in order, assigning each variable its candidates in
+/// turn. A node at depth `idx` evaluates only `ready[idx]`, the conjuncts
+/// its newest variable completed: a conjunct ready higher up the branch
+/// was already checked there, under the same values.
 fn search(
-    flat: &[Expr],
+    ready: &[Vec<Expr>],
     free: &[LVar],
     candidates: &[Vec<Value>],
     idx: usize,
@@ -441,16 +644,8 @@ fn search(
         return false;
     }
     *nodes += 1;
-    // Check conjuncts that just became fully assigned.
-    let assigned: BTreeSet<LVar> = assignment.keys().copied().collect();
-    for c in flat {
-        let lv = c.lvars();
-        if lv.iter().all(|x| assigned.contains(x)) {
-            let m = Model::from_assignment(assignment.clone());
-            if !matches!(m.eval(c), Ok(Value::Bool(true))) {
-                return false;
-            }
-        }
+    if !ready[idx].iter().all(|c| holds(assignment, c)) {
+        return false;
     }
     if idx == free.len() {
         return true;
@@ -459,7 +654,7 @@ fn search(
     for v in &candidates[idx] {
         assignment.insert(x, v.clone());
         if search(
-            flat,
+            ready,
             free,
             candidates,
             idx + 1,
@@ -475,46 +670,6 @@ fn search(
         }
     }
     false
-}
-
-/// Finds a model under escalating budgets: the given budget first, then
-/// two progressively larger fresh searches (8×/64× nodes, 4×/8× more
-/// candidates per variable).
-///
-/// The differential oracle uses this to make witness extraction *total
-/// modulo budget*: a path condition the configured search cannot crack —
-/// typically a case-split `Sat` whose end-of-solve witness harvest failed
-/// — gets genuinely deeper searches before the path is (reported as)
-/// skipped. `None` still never means "unsat", only "not found within the
-/// largest budget".
-pub fn find_model_escalating(conjuncts: &[Expr], budget: ModelBudget) -> Option<Model> {
-    let mut budget = budget;
-    for scale in 0..3 {
-        if scale > 0 {
-            budget = ModelBudget {
-                max_nodes: budget.max_nodes.saturating_mul(8),
-                candidates_per_var: budget.candidates_per_var.saturating_mul(if scale == 1 {
-                    4
-                } else {
-                    2
-                }),
-            };
-        }
-        if let Some(m) = find_model(conjuncts, budget) {
-            return Some(m);
-        }
-    }
-    None
-}
-
-/// Convenience: find a model with default budgets, checking sat first.
-pub fn find_model_default(conjuncts: &[Expr]) -> Option<Model> {
-    if crate::sat::check_conjunction(conjuncts, SatBudget::default())
-        == crate::sat::SatResult::Unsat
-    {
-        return None;
-    }
-    find_model(conjuncts, ModelBudget::default())
 }
 
 #[cfg(test)]
@@ -592,5 +747,219 @@ mod tests {
             .eq(Expr::Val(Value::List(vec![Value::Int(1), Value::Int(2)])))])
         .unwrap();
         assert_eq!(m.get(LVar(0)), Some(&Value::Int(1)));
+    }
+
+    /// Every conjunction the tests in this module search, plus cases
+    /// that exhaust or cut the search.
+    fn hand_cases() -> Vec<Vec<Expr>> {
+        let int = |e: Expr| e.type_of().eq(Expr::type_tag(TypeTag::Int));
+        vec![
+            vec![x(0).eq(Expr::int(5)), x(1).eq(x(0))],
+            vec![
+                Expr::int(10).le(x(0)),
+                x(0).lt(Expr::int(12)),
+                x(0).ne(Expr::int(10)),
+            ],
+            vec![
+                x(0).type_of().eq(Expr::type_tag(TypeTag::Str)),
+                x(0).ne(Expr::str("")),
+            ],
+            vec![x(0).eq(Expr::int(1)), x(0).eq(Expr::int(2))],
+            vec![Expr::ff()],
+            vec![x(0).lst_head().eq(Expr::int(1))],
+            vec![Expr::num(1.0).lt(x(0)), x(0).lt(Expr::num(2.0))],
+            vec![x(0).or(x(1)), x(0).not()],
+            vec![Expr::list([x(0), Expr::int(2)])
+                .eq(Expr::Val(Value::List(vec![Value::Int(1), Value::Int(2)])))],
+            vec![x(0).add(Expr::int(2)).eq(Expr::int(7))],
+            // Unsatisfiable over small candidate lists: exhausted.
+            vec![int(x(0)), int(x(1)), x(0).lt(x(1)), x(1).lt(x(0))],
+            // Needs a value outside every candidate list: cut or exhausted
+            // depending on the cap.
+            vec![int(x(0)), x(0).mul(Expr::int(3)).eq(Expr::int(1000))],
+            vec![
+                int(x(0)),
+                int(x(1)),
+                int(x(2)),
+                x(0).add(x(1)).add(x(2)).eq(Expr::int(12345)),
+            ],
+            vec![Expr::pvar("p").eq(x(0))],
+            vec![Expr::int(1).eq(Expr::int(1))],
+        ]
+    }
+
+    #[test]
+    fn escalation_matches_running_every_tier() {
+        for base in [
+            ModelBudget::default(),
+            ModelBudget {
+                max_nodes: 20,
+                candidates_per_var: 2,
+            },
+            ModelBudget {
+                max_nodes: 2_000,
+                candidates_per_var: 16,
+            },
+        ] {
+            for cs in hand_cases() {
+                let reference = escalation_tiers(base)
+                    .iter()
+                    .find_map(|&t| find_model(&cs, t));
+                assert_eq!(
+                    find_model_escalating(&cs, base),
+                    reference,
+                    "{cs:?} at {base:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn escalation_tiers_scale_nodes_and_candidates() {
+        let t = escalation_tiers(ModelBudget {
+            max_nodes: 10,
+            candidates_per_var: 3,
+        });
+        let pairs: Vec<(usize, usize)> = t
+            .iter()
+            .map(|b| (b.max_nodes, b.candidates_per_var))
+            .collect();
+        assert_eq!(pairs, [(10, 3), (80, 12), (640, 24)]);
+    }
+
+    #[test]
+    fn exhausted_search_skips_the_remaining_tiers() {
+        let int = |e: Expr| e.type_of().eq(Expr::type_tag(TypeTag::Int));
+        let tiers = escalation_tiers(ModelBudget::default());
+        // Both orders of two variables fail on every candidate pair, and
+        // the whole tree fits the node budget.
+        let cs = [int(x(0)), int(x(1)), x(0).lt(x(1)), x(1).lt(x(0))];
+        let mut work = SearchWork::default();
+        assert_eq!(find_model_tiers(&cs, &tiers, &mut work), None);
+        assert_eq!(work.tiers_skipped, 2);
+        assert!(work.nodes > 0);
+        // A budget-independent failure never searches.
+        let mut work = SearchWork::default();
+        let conflict = [x(0).eq(Expr::int(1)), x(0).eq(Expr::int(2))];
+        assert_eq!(find_model_tiers(&conflict, &tiers, &mut work), None);
+        assert_eq!(
+            work,
+            SearchWork {
+                nodes: 0,
+                tiers_skipped: 2
+            }
+        );
+        // A node cut runs the next tier.
+        let tiny = ModelBudget {
+            max_nodes: 3,
+            candidates_per_var: 16,
+        };
+        let mut work = SearchWork::default();
+        assert_eq!(find_model_tiers(&cs, &[tiny, tiny], &mut work), None);
+        assert_eq!(
+            work,
+            SearchWork {
+                nodes: 6,
+                tiers_skipped: 0
+            }
+        );
+    }
+
+    #[test]
+    fn a_candidate_cut_is_out_of_budget() {
+        let int = |e: Expr| e.type_of().eq(Expr::type_tag(TypeTag::Int));
+        let cs = [int(x(0)), x(0).mul(Expr::int(3)).eq(Expr::int(1000))];
+        let p = prepare(&cs).expect("searchable");
+        let mut nodes = 0;
+        let small = ModelBudget {
+            max_nodes: 1_000,
+            candidates_per_var: 2,
+        };
+        assert!(matches!(p.run(small, &mut nodes), Tier::OutOfBudget));
+        assert!(matches!(
+            p.run(ModelBudget::default(), &mut nodes),
+            Tier::Exhausted
+        ));
+    }
+
+    #[test]
+    fn ready_levels_follow_the_last_free_variable() {
+        let free = [LVar(1), LVar(2), LVar(3)];
+        let flat = vec![
+            x(0).eq(Expr::int(7)),
+            x(2).lt(x(1)),
+            x(3).eq(x(0)),
+            Expr::pvar("p"),
+            x(1).not(),
+        ];
+        let levels: Vec<Vec<String>> = ready_levels(flat, &free)
+            .iter()
+            .map(|l| l.iter().map(|c| c.to_string()).collect())
+            .collect();
+        assert_eq!(
+            levels,
+            [
+                vec!["(#x0 = 7)", "p"],
+                vec!["not(#x1)"],
+                vec!["(#x2 < #x1)"],
+                vec!["(#x3 = #x0)"],
+            ]
+        );
+    }
+
+    #[test]
+    fn search_checks_each_conjunct_at_its_ready_level() {
+        // x0 is fixed; x1, x2, x3 are free with two candidates each.
+        let free = [LVar(1), LVar(2), LVar(3)];
+        let candidates = vec![vec![Value::Int(0), Value::Int(1)]; 3];
+        let run = |flat: Vec<Expr>| {
+            let ready = ready_levels(flat, &free);
+            let mut assignment = BTreeMap::from([(LVar(0), Value::Int(7))]);
+            let mut nodes = 0;
+            let found = search(
+                &ready,
+                &free,
+                &candidates,
+                0,
+                &mut assignment,
+                &mut nodes,
+                usize::MAX,
+            );
+            (found, nodes)
+        };
+        let unreachable = x(1).add(x(2)).add(x(3)).eq(Expr::int(9));
+        // The whole tree: 1 + 2 + 4 + 8 nodes, with the fixed-only
+        // conjunct true at the root.
+        assert_eq!(
+            run(vec![x(0).eq(Expr::int(7)), unreachable.clone()]),
+            (false, 15)
+        );
+        // A false conjunct over fixed variables only prunes at the root.
+        assert_eq!(
+            run(vec![x(0).eq(Expr::int(8)), unreachable.clone()]),
+            (false, 1)
+        );
+        // `x1 = 1` prunes the `x1 = 0` subtree one level down.
+        assert_eq!(
+            run(vec![x(1).eq(Expr::int(1)), unreachable]),
+            (false, 1 + 2 + 2 + 4)
+        );
+        // The first satisfying leaf in DFS order is x1 = 0, x2 = 1,
+        // x3 = 1: root, x1 = 0, x2 = 0 and its two leaves, x2 = 1 and
+        // its two leaves.
+        assert_eq!(
+            run(vec![x(1).add(x(2)).add(x(3)).eq(Expr::int(2))]),
+            (true, 1 + 1 + 1 + 2 + 1 + 2)
+        );
+    }
+
+    #[test]
+    fn eval_reads_the_assignment_and_keeps_error_text() {
+        let m = Model::from_assignment(BTreeMap::from([(LVar(0), Value::Int(4))]));
+        assert_eq!(m.eval(&x(0).add(Expr::int(1))), Ok(Value::Int(5)));
+        let unassigned = m.eval(&x(0).add(x(1))).unwrap_err();
+        assert_eq!(unassigned.0, "logical variable #x1 in concrete evaluation");
+        let pvar = m.eval(&Expr::pvar("p")).unwrap_err();
+        assert_eq!(pvar.0, "unbound variable p");
     }
 }

@@ -9,7 +9,9 @@
 
 use crate::ctx::{CapturedState, ImplicationCache, SolveCtx};
 use crate::interrupt::Interrupt;
-use crate::model::{find_model, harvest_witness, Model, ModelBudget};
+use crate::model::{
+    escalation_tiers, find_model_tiers, harvest_witness, Model, ModelBudget, SearchWork,
+};
 use crate::pathcond::{PathCondition, PcEnv, PcKey};
 use crate::sat::{
     check_conjunction, check_conjunction_capturing, check_extension, SatBudget, SatResult,
@@ -202,6 +204,11 @@ pub struct SolverStats {
     pub incremental_hits: u64,
     /// Queries answered by the implication-aware verdict index.
     pub implication_hits: u64,
+    /// Search-tree nodes the model searches visited.
+    pub model_nodes: u64,
+    /// Escalation tiers the model searches skipped because an earlier
+    /// tier exhausted the search space.
+    pub model_tiers_skipped: u64,
 }
 
 /// The solver's handles into the process-global telemetry registry.
@@ -215,6 +222,10 @@ struct Tel {
     sat_incremental_hits: &'static Counter,
     sat_implication_hits: &'static Counter,
     sat_prefix_depth: &'static Histogram,
+    model_searches: &'static Counter,
+    model_search_failures: &'static Counter,
+    model_nodes: &'static Counter,
+    model_tiers_skipped: &'static Counter,
 }
 
 fn tel() -> &'static Tel {
@@ -228,6 +239,10 @@ fn tel() -> &'static Tel {
         sat_incremental_hits: registry().counter(names::SAT_INCREMENTAL_HITS),
         sat_implication_hits: registry().counter(names::SAT_IMPLICATION_HITS),
         sat_prefix_depth: registry().histogram(names::SAT_PREFIX_DEPTH),
+        model_searches: registry().counter(names::MODEL_SEARCHES),
+        model_search_failures: registry().counter(names::MODEL_SEARCH_FAILURES),
+        model_nodes: registry().counter(names::MODEL_NODES),
+        model_tiers_skipped: registry().counter(names::MODEL_TIERS_SKIPPED),
     })
 }
 
@@ -360,6 +375,8 @@ pub struct Solver {
     simplify_hits: AtomicU64,
     incremental_hits: AtomicU64,
     implication_hits: AtomicU64,
+    model_nodes: AtomicU64,
+    model_tiers_skipped: AtomicU64,
 }
 
 /// Compile-time guarantee that the solver can be shared across the
@@ -410,6 +427,8 @@ impl Solver {
             simplify_hits: self.simplify_hits.load(Ordering::Relaxed),
             incremental_hits: self.incremental_hits.load(Ordering::Relaxed),
             implication_hits: self.implication_hits.load(Ordering::Relaxed),
+            model_nodes: self.model_nodes.load(Ordering::Relaxed),
+            model_tiers_skipped: self.model_tiers_skipped.load(Ordering::Relaxed),
         }
     }
 
@@ -841,8 +860,7 @@ impl Solver {
         if pc.is_trivially_false() {
             return None;
         }
-        self.model_searches.fetch_add(1, Ordering::Relaxed);
-        find_model(&pc.conjuncts(), self.config.model_budget)
+        self.search_model(pc, &[self.config.model_budget])
     }
 
     /// Deep-budget model search for replay: call after [`Solver::model`]
@@ -855,13 +873,30 @@ impl Solver {
         if pc.is_trivially_false() {
             return None;
         }
-        self.model_searches.fetch_add(1, Ordering::Relaxed);
         let base = self.config.model_budget;
-        let escalated = crate::model::ModelBudget {
+        let escalated = ModelBudget {
             max_nodes: base.max_nodes.saturating_mul(8),
             candidates_per_var: base.candidates_per_var.saturating_mul(4),
         };
-        crate::model::find_model_escalating(&pc.conjuncts(), escalated)
+        self.search_model(pc, &escalation_tiers(escalated))
+    }
+
+    /// One counted model search over the budget `tiers`.
+    fn search_model(&self, pc: &PathCondition, tiers: &[ModelBudget]) -> Option<Model> {
+        let mut work = SearchWork::default();
+        let model = find_model_tiers(&pc.conjuncts(), tiers, &mut work);
+        self.model_searches.fetch_add(1, Ordering::Relaxed);
+        self.model_nodes.fetch_add(work.nodes, Ordering::Relaxed);
+        self.model_tiers_skipped
+            .fetch_add(work.tiers_skipped, Ordering::Relaxed);
+        let t = tel();
+        t.model_searches.incr();
+        t.model_nodes.add(work.nodes);
+        t.model_tiers_skipped.add(work.tiers_skipped);
+        if model.is_none() {
+            t.model_search_failures.incr();
+        }
+        model
     }
 }
 
@@ -928,6 +963,29 @@ mod tests {
             .collect();
         let m = s.model(&pc).unwrap();
         assert_eq!(m.get(LVar(0)), Some(&gillian_gil::Value::Int(5)));
+    }
+
+    #[test]
+    fn model_search_work_is_counted() {
+        let s = Solver::optimized();
+        let pc: PathCondition = [x(0).add(Expr::int(2)).eq(Expr::int(7))]
+            .into_iter()
+            .collect();
+        assert!(s.model(&pc).is_some());
+        let found = s.stats();
+        assert_eq!(found.model_searches, 1);
+        assert!(found.model_nodes > 0);
+        assert_eq!(found.model_tiers_skipped, 0);
+        // A union-find conflict fails before any search: both escalation
+        // tiers after the first are skipped.
+        let conflict: PathCondition = [x(0).eq(Expr::int(1)), x(0).eq(Expr::int(2))]
+            .into_iter()
+            .collect();
+        assert!(s.model_for_replay(&conflict).is_none());
+        let after = s.stats();
+        assert_eq!(after.model_searches, 2);
+        assert_eq!(after.model_nodes, found.model_nodes);
+        assert_eq!(after.model_tiers_skipped, 2);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Property tests for the solver: the simplifier preserves semantics, the
 //! satisfiability checker never calls a satisfied conjunction unsat, and
-//! every model the finder returns is genuine.
+//! every model the finder returns is genuine, and model evaluation agrees
+//! with substituting the model and evaluating concretely.
 //!
 //! These are the executable form of the correctness obligations the paper
 //! puts on the first-order solver — Gillian trusts the solver the way it
@@ -10,12 +11,13 @@
 
 use gillian_gil::eval::{eval, Store};
 use gillian_gil::{BinOp, Expr, LVar, Sym, TypeTag, UnOp, Value};
-use gillian_solver::model::{find_model, ModelBudget};
+use gillian_solver::model::{find_model, Model, ModelBudget};
 use gillian_solver::sat::{check_conjunction, SatBudget};
 use gillian_solver::simplify::simplify;
 use gillian_solver::typing::TypeEnv;
 use gillian_solver::SatResult;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 const NUM_LVARS: u64 = 3;
 
@@ -100,6 +102,89 @@ fn arb_env() -> impl Strategy<Value = (Vec<Value>, TypeEnv)> {
     })
 }
 
+/// Every unary operator, with wrap widths on both sides of the valid
+/// `1..=64` range.
+fn arb_any_unop() -> impl Strategy<Value = UnOp> {
+    prop_oneof![
+        proptest::sample::select(vec![
+            UnOp::Not,
+            UnOp::Neg,
+            UnOp::TypeOf,
+            UnOp::IntToNum,
+            UnOp::NumToInt,
+            UnOp::ToStr,
+            UnOp::StrLen,
+            UnOp::LstLen,
+            UnOp::LstHead,
+            UnOp::LstTail,
+            UnOp::LstRev,
+            UnOp::BitNot,
+            UnOp::Floor,
+        ]),
+        (0u8..66).prop_map(UnOp::WrapSigned),
+        (0u8..66).prop_map(UnOp::WrapUnsigned),
+    ]
+}
+
+/// Every binary operator.
+fn arb_any_binop() -> impl Strategy<Value = BinOp> {
+    proptest::sample::select(vec![
+        BinOp::Add,
+        BinOp::Sub,
+        BinOp::Mul,
+        BinOp::Div,
+        BinOp::Mod,
+        BinOp::Eq,
+        BinOp::Lt,
+        BinOp::Leq,
+        BinOp::And,
+        BinOp::Or,
+        BinOp::BitAnd,
+        BinOp::BitOr,
+        BinOp::BitXor,
+        BinOp::Shl,
+        BinOp::ShrA,
+        BinOp::ShrL,
+        BinOp::LstNth,
+        BinOp::StrNth,
+        BinOp::LstCons,
+        BinOp::LstSub,
+    ])
+}
+
+/// Expressions over every operator and node kind, with logical and
+/// program variables at the leaves.
+fn arb_open_expr() -> impl Strategy<Value = Expr> {
+    let leaf = prop_oneof![
+        3 => arb_value().prop_map(Expr::Val),
+        3 => (0..NUM_LVARS + 1).prop_map(|i| Expr::lvar(LVar(i))),
+        1 => "[pq]".prop_map(Expr::pvar),
+    ];
+    leaf.prop_recursive(4, 32, 3, |inner| {
+        prop_oneof![
+            (inner.clone(), arb_any_unop()).prop_map(|(e, op)| e.un(op)),
+            (inner.clone(), inner.clone(), arb_any_binop()).prop_map(|(a, b, op)| a.bin(op, b)),
+            proptest::collection::vec(inner.clone(), 0..3).prop_map(Expr::list),
+            proptest::collection::vec(inner.clone(), 0..3).prop_map(Expr::strcat_of),
+            proptest::collection::vec(inner, 0..3).prop_map(Expr::lstcat_of),
+        ]
+    })
+}
+
+/// A partial assignment to the logical variables (one more variable than
+/// [`arb_expr`] uses, so some stay unassigned whatever is drawn).
+fn arb_partial_model() -> impl Strategy<Value = Model> {
+    proptest::collection::vec((any::<bool>(), arb_value()), NUM_LVARS as usize).prop_map(|vals| {
+        let assignment: BTreeMap<LVar, Value> = vals
+            .into_iter()
+            .enumerate()
+            .filter(|(_, (assigned, _))| *assigned)
+            .map(|(i, (_, v))| (LVar(i as u64), v))
+            .collect();
+        Model::from_assignment(assignment)
+    })
+}
+
 fn eval_under(e: &Expr, vals: &[Value]) -> Result<Value, String> {
     let closed = e.subst(&|sub| match sub {
         Expr::LVar(LVar(i)) => Some(Expr::Val(vals[*i as usize].clone())),
@@ -179,6 +264,17 @@ proptest! {
         if let Some(model) = find_model(&conjuncts, ModelBudget::default()) {
             prop_assert!(model.satisfies(&conjuncts), "{model} does not satisfy {conjuncts:?}");
         }
+    }
+
+    /// Model evaluation is substitution followed by concrete evaluation,
+    /// down to the error text: same value, same first error.
+    #[test]
+    fn model_eval_matches_substitution(model in arb_partial_model(), e in arb_open_expr()) {
+        let substituted = e.subst(&|sub| match sub {
+            Expr::LVar(x) => model.get(*x).map(|v| Expr::Val(v.clone())),
+            _ => None,
+        });
+        prop_assert_eq!(model.eval(&e), eval(&Store::new(), &substituted), "{} under {}", e, model);
     }
 
     /// The typed equality decision: expressions of provably different

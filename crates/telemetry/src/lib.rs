@@ -79,6 +79,17 @@ pub mod names {
     /// Histogram of reused-prefix depth (conjuncts inherited from the
     /// deepest already-solved ancestor) on incremental answers.
     pub const SAT_PREFIX_DEPTH: &str = "solver.sat_reused_prefix_depth";
+    /// Counter-model searches (`Solver::model` and
+    /// `Solver::model_for_replay`).
+    pub const MODEL_SEARCHES: &str = "solver.model_searches";
+    /// Model searches that ended without a model.
+    pub const MODEL_SEARCH_FAILURES: &str = "solver.model_search_failures";
+    /// Search-tree nodes visited by model searches (added once per
+    /// search).
+    pub const MODEL_NODES: &str = "solver.model_nodes";
+    /// Escalation tiers not run because an earlier tier exhausted the
+    /// search space (a larger budget would search the same tree).
+    pub const MODEL_TIERS_SKIPPED: &str = "solver.model_tiers_skipped";
     /// Symbolic paths replayed concretely by the differential oracle.
     pub const DIFFTEST_REPLAYS: &str = "difftest.replays";
     /// Symbolic-vs-concrete divergences found by the differential oracle.

@@ -243,6 +243,17 @@ impl Report {
                 );
             }
         }
+        let searches = self.metrics.counter(names::MODEL_SEARCHES);
+        if searches > 0 {
+            let _ = writeln!(
+                out,
+                "model search: {} calls · {} failures · {} nodes · {} tiers skipped",
+                searches,
+                self.metrics.counter(names::MODEL_SEARCH_FAILURES),
+                self.metrics.counter(names::MODEL_NODES),
+                self.metrics.counter(names::MODEL_TIERS_SKIPPED)
+            );
+        }
         let recorded = self.metrics.counter(names::SUMMARY_RECORDED);
         let applied = self.metrics.counter(names::SUMMARY_APPLIED);
         let missed = self.metrics.counter(names::SUMMARY_MISSED);
@@ -557,6 +568,29 @@ mod tests {
         let text = report.render();
         assert!(
             text.contains("summary reuse: recorded 3 · applied 2 · missed 0 · escaped 0"),
+            "{text}"
+        );
+    }
+
+    /// The model-search line appears once a search ran, rendered from
+    /// the four `solver.model_*` counters.
+    #[test]
+    fn render_includes_model_search_only_when_searches_ran() {
+        use crate::{names, registry};
+        let before = registry().snapshot();
+        let mut report = Report {
+            metrics: registry().snapshot().since(&before),
+            ..Default::default()
+        };
+        assert!(!report.render().contains("model search"));
+        registry().counter(names::MODEL_SEARCHES).add(4);
+        registry().counter(names::MODEL_SEARCH_FAILURES).add(1);
+        registry().counter(names::MODEL_NODES).add(250);
+        registry().counter(names::MODEL_TIERS_SKIPPED).add(2);
+        report.metrics = registry().snapshot().since(&before);
+        let text = report.render();
+        assert!(
+            text.contains("model search: 4 calls · 1 failures · 250 nodes · 2 tiers skipped"),
             "{text}"
         );
     }
