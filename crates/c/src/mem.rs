@@ -36,7 +36,7 @@
 
 use crate::chunks::{Chunk, ChunkKind};
 use crate::values::POISON;
-use gillian_core::memory::{ConcreteMemory, SymBranch, SymbolicMemory};
+use gillian_core::memory::{successors, ConcreteMemory, SymBranch, SymbolicMemory};
 use gillian_gil::ops::eval_unop;
 use gillian_gil::{Expr, LVar, Sym, UnOp, Value};
 use gillian_solver::{PathCondition, Solver};
@@ -545,12 +545,35 @@ struct SymBlock {
 /// The symbolic MiniC memory.
 ///
 /// Like [`CConcMemory`], blocks are copy-on-write behind [`Arc`]s, so the
-/// per-branch state clones of symbolic execution stay cheap and straight-
-/// line execution mutates in place.
+/// per-branch state clones of symbolic execution stay cheap. Actions
+/// consume the memory: a single-successor action (every action along
+/// straight-line code) edits the block map and the touched block in
+/// place, and a sibling branch is a clone that copies only what it
+/// writes.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct CSymMemory {
     blocks: Arc<BTreeMap<Sym, Arc<SymBlock>>>,
     globals: Arc<BTreeMap<Arc<str>, Expr>>,
+}
+
+/// The memory effect of one symbolic branch, decided before the branch's
+/// memory exists (`gillian_core::memory::successors` builds it).
+enum Edit {
+    Keep,
+    /// Frees the block.
+    Free(Sym),
+    /// Stores a run into block `b`: removes the `remove` cells and the
+    /// concrete runs overlapping `size` bytes at `base`, then writes
+    /// `value` as byte `k` of `size` at `insert[k]`. Keys are computed
+    /// when the branch is decided, in the order the solver saw them.
+    Store {
+        b: Sym,
+        remove: Vec<Expr>,
+        base: Expr,
+        size: u8,
+        insert: Vec<Expr>,
+        value: Expr,
+    },
 }
 
 impl CSymMemory {
@@ -563,6 +586,42 @@ impl CSymMemory {
     fn blocks_mut(&mut self) -> &mut BTreeMap<Sym, Arc<SymBlock>> {
         Arc::make_mut(&mut self.blocks)
     }
+
+    /// Applies a branch's memory effect (see [`Edit`]).
+    fn apply(&mut self, edit: Edit) {
+        match edit {
+            Edit::Keep => {}
+            Edit::Free(b) => {
+                if let Some(blk) = self.block_mut(b) {
+                    blk.freed = true;
+                    blk.perm = perm::NONE;
+                    blk.cells.clear();
+                }
+            }
+            Edit::Store {
+                b,
+                remove,
+                base,
+                size,
+                insert,
+                value,
+            } => {
+                let blk = self.block_mut(b).expect("block checked");
+                for key in &remove {
+                    blk.cells.remove(key);
+                }
+                remove_concrete_overlaps(blk, &base, size);
+                for (k, key) in insert.into_iter().enumerate() {
+                    blk.cells.insert(key, (value.clone(), k as u8, size));
+                }
+            }
+        }
+    }
+}
+
+/// The map keys of the `n` bytes of a run at `base`.
+fn run_keys(base: &Expr, n: u8, solver: &Solver, pc: &PathCondition) -> Vec<Expr> {
+    (0..n).map(|k| offset_key(base, k, solver, pc)).collect()
 }
 
 fn expr_args(arg: &Expr, n: usize, action: &str) -> Result<Vec<Expr>, Expr> {
@@ -679,11 +738,15 @@ impl CSymMemory {
 
     /// True when every cell offset of the block is a literal integer —
     /// the common case, where accesses at literal offsets can use direct
-    /// map lookups instead of alias branching.
+    /// map lookups instead of alias branching. Integer literals sort
+    /// before every other expression, so only the last offset is tested.
     fn all_offsets_literal(&self, b: Sym) -> bool {
-        self.blocks
-            .get(&b)
-            .is_some_and(|blk| blk.cells.keys().all(|off| off.as_int().is_some()))
+        self.blocks.get(&b).is_some_and(|blk| {
+            blk.cells
+                .keys()
+                .next_back()
+                .is_none_or(|off| off.as_int().is_some())
+        })
     }
 
     /// Fast-path candidates for an access at a *literal* offset into a
@@ -723,29 +786,6 @@ impl CSymMemory {
             }
         }
         true
-    }
-
-    /// Removes the run starting at `base` with `n` bytes.
-    fn remove_run(blk: &mut SymBlock, base: &Expr, n: u8, solver: &Solver, pc: &PathCondition) {
-        for i in 0..n {
-            let key = offset_key(base, i, solver, pc);
-            blk.cells.remove(&key);
-        }
-    }
-
-    /// Inserts a run of `n` bytes of `v` at `base`.
-    fn insert_run(
-        blk: &mut SymBlock,
-        base: &Expr,
-        v: &Expr,
-        n: u8,
-        solver: &Solver,
-        pc: &PathCondition,
-    ) {
-        for k in 0..n {
-            let key = offset_key(base, k, solver, pc);
-            blk.cells.insert(key, (v.clone(), k, n));
-        }
     }
 
     /// Validity prologue shared by memory accesses: checks the block and
@@ -890,125 +930,127 @@ impl CSymMemory {
         Some((chunk, b, off, blk))
     }
 
+    // Every fast path owns the memory: the one branch it builds takes
+    // `self` (a store writes it in place), and `Err(self)` hands it back
+    // untouched for the general path.
+
     fn fast_load(
-        &self,
+        self,
         arg: &Expr,
         pc: &PathCondition,
         solver: &Solver,
-    ) -> Option<Vec<SymBranch<Self>>> {
-        let args = expr_args(arg, 3, "load").ok()?;
-        let (chunk, b, off, blk) = self.literal_access(&args, perm::READABLE)?;
-        let branch = if !(0 <= off && off <= blk.size - chunk.size as i64) {
-            SymBranch::err_if(
-                self.clone(),
-                ub_expr(
-                    "out-of-bounds",
-                    format!("load of {} bytes at {b}+{off}", chunk.size),
-                ),
-                Expr::tt(),
-            )
+    ) -> Result<Vec<SymBranch<Self>>, Self> {
+        let Ok(args) = expr_args(arg, 3, "load") else {
+            return Err(self);
+        };
+        let Some((chunk, b, off, blk)) = self.literal_access(&args, perm::READABLE) else {
+            return Err(self);
+        };
+        let outcome = if !(0 <= off && off <= blk.size - chunk.size as i64) {
+            Err(ub_expr(
+                "out-of-bounds",
+                format!("load of {} bytes at {b}+{off}", chunk.size),
+            ))
         } else {
             match blk.cells.get(&Expr::int(off)) {
                 Some((v, 0, n))
                     if *n == chunk.size
                         && self.run_complete(b, &Expr::int(off), v, *n, solver, pc) =>
                 {
-                    SymBranch::ok_if(
-                        self.clone(),
-                        decode_simplified(v, chunk, pc, solver),
-                        Expr::tt(),
-                    )
+                    Ok(decode_simplified(v, chunk, pc, solver))
                 }
-                Some((_, 0, _)) => SymBranch::err_if(
-                    self.clone(),
-                    ub_expr("mixed-read", format!("torn load at {b}+{off}")),
-                    Expr::tt(),
-                ),
+                Some((_, 0, _)) => Err(ub_expr("mixed-read", format!("torn load at {b}+{off}"))),
                 // A mid-run hit or a miss: no run starts here.
-                _ => SymBranch::err_if(
-                    self.clone(),
-                    ub_expr(
-                        "uninitialized-read",
-                        format!("load at {b}+{off} reads uninitialized bytes"),
-                    ),
-                    Expr::tt(),
-                ),
+                _ => Err(ub_expr(
+                    "uninitialized-read",
+                    format!("load at {b}+{off} reads uninitialized bytes"),
+                )),
             }
         };
-        Some(literal_gate(pc, solver, vec![branch]))
+        let branch = SymBranch {
+            memory: self,
+            outcome,
+            constraint: Expr::tt(),
+        };
+        Ok(literal_gate(pc, solver, vec![branch]))
     }
 
     fn fast_store(
-        &self,
+        mut self,
         arg: &Expr,
         pc: &PathCondition,
         solver: &Solver,
-    ) -> Option<Vec<SymBranch<Self>>> {
-        let args = expr_args(arg, 4, "store").ok()?;
-        let (chunk, b, off, blk) = self.literal_access(&args, perm::WRITABLE)?;
-        let branch = if !(0 <= off && off <= blk.size - chunk.size as i64) {
-            SymBranch::err_if(
-                self.clone(),
-                ub_expr(
-                    "out-of-bounds",
-                    format!("store of {} bytes at {b}+{off}", chunk.size),
-                ),
-                Expr::tt(),
-            )
-        } else {
-            let value = decode_simplified(&args[3], chunk, pc, solver);
-            let base = Expr::int(off);
-            // Only a run *starting* here is replaced wholesale; a mid-run
-            // overwrite is handled by the concrete-overlap removal, as on
-            // the general path's none-of-the-runs branch.
-            let old_run = match blk.cells.get(&base) {
-                Some((_, 0, n)) => Some(*n),
-                _ => None,
-            };
-            let mut mem = self.clone();
-            let mblk = mem.block_mut(b).expect("block checked");
-            if let Some(n) = old_run {
-                Self::remove_run(mblk, &base, n, solver, pc);
-            }
-            remove_concrete_overlaps(mblk, &base, chunk.size);
-            Self::insert_run(mblk, &base, &value, chunk.size, solver, pc);
-            SymBranch::ok_if(mem, value, Expr::tt())
+    ) -> Result<Vec<SymBranch<Self>>, Self> {
+        let Ok(args) = expr_args(arg, 4, "store") else {
+            return Err(self);
         };
-        Some(literal_gate(pc, solver, vec![branch]))
+        let Some((chunk, b, off, blk)) = self.literal_access(&args, perm::WRITABLE) else {
+            return Err(self);
+        };
+        if !(0 <= off && off <= blk.size - chunk.size as i64) {
+            let oob = ub_expr(
+                "out-of-bounds",
+                format!("store of {} bytes at {b}+{off}", chunk.size),
+            );
+            return Ok(literal_gate(
+                pc,
+                solver,
+                vec![SymBranch::err_if(self, oob, Expr::tt())],
+            ));
+        }
+        let value = decode_simplified(&args[3], chunk, pc, solver);
+        let base = Expr::int(off);
+        // Only a run *starting* here is replaced wholesale; a mid-run
+        // overwrite is handled by the concrete-overlap removal, as on
+        // the general path's none-of-the-runs branch.
+        let remove = match blk.cells.get(&base) {
+            Some((_, 0, n)) => run_keys(&base, *n, solver, pc),
+            _ => Vec::new(),
+        };
+        let insert = run_keys(&base, chunk.size, solver, pc);
+        self.apply(Edit::Store {
+            b,
+            remove,
+            base,
+            size: chunk.size,
+            insert,
+            value: value.clone(),
+        });
+        Ok(literal_gate(
+            pc,
+            solver,
+            vec![SymBranch::ok_if(self, value, Expr::tt())],
+        ))
     }
 
     fn fast_free(
-        &self,
+        mut self,
         arg: &Expr,
         pc: &PathCondition,
         solver: &Solver,
-    ) -> Option<Vec<SymBranch<Self>>> {
-        let args = expr_args(arg, 2, "free").ok()?;
-        let b = match &args[0] {
-            Expr::Val(Value::Sym(s)) => *s,
-            _ => return None,
+    ) -> Result<Vec<SymBranch<Self>>, Self> {
+        let Ok(args) = expr_args(arg, 2, "free") else {
+            return Err(self);
         };
-        let off = args[1].as_int()?;
-        let blk = self.blocks.get(&b)?;
-        if blk.freed || blk.perm < perm::FREEABLE {
-            return None;
+        let (Expr::Val(Value::Sym(b)), Some(off)) = (&args[0], args[1].as_int()) else {
+            return Err(self);
+        };
+        let b = *b;
+        match self.blocks.get(&b) {
+            Some(blk) if !blk.freed && blk.perm >= perm::FREEABLE => {}
+            _ => return Err(self),
         }
         let branch = if off == 0 {
-            let mut mem = self.clone();
-            if let Some(mblk) = mem.block_mut(b) {
-                mblk.freed = true;
-                mblk.perm = perm::NONE;
-                mblk.cells.clear();
-            }
-            SymBranch::ok_if(mem, Expr::tt(), Expr::tt())
+            self.apply(Edit::Free(b));
+            SymBranch::ok_if(self, Expr::tt(), Expr::tt())
         } else {
             SymBranch::err_if(
-                self.clone(),
+                self,
                 ub_expr("bad-free", format!("free of {b} at nonzero offset {off}")),
                 Expr::tt(),
             )
         };
-        Some(literal_gate(pc, solver, vec![branch]))
+        Ok(literal_gate(pc, solver, vec![branch]))
     }
 
     /// `cmpPtr` on two fully-literal pointers: every comparison folds
@@ -1016,7 +1058,9 @@ impl CSymMemory {
     /// uses (`Value`'s derived equality is element-wise on the promoted
     /// pointer lists). The general path issues no satisfiability probes
     /// for `cmpPtr` — only simplifies — so no gate applies here either.
-    fn fast_cmp_ptr(&self, arg: &Expr) -> Option<Vec<SymBranch<Self>>> {
+    /// Returns the single branch's outcome; `None` falls back to the
+    /// general path.
+    fn literal_cmp_ptr(&self, arg: &Expr) -> Option<Result<Expr, Expr>> {
         let args = expr_args(arg, 3, "cmpPtr").ok()?;
         let op = match &args[0] {
             Expr::Val(Value::Str(s)) => s.clone(),
@@ -1031,24 +1075,14 @@ impl CSymMemory {
             _ => return None,
         };
         Some(match op.as_ref() {
-            "eq" => vec![SymBranch::ok(
-                self.clone(),
-                Expr::bool(vb1 == vb2 && vo1 == vo2),
-            )],
-            "ne" => vec![SymBranch::ok(
-                self.clone(),
-                Expr::bool(vb1 != vb2 || vo1 != vo2),
-            )],
+            "eq" => Ok(Expr::bool(vb1 == vb2 && vo1 == vo2)),
+            "ne" => Ok(Expr::bool(vb1 != vb2 || vo1 != vo2)),
             "lt" | "le" => {
                 if vb1 != vb2 {
-                    vec![SymBranch::err_if(
-                        self.clone(),
-                        ub_expr(
-                            "ub-pointer-comparison",
-                            "ordering of pointers into different blocks",
-                        ),
-                        Expr::tt(),
-                    )]
+                    Err(ub_expr(
+                        "ub-pointer-comparison",
+                        "ordering of pointers into different blocks",
+                    ))
                 } else {
                     let Value::Sym(blk) = vb1 else { return None };
                     match self.blocks.get(blk) {
@@ -1058,14 +1092,12 @@ impl CSymMemory {
                                 // the folder; let the general path decide.
                                 return None;
                             };
-                            let cmp = if op.as_ref() == "lt" { a < c } else { a <= c };
-                            vec![SymBranch::ok(self.clone(), Expr::bool(cmp))]
+                            Ok(Expr::bool(if op.as_ref() == "lt" { a < c } else { a <= c }))
                         }
-                        _ => vec![SymBranch::err_if(
-                            self.clone(),
-                            ub_expr("ub-pointer-comparison", "ordering of invalid pointers"),
-                            Expr::tt(),
-                        )],
+                        _ => Err(ub_expr(
+                            "ub-pointer-comparison",
+                            "ordering of invalid pointers",
+                        )),
                     }
                 }
             }
@@ -1080,7 +1112,7 @@ impl SymbolicMemory for CSymMemory {
     }
 
     fn execute_action_coded(
-        &self,
+        self,
         code: u16,
         name: &str,
         arg: &Expr,
@@ -1088,118 +1120,128 @@ impl SymbolicMemory for CSymMemory {
         solver: &Solver,
     ) -> Vec<SymBranch<Self>> {
         // Only the hot heap accesses have literal fast paths; a fast
-        // helper returns `None` whenever anything symbolic is involved.
+        // helper declines whenever anything symbolic is involved.
         // Everything else falls back to the general implementation.
         let fast = match code {
             code::LOAD => self.fast_load(arg, pc, solver),
             code::STORE => self.fast_store(arg, pc, solver),
             code::FREE => self.fast_free(arg, pc, solver),
-            code::CMP_PTR => self.fast_cmp_ptr(arg),
-            _ => None,
+            code::CMP_PTR => match self.literal_cmp_ptr(arg) {
+                Some(outcome) => Ok(vec![SymBranch {
+                    memory: self,
+                    outcome,
+                    constraint: Expr::tt(),
+                }]),
+                None => Err(self),
+            },
+            _ => Err(self),
         };
-        fast.unwrap_or_else(|| self.execute_action(name, arg, pc, solver))
+        fast.unwrap_or_else(|mem| mem.execute_action(name, arg, pc, solver))
     }
     fn language() -> &'static str {
         "minic"
     }
 
     fn execute_action(
-        &self,
+        mut self,
         name: &str,
         arg: &Expr,
         pc: &PathCondition,
         solver: &Solver,
     ) -> Vec<SymBranch<Self>> {
-        let err1 = |e: Expr| vec![SymBranch::err_if(self.clone(), e, Expr::tt())];
+        // Multi-branch actions decide their branches first, as edits;
+        // `successors` then builds the memories, the last one reusing
+        // `self`. Single-branch actions write `self` directly.
+        let err1 = |mem: Self, e: Expr| vec![SymBranch::err_if(mem, e, Expr::tt())];
         match name {
             "alloc" => {
                 let args = match expr_args(arg, 2, "alloc") {
                     Ok(a) => a,
-                    Err(e) => return err1(e),
+                    Err(e) => return err1(self, e),
                 };
                 let b = match expr_block(&args[0], "alloc") {
                     Ok(b) => b,
-                    Err(e) => return err1(e),
+                    Err(e) => return err1(self, e),
                 };
                 let Some(size) = args[1].as_int() else {
                     // Paper §4.2: symbolic allocation sizes are an open
                     // research problem; MiniC rejects them like Gillian-C.
-                    return err1(ub_expr(
-                        "symbolic-alloc",
-                        format!("alloc of symbolic size {}", args[1]),
-                    ));
+                    return err1(
+                        self,
+                        ub_expr(
+                            "symbolic-alloc",
+                            format!("alloc of symbolic size {}", args[1]),
+                        ),
+                    );
                 };
                 if size < 0 {
-                    return err1(ub_expr("bad-alloc", format!("negative size {size}")));
+                    return err1(self, ub_expr("bad-alloc", format!("negative size {size}")));
                 }
                 if self.blocks.contains_key(&b) {
-                    return err1(ub_expr("bad-alloc", format!("block {b} exists")));
+                    return err1(self, ub_expr("bad-alloc", format!("block {b} exists")));
                 }
-                let mut mem = self.clone();
-                mem.register_block(b, size);
-                vec![SymBranch::ok(mem, args[0].clone())]
+                self.register_block(b, size);
+                vec![SymBranch::ok(self, args[0].clone())]
             }
             "free" => {
                 let args = match expr_args(arg, 2, "free") {
                     Ok(a) => a,
-                    Err(e) => return err1(e),
+                    Err(e) => return err1(self, e),
                 };
                 let b = match expr_block(&args[0], "free") {
                     Ok(b) => b,
-                    Err(e) => return err1(e),
+                    Err(e) => return err1(self, e),
                 };
                 let off = &args[1];
                 let Some(blk) = self.blocks.get(&b) else {
-                    return err1(ub_expr("invalid-block", format!("free of {b}")));
+                    return err1(self, ub_expr("invalid-block", format!("free of {b}")));
                 };
                 if blk.freed {
-                    return err1(ub_expr("double-free", format!("free of already freed {b}")));
+                    return err1(
+                        self,
+                        ub_expr("double-free", format!("free of already freed {b}")),
+                    );
                 }
                 if blk.perm < perm::FREEABLE {
-                    return err1(ub_expr(
+                    let ub = ub_expr(
                         "insufficient-permission",
                         format!("free of {b} with permission {}", blk.perm),
-                    ));
+                    );
+                    return err1(self, ub);
                 }
                 let mut out = Vec::new();
                 let zero = solver.simplify(pc, &off.clone().eq(Expr::int(0)));
                 let nonzero = solver.simplify(pc, &zero.clone().not());
-                let mut mem = self.clone();
-                if let Some(mblk) = mem.block_mut(b) {
-                    mblk.freed = true;
-                    mblk.perm = perm::NONE;
-                    mblk.cells.clear();
-                }
                 push_branch(
                     &mut out,
                     pc,
                     solver,
-                    SymBranch::ok_if(mem, Expr::tt(), zero),
+                    SymBranch::ok_if(Edit::Free(b), Expr::tt(), zero),
                 );
                 push_branch(
                     &mut out,
                     pc,
                     solver,
                     SymBranch::err_if(
-                        self.clone(),
+                        Edit::Keep,
                         ub_expr("bad-free", format!("free of {b} at nonzero offset {off}")),
                         nonzero,
                     ),
                 );
-                out
+                successors(self, out, Self::apply)
             }
             "load" => {
                 let args = match expr_args(arg, 3, "load") {
                     Ok(a) => a,
-                    Err(e) => return err1(e),
+                    Err(e) => return err1(self, e),
                 };
                 let chunk = match args[0].as_value().and_then(Chunk::from_value) {
                     Some(c) => c,
-                    None => return err1(ub_expr("bad-action-argument", "load: bad chunk")),
+                    None => return err1(self, ub_expr("bad-action-argument", "load: bad chunk")),
                 };
                 let b = match expr_block(&args[1], "load") {
                     Ok(b) => b,
-                    Err(e) => return err1(e),
+                    Err(e) => return err1(self, e),
                 };
                 let off = solver.simplify(pc, &args[2]);
                 let (in_bounds, oob) = match self.access_prologue(
@@ -1212,7 +1254,7 @@ impl SymbolicMemory for CSymMemory {
                     pc,
                 ) {
                     Ok(x) => x,
-                    Err(e) => return err1(e),
+                    Err(e) => return err1(self, e),
                 };
                 let mut out = Vec::new();
                 push_branch(
@@ -1220,7 +1262,7 @@ impl SymbolicMemory for CSymMemory {
                     pc,
                     solver,
                     SymBranch::err_if(
-                        self.clone(),
+                        Edit::Keep,
                         ub_expr(
                             "out-of-bounds",
                             format!("load of {} bytes at {b}+{off}", chunk.size),
@@ -1246,7 +1288,7 @@ impl SymbolicMemory for CSymMemory {
                             &mut out,
                             pc,
                             solver,
-                            SymBranch::ok_if(self.clone(), decoded, eq),
+                            SymBranch::ok_if(Edit::Keep, decoded, eq),
                         );
                     } else {
                         push_branch(
@@ -1254,7 +1296,7 @@ impl SymbolicMemory for CSymMemory {
                             pc,
                             solver,
                             SymBranch::err_if(
-                                self.clone(),
+                                Edit::Keep,
                                 ub_expr("mixed-read", format!("torn load at {b}+{off}")),
                                 eq,
                             ),
@@ -1267,7 +1309,7 @@ impl SymbolicMemory for CSymMemory {
                     pc,
                     solver,
                     SymBranch::err_if(
-                        self.clone(),
+                        Edit::Keep,
                         ub_expr(
                             "uninitialized-read",
                             format!("load at {b}+{off} reads uninitialized bytes"),
@@ -1275,20 +1317,20 @@ impl SymbolicMemory for CSymMemory {
                         none_of,
                     ),
                 );
-                out
+                successors(self, out, Self::apply)
             }
             "store" => {
                 let args = match expr_args(arg, 4, "store") {
                     Ok(a) => a,
-                    Err(e) => return err1(e),
+                    Err(e) => return err1(self, e),
                 };
                 let chunk = match args[0].as_value().and_then(Chunk::from_value) {
                     Some(c) => c,
-                    None => return err1(ub_expr("bad-action-argument", "store: bad chunk")),
+                    None => return err1(self, ub_expr("bad-action-argument", "store: bad chunk")),
                 };
                 let b = match expr_block(&args[1], "store") {
                     Ok(b) => b,
-                    Err(e) => return err1(e),
+                    Err(e) => return err1(self, e),
                 };
                 let off = solver.simplify(pc, &args[2]);
                 let value = solver.simplify(pc, &decode_expr(&args[3], chunk));
@@ -1302,7 +1344,7 @@ impl SymbolicMemory for CSymMemory {
                     pc,
                 ) {
                     Ok(x) => x,
-                    Err(e) => return err1(e),
+                    Err(e) => return err1(self, e),
                 };
                 let mut out = Vec::new();
                 push_branch(
@@ -1310,7 +1352,7 @@ impl SymbolicMemory for CSymMemory {
                     pc,
                     solver,
                     SymBranch::err_if(
-                        self.clone(),
+                        Edit::Keep,
                         ub_expr(
                             "out-of-bounds",
                             format!("store of {} bytes at {b}+{off}", chunk.size),
@@ -1330,58 +1372,69 @@ impl SymbolicMemory for CSymMemory {
                     if eq.as_bool() == Some(false) || !solver.sat_with(pc, &eq).possibly_sat() {
                         continue;
                     }
-                    let mut mem = self.clone();
-                    let blk = mem.block_mut(b).expect("block checked");
-                    Self::remove_run(blk, &base, n, solver, pc);
-                    // Concrete partial overlaps with *other* runs.
-                    remove_concrete_overlaps(blk, &base, chunk.size);
-                    Self::insert_run(blk, &base, &value, chunk.size, solver, pc);
+                    // Concrete partial overlaps with *other* runs go too.
+                    let edit = Edit::Store {
+                        b,
+                        remove: run_keys(&base, n, solver, pc),
+                        insert: run_keys(&base, chunk.size, solver, pc),
+                        base,
+                        size: chunk.size,
+                        value: value.clone(),
+                    };
                     push_branch(
                         &mut out,
                         pc,
                         solver,
-                        SymBranch::ok_if(mem, value.clone(), eq),
+                        SymBranch::ok_if(edit, value.clone(), eq),
                     );
                 }
                 let none_of = solver.simplify(pc, &none_of);
                 if none_of.as_bool() != Some(false) && solver.sat_with(pc, &none_of).possibly_sat()
                 {
-                    let mut mem = self.clone();
-                    let blk = mem.block_mut(b).expect("block checked");
-                    remove_concrete_overlaps(blk, &off, chunk.size);
-                    Self::insert_run(blk, &off, &value, chunk.size, solver, pc);
-                    push_branch(
-                        &mut out,
-                        pc,
-                        solver,
-                        SymBranch::ok_if(mem, value.clone(), none_of),
-                    );
+                    let edit = Edit::Store {
+                        b,
+                        remove: Vec::new(),
+                        insert: run_keys(&off, chunk.size, solver, pc),
+                        base: off,
+                        size: chunk.size,
+                        value: value.clone(),
+                    };
+                    push_branch(&mut out, pc, solver, SymBranch::ok_if(edit, value, none_of));
                 }
-                out
+                successors(self, out, Self::apply)
             }
             "loadBytes" => {
                 let args = match expr_args(arg, 3, "loadBytes") {
                     Ok(a) => a,
-                    Err(e) => return err1(e),
+                    Err(e) => return err1(self, e),
                 };
                 let b = match expr_block(&args[0], "loadBytes") {
                     Ok(b) => b,
-                    Err(e) => return err1(e),
+                    Err(e) => return err1(self, e),
                 };
                 let (Some(off), Some(len)) = (args[1].as_int(), args[2].as_int()) else {
-                    return err1(ub_expr(
-                        "symbolic-bytes",
-                        "loadBytes needs concrete offset and length",
-                    ));
+                    return err1(
+                        self,
+                        ub_expr(
+                            "symbolic-bytes",
+                            "loadBytes needs concrete offset and length",
+                        ),
+                    );
                 };
                 let Some(blk) = self.blocks.get(&b) else {
-                    return err1(ub_expr("invalid-block", format!("loadBytes on {b}")));
+                    return err1(self, ub_expr("invalid-block", format!("loadBytes on {b}")));
                 };
                 if blk.freed {
-                    return err1(ub_expr("use-after-free", format!("loadBytes on freed {b}")));
+                    return err1(
+                        self,
+                        ub_expr("use-after-free", format!("loadBytes on freed {b}")),
+                    );
                 }
                 if off < 0 || off + len > blk.size {
-                    return err1(ub_expr("out-of-bounds", format!("loadBytes at {b}+{off}")));
+                    return err1(
+                        self,
+                        ub_expr("out-of-bounds", format!("loadBytes at {b}+{off}")),
+                    );
                 }
                 let mut bytes = Vec::with_capacity(len as usize);
                 for i in 0..len {
@@ -1394,50 +1447,53 @@ impl SymbolicMemory for CSymMemory {
                         None => bytes.push(Expr::Val(Value::Sym(POISON))),
                     }
                 }
-                vec![SymBranch::ok(self.clone(), Expr::List(bytes.into()))]
+                vec![SymBranch::ok(self, Expr::List(bytes.into()))]
             }
             "storeBytes" => {
                 let args = match expr_args(arg, 3, "storeBytes") {
                     Ok(a) => a,
-                    Err(e) => return err1(e),
+                    Err(e) => return err1(self, e),
                 };
                 let b = match expr_block(&args[0], "storeBytes") {
                     Ok(b) => b,
-                    Err(e) => return err1(e),
+                    Err(e) => return err1(self, e),
                 };
                 let Some(off) = args[1].as_int() else {
-                    return err1(ub_expr(
-                        "symbolic-bytes",
-                        "storeBytes needs a concrete offset",
-                    ));
+                    return err1(
+                        self,
+                        ub_expr("symbolic-bytes", "storeBytes needs a concrete offset"),
+                    );
                 };
                 let bytes: Vec<Expr> = match &args[2] {
                     Expr::List(es) => es.to_vec(),
                     Expr::Val(Value::List(vs)) => vs.iter().cloned().map(Expr::Val).collect(),
-                    _ => return err1(ub_expr("bad-action-argument", "storeBytes: bytes")),
+                    _ => return err1(self, ub_expr("bad-action-argument", "storeBytes: bytes")),
                 };
                 let len = bytes.len() as i64;
                 let Some(blk) = self.blocks.get(&b) else {
-                    return err1(ub_expr("invalid-block", format!("storeBytes on {b}")));
+                    return err1(self, ub_expr("invalid-block", format!("storeBytes on {b}")));
                 };
                 if blk.freed {
-                    return err1(ub_expr(
-                        "use-after-free",
-                        format!("storeBytes on freed {b}"),
-                    ));
+                    return err1(
+                        self,
+                        ub_expr("use-after-free", format!("storeBytes on freed {b}")),
+                    );
                 }
                 if blk.perm < perm::WRITABLE {
-                    return err1(ub_expr("insufficient-permission", "storeBytes"));
+                    return err1(self, ub_expr("insufficient-permission", "storeBytes"));
                 }
                 if off < 0 || off + len > blk.size {
-                    return err1(ub_expr("out-of-bounds", format!("storeBytes at {b}+{off}")));
+                    return err1(
+                        self,
+                        ub_expr("out-of-bounds", format!("storeBytes at {b}+{off}")),
+                    );
                 }
-                let mut mem = self.clone();
-                let blk = mem.block_mut(b).expect("checked");
-                for (i, byte) in bytes.into_iter().enumerate() {
-                    let key = Expr::int(off + i as i64);
+                // Every byte is decoded before the block is touched, so a
+                // bad byte leaves the memory as it was.
+                let mut cells = Vec::with_capacity(bytes.len());
+                for byte in bytes {
                     if byte == Expr::Val(Value::Sym(POISON)) {
-                        blk.cells.remove(&key);
+                        cells.push(None);
                         continue;
                     }
                     let parts = match &byte {
@@ -1445,132 +1501,157 @@ impl SymbolicMemory for CSymMemory {
                         Expr::Val(Value::List(items)) if items.len() == 3 => {
                             items.iter().cloned().map(Expr::Val).collect()
                         }
-                        _ => return err1(ub_expr("bad-action-argument", "storeBytes: bad byte")),
+                        _ => {
+                            return err1(
+                                self,
+                                ub_expr("bad-action-argument", "storeBytes: bad byte"),
+                            )
+                        }
                     };
                     let (Some(k), Some(n)) = (parts[1].as_int(), parts[2].as_int()) else {
-                        return err1(ub_expr("bad-action-argument", "storeBytes: bad byte"));
+                        return err1(self, ub_expr("bad-action-argument", "storeBytes: bad byte"));
                     };
-                    blk.cells.insert(key, (parts[0].clone(), k as u8, n as u8));
+                    cells.push(Some((parts[0].clone(), k as u8, n as u8)));
                 }
-                vec![SymBranch::ok(mem, Expr::tt())]
+                let blk = self.block_mut(b).expect("checked");
+                for (i, cell) in cells.into_iter().enumerate() {
+                    let key = Expr::int(off + i as i64);
+                    match cell {
+                        Some(cell) => blk.cells.insert(key, cell),
+                        None => blk.cells.remove(&key),
+                    };
+                }
+                vec![SymBranch::ok(self, Expr::tt())]
             }
             "dropPerm" => {
                 let args = match expr_args(arg, 2, "dropPerm") {
                     Ok(a) => a,
-                    Err(e) => return err1(e),
+                    Err(e) => return err1(self, e),
                 };
                 let b = match expr_block(&args[0], "dropPerm") {
                     Ok(b) => b,
-                    Err(e) => return err1(e),
+                    Err(e) => return err1(self, e),
                 };
                 let Some(p) = args[1].as_int() else {
-                    return err1(ub_expr("bad-action-argument", "dropPerm: level"));
+                    return err1(self, ub_expr("bad-action-argument", "dropPerm: level"));
                 };
-                let mut mem = self.clone();
-                let Some(blk) = mem.block_mut(b) else {
-                    return err1(ub_expr("invalid-block", format!("dropPerm on {b}")));
-                };
+                if !self.blocks.contains_key(&b) {
+                    return err1(self, ub_expr("invalid-block", format!("dropPerm on {b}")));
+                }
+                let blk = self.block_mut(b).expect("checked");
                 blk.perm = blk.perm.min(p as u8);
                 let result = Expr::int(blk.perm as i64);
-                vec![SymBranch::ok(mem, result)]
+                vec![SymBranch::ok(self, result)]
             }
             "checkPerm" => {
                 let b = match expr_block(arg, "checkPerm") {
                     Ok(b) => b,
-                    Err(e) => return err1(e),
+                    Err(e) => return err1(self, e),
                 };
                 let p = self.blocks.get(&b).map(|blk| blk.perm as i64).unwrap_or(-1);
-                vec![SymBranch::ok(self.clone(), Expr::int(p))]
+                vec![SymBranch::ok(self, Expr::int(p))]
             }
             "sizeBlock" => {
                 let b = match expr_block(arg, "sizeBlock") {
                     Ok(b) => b,
-                    Err(e) => return err1(e),
+                    Err(e) => return err1(self, e),
                 };
                 match self.blocks.get(&b) {
                     Some(blk) if !blk.freed => {
-                        vec![SymBranch::ok(self.clone(), Expr::int(blk.size))]
+                        let size = Expr::int(blk.size);
+                        vec![SymBranch::ok(self, size)]
                     }
-                    Some(_) => err1(ub_expr("use-after-free", format!("sizeBlock on freed {b}"))),
-                    None => err1(ub_expr("invalid-block", format!("sizeBlock on {b}"))),
+                    Some(_) => err1(
+                        self,
+                        ub_expr("use-after-free", format!("sizeBlock on freed {b}")),
+                    ),
+                    None => err1(self, ub_expr("invalid-block", format!("sizeBlock on {b}"))),
                 }
             }
             "cmpPtr" => {
                 let args = match expr_args(arg, 3, "cmpPtr") {
                     Ok(a) => a,
-                    Err(e) => return err1(e),
+                    Err(e) => return err1(self, e),
                 };
                 let op = match &args[0] {
                     Expr::Val(Value::Str(s)) => s.to_string(),
-                    _ => return err1(ub_expr("bad-action-argument", "cmpPtr: op")),
+                    _ => return err1(self, ub_expr("bad-action-argument", "cmpPtr: op")),
                 };
                 let (Some((b1, o1)), Some((b2, o2))) = (expr_ptr(&args[1]), expr_ptr(&args[2]))
                 else {
-                    return err1(ub_expr("bad-action-argument", "cmpPtr: non-pointers"));
+                    return err1(self, ub_expr("bad-action-argument", "cmpPtr: non-pointers"));
                 };
                 match op.as_str() {
-                    "eq" => vec![SymBranch::ok(
-                        self.clone(),
-                        solver.simplify(pc, &args[1].clone().eq(args[2].clone())),
-                    )],
-                    "ne" => vec![SymBranch::ok(
-                        self.clone(),
-                        solver.simplify(pc, &args[1].clone().ne(args[2].clone())),
-                    )],
+                    "eq" => {
+                        let eq = solver.simplify(pc, &args[1].clone().eq(args[2].clone()));
+                        vec![SymBranch::ok(self, eq)]
+                    }
+                    "ne" => {
+                        let ne = solver.simplify(pc, &args[1].clone().ne(args[2].clone()));
+                        vec![SymBranch::ok(self, ne)]
+                    }
                     "lt" | "le" => {
                         // Blocks are literal symbols, so this decides
                         // concretely in practice.
                         let same = solver.simplify(pc, &b1.clone().eq(b2.clone()));
                         match same.as_bool() {
-                            Some(false) => err1(ub_expr(
-                                "ub-pointer-comparison",
-                                "ordering of pointers into different blocks",
-                            )),
+                            Some(false) => err1(
+                                self,
+                                ub_expr(
+                                    "ub-pointer-comparison",
+                                    "ordering of pointers into different blocks",
+                                ),
+                            ),
                             _ => {
                                 let blk = match expr_block(&b1, "cmpPtr") {
                                     Ok(b) => b,
-                                    Err(e) => return err1(e),
+                                    Err(e) => return err1(self, e),
                                 };
                                 match self.blocks.get(&blk) {
                                     Some(info) if !info.freed => {
                                         let cmp = if op == "lt" { o1.lt(o2) } else { o1.le(o2) };
-                                        vec![SymBranch::ok(self.clone(), solver.simplify(pc, &cmp))]
+                                        vec![SymBranch::ok(self, solver.simplify(pc, &cmp))]
                                     }
-                                    _ => err1(ub_expr(
-                                        "ub-pointer-comparison",
-                                        "ordering of invalid pointers",
-                                    )),
+                                    _ => err1(
+                                        self,
+                                        ub_expr(
+                                            "ub-pointer-comparison",
+                                            "ordering of invalid pointers",
+                                        ),
+                                    ),
                                 }
                             }
                         }
                     }
-                    other => err1(ub_expr("bad-action-argument", format!("cmpPtr: {other}"))),
+                    other => err1(
+                        self,
+                        ub_expr("bad-action-argument", format!("cmpPtr: {other}")),
+                    ),
                 }
             }
             "globalSet" => {
                 let args = match expr_args(arg, 2, "globalSet") {
                     Ok(a) => a,
-                    Err(e) => return err1(e),
+                    Err(e) => return err1(self, e),
                 };
                 let name = match &args[0] {
                     Expr::Val(Value::Str(s)) => s.clone(),
-                    _ => return err1(ub_expr("bad-action-argument", "globalSet: name")),
+                    _ => return err1(self, ub_expr("bad-action-argument", "globalSet: name")),
                 };
-                let mut mem = self.clone();
-                Arc::make_mut(&mut mem.globals).insert(name, args[1].clone());
-                vec![SymBranch::ok(mem, args[1].clone())]
+                Arc::make_mut(&mut self.globals).insert(name, args[1].clone());
+                vec![SymBranch::ok(self, args[1].clone())]
             }
             "globalGet" => {
                 let name = match arg {
                     Expr::Val(Value::Str(s)) => s.clone(),
-                    _ => return err1(ub_expr("bad-action-argument", "globalGet: name")),
+                    _ => return err1(self, ub_expr("bad-action-argument", "globalGet: name")),
                 };
-                match self.globals.get(&name) {
-                    Some(v) => vec![SymBranch::ok(self.clone(), v.clone())],
-                    None => err1(ub_expr("invalid-global", name)),
+                match self.globals.get(&name).cloned() {
+                    Some(v) => vec![SymBranch::ok(self, v)],
+                    None => err1(self, ub_expr("invalid-global", name)),
                 }
             }
-            other => err1(ub_expr("unknown-action", other)),
+            other => err1(self, ub_expr("unknown-action", other)),
         }
     }
 
@@ -1616,6 +1697,7 @@ fn remove_concrete_overlaps(blk: &mut SymBlock, base: &Expr, size: u8) {
 mod tests {
     use super::*;
     use crate::values::ptr_value;
+    use proptest::prelude::*;
 
     fn blk(i: u64) -> Sym {
         Sym(Sym::FIRST_FRESH + i)
@@ -1941,5 +2023,130 @@ mod tests {
         );
         assert_eq!(branches.len(), 1);
         assert!(branches[0].outcome.is_err());
+    }
+
+    /// One 16-byte block with an 8-byte run at offset 0.
+    fn one_block() -> (CSymMemory, Sym) {
+        let mut m = CSymMemory::default();
+        let b = blk(0);
+        m.register_block(b, 16);
+        m.set_run(b, 0, Expr::int(5), 8);
+        (m, b)
+    }
+
+    fn store_arg(b: Sym, off: i64, v: i64) -> Expr {
+        Expr::list([
+            Chunk::int(8).to_expr(),
+            Expr::Val(Value::Sym(b)),
+            Expr::int(off),
+            Expr::int(v),
+        ])
+    }
+
+    #[test]
+    fn single_successor_writes_are_in_place() {
+        let solver = Solver::optimized();
+        let pc = PathCondition::new();
+        // The general path and the literal fast path alike.
+        for coded in [false, true] {
+            let (m, b) = one_block();
+            let blocks = Arc::as_ptr(&m.blocks);
+            let block = Arc::as_ptr(&m.blocks[&b]);
+            let branches = if coded {
+                m.execute_action_coded(code::STORE, "store", &store_arg(b, 8, 7), &pc, &solver)
+            } else {
+                m.execute_action("store", &store_arg(b, 8, 7), &pc, &solver)
+            };
+            assert_eq!(branches.len(), 1, "{branches:#?}");
+            let mem = &branches[0].memory;
+            assert_eq!(mem.blocks[&b].cells.len(), 16);
+            assert_eq!(Arc::as_ptr(&mem.blocks), blocks, "coded: {coded}");
+            assert_eq!(Arc::as_ptr(&mem.blocks[&b]), block, "coded: {coded}");
+        }
+    }
+
+    #[test]
+    fn clones_taken_before_a_write_are_isolated() {
+        let solver = Solver::optimized();
+        let pc = PathCondition::new();
+        let (m, b) = one_block();
+        let snapshot = m.clone();
+        for coded in [false, true] {
+            let branches = if coded {
+                m.clone().execute_action_coded(
+                    code::STORE,
+                    "store",
+                    &store_arg(b, 0, 7),
+                    &pc,
+                    &solver,
+                )
+            } else {
+                m.clone()
+                    .execute_action("store", &store_arg(b, 0, 7), &pc, &solver)
+            };
+            assert_ne!(branches[0].memory, snapshot);
+            assert_eq!(
+                m, snapshot,
+                "a write through a clone leaked into the original"
+            );
+        }
+        let free = Expr::list([Expr::Val(Value::Sym(b)), Expr::int(0)]);
+        let branches = m
+            .clone()
+            .execute_action_coded(code::FREE, "free", &free, &pc, &solver);
+        assert!(branches[0].memory.blocks[&b].freed);
+        assert_eq!(m, snapshot);
+        // Sibling branches of one action (free at offset 0, or the
+        // bad-free error) are isolated from each other and the pre-state.
+        let off = Expr::lvar(LVar(0));
+        let free = Expr::list([Expr::Val(Value::Sym(b)), off]);
+        let branches = m.clone().execute_action("free", &free, &pc, &solver);
+        assert_eq!(branches.len(), 2, "{branches:#?}");
+        assert!(branches[0].memory.blocks[&b].freed);
+        assert_eq!(branches[1].memory, snapshot);
+        assert_eq!(m, snapshot);
+    }
+
+    /// The definition the last-key test replaced: a full scan.
+    fn scan_all_offsets_literal(m: &CSymMemory, b: Sym) -> bool {
+        m.blocks
+            .get(&b)
+            .is_some_and(|blk| blk.cells.keys().all(|off| off.as_int().is_some()))
+    }
+
+    /// Integer offsets, other literals, and symbolic offsets.
+    fn arb_offset() -> impl Strategy<Value = Expr> {
+        prop_oneof![
+            4 => (-2i64..12).prop_map(Expr::int),
+            1 => (0u8..3).prop_map(|i| Expr::num(i as f64)),
+            1 => Just(Expr::str("")),
+            1 => (0u64..2).prop_map(|i| Expr::lvar(LVar(i))),
+            1 => (0i64..3).prop_map(|k| Expr::lvar(LVar(0)).add(Expr::int(k))),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn last_offset_test_matches_full_scan(
+            blocks in proptest::collection::vec(
+                proptest::collection::vec(arb_offset(), 0..6),
+                0..3,
+            ),
+            probe in 0u64..4,
+        ) {
+            let mut m = CSymMemory::default();
+            for (i, offsets) in blocks.into_iter().enumerate() {
+                let b = blk(i as u64);
+                m.register_block(b, 16);
+                let cells = &mut m.block_mut(b).expect("registered").cells;
+                for off in offsets {
+                    cells.insert(off, (Expr::int(0), 0, 1));
+                }
+            }
+            let b = blk(probe);
+            prop_assert_eq!(m.all_offsets_literal(b), scan_all_offsets_literal(&m, b));
+        }
     }
 }

@@ -3,6 +3,8 @@
 //! counter-model and a confirming concrete replay (no false positives,
 //! Theorem 3.6).
 
+mod common;
+
 use gillian_c::collections::{buggy, buggy_prog};
 use gillian_c::{CConcMemory, CSymMemory};
 use gillian_core::explore::ExploreConfig;
@@ -25,18 +27,7 @@ fn find_bugs(buggy_src: &str, harness: &str) -> Vec<gillian_core::BugReport> {
 /// arrays, caused by an off-by-one index".
 #[test]
 fn bug1_array_off_by_one_buffer_overflow() {
-    let bugs = find_bugs(
-        buggy::ARRAY,
-        r#"
-        long main() {
-            struct Array *ar = array_new(2);
-            array_add(ar, 1);
-            array_add(ar, 2);
-            array_add(ar, 3);
-            return array_size(ar);
-        }
-    "#,
-    );
+    let bugs = find_bugs(buggy::ARRAY, common::ARRAY_OFF_BY_ONE);
     assert!(!bugs.is_empty(), "the overflow must be found");
     let bug = &bugs[0];
     assert!(bug.error.contains("out-of-bounds"), "{}", bug.error);
@@ -48,17 +39,7 @@ fn bug1_array_off_by_one_buffer_overflow() {
 /// particular)".
 #[test]
 fn bug2_ub_pointer_comparison_in_expand() {
-    let bugs = find_bugs(
-        buggy::ARRAY,
-        r#"
-        long main() {
-            struct Array *ar = array_new(2);
-            array_add(ar, 1);
-            array_expand(ar);
-            return 0;
-        }
-    "#,
-    );
+    let bugs = find_bugs(buggy::ARRAY, common::ARRAY_EXPAND);
     assert!(!bugs.is_empty());
     assert!(
         bugs[0].error.contains("ub-pointer-comparison"),
@@ -72,21 +53,7 @@ fn bug2_ub_pointer_comparison_in_expand() {
 /// comparing freed pointers" — the buggy *test* itself is the subject.
 #[test]
 fn bug3_test_compares_freed_pointers() {
-    let bugs = find_bugs(
-        buggy::ARRAY,
-        r#"
-        long main() {
-            long *p = malloc(8);
-            free(p);
-            long *q = malloc(8);
-            // The old test-suite idiom: ordering a freed pointer.
-            if (p <= q) {
-                return 1;
-            }
-            return 0;
-        }
-    "#,
-    );
+    let bugs = find_bugs(buggy::ARRAY, common::FREED_POINTER_ORDER);
     assert!(!bugs.is_empty());
     assert!(
         bugs[0].error.contains("ub-pointer-comparison"),
@@ -101,36 +68,10 @@ fn bug3_test_compares_freed_pointers() {
 #[test]
 fn bug4_ring_buffer_over_allocation() {
     // Functional behaviour is correct…
-    let functional = find_bugs(
-        buggy::RBUF,
-        r#"
-        long main() {
-            long x = symb_long();
-            struct RBuf *rb = rbuf_new(4);
-            rbuf_enqueue(rb, x);
-            long *out = malloc(sizeof(long));
-            rbuf_dequeue(rb, out);
-            assert(*out == x);
-            free(out);
-            rbuf_destroy(rb);
-            return 0;
-        }
-    "#,
-    );
+    let functional = find_bugs(buggy::RBUF, common::RBUF_ROUND_TRIP);
     assert!(functional.is_empty(), "rbuf operations stay correct");
     // …but the allocation-size property fails.
-    let bugs = find_bugs(
-        buggy::RBUF,
-        r#"
-        long main() {
-            struct RBuf *rb = rbuf_new(4);
-            long *probe = rb->buffer;
-            assert(block_size(probe) == 4 * sizeof(long));
-            rbuf_destroy(rb);
-            return 0;
-        }
-    "#,
-    );
+    let bugs = find_bugs(buggy::RBUF, common::RBUF_BLOCK_SIZE);
     assert!(!bugs.is_empty(), "the over-allocation must be exposed");
     assert!(bugs[0].confirmed());
 }
@@ -141,37 +82,10 @@ fn bug4_ring_buffer_over_allocation() {
 #[test]
 fn bug5_treetbl_duplicate_insertion() {
     // Lookups still pass…
-    let lookups = find_bugs(
-        buggy::TREETBL,
-        r#"
-        long main() {
-            long k = symb_long();
-            struct TreeTbl *t = treetbl_new();
-            treetbl_add(t, k, 1);
-            long *out = malloc(sizeof(long));
-            assert(treetbl_get(t, k, out) == 0);
-            free(out);
-            treetbl_destroy(t);
-            return 0;
-        }
-    "#,
-    );
+    let lookups = find_bugs(buggy::TREETBL, common::TREETBL_LOOKUP);
     assert!(lookups.is_empty(), "single-add lookups still work");
     // …but re-adding a key inflates the size.
-    let bugs = find_bugs(
-        buggy::TREETBL,
-        r#"
-        long main() {
-            long k = symb_long();
-            struct TreeTbl *t = treetbl_new();
-            treetbl_add(t, k, 1);
-            treetbl_add(t, k, 2);
-            assert(treetbl_size(t) == 1);
-            treetbl_destroy(t);
-            return 0;
-        }
-    "#,
-    );
+    let bugs = find_bugs(buggy::TREETBL, common::TREETBL_READD);
     assert!(!bugs.is_empty(), "the duplicate insertion must be exposed");
     assert!(bugs[0].error.contains("assertion failure"));
     assert!(bugs[0].confirmed());
@@ -181,31 +95,11 @@ fn bug5_treetbl_duplicate_insertion() {
 /// free and double free.
 #[test]
 fn use_after_free_and_double_free_are_found() {
-    let uaf = find_bugs(
-        buggy::ARRAY,
-        r#"
-        long main() {
-            struct Array *ar = array_new(2);
-            long *buf = ar->buffer;
-            array_destroy(ar);
-            return *buf;
-        }
-    "#,
-    );
+    let uaf = find_bugs(buggy::ARRAY, common::USE_AFTER_FREE);
     assert!(uaf.iter().any(|b| b.error.contains("use-after-free")));
     assert!(uaf[0].confirmed());
 
-    let df = find_bugs(
-        buggy::ARRAY,
-        r#"
-        long main() {
-            long *p = malloc(8);
-            free(p);
-            free(p);
-            return 0;
-        }
-    "#,
-    );
+    let df = find_bugs(buggy::ARRAY, common::DOUBLE_FREE);
     assert!(df.iter().any(|b| b.error.contains("double-free")));
     assert!(df[0].confirmed());
 }

@@ -419,7 +419,7 @@ mod tests {
     pub struct EchoSym;
     impl SymbolicMemory for EchoSym {
         fn execute_action(
-            &self,
+            self,
             _: &str,
             arg: &Expr,
             _: &PathCondition,

@@ -2018,7 +2018,7 @@ mod tests {
     struct NoMem;
     impl SymbolicMemory for NoMem {
         fn execute_action(
-            &self,
+            self,
             name: &str,
             _: &Expr,
             _: &PathCondition,
@@ -2192,7 +2192,7 @@ mod tests {
     struct TwoErrMem;
     impl SymbolicMemory for TwoErrMem {
         fn execute_action(
-            &self,
+            self,
             _: &str,
             _: &Expr,
             _: &PathCondition,
@@ -2275,7 +2275,7 @@ mod strategy_tests {
     struct NoMem;
     impl SymbolicMemory for NoMem {
         fn execute_action(
-            &self,
+            self,
             _: &str,
             arg: &Expr,
             _: &PathCondition,
@@ -2489,7 +2489,7 @@ mod resilience_tests {
     struct BoomMem;
     impl SymbolicMemory for BoomMem {
         fn execute_action(
-            &self,
+            self,
             name: &str,
             arg: &Expr,
             _: &PathCondition,
@@ -2639,7 +2639,7 @@ mod resilience_tests {
     }
     impl SymbolicMemory for CloneBomb {
         fn execute_action(
-            &self,
+            self,
             name: &str,
             arg: &Expr,
             _: &PathCondition,

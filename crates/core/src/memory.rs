@@ -21,6 +21,18 @@
 //! `µ̂.α(ê, π̂) ⇝ (µ̂′, ê′, π̂′)`). The memory is responsible for only
 //! returning branches whose constraint is satisfiable with the current
 //! path condition — it receives the solver for exactly that purpose.
+//!
+//! ## Ownership of successor memories
+//!
+//! A symbolic action *consumes* the memory it runs on, as
+//! [`crate::state::GilState::execute_action`] consumes its state: the
+//! state being replaced no longer holds the old memory, so the memory's
+//! copy-on-write maps are uniquely owned and a write mutates them in
+//! place. The last successor an action builds takes the memory by move;
+//! every earlier sibling is a `clone()`, which shares the maps and pays
+//! its own copy on its first write ([`successors`] implements the rule).
+//! A single-successor write therefore costs the map operation, not a copy
+//! of the heap.
 
 use crate::checkpoint::StateIoError;
 use gillian_gil::serial::{ByteReader, Decoder, Encoder};
@@ -98,6 +110,38 @@ impl<M> SymBranch<M> {
     }
 }
 
+/// Materializes an action's successors from branches decided before any
+/// memory was built: branch `i` applies its edit (the `memory` field of
+/// `branches[i]`) to its own copy of `mem`. Every copy but the last is a
+/// `clone()` of the unedited `mem`; the last takes `mem` itself, so a
+/// single-successor action edits uniquely owned maps in place. No
+/// branches drop `mem`.
+pub fn successors<M: Clone, E>(
+    mem: M,
+    branches: Vec<SymBranch<E>>,
+    mut apply: impl FnMut(&mut M, E),
+) -> Vec<SymBranch<M>> {
+    let n = branches.len();
+    let mut mem = Some(mem);
+    branches
+        .into_iter()
+        .enumerate()
+        .map(|(i, b)| {
+            let mut m = if i + 1 == n {
+                mem.take().expect("memory moved once, into the last branch")
+            } else {
+                mem.clone().expect("memory live until the last branch")
+            };
+            apply(&mut m, b.memory);
+            SymBranch {
+                memory: m,
+                outcome: b.outcome,
+                constraint: b.constraint,
+            }
+        })
+        .collect()
+}
+
 /// A symbolic memory model `M̂ = ⟨|M̂|, A, êa⟩` (Def. 2.4).
 ///
 /// `Send` is a supertrait because symbolic states (which own their memory)
@@ -118,8 +162,12 @@ pub trait SymbolicMemory: Clone + std::fmt::Debug + Default + Send {
     /// Implementations should use `solver` to prune branches whose
     /// constraint is unsatisfiable with `pc` (the engine conjoins the
     /// returned constraints without re-checking).
+    ///
+    /// The memory is consumed: the last branch's successor reuses it and
+    /// earlier branches get copy-on-write clones (module docs). Callers
+    /// that must keep the memory clone it first.
     fn execute_action(
-        &self,
+        self,
         name: &str,
         arg: &Expr,
         pc: &PathCondition,
@@ -139,9 +187,10 @@ pub trait SymbolicMemory: Clone + std::fmt::Debug + Default + Send {
     /// the default delegates. Implementations may use the pre-resolved
     /// code to skip string dispatch and take literal-argument fast paths
     /// that are unreachable from the tree-walk backend (keeping that
-    /// backend a byte-identical differential reference).
+    /// backend a byte-identical differential reference). Consumes the
+    /// memory like [`SymbolicMemory::execute_action`].
     fn execute_action_coded(
-        &self,
+        self,
         _code: u16,
         name: &str,
         arg: &Expr,
@@ -192,7 +241,7 @@ mod tests {
     struct Nop;
     impl SymbolicMemory for Nop {
         fn execute_action(
-            &self,
+            self,
             _: &str,
             arg: &Expr,
             _: &PathCondition,
@@ -200,6 +249,25 @@ mod tests {
         ) -> Vec<SymBranch<Self>> {
             vec![SymBranch::ok(Nop, arg.clone())]
         }
+    }
+
+    #[test]
+    fn successors_reuse_the_memory_for_the_last_branch_only() {
+        let mem = std::sync::Arc::new(vec![0u8]);
+        let ptr = std::sync::Arc::as_ptr(&mem);
+        let edits = (1..=3u8)
+            .map(|e| SymBranch::ok(e, Expr::int(e.into())))
+            .collect();
+        let out = successors(mem, edits, |m, e| std::sync::Arc::make_mut(m).push(e));
+        let contents: Vec<&[u8]> = out.iter().map(|b| b.memory.as_slice()).collect();
+        assert_eq!(contents, [&[0, 1][..], &[0, 2], &[0, 3]]);
+        assert_eq!(
+            std::sync::Arc::as_ptr(&out[2].memory),
+            ptr,
+            "last edits in place"
+        );
+        assert_ne!(std::sync::Arc::as_ptr(&out[0].memory), ptr);
+        assert_eq!(out[1].outcome, Ok(Expr::int(2)));
     }
 
     #[test]

@@ -104,7 +104,9 @@ pub fn check_action<I: MemoryInterpretation>(
 ) -> Result<usize, Vec<Discrepancy>> {
     let mut checked = 0;
     let mut problems = Vec::new();
-    let branches = sym_mem.execute_action(action, arg, pc, solver);
+    // The action consumes its memory; the interpretation below still
+    // needs the pre-state.
+    let branches = sym_mem.clone().execute_action(action, arg, pc, solver);
     for branch in branches {
         let mut pc2 = pc.clone();
         pc2.push(branch.constraint.clone());
@@ -318,7 +320,7 @@ mod tests {
     struct NoSymMem;
     impl SymbolicMemory for NoSymMem {
         fn execute_action(
-            &self,
+            self,
             _: &str,
             arg: &Expr,
             _: &PathCondition,

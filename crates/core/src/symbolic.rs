@@ -180,13 +180,24 @@ impl<M: SymbolicMemory> SymbolicState<M> {
     /// The shared body of [`GilState::execute_action`] and
     /// [`GilState::execute_action_coded`]: timing, journaling, and branch
     /// post-processing are identical; only the memory dispatch differs.
+    /// The memory moves into the action (no other holder is left, so its
+    /// maps are written in place), and each successor state is rebuilt
+    /// around its branch's memory.
     fn run_action(
         self,
         name: &str,
         arg: Expr,
         code: Option<u16>,
     ) -> Vec<(Self, Result<Expr, Expr>)> {
-        let journal_on = self.solver.journal_enabled();
+        let SymbolicState {
+            memory,
+            store,
+            alloc,
+            pc,
+            solver,
+            probes,
+        } = self;
+        let journal_on = solver.journal_enabled();
         let timer = (journal_on
             || TL_ACTION_SAMPLE.with(|c| {
                 let n = c.get().wrapping_add(1);
@@ -195,18 +206,14 @@ impl<M: SymbolicMemory> SymbolicState<M> {
             }))
         .then(std::time::Instant::now);
         let branches = match code {
-            Some(k) => self
-                .memory
-                .execute_action_coded(k, name, &arg, &self.pc, &self.solver),
-            None => self
-                .memory
-                .execute_action(name, &arg, &self.pc, &self.solver),
+            Some(k) => memory.execute_action_coded(k, name, &arg, &pc, &solver),
+            None => memory.execute_action(name, &arg, &pc, &solver),
         };
         if let Some(started) = timer {
             let micros = started.elapsed().as_micros() as u64;
             action_micros_histogram().record(micros);
             if journal_on {
-                self.solver.journal().record_shared(Event::ActionExec {
+                solver.journal().record_shared(Event::ActionExec {
                     lang: M::language(),
                     action: name.to_string(),
                     branches: branches.len() as u32,
@@ -216,19 +223,24 @@ impl<M: SymbolicMemory> SymbolicState<M> {
         }
         let mut out = Vec::with_capacity(branches.len());
         let n = branches.len();
-        let mut this = Some(self);
+        let mut rest = Some((store, alloc, pc, solver, probes));
         for (i, b) in branches.into_iter().enumerate() {
-            // The last branch takes the state by move — the common
-            // single-branch action never pays a state clone.
-            let mut st = if i + 1 == n {
-                this.take()
+            // The last branch takes the rest of the state by move — the
+            // common single-branch action never pays a state clone.
+            let (store, alloc, pc, solver, probes) = if i + 1 == n {
+                rest.take()
                     .expect("state consumed once, on the last branch")
             } else {
-                this.as_ref()
-                    .expect("state live until the last branch")
-                    .clone()
+                rest.clone().expect("state live until the last branch")
             };
-            st.memory = b.memory;
+            let mut st = SymbolicState {
+                memory: b.memory,
+                store,
+                alloc,
+                pc,
+                solver,
+                probes,
+            };
             // A memory action is a heap-footprint escape on every branch:
             // a summary replays no memory effect, so no window spanning
             // an action may be harvested.
@@ -681,7 +693,7 @@ mod tests {
 
     impl SymbolicMemory for Cell {
         fn execute_action(
-            &self,
+            self,
             name: &str,
             arg: &Expr,
             _pc: &PathCondition,

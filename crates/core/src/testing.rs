@@ -299,7 +299,7 @@ mod tests {
     struct NoSymMem;
     impl SymbolicMemory for NoSymMem {
         fn execute_action(
-            &self,
+            self,
             name: &str,
             _: &Expr,
             _: &PathCondition,

@@ -40,7 +40,7 @@ use std::time::Duration;
 struct EchoSym;
 impl SymbolicMemory for EchoSym {
     fn execute_action(
-        &self,
+        self,
         _: &str,
         arg: &Expr,
         _: &PathCondition,

@@ -21,7 +21,7 @@ use std::sync::Arc;
 pub struct NoMem;
 impl SymbolicMemory for NoMem {
     fn execute_action(
-        &self,
+        self,
         _: &str,
         arg: &Expr,
         _: &PathCondition,

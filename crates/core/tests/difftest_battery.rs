@@ -25,7 +25,7 @@ use std::sync::Arc;
 struct EchoSym;
 impl SymbolicMemory for EchoSym {
     fn execute_action(
-        &self,
+        self,
         _: &str,
         arg: &Expr,
         _: &PathCondition,

@@ -44,7 +44,7 @@ struct SymCell(Option<Expr>);
 
 impl SymbolicMemory for SymCell {
     fn execute_action(
-        &self,
+        self,
         name: &str,
         arg: &Expr,
         _pc: &PathCondition,
@@ -75,7 +75,7 @@ struct OffByOneCell(Option<Expr>);
 
 impl SymbolicMemory for OffByOneCell {
     fn execute_action(
-        &self,
+        self,
         name: &str,
         arg: &Expr,
         _pc: &PathCondition,
@@ -110,7 +110,7 @@ struct NoErrorCell(Option<Expr>);
 
 impl SymbolicMemory for NoErrorCell {
     fn execute_action(
-        &self,
+        self,
         name: &str,
         arg: &Expr,
         _pc: &PathCondition,
@@ -263,7 +263,7 @@ fn missing_error_branch_is_caught_end_to_end() {
 struct EchoMem;
 impl SymbolicMemory for EchoMem {
     fn execute_action(
-        &self,
+        self,
         _: &str,
         arg: &Expr,
         _: &PathCondition,
@@ -278,7 +278,7 @@ impl SymbolicMemory for EchoMem {
 struct PanickingMem;
 impl SymbolicMemory for PanickingMem {
     fn execute_action(
-        &self,
+        self,
         name: &str,
         arg: &Expr,
         _: &PathCondition,
@@ -299,7 +299,7 @@ impl SymbolicMemory for PanickingMem {
 struct SpinMem;
 impl SymbolicMemory for SpinMem {
     fn execute_action(
-        &self,
+        self,
         name: &str,
         arg: &Expr,
         _: &PathCondition,

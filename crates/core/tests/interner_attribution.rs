@@ -87,8 +87,10 @@ fn serial_interner_stats_ignore_other_threads() {
         "run attributed {} mints — background noise leaked in (noise minted {noise_mints})",
         attributed.mints
     );
+    // The sibling test may intern the same terms first, leaving this run
+    // only hits: its own traffic shows as mints or hits.
     assert!(
-        attributed.mints > 0,
+        attributed.mints + attributed.hits > 0,
         "the run's own interning must still be visible"
     );
 }

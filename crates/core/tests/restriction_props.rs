@@ -17,7 +17,7 @@ use std::sync::Arc;
 struct NoMem;
 impl SymbolicMemory for NoMem {
     fn execute_action(
-        &self,
+        self,
         _: &str,
         arg: &Expr,
         _: &PathCondition,

@@ -123,6 +123,22 @@ impl Expr {
     pub fn nil() -> Expr {
         Expr::Val(Value::nil())
     }
+
+    /// The least expression under the derived order: `Val` is the first
+    /// `Expr` variant and `Int` the first `Value` variant. A map keyed by
+    /// `(e, Expr)` pairs holds all of `e`'s entries in the range starting
+    /// at `(e, Expr::LEAST)`.
+    pub const LEAST: Expr = Expr::Val(Value::Int(i64::MIN));
+
+    /// The least non-literal expression, `PVar("")`: every `Val` sorts
+    /// below it and every other expression at or above it, so in a sorted
+    /// run of expressions the literals come first and one range probe
+    /// from here finds the first non-literal.
+    pub fn least_symbolic() -> &'static Expr {
+        static LEAST_SYMBOLIC: std::sync::LazyLock<Expr> =
+            std::sync::LazyLock::new(|| Expr::PVar(Arc::from("")));
+        &LEAST_SYMBOLIC
+    }
     /// List construction from sub-expressions.
     pub fn list(es: impl IntoIterator<Item = Expr>) -> Expr {
         Expr::List(es.into_iter().collect())
@@ -568,6 +584,59 @@ mod tests {
         assert!(Expr::int(1).add(Expr::int(2)).is_closed());
         assert!(!Expr::pvar("x").is_closed());
         assert!(!Expr::list([Expr::lvar(LVar(0))]).is_closed());
+    }
+
+    /// Ordered-map lookups in the memory models rely on these properties
+    /// of the derived order; a reordering of the `Expr` or `Value`
+    /// variants must fail here rather than silently change a decision.
+    #[test]
+    fn derived_order_puts_literals_first() {
+        let values = [
+            Value::Int(i64::MIN),
+            Value::Int(0),
+            Value::Int(i64::MAX),
+            Value::num(f64::NEG_INFINITY),
+            Value::num(f64::NAN),
+            Value::str(""),
+            Value::str("zz"),
+            Value::Bool(false),
+            Value::Bool(true),
+            Value::Sym(crate::Sym(0)),
+            Value::Sym(crate::Sym(u64::MAX)),
+            Value::Type(crate::TypeTag::Int),
+            Value::Type(crate::TypeTag::List),
+            Value::proc(""),
+            Value::nil(),
+            Value::List(vec![Value::Int(i64::MIN)]),
+        ];
+        let symbolic = [
+            Expr::pvar(""),
+            Expr::pvar("x"),
+            Expr::lvar(LVar(0)),
+            Expr::lvar(LVar(u64::MAX)),
+            Expr::Val(Value::Int(i64::MIN)).un(UnOp::Not),
+            Expr::lvar(LVar(0)).add(Expr::int(1)),
+            Expr::list([]),
+            Expr::list([Expr::Val(Value::Int(i64::MIN))]),
+            Expr::strcat_of([]),
+            Expr::lstcat_of([]),
+        ];
+        let literals: Vec<Expr> = values.into_iter().map(Expr::Val).collect();
+        for e in literals.iter().chain(&symbolic) {
+            assert!(Expr::LEAST <= *e, "{e:?} sorts below Expr::LEAST");
+        }
+        for lit in &literals {
+            for sym in &symbolic {
+                assert!(lit < sym, "literal {lit:?} must sort before {sym:?}");
+            }
+            assert!(lit < Expr::least_symbolic());
+        }
+        for sym in &symbolic {
+            assert!(
+                Expr::least_symbolic() <= sym,
+                "{sym:?} sorts below PVar(\"\")"
+            );
+        }
     }
 
     #[test]

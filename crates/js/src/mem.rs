@@ -21,7 +21,7 @@
 //! under the conjunction of the disequalities.
 
 use crate::values::undefined_expr;
-use gillian_core::memory::{ConcreteMemory, SymBranch, SymbolicMemory};
+use gillian_core::memory::{successors, ConcreteMemory, SymBranch, SymbolicMemory};
 use gillian_gil::{Expr, LVar, Value};
 use gillian_solver::{PathCondition, Solver};
 use std::collections::{BTreeMap, BTreeSet};
@@ -190,10 +190,28 @@ impl ConcreteMemory for JsConcMemory {
 }
 
 /// A symbolic MiniJS memory (copy-on-write, like [`JsConcMemory`]).
+///
+/// Actions consume the memory, so a single-successor write mutates the
+/// maps in place; sibling branches are clones that copy on their first
+/// write.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct JsSymMemory {
     meta: std::sync::Arc<BTreeMap<Expr, Expr>>,
     cells: std::sync::Arc<BTreeMap<(Expr, Expr), Expr>>,
+}
+
+/// The memory effect of one symbolic branch, decided before the branch's
+/// memory exists (`gillian_core::memory::successors` builds it).
+enum Edit {
+    Keep,
+    /// Registers or retags object `loc` with the metadata.
+    SetMeta(Expr, Expr),
+    /// Drops object `loc` and all of its cells.
+    DelObj(Expr),
+    /// Writes cell `(loc, key)`.
+    SetCell(Expr, Expr, Expr),
+    /// Removes cell `(loc, key)`.
+    DelCell(Expr, Expr),
 }
 
 impl JsSymMemory {
@@ -222,13 +240,41 @@ impl JsSymMemory {
         self.cells.iter()
     }
 
-    /// The keys defined on object `loc` (syntactically keyed cells).
+    /// The keys defined on object `loc` (syntactically keyed cells), in
+    /// order: an object's cells are contiguous in the map and start at
+    /// `(loc, Expr::LEAST)`.
     fn keys_of(&self, loc: &Expr) -> Vec<Expr> {
         self.cells
-            .keys()
-            .filter(|(l, _)| l == loc)
-            .map(|(_, k)| k.clone())
+            .range((loc.clone(), Expr::LEAST)..)
+            .take_while(|((l, _), _)| l == loc)
+            .map(|((_, k), _)| k.clone())
             .collect()
+    }
+
+    /// Applies a branch's memory effect (see [`Edit`]).
+    fn apply(&mut self, edit: Edit) {
+        match edit {
+            Edit::Keep => {}
+            Edit::SetMeta(loc, meta) => {
+                std::sync::Arc::make_mut(&mut self.meta).insert(loc, meta);
+            }
+            Edit::DelObj(loc) => {
+                std::sync::Arc::make_mut(&mut self.meta).remove(&loc);
+                let keys = self.keys_of(&loc);
+                if !keys.is_empty() {
+                    let cells = std::sync::Arc::make_mut(&mut self.cells);
+                    for key in keys {
+                        cells.remove(&(loc.clone(), key));
+                    }
+                }
+            }
+            Edit::SetCell(loc, key, value) => {
+                std::sync::Arc::make_mut(&mut self.cells).insert((loc, key), value);
+            }
+            Edit::DelCell(loc, key) => {
+                std::sync::Arc::make_mut(&mut self.cells).remove(&(loc, key));
+            }
+        }
     }
 
     /// Matches `el` against the registered object locations: the feasible
@@ -290,44 +336,44 @@ impl JsSymMemory {
     // These helpers are reachable only from `execute_action_coded` (the
     // bytecode backend); the tree walk stays a byte-identical reference.
 
-    /// True when every expression yielded is a literal value.
-    fn all_literal<'a>(mut exprs: impl Iterator<Item = &'a Expr>) -> bool {
-        exprs.all(|e| matches!(e, Expr::Val(_)))
-    }
-
     /// Resolves a literal location against a fully-literal object table:
     /// `Some(found)` when the match folds for every registered object,
     /// `None` when any side is symbolic and `match_objects` must run.
+    /// Literals sort before every non-literal, so the table is fully
+    /// literal exactly when its last location is.
     fn literal_object(&self, el: &Expr) -> Option<Option<Expr>> {
-        if !matches!(el, Expr::Val(_)) || !Self::all_literal(self.meta.keys()) {
+        let all_literal = matches!(self.meta.keys().next_back(), None | Some(Expr::Val(_)));
+        if !matches!(el, Expr::Val(_)) || !all_literal {
             return None;
         }
         Some(self.meta.get_key_value(el).map(|(loc, _)| loc.clone()))
     }
 
     /// Resolves a literal key against object `loc` when all of its keys
-    /// are literal; `None` falls back to `match_keys`.
+    /// are literal; `None` falls back to `match_keys`. The object's
+    /// literal keys sort before its symbolic ones, so one probe at
+    /// `(loc, Expr::least_symbolic())` finds a symbolic key if any.
     fn literal_key(&self, loc: &Expr, ek: &Expr) -> Option<Option<Expr>> {
         if !matches!(ek, Expr::Val(_)) {
             return None;
         }
-        let mut found = None;
-        for (l, k) in self.cells.keys() {
-            if l == loc {
-                if !matches!(k, Expr::Val(_)) {
-                    return None;
-                }
-                if k == ek {
-                    found = Some(k.clone());
-                }
-            }
+        let first_symbolic = self
+            .cells
+            .range((loc.clone(), Expr::least_symbolic().clone())..)
+            .next();
+        if first_symbolic.is_some_and(|((l, _), _)| l == loc) {
+            return None;
         }
-        Some(found)
+        Some(
+            self.cells
+                .get_key_value(&(loc.clone(), ek.clone()))
+                .map(|((_, k), _)| k.clone()),
+        )
     }
 
     /// The non-object error branch shared by the literal fast paths.
     fn literal_not_obj(
-        &self,
+        self,
         action: &str,
         el: &Expr,
         pc: &PathCondition,
@@ -337,168 +383,191 @@ impl JsSymMemory {
             pc,
             solver,
             vec![SymBranch::err_if(
-                self.clone(),
+                self,
                 err_expr(format!("{action}: {el} is not an object")),
                 Expr::tt(),
             )],
         )
     }
 
+    // Every fast path owns the memory: the one branch it builds takes
+    // `self` (a write mutates it in place), and `Err(self)` hands it back
+    // untouched for the general path.
+
     fn fast_del_obj(
-        &self,
+        mut self,
         el: &Expr,
         pc: &PathCondition,
         solver: &Solver,
-    ) -> Option<Vec<SymBranch<Self>>> {
-        Some(match self.literal_object(el)? {
-            Some(loc) => {
-                let mut mem = self.clone();
-                std::sync::Arc::make_mut(&mut mem.meta).remove(&loc);
-                std::sync::Arc::make_mut(&mut mem.cells).retain(|(l, _), _| l != &loc);
+    ) -> Result<Vec<SymBranch<Self>>, Self> {
+        Ok(match self.literal_object(el) {
+            None => return Err(self),
+            Some(Some(loc)) => {
+                self.apply(Edit::DelObj(loc));
                 literal_gate(
                     pc,
                     solver,
-                    vec![SymBranch::ok_if(mem, Expr::tt(), Expr::tt())],
+                    vec![SymBranch::ok_if(self, Expr::tt(), Expr::tt())],
                 )
             }
-            None => self.literal_not_obj("delObj", el, pc, solver),
+            Some(None) => self.literal_not_obj("delObj", el, pc, solver),
         })
     }
 
     fn fast_get_prop(
-        &self,
+        self,
         arg: &Expr,
         pc: &PathCondition,
         solver: &Solver,
-    ) -> Option<Vec<SymBranch<Self>>> {
-        let args = expr_args(arg, 2, "getProp").ok()?;
+    ) -> Result<Vec<SymBranch<Self>>, Self> {
+        let Ok(args) = expr_args(arg, 2, "getProp") else {
+            return Err(self);
+        };
         let (el, ek) = (&args[0], &args[1]);
-        let loc = match self.literal_object(el)? {
-            Some(loc) => loc,
-            None => return Some(self.literal_not_obj("getProp", el, pc, solver)),
+        let loc = match self.literal_object(el) {
+            None => return Err(self),
+            Some(Some(loc)) => loc,
+            Some(None) => return Ok(self.literal_not_obj("getProp", el, pc, solver)),
         };
-        let value = match self.literal_key(&loc, ek)? {
-            Some(key) => self.cells[&(loc, key)].clone(),
+        let value = match self.literal_key(&loc, ek) {
+            None => return Err(self),
+            Some(Some(key)) => self.cells[&(loc, key)].clone(),
             // Absent key reads as `undefined` (JS semantics).
-            None => undefined_expr(),
+            Some(None) => undefined_expr(),
         };
-        Some(literal_gate(
+        Ok(literal_gate(
             pc,
             solver,
-            vec![SymBranch::ok_if(self.clone(), value, Expr::tt())],
+            vec![SymBranch::ok_if(self, value, Expr::tt())],
         ))
     }
 
     fn fast_set_prop(
-        &self,
+        mut self,
         arg: &Expr,
         pc: &PathCondition,
         solver: &Solver,
-    ) -> Option<Vec<SymBranch<Self>>> {
-        let args = expr_args(arg, 3, "setProp").ok()?;
+    ) -> Result<Vec<SymBranch<Self>>, Self> {
+        let Ok(args) = expr_args(arg, 3, "setProp") else {
+            return Err(self);
+        };
         let (el, ek, ev) = (&args[0], &args[1], &args[2]);
-        let loc = match self.literal_object(el)? {
-            Some(loc) => loc,
-            None => return Some(self.literal_not_obj("setProp", el, pc, solver)),
+        let loc = match self.literal_object(el) {
+            None => return Err(self),
+            Some(Some(loc)) => loc,
+            Some(None) => return Ok(self.literal_not_obj("setProp", el, pc, solver)),
         };
         // Overwrite keeps the stored key expression, extend inserts the
         // looked-up one — content-identical here (both fold equal).
-        let key = self.literal_key(&loc, ek)?.unwrap_or_else(|| ek.clone());
-        let mut mem = self.clone();
-        std::sync::Arc::make_mut(&mut mem.cells).insert((loc, key), ev.clone());
-        Some(literal_gate(
+        let Some(key) = self.literal_key(&loc, ek) else {
+            return Err(self);
+        };
+        self.apply(Edit::SetCell(
+            loc,
+            key.unwrap_or_else(|| ek.clone()),
+            ev.clone(),
+        ));
+        Ok(literal_gate(
             pc,
             solver,
-            vec![SymBranch::ok_if(mem, ev.clone(), Expr::tt())],
+            vec![SymBranch::ok_if(self, ev.clone(), Expr::tt())],
         ))
     }
 
     fn fast_del_prop(
-        &self,
+        mut self,
         arg: &Expr,
         pc: &PathCondition,
         solver: &Solver,
-    ) -> Option<Vec<SymBranch<Self>>> {
-        let args = expr_args(arg, 2, "delProp").ok()?;
+    ) -> Result<Vec<SymBranch<Self>>, Self> {
+        let Ok(args) = expr_args(arg, 2, "delProp") else {
+            return Err(self);
+        };
         let (el, ek) = (&args[0], &args[1]);
-        let loc = match self.literal_object(el)? {
-            Some(loc) => loc,
-            None => return Some(self.literal_not_obj("delProp", el, pc, solver)),
+        let loc = match self.literal_object(el) {
+            None => return Err(self),
+            Some(Some(loc)) => loc,
+            Some(None) => return Ok(self.literal_not_obj("delProp", el, pc, solver)),
         };
-        let mem = match self.literal_key(&loc, ek)? {
-            Some(key) => {
-                let mut mem = self.clone();
-                std::sync::Arc::make_mut(&mut mem.cells).remove(&(loc, key));
-                mem
-            }
+        match self.literal_key(&loc, ek) {
+            None => return Err(self),
+            Some(Some(key)) => self.apply(Edit::DelCell(loc, key)),
             // Deleting an absent property is a no-op, like JS.
-            None => self.clone(),
-        };
-        Some(literal_gate(
+            Some(None) => {}
+        }
+        Ok(literal_gate(
             pc,
             solver,
-            vec![SymBranch::ok_if(mem, Expr::tt(), Expr::tt())],
+            vec![SymBranch::ok_if(self, Expr::tt(), Expr::tt())],
         ))
     }
 
     fn fast_has_prop(
-        &self,
+        self,
         arg: &Expr,
         pc: &PathCondition,
         solver: &Solver,
-    ) -> Option<Vec<SymBranch<Self>>> {
-        let args = expr_args(arg, 2, "hasProp").ok()?;
-        let (el, ek) = (&args[0], &args[1]);
-        let loc = match self.literal_object(el)? {
-            Some(loc) => loc,
-            None => return Some(self.literal_not_obj("hasProp", el, pc, solver)),
+    ) -> Result<Vec<SymBranch<Self>>, Self> {
+        let Ok(args) = expr_args(arg, 2, "hasProp") else {
+            return Err(self);
         };
-        let has = self.literal_key(&loc, ek)?.is_some();
-        Some(literal_gate(
+        let (el, ek) = (&args[0], &args[1]);
+        let loc = match self.literal_object(el) {
+            None => return Err(self),
+            Some(Some(loc)) => loc,
+            Some(None) => return Ok(self.literal_not_obj("hasProp", el, pc, solver)),
+        };
+        let Some(found) = self.literal_key(&loc, ek) else {
+            return Err(self);
+        };
+        Ok(literal_gate(
             pc,
             solver,
-            vec![SymBranch::ok_if(self.clone(), Expr::bool(has), Expr::tt())],
+            vec![SymBranch::ok_if(
+                self,
+                Expr::bool(found.is_some()),
+                Expr::tt(),
+            )],
         ))
     }
 
     fn fast_get_meta(
-        &self,
+        self,
         el: &Expr,
         pc: &PathCondition,
         solver: &Solver,
-    ) -> Option<Vec<SymBranch<Self>>> {
-        Some(match self.literal_object(el)? {
-            Some(loc) => {
+    ) -> Result<Vec<SymBranch<Self>>, Self> {
+        Ok(match self.literal_object(el) {
+            None => return Err(self),
+            Some(Some(loc)) => {
                 let meta = self.meta[&loc].clone();
-                literal_gate(
-                    pc,
-                    solver,
-                    vec![SymBranch::ok_if(self.clone(), meta, Expr::tt())],
-                )
+                literal_gate(pc, solver, vec![SymBranch::ok_if(self, meta, Expr::tt())])
             }
-            None => self.literal_not_obj("getMeta", el, pc, solver),
+            Some(None) => self.literal_not_obj("getMeta", el, pc, solver),
         })
     }
 
     fn fast_set_meta(
-        &self,
+        mut self,
         arg: &Expr,
         pc: &PathCondition,
         solver: &Solver,
-    ) -> Option<Vec<SymBranch<Self>>> {
-        let args = expr_args(arg, 2, "setMeta").ok()?;
+    ) -> Result<Vec<SymBranch<Self>>, Self> {
+        let Ok(args) = expr_args(arg, 2, "setMeta") else {
+            return Err(self);
+        };
         let (el, em) = (&args[0], &args[1]);
-        Some(match self.literal_object(el)? {
-            Some(loc) => {
-                let mut mem = self.clone();
-                std::sync::Arc::make_mut(&mut mem.meta).insert(loc, em.clone());
+        Ok(match self.literal_object(el) {
+            None => return Err(self),
+            Some(Some(loc)) => {
+                self.apply(Edit::SetMeta(loc, em.clone()));
                 literal_gate(
                     pc,
                     solver,
-                    vec![SymBranch::ok_if(mem, em.clone(), Expr::tt())],
+                    vec![SymBranch::ok_if(self, em.clone(), Expr::tt())],
                 )
             }
-            None => self.literal_not_obj("setMeta", el, pc, solver),
+            Some(None) => self.literal_not_obj("setMeta", el, pc, solver),
         })
     }
 }
@@ -562,16 +631,16 @@ impl SymbolicMemory for JsSymMemory {
     }
 
     fn execute_action_coded(
-        &self,
+        self,
         code: u16,
         name: &str,
         arg: &Expr,
         pc: &PathCondition,
         solver: &Solver,
     ) -> Vec<SymBranch<Self>> {
-        // `newObj` never consults the solver, and a fast helper returns
-        // `None` whenever anything symbolic is involved; both fall back
-        // to the general tree-walk implementation.
+        // `newObj` never consults the solver, and a fast helper declines
+        // whenever anything symbolic is involved; both fall back to the
+        // general tree-walk implementation.
         let fast = match code {
             code::DEL_OBJ => self.fast_del_obj(arg, pc, solver),
             code::GET_PROP => self.fast_get_prop(arg, pc, solver),
@@ -580,62 +649,60 @@ impl SymbolicMemory for JsSymMemory {
             code::HAS_PROP => self.fast_has_prop(arg, pc, solver),
             code::GET_META => self.fast_get_meta(arg, pc, solver),
             code::SET_META => self.fast_set_meta(arg, pc, solver),
-            _ => None,
+            _ => Err(self),
         };
-        fast.unwrap_or_else(|| self.execute_action(name, arg, pc, solver))
+        fast.unwrap_or_else(|mem| mem.execute_action(name, arg, pc, solver))
     }
 
     fn execute_action(
-        &self,
+        self,
         name: &str,
         arg: &Expr,
         pc: &PathCondition,
         solver: &Solver,
     ) -> Vec<SymBranch<Self>> {
-        let mut out: Vec<SymBranch<Self>> = Vec::new();
+        // Branches are decided first, as edits; `successors` then builds
+        // their memories, the last one reusing `self`.
+        let mut out: Vec<SymBranch<Edit>> = Vec::new();
         match name {
             "newObj" => {
                 let args = match expr_args(arg, 2, "newObj") {
                     Ok(a) => a,
-                    Err(e) => return vec![SymBranch::err_if(self.clone(), e, Expr::tt())],
+                    Err(e) => return vec![SymBranch::err_if(self, e, Expr::tt())],
                 };
                 // Locations come from the allocator, so existence folds.
                 if self.meta.contains_key(&args[0]) {
                     return vec![SymBranch::err_if(
-                        self.clone(),
+                        self,
                         err_expr(format!("newObj: {} already exists", args[0])),
                         Expr::tt(),
                     )];
                 }
-                let mut mem = self.clone();
-                std::sync::Arc::make_mut(&mut mem.meta).insert(args[0].clone(), args[1].clone());
-                vec![SymBranch::ok(mem, args[0].clone())]
+                let new = Edit::SetMeta(args[0].clone(), args[1].clone());
+                out.push(SymBranch::ok(new, args[0].clone()));
             }
             "delObj" => {
                 let el = arg.clone();
                 let (matches, none_of) = self.match_objects(&el, pc, solver);
                 for (loc, eq) in matches {
-                    let mut mem = self.clone();
-                    std::sync::Arc::make_mut(&mut mem.meta).remove(&loc);
-                    std::sync::Arc::make_mut(&mut mem.cells).retain(|(l, _), _| l != &loc);
-                    push_branch(&mut out, pc, solver, SymBranch::ok_if(mem, Expr::tt(), eq));
+                    let del = SymBranch::ok_if(Edit::DelObj(loc), Expr::tt(), eq);
+                    push_branch(&mut out, pc, solver, del);
                 }
                 push_branch(
                     &mut out,
                     pc,
                     solver,
                     SymBranch::err_if(
-                        self.clone(),
+                        Edit::Keep,
                         err_expr(format!("delObj: {el} is not an object")),
                         none_of,
                     ),
                 );
-                out
             }
             "getProp" => {
                 let args = match expr_args(arg, 2, "getProp") {
                     Ok(a) => a,
-                    Err(e) => return vec![SymBranch::err_if(self.clone(), e, Expr::tt())],
+                    Err(e) => return vec![SymBranch::err_if(self, e, Expr::tt())],
                 };
                 let (el, ek) = (args[0].clone(), args[1].clone());
                 let (objs, not_obj) = self.match_objects(&el, pc, solver);
@@ -649,103 +716,83 @@ impl SymbolicMemory for JsSymMemory {
                             &mut out,
                             pc,
                             solver,
-                            SymBranch::ok_if(self.clone(), value, eq),
+                            SymBranch::ok_if(Edit::Keep, value, eq),
                         );
                     }
-                    push_branch(
-                        &mut out,
-                        pc,
-                        solver,
-                        SymBranch::ok_if(self.clone(), undefined_expr(), none_key),
-                    );
+                    let absent = SymBranch::ok_if(Edit::Keep, undefined_expr(), none_key);
+                    push_branch(&mut out, pc, solver, absent);
                 }
                 push_branch(
                     &mut out,
                     pc,
                     solver,
                     SymBranch::err_if(
-                        self.clone(),
+                        Edit::Keep,
                         err_expr(format!("getProp: {el} is not an object")),
                         not_obj,
                     ),
                 );
-                out
             }
             "setProp" => {
                 let args = match expr_args(arg, 3, "setProp") {
                     Ok(a) => a,
-                    Err(e) => return vec![SymBranch::err_if(self.clone(), e, Expr::tt())],
+                    Err(e) => return vec![SymBranch::err_if(self, e, Expr::tt())],
                 };
                 let (el, ek, ev) = (args[0].clone(), args[1].clone(), args[2].clone());
                 let (objs, not_obj) = self.match_objects(&el, pc, solver);
                 for (loc, obj_eq) in objs {
                     let (keys, none_key) = self.match_keys(&loc, &ek, &obj_eq, pc, solver);
                     for (key, eq) in keys {
-                        let mut mem = self.clone();
-                        std::sync::Arc::make_mut(&mut mem.cells)
-                            .insert((loc.clone(), key), ev.clone());
-                        push_branch(&mut out, pc, solver, SymBranch::ok_if(mem, ev.clone(), eq));
+                        let set = Edit::SetCell(loc.clone(), key, ev.clone());
+                        push_branch(&mut out, pc, solver, SymBranch::ok_if(set, ev.clone(), eq));
                     }
-                    let mut mem = self.clone();
-                    std::sync::Arc::make_mut(&mut mem.cells)
-                        .insert((loc.clone(), ek.clone()), ev.clone());
-                    push_branch(
-                        &mut out,
-                        pc,
-                        solver,
-                        SymBranch::ok_if(mem, ev.clone(), none_key),
-                    );
+                    let extend = Edit::SetCell(loc, ek.clone(), ev.clone());
+                    let extend = SymBranch::ok_if(extend, ev.clone(), none_key);
+                    push_branch(&mut out, pc, solver, extend);
                 }
                 push_branch(
                     &mut out,
                     pc,
                     solver,
                     SymBranch::err_if(
-                        self.clone(),
+                        Edit::Keep,
                         err_expr(format!("setProp: {el} is not an object")),
                         not_obj,
                     ),
                 );
-                out
             }
             "delProp" => {
                 let args = match expr_args(arg, 2, "delProp") {
                     Ok(a) => a,
-                    Err(e) => return vec![SymBranch::err_if(self.clone(), e, Expr::tt())],
+                    Err(e) => return vec![SymBranch::err_if(self, e, Expr::tt())],
                 };
                 let (el, ek) = (args[0].clone(), args[1].clone());
                 let (objs, not_obj) = self.match_objects(&el, pc, solver);
                 for (loc, obj_eq) in objs {
                     let (keys, none_key) = self.match_keys(&loc, &ek, &obj_eq, pc, solver);
                     for (key, eq) in keys {
-                        let mut mem = self.clone();
-                        std::sync::Arc::make_mut(&mut mem.cells).remove(&(loc.clone(), key));
-                        push_branch(&mut out, pc, solver, SymBranch::ok_if(mem, Expr::tt(), eq));
+                        let del = SymBranch::ok_if(Edit::DelCell(loc.clone(), key), Expr::tt(), eq);
+                        push_branch(&mut out, pc, solver, del);
                     }
                     // Deleting an absent property is a no-op, like JS.
-                    push_branch(
-                        &mut out,
-                        pc,
-                        solver,
-                        SymBranch::ok_if(self.clone(), Expr::tt(), none_key),
-                    );
+                    let absent = SymBranch::ok_if(Edit::Keep, Expr::tt(), none_key);
+                    push_branch(&mut out, pc, solver, absent);
                 }
                 push_branch(
                     &mut out,
                     pc,
                     solver,
                     SymBranch::err_if(
-                        self.clone(),
+                        Edit::Keep,
                         err_expr(format!("delProp: {el} is not an object")),
                         not_obj,
                     ),
                 );
-                out
             }
             "hasProp" => {
                 let args = match expr_args(arg, 2, "hasProp") {
                     Ok(a) => a,
-                    Err(e) => return vec![SymBranch::err_if(self.clone(), e, Expr::tt())],
+                    Err(e) => return vec![SymBranch::err_if(self, e, Expr::tt())],
                 };
                 let (el, ek) = (args[0].clone(), args[1].clone());
                 let (objs, not_obj) = self.match_objects(&el, pc, solver);
@@ -756,27 +803,22 @@ impl SymbolicMemory for JsSymMemory {
                             &mut out,
                             pc,
                             solver,
-                            SymBranch::ok_if(self.clone(), Expr::tt(), eq),
+                            SymBranch::ok_if(Edit::Keep, Expr::tt(), eq),
                         );
                     }
-                    push_branch(
-                        &mut out,
-                        pc,
-                        solver,
-                        SymBranch::ok_if(self.clone(), Expr::ff(), none_key),
-                    );
+                    let absent = SymBranch::ok_if(Edit::Keep, Expr::ff(), none_key);
+                    push_branch(&mut out, pc, solver, absent);
                 }
                 push_branch(
                     &mut out,
                     pc,
                     solver,
                     SymBranch::err_if(
-                        self.clone(),
+                        Edit::Keep,
                         err_expr(format!("hasProp: {el} is not an object")),
                         not_obj,
                     ),
                 );
-                out
             }
             "getMeta" => {
                 let el = arg.clone();
@@ -787,7 +829,7 @@ impl SymbolicMemory for JsSymMemory {
                         &mut out,
                         pc,
                         solver,
-                        SymBranch::ok_if(self.clone(), meta, obj_eq),
+                        SymBranch::ok_if(Edit::Keep, meta, obj_eq),
                     );
                 }
                 push_branch(
@@ -795,48 +837,43 @@ impl SymbolicMemory for JsSymMemory {
                     pc,
                     solver,
                     SymBranch::err_if(
-                        self.clone(),
+                        Edit::Keep,
                         err_expr(format!("getMeta: {el} is not an object")),
                         not_obj,
                     ),
                 );
-                out
             }
             "setMeta" => {
                 let args = match expr_args(arg, 2, "setMeta") {
                     Ok(a) => a,
-                    Err(e) => return vec![SymBranch::err_if(self.clone(), e, Expr::tt())],
+                    Err(e) => return vec![SymBranch::err_if(self, e, Expr::tt())],
                 };
                 let (el, em) = (args[0].clone(), args[1].clone());
                 let (objs, not_obj) = self.match_objects(&el, pc, solver);
                 for (loc, obj_eq) in objs {
-                    let mut mem = self.clone();
-                    std::sync::Arc::make_mut(&mut mem.meta).insert(loc, em.clone());
-                    push_branch(
-                        &mut out,
-                        pc,
-                        solver,
-                        SymBranch::ok_if(mem, em.clone(), obj_eq),
-                    );
+                    let set = SymBranch::ok_if(Edit::SetMeta(loc, em.clone()), em.clone(), obj_eq);
+                    push_branch(&mut out, pc, solver, set);
                 }
                 push_branch(
                     &mut out,
                     pc,
                     solver,
                     SymBranch::err_if(
-                        self.clone(),
+                        Edit::Keep,
                         err_expr(format!("setMeta: {el} is not an object")),
                         not_obj,
                     ),
                 );
-                out
             }
-            other => vec![SymBranch::err_if(
-                self.clone(),
-                err_expr(format!("unknown JS action {other}")),
-                Expr::tt(),
-            )],
+            other => {
+                return vec![SymBranch::err_if(
+                    self,
+                    err_expr(format!("unknown JS action {other}")),
+                    Expr::tt(),
+                )]
+            }
         }
+        successors(self, out, Self::apply)
     }
 
     fn lvars(&self) -> BTreeSet<LVar> {
@@ -859,6 +896,8 @@ mod tests {
     use super::*;
     use crate::values::undefined_value;
     use gillian_gil::Sym;
+    use proptest::prelude::*;
+    use std::sync::Arc;
 
     fn loc(i: u64) -> Value {
         Value::Sym(Sym(Sym::FIRST_FRESH + i))
@@ -992,5 +1031,159 @@ mod tests {
         let sizes: Vec<usize> = branches.iter().map(|b| b.memory.cells.len()).collect();
         assert!(sizes.contains(&1), "overwrite branch");
         assert!(sizes.contains(&2), "extend branch");
+    }
+
+    /// One object at a literal location with one literal-keyed cell.
+    fn one_object() -> (JsSymMemory, Expr) {
+        let mut m = JsSymMemory::default();
+        let l = Expr::Val(loc(0));
+        m.insert_object(l.clone(), Expr::str("Object"));
+        m.insert_cell(l.clone(), Expr::str("a"), Expr::num(1.0));
+        (m, l)
+    }
+
+    #[test]
+    fn single_successor_writes_are_in_place() {
+        let solver = Solver::optimized();
+        let pc = PathCondition::new();
+        let set = |l: &Expr| Expr::list([l.clone(), Expr::str("b"), Expr::num(2.0)]);
+        // The general path and the literal fast path alike.
+        for coded in [false, true] {
+            let (m, l) = one_object();
+            let (meta, cells) = (Arc::as_ptr(&m.meta), Arc::as_ptr(&m.cells));
+            let branches = if coded {
+                m.execute_action_coded(code::SET_PROP, "setProp", &set(&l), &pc, &solver)
+            } else {
+                m.execute_action("setProp", &set(&l), &pc, &solver)
+            };
+            assert_eq!(branches.len(), 1);
+            assert_eq!(
+                Arc::as_ptr(&branches[0].memory.cells),
+                cells,
+                "coded: {coded}"
+            );
+            let mem = branches.into_iter().next().unwrap().memory;
+            let retag = Expr::list([l, Expr::str("Array")]);
+            let branches = if coded {
+                mem.execute_action_coded(code::SET_META, "setMeta", &retag, &pc, &solver)
+            } else {
+                mem.execute_action("setMeta", &retag, &pc, &solver)
+            };
+            assert_eq!(branches.len(), 1);
+            assert_eq!(
+                Arc::as_ptr(&branches[0].memory.meta),
+                meta,
+                "coded: {coded}"
+            );
+        }
+    }
+
+    #[test]
+    fn clones_taken_before_a_write_are_isolated() {
+        let solver = Solver::optimized();
+        let pc = PathCondition::new();
+        let (m, l) = one_object();
+        let snapshot = m.clone();
+        let set = Expr::list([l.clone(), Expr::str("a"), Expr::num(9.0)]);
+        let branches =
+            m.clone()
+                .execute_action_coded(code::SET_PROP, "setProp", &set, &pc, &solver);
+        assert_eq!(branches[0].memory.cells.len(), 1);
+        assert_ne!(branches[0].memory, snapshot);
+        assert_eq!(
+            m, snapshot,
+            "a write through a clone leaked into the original"
+        );
+        // Sibling branches of one action (overwrite `a` or extend) are
+        // isolated from each other and from the pre-state.
+        let k = Expr::lvar(LVar(0));
+        let set = Expr::list([l.clone(), k, Expr::num(9.0)]);
+        let branches = m.clone().execute_action("setProp", &set, &pc, &solver);
+        assert_eq!(branches.len(), 2);
+        assert_ne!(branches[0].memory, branches[1].memory);
+        assert_eq!(m, snapshot);
+        let branches = m.clone().execute_action("delObj", &l, &pc, &solver);
+        assert_eq!(branches[0].memory.object_count(), 0);
+        assert_eq!(m, snapshot);
+    }
+
+    // The definitions the ordered-map lookups replaced: full scans.
+
+    fn scan_keys_of(m: &JsSymMemory, loc: &Expr) -> Vec<Expr> {
+        m.cells
+            .keys()
+            .filter(|(l, _)| l == loc)
+            .map(|(_, k)| k.clone())
+            .collect()
+    }
+
+    fn scan_literal_object(m: &JsSymMemory, el: &Expr) -> Option<Option<Expr>> {
+        let all_literal = m.meta.keys().all(|e| matches!(e, Expr::Val(_)));
+        if !matches!(el, Expr::Val(_)) || !all_literal {
+            return None;
+        }
+        Some(m.meta.get_key_value(el).map(|(loc, _)| loc.clone()))
+    }
+
+    fn scan_literal_key(m: &JsSymMemory, loc: &Expr, ek: &Expr) -> Option<Option<Expr>> {
+        if !matches!(ek, Expr::Val(_)) {
+            return None;
+        }
+        let mut found = None;
+        for (l, k) in m.cells.keys() {
+            if l == loc {
+                if !matches!(k, Expr::Val(_)) {
+                    return None;
+                }
+                if k == ek {
+                    found = Some(k.clone());
+                }
+            }
+        }
+        Some(found)
+    }
+
+    /// Literal and symbolic locations.
+    fn arb_loc() -> impl Strategy<Value = Expr> {
+        prop_oneof![
+            3 => (0u64..4).prop_map(|i| Expr::Val(loc(i))),
+            1 => (0u64..2).prop_map(|i| Expr::lvar(LVar(i))),
+        ]
+    }
+
+    /// Literal keys of several types, and symbolic keys.
+    fn arb_key() -> impl Strategy<Value = Expr> {
+        prop_oneof![
+            2 => (0u8..4).prop_map(|i| Expr::str(format!("k{i}"))),
+            2 => (0u8..4).prop_map(|i| Expr::num(i as f64)),
+            1 => (0i64..2).prop_map(Expr::int),
+            1 => (0u64..3).prop_map(|i| Expr::lvar(LVar(i))),
+            1 => (0u64..2).prop_map(|i| Expr::lvar(LVar(i)).add(Expr::int(1))),
+            1 => Just(Expr::pvar("")),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn ordered_lookups_match_full_scans(
+            objects in proptest::collection::vec(arb_loc(), 0..5),
+            cells in proptest::collection::vec((arb_loc(), arb_key()), 0..12),
+            probes in proptest::collection::vec((arb_loc(), arb_key()), 1..6),
+        ) {
+            let mut m = JsSymMemory::default();
+            for l in objects {
+                m.insert_object(l, Expr::str("Object"));
+            }
+            for (i, (l, k)) in cells.into_iter().enumerate() {
+                m.insert_cell(l, k, Expr::int(i as i64));
+            }
+            for (l, k) in probes {
+                prop_assert_eq!(m.keys_of(&l), scan_keys_of(&m, &l));
+                prop_assert_eq!(m.literal_object(&l), scan_literal_object(&m, &l));
+                prop_assert_eq!(m.literal_key(&l, &k), scan_literal_key(&m, &l, &k));
+            }
+        }
     }
 }

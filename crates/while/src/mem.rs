@@ -12,7 +12,7 @@
 //! the corresponding equalities/disequalities into the path condition.
 
 use gillian_core::checkpoint::StateIoError;
-use gillian_core::memory::{ConcreteMemory, SymBranch, SymbolicMemory};
+use gillian_core::memory::{successors, ConcreteMemory, SymBranch, SymbolicMemory};
 use gillian_gil::serial::{self, ByteReader, Decoder, Encoder};
 use gillian_gil::{Expr, Value};
 use gillian_solver::{PathCondition, Solver};
@@ -142,6 +142,26 @@ impl WhileSymMemory {
         out.dedup();
         out
     }
+
+    fn apply(&mut self, edit: Edit) {
+        match edit {
+            Edit::Keep => {}
+            Edit::Put(loc, prop, value) => {
+                Arc::make_mut(&mut self.cells).insert((loc, prop), value);
+            }
+            Edit::Dispose(loc) => Arc::make_mut(&mut self.cells).retain(|(l, _), _| l != &loc),
+        }
+    }
+}
+
+/// The memory effect of one symbolic branch, decided before the branch's
+/// memory exists.
+enum Edit {
+    Keep,
+    /// Writes cell `(location, property)`.
+    Put(Expr, Arc<str>, Expr),
+    /// Drops every cell of the location.
+    Dispose(Expr),
 }
 
 fn expr_args(arg: &Expr, n: usize, action: &str) -> Result<Vec<Expr>, Expr> {
@@ -200,12 +220,15 @@ impl SymbolicMemory for WhileSymMemory {
     }
 
     fn execute_action(
-        &self,
+        self,
         name: &str,
         arg: &Expr,
         pc: &PathCondition,
         solver: &Solver,
     ) -> Vec<SymBranch<Self>> {
+        // Branches are decided first, as edits; `successors` then builds
+        // their memories, the last one reusing `self`.
+        let mut branches = Vec::new();
         match name {
             // [S-Lookup]: branch on every location potentially equal to the
             // address; learn the equality. The residual branch (equal to
@@ -215,15 +238,14 @@ impl SymbolicMemory for WhileSymMemory {
                     .and_then(|a| Ok((a[0].clone(), static_prop(&a[1], "lookup")?)))
                 {
                     Ok(x) => x,
-                    Err(e) => return vec![SymBranch::err_if(self.clone(), e, Expr::tt())],
+                    Err(e) => return vec![SymBranch::err_if(self, e, Expr::tt())],
                 };
-                let mut branches = Vec::new();
                 let mut none_of = Expr::tt();
                 for loc in self.locs_with(&prop) {
                     let eq = solver.simplify(pc, &el.clone().eq(loc.clone()));
                     if eq.as_bool() != Some(false) && solver.sat_with(pc, &eq).possibly_sat() {
                         let value = self.cells[&(loc.clone(), prop.clone())].clone();
-                        branches.push(SymBranch::ok_if(self.clone(), value, eq));
+                        branches.push(SymBranch::ok_if(Edit::Keep, value, eq));
                     }
                     none_of = none_of.and(el.clone().ne(loc));
                 }
@@ -231,12 +253,11 @@ impl SymbolicMemory for WhileSymMemory {
                 if none_of.as_bool() != Some(false) && solver.sat_with(pc, &none_of).possibly_sat()
                 {
                     branches.push(SymBranch::err_if(
-                        self.clone(),
+                        Edit::Keep,
                         Expr::str(format!("lookup: no property {prop} at {el}")),
                         none_of,
                     ));
                 }
-                branches
             }
             // [S-Mutate-Present] / [S-Mutate-Absent]
             "mutate" => {
@@ -244,17 +265,14 @@ impl SymbolicMemory for WhileSymMemory {
                     .and_then(|a| Ok((a[0].clone(), static_prop(&a[1], "mutate")?, a[2].clone())))
                 {
                     Ok(x) => x,
-                    Err(e) => return vec![SymBranch::err_if(self.clone(), e, Expr::tt())],
+                    Err(e) => return vec![SymBranch::err_if(self, e, Expr::tt())],
                 };
-                let mut branches = Vec::new();
                 let mut none_of = Expr::tt();
                 for loc in self.locs_with(&prop) {
                     let eq = solver.simplify(pc, &el.clone().eq(loc.clone()));
                     if eq.as_bool() != Some(false) && solver.sat_with(pc, &eq).possibly_sat() {
-                        let mut mem = self.clone();
-                        Arc::make_mut(&mut mem.cells)
-                            .insert((loc.clone(), prop.clone()), ev.clone());
-                        branches.push(SymBranch::ok_if(mem, ev.clone(), eq));
+                        let put = Edit::Put(loc.clone(), prop.clone(), ev.clone());
+                        branches.push(SymBranch::ok_if(put, ev.clone(), eq));
                     }
                     none_of = none_of.and(el.clone().ne(loc));
                 }
@@ -262,39 +280,39 @@ impl SymbolicMemory for WhileSymMemory {
                 let none_of = solver.simplify(pc, &none_of);
                 if none_of.as_bool() != Some(false) && solver.sat_with(pc, &none_of).possibly_sat()
                 {
-                    let mut mem = self.clone();
-                    Arc::make_mut(&mut mem.cells).insert((el, prop), ev.clone());
-                    branches.push(SymBranch::ok_if(mem, ev, none_of));
+                    branches.push(SymBranch::ok_if(
+                        Edit::Put(el, prop, ev.clone()),
+                        ev,
+                        none_of,
+                    ));
                 }
-                branches
             }
             // [S-Dispose]: branch on aliasing with each known location.
             "dispose" => {
                 let el = arg.clone();
-                let mut branches = Vec::new();
                 let mut none_of = Expr::tt();
                 for loc in self.locs() {
                     let eq = solver.simplify(pc, &el.clone().eq(loc.clone()));
                     if eq.as_bool() != Some(false) && solver.sat_with(pc, &eq).possibly_sat() {
-                        let mut mem = self.clone();
-                        Arc::make_mut(&mut mem.cells).retain(|(l, _), _| l != &loc);
-                        branches.push(SymBranch::ok_if(mem, Expr::tt(), eq));
+                        branches.push(SymBranch::ok_if(Edit::Dispose(loc.clone()), Expr::tt(), eq));
                     }
                     none_of = none_of.and(el.clone().ne(loc));
                 }
                 let none_of = solver.simplify(pc, &none_of);
                 if none_of.as_bool() != Some(false) && solver.sat_with(pc, &none_of).possibly_sat()
                 {
-                    branches.push(SymBranch::ok_if(self.clone(), Expr::tt(), none_of));
+                    branches.push(SymBranch::ok_if(Edit::Keep, Expr::tt(), none_of));
                 }
-                branches
             }
-            other => vec![SymBranch::err_if(
-                self.clone(),
-                Expr::str(format!("unknown While action {other}")),
-                Expr::tt(),
-            )],
+            other => {
+                return vec![SymBranch::err_if(
+                    self,
+                    Expr::str(format!("unknown While action {other}")),
+                    Expr::tt(),
+                )]
+            }
         }
+        successors(self, branches, Self::apply)
     }
 
     fn lvars(&self) -> std::collections::BTreeSet<gillian_gil::LVar> {
@@ -425,5 +443,53 @@ mod tests {
         let branches = m.execute_action("lookup", &Expr::list([x, Expr::str("a")]), &pc, &solver);
         assert_eq!(branches.len(), 1, "pc pins the alias: {branches:?}");
         assert_eq!(branches[0].outcome, Ok(Expr::int(10)));
+    }
+
+    fn mutate(l: &Expr, v: i64) -> Expr {
+        Expr::list([l.clone(), Expr::str("a"), Expr::int(v)])
+    }
+
+    #[test]
+    fn single_successor_write_is_in_place() {
+        let solver = Solver::optimized();
+        let pc = PathCondition::new();
+        let mut m = WhileSymMemory::default();
+        let l = Expr::Val(sym(0));
+        m.insert(l.clone(), "a", Expr::int(1));
+        let cells = Arc::as_ptr(&m.cells);
+        let branches = m.execute_action("mutate", &mutate(&l, 2), &pc, &solver);
+        assert_eq!(branches.len(), 1);
+        assert_eq!(branches[0].outcome, Ok(Expr::int(2)));
+        assert_eq!(Arc::as_ptr(&branches[0].memory.cells), cells);
+    }
+
+    #[test]
+    fn clones_taken_before_a_write_are_isolated() {
+        let solver = Solver::optimized();
+        let pc = PathCondition::new();
+        let mut m = WhileSymMemory::default();
+        let l = Expr::Val(sym(0));
+        m.insert(l.clone(), "a", Expr::int(1));
+        let snapshot = m.clone();
+        let branches = m
+            .clone()
+            .execute_action("mutate", &mutate(&l, 2), &pc, &solver);
+        assert_ne!(branches[0].memory, snapshot);
+        assert_eq!(
+            m, snapshot,
+            "a write through a clone leaked into the original"
+        );
+        // Sibling branches (x aliases l, or x is a new object) are
+        // isolated from each other and from the pre-state.
+        let x = Expr::lvar(LVar(0));
+        let branches = m
+            .clone()
+            .execute_action("mutate", &mutate(&x, 3), &pc, &solver);
+        assert_eq!(branches.len(), 2);
+        assert_eq!(branches[0].memory.len(), 1);
+        assert_eq!(branches[1].memory.len(), 2);
+        let branches = m.clone().execute_action("dispose", &l, &pc, &solver);
+        assert!(branches[0].memory.is_empty());
+        assert_eq!(m, snapshot);
     }
 }

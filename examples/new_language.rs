@@ -62,6 +62,9 @@ impl ConcreteMemory for ConcCounters {
 // Step 2: the symbolic memory model (paper Def. 2.4). Counters hold
 // symbolic expressions; `decr` branches on the zero test, learning the
 // constraint into the path condition.
+//
+// The action owns the memory it runs on: a successor that writes can
+// mutate `self` in place, and a sibling branch takes a `clone()`.
 // ---------------------------------------------------------------------
 
 #[derive(Clone, Debug, Default)]
@@ -69,7 +72,7 @@ struct SymCounters(BTreeMap<String, Expr>);
 
 impl SymbolicMemory for SymCounters {
     fn execute_action(
-        &self,
+        mut self,
         name: &str,
         arg: &Expr,
         pc: &PathCondition,
@@ -77,7 +80,7 @@ impl SymbolicMemory for SymCounters {
     ) -> Vec<SymBranch<Self>> {
         let Expr::Val(Value::Str(key)) = arg else {
             return vec![SymBranch::err_if(
-                self.clone(),
+                self,
                 Expr::str("counter names are literal strings"),
                 Expr::tt(),
             )];
@@ -85,12 +88,11 @@ impl SymbolicMemory for SymCounters {
         let current = self.0.get(key.as_ref()).cloned().unwrap_or(Expr::int(0));
         match name {
             "incr" => {
-                let mut mem = self.clone();
                 let next = solver.simplify(pc, &current.add(Expr::int(1)));
-                mem.0.insert(key.to_string(), next.clone());
-                vec![SymBranch::ok(mem, next)]
+                self.0.insert(key.to_string(), next.clone());
+                vec![SymBranch::ok(self, next)]
             }
-            "read" => vec![SymBranch::ok(self.clone(), current)],
+            "read" => vec![SymBranch::ok(self, current)],
             "decr" => {
                 let mut out = Vec::new();
                 let zero = solver.simplify(pc, &current.clone().eq(Expr::int(0)));
@@ -104,15 +106,15 @@ impl SymbolicMemory for SymCounters {
                 }
                 if nonzero.as_bool() != Some(false) && solver.sat_with(pc, &nonzero).possibly_sat()
                 {
-                    let mut mem = self.clone();
+                    // The last branch writes into the memory itself.
                     let next = solver.simplify(pc, &current.sub(Expr::int(1)));
-                    mem.0.insert(key.to_string(), next.clone());
-                    out.push(SymBranch::ok_if(mem, next, nonzero));
+                    self.0.insert(key.to_string(), next.clone());
+                    out.push(SymBranch::ok_if(self, next, nonzero));
                 }
                 out
             }
             other => vec![SymBranch::err_if(
-                self.clone(),
+                self,
                 Expr::str(format!("unknown action {other}")),
                 Expr::tt(),
             )],
