@@ -43,7 +43,7 @@ fn fmt_duration(d: Duration) -> String {
 }
 
 /// Explorer worker count taken from the `GILLIAN_WORKERS` environment
-/// variable (default 1 — the serial engine).
+/// variable (default 1 — one worker, inline on the calling thread).
 pub fn workers_from_env() -> usize {
     std::env::var("GILLIAN_WORKERS")
         .ok()

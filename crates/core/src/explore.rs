@@ -11,26 +11,23 @@
 //! reported (a truncated run yields a *bounded* verification guarantee
 //! only).
 //!
-//! Two engines share the budget semantics:
-//!
-//! - [`explore`] — the serial worklist loop (DFS or BFS order);
-//! - [`explore_parallel`] — a work-sharing multi-worker loop. Paper §3.2's
-//!   relaxed trace composition makes this sound without further argument:
-//!   the meaning of a symbolic testing run is the union of its per-trace
-//!   guarantees, and each trace is explored independently of the order in
-//!   which its siblings run. Workers therefore never need to coordinate
-//!   beyond budget accounting.
-//!
-//! Both engines report the same *order-normalized* result: every explored
-//! path appears exactly once, budget cut-offs surface as
+//! One engine serves every worker count: a queue of pending
+//! configurations and one worker loop holding the whole per-step policy.
+//! [`explore`] runs a single worker inline on the calling thread;
+//! [`explore_with`] runs [`ExploreConfig::workers`] of them on scoped
+//! threads. Paper §3.2's relaxed trace composition makes the worker count
+//! irrelevant to *what* is proven: a run means the union of its per-trace
+//! guarantees, and each trace is explored independently of its siblings,
+//! so workers share nothing but the queue and the budgets. Every explored
+//! path appears exactly once; budget cut-offs surface as
 //! [`ExploreOutcome::Truncated`] paths (or [`ExploreResult::dropped_paths`]
 //! once `max_paths` is full) — pending work is never silently lost.
 //!
 //! ## Resilience
 //!
 //! Command budgets alone cannot defend a run against a diverging solver
-//! query, a spinning memory model, or a panicking one. Both engines
-//! therefore also enforce (see `DESIGN.md`, "Resilience model"):
+//! query, a spinning memory model, or a panicking one. The worker loop
+//! therefore also enforces (see `DESIGN.md`, "Resilience model"):
 //!
 //! - a wall-clock [`ExploreConfig::deadline`] and a cooperative
 //!   [`CancelToken`], checked at every scheduling point and installed into
@@ -60,8 +57,8 @@ use gillian_telemetry::{
 };
 use std::collections::VecDeque;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Locks a mutex, tolerating poison: a panicking path may unwind while a
@@ -98,8 +95,9 @@ pub struct ExploreConfig {
     /// full, further paths (finished or pending) are counted in
     /// [`ExploreResult::dropped_paths`].
     pub max_paths: usize,
-    /// Exploration order (serial engine only; the parallel engine's order
-    /// is scheduling-dependent, its *result* is canonically ordered).
+    /// Exploration order: the end of the queue every worker pops. One
+    /// worker's result lists paths in this order; several workers' order
+    /// depends on scheduling, so their result is canonically ordered.
     pub strategy: SearchStrategy,
     /// Maximum pending (in-flight) configurations; branches beyond the cap
     /// are *dropped*. Paper §3.2's relaxed trace composition licenses
@@ -108,9 +106,9 @@ pub struct ExploreConfig {
     /// counted in [`ExploreResult::dropped_paths`] and mark the result
     /// truncated.
     pub max_pending: Option<usize>,
-    /// Number of explorer workers. `0` or `1` selects the serial engine in
-    /// [`explore_with`]; `explore_parallel` itself runs its machinery even
-    /// with one worker.
+    /// Number of explorer workers in [`explore_with`] and
+    /// [`explore_resume`]. `0` or `1` runs the one worker inline on the
+    /// calling thread, as [`explore`] always does.
     pub workers: usize,
     /// Wall-clock budget for one exploration run, measured from the call.
     /// When it expires, pending paths are parked as
@@ -279,8 +277,8 @@ pub struct ExploreDiagnostics {
     pub deadline_hits: usize,
     /// Paths parked as truncated because the run was cancelled.
     pub cancellations: usize,
-    /// Paths lost to an isolated panic (plus, in the parallel engine, any
-    /// worker that died outside the per-step guard).
+    /// Paths lost to an isolated panic, plus any worker thread that died
+    /// outside the per-step guard.
     pub engine_errors: usize,
     /// `Unknown` satisfiability verdicts observed during the run. Each one
     /// means a branch was kept because the solver could not *prove* it
@@ -308,16 +306,12 @@ pub struct ExploreDiagnostics {
     /// re-executing the callee. Telemetry only — an applied summary
     /// preserves the path's `(trace, outcome)` exactly.
     pub summaries_applied: u64,
-    /// Interner activity attributed to this run: the sum of **per-worker
-    /// thread-local** [`InternStats`] deltas (the serial engine's single
-    /// thread, or every worker of the parallel engine), with `live`
-    /// read globally at run end. Thread deltas make the attribution
-    /// exact — diffing the process-global counters would fold in every
-    /// other exploration running concurrently in the process (and, under
-    /// the parallel engine, double-count the run's own traffic when
-    /// worker snapshots were summed). Telemetry only: interner traffic
-    /// never weakens a verdict, so these counters do not affect
-    /// [`ExploreDiagnostics::is_clean`].
+    /// Interner activity attributed to this run: the sum of the
+    /// **thread-local** [`InternStats`] deltas of the calling thread and
+    /// every worker thread, with `live` read globally at run end. Diffing
+    /// the process-global counters instead would fold in every other
+    /// exploration running concurrently in the process. Telemetry only:
+    /// these counters do not affect [`ExploreDiagnostics::is_clean`].
     pub interner: InternStats,
 }
 
@@ -336,8 +330,9 @@ impl ExploreDiagnostics {
 /// The result of exploring a program from an entry point.
 #[derive(Clone, Debug)]
 pub struct ExploreResult<S: GilState> {
-    /// All finished paths. Serial engines list them in exploration order;
-    /// the parallel engine in canonical branch order.
+    /// All finished paths. One worker lists them in exploration order, then
+    /// the pending work a stop left behind in pop order; several workers
+    /// in canonical branch order.
     pub paths: Vec<PathResult<S>>,
     /// Total GIL commands executed (the paper's "GIL Cmds" column).
     pub total_cmds: u64,
@@ -393,153 +388,842 @@ impl<S: GilState> ExploreResult<S> {
     pub fn bounded(&self) -> bool {
         self.truncated || self.dropped_paths > 0 || self.killed || !self.diagnostics.is_clean()
     }
-
-    fn empty() -> Self {
-        ExploreResult {
-            paths: Vec::new(),
-            total_cmds: 0,
-            truncated: false,
-            dropped_paths: 0,
-            killed: false,
-            diagnostics: ExploreDiagnostics::default(),
-            report: Report::default(),
-        }
-    }
-
-    /// Records a path without ever exceeding `max_paths`: overflow is
-    /// counted in [`ExploreResult::dropped_paths`] and marks the result
-    /// truncated. Returns whether the path was recorded, so callers can
-    /// journal a `PathFinished` for exactly the reported paths.
-    fn record(&mut self, max_paths: usize, path: PathResult<S>) -> bool {
-        if self.paths.len() < max_paths {
-            self.paths.push(path);
-            true
-        } else {
-            self.dropped_paths += 1;
-            self.truncated = true;
-            false
-        }
-    }
 }
 
-/// Shared tail of both engines: merges the journal, exports it, and
-/// fills in the run's [`Report`].
-fn finish_report<S: GilState>(
-    result: &mut ExploreResult<S>,
-    journal: &Journal,
-    traces: &[Vec<u32>],
-    metrics_before: &gillian_telemetry::MetricsSnapshot,
-    run_started: Instant,
-    workers: u32,
-) {
-    if journal.is_enabled() {
-        let merged = journal.finish_run();
-        result
-            .report
-            .ingest_events(&merged, journal.events_dropped());
-        result.report.trace_path = journal.jsonl_path().map(String::from);
-    }
-    result.report.wall_micros = run_started.elapsed().as_micros() as u64;
-    result.report.workers = workers;
-    result.report.tree = TreeStats::from_paths(traces.iter().map(Vec::as_slice));
-    result.report.metrics = registry().snapshot().since(metrics_before);
-}
-
-/// Why the main loop stopped early (beyond budget exhaustion, which keeps
-/// the historical accounting and no diagnostic).
-#[derive(Clone, Copy)]
-enum StopCause {
+/// Why a round of the worker loop stopped before its queue drained. The
+/// first stop raised wins and attributes the pending work it leaves.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Stop {
+    /// `max_total_cmds` or `max_paths` is spent. Like any budget, it
+    /// truncates the result but records no diagnostic.
+    Budget,
+    /// The wall-clock deadline passed.
     Deadline,
+    /// The run's cancel token fired.
     Cancelled,
+    /// A periodic checkpoint is due: the round quiesces, the driver
+    /// snapshots the frontier, and the next round carries on.
+    Checkpoint,
+    /// A fault-injected simulated process death.
+    Killed,
 }
 
-/// Accounting carried into a resumed run from its checkpoint, so the
-/// merged result reads as if the run was never interrupted: the global
-/// command budget continues from the checkpoint's count and the
-/// interrupted run's diagnostics are folded into the final ones.
-#[derive(Clone, Copy, Debug, Default)]
-struct ResumeBase {
-    total_cmds: u64,
-    truncated: bool,
-    dropped_paths: usize,
-    diagnostics: ExploreDiagnostics,
+/// The run's counters. They hold no exploration states, so the live
+/// sampler can read them from a thread of its own whatever the state type.
+#[derive(Default)]
+struct Counters {
+    /// Commands claimed against `max_total_cmds`.
+    total_cmds: AtomicU64,
+    /// Paths finished so far, recorded or dropped past `max_paths`.
+    finished_paths: AtomicUsize,
+    truncated: AtomicBool,
+    dropped_paths: AtomicUsize,
+    /// Paths lost to isolated panics, plus workers that died outside the
+    /// per-step guard.
+    engine_errors: AtomicUsize,
+    /// Queue length and the branch depth last stepped, for live frames.
+    pending: AtomicUsize,
+    depth: AtomicU32,
+    /// Interner traffic of the worker threads a run spawned; the driver
+    /// measures the calling thread's itself.
+    intern_mints: AtomicU64,
+    intern_hits: AtomicU64,
 }
 
-/// Summaries of a result's recorded paths, for checkpointing.
-fn summaries<S: GilState>(result: &ExploreResult<S>) -> Vec<PathSummary> {
-    result
-        .paths
-        .iter()
-        .map(|p| PathSummary {
+impl Counters {
+    fn drop_path(&self) {
+        self.dropped_paths.fetch_add(1, Ordering::Relaxed);
+        self.truncated.store(true, Ordering::Relaxed);
+    }
+
+    /// The engine's own diagnostics so far (stops are counted at the
+    /// drain).
+    fn diagnostics(&self) -> ExploreDiagnostics {
+        ExploreDiagnostics {
+            engine_errors: self.engine_errors.load(Ordering::Relaxed),
+            ..ExploreDiagnostics::default()
+        }
+    }
+
+    fn live_stats(&self, workers: usize) -> LiveStats {
+        LiveStats {
+            paths_finished: self.finished_paths.load(Ordering::Relaxed) as u64,
+            pending: self.pending.load(Ordering::Relaxed) as u64,
+            depth: self.depth.load(Ordering::Relaxed),
+            cmds: self.total_cmds.load(Ordering::Relaxed),
+            workers: workers as u32,
+        }
+    }
+}
+
+/// The sentinel's solver counters at run start (unknown verdicts,
+/// incremental and implication hits, summaries recorded and applied) and
+/// the resumed-from diagnostics: what turns a run's engine counters into
+/// its [`ExploreDiagnostics`], mid-run for a checkpoint or at the end.
+struct Baseline {
+    solver: [u64; 5],
+    resumed: ExploreDiagnostics,
+}
+
+impl Baseline {
+    fn solver<S: GilState>(sentinel: &S) -> [u64; 5] {
+        let (reuse, summaries) = (sentinel.solver_reuse(), sentinel.summary_stats());
+        let unknowns = sentinel.unknown_verdicts();
+        [unknowns, reuse.0, reuse.1, summaries.0, summaries.1]
+    }
+
+    fn diagnostics<S: GilState>(
+        &self,
+        sentinel: &S,
+        run: ExploreDiagnostics,
+    ) -> ExploreDiagnostics {
+        let now = Baseline::solver(sentinel);
+        let delta = |i: usize| now[i].saturating_sub(self.solver[i]);
+        let base = &self.resumed;
+        ExploreDiagnostics {
+            deadline_hits: run.deadline_hits + base.deadline_hits,
+            cancellations: run.cancellations + base.cancellations,
+            engine_errors: run.engine_errors + base.engine_errors,
+            unknown_verdicts: delta(0) + base.unknown_verdicts,
+            incremental_hits: delta(1) + base.incremental_hits,
+            implication_hits: delta(2) + base.implication_hits,
+            summaries_recorded: delta(3) + base.summaries_recorded,
+            summaries_applied: delta(4) + base.summaries_applied,
+            interner: run.interner,
+        }
+    }
+}
+
+/// The pending frontier. `in_flight` counts workers holding a popped
+/// job: the queue is only empty for good when no worker holds a job that
+/// could fork.
+struct Queue<S: GilState> {
+    jobs: VecDeque<FrontierItem<S>>,
+    in_flight: usize,
+}
+
+/// What the workers of one run share. The driver keeps it across
+/// checkpoint rounds, so budgets and accounting carry over unchanged.
+struct SharedExplorer<'a, S: GilState> {
+    prog: &'a Prog,
+    exec: &'a ExecProg,
+    cfg: &'a ExploreConfig,
+    entry: &'a str,
+    interrupt: Interrupt,
+    queue: Mutex<Queue<S>>,
+    work: Condvar,
+    counters: Counters,
+    /// This round's stop, once raised.
+    stop: OnceLock<Stop>,
+    /// When the next periodic checkpoint is due.
+    checkpoint_at: Option<Instant>,
+}
+
+impl<S: GilState> SharedExplorer<'_, S> {
+    /// Wakes idle workers. A lone worker is never idle while it runs.
+    fn wake(&self) {
+        if self.cfg.workers > 1 {
+            self.work.notify_all();
+        }
+    }
+
+    /// Queues `earlier` in order, then `last`, each through the
+    /// `max_pending` cap, which drops what the queue has no room for.
+    /// Under DFS, `last` is not queued but returned, to continue on the
+    /// calling worker: it is the job the queue would hand back next.
+    fn enqueue(
+        &self,
+        earlier: Vec<FrontierItem<S>>,
+        last: Option<FrontierItem<S>>,
+    ) -> Option<FrontierItem<S>> {
+        let last = last?;
+        let (cap, keep) = (
+            self.cfg.max_pending,
+            self.cfg.strategy == SearchStrategy::Dfs,
+        );
+        if keep && earlier.is_empty() && cap.is_none() {
+            return Some(last);
+        }
+        let room = |len: usize| {
+            let full = cap.is_some_and(|cap| len >= cap);
+            if full {
+                self.counters.drop_path();
+            }
+            !full
+        };
+        let mut q = lock_unpoisoned(&self.queue);
+        for job in earlier {
+            if room(q.jobs.len()) {
+                q.jobs.push_back(job);
+            }
+        }
+        let mut next = room(q.jobs.len()).then_some(last);
+        if !keep {
+            q.jobs.extend(next.take());
+        }
+        self.counters.pending.store(q.jobs.len(), Ordering::Relaxed);
+        drop(q);
+        self.wake();
+        next
+    }
+
+    /// Writes one atomic checkpoint between rounds: the queue is the
+    /// whole frontier and `finished` every path completed so far.
+    /// Failures are counted (`checkpoint.failed_writes`) but never stop
+    /// exploration — checkpointing is best-effort durability, not a
+    /// correctness dependency. Returns whether the write succeeded.
+    fn write_checkpoint(
+        &self,
+        ckpt: &CheckpointConfig,
+        finished: &[PathResult<S>],
+        diagnostics: ExploreDiagnostics,
+        log: &mut WorkerLog,
+    ) -> bool {
+        let started = Instant::now();
+        let c = &self.counters;
+        let completed = finished.iter().map(|p| PathSummary {
             trace: p.trace.clone(),
             outcome: p.outcome.kind().to_string(),
             cmds: p.cmds,
-        })
-        .collect()
-}
-
-/// Summaries of the parallel engine's not-yet-merged finished paths.
-fn yield_summaries<S: GilState>(finished: &[(Vec<u32>, PathResult<S>)]) -> Vec<PathSummary> {
-    finished
-        .iter()
-        .map(|(trace, p)| PathSummary {
-            trace: trace.clone(),
-            outcome: p.outcome.kind().to_string(),
-            cmds: p.cmds,
-        })
-        .collect()
-}
-
-/// Writes one atomic checkpoint of the current frontier, journaling and
-/// counting the write. Failures are counted
-/// (`checkpoint.failed_writes`) but never interrupt exploration —
-/// checkpointing is best-effort durability, not a correctness
-/// dependency. Returns whether the write succeeded.
-#[allow(clippy::too_many_arguments)] // internal; mirrors CheckpointData's fields
-fn write_frontier_checkpoint<'a, S: GilState + 'a>(
-    ckpt: &CheckpointConfig,
-    cfg: &ExploreConfig,
-    entry: &str,
-    frontier: impl Iterator<Item = &'a FrontierItem<S>>,
-    result: &ExploreResult<S>,
-    completed: Vec<PathSummary>,
-    diagnostics: ExploreDiagnostics,
-    log: &mut WorkerLog,
-) -> bool {
-    let started = Instant::now();
-    let data = CheckpointData {
-        strategy: cfg.strategy,
-        entry: entry.to_string(),
-        total_cmds: result.total_cmds,
-        truncated: result.truncated,
-        dropped_paths: result.dropped_paths,
-        diagnostics,
-        completed,
-        frontier: frontier.cloned().collect(),
-    };
-    match checkpoint::save_checkpoint(&ckpt.path, &data) {
-        Ok(bytes) => {
-            let micros = started.elapsed().as_micros() as u64;
-            registry().counter(names::CHECKPOINT_WRITES).incr();
-            registry().counter(names::CHECKPOINT_BYTES).add(bytes);
-            registry()
-                .histogram(names::CHECKPOINT_WRITE_MICROS)
-                .record(micros);
-            let pending = data.frontier.len() as u32;
-            let completed = data.completed.len() as u32;
-            log.emit_with(|| Event::CheckpointWritten {
-                pending,
-                completed,
-                bytes,
-                micros,
-            });
-            true
-        }
-        Err(_) => {
+        });
+        let data = CheckpointData {
+            strategy: self.cfg.strategy,
+            entry: self.entry.to_string(),
+            total_cmds: c.total_cmds.load(Ordering::Relaxed),
+            truncated: c.truncated.load(Ordering::Relaxed),
+            dropped_paths: c.dropped_paths.load(Ordering::Relaxed),
+            diagnostics,
+            completed: completed.collect(),
+            frontier: lock_unpoisoned(&self.queue).jobs.iter().cloned().collect(),
+        };
+        let Ok(bytes) = checkpoint::save_checkpoint(&ckpt.path, &data) else {
             registry().counter(names::CHECKPOINT_FAILED_WRITES).incr();
-            false
+            return false;
+        };
+        let (micros, metrics) = (started.elapsed().as_micros() as u64, registry());
+        metrics.counter(names::CHECKPOINT_WRITES).incr();
+        metrics.counter(names::CHECKPOINT_BYTES).add(bytes);
+        metrics
+            .histogram(names::CHECKPOINT_WRITE_MICROS)
+            .record(micros);
+        let (pending, completed) = (data.frontier.len() as u32, data.completed.len() as u32);
+        log.emit_with(|| Event::CheckpointWritten {
+            pending,
+            completed,
+            bytes,
+            micros,
+        });
+        true
+    }
+}
+
+/// One worker's round: its hold on the queue (`held` while it owns a
+/// popped job), its journal log, and the paths it recorded. The hold is
+/// released by the next pop or park, and on drop, so a worker that
+/// unwinds outside the per-step guard cannot leave its siblings waiting
+/// forever.
+struct Worker<'r, 'a, S: GilState> {
+    run: &'r SharedExplorer<'a, S>,
+    log: &'r mut WorkerLog,
+    held: bool,
+    finished: Vec<PathResult<S>>,
+}
+
+impl<S: GilState> Worker<'_, '_, S> {
+    /// Retires the held job, then pops the next one in strategy order
+    /// (DFS from the back, BFS from the front). `None` ends the worker's
+    /// round: a stop was raised, or the queue is empty and no worker
+    /// holds a job that could refill it.
+    fn pop(&mut self) -> Option<FrontierItem<S>> {
+        let run = self.run;
+        let mut q = lock_unpoisoned(&run.queue);
+        q.in_flight -= usize::from(std::mem::take(&mut self.held));
+        while run.stop.get().is_none() {
+            let job = match run.cfg.strategy {
+                SearchStrategy::Dfs => q.jobs.pop_back(),
+                SearchStrategy::Bfs => q.jobs.pop_front(),
+            };
+            if let Some(job) = job {
+                q.in_flight += 1;
+                self.held = true;
+                run.counters.pending.store(q.jobs.len(), Ordering::Relaxed);
+                return Some(job);
+            }
+            if q.in_flight == 0 {
+                break;
+            }
+            q = run.work.wait(q).unwrap_or_else(PoisonError::into_inner);
+        }
+        drop(q);
+        run.wake();
+        None
+    }
+
+    /// Stops the round: the job goes back to the end it was popped from,
+    /// so the queue stays the whole frontier, and is retired.
+    fn park(&mut self, job: FrontierItem<S>, stop: Stop) {
+        let run = self.run;
+        let mut q = lock_unpoisoned(&run.queue);
+        match run.cfg.strategy {
+            SearchStrategy::Dfs => q.jobs.push_back(job),
+            SearchStrategy::Bfs => q.jobs.push_front(job),
+        }
+        q.in_flight -= usize::from(std::mem::take(&mut self.held));
+        run.counters.pending.store(q.jobs.len(), Ordering::Relaxed);
+        drop(q);
+        // The first stop raised wins.
+        let _ = run.stop.set(stop);
+        run.wake();
+    }
+
+    /// The checks made before every step, in order: the round's stop, the
+    /// budgets, cancellation, the deadline (journaled against the path
+    /// about to step), a due checkpoint, then one fault point. `Ok` says
+    /// whether to inject a panic into the step.
+    fn before_step(&mut self, job: &FrontierItem<S>, steps: u64) -> Result<bool, Stop> {
+        let (run, cfg, c) = (self.run, self.run.cfg, &self.run.counters);
+        if let Some(stop) = run.stop.get() {
+            return Err(*stop);
+        }
+        if c.total_cmds.load(Ordering::Relaxed) >= cfg.max_total_cmds
+            || c.finished_paths.load(Ordering::Relaxed) >= cfg.max_paths
+        {
+            return Err(Stop::Budget);
+        }
+        if cfg.cancel.is_cancelled() {
+            return Err(Stop::Cancelled);
+        }
+        if run.interrupt.deadline_expired() {
+            self.log.emit_with(|| Event::DeadlineHit {
+                path: job.trace.clone(),
+            });
+            return Err(Stop::Deadline);
+        }
+        // A checkpoint waits for one step of this worker's round, so even
+        // a zero-length interval makes progress every round.
+        if steps > 0 && run.checkpoint_at.is_some_and(|at| Instant::now() >= at) {
+            return Err(Stop::Checkpoint);
+        }
+        // A kill parks the job *before* it steps, so the checkpointed
+        // frontier is exactly what was pending; an injected panic fires
+        // inside the step's panic guard, as a memory-model panic would.
+        let Some(plan) = &cfg.faults else {
+            return Ok(false);
+        };
+        let point = plan.next_point();
+        let Some(fault) = plan.engine_fault(point) else {
+            return Ok(false);
+        };
+        plan.record(point, fault);
+        let name = fault.name();
+        self.log
+            .emit_with(|| Event::FaultInjected { point, fault: name });
+        match fault {
+            FaultKind::Kill => Err(Stop::Killed),
+            _ => Ok(true),
         }
     }
+
+    /// Records a finished path, or drops it once `max_paths` paths have
+    /// finished; `PathFinished` is journaled for exactly the recorded
+    /// paths.
+    fn finish(&mut self, state: S, outcome: ExploreOutcome<S::V>, cmds: u64, trace: Vec<u32>) {
+        let c = &self.run.counters;
+        if c.finished_paths.fetch_add(1, Ordering::Relaxed) >= self.run.cfg.max_paths {
+            return c.drop_path();
+        }
+        self.log.emit_with(|| Event::PathFinished {
+            path: trace.clone(),
+            outcome: outcome.kind(),
+            cmds,
+        });
+        let path = PathResult {
+            state,
+            outcome,
+            cmds,
+            trace,
+        };
+        self.finished.push(path);
+    }
+}
+
+impl<S: GilState> Drop for Worker<'_, '_, S> {
+    fn drop(&mut self) {
+        if self.held {
+            lock_unpoisoned(&self.run.queue).in_flight -= 1;
+            self.run.work.notify_all();
+        }
+    }
+}
+
+/// The worker loop: the run's per-step policy, written once. Every
+/// worker count runs it — one worker inline on the calling thread, more
+/// on scoped threads. Each step pops a job by strategy (or continues the
+/// last one), runs [`Worker::before_step`], applies the per-path cap,
+/// claims a block against the command budget, steps it under the panic
+/// guard, and journals the fork or finish. Returns the paths this worker
+/// recorded.
+fn work<S: GilState>(
+    run: &SharedExplorer<'_, S>,
+    sentinel: &S,
+    log: &mut WorkerLog,
+) -> Vec<PathResult<S>> {
+    let (cfg, c) = (run.cfg, &run.counters);
+    let mut scratch = EvalScratch::new();
+    let progress = AtomicU64::new(0);
+    // The dispatcher's per-proc time attribution, journal-armed runs only.
+    let mut profile = cfg.journal.is_enabled().then(BlockProfile::new);
+    let mut w = Worker {
+        run,
+        log,
+        held: false,
+        finished: Vec::new(),
+    };
+    let (mut steps, mut next) = (0u64, None);
+    while let Some(job) = next.take().or_else(|| w.pop()) {
+        let inject_panic = match w.before_step(&job, steps) {
+            Ok(inject) => inject,
+            Err(stop) => {
+                w.park(job, stop);
+                break;
+            }
+        };
+        if job.cmds >= cfg.max_cmds_per_path {
+            c.truncated.store(true, Ordering::Relaxed);
+            w.finish(
+                job.config.state,
+                ExploreOutcome::Truncated,
+                job.cmds,
+                job.trace,
+            );
+            continue;
+        }
+        // Claim a block of commands against the global budget, never
+        // beyond the path's or the run's remaining allowance, so the block
+        // loop never consults budgets. The claim is settled to the
+        // commands actually run afterwards; a sibling that sees the
+        // counter briefly inflated stops a few commands early, which is
+        // indistinguishable from the budget binding there.
+        let want = BLOCK_MAX.min(cfg.max_cmds_per_path - job.cmds);
+        let prev = c.total_cmds.fetch_add(want, Ordering::Relaxed);
+        let allowed = want.min(cfg.max_total_cmds.saturating_sub(prev));
+        if allowed < want {
+            c.total_cmds.fetch_sub(want - allowed, Ordering::Relaxed);
+        }
+        if allowed == 0 {
+            // A sibling spent the budget since the check above.
+            w.park(job, Stop::Budget);
+            break;
+        }
+        steps += 1;
+        let FrontierItem {
+            config,
+            cmds,
+            mut trace,
+        } = job;
+        progress.store(0, Ordering::Relaxed);
+        c.depth.store(trace.len() as u32, Ordering::Relaxed);
+        // Attribute the solver/memory events this step emits to its path
+        // (thread-local; cleared when the worker retires).
+        if profile.is_some() {
+            set_path_context(&trace);
+        }
+        let caught = {
+            let (scratch, progress, prof) = (&mut scratch, &progress, profile.as_mut());
+            let (prog, exec, interrupt) = (run.prog, run.exec, &run.interrupt);
+            panic_guard::catch(move || {
+                if inject_panic {
+                    panic!("injected fault: path panic");
+                }
+                step_block(
+                    prog, exec, config, allowed, interrupt, progress, scratch, prof,
+                )
+            })
+        };
+        // Commands the block charged — published *before* each command
+        // runs, so a panic mid-block still bills every command up to and
+        // including the one that died (`max(1)` covers an injected panic
+        // ahead of the first command, which the tree walk charges as one).
+        let charged = progress.load(Ordering::Relaxed);
+        let consumed = charged.max(1);
+        let cmds = cmds + consumed;
+        if consumed < allowed {
+            c.total_cmds
+                .fetch_sub(allowed - consumed, Ordering::Relaxed);
+        }
+        for (stack, seg_cmds, micros) in profile.iter_mut().flat_map(|p| p.drain(charged)) {
+            w.log.emit_with(|| Event::ProcTime {
+                path: trace.clone(),
+                stack,
+                cmds: seg_cmds,
+                micros,
+            });
+        }
+        let outs = match caught {
+            Ok(outs) => outs,
+            Err(payload) => {
+                c.engine_errors.fetch_add(1, Ordering::Relaxed);
+                c.truncated.store(true, Ordering::Relaxed);
+                w.log.emit_with(|| Event::PanicIsolated {
+                    path: trace.clone(),
+                    payload: payload.clone(),
+                });
+                // The sentinel clone itself may panic (a poisoned user
+                // Clone impl); then the path is counted but has no state
+                // to report.
+                if let Ok(state) = panic_guard::catch(|| sentinel.clone()) {
+                    let trace_copy = trace.clone();
+                    let outcome = ExploreOutcome::EngineError { payload, trace };
+                    w.finish(state, outcome, cmds, trace_copy);
+                }
+                continue;
+            }
+        };
+        let branching = outs.len() > 1;
+        if branching {
+            w.log.emit_with(|| Event::PathForked {
+                parent: trace.clone(),
+                arms: outs.len() as u32,
+            });
+        }
+        // Successors in order: every configuration but the latest waits in
+        // `earlier`, which allocates only when a step forks.
+        let (mut earlier, mut last) = (Vec::new(), None);
+        for (i, out) in outs.into_iter().enumerate() {
+            let trace = if branching {
+                [trace.as_slice(), &[i as u32]].concat()
+            } else {
+                std::mem::take(&mut trace)
+            };
+            match out {
+                StepOut::Next(config) => {
+                    let child = FrontierItem {
+                        config,
+                        cmds,
+                        trace,
+                    };
+                    earlier.extend(last.replace(child));
+                }
+                StepOut::Done(Final { state, outcome }) => {
+                    w.finish(state, outcome.into(), cmds, trace);
+                }
+            }
+        }
+        next = run.enqueue(earlier, last);
+    }
+    if profile.is_some() {
+        clear_path_context();
+    }
+    std::mem::take(&mut w.finished)
+}
+
+/// Runs `round` with the `GILLIAN_LIVE` sampler beside it when the sink
+/// is armed: a thread that polls the run's counters at the frame
+/// interval and stops as soon as the round returns. Unarmed, the round
+/// runs alone and no thread is spawned.
+fn with_live_sampler<T>(
+    live: Option<&mut LiveSink>,
+    counters: &Counters,
+    workers: usize,
+    round: impl FnOnce() -> T,
+) -> T {
+    let Some(live) = live else {
+        return round();
+    };
+    let done = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let sampler = scope.spawn(|| {
+            let nap = live.every().min(Duration::from_millis(50));
+            loop {
+                live.tick(&counters.live_stats(workers));
+                if done.load(Ordering::Relaxed) {
+                    return;
+                }
+                std::thread::park_timeout(nap);
+            }
+        });
+        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(round));
+        done.store(true, Ordering::Relaxed);
+        sampler.thread().unpark();
+        out.unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+    })
+}
+
+/// One round with `cfg.workers` workers: inline for one, otherwise on
+/// scoped threads. A worker that dies outside its per-step guard loses
+/// its recorded paths and counts as an engine error; its siblings finish
+/// the round.
+fn threaded_round<S>(
+    run: &SharedExplorer<'_, S>,
+    sentinel: &S,
+    log: &mut WorkerLog,
+) -> Vec<PathResult<S>>
+where
+    S: GilState + Send,
+    S::V: Send,
+    S::Store: Send,
+{
+    if run.cfg.workers <= 1 {
+        return work(run, sentinel, log);
+    }
+    // Every worker's sentinel is cloned *before* the first spawn: once a
+    // worker runs it may poison the state (e.g. a memory whose `Clone`
+    // panics after a fault), and an unguarded clone racing with it would
+    // kill the whole run instead of one worker.
+    let sentinels: Vec<S> = (0..run.cfg.workers).map(|_| sentinel.clone()).collect();
+    let c = &run.counters;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (1u32..)
+            .zip(sentinels)
+            .map(|(worker, sentinel)| {
+                scope.spawn(move || {
+                    panic_guard::catch(|| {
+                        let before = InternStats::thread_snapshot();
+                        // Worker ids start at 1; id 0 is the driver's.
+                        let paths = work(run, &sentinel, &mut run.cfg.journal.worker(worker));
+                        let delta = InternStats::thread_snapshot().since(&before);
+                        c.intern_mints.fetch_add(delta.mints, Ordering::Relaxed);
+                        c.intern_hits.fetch_add(delta.hits, Ordering::Relaxed);
+                        paths
+                    })
+                })
+            })
+            .collect();
+        let mut paths = Vec::new();
+        for handle in handles {
+            if let Ok(Ok(worker_paths)) = handle.join() {
+                paths.extend(worker_paths);
+            } else {
+                c.engine_errors.fetch_add(1, Ordering::Relaxed);
+                c.truncated.store(true, Ordering::Relaxed);
+            }
+        }
+        paths
+    })
+}
+
+/// The run driver: arms the sentinel's hooks, runs rounds of the worker
+/// loop until the queue drains or a stop ends the run, writes the final
+/// checkpoint, merges, drains, and disarms. `round` runs one round with
+/// `cfg.workers` workers. A run starts from a checkpoint's frontier and
+/// accounting: a fresh run from the trivial one [`seed`] builds, a resumed
+/// run from the file, so its result reads like the tail of one
+/// uninterrupted run.
+///
+/// Periodic checkpoints are *stop-the-world* rounds at every worker
+/// count: the first worker past the interval stops the round, every
+/// worker parks its job back in the queue, the driver snapshots the
+/// queue and the recorded paths, and the next round carries on from
+/// exactly that frontier with the same counters — a paused run's result
+/// is indistinguishable from an uninterrupted one's.
+fn drive<S: GilState>(
+    prog: &Prog,
+    sentinel: S,
+    start: CheckpointData<S>,
+    cfg: ExploreConfig,
+    round: impl Fn(&SharedExplorer<'_, S>, &S, &mut WorkerLog) -> Vec<PathResult<S>>,
+) -> ExploreResult<S> {
+    let run_started = Instant::now();
+    // One compiled program for the whole run: workers share the
+    // instruction stream and its inline caches (resolution is idempotent,
+    // so racing resolvers store the same value).
+    let exec = ExecProg::prepare(prog, cfg.bytecode);
+    let interrupt = Interrupt::new(cfg.deadline.map(|d| run_started + d), cfg.cancel.clone());
+    // The sentinel arms the run's interrupt, journal, fault probe and
+    // summaries in the (shared) solver, and disarms them at the end.
+    // Armed summaries load `GILLIAN_SUMMARY_FILE` (when set) inside the
+    // configure hook, so warm entries apply from the first path onward.
+    sentinel.install_interrupt(interrupt.clone());
+    sentinel.install_journal(cfg.journal.clone());
+    if let Some(plan) = &cfg.faults {
+        sentinel.install_fault_probe(plan.probe(cfg.journal.clone()));
+    }
+    let summaries_on = cfg.summaries.unwrap_or_else(summaries_from_env);
+    if summaries_on {
+        sentinel.configure_summaries(prog, true);
+    }
+    let baseline = Baseline {
+        solver: Baseline::solver(&sentinel),
+        resumed: start.diagnostics,
+    };
+    // The run's interner traffic: the calling thread's delta plus each
+    // spawned worker's — thread deltas attribute exactly this run's.
+    let interner_before = InternStats::thread_snapshot();
+    let metrics_before = registry().snapshot();
+    let mut log = cfg.journal.worker(0);
+    log.emit_with(|| Event::PathStarted { path: Vec::new() });
+    let checkpoint_every = cfg.checkpoint.as_ref().and_then(|c| c.every);
+    let mut run = SharedExplorer {
+        prog,
+        exec: &exec,
+        cfg: &cfg,
+        entry: &start.entry,
+        interrupt,
+        queue: Mutex::new(Queue {
+            jobs: start.frontier.into(),
+            in_flight: 0,
+        }),
+        work: Condvar::new(),
+        counters: Counters {
+            total_cmds: start.total_cmds.into(),
+            truncated: start.truncated.into(),
+            dropped_paths: start.dropped_paths.into(),
+            ..Counters::default()
+        },
+        stop: OnceLock::new(),
+        checkpoint_at: checkpoint_every.map(|e| run_started + e),
+    };
+    let workers = cfg.workers.max(1);
+    let mut live = LiveSink::from_env();
+    let mut finished = Vec::new();
+    let stop = loop {
+        finished.extend(with_live_sampler(
+            live.as_mut(),
+            &run.counters,
+            workers,
+            || round(&run, &sentinel, &mut log),
+        ));
+        let stop = run.stop.take();
+        let queue = run.queue.get_mut().unwrap_or_else(PoisonError::into_inner);
+        let frontier_left = !queue.jobs.is_empty();
+        let (Some(Stop::Checkpoint), Some(ckpt), true) = (stop, &cfg.checkpoint, frontier_left)
+        else {
+            break stop;
+        };
+        let diagnostics = baseline.diagnostics(&sentinel, run.counters.diagnostics());
+        run.write_checkpoint(ckpt, &finished, diagnostics, &mut log);
+        run.checkpoint_at = checkpoint_every.map(|e| Instant::now() + e);
+    };
+
+    // Final checkpoint: always on a kill (that *is* the crash being
+    // simulated), and on deadline/cancel when configured — written before
+    // pending work is drained, so the file holds the true frontier.
+    let killed = stop == Some(Stop::Killed);
+    let wanted = cfg.checkpoint.as_ref().filter(|ckpt| match stop {
+        Some(Stop::Killed) => true,
+        Some(Stop::Deadline) => ckpt.on_deadline,
+        Some(Stop::Cancelled) => ckpt.on_cancel,
+        _ => false,
+    });
+    let mut diagnostics = run.counters.diagnostics();
+    let checkpointed = wanted.is_some_and(|ckpt| {
+        let mid_run = baseline.diagnostics(&sentinel, diagnostics);
+        run.write_checkpoint(ckpt, &finished, mid_run, &mut log)
+    });
+    let queue = run.queue.get_mut().unwrap_or_else(PoisonError::into_inner);
+    let mut pending: Vec<_> = queue.jobs.drain(..).collect();
+    if killed && checkpointed {
+        // A killed run mimics process death: its pending work survives
+        // only in the checkpoint, so it is *not* drained into truncated
+        // paths here (resume-equivalence depends on it appearing exactly
+        // once — in the resumed run).
+        pending.clear();
+    }
+    // Merge: the recorded paths, then the pending work a stop left behind,
+    // finished as truncated. One worker's order is its exploration order
+    // (pending work in pop order), deterministic already; several
+    // workers' results are sorted into canonical branch order.
+    if cfg.strategy == SearchStrategy::Dfs {
+        pending.reverse();
+    }
+    if workers > 1 {
+        finished.sort_by(|a, b| a.trace.cmp(&b.trace));
+        pending.sort_by(|a, b| a.trace.cmp(&b.trace));
+    }
+    let mut drain = Worker {
+        run: &run,
+        log: &mut log,
+        held: false,
+        finished,
+    };
+    for job in pending {
+        match stop {
+            Some(Stop::Deadline) => diagnostics.deadline_hits += 1,
+            Some(Stop::Cancelled) => diagnostics.cancellations += 1,
+            _ => {}
+        }
+        run.counters.truncated.store(true, Ordering::Relaxed);
+        drain.finish(
+            job.config.state,
+            ExploreOutcome::Truncated,
+            job.cmds,
+            job.trace,
+        );
+    }
+    let paths = std::mem::take(&mut drain.finished);
+    drop(drain);
+    if let Some(l) = live.as_mut() {
+        let paths_finished = paths.len() as u64;
+        let stats = run.counters.live_stats(workers);
+        l.finish(&LiveStats {
+            paths_finished,
+            pending: 0,
+            ..stats
+        });
+    }
+    let counters = run.counters;
+    let mut result = ExploreResult {
+        paths,
+        total_cmds: counters.total_cmds.into_inner(),
+        truncated: counters.truncated.into_inner(),
+        dropped_paths: counters.dropped_paths.into_inner(),
+        killed,
+        diagnostics: ExploreDiagnostics::default(),
+        report: Report::default(),
+    };
+    sentinel.clear_interrupt();
+    let delta = InternStats::thread_snapshot().since(&interner_before);
+    diagnostics.interner = InternStats {
+        mints: counters.intern_mints.into_inner() + delta.mints,
+        hits: counters.intern_hits.into_inner() + delta.hits,
+        live: InternStats::snapshot().live,
+    };
+    result.diagnostics = baseline.diagnostics(&sentinel, diagnostics);
+    if summaries_on {
+        // Disarm (persisting to `GILLIAN_SUMMARY_FILE` when set); entries
+        // stay in the store for the next armed run in this process.
+        sentinel.configure_summaries(prog, false);
+    }
+    if cfg.faults.is_some() {
+        sentinel.clear_fault_probe();
+    }
+    drop(log);
+    let report = &mut result.report;
+    if cfg.journal.is_enabled() {
+        let merged = cfg.journal.finish_run();
+        report.ingest_events(&merged, cfg.journal.events_dropped());
+        report.trace_path = cfg.journal.jsonl_path().map(String::from);
+    }
+    report.wall_micros = run_started.elapsed().as_micros() as u64;
+    report.workers = workers as u32;
+    report.tree = TreeStats::from_paths(result.paths.iter().map(|p| p.trace.as_slice()));
+    report.metrics = registry().snapshot().since(&metrics_before);
+    sentinel.clear_journal();
+    result
+}
+
+/// A fresh run from `entry`: the trivial checkpoint, whose frontier is
+/// the entry configuration, plus a pristine clone of the initial state as
+/// the run's sentinel. The sentinel arms and disarms the solver hooks,
+/// provides the solver counters, and stands in as the reported state of
+/// paths whose true state was lost to a panic; it is never stepped.
+fn seed<S: GilState>(entry: &str, initial: S, cfg: &ExploreConfig) -> (S, CheckpointData<S>) {
+    let sentinel = initial.clone();
+    let start = CheckpointData {
+        strategy: cfg.strategy,
+        entry: entry.to_string(),
+        total_cmds: 0,
+        truncated: false,
+        dropped_paths: 0,
+        diagnostics: ExploreDiagnostics::default(),
+        completed: Vec::new(),
+        frontier: vec![FrontierItem {
+            config: Config::entry(entry, initial),
+            cmds: 0,
+            trace: Vec::new(),
+        }],
+    };
+    (sentinel, start)
 }
 
 /// A resumed exploration: the paths completed before the interruption
@@ -563,10 +1247,10 @@ pub struct ResumedExplore<S: GilState> {
 /// The frontier is restored through `ctx` (intern ids remapped by
 /// re-interning; states re-attached to `ctx.solver`), the checkpoint's
 /// search strategy overrides `cfg.strategy`, and exploration continues
-/// under `cfg`'s budgets with the checkpoint's command count already
-/// spent. `sentinel` plays the role the initial state plays in
-/// [`explore`]: a pristine state for interrupt/journal installation and
-/// panic reporting — it is never stepped.
+/// under `cfg`'s budgets and worker count with the checkpoint's command
+/// count already spent. `sentinel` plays the role the initial state
+/// plays in [`explore`]: a pristine state for interrupt/journal
+/// installation and panic reporting — it is never stepped.
 ///
 /// # Errors
 ///
@@ -585,33 +1269,20 @@ where
     S::V: Send,
     S::Store: Send,
 {
-    let data: CheckpointData<S> = checkpoint::load_checkpoint(path, ctx)?;
+    let mut data: CheckpointData<S> = checkpoint::load_checkpoint(path, ctx)?;
     cfg.strategy = data.strategy;
     registry().counter(names::CHECKPOINT_RESUMES).incr();
     cfg.journal.record_shared(Event::Resumed {
         pending: data.frontier.len() as u32,
         completed: data.completed.len() as u32,
     });
-    let base = ResumeBase {
-        total_cmds: data.total_cmds,
-        truncated: data.truncated,
-        dropped_paths: data.dropped_paths,
-        diagnostics: data.diagnostics,
-    };
-    let entry = data.entry.clone();
-    let frontier: VecDeque<FrontierItem<S>> = data.frontier.into();
-    let result = if cfg.workers > 1 {
-        explore_parallel_frontier(prog, &entry, sentinel, frontier, cfg, base)
-    } else {
-        explore_frontier(prog, &entry, sentinel, frontier, cfg, base)
-    };
-    Ok(ResumedExplore {
-        prior: data.completed,
-        result,
-    })
+    let prior = std::mem::take(&mut data.completed);
+    let result = drive(prog, sentinel, data, cfg, threaded_round);
+    Ok(ResumedExplore { prior, result })
 }
 
-/// Explores all paths of `prog` starting from `entry` in `initial` state.
+/// Explores all paths of `prog` starting from `entry` in `initial` state,
+/// with one worker on the calling thread whatever `cfg.workers` says.
 ///
 /// Budgets are enforced at the point work is *produced*, not merely when it
 /// is popped: the result never holds more than `max_paths` paths, and a
@@ -629,458 +1300,32 @@ pub fn explore<S: GilState>(
     initial: S,
     cfg: ExploreConfig,
 ) -> ExploreResult<S> {
-    // A pristine clone of the initial state: it arms/disarms the solver
-    // interrupt, provides the Unknown-verdict counter, and stands in as
-    // the reported state of paths whose true state was lost to a panic.
-    let sentinel = initial.clone();
-    let worklist = VecDeque::from([FrontierItem {
-        config: Config::entry(entry, initial),
-        cmds: 0,
-        trace: Vec::new(),
-    }]);
-    explore_frontier(prog, entry, sentinel, worklist, cfg, ResumeBase::default())
+    let cfg = ExploreConfig { workers: 1, ..cfg };
+    let (sentinel, start) = seed(entry, initial, &cfg);
+    drive(prog, sentinel, start, cfg, work)
 }
 
-/// The serial engine over an explicit starting frontier: [`explore`] seeds
-/// it with the entry configuration, [`explore_resume`] with a restored
-/// checkpoint frontier plus the interrupted run's accounting in `base`.
-fn explore_frontier<S: GilState>(
-    prog: &Prog,
-    entry: &str,
-    sentinel: S,
-    mut worklist: VecDeque<FrontierItem<S>>,
-    cfg: ExploreConfig,
-    base: ResumeBase,
-) -> ExploreResult<S> {
-    let run_started = Instant::now();
-    let deadline = cfg.deadline.map(|d| run_started + d);
-    // One-shot backend preparation: compile to bytecode (or keep the tree
-    // walk, per config/environment), plus the per-run register scratch
-    // and the crash-safe block-progress channel.
-    let exec = ExecProg::prepare(prog, cfg.bytecode);
-    let mut scratch = EvalScratch::new();
-    let progress = AtomicU64::new(0);
-    let interrupt = Interrupt::new(deadline, cfg.cancel.clone());
-    sentinel.install_interrupt(interrupt.clone());
-    let journal = cfg.journal.clone();
-    sentinel.install_journal(journal.clone());
-    let faults = cfg.faults.clone();
-    if let Some(plan) = &faults {
-        sentinel.install_fault_probe(plan.probe(journal.clone()));
-    }
-    // Summary arming (`DESIGN.md` §17): same one-run-at-a-time lifecycle
-    // as the interrupt. Armed states load `GILLIAN_SUMMARY_FILE` (when
-    // set) inside the configure hook, so warm entries apply from the
-    // first path onward.
-    let summaries_on = cfg.summaries.unwrap_or_else(summaries_from_env);
-    if summaries_on {
-        sentinel.configure_summaries(prog, true);
-    }
-    let ckpt = cfg.checkpoint.clone();
-    let mut next_ckpt = ckpt.as_ref().and_then(|c| c.every).map(|e| run_started + e);
-    let unknowns_before = sentinel.unknown_verdicts();
-    let reuse_before = sentinel.solver_reuse();
-    let summary_before = sentinel.summary_stats();
-    // Thread-local snapshot: the whole run executes on this thread, so
-    // the delta attributes exactly this run's interner traffic.
-    let interner_before = InternStats::thread_snapshot();
-    let metrics_before = registry().snapshot();
-    let mut log = journal.worker(0);
-    log.emit_with(|| Event::PathStarted { path: Vec::new() });
-    // Branch traces of every *recorded* path, for the report's tree stats.
-    let mut traces: Vec<Vec<u32>> = Vec::new();
-    // Profiler hooks, both off by default: the dispatcher's per-proc time
-    // attribution (journal-armed runs only) and the `GILLIAN_LIVE` frame
-    // sink. Depth is the branch-trace length of the path last stepped.
-    let mut profile = journal.is_enabled().then(BlockProfile::new);
-    let mut live = LiveSink::from_env();
-    let mut live_depth = 0u32;
-
-    let mut result = ExploreResult::empty();
-    result.total_cmds = base.total_cmds;
-    result.truncated = base.truncated;
-    result.dropped_paths = base.dropped_paths;
-    // Diagnostics as they stand mid-run (for checkpoints): run counters so
-    // far plus the solver deltas normally computed at run end, plus the
-    // resumed-from accounting.
-    let diag_now = |result: &ExploreResult<S>| {
-        let mut d = result.diagnostics;
-        d.deadline_hits += base.diagnostics.deadline_hits;
-        d.cancellations += base.diagnostics.cancellations;
-        d.engine_errors += base.diagnostics.engine_errors;
-        d.unknown_verdicts = sentinel.unknown_verdicts().saturating_sub(unknowns_before)
-            + base.diagnostics.unknown_verdicts;
-        let reuse = sentinel.solver_reuse();
-        d.incremental_hits =
-            reuse.0.saturating_sub(reuse_before.0) + base.diagnostics.incremental_hits;
-        d.implication_hits =
-            reuse.1.saturating_sub(reuse_before.1) + base.diagnostics.implication_hits;
-        let summ = sentinel.summary_stats();
-        d.summaries_recorded =
-            summ.0.saturating_sub(summary_before.0) + base.diagnostics.summaries_recorded;
-        d.summaries_applied =
-            summ.1.saturating_sub(summary_before.1) + base.diagnostics.summaries_applied;
-        d
-    };
-    let pop = |wl: &mut VecDeque<FrontierItem<S>>, strategy| match strategy {
-        SearchStrategy::Dfs => wl.pop_back(),
-        SearchStrategy::Bfs => wl.pop_front(),
-    };
-    let mut stop_cause: Option<StopCause> = None;
-    let mut killed = false;
-    while result.total_cmds < cfg.max_total_cmds && result.paths.len() < cfg.max_paths {
-        if cfg.cancel.is_cancelled() {
-            stop_cause = Some(StopCause::Cancelled);
-            break;
-        }
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            log.emit_with(|| Event::DeadlineHit { path: Vec::new() });
-            stop_cause = Some(StopCause::Deadline);
-            break;
-        }
-        if let Some(l) = live.as_mut() {
-            l.tick(&LiveStats {
-                paths_finished: result.paths.len() as u64,
-                pending: worklist.len() as u64,
-                depth: live_depth,
-                cmds: result.total_cmds,
-                workers: 1,
-            });
-        }
-        if let (Some(c), Some(at)) = (ckpt.as_ref(), next_ckpt) {
-            if Instant::now() >= at {
-                let diag = diag_now(&result);
-                write_frontier_checkpoint(
-                    c,
-                    &cfg,
-                    entry,
-                    worklist.iter(),
-                    &result,
-                    summaries(&result),
-                    diag,
-                    &mut log,
-                );
-                next_ckpt = c.every.map(|e| Instant::now() + e);
-            }
-        }
-        // One fault point per scheduling step. A kill fires *before* the
-        // pop, so the checkpointed frontier below is exactly what was
-        // pending; an injected panic is armed here and fires inside the
-        // step's panic guard, exercising the same isolation a real
-        // memory-model panic would.
-        let mut inject_panic = false;
-        if let Some(plan) = &faults {
-            let point = plan.next_point();
-            match plan.engine_fault(point) {
-                Some(FaultKind::Kill) => {
-                    plan.record(point, FaultKind::Kill);
-                    log.emit_with(|| Event::FaultInjected {
-                        point,
-                        fault: "kill",
-                    });
-                    killed = true;
-                    break;
-                }
-                Some(FaultKind::PathPanic) => {
-                    plan.record(point, FaultKind::PathPanic);
-                    log.emit_with(|| Event::FaultInjected {
-                        point,
-                        fault: "path_panic",
-                    });
-                    inject_panic = true;
-                }
-                _ => {}
-            }
-        }
-        let Some(FrontierItem {
-            config,
-            cmds,
-            mut trace,
-        }) = pop(&mut worklist, cfg.strategy)
-        else {
-            break;
-        };
-        if cmds >= cfg.max_cmds_per_path {
-            result.truncated = true;
-            if result.record(
-                cfg.max_paths,
-                PathResult {
-                    state: config.state,
-                    outcome: ExploreOutcome::Truncated,
-                    cmds,
-                    trace: trace.clone(),
-                },
-            ) {
-                log.emit_with(|| Event::PathFinished {
-                    path: trace.clone(),
-                    outcome: "truncated",
-                    cmds,
-                });
-                traces.push(trace);
-            }
-            continue;
-        }
-        // Block budget: never beyond the path's or the run's remaining
-        // command allowance (both positive — the checks above guarantee
-        // it), so the block loop itself never has to consult budgets.
-        let limit = BLOCK_MAX
-            .min(cfg.max_cmds_per_path - cmds)
-            .min(cfg.max_total_cmds - result.total_cmds);
-        progress.store(0, Ordering::Relaxed);
-        live_depth = trace.len() as u32;
-        // Attribute the solver/memory events this step emits to the path
-        // being stepped (thread-local; cleared when the run ends).
-        if profile.is_some() {
-            set_path_context(&trace);
-        }
-        let caught = {
-            let scratch = &mut scratch;
-            let progress = &progress;
-            let exec = &exec;
-            let interrupt = &interrupt;
-            let prof = profile.as_mut();
-            panic_guard::catch(move || {
-                if inject_panic {
-                    panic!("injected fault: path panic");
-                }
-                step_block(
-                    prog, exec, config, limit, interrupt, progress, scratch, prof,
-                )
-            })
-        };
-        // Commands the block actually charged — published *before* each
-        // command executes, so a panic mid-block still bills every
-        // command up to and including the one that died (`max(1)` covers
-        // an injected panic ahead of the first command, which the tree
-        // walk charges as one).
-        let consumed = progress.load(Ordering::Relaxed).max(1);
-        result.total_cmds += consumed;
-        if let Some(p) = profile.as_mut() {
-            for (stack, seg_cmds, micros) in p.drain(progress.load(Ordering::Relaxed)) {
-                log.emit_with(|| Event::ProcTime {
-                    path: trace.clone(),
-                    stack,
-                    cmds: seg_cmds,
-                    micros,
-                });
-            }
-        }
-        let outs = match caught {
-            Ok(outs) => outs,
-            Err(payload) => {
-                result.truncated = true;
-                result.diagnostics.engine_errors += 1;
-                log.emit_with(|| Event::PanicIsolated {
-                    path: trace.clone(),
-                    payload: payload.clone(),
-                });
-                // The sentinel clone itself may panic (a poisoned user
-                // Clone impl); then the path is counted but has no state
-                // to report.
-                if let Ok(state) = panic_guard::catch(|| sentinel.clone()) {
-                    if result.record(
-                        cfg.max_paths,
-                        PathResult {
-                            state,
-                            outcome: ExploreOutcome::EngineError {
-                                payload,
-                                trace: trace.clone(),
-                            },
-                            cmds: cmds + consumed,
-                            trace: trace.clone(),
-                        },
-                    ) {
-                        log.emit_with(|| Event::PathFinished {
-                            path: trace.clone(),
-                            outcome: "engine_error",
-                            cmds: cmds + consumed,
-                        });
-                        traces.push(trace);
-                    }
-                }
-                continue;
-            }
-        };
-        let branching = outs.len() > 1;
-        if branching {
-            let arms = outs.len() as u32;
-            log.emit_with(|| Event::PathForked {
-                parent: trace.clone(),
-                arms,
-            });
-        }
-        for (i, out) in outs.into_iter().enumerate() {
-            let child_trace = if branching {
-                let mut t = trace.clone();
-                t.push(i as u32);
-                t
-            } else {
-                std::mem::take(&mut trace)
-            };
-            match out {
-                StepOut::Next(c) => {
-                    if cfg.max_pending.is_some_and(|cap| worklist.len() >= cap) {
-                        result.dropped_paths += 1;
-                        result.truncated = true;
-                    } else {
-                        worklist.push_back(FrontierItem {
-                            config: c,
-                            cmds: cmds + consumed,
-                            trace: child_trace,
-                        });
-                    }
-                }
-                StepOut::Done(Final { state, outcome }) => {
-                    let outcome: ExploreOutcome<_> = outcome.into();
-                    let kind = outcome.kind();
-                    if result.record(
-                        cfg.max_paths,
-                        PathResult {
-                            state,
-                            outcome,
-                            cmds: cmds + consumed,
-                            trace: child_trace.clone(),
-                        },
-                    ) {
-                        log.emit_with(|| Event::PathFinished {
-                            path: child_trace.clone(),
-                            outcome: kind,
-                            cmds: cmds + consumed,
-                        });
-                        traces.push(child_trace);
-                    }
-                }
-            }
-        }
-    }
-    // Final checkpoint: always on a kill (that *is* the crash being
-    // simulated), and on deadline/cancel when configured — written before
-    // pending work is drained, so the file holds the true frontier.
-    let mut frontier_checkpointed = false;
-    if let Some(c) = ckpt.as_ref() {
-        let wanted = killed
-            || match stop_cause {
-                Some(StopCause::Deadline) => c.on_deadline,
-                Some(StopCause::Cancelled) => c.on_cancel,
-                None => false,
-            };
-        if wanted {
-            let diag = diag_now(&result);
-            frontier_checkpointed = write_frontier_checkpoint(
-                c,
-                &cfg,
-                entry,
-                worklist.iter(),
-                &result,
-                summaries(&result),
-                diag,
-                &mut log,
-            );
-        }
-    }
-    result.killed = killed;
-    if killed && frontier_checkpointed {
-        // A killed run mimics process death: its pending work survives
-        // only in the checkpoint, so it is *not* drained into truncated
-        // paths here (resume-equivalence depends on it appearing exactly
-        // once — in the resumed run).
-        worklist.clear();
-    }
-    // A budget/deadline/cancel break leaves pending configurations behind;
-    // surface every one of them instead of losing them.
-    while let Some(FrontierItem {
-        config,
-        cmds,
-        trace,
-    }) = pop(&mut worklist, cfg.strategy)
-    {
-        result.truncated = true;
-        match stop_cause {
-            Some(StopCause::Deadline) => result.diagnostics.deadline_hits += 1,
-            Some(StopCause::Cancelled) => result.diagnostics.cancellations += 1,
-            None => {}
-        }
-        if result.record(
-            cfg.max_paths,
-            PathResult {
-                state: config.state,
-                outcome: ExploreOutcome::Truncated,
-                cmds,
-                trace: trace.clone(),
-            },
-        ) {
-            log.emit_with(|| Event::PathFinished {
-                path: trace.clone(),
-                outcome: "truncated",
-                cmds,
-            });
-            traces.push(trace);
-        }
-    }
-    if profile.is_some() {
-        clear_path_context();
-    }
-    if let Some(l) = live.as_mut() {
-        l.finish(&LiveStats {
-            paths_finished: result.paths.len() as u64,
-            pending: 0,
-            depth: live_depth,
-            cmds: result.total_cmds,
-            workers: 1,
-        });
-    }
-    sentinel.clear_interrupt();
-    result.diagnostics.unknown_verdicts =
-        sentinel.unknown_verdicts().saturating_sub(unknowns_before)
-            + base.diagnostics.unknown_verdicts;
-    let reuse_after = sentinel.solver_reuse();
-    result.diagnostics.incremental_hits =
-        reuse_after.0.saturating_sub(reuse_before.0) + base.diagnostics.incremental_hits;
-    result.diagnostics.implication_hits =
-        reuse_after.1.saturating_sub(reuse_before.1) + base.diagnostics.implication_hits;
-    let summary_after = sentinel.summary_stats();
-    result.diagnostics.summaries_recorded =
-        summary_after.0.saturating_sub(summary_before.0) + base.diagnostics.summaries_recorded;
-    result.diagnostics.summaries_applied =
-        summary_after.1.saturating_sub(summary_before.1) + base.diagnostics.summaries_applied;
-    result.diagnostics.deadline_hits += base.diagnostics.deadline_hits;
-    result.diagnostics.cancellations += base.diagnostics.cancellations;
-    result.diagnostics.engine_errors += base.diagnostics.engine_errors;
-    result.diagnostics.interner = InternStats::thread_snapshot().since(&interner_before);
-    if summaries_on {
-        // Disarm (persisting to `GILLIAN_SUMMARY_FILE` when set); entries
-        // stay in the store for the next armed run in this process.
-        sentinel.configure_summaries(prog, false);
-    }
-    if faults.is_some() {
-        sentinel.clear_fault_probe();
-    }
-    drop(log);
-    finish_report(
-        &mut result,
-        &journal,
-        &traces,
-        &metrics_before,
-        run_started,
-        1,
-    );
-    sentinel.clear_journal();
-    result
-}
-
-/// Explores with the configured engine: serial for `workers <= 1`, the
-/// parallel explorer otherwise.
+/// Explores like [`explore`], with `cfg.workers` workers sharing one
+/// worklist (and one solver, via the state's `Arc<Solver>`, whose SAT
+/// cache they share). One worker runs inline on the calling thread,
+/// exactly as [`explore`] does; more run on scoped threads.
+///
+/// Soundness: per §3.2 every explored trace carries its own guarantee, so
+/// exploration order — and therefore scheduling — cannot affect which
+/// guarantees hold, only the order they are found in. To make a
+/// multi-worker *result* deterministic anyway, its paths are sorted in
+/// canonical branch order; with budgets that do not bind, the path set
+/// is one worker's (order-normalized). A worker dying *outside* its
+/// per-step panic guard counts as an engine error while the other workers
+/// finish the run.
 pub fn explore_with<S>(prog: &Prog, entry: &str, initial: S, cfg: ExploreConfig) -> ExploreResult<S>
 where
     S: GilState + Send,
     S::V: Send,
     S::Store: Send,
 {
-    if cfg.workers > 1 {
-        explore_parallel(prog, entry, initial, cfg)
-    } else {
-        explore(prog, entry, initial, cfg)
-    }
+    let (sentinel, start) = seed(entry, initial, &cfg);
+    drive(prog, sentinel, start, cfg, threaded_round)
 }
 
 /// Why a forced-branch replay could not follow its trace.
@@ -1204,805 +1449,6 @@ pub fn replay_path<S: GilState>(
             }
         }
     }
-}
-
-/// Queue shared by the explorer workers (elements are [`FrontierItem`]s —
-/// the same worklist unit the serial engine and checkpoints use; branch
-/// traces canonically identify paths independently of scheduling, which
-/// is what lets the parallel engine return a deterministically ordered
-/// result). `in_flight` counts jobs popped but not yet retired; the queue
-/// is only known empty-for-good when it is empty *and* nothing is in
-/// flight.
-struct JobQueue<S: GilState> {
-    jobs: VecDeque<FrontierItem<S>>,
-    in_flight: usize,
-}
-
-/// Stop-cause constants for [`SharedExplorer::stop_cause`]; the first
-/// cause to fire wins and attributes the parked pending work.
-/// `CAUSE_CHECKPOINT` pauses the round for a stop-the-world frontier
-/// snapshot (the run restarts afterwards); `CAUSE_KILLED` is a
-/// fault-injected simulated process death.
-const CAUSE_NONE: u8 = 0;
-const CAUSE_DEADLINE: u8 = 1;
-const CAUSE_CANCELLED: u8 = 2;
-const CAUSE_CHECKPOINT: u8 = 3;
-const CAUSE_KILLED: u8 = 4;
-
-struct SharedExplorer<S: GilState> {
-    queue: Mutex<JobQueue<S>>,
-    work: Condvar,
-    /// Commands claimed so far against `max_total_cmds`.
-    total_cmds: AtomicU64,
-    /// Finished paths so far (for the `max_paths` stop signal; the
-    /// authoritative cap is applied at merge time).
-    finished_paths: AtomicUsize,
-    /// Set when a global budget is exhausted (or the run is interrupted):
-    /// workers park their current job as pending-truncated and drain the
-    /// queue the same way.
-    stop: AtomicBool,
-    /// Why `stop` was raised, when the reason was an interruption rather
-    /// than a command budget (one of the `CAUSE_*` constants).
-    stop_cause: AtomicU8,
-    truncated: AtomicBool,
-    dropped_paths: AtomicUsize,
-    /// Paths lost to isolated panics, counted by the workers.
-    engine_errors: AtomicUsize,
-    /// The run deadline, pre-resolved to an instant.
-    deadline: Option<Instant>,
-    cancel: CancelToken,
-    /// When the next periodic checkpoint is due: the first worker past
-    /// this instant raises `CAUSE_CHECKPOINT` and the round quiesces so
-    /// the main thread can snapshot a consistent frontier.
-    checkpoint_at: Option<Instant>,
-    /// The run's fault-injection plan, if any.
-    faults: Option<Arc<FaultPlan>>,
-}
-
-impl<S: GilState> SharedExplorer<S> {
-    fn note_finished(&self, cfg: &ExploreConfig) {
-        if self.finished_paths.fetch_add(1, Ordering::Relaxed) + 1 >= cfg.max_paths {
-            self.stop.store(true, Ordering::Relaxed);
-            self.work.notify_all();
-        }
-    }
-
-    /// Raises the stop flag for an interruption, recording the first cause.
-    fn halt(&self, cause: u8) {
-        let _ = self.stop_cause.compare_exchange(
-            CAUSE_NONE,
-            cause,
-            Ordering::Relaxed,
-            Ordering::Relaxed,
-        );
-        // A checkpoint pause resumes afterwards and a kill's pending work
-        // survives in the checkpoint file — neither truncates the result.
-        if cause == CAUSE_DEADLINE || cause == CAUSE_CANCELLED {
-            self.truncated.store(true, Ordering::Relaxed);
-        }
-        self.stop.store(true, Ordering::Relaxed);
-        self.work.notify_all();
-    }
-}
-
-/// Decrements `in_flight` on drop — *unconditionally*, including when the
-/// worker unwinds. Without this, a panicking worker would leave its claim
-/// behind and every sibling would wait forever on the condvar.
-struct InFlightToken<'a, S: GilState> {
-    shared: &'a SharedExplorer<S>,
-}
-
-impl<S: GilState> Drop for InFlightToken<'_, S> {
-    fn drop(&mut self) {
-        let mut q = lock_unpoisoned(&self.shared.queue);
-        q.in_flight -= 1;
-        if q.in_flight == 0 && q.jobs.is_empty() {
-            self.shared.work.notify_all();
-        }
-    }
-}
-
-/// What one worker produced: finished paths and jobs cut off mid-path by a
-/// global budget (both tagged with their branch trace for merging), plus
-/// the worker thread's own interner delta for exact run attribution.
-struct WorkerYield<S: GilState> {
-    finished: Vec<(Vec<u32>, PathResult<S>)>,
-    cut: Vec<FrontierItem<S>>,
-    interner: InternStats,
-}
-
-fn explore_worker<S: GilState>(
-    prog: &Prog,
-    exec: &ExecProg,
-    cfg: &ExploreConfig,
-    shared: &SharedExplorer<S>,
-    sentinel: S,
-    worker: u32,
-    journal: &Journal,
-) -> WorkerYield<S> {
-    let interner_before = InternStats::thread_snapshot();
-    let mut scratch = EvalScratch::new();
-    let progress = AtomicU64::new(0);
-    let interrupt = Interrupt::new(shared.deadline, shared.cancel.clone());
-    let mut log = journal.worker(worker);
-    let mut profile = journal.is_enabled().then(BlockProfile::new);
-    let mut finished: Vec<(Vec<u32>, PathResult<S>)> = Vec::new();
-    let mut cut: Vec<FrontierItem<S>> = Vec::new();
-    // Steps this worker has executed this round. A checkpoint pause is only
-    // honored after at least one local step, so even a zero-length interval
-    // cannot livelock the restart loop: every round makes progress.
-    let mut steps = 0u64;
-    loop {
-        // Acquire a job, or return once the queue is empty with nothing in
-        // flight (no one can produce more work).
-        let (mut job, _token) = {
-            let mut q = lock_unpoisoned(&shared.queue);
-            loop {
-                if let Some(j) = q.jobs.pop_back() {
-                    q.in_flight += 1;
-                    break (j, InFlightToken { shared });
-                }
-                if q.in_flight == 0 {
-                    shared.work.notify_all();
-                    drop(q);
-                    if profile.is_some() {
-                        clear_path_context();
-                    }
-                    return WorkerYield {
-                        finished,
-                        cut,
-                        interner: InternStats::thread_snapshot().since(&interner_before),
-                    };
-                }
-                q = shared.work.wait(q).unwrap_or_else(PoisonError::into_inner);
-            }
-        };
-        // Run the job depth-first locally: keep one successor, share the
-        // rest. This keeps queue traffic proportional to branching, not to
-        // path length.
-        loop {
-            if shared.stop.load(Ordering::Relaxed) {
-                cut.push(job);
-                break;
-            }
-            if shared.cancel.is_cancelled() {
-                shared.halt(CAUSE_CANCELLED);
-                cut.push(job);
-                break;
-            }
-            if shared.deadline.is_some_and(|d| Instant::now() >= d) {
-                log.emit_with(|| Event::DeadlineHit {
-                    path: job.trace.clone(),
-                });
-                shared.halt(CAUSE_DEADLINE);
-                cut.push(job);
-                break;
-            }
-            if steps > 0 && shared.checkpoint_at.is_some_and(|at| Instant::now() >= at) {
-                shared.halt(CAUSE_CHECKPOINT);
-                cut.push(job);
-                break;
-            }
-            // One fault point per scheduling step, drawn from the plan's
-            // *shared* counter (solver queries draw from the same one). A
-            // kill parks the item *before* it is stepped, so the quiesced
-            // frontier written by the main thread is exactly what was
-            // pending; an injected panic is armed here and fires inside
-            // the step's panic guard below.
-            let mut inject_panic = false;
-            if let Some(plan) = &shared.faults {
-                let point = plan.next_point();
-                match plan.engine_fault(point) {
-                    Some(FaultKind::Kill) => {
-                        plan.record(point, FaultKind::Kill);
-                        log.emit_with(|| Event::FaultInjected {
-                            point,
-                            fault: "kill",
-                        });
-                        shared.halt(CAUSE_KILLED);
-                        cut.push(job);
-                        break;
-                    }
-                    Some(FaultKind::PathPanic) => {
-                        plan.record(point, FaultKind::PathPanic);
-                        log.emit_with(|| Event::FaultInjected {
-                            point,
-                            fault: "path_panic",
-                        });
-                        inject_panic = true;
-                    }
-                    _ => {}
-                }
-            }
-            if job.cmds >= cfg.max_cmds_per_path {
-                shared.truncated.store(true, Ordering::Relaxed);
-                finished.push((
-                    job.trace.clone(),
-                    PathResult {
-                        state: job.config.state,
-                        outcome: ExploreOutcome::Truncated,
-                        cmds: job.cmds,
-                        trace: job.trace,
-                    },
-                ));
-                shared.note_finished(cfg);
-                break;
-            }
-            // Claim a block of commands against the global budget. The
-            // claim is optimistic (`want` commands) and settled to the
-            // truth afterwards: a partial grant refunds the un-granted
-            // tail immediately, and the block's unconsumed remainder is
-            // refunded after it runs — so `total_cmds` always ends equal
-            // to commands actually executed. A transiently inflated
-            // counter can make a *sibling's* claim fail a few commands
-            // early, which is indistinguishable from the budget binding
-            // there anyway.
-            let want = BLOCK_MAX.min(cfg.max_cmds_per_path - job.cmds);
-            let prev = shared.total_cmds.fetch_add(want, Ordering::Relaxed);
-            if prev >= cfg.max_total_cmds {
-                shared.total_cmds.fetch_sub(want, Ordering::Relaxed);
-                shared.truncated.store(true, Ordering::Relaxed);
-                shared.stop.store(true, Ordering::Relaxed);
-                shared.work.notify_all();
-                cut.push(job);
-                break;
-            }
-            let allowed = want.min(cfg.max_total_cmds - prev);
-            if allowed < want {
-                // Partial grant: refund the tail but do NOT stop — the
-                // next claim will fail outright and raise the flag, as
-                // the one-command-at-a-time protocol did.
-                shared
-                    .total_cmds
-                    .fetch_sub(want - allowed, Ordering::Relaxed);
-            }
-            steps += 1;
-            let FrontierItem {
-                config,
-                cmds,
-                mut trace,
-            } = job;
-            progress.store(0, Ordering::Relaxed);
-            // Attribute the solver/memory events this step emits to the
-            // path being stepped (thread-local per worker).
-            if profile.is_some() {
-                set_path_context(&trace);
-            }
-            let caught = {
-                let scratch = &mut scratch;
-                let progress = &progress;
-                let interrupt = &interrupt;
-                let prof = profile.as_mut();
-                panic_guard::catch(move || {
-                    if inject_panic {
-                        panic!("injected fault: path panic");
-                    }
-                    step_block(
-                        prog, exec, config, allowed, interrupt, progress, scratch, prof,
-                    )
-                })
-            };
-            let consumed = progress.load(Ordering::Relaxed).max(1);
-            if consumed < allowed {
-                shared
-                    .total_cmds
-                    .fetch_sub(allowed - consumed, Ordering::Relaxed);
-            }
-            if let Some(p) = profile.as_mut() {
-                for (stack, seg_cmds, micros) in p.drain(progress.load(Ordering::Relaxed)) {
-                    log.emit_with(|| Event::ProcTime {
-                        path: trace.clone(),
-                        stack,
-                        cmds: seg_cmds,
-                        micros,
-                    });
-                }
-            }
-            let outs = match caught {
-                Ok(outs) => outs,
-                Err(payload) => {
-                    shared.engine_errors.fetch_add(1, Ordering::Relaxed);
-                    shared.truncated.store(true, Ordering::Relaxed);
-                    log.emit_with(|| Event::PanicIsolated {
-                        path: trace.clone(),
-                        payload: payload.clone(),
-                    });
-                    if let Ok(state) = panic_guard::catch(|| sentinel.clone()) {
-                        finished.push((
-                            trace.clone(),
-                            PathResult {
-                                state,
-                                outcome: ExploreOutcome::EngineError {
-                                    payload,
-                                    trace: trace.clone(),
-                                },
-                                cmds: cmds + consumed,
-                                trace,
-                            },
-                        ));
-                        shared.note_finished(cfg);
-                    }
-                    break;
-                }
-            };
-            let branching = outs.len() > 1;
-            if branching {
-                let arms = outs.len() as u32;
-                log.emit_with(|| Event::PathForked {
-                    parent: trace.clone(),
-                    arms,
-                });
-            }
-            let mut continuation: Option<FrontierItem<S>> = None;
-            let mut surplus: Vec<FrontierItem<S>> = Vec::new();
-            for (i, out) in outs.into_iter().enumerate() {
-                let child_trace = if branching {
-                    let mut t = trace.clone();
-                    t.push(i as u32);
-                    t
-                } else {
-                    std::mem::take(&mut trace)
-                };
-                match out {
-                    StepOut::Next(config) => {
-                        let child = FrontierItem {
-                            config,
-                            cmds: cmds + consumed,
-                            trace: child_trace,
-                        };
-                        if continuation.is_none() {
-                            continuation = Some(child);
-                        } else {
-                            surplus.push(child);
-                        }
-                    }
-                    StepOut::Done(Final { state, outcome }) => {
-                        finished.push((
-                            child_trace.clone(),
-                            PathResult {
-                                state,
-                                outcome: outcome.into(),
-                                cmds: cmds + consumed,
-                                trace: child_trace,
-                            },
-                        ));
-                        shared.note_finished(cfg);
-                    }
-                }
-            }
-            if !surplus.is_empty() {
-                let mut q = lock_unpoisoned(&shared.queue);
-                for child in surplus {
-                    if cfg.max_pending.is_some_and(|cap| q.jobs.len() >= cap) {
-                        shared.dropped_paths.fetch_add(1, Ordering::Relaxed);
-                        shared.truncated.store(true, Ordering::Relaxed);
-                    } else {
-                        q.jobs.push_back(child);
-                    }
-                }
-                drop(q);
-                shared.work.notify_all();
-            }
-            match continuation {
-                Some(next) => job = next,
-                None => break,
-            }
-        }
-        // `_token` retires the job here (and on any unwind above).
-    }
-}
-
-/// Explores all paths of `prog` with `cfg.workers` worker threads sharing
-/// one worklist (and one solver, via the state's `Arc<Solver>` — its SAT
-/// cache is shared across workers).
-///
-/// Soundness: per §3.2 every explored trace carries its own guarantee, so
-/// exploration order — and therefore parallel scheduling — cannot affect
-/// which guarantees hold, only the order they are found in. To make the
-/// *result* deterministic anyway, every path is tagged with its branch
-/// trace and the merged result is sorted in canonical branch order; with
-/// budgets that do not bind, the returned path set is identical to the
-/// serial engines' (order-normalized).
-///
-/// Budget semantics match [`explore`]: never more than `max_paths` paths,
-/// and work pending when a budget trips is surfaced as
-/// [`ExploreOutcome::Truncated`] paths or counted in `dropped_paths`.
-/// Deadline expiry and cancellation behave like a budget trip attributed
-/// in [`ExploreDiagnostics`]; panics are isolated per-path inside each
-/// worker, and a worker dying *outside* that guard is itself captured —
-/// its queued jobs are drained as truncated and the death is counted as an
-/// engine error instead of aborting the merge.
-pub fn explore_parallel<S>(
-    prog: &Prog,
-    entry: &str,
-    initial: S,
-    cfg: ExploreConfig,
-) -> ExploreResult<S>
-where
-    S: GilState + Send,
-    S::V: Send,
-    S::Store: Send,
-{
-    let sentinel = initial.clone();
-    let seeds = VecDeque::from([FrontierItem {
-        config: Config::entry(entry, initial),
-        cmds: 0,
-        trace: Vec::new(),
-    }]);
-    explore_parallel_frontier(prog, entry, sentinel, seeds, cfg, ResumeBase::default())
-}
-
-/// The parallel engine over an explicit starting frontier —
-/// [`explore_parallel`] seeds it with the entry configuration,
-/// [`explore_resume`] with a restored checkpoint frontier plus the
-/// interrupted run's accounting in `base`.
-///
-/// Periodic checkpoints are *stop-the-world*: the first worker past the
-/// interval raises `CAUSE_CHECKPOINT`, every worker parks its current
-/// item, the quiesced frontier is snapshotted atomically, and a fresh
-/// round restarts from exactly that frontier. Each round's shared atomics
-/// start from the previous round's totals, so budgets and accounting are
-/// continuous — a paused-and-restarted run is indistinguishable from an
-/// uninterrupted one in its result.
-fn explore_parallel_frontier<S>(
-    prog: &Prog,
-    entry: &str,
-    sentinel: S,
-    seeds: VecDeque<FrontierItem<S>>,
-    cfg: ExploreConfig,
-    base: ResumeBase,
-) -> ExploreResult<S>
-where
-    S: GilState + Send,
-    S::V: Send,
-    S::Store: Send,
-{
-    let workers = cfg.workers.max(1);
-    let run_started = Instant::now();
-    let deadline = cfg.deadline.map(|d| run_started + d);
-    // One compiled program for the whole run: workers share the
-    // instruction stream and its inline caches (resolution is idempotent,
-    // so racing resolvers store the same value).
-    let exec = ExecProg::prepare(prog, cfg.bytecode);
-    sentinel.install_interrupt(Interrupt::new(deadline, cfg.cancel.clone()));
-    let journal = cfg.journal.clone();
-    sentinel.install_journal(journal.clone());
-    if let Some(plan) = &cfg.faults {
-        sentinel.install_fault_probe(plan.probe(journal.clone()));
-    }
-    // Summary arming: one shared store (it lives on the shared solver),
-    // armed once for the whole worker pool.
-    let summaries_on = cfg.summaries.unwrap_or_else(summaries_from_env);
-    if summaries_on {
-        sentinel.configure_summaries(prog, true);
-    }
-    let ckpt = cfg.checkpoint.clone();
-    let mut next_ckpt = ckpt.as_ref().and_then(|c| c.every).map(|e| run_started + e);
-    let unknowns_before = sentinel.unknown_verdicts();
-    let reuse_before = sentinel.solver_reuse();
-    let summary_before = sentinel.summary_stats();
-    // The run's interner traffic is the sum of each worker thread's delta
-    // plus this (main) thread's — entry-state construction interns here.
-    let main_interner_before = InternStats::thread_snapshot();
-    let metrics_before = registry().snapshot();
-    let mut log = journal.worker(0);
-    log.emit_with(|| Event::PathStarted { path: Vec::new() });
-    // Diagnostics as they stand mid-run (for checkpoints): the resumed-from
-    // accounting plus this run's counters and solver deltas.
-    let diag_now = |run_errors: usize| {
-        let mut d = base.diagnostics;
-        d.engine_errors = base.diagnostics.engine_errors + run_errors;
-        d.unknown_verdicts = sentinel.unknown_verdicts().saturating_sub(unknowns_before)
-            + base.diagnostics.unknown_verdicts;
-        let reuse = sentinel.solver_reuse();
-        d.incremental_hits =
-            reuse.0.saturating_sub(reuse_before.0) + base.diagnostics.incremental_hits;
-        d.implication_hits =
-            reuse.1.saturating_sub(reuse_before.1) + base.diagnostics.implication_hits;
-        let summ = sentinel.summary_stats();
-        d.summaries_recorded =
-            summ.0.saturating_sub(summary_before.0) + base.diagnostics.summaries_recorded;
-        d.summaries_applied =
-            summ.1.saturating_sub(summary_before.1) + base.diagnostics.summaries_applied;
-        d
-    };
-
-    // Accounting carried across checkpoint rounds (seeded from `base` on a
-    // resume): (total_cmds, truncated, dropped_paths, engine_errors).
-    let mut carried = (base.total_cmds, base.truncated, base.dropped_paths, 0usize);
-    let mut finished: Vec<(Vec<u32>, PathResult<S>)> = Vec::new();
-    let mut pending: Vec<FrontierItem<S>> = Vec::new();
-    let mut worklist = seeds;
-    let mut crashed_workers = 0usize;
-    let mut interner = InternStats::default();
-    // `GILLIAN_LIVE` sink, owned by the main thread; each round lends it
-    // to a sampler thread that polls the shared counters.
-    let mut live = LiveSink::from_env();
-    let cause = loop {
-        let sampler_stop = AtomicBool::new(false);
-        let shared = SharedExplorer {
-            queue: Mutex::new(JobQueue {
-                jobs: std::mem::take(&mut worklist),
-                in_flight: 0,
-            }),
-            work: Condvar::new(),
-            total_cmds: AtomicU64::new(carried.0),
-            finished_paths: AtomicUsize::new(finished.len()),
-            stop: AtomicBool::new(false),
-            stop_cause: AtomicU8::new(CAUSE_NONE),
-            truncated: AtomicBool::new(carried.1),
-            dropped_paths: AtomicUsize::new(carried.2),
-            engine_errors: AtomicUsize::new(carried.3),
-            deadline,
-            cancel: cfg.cancel.clone(),
-            checkpoint_at: next_ckpt,
-            faults: cfg.faults.clone(),
-        };
-        let yields: Vec<Result<WorkerYield<S>, String>> = std::thread::scope(|scope| {
-            let cfg = &cfg;
-            let shared = &shared;
-            let journal = &journal;
-            let exec = &exec;
-            // Live sampler: one thread per round polling the shared
-            // counters at the frame interval, parked once the workers
-            // retire. Frontier size and depth come from a brief queue
-            // lock; everything else is relaxed atomics.
-            if let Some(l) = live.as_mut() {
-                let stop = &sampler_stop;
-                scope.spawn(move || {
-                    let nap = l.every().min(Duration::from_millis(50));
-                    loop {
-                        let (pending_now, depth) = {
-                            let q = lock_unpoisoned(&shared.queue);
-                            (
-                                (q.jobs.len() + q.in_flight) as u64,
-                                q.jobs.back().map_or(0, |j| j.trace.len() as u32),
-                            )
-                        };
-                        l.tick(&LiveStats {
-                            paths_finished: shared.finished_paths.load(Ordering::Relaxed) as u64,
-                            pending: pending_now,
-                            depth,
-                            cmds: shared.total_cmds.load(Ordering::Relaxed),
-                            workers: workers as u32,
-                        });
-                        if stop.load(Ordering::Relaxed) {
-                            return;
-                        }
-                        std::thread::sleep(nap);
-                    }
-                });
-            }
-            // All per-worker sentinels are cloned *before* the first spawn:
-            // once a worker runs it may poison the state (e.g. a memory whose
-            // `Clone` panics after a fault), and an unguarded clone racing
-            // with it would kill the whole run instead of one worker.
-            let sentinels: Vec<S> = (0..workers).map(|_| sentinel.clone()).collect();
-            let handles: Vec<_> = sentinels
-                .into_iter()
-                .enumerate()
-                .map(|(i, worker_sentinel)| {
-                    // Worker ids start at 1; id 0 is the merge (main) thread.
-                    let worker = (i + 1) as u32;
-                    scope.spawn(move || {
-                        panic_guard::catch(|| {
-                            explore_worker(
-                                prog,
-                                exec,
-                                cfg,
-                                shared,
-                                worker_sentinel,
-                                worker,
-                                journal,
-                            )
-                        })
-                    })
-                })
-                .collect();
-            let yields = handles
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .unwrap_or_else(|_| Err("explorer worker died outside capture".to_string()))
-                })
-                .collect();
-            sampler_stop.store(true, Ordering::Relaxed);
-            yields
-        });
-
-        for y in yields {
-            match y {
-                Ok(wy) => {
-                    finished.extend(wy.finished);
-                    pending.extend(wy.cut);
-                    interner.mints += wy.interner.mints;
-                    interner.hits += wy.interner.hits;
-                }
-                // A crashed worker's thread-local interner delta died with
-                // it; its traffic is simply unattributed, and its local
-                // paths died too — it is counted as an engine error below.
-                Err(_payload) => crashed_workers += 1,
-            }
-        }
-        pending.extend(lock_unpoisoned(&shared.queue).jobs.drain(..));
-        carried = (
-            shared.total_cmds.load(Ordering::Relaxed),
-            shared.truncated.load(Ordering::Relaxed),
-            shared.dropped_paths.load(Ordering::Relaxed),
-            shared.engine_errors.load(Ordering::Relaxed),
-        );
-        let cause = shared.stop_cause.load(Ordering::Relaxed);
-        if cause != CAUSE_CHECKPOINT || pending.is_empty() {
-            break cause;
-        }
-        // Interval checkpoint: every worker is parked, so sorting and
-        // writing here sees a consistent, canonical frontier; the next
-        // round then resumes from exactly this frontier.
-        finished.sort_by(|a, b| a.0.cmp(&b.0));
-        pending.sort_by(|a, b| a.trace.cmp(&b.trace));
-        if let Some(c) = ckpt.as_ref() {
-            let mut snap = ExploreResult::empty();
-            snap.total_cmds = carried.0;
-            snap.truncated = carried.1;
-            snap.dropped_paths = carried.2;
-            write_frontier_checkpoint(
-                c,
-                &cfg,
-                entry,
-                pending.iter(),
-                &snap,
-                yield_summaries(&finished),
-                diag_now(carried.3 + crashed_workers),
-                &mut log,
-            );
-            next_ckpt = c.every.map(|e| Instant::now() + e);
-        }
-        worklist = pending.drain(..).collect();
-    };
-
-    // Deterministic merge: canonical branch order, finished paths first,
-    // then budget-cut pending work — mirroring the serial engine's
-    // "explore, then drain" shape. A crashed worker contributes no paths
-    // (its local results died with it) but is counted as an engine error,
-    // and any jobs left on the shared queue are drained as truncated.
-    finished.sort_by(|a, b| a.0.cmp(&b.0));
-    pending.sort_by(|a, b| a.trace.cmp(&b.trace));
-    let mut result = ExploreResult::empty();
-    result.total_cmds = carried.0;
-    result.truncated = carried.1 || crashed_workers > 0;
-    result.dropped_paths = carried.2;
-    result.diagnostics.engine_errors = carried.3 + crashed_workers;
-    let killed = cause == CAUSE_KILLED;
-    // Final checkpoint: always on a kill (that *is* the crash being
-    // simulated), and on deadline/cancel when configured — written before
-    // pending work is drained, so the file holds the true frontier.
-    let mut frontier_checkpointed = false;
-    if let Some(c) = ckpt.as_ref() {
-        let wanted = killed
-            || match cause {
-                CAUSE_DEADLINE => c.on_deadline,
-                CAUSE_CANCELLED => c.on_cancel,
-                _ => false,
-            };
-        if wanted {
-            let mut snap = ExploreResult::empty();
-            snap.total_cmds = result.total_cmds;
-            snap.truncated = result.truncated;
-            snap.dropped_paths = result.dropped_paths;
-            frontier_checkpointed = write_frontier_checkpoint(
-                c,
-                &cfg,
-                entry,
-                pending.iter(),
-                &snap,
-                yield_summaries(&finished),
-                diag_now(carried.3 + crashed_workers),
-                &mut log,
-            );
-        }
-    }
-    result.killed = killed;
-    if killed && frontier_checkpointed {
-        // A killed run mimics process death: its pending work survives
-        // only in the checkpoint, so it is *not* drained into truncated
-        // paths here (resume-equivalence depends on it appearing exactly
-        // once — in the resumed run).
-        pending.clear();
-    }
-    // `PathFinished` is journaled here, at merge — not by the workers —
-    // so exactly the *recorded* paths (those surviving the `max_paths`
-    // cap) get a finish event, keeping the trace consistent with the
-    // result for any scheduling.
-    let mut traces: Vec<Vec<u32>> = Vec::new();
-    for (trace, path) in finished {
-        let kind = path.outcome.kind();
-        let cmds = path.cmds;
-        if result.record(cfg.max_paths, path) {
-            log.emit_with(|| Event::PathFinished {
-                path: trace.clone(),
-                outcome: kind,
-                cmds,
-            });
-            traces.push(trace);
-        }
-    }
-    for FrontierItem {
-        config,
-        cmds,
-        trace,
-    } in pending
-    {
-        result.truncated = true;
-        match cause {
-            CAUSE_DEADLINE => result.diagnostics.deadline_hits += 1,
-            CAUSE_CANCELLED => result.diagnostics.cancellations += 1,
-            _ => {}
-        }
-        if result.record(
-            cfg.max_paths,
-            PathResult {
-                state: config.state,
-                outcome: ExploreOutcome::Truncated,
-                cmds,
-                trace: trace.clone(),
-            },
-        ) {
-            log.emit_with(|| Event::PathFinished {
-                path: trace.clone(),
-                outcome: "truncated",
-                cmds,
-            });
-            traces.push(trace);
-        }
-    }
-    if let Some(l) = live.as_mut() {
-        l.finish(&LiveStats {
-            paths_finished: result.paths.len() as u64,
-            pending: 0,
-            depth: 0,
-            cmds: result.total_cmds,
-            workers: workers as u32,
-        });
-    }
-    sentinel.clear_interrupt();
-    result.diagnostics.unknown_verdicts =
-        sentinel.unknown_verdicts().saturating_sub(unknowns_before)
-            + base.diagnostics.unknown_verdicts;
-    let reuse_after = sentinel.solver_reuse();
-    result.diagnostics.incremental_hits =
-        reuse_after.0.saturating_sub(reuse_before.0) + base.diagnostics.incremental_hits;
-    result.diagnostics.implication_hits =
-        reuse_after.1.saturating_sub(reuse_before.1) + base.diagnostics.implication_hits;
-    let summary_after = sentinel.summary_stats();
-    result.diagnostics.summaries_recorded =
-        summary_after.0.saturating_sub(summary_before.0) + base.diagnostics.summaries_recorded;
-    result.diagnostics.summaries_applied =
-        summary_after.1.saturating_sub(summary_before.1) + base.diagnostics.summaries_applied;
-    result.diagnostics.deadline_hits += base.diagnostics.deadline_hits;
-    result.diagnostics.cancellations += base.diagnostics.cancellations;
-    result.diagnostics.engine_errors += base.diagnostics.engine_errors;
-    let main_delta = InternStats::thread_snapshot().since(&main_interner_before);
-    interner.mints += main_delta.mints;
-    interner.hits += main_delta.hits;
-    interner.live = InternStats::snapshot().live;
-    result.diagnostics.interner = interner;
-    if summaries_on {
-        sentinel.configure_summaries(prog, false);
-    }
-    if cfg.faults.is_some() {
-        sentinel.clear_fault_probe();
-    }
-    drop(log);
-    finish_report(
-        &mut result,
-        &journal,
-        &traces,
-        &metrics_before,
-        run_started,
-        workers as u32,
-    );
-    sentinel.clear_journal();
-    result
 }
 
 #[cfg(test)]
@@ -2334,7 +1780,7 @@ mod strategy_tests {
     fn parallel_finds_the_same_paths_for_any_worker_count() {
         let serial = explore(&wide_prog(), "main", state(), ExploreConfig::default());
         for workers in 1..=4 {
-            let par = explore_parallel(
+            let par = explore_with(
                 &wide_prog(),
                 "main",
                 state(),
@@ -2368,7 +1814,7 @@ mod strategy_tests {
         assert!(serial.diagnostics.is_clean());
         assert!(!serial.bounded());
         for workers in [2, 4] {
-            let par = explore_parallel(
+            let par = explore_with(
                 &wide_prog(),
                 "main",
                 state(),
@@ -2385,7 +1831,7 @@ mod strategy_tests {
 
     #[test]
     fn parallel_result_order_is_deterministic() {
-        let once = explore_parallel(
+        let once = explore_with(
             &wide_prog(),
             "main",
             state(),
@@ -2396,7 +1842,7 @@ mod strategy_tests {
         );
         let reference: Vec<String> = once.paths.iter().map(|p| p.state.pc.to_string()).collect();
         for _ in 0..5 {
-            let again = explore_parallel(
+            let again = explore_with(
                 &wide_prog(),
                 "main",
                 state(),
@@ -2412,7 +1858,7 @@ mod strategy_tests {
 
     #[test]
     fn parallel_respects_max_paths_and_reports_the_rest() {
-        let r = explore_parallel(
+        let r = explore_with(
             &wide_prog(),
             "main",
             state(),
@@ -2431,7 +1877,7 @@ mod strategy_tests {
 
     #[test]
     fn parallel_global_budget_truncates_without_losing_work() {
-        let r = explore_parallel(
+        let r = explore_with(
             &wide_prog(),
             "main",
             state(),
@@ -2558,7 +2004,7 @@ mod resilience_tests {
     #[test]
     fn parallel_panic_is_isolated_to_its_path() {
         for workers in [2, 4] {
-            let r = explore_parallel(
+            let r = explore_with(
                 &boom_on_negative(),
                 "main",
                 state::<BoomMem>(),
@@ -2584,7 +2030,7 @@ mod resilience_tests {
         assert_eq!(r.diagnostics.deadline_hits, 1);
         assert!(r.truncated && r.bounded());
 
-        let par = explore_parallel(
+        let par = explore_with(
             &boom_on_negative(),
             "main",
             state::<BoomMem>(),
@@ -2608,7 +2054,7 @@ mod resilience_tests {
         assert_eq!(r.diagnostics.cancellations, 1);
         assert!(r.truncated);
 
-        let par = explore_parallel(
+        let par = explore_with(
             &boom_on_negative(),
             "main",
             state::<BoomMem>(),
@@ -2677,7 +2123,7 @@ mod resilience_tests {
         assert!(r.truncated);
         assert!(r.paths.is_empty(), "no state survived to report");
 
-        let par = explore_parallel(
+        let par = explore_with(
             &prog,
             "main",
             state::<CloneBomb>(),

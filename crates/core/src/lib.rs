@@ -61,8 +61,8 @@ pub use difftest::{
 };
 pub use exec::{bytecode_from_env, step_block, BlockProfile, ExecProg, BLOCK_MAX};
 pub use explore::{
-    explore_parallel, explore_resume, explore_with, replay_path, ExploreConfig, ExploreDiagnostics,
-    ExploreOutcome, ExploreResult, PathResult, ReplayError, ResumedExplore, SearchStrategy,
+    explore_resume, explore_with, replay_path, ExploreConfig, ExploreDiagnostics, ExploreOutcome,
+    ExploreResult, PathResult, ReplayError, ResumedExplore, SearchStrategy,
 };
 pub use faults::{FaultKind, FaultPlan};
 pub use generate::{build_prog, gen_ops, minimize, GenOp, MemDialect, Rng};

@@ -145,8 +145,8 @@ pub fn successors<M: Clone, E>(
 /// A symbolic memory model `M̂ = ⟨|M̂|, A, êa⟩` (Def. 2.4).
 ///
 /// `Send` is a supertrait because symbolic states (which own their memory)
-/// migrate between worker threads under the parallel explorer
-/// ([`crate::explore::explore_parallel`]). Memories are values, not shared
+/// migrate between worker threads when [`crate::explore::explore_with`]
+/// runs several workers. Memories are values, not shared
 /// structures, so this costs implementations nothing in practice.
 pub trait SymbolicMemory: Clone + std::fmt::Debug + Default + Send {
     /// The instantiation's language tag, used by telemetry to label this

@@ -1,9 +1,9 @@
-//! Engine-equivalence property: on random branching GIL programs, the DFS
-//! worklist, the BFS worklist, and the parallel explorer (1 through 4
-//! workers) produce identical order-normalized path sets — same path
-//! conditions, same outcome per path, same error count, same total command
-//! count. This is the observable face of paper §3.2's relaxed trace
-//! composition: exploration order cannot change *what* is explored.
+//! Engine-equivalence property: on random branching GIL programs, one
+//! worker popping DFS or BFS and 2–4 workers popping either produce
+//! identical order-normalized path sets — same path conditions, same
+//! outcome per path, same error count, same total command count. This is
+//! the observable face of paper §3.2's relaxed trace composition:
+//! exploration order cannot change *what* is explored.
 //!
 //! The parallel legs run with the resilience fields armed (a far-future
 //! deadline plus a live cancellation token) so equivalence is checked on
@@ -12,11 +12,18 @@
 mod common;
 
 use common::{build_prog, op_strategy, state, state_with, summary};
-use gillian_core::explore::{explore, explore_parallel, ExploreConfig, SearchStrategy};
+use gillian_core::explore::{explore, explore_with, ExploreConfig, SearchStrategy};
 use gillian_solver::{Solver, SolverConfig};
 use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
+
+/// The `explore_with` legs: 1–4 workers popping DFS, and 2–4 workers
+/// popping BFS (one BFS worker is each property's own `explore` BFS leg).
+fn worker_legs() -> impl Iterator<Item = (usize, SearchStrategy)> {
+    let dfs = (1..=4).map(|w| (w, SearchStrategy::Dfs));
+    dfs.chain((2..=4).map(|w| (w, SearchStrategy::Bfs)))
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -40,19 +47,20 @@ proptest! {
         prop_assert_eq!(&summary(&bfs), &dfs_summary, "BFS diverged from DFS");
         prop_assert_eq!(bfs.total_cmds, dfs.total_cmds);
 
-        for workers in 1..=4usize {
-            let par = explore_parallel(
+        for (workers, strategy) in worker_legs() {
+            let par = explore_with(
                 &prog,
                 "main",
                 state(),
-                ExploreConfig { workers, ..Default::default() }
+                ExploreConfig { workers, strategy, ..Default::default() }
                     .with_deadline(Duration::from_secs(3600)),
             );
             prop_assert_eq!(
                 &summary(&par),
                 &dfs_summary,
-                "parallel ({}) diverged from DFS",
-                workers
+                "parallel ({}, {:?}) diverged from DFS",
+                workers,
+                strategy
             );
             prop_assert_eq!(par.total_cmds, dfs.total_cmds);
             prop_assert_eq!(par.errors().count(), dfs.errors().count());
@@ -63,8 +71,8 @@ proptest! {
 
     /// Incremental solving (per-prefix contexts plus the implication
     /// index) against a monolithic re-solving solver, across every
-    /// engine: DFS, BFS, and the parallel explorer at 1–4 workers. The
-    /// optimization must be invisible — same path conditions, same
+    /// worker count and strategy: DFS, BFS, and the `explore_with` legs.
+    /// The optimization must be invisible — same path conditions, same
     /// outcomes, same command counts. Unlike the leg above, no deadline
     /// is armed here, so the implication index is live on every leg
     /// (an armed deadline marks solves "hurried" and bypasses it).
@@ -102,18 +110,19 @@ proptest! {
         prop_assert_eq!(&summary(&bfs), &reference_summary, "incremental BFS diverged");
         prop_assert_eq!(bfs.total_cmds, reference.total_cmds);
 
-        for workers in 1..=4usize {
-            let par = explore_parallel(
+        for (workers, strategy) in worker_legs() {
+            let par = explore_with(
                 &prog,
                 "main",
                 state_with(incremental()),
-                ExploreConfig { workers, ..Default::default() },
+                ExploreConfig { workers, strategy, ..Default::default() },
             );
             prop_assert_eq!(
                 &summary(&par),
                 &reference_summary,
-                "incremental parallel ({}) diverged from monolithic",
-                workers
+                "incremental parallel ({}, {:?}) diverged from monolithic",
+                workers,
+                strategy
             );
             prop_assert_eq!(par.total_cmds, reference.total_cmds);
             prop_assert!(par.diagnostics.is_clean(), "unexpected incidents: {:?}", par.diagnostics);

@@ -10,9 +10,7 @@
 //! the run completes under its deadline, the faulty path is reported as an
 //! engine error (or deadline-truncated), and sibling paths are unaffected.
 
-use gillian_core::explore::{
-    explore, explore_parallel, ExploreConfig, ExploreOutcome, ExploreResult,
-};
+use gillian_core::explore::{explore, explore_with, ExploreConfig, ExploreOutcome, ExploreResult};
 use gillian_core::memory::{ConcreteMemory, SymBranch, SymbolicMemory};
 use gillian_core::soundness::{check_action, check_program, MemoryInterpretation};
 use gillian_core::symbolic::SymbolicState;
@@ -428,7 +426,7 @@ fn injected_panic_is_isolated_parallel() {
         let start = Instant::now();
         let mut cfg = ExploreConfig::default().with_deadline(Duration::from_secs(2));
         cfg.workers = workers;
-        let res = explore_parallel(&prog, "main", fresh::<PanickingMem>(), cfg);
+        let res = explore_with(&prog, "main", fresh::<PanickingMem>(), cfg);
         assert!(start.elapsed() < Duration::from_secs(2));
         assert_eq!(res.diagnostics.engine_errors, 1, "workers={workers}");
         assert_eq!(siblings(&res), expected, "workers={workers}");
@@ -471,7 +469,7 @@ fn injected_spin_loop_is_reeled_in_parallel() {
         let start = Instant::now();
         let mut cfg = ExploreConfig::default().with_deadline(Duration::from_millis(250));
         cfg.workers = workers;
-        let res = explore_parallel(&prog, "main", fresh::<SpinMem>(), cfg);
+        let res = explore_with(&prog, "main", fresh::<SpinMem>(), cfg);
         assert!(
             start.elapsed() < Duration::from_secs(2),
             "workers={workers}"

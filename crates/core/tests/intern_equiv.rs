@@ -19,7 +19,7 @@
 mod common;
 
 use common::{build_prog, op_strategy, state_with, summary};
-use gillian_core::explore::{explore, explore_parallel, ExploreConfig};
+use gillian_core::explore::{explore, explore_with, ExploreConfig};
 use gillian_solver::{Solver, SolverConfig};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -90,7 +90,7 @@ proptest! {
         prop_assert_eq!(&summary(&again), &first_summary);
         prop_assert_eq!(again.total_cmds, first.total_cmds);
         for workers in [2usize, 4] {
-            let par = explore_parallel(
+            let par = explore_with(
                 &prog,
                 "main",
                 state_with(Arc::new(Solver::optimized())),

@@ -14,7 +14,7 @@
 mod common;
 
 use common::{build_prog, state, Op};
-use gillian_core::explore::{explore, explore_parallel, ExploreConfig};
+use gillian_core::explore::{explore, explore_with, ExploreConfig};
 use gillian_gil::{Expr, InternStats};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
@@ -68,7 +68,7 @@ fn run_with_background_noise(workers: usize) -> (InternStats, u64) {
         ..Default::default()
     };
     let r = if workers > 1 {
-        explore_parallel(&prog, "main", state(), cfg)
+        explore_with(&prog, "main", state(), cfg)
     } else {
         explore(&prog, "main", state(), cfg)
     };

@@ -16,7 +16,7 @@
 mod common;
 
 use common::{state, Op};
-use gillian_core::explore::{explore, explore_parallel, ExploreConfig};
+use gillian_core::explore::{explore, explore_with, ExploreConfig};
 use gillian_core::generate::{gen_ops, MemDialect, Rng};
 use gillian_telemetry::{EventRecord, ExploreTree, Journal};
 
@@ -38,7 +38,7 @@ fn run_journaled(prog: &gillian_gil::Prog, workers: usize) -> (usize, Vec<EventR
         ..Default::default()
     };
     let r = if workers > 1 {
-        explore_parallel(prog, "main", state(), cfg)
+        explore_with(prog, "main", state(), cfg)
     } else {
         explore(prog, "main", state(), cfg)
     };

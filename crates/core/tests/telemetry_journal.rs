@@ -8,6 +8,7 @@
 //! 2. **JSONL round-trip** — a run traced through an explicit
 //!    [`Journal::jsonl_sink`] writes a schema-valid JSONL file with
 //!    exactly one `path_finished` record per reported path.
+//! 3. **Deadline attribution** — a deadline hit names the path it parked.
 //!
 //! Journals here are installed explicitly on [`ExploreConfig`] — never
 //! via `GILLIAN_TRACE` (the env is read once per process and would leak
@@ -16,8 +17,14 @@
 mod common;
 
 use common::{build_prog, state, Op};
-use gillian_core::explore::{explore, explore_parallel, ExploreConfig};
+use gillian_core::explore::{explore, explore_with, ExploreConfig};
+use gillian_core::memory::{SymBranch, SymbolicMemory};
+use gillian_core::symbolic::SymbolicState;
+use gillian_gil::{Cmd, Expr, Proc, Prog};
+use gillian_solver::{PathCondition, Solver};
 use gillian_telemetry::{validate_jsonl, Event, EventRecord, Journal};
+use std::sync::Arc;
+use std::time::Duration;
 
 /// A ten-way branching program: 2^10 = 1024 paths with real fork
 /// structure at every level.
@@ -65,7 +72,7 @@ fn run_journaled(workers: usize) -> (usize, Vec<EventRecord>) {
     };
     let prog = build_prog(&wide_ops());
     let r = if workers > 1 {
-        explore_parallel(&prog, "main", state(), cfg)
+        explore_with(&prog, "main", state(), cfg)
     } else {
         explore(&prog, "main", state(), cfg)
     };
@@ -159,4 +166,66 @@ fn disabled_journal_records_nothing_but_report_still_fills() {
     assert_eq!(r.report.events, 0);
     assert!(r.report.slow_queries.is_empty());
     assert!(r.report.trace_path.is_none());
+}
+
+/// Echoes its argument after a short sleep, so a run over many actions
+/// outlives a small deadline.
+#[derive(Clone, Debug, Default)]
+struct SlowMem;
+impl SymbolicMemory for SlowMem {
+    fn execute_action(
+        self,
+        _: &str,
+        arg: &Expr,
+        _: &PathCondition,
+        _: &Solver,
+    ) -> Vec<SymBranch<Self>> {
+        std::thread::sleep(Duration::from_millis(5));
+        vec![SymBranch::ok(SlowMem, arg.clone())]
+    }
+}
+
+/// A deadline hit is journaled against the path that was about to step
+/// when it fired, and that path is parked in the result as truncated.
+#[test]
+fn deadline_hit_names_a_recorded_path() {
+    // Six forks, each followed by a slow action: 126 actions, far more
+    // than the deadline admits, and the deadline fires below the root.
+    let mut body = Vec::new();
+    for i in 0..6u32 {
+        let x = format!("x{i}");
+        body.push(Cmd::isym(&x, i));
+        body.push(Cmd::IfGoto(Expr::pvar(&x).lt(Expr::int(0)), body.len() + 1));
+        body.push(Cmd::Action {
+            lhs: "r".into(),
+            name: "slow".into(),
+            arg: Expr::int(0),
+        });
+    }
+    body.push(Cmd::Return(Expr::int(0)));
+    let prog = Prog::from_procs([Proc::new("main", [], body)]);
+    let journal = Journal::enabled();
+    let cfg = ExploreConfig {
+        workers: 1,
+        journal: journal.clone(),
+        ..Default::default()
+    }
+    .with_deadline(Duration::from_millis(40));
+    let state = SymbolicState::<SlowMem>::new(Arc::new(Solver::optimized()));
+    let r = explore_with(&prog, "main", state, cfg);
+    assert!(r.diagnostics.deadline_hits > 0, "the deadline never fired");
+    let events = journal.last_run();
+    let hits: Vec<&Vec<u32>> = events
+        .iter()
+        .filter_map(|rec| match &rec.event {
+            Event::DeadlineHit { path } => Some(path),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(hits.len(), 1, "one worker hits the deadline once");
+    assert!(
+        r.paths.iter().any(|p| &p.trace == hits[0]),
+        "the deadline hit names {:?}, which the run did not record",
+        hits[0]
+    );
 }

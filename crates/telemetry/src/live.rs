@@ -1,6 +1,6 @@
 //! Live mode: periodic snapshot-delta frames for a running exploration.
 //!
-//! When `GILLIAN_LIVE=path.jsonl` is set, both engines emit one JSON
+//! When `GILLIAN_LIVE=path.jsonl` is set, every exploration emits one JSON
 //! frame roughly every `GILLIAN_LIVE_EVERY_MS` (default 250ms) with the
 //! run's progress — finished paths, frontier size/depth, commands,
 //! paths/sec over the last frame interval — plus the nonzero **counter
@@ -9,8 +9,9 @@
 //! dashboard; the frame schema ([`LIVE_SCHEMA`]) is the precursor of the
 //! future service-mode event stream, so it is versioned and validated.
 //!
-//! Disabled (the default) costs one `Option` branch per engine loop
-//! iteration; no clock is read and nothing is written.
+//! Disabled (the default) costs one `Option` branch per exploration
+//! round; no sampler thread is spawned, no clock is read and nothing is
+//! written.
 //!
 //! Frame schema (`gillian-live-v1`), one JSON object per line:
 //!
@@ -68,9 +69,9 @@ fn env_config() -> &'static (Option<String>, u64) {
     })
 }
 
-/// The live JSONL sink of one exploration run. Owned by the engine (or
-/// by the parallel engine's sampler thread); frames are flushed as they
-/// are written so tailing tools see them promptly.
+/// The live JSONL sink of one exploration run, ticked by the engine's
+/// sampler thread; frames are flushed as they are written so tailing
+/// tools see them promptly.
 #[derive(Debug)]
 pub struct LiveSink {
     file: std::fs::File,

@@ -122,7 +122,7 @@ impl LangActionRow {
 pub struct Report {
     /// Wall-clock time of the run (µs).
     pub wall_micros: u64,
-    /// Workers the run used (1 for the serial explorer).
+    /// Workers the run used (1 when it ran inline on the calling thread).
     pub workers: u32,
     /// This run's metric deltas (histograms are process-wide over the
     /// run's wall-clock window; counters likewise).

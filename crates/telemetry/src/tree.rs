@@ -12,7 +12,7 @@
 //! and per-procedure aggregation answers *in whose code*.
 //!
 //! Because path ids are schedule-independent, the tree a 4-worker run
-//! reconstructs is the same tree the serial engine produces — node
+//! reconstructs is the same tree a one-worker run produces — node
 //! stats differ only in wall-clock timings.
 
 use crate::journal::{path_string, Event, EventRecord, PathId};
@@ -99,8 +99,8 @@ impl Default for TreeNode {
 
 impl TreeNode {
     /// The subtree's observed wall-clock span (µs): last attributed
-    /// event minus first. Spans of sibling subtrees overlap under the
-    /// parallel engine — they are windows, not a partition.
+    /// event minus first. Spans of sibling subtrees overlap when several
+    /// workers run — they are windows, not a partition.
     pub fn span_micros(&self) -> u64 {
         if self.first_ts == u64::MAX {
             0
