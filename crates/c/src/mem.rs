@@ -36,7 +36,7 @@
 
 use crate::chunks::{Chunk, ChunkKind};
 use crate::values::POISON;
-use gillian_core::memory::{successors, ConcreteMemory, SymBranch, SymbolicMemory};
+use gillian_core::memory::{literal_gate, successors, ConcreteMemory, SymBranch, SymbolicMemory};
 use gillian_gil::ops::eval_unop;
 use gillian_gil::{Expr, LVar, Sym, UnOp, Value};
 use gillian_solver::{PathCondition, Solver};
@@ -855,25 +855,6 @@ fn push_branch<M>(
     }
 }
 
-/// The one decision probe a literal fast path keeps: the surviving
-/// branch's constraint is the literal `true`, so `push_branch` would gate
-/// it on `sat(pc ∧ true)` — and since `simplify(pc, true)` is the
-/// identity and [`PathCondition::push`] drops literal `true`, that query
-/// is *exactly* `sat(pc)`, issued here without the clone-and-push
-/// round-trip. An unsat path condition yields the same empty branch set
-/// as the general path.
-fn literal_gate<M>(
-    pc: &PathCondition,
-    solver: &Solver,
-    branches: Vec<SymBranch<M>>,
-) -> Vec<SymBranch<M>> {
-    if solver.check_sat(pc).possibly_sat() {
-        branches
-    } else {
-        Vec::new()
-    }
-}
-
 /// `simplify(pc, decode_expr(v, chunk))` with the solver round-trip
 /// skipped when it is provably the identity: literals and bare logical
 /// variables are fixpoints of the simplifier, and a literal under a wrap
@@ -1673,12 +1654,17 @@ impl SymbolicMemory for CSymMemory {
 /// Removes runs with *concrete* bases that overlap a write of `size` bytes
 /// at `base` (when `base` is concrete). Symbolic partial overlaps are the
 /// documented limitation.
+///
+/// A run is at most `u8::MAX` bytes long, so only runs starting in
+/// `[lo − u8::MAX + 1, hi)` can overlap `[lo, hi)`; integer literals are
+/// contiguous in the `Expr` order, so those are one range query.
 fn remove_concrete_overlaps(blk: &mut SymBlock, base: &Expr, size: u8) {
     let Some(lo) = base.as_int() else { return };
-    let hi = lo + size as i64;
+    let hi = lo.saturating_add(size as i64);
+    let from = lo.saturating_sub(u8::MAX as i64 - 1);
     let starts: Vec<(i64, u8)> = blk
         .cells
-        .iter()
+        .range(Expr::int(from)..Expr::int(hi))
         .filter_map(|(off, (_, k, n))| {
             let o = off.as_int()?;
             (*k == 0).then_some((o, *n))
@@ -2125,8 +2111,67 @@ mod tests {
         ]
     }
 
+    /// The definition the range query replaced: every run start of the
+    /// block is checked for overlap.
+    fn scan_remove_concrete_overlaps(blk: &mut SymBlock, base: &Expr, size: u8) {
+        let Some(lo) = base.as_int() else { return };
+        let hi = lo + size as i64;
+        let starts: Vec<(i64, u8)> = blk
+            .cells
+            .iter()
+            .filter_map(|(off, (_, k, n))| {
+                let o = off.as_int()?;
+                (*k == 0).then_some((o, *n))
+            })
+            .collect();
+        for (start, n) in starts {
+            if start < hi && start + n as i64 > lo {
+                for i in 0..n as i64 {
+                    blk.cells.remove(&Expr::int(start + i));
+                }
+            }
+        }
+    }
+
+    /// Cells of well-formed and ill-formed runs: offsets reaching one
+    /// maximal run below the write, chunk-sized and maximal run lengths.
+    fn arb_cell() -> impl Strategy<Value = (Expr, u8, u8)> {
+        let offset = prop_oneof![
+            4 => (-4i64..24).prop_map(Expr::int),
+            2 => (-300i64..-240).prop_map(Expr::int),
+            1 => arb_offset(),
+        ];
+        let len = prop_oneof![
+            3 => proptest::sample::select(vec![1u8, 2, 4, 8]),
+            1 => 250u8..=255,
+            1 => any::<u8>(),
+        ];
+        (offset, 0u8..3, len)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn overlap_range_query_matches_full_scan(
+            cells in proptest::collection::vec(arb_cell(), 0..24),
+            base in prop_oneof![4 => (-8i64..20).prop_map(Expr::int), 1 => arb_offset()],
+            size in proptest::sample::select(vec![1u8, 2, 4, 8]),
+        ) {
+            let mut blk = SymBlock {
+                size: 16,
+                perm: perm::FREEABLE,
+                freed: false,
+                cells: BTreeMap::new(),
+            };
+            for (off, k, n) in cells {
+                blk.cells.insert(off, (Expr::int(0), k, n));
+            }
+            let mut expected = blk.clone();
+            scan_remove_concrete_overlaps(&mut expected, &base, size);
+            remove_concrete_overlaps(&mut blk, &base, size);
+            prop_assert_eq!(blk, expected);
+        }
 
         #[test]
         fn last_offset_test_matches_full_scan(

@@ -142,6 +142,26 @@ pub fn successors<M: Clone, E>(
         .collect()
 }
 
+/// The one decision probe a literal fast path in
+/// [`SymbolicMemory::execute_action_coded`] keeps. Its branches'
+/// constraints are the literal `true`, which the general path would gate
+/// on `sat_with(pc, true)`. That is exactly the query `sat(pc)`, because
+/// `simplify(pc, true)` is the identity and [`PathCondition::push`] drops
+/// literal `true`; so solver query counts and cache state stay those of
+/// the general path. An unsat path condition yields the same empty branch
+/// set as the general path.
+pub fn literal_gate<M>(
+    pc: &PathCondition,
+    solver: &Solver,
+    branches: Vec<SymBranch<M>>,
+) -> Vec<SymBranch<M>> {
+    if solver.check_sat(pc).possibly_sat() {
+        branches
+    } else {
+        Vec::new()
+    }
+}
+
 /// A symbolic memory model `M̂ = ⟨|M̂|, A, êa⟩` (Def. 2.4).
 ///
 /// `Send` is a supertrait because symbolic states (which own their memory)
@@ -187,8 +207,11 @@ pub trait SymbolicMemory: Clone + std::fmt::Debug + Default + Send {
     /// the default delegates. Implementations may use the pre-resolved
     /// code to skip string dispatch and take literal-argument fast paths
     /// that are unreachable from the tree-walk backend (keeping that
-    /// backend a byte-identical differential reference). Consumes the
-    /// memory like [`SymbolicMemory::execute_action`].
+    /// backend a byte-identical differential reference). The While,
+    /// MiniJS and MiniC memories all do: when the address and every
+    /// location it could alias are literals, they resolve the action by
+    /// map lookup and keep only the general path's one `sat(pc)` query
+    /// ([`literal_gate`]). Consumes the memory like [`SymbolicMemory::execute_action`].
     fn execute_action_coded(
         self,
         _code: u16,

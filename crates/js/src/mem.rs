@@ -21,7 +21,7 @@
 //! under the conjunction of the disequalities.
 
 use crate::values::undefined_expr;
-use gillian_core::memory::{successors, ConcreteMemory, SymBranch, SymbolicMemory};
+use gillian_core::memory::{literal_gate, successors, ConcreteMemory, SymBranch, SymbolicMemory};
 use gillian_gil::{Expr, LVar, Value};
 use gillian_solver::{PathCondition, Solver};
 use std::collections::{BTreeMap, BTreeSet};
@@ -569,25 +569,6 @@ impl JsSymMemory {
             }
             Some(None) => self.literal_not_obj("setMeta", el, pc, solver),
         })
-    }
-}
-
-/// The one decision probe a literal fast path keeps: the surviving
-/// branch's constraint is the literal `true`, so `push_branch` would gate
-/// it on `sat(pc ∧ true)` — and since `simplify(pc, true)` is the
-/// identity and `PathCondition::push` drops literal `true`, that query
-/// is *exactly* `sat(pc)`, issued here without the clone-and-push
-/// round-trip. An unsat path condition yields the same empty branch set
-/// as the general path.
-fn literal_gate<M>(
-    pc: &PathCondition,
-    solver: &Solver,
-    branches: Vec<SymBranch<M>>,
-) -> Vec<SymBranch<M>> {
-    if solver.check_sat(pc).possibly_sat() {
-        branches
-    } else {
-        Vec::new()
     }
 }
 

@@ -27,14 +27,14 @@ impl MemoryInterpretation for WhileInterpretation {
 
     fn interpret(&self, model: &Model, sym: &WhileSymMemory) -> Result<WhileConcMemory, String> {
         let mut out = WhileConcMemory::default();
-        for ((loc_e, prop), val_e) in sym.cells() {
+        for (loc_e, prop, val_e) in sym.cells() {
             let loc = model
                 .eval(loc_e)
                 .map_err(|e| format!("I_W: location {loc_e} uninterpretable: {e}"))?;
             let val = model
                 .eval(val_e)
                 .map_err(|e| format!("I_W: value {val_e} uninterpretable: {e}"))?;
-            if out.insert(loc.clone(), prop.as_ref(), val).is_some() {
+            if out.insert(loc.clone(), prop, val).is_some() {
                 return Err(format!(
                     "I_W: cells collapse onto {loc}.{prop} (⊎ violated)"
                 ));

@@ -10,9 +10,28 @@
 //! `lookup`/`mutate` branch over the locations the address may alias
 //! (rules `S-Lookup` and `S-Mutate-{Present,Absent}` of Fig. 3), learning
 //! the corresponding equalities/disequalities into the path condition.
+//!
+//! ## Key order
+//!
+//! The symbolic memory keys its cells `(property, location)`: a
+//! property's cells are contiguous, so the locations defining it are one
+//! range walk from `(p, Expr::LEAST)`, in ascending location order, and
+//! within them the literal locations come before the symbolic ones.
+//!
+//! ## Coded fast paths
+//!
+//! `execute_action_coded` (the bytecode backend) resolves `lookup` and
+//! `mutate` without alias branching when the address is a literal and no
+//! symbolic location defines the property. Every equality the general
+//! path would build then folds to a literal, so the branch set is fixed
+//! by a map lookup; the one solver query the general path still issues,
+//! `sat(pc ∧ true)`, is kept through `gillian_core::memory::literal_gate`.
+//! Anything else, and every `dispose`, takes the general path. The
+//! tree-walk `execute_action` never takes a fast path and is the
+//! byte-identical reference the fast paths are tested against.
 
 use gillian_core::checkpoint::StateIoError;
-use gillian_core::memory::{successors, ConcreteMemory, SymBranch, SymbolicMemory};
+use gillian_core::memory::{literal_gate, successors, ConcreteMemory, SymBranch, SymbolicMemory};
 use gillian_gil::serial::{self, ByteReader, Decoder, Encoder};
 use gillian_gil::{Expr, Value};
 use gillian_solver::{PathCondition, Solver};
@@ -97,11 +116,20 @@ impl ConcreteMemory for WhileConcMemory {
     }
 }
 
-/// A symbolic While memory: `(location expression, property) ⇀ expression`
-/// (copy-on-write behind an [`Arc`]).
+/// Dense codes for the While actions with a literal fast path, used by
+/// the bytecode backend's per-site inline caches (`gillian_core::exec`).
+/// `dispose` has none and stays on the general path.
+mod code {
+    pub const LOOKUP: u16 = 0;
+    pub const MUTATE: u16 = 1;
+}
+
+/// A symbolic While memory: `(property, location expression) ⇀
+/// expression` (copy-on-write behind an [`Arc`]; key order in the module
+/// docs).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct WhileSymMemory {
-    cells: Arc<BTreeMap<(Expr, Arc<str>), Expr>>,
+    cells: Arc<BTreeMap<(Arc<str>, Expr), Expr>>,
 }
 
 impl WhileSymMemory {
@@ -117,27 +145,29 @@ impl WhileSymMemory {
 
     /// Direct cell insertion (for tests).
     pub fn insert(&mut self, loc: Expr, prop: impl AsRef<str>, value: Expr) -> Option<Expr> {
-        Arc::make_mut(&mut self.cells).insert((loc, Arc::from(prop.as_ref())), value)
+        Arc::make_mut(&mut self.cells).insert((Arc::from(prop.as_ref()), loc), value)
     }
 
-    /// Iterates over cells in canonical order (used by the interpretation
-    /// function `I_W`).
-    pub fn cells(&self) -> impl Iterator<Item = (&(Expr, Arc<str>), &Expr)> {
-        self.cells.iter()
-    }
-
-    /// The locations that define property `p`.
-    fn locs_with(&self, prop: &str) -> Vec<Expr> {
+    /// Iterates over the `(location, property, value)` cells, grouped by
+    /// property (used by the interpretation function `I_W`).
+    pub fn cells(&self) -> impl Iterator<Item = (&Expr, &str, &Expr)> {
         self.cells
-            .keys()
-            .filter(|(_, p)| p.as_ref() == prop)
-            .map(|(l, _)| l.clone())
+            .iter()
+            .map(|((prop, loc), value)| (loc, prop.as_ref(), value))
+    }
+
+    /// The locations that define property `p`, in ascending order.
+    fn locs_with(&self, prop: &Arc<str>) -> Vec<Expr> {
+        self.cells
+            .range((prop.clone(), Expr::LEAST)..)
+            .take_while(|((p, _), _)| p == prop)
+            .map(|((_, l), _)| l.clone())
             .collect()
     }
 
     /// All distinct locations in the memory.
     fn locs(&self) -> Vec<Expr> {
-        let mut out: Vec<Expr> = self.cells.keys().map(|(l, _)| l.clone()).collect();
+        let mut out: Vec<Expr> = self.cells.keys().map(|(_, l)| l.clone()).collect();
         out.sort();
         out.dedup();
         out
@@ -147,9 +177,131 @@ impl WhileSymMemory {
         match edit {
             Edit::Keep => {}
             Edit::Put(loc, prop, value) => {
-                Arc::make_mut(&mut self.cells).insert((loc, prop), value);
+                Arc::make_mut(&mut self.cells).insert((prop, loc), value);
             }
-            Edit::Dispose(loc) => Arc::make_mut(&mut self.cells).retain(|(l, _), _| l != &loc),
+            Edit::Dispose(loc) => Arc::make_mut(&mut self.cells).retain(|(_, l), _| l != &loc),
+        }
+    }
+
+    // ---- literal fast paths (bytecode backend only) -----------------
+    //
+    // A map hit is the decision the general path's folded `el = loc`
+    // makes: `eval_binop(Eq)` is `Value`'s derived equality, which the
+    // map's order agrees with. Each helper owns the memory: the one
+    // branch it builds takes `self` (a write mutates it in place), and
+    // `Err(self)` hands it back untouched for the general path.
+
+    /// The cell key of a literal address for property `prop`, or `None`
+    /// when a symbolic location defines `prop`: those sort after the
+    /// literal ones, so one probe at `(prop, Expr::least_symbolic())`
+    /// finds the first if there is one.
+    fn literal_key(&self, el: &Value, prop: &Arc<str>) -> Option<(Arc<str>, Expr)> {
+        let first_symbolic = self
+            .cells
+            .range((prop.clone(), Expr::least_symbolic().clone())..)
+            .next();
+        if first_symbolic.is_some_and(|((p, _), _)| p == prop) {
+            return None;
+        }
+        Some((prop.clone(), Expr::Val(el.clone())))
+    }
+
+    fn fast_lookup(
+        self,
+        arg: &Expr,
+        pc: &PathCondition,
+        solver: &Solver,
+    ) -> Result<Vec<SymBranch<Self>>, Self> {
+        let Some(args) = ArgList::of(arg, 2) else {
+            return Err(self);
+        };
+        let Some((el, prop)) = args.literal(0).zip(args.prop(1)) else {
+            return Err(self);
+        };
+        let Some(key) = self.literal_key(el, prop) else {
+            return Err(self);
+        };
+        let branch = match self.cells.get(&key) {
+            Some(value) => {
+                let value = value.clone();
+                SymBranch::ok_if(self, value, Expr::tt())
+            }
+            None => {
+                let msg = format!("lookup: no property {prop} at {}", key.1);
+                SymBranch::err_if(self, Expr::str(msg), Expr::tt())
+            }
+        };
+        Ok(literal_gate(pc, solver, vec![branch]))
+    }
+
+    fn fast_mutate(
+        mut self,
+        arg: &Expr,
+        pc: &PathCondition,
+        solver: &Solver,
+    ) -> Result<Vec<SymBranch<Self>>, Self> {
+        let Some(args) = ArgList::of(arg, 3) else {
+            return Err(self);
+        };
+        let Some((el, prop)) = args.literal(0).zip(args.prop(1)) else {
+            return Err(self);
+        };
+        let Some(key) = self.literal_key(el, prop) else {
+            return Err(self);
+        };
+        // Present overwrites in place; absent extends.
+        let value = args.expr(2);
+        Arc::make_mut(&mut self.cells).insert(key, value.clone());
+        Ok(literal_gate(
+            pc,
+            solver,
+            vec![SymBranch::ok_if(self, value, Expr::tt())],
+        ))
+    }
+}
+
+/// An action's argument list, borrowed rather than copied out: the
+/// bytecode evaluator folds an all-literal list into one `Value::List`,
+/// any other list stays an `Expr::List`.
+enum ArgList<'a> {
+    Exprs(&'a [Expr]),
+    Values(&'a [Value]),
+}
+
+impl<'a> ArgList<'a> {
+    /// The `n` elements of `arg`, if it is an `n`-element list.
+    fn of(arg: &'a Expr, n: usize) -> Option<Self> {
+        match arg {
+            Expr::List(es) if es.len() == n => Some(ArgList::Exprs(es)),
+            Expr::Val(Value::List(vs)) if vs.len() == n => Some(ArgList::Values(vs)),
+            _ => None,
+        }
+    }
+
+    /// Element `i`, if it is a literal.
+    fn literal(&self, i: usize) -> Option<&'a Value> {
+        match self {
+            ArgList::Exprs(es) => match &es[i] {
+                Expr::Val(v) => Some(v),
+                _ => None,
+            },
+            ArgList::Values(vs) => Some(&vs[i]),
+        }
+    }
+
+    /// Element `i`, if it is a literal string (a property name).
+    fn prop(&self, i: usize) -> Option<&'a Arc<str>> {
+        match self.literal(i)? {
+            Value::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// Element `i` as an expression.
+    fn expr(&self, i: usize) -> Expr {
+        match self {
+            ArgList::Exprs(es) => es[i].clone(),
+            ArgList::Values(vs) => Expr::Val(vs[i].clone()),
         }
     }
 }
@@ -197,7 +349,7 @@ impl SymbolicMemory for WhileSymMemory {
         serial::put_len(out, self.cells.len(), "while memory cells")?;
         // BTreeMap iteration is canonical order, so equal memories encode
         // to equal bytes.
-        for ((loc, prop), value) in self.cells.iter() {
+        for ((prop, loc), value) in self.cells.iter() {
             enc.write_expr(out, loc)?;
             serial::put_str(out, prop)?;
             enc.write_expr(out, value)?;
@@ -212,11 +364,35 @@ impl SymbolicMemory for WhileSymMemory {
             let loc = dec.read_expr(r)?;
             let prop: Arc<str> = Arc::from(r.str()?);
             let value = dec.read_expr(r)?;
-            cells.insert((loc, prop), value);
+            cells.insert((prop, loc), value);
         }
         Ok(WhileSymMemory {
             cells: Arc::new(cells),
         })
+    }
+
+    fn action_code(&self, name: &str) -> Option<u16> {
+        Some(match name {
+            "lookup" => code::LOOKUP,
+            "mutate" => code::MUTATE,
+            _ => return None,
+        })
+    }
+
+    fn execute_action_coded(
+        self,
+        code: u16,
+        name: &str,
+        arg: &Expr,
+        pc: &PathCondition,
+        solver: &Solver,
+    ) -> Vec<SymBranch<Self>> {
+        let fast = match code {
+            code::LOOKUP => self.fast_lookup(arg, pc, solver),
+            code::MUTATE => self.fast_mutate(arg, pc, solver),
+            _ => Err(self),
+        };
+        fast.unwrap_or_else(|mem| mem.execute_action(name, arg, pc, solver))
     }
 
     fn execute_action(
@@ -244,7 +420,7 @@ impl SymbolicMemory for WhileSymMemory {
                 for loc in self.locs_with(&prop) {
                     let eq = solver.simplify(pc, &el.clone().eq(loc.clone()));
                     if eq.as_bool() != Some(false) && solver.sat_with(pc, &eq).possibly_sat() {
-                        let value = self.cells[&(loc.clone(), prop.clone())].clone();
+                        let value = self.cells[&(prop.clone(), loc.clone())].clone();
                         branches.push(SymBranch::ok_if(Edit::Keep, value, eq));
                     }
                     none_of = none_of.and(el.clone().ne(loc));
@@ -317,7 +493,7 @@ impl SymbolicMemory for WhileSymMemory {
 
     fn lvars(&self) -> std::collections::BTreeSet<gillian_gil::LVar> {
         let mut out = std::collections::BTreeSet::new();
-        for ((loc, _), val) in self.cells.iter() {
+        for ((_, loc), val) in self.cells.iter() {
             out.extend(loc.lvars());
             out.extend(val.lvars());
         }
@@ -329,6 +505,7 @@ impl SymbolicMemory for WhileSymMemory {
 mod tests {
     use super::*;
     use gillian_gil::{LVar, Sym};
+    use proptest::prelude::*;
 
     fn sym(i: u64) -> Value {
         Value::Sym(Sym(Sym::FIRST_FRESH + i))
@@ -491,5 +668,195 @@ mod tests {
         let branches = m.clone().execute_action("dispose", &l, &pc, &solver);
         assert!(branches[0].memory.is_empty());
         assert_eq!(m, snapshot);
+    }
+
+    // ---- coded fast paths ------------------------------------------
+
+    /// Runs `name` as the bytecode backend does: through the coded entry
+    /// point when the action has a code.
+    fn coded(
+        m: WhileSymMemory,
+        name: &str,
+        arg: &Expr,
+        pc: &PathCondition,
+        solver: &Solver,
+    ) -> Vec<SymBranch<WhileSymMemory>> {
+        match m.action_code(name) {
+            Some(code) => m.execute_action_coded(code, name, arg, pc, solver),
+            None => m.execute_action(name, arg, pc, solver),
+        }
+    }
+
+    #[test]
+    fn literal_mutate_writes_in_place() {
+        let solver = Solver::optimized();
+        let pc = PathCondition::new();
+        let mut m = WhileSymMemory::default();
+        let l = Expr::Val(sym(0));
+        m.insert(l.clone(), "a", Expr::int(1));
+        let cells = Arc::as_ptr(&m.cells);
+        let branches = coded(m, "mutate", &mutate(&l, 2), &pc, &solver);
+        assert_eq!(branches.len(), 1);
+        assert_eq!(branches[0].outcome, Ok(Expr::int(2)));
+        assert_eq!(Arc::as_ptr(&branches[0].memory.cells), cells);
+        assert_eq!(solver.stats().simplifications, 0, "no alias decision");
+        assert_eq!(solver.stats().sat_queries, 1, "the one literal gate");
+    }
+
+    #[test]
+    fn symbolic_location_of_another_property_keeps_the_fast_path() {
+        let solver = Solver::optimized();
+        let pc = PathCondition::new();
+        let mut m = WhileSymMemory::default();
+        let l = Expr::Val(sym(0));
+        m.insert(l.clone(), "a", Expr::int(1));
+        m.insert(Expr::lvar(LVar(0)), "b", Expr::int(2));
+        let lookup = Expr::list([l.clone(), Expr::str("a")]);
+        let branches = coded(m.clone(), "lookup", &lookup, &pc, &solver);
+        assert_eq!(branches.len(), 1);
+        assert_eq!(branches[0].outcome, Ok(Expr::int(1)));
+        let branches = coded(m, "mutate", &mutate(&l, 3), &pc, &solver);
+        assert_eq!(branches.len(), 1);
+        assert_eq!(solver.stats().simplifications, 0, "no alias decision");
+    }
+
+    #[test]
+    fn symbolic_location_of_this_property_takes_the_general_path() {
+        let solver = Solver::optimized();
+        let pc = PathCondition::new();
+        let mut m = WhileSymMemory::default();
+        let l = Expr::Val(sym(0));
+        m.insert(l.clone(), "a", Expr::int(1));
+        m.insert(Expr::lvar(LVar(0)), "a", Expr::int(2));
+        let lookup = Expr::list([l.clone(), Expr::str("a")]);
+        let branches = coded(m.clone(), "lookup", &lookup, &pc, &solver);
+        assert!(solver.stats().simplifications > 0, "alias decision ran");
+        // One branch per location: l itself, and x under x = l.
+        assert_eq!(branches.len(), 2, "{branches:?}");
+    }
+
+    /// The solver counters both legs must agree on (the general path
+    /// also simplifies, so simplification counts differ by design).
+    fn query_counts(solver: &Solver) -> [u64; 6] {
+        let s = solver.stats();
+        [
+            s.sat_queries,
+            s.cache_hits,
+            s.sat_unknowns,
+            s.incremental_hits,
+            s.implication_hits,
+            s.model_searches,
+        ]
+    }
+
+    /// Literal `Sym` locations and a few logical variables.
+    fn arb_loc() -> impl Strategy<Value = Expr> {
+        prop_oneof![
+            4 => (0u64..4).prop_map(|i| Expr::Val(sym(i))),
+            1 => (0u64..2).prop_map(|i| Expr::lvar(LVar(i))),
+        ]
+    }
+
+    /// Addresses: the locations above, plus a literal that is no location.
+    fn arb_addr() -> impl Strategy<Value = Expr> {
+        prop_oneof![
+            5 => arb_loc(),
+            1 => Just(Expr::int(7)),
+        ]
+    }
+
+    fn arb_prop() -> impl Strategy<Value = &'static str> {
+        proptest::sample::select(vec!["a", "b", "c"])
+    }
+
+    fn arb_value() -> impl Strategy<Value = Expr> {
+        prop_oneof![
+            3 => (0i64..3).prop_map(Expr::int),
+            1 => (0u64..2).prop_map(|i| Expr::lvar(LVar(i)).add(Expr::int(1))),
+        ]
+    }
+
+    /// An argument list as the evaluators build it: all-literal lists
+    /// folded into one `Value::List` when `fold` is set, as the bytecode
+    /// backend does.
+    fn arg_list(parts: Vec<Expr>, fold: bool) -> Expr {
+        let values: Option<Vec<Value>> = parts
+            .iter()
+            .map(|e| match e {
+                Expr::Val(v) => Some(v.clone()),
+                _ => None,
+            })
+            .collect();
+        match values {
+            Some(vs) if fold => Expr::Val(Value::List(vs)),
+            _ => Expr::list(parts),
+        }
+    }
+
+    /// `(action, argument)`: well-formed actions plus a few malformed ones
+    /// (a non-string property, a wrong arity), which take the error path.
+    fn arb_action() -> impl Strategy<Value = (&'static str, Expr)> {
+        prop_oneof![
+            4 => (arb_addr(), arb_prop(), any::<bool>()).prop_map(|(l, p, fold)| {
+                ("lookup", arg_list(vec![l, Expr::str(p)], fold))
+            }),
+            4 => (arb_addr(), arb_prop(), arb_value(), any::<bool>()).prop_map(
+                |(l, p, v, fold)| ("mutate", arg_list(vec![l, Expr::str(p), v], fold))
+            ),
+            2 => arb_addr().prop_map(|l| ("dispose", l)),
+            1 => (arb_addr(), any::<bool>()).prop_map(|(l, fold)| {
+                ("lookup", arg_list(vec![l, Expr::int(0)], fold))
+            }),
+            1 => arb_addr().prop_map(|l| ("mutate", arg_list(vec![l], false))),
+        ]
+    }
+
+    /// Path condition `i`: none, pinning or excluding an alias, unsat.
+    /// Each leg builds its own: a path condition carries solve contexts,
+    /// which a shared one would carry from the first leg to the second.
+    fn pc_of(i: u8) -> PathCondition {
+        let mut pc = PathCondition::new();
+        let x = Expr::lvar(LVar(0));
+        match i {
+            0 => {}
+            1 => pc.push(x.eq(Expr::Val(sym(0)))),
+            2 => pc.push(x.ne(Expr::Val(sym(1)))),
+            _ => pc.push(Expr::ff()),
+        }
+        pc
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn coded_actions_match_the_general_path(
+            cells in proptest::collection::vec((arb_loc(), arb_prop(), arb_value()), 0..7),
+            actions in proptest::collection::vec(arb_action(), 1..5),
+            pc in 0u8..4,
+        ) {
+            let mut m = WhileSymMemory::default();
+            for (l, p, v) in cells {
+                m.insert(l, p, v);
+            }
+            // Each action runs on one successor of the last (the first
+            // branch's memory), so later actions see written heaps.
+            for (name, arg) in actions {
+                let (general_solver, coded_solver) = (Solver::optimized(), Solver::optimized());
+                let general = m.clone().execute_action(name, &arg, &pc_of(pc), &general_solver);
+                let fast = coded(m.clone(), name, &arg, &pc_of(pc), &coded_solver);
+                prop_assert_eq!(general.len(), fast.len());
+                for (g, c) in general.iter().zip(&fast) {
+                    prop_assert_eq!(&g.outcome, &c.outcome);
+                    prop_assert_eq!(&g.constraint, &c.constraint);
+                    prop_assert_eq!(&g.memory, &c.memory);
+                }
+                prop_assert_eq!(query_counts(&general_solver), query_counts(&coded_solver));
+                match fast.into_iter().next() {
+                    Some(b) => m = b.memory,
+                    None => break,
+                }
+            }
+        }
     }
 }

@@ -5,13 +5,19 @@
 //! fragment; this one makes sure compiled action arguments — the lists
 //! the bytecode evaluator folds in value space — reach the While memory
 //! model bit-for-bit, across DFS/BFS and serial/parallel exploration.
+//! The While literal fast paths (`execute_action_coded`) are reachable
+//! only from the bytecode backend, so this battery also pins them to the
+//! general actions: identical `(trace, outcome kind, cmds)` sets and, per
+//! path, an equal outcome value and final memory.
 
-use gillian_core::explore::{explore_with, ExploreConfig, ExploreResult, SearchStrategy};
+use gillian_core::explore::{
+    explore_with, ExploreConfig, ExploreOutcome, ExploreResult, SearchStrategy,
+};
 use gillian_core::generate::{build_prog, gen_ops, MemDialect, Rng};
 use gillian_core::symbolic::SymbolicState;
+use gillian_gil::Expr;
 use gillian_solver::Solver;
 use gillian_while::WhileSymMemory;
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 type St = SymbolicState<WhileSymMemory>;
@@ -23,12 +29,24 @@ fn env_u64(name: &str, default: u64) -> u64 {
         .unwrap_or(default)
 }
 
-fn path_set(result: &ExploreResult<St>) -> BTreeSet<(Vec<u32>, String, u64)> {
-    result
+/// A path's `(trace, outcome kind, cmds)`.
+type PathKey = (Vec<u32>, String, u64);
+
+/// The paths of a run in trace order: `(trace, outcome kind, cmds)`, the
+/// outcome and the final memory.
+fn sorted_paths(
+    result: &ExploreResult<St>,
+) -> Vec<(PathKey, &ExploreOutcome<Expr>, &WhileSymMemory)> {
+    let mut out: Vec<_> = result
         .paths
         .iter()
-        .map(|p| (p.trace.clone(), p.outcome.kind().to_string(), p.cmds))
-        .collect()
+        .map(|p| {
+            let key = (p.trace.clone(), p.outcome.kind().to_string(), p.cmds);
+            (key, &p.outcome, &p.state.memory)
+        })
+        .collect();
+    out.sort_by(|a, b| a.0.cmp(&b.0));
+    out
 }
 
 fn config(strategy: SearchStrategy, workers: usize, bytecode: bool) -> ExploreConfig {
@@ -61,12 +79,21 @@ fn run_battery(strategy: SearchStrategy, workers: usize, salt: u64) {
             St::new(solver.clone()),
             config(strategy, workers, true),
         );
+        let (tree_paths, byte_paths) = (sorted_paths(&tree), sorted_paths(&byte));
+        let tree_keys: Vec<_> = tree_paths.iter().map(|(k, ..)| k).collect();
+        let byte_keys: Vec<_> = byte_paths.iter().map(|(k, ..)| k).collect();
         assert_eq!(
-            path_set(&tree),
-            path_set(&byte),
+            tree_keys, byte_keys,
             "seed {seed} ({strategy:?}, {workers} workers): bytecode \
              diverged from tree walk on While memory\nops: {ops:?}"
         );
+        for ((key, t_out, t_mem), (_, b_out, b_mem)) in tree_paths.iter().zip(&byte_paths) {
+            assert_eq!(t_out, b_out, "seed {seed}: outcomes differ on {key:?}");
+            assert_eq!(
+                t_mem, b_mem,
+                "seed {seed}: final memories differ on {key:?}"
+            );
+        }
         assert_eq!(tree.total_cmds, byte.total_cmds, "seed {seed}");
         paths += tree.paths.len();
     }
