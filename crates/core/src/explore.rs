@@ -289,13 +289,9 @@ pub struct ExploreDiagnostics {
     pub unknown_verdicts: u64,
     /// Satisfiability queries answered by extending a frozen per-prefix
     /// solve context instead of re-solving the full conjunction.
-    /// Telemetry only — reuse never changes a verdict — so this does not
-    /// affect [`ExploreDiagnostics::is_clean`].
+    /// Telemetry only, so this does not affect
+    /// [`ExploreDiagnostics::is_clean`].
     pub incremental_hits: u64,
-    /// Satisfiability queries answered by the implication-aware verdict
-    /// index (UNSAT subsets, witnessed SAT supersets/models). Telemetry
-    /// only, like [`ExploreDiagnostics::incremental_hits`].
-    pub implication_hits: u64,
     /// Procedure summaries harvested during this run (clean callee
     /// windows recorded into the solver's summary store). Telemetry only,
     /// like [`ExploreDiagnostics::incremental_hits`]: recording never
@@ -457,19 +453,19 @@ impl Counters {
 }
 
 /// The sentinel's solver counters at run start (unknown verdicts,
-/// incremental and implication hits, summaries recorded and applied) and
+/// incremental hits, summaries recorded and applied) and
 /// the resumed-from diagnostics: what turns a run's engine counters into
 /// its [`ExploreDiagnostics`], mid-run for a checkpoint or at the end.
 struct Baseline {
-    solver: [u64; 5],
+    solver: [u64; 4],
     resumed: ExploreDiagnostics,
 }
 
 impl Baseline {
-    fn solver<S: GilState>(sentinel: &S) -> [u64; 5] {
+    fn solver<S: GilState>(sentinel: &S) -> [u64; 4] {
         let (reuse, summaries) = (sentinel.solver_reuse(), sentinel.summary_stats());
         let unknowns = sentinel.unknown_verdicts();
-        [unknowns, reuse.0, reuse.1, summaries.0, summaries.1]
+        [unknowns, reuse, summaries.0, summaries.1]
     }
 
     fn diagnostics<S: GilState>(
@@ -486,9 +482,8 @@ impl Baseline {
             engine_errors: run.engine_errors + base.engine_errors,
             unknown_verdicts: delta(0) + base.unknown_verdicts,
             incremental_hits: delta(1) + base.incremental_hits,
-            implication_hits: delta(2) + base.implication_hits,
-            summaries_recorded: delta(3) + base.summaries_recorded,
-            summaries_applied: delta(4) + base.summaries_applied,
+            summaries_recorded: delta(2) + base.summaries_recorded,
+            summaries_applied: delta(3) + base.summaries_applied,
             interner: run.interner,
         }
     }

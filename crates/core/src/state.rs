@@ -187,13 +187,13 @@ pub trait GilState: Clone + std::fmt::Debug + Sized {
         0
     }
 
-    /// Monotone counts of `(incremental, implication)` solver-reuse hits
-    /// observed so far by this state's solving machinery. The exploration
-    /// engines diff these across a run for the diagnostics report; they
-    /// are informational only and never affect verdicts. Solver-free
-    /// (concrete) states report `(0, 0)`.
-    fn solver_reuse(&self) -> (u64, u64) {
-        (0, 0)
+    /// Monotone count of incremental solver-reuse hits observed so far
+    /// by this state's solving machinery. The exploration engines diff it
+    /// across a run for the diagnostics report; it is informational only
+    /// and never affects verdicts. Solver-free (concrete) states report
+    /// `0`.
+    fn solver_reuse(&self) -> u64 {
+        0
     }
 
     /// Serializes this state for a frontier checkpoint

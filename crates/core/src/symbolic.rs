@@ -499,9 +499,8 @@ impl<M: SymbolicMemory> GilState for SymbolicState<M> {
         self.solver.stats().sat_unknowns
     }
 
-    fn solver_reuse(&self) -> (u64, u64) {
-        let stats = self.solver.stats();
-        (stats.incremental_hits, stats.implication_hits)
+    fn solver_reuse(&self) -> u64 {
+        self.solver.stats().incremental_hits
     }
 
     /// Layout: store, allocator record, path condition, memory. The

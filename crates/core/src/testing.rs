@@ -266,7 +266,6 @@ pub fn run_suite<M: SymbolicMemory>(
         suite.diagnostics.engine_errors += d.engine_errors;
         suite.diagnostics.unknown_verdicts += d.unknown_verdicts;
         suite.diagnostics.incremental_hits += d.incremental_hits;
-        suite.diagnostics.implication_hits += d.implication_hits;
         suite.diagnostics.interner = suite.diagnostics.interner.merge(&d.interner);
         if outcome.result.truncated {
             suite.truncated.push(entry.clone());

@@ -69,13 +69,11 @@ proptest! {
         }
     }
 
-    /// Incremental solving (per-prefix contexts plus the implication
-    /// index) against a monolithic re-solving solver, across every
-    /// worker count and strategy: DFS, BFS, and the `explore_with` legs.
-    /// The optimization must be invisible — same path conditions, same
-    /// outcomes, same command counts. Unlike the leg above, no deadline
-    /// is armed here, so the implication index is live on every leg
-    /// (an armed deadline marks solves "hurried" and bypasses it).
+    /// Incremental solving (per-prefix contexts) against a monolithic
+    /// re-solving solver, across every worker count and strategy: DFS,
+    /// BFS, and the `explore_with` legs. The optimization must be
+    /// invisible — same path conditions, same outcomes, same command
+    /// counts.
     #[test]
     fn incremental_matches_monolithic_across_engines(
         ops in proptest::collection::vec(op_strategy(), 1..8),
@@ -83,7 +81,6 @@ proptest! {
         let prog = build_prog(&ops);
         let monolithic = SolverConfig {
             incremental: false,
-            implication_caching: false,
             ..SolverConfig::optimized()
         };
         let reference = explore(

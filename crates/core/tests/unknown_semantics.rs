@@ -124,14 +124,7 @@ fn interrupted_incremental_solve_freezes_nothing() {
     use gillian_gil::LVar;
     use gillian_solver::{CancelToken, Interrupt, PathCondition, SatResult};
 
-    // Implication caching off, so the final re-solve below provably goes
-    // through the incremental path (an implication hit would answer from
-    // a witness model without freezing anything, which is also fine but
-    // not what this test pins).
-    let solver = Solver::new(SolverConfig {
-        implication_caching: false,
-        ..SolverConfig::optimized()
-    });
+    let solver = Solver::optimized();
     let x = Expr::lvar(LVar(0));
     // Warm a frozen prefix while the solver is healthy.
     let (verdict, pc) = solver.sat_assume(&PathCondition::new(), &Expr::int(0).le(x.clone()));

@@ -187,7 +187,12 @@ impl IntDomain {
         if ib.lo < 1 && ib.hi > -1 {
             return IntItv::top();
         }
-        // Guard the extreme corner i64::MIN / -1 (overflow).
+        // `i64::MIN / -1` overflows: the quotient is not monotone through
+        // that corner, so the corner hull would exclude every positive
+        // quotient of the neighbouring dividends. No bound there.
+        if ia.lo == i64::MIN && ib.hi == -1 {
+            return IntItv::top();
+        }
         let corners = [
             (ia.lo, ib.lo),
             (ia.lo, ib.hi),
@@ -197,11 +202,7 @@ impl IntDomain {
         let mut lo = i64::MAX;
         let mut hi = i64::MIN;
         for (x, y) in corners {
-            let q = if x == i64::MIN && y == -1 {
-                i64::MIN // wrapping_div result
-            } else {
-                x.wrapping_div(y)
-            };
+            let q = x / y;
             lo = lo.min(q);
             hi = hi.max(q);
         }
@@ -783,6 +784,19 @@ mod division_tests {
         assert!(d.assert_cmp(&x(0), &Expr::int(-1), false));
         let q = Expr::int(6).div(x(0));
         assert_eq!(d.query(&q), IntItv { lo: -6, hi: -2 });
+    }
+
+    #[test]
+    fn overflow_corner_gives_no_bound() {
+        // An unbounded dividend over the divisor -1: `i64::MIN / -1`
+        // wraps, so the corner hull would claim the quotient is never
+        // positive, although `-5 / -1 = 5`.
+        let mut d = IntDomain::new();
+        assert!(d.assert_eq_const(&x(1), -1));
+        let q = x(0).div(x(1));
+        assert_eq!(d.query(&q), IntItv::top());
+        assert!(d.assert_cmp(&Expr::int(1), &q, false));
+        assert!(d.consistent());
     }
 
     #[test]

@@ -139,92 +139,6 @@ pub(crate) struct SearchWork {
     pub(crate) tiers_skipped: u64,
 }
 
-/// Extracts a witness model for the implication index from the
-/// end-of-solve state of a *clean* `Sat` solve.
-///
-/// Unlike [`find_model`], this re-derives nothing: the solve already
-/// computed equality classes and interval domains, so the extraction
-/// reads pinned values from the union-find, picks an endpoint from each
-/// variable's interval (or a type default), and verifies the assignment
-/// with a single evaluation pass over the conjuncts. A failed pick gets
-/// one nudged retry (disequalities often rule out exactly the endpoint);
-/// after that the harvest is skipped — a witness is a bonus the index
-/// can live without, and anything costing a second solve per query
-/// would dominate workloads that never reuse (see `DESIGN.md` §12).
-pub(crate) fn harvest_witness(
-    seed: &crate::ctx::CapturedState,
-    conjuncts: &[Expr],
-) -> Option<Model> {
-    let mut vars: BTreeSet<LVar> = BTreeSet::new();
-    for c in conjuncts {
-        vars.extend(c.lvars());
-    }
-    if vars.is_empty() {
-        let m = Model::default();
-        return m.satisfies(conjuncts).then_some(m);
-    }
-    for nudge in [false, true] {
-        let mut assignment: BTreeMap<LVar, Value> = BTreeMap::new();
-        for &x in &vars {
-            let term = Expr::LVar(x);
-            if let Some(v) = seed.uf.value_of(&term) {
-                assignment.insert(x, v);
-                continue;
-            }
-            let ty = seed.env.get(&x).copied();
-            let v = match ty {
-                None | Some(TypeTag::Int) => {
-                    let itv = seed.ints.query(&term);
-                    if itv.is_empty() {
-                        return None;
-                    }
-                    let base = if itv.lo != i64::MIN {
-                        itv.lo
-                    } else if itv.hi != i64::MAX {
-                        itv.hi
-                    } else {
-                        0
-                    };
-                    let picked = if nudge && base < itv.hi {
-                        base + 1
-                    } else {
-                        base
-                    };
-                    Value::Int(picked)
-                }
-                Some(TypeTag::Num) => {
-                    let itv = seed.nums.query(&term);
-                    if itv.is_empty() {
-                        return None;
-                    }
-                    let base = if itv.lo.is_finite() && itv.hi.is_finite() {
-                        (itv.lo + itv.hi) / 2.0
-                    } else if itv.lo.is_finite() {
-                        itv.lo + 1.0
-                    } else if itv.hi.is_finite() {
-                        itv.hi - 1.0
-                    } else {
-                        0.0
-                    };
-                    Value::num(if nudge { base + 1.0 } else { base })
-                }
-                Some(TypeTag::Bool) => Value::Bool(!nudge),
-                Some(TypeTag::Str) => Value::str(if nudge { "a" } else { "" }),
-                Some(TypeTag::Sym) => Value::Sym(Sym(Sym::FIRST_FRESH + 7000 + x.0)),
-                Some(TypeTag::List) => Value::nil(),
-                Some(TypeTag::Type) => Value::Type(TypeTag::Int),
-                Some(TypeTag::Proc) => Value::proc("f"),
-            };
-            assignment.insert(x, v);
-        }
-        let m = Model::from_assignment(assignment);
-        if m.satisfies(conjuncts) {
-            return Some(m);
-        }
-    }
-    None
-}
-
 /// Attempts to find a verified model of the conjunction.
 pub fn find_model(conjuncts: &[Expr], budget: ModelBudget) -> Option<Model> {
     find_model_tiers(conjuncts, &[budget], &mut SearchWork::default())
@@ -235,9 +149,8 @@ pub fn find_model(conjuncts: &[Expr], budget: ModelBudget) -> Option<Model> {
 /// candidates per variable).
 ///
 /// The differential oracle uses this to make witness extraction *total
-/// modulo budget*: a path condition the configured search cannot crack —
-/// typically a case-split `Sat` whose end-of-solve witness harvest failed
-/// — gets genuinely deeper searches before the path is (reported as)
+/// modulo budget*: a path condition the configured search cannot crack
+/// gets genuinely deeper searches before the path is (reported as)
 /// skipped. `None` still never means "unsat", only "not found within the
 /// largest budget". The answer is always that of running [`find_model`]
 /// at each budget in turn; tiers that provably cannot change it are

@@ -30,7 +30,8 @@ use std::sync::{Arc, OnceLock};
 /// One conjunct in the persistent chain: the newest constraint plus a
 /// shared tail. `key` memoizes the canonical cache key of the whole chain
 /// ending here; `ctx` freezes the solver state of the first decided solve
-/// of the chain ending here (see `ctx.rs` and `DESIGN.md` §12).
+/// of the chain ending here, or of its conjunct set found in the solver
+/// cache (see `ctx.rs` and `DESIGN.md` §12).
 #[derive(Debug)]
 struct PcNode {
     term: Term,
@@ -86,20 +87,9 @@ impl PcKey {
         &self.ids
     }
 
-    /// The sorted conjunct-set ids as a shared handle (a refcount bump).
-    pub fn ids_arc(&self) -> Arc<[u64]> {
-        self.ids.clone()
-    }
-
     /// The precomputed hash (used for cache sharding).
     pub fn precomputed_hash(&self) -> u64 {
         self.hash
-    }
-
-    /// Builds a key directly from ids (unit-test helper).
-    #[cfg(test)]
-    pub(crate) fn for_tests(ids: Vec<u64>) -> PcKey {
-        PcKey::from_ids(ids)
     }
 }
 
@@ -444,14 +434,29 @@ impl PathCondition {
     /// frozen [`SolveCtx`], returning it together with the conjuncts
     /// pushed since (insertion order) and the prefix length. `None` when
     /// no prefix of the chain has ever been solved.
-    pub(crate) fn solved_prefix(&self) -> Option<(Arc<SolveCtx>, usize, Vec<Expr>)> {
+    ///
+    /// An ancestor without a frozen context is looked up by its memoized
+    /// key through `lookup` (the solver's cache of contexts by conjunct
+    /// set); a found context is set on the node for later walks. The
+    /// newest node itself is not looked up: its query just missed.
+    pub(crate) fn solved_prefix(
+        &self,
+        lookup: impl Fn(&PcKey) -> Option<Arc<SolveCtx>>,
+    ) -> Option<(Arc<SolveCtx>, usize, Vec<Expr>)> {
         let mut delta: Vec<Expr> = Vec::new();
         let mut cur = self.head.as_deref();
         while let Some(node) = cur {
-            if let Some(ctx) = node.ctx.get() {
+            let ctx = node.ctx.get().cloned().or_else(|| {
+                if delta.is_empty() {
+                    return None;
+                }
+                let found = lookup(node.key.get()?)?;
+                Some(node.ctx.get_or_init(|| found).clone())
+            });
+            if let Some(ctx) = ctx {
                 delta.reverse();
                 let prefix_len = self.len - delta.len();
-                return Some((ctx.clone(), prefix_len, delta));
+                return Some((ctx, prefix_len, delta));
             }
             delta.push(node.term.expr().clone());
             cur = node.prev.as_deref();
@@ -464,9 +469,9 @@ impl PathCondition {
     /// without a chain (empty or only-trivially-false) have nowhere to
     /// freeze and are skipped — the empty condition is answered without
     /// solving anyway.
-    pub(crate) fn freeze_ctx(&self, ctx: SolveCtx) {
+    pub(crate) fn freeze_ctx(&self, ctx: Arc<SolveCtx>) {
         if let Some(head) = &self.head {
-            let _ = head.ctx.set(Arc::new(ctx));
+            let _ = head.ctx.set(ctx);
         }
     }
 

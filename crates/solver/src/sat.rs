@@ -248,9 +248,16 @@ fn check_conjunction_inner(
 ///
 /// Returns `None` when incremental reuse does not apply — the extension
 /// changes the typing environment, so prefix conjuncts could simplify
-/// differently and the caller must fall back to a monolithic solve. The
-/// fallback is what keeps incremental verdicts *identical* to monolithic
-/// ones, not merely compatible.
+/// differently and the caller must fall back to a monolithic solve.
+///
+/// Every `Unsat` is derived from the conjunction, so it is as sound as a
+/// monolithic one, but the two are not always *identical*: the interval
+/// domain keeps what it learnt in assertion order, so a prefix solved
+/// before a delta can bound a term that a monolithic solve over the
+/// sorted whole leaves open, or the reverse (the generated While programs
+/// of seeds 1238, 1537 and 1692 explore different path counts with
+/// incremental solving on and off). Only paths without a model differ:
+/// the differential oracle replays the same number of paths either way.
 pub(crate) fn check_extension(
     seed: &CapturedState,
     delta: &[Expr],
@@ -316,14 +323,14 @@ fn fast_extend(
             return Some(SatResult::Unsat);
         }
     }
+    let uf = &*seed.uf;
     if !fresh.eqs.is_empty()
         || !fresh.ors.is_empty()
         || !fresh.opaque.is_empty()
         || !fresh.uf_eqs.is_empty()
     {
-        return None;
+        return refutes_residual_neq(seed, env, &fresh.eqs).then_some(SatResult::Unsat);
     }
-    let uf = &*seed.uf;
     // One rewrite round is the fixpoint here: with no new equalities the
     // union-find is exactly the frozen one, so a second round would see
     // unchanged representatives.
@@ -456,6 +463,21 @@ fn fast_extend(
         mask_sites: sites.into(),
     });
     Some(SatResult::Sat)
+}
+
+/// True when some delta equality `a = b` rewrites, through the frozen
+/// union-find, onto a residual disequality `a' ≠ b'`: merging the two
+/// sides closes `r ≠ r`, which is what the general path would derive
+/// after re-solving the whole residual.
+fn refutes_residual_neq(seed: &CapturedState, env: &TypeEnv, eqs: &[(Expr, Expr)]) -> bool {
+    eqs.iter().any(|(a, b)| {
+        let a = simplify(env, &seed.uf.apply(a));
+        let b = simplify(env, &seed.uf.apply(b));
+        seed.atoms
+            .neqs
+            .iter()
+            .any(|(x, y)| (*x == a && *y == b) || (*x == b && *y == a))
+    })
 }
 
 fn check_rec(
@@ -929,6 +951,30 @@ mod tests {
     }
 
     #[test]
+    fn division_by_minus_one_keeps_positive_quotients() {
+        // ¬(x = 0) ∧ x < 1 ∧ -8 ≤ wrap_s19(x·2 + x·2 + 1) / x + -4 ∧
+        // x ≤ x·2 + 1: the interval hull of the division used to wrap at
+        // `i64::MIN / -1` and refute it, losing the model x = -1
+        // (generated While program, seed 1715).
+        let quotient = x(0)
+            .mul(Expr::int(2))
+            .add(x(0).mul(Expr::int(2)))
+            .add(Expr::int(1))
+            .un(UnOp::WrapSigned(19))
+            .div(x(0));
+        let core = vec![
+            x(0).ne(Expr::int(0)),
+            x(0).lt(Expr::int(1)),
+            Expr::int(-8).le(quotient.add(Expr::int(-4))),
+            x(0).le(x(0).mul(Expr::int(2)).add(Expr::int(1))),
+        ];
+        assert_eq!(check(&core), SatResult::Sat);
+        let mut pinned = core;
+        pinned.push(x(0).eq(Expr::int(-1)));
+        assert_eq!(check(&pinned), SatResult::Sat);
+    }
+
+    #[test]
     fn list_structure() {
         // {{1, x}} = {{1, 2}} ∧ x ≠ 2
         assert_eq!(
@@ -938,5 +984,99 @@ mod tests {
             ]),
             SatResult::Unsat
         );
+    }
+}
+
+#[cfg(test)]
+mod residual_neq_tests {
+    use super::*;
+    use gillian_gil::LVar;
+    use proptest::prelude::*;
+
+    /// A variable `x0..x2` or a small literal.
+    fn term(t: (bool, u8, i64)) -> Expr {
+        match t {
+            (true, i, _) => Expr::lvar(LVar(u64::from(i % 3))),
+            (false, _, c) => Expr::int(c),
+        }
+    }
+
+    fn term_strategy() -> impl Strategy<Value = (bool, u8, i64)> {
+        (any::<bool>(), 0u8..3, -2i64..3)
+    }
+
+    /// One residual atom: a disequality, an equality, a bound or a sum.
+    fn atom_strategy() -> impl Strategy<Value = Expr> {
+        prop_oneof![
+            3 => (term_strategy(), term_strategy()).prop_map(|(a, b)| term(a).ne(term(b))),
+            2 => (term_strategy(), term_strategy()).prop_map(|(a, b)| term(a).eq(term(b))),
+            2 => (term_strategy(), -2i64..3).prop_map(|(a, c)| term(a).lt(Expr::int(c))),
+            1 => (0u8..3, 0u8..3, -2i64..3).prop_map(|(a, b, c)| {
+                term((true, a, 0)).add(term((true, b, 0))).eq(Expr::int(c))
+            }),
+        ]
+    }
+
+    fn split_ne(e: &Expr) -> Option<(Expr, Expr)> {
+        let Expr::Un(UnOp::Not, inner) = e else {
+            return None;
+        };
+        match inner.expr() {
+            Expr::Bin(BinOp::Eq, a, b) => Some(((**a).clone(), (**b).clone())),
+            _ => None,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// An equality delta on a solved residual: the rule's `Unsat`, and
+        /// whatever `check_extension` answers, match `check_rec` over the
+        /// residual plus the delta.
+        #[test]
+        fn residual_neq_rule_matches_the_general_path(
+            atoms in proptest::collection::vec(atom_strategy(), 1..7),
+            pick in 0usize..8,
+            other in (term_strategy(), term_strategy()),
+        ) {
+            let int = |i: u64| Expr::lvar(LVar(i)).type_of().eq(Expr::type_tag(TypeTag::Int));
+            let mut residual: Vec<Expr> = (0..3).map(int).collect();
+            residual.extend(atoms.iter().cloned());
+            residual.sort_unstable();
+            let budget = SatBudget::default();
+            let mut capture = None;
+            let verdict = check_conjunction_capturing(&residual, budget, &mut capture);
+            let Some(seed) = capture else {
+                return Ok(());
+            };
+            prop_assert_eq!(verdict, SatResult::Sat);
+            // Equate the sides of a generated disequality when there is
+            // one to pick (the rule's target), else two arbitrary terms.
+            let neqs: Vec<(Expr, Expr)> = atoms.iter().filter_map(split_ne).collect();
+            let (a, b) = match neqs.get(pick % 4) {
+                Some(pair) => pair.clone(),
+                None => (term(other.0), term(other.1)),
+            };
+            let delta = vec![a.eq(b)];
+            let Some(extended) = check_extension(&seed, &delta, budget, &mut None) else {
+                return Ok(());
+            };
+            let env = &*seed.env;
+            let simplified: Vec<Expr> = delta.iter().map(|c| simplify(env, c)).collect();
+            let mut exprs = atoms_to_exprs(&seed.atoms, 0);
+            exprs.extend(simplified.iter().cloned());
+            let mut cases = budget.split_cases;
+            let general = check_rec(env, exprs, budget, &mut cases, 0, None);
+            prop_assert_eq!(extended, general);
+            let mut fresh = Atoms::default();
+            for c in simplified {
+                if !classify(env, c, &mut fresh) {
+                    return Ok(());
+                }
+            }
+            if refutes_residual_neq(&seed, env, &fresh.eqs) {
+                prop_assert_eq!(general, SatResult::Unsat);
+            }
+        }
     }
 }

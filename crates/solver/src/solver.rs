@@ -7,11 +7,9 @@
 //! exposes exactly those two switches so the benchmark harness can
 //! reproduce both engine configurations (Table 1).
 
-use crate::ctx::{CapturedState, ImplicationCache, SolveCtx};
+use crate::ctx::{CapturedState, SolveCtx};
 use crate::interrupt::Interrupt;
-use crate::model::{
-    escalation_tiers, find_model_tiers, harvest_witness, Model, ModelBudget, SearchWork,
-};
+use crate::model::{escalation_tiers, find_model_tiers, Model, ModelBudget, SearchWork};
 use crate::pathcond::{PathCondition, PcEnv, PcKey};
 use crate::sat::{
     check_conjunction, check_conjunction_capturing, check_extension, SatBudget, SatResult,
@@ -65,12 +63,6 @@ impl std::fmt::Debug for FaultProbeSlot {
     }
 }
 
-/// Largest conjunction a decided-SAT query will try to harvest a witness
-/// model from for the implication index. Bigger conjunctions rarely
-/// subsume later probes and make the bounded model search both slower
-/// and likelier to fail, so the harvest cost would be pure waste.
-const HARVEST_MAX_CONJUNCTS: usize = 24;
-
 thread_local! {
     /// Memo-miss counter driving the 1-in-[`SIMPLIFY_SAMPLE`] probe.
     static TL_SIMPLIFY_SAMPLE: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
@@ -123,10 +115,6 @@ pub struct SolverConfig {
     /// condition's newest chain node and answer descendant queries by
     /// propagating only the conjuncts pushed since (see `DESIGN.md` §12).
     pub incremental: bool,
-    /// Layer the implication-aware verdict index over the exact-key
-    /// cache: UNSAT verdicts answer supersets, witnessed SAT verdicts
-    /// answer subsets and model-satisfied probes.
-    pub implication_caching: bool,
 }
 
 impl SolverConfig {
@@ -138,7 +126,6 @@ impl SolverConfig {
             sat_budget: SatBudget::default(),
             model_budget: ModelBudget::default(),
             incremental: true,
-            implication_caching: true,
         }
     }
 
@@ -156,7 +143,6 @@ impl SolverConfig {
             sat_budget: SatBudget::default(),
             model_budget: ModelBudget::default(),
             incremental: false,
-            implication_caching: false,
         }
     }
 
@@ -169,7 +155,6 @@ impl SolverConfig {
             sat_budget: SatBudget::default(),
             model_budget: ModelBudget::default(),
             incremental: false,
-            implication_caching: false,
         }
     }
 }
@@ -202,8 +187,6 @@ pub struct SolverStats {
     /// Queries answered by extending a frozen per-prefix solve context
     /// instead of re-solving the whole conjunction.
     pub incremental_hits: u64,
-    /// Queries answered by the implication-aware verdict index.
-    pub implication_hits: u64,
     /// Search-tree nodes the model searches visited.
     pub model_nodes: u64,
     /// Escalation tiers the model searches skipped because an earlier
@@ -220,7 +203,6 @@ struct Tel {
     sat_cache_hits: &'static Counter,
     sat_unknowns: &'static Counter,
     sat_incremental_hits: &'static Counter,
-    sat_implication_hits: &'static Counter,
     sat_prefix_depth: &'static Histogram,
     model_searches: &'static Counter,
     model_search_failures: &'static Counter,
@@ -237,7 +219,6 @@ fn tel() -> &'static Tel {
         sat_cache_hits: registry().counter(names::SAT_CACHE_HITS),
         sat_unknowns: registry().counter(names::SAT_UNKNOWNS),
         sat_incremental_hits: registry().counter(names::SAT_INCREMENTAL_HITS),
-        sat_implication_hits: registry().counter(names::SAT_IMPLICATION_HITS),
         sat_prefix_depth: registry().histogram(names::SAT_PREFIX_DEPTH),
         model_searches: registry().counter(names::MODEL_SEARCHES),
         model_search_failures: registry().counter(names::MODEL_SEARCH_FAILURES),
@@ -252,7 +233,9 @@ fn tel() -> &'static Tel {
 const CACHE_SHARDS: usize = 16;
 
 /// A sharded, thread-safe memo table from canonicalized conjunct sets to
-/// satisfiability verdicts.
+/// satisfiability verdicts, each kept with the solve context its filling
+/// solve froze (if any), so a chain that reaches the same conjunct set
+/// along another path can still extend that context.
 ///
 /// Keys come from [`PathCondition::cache_key`]: the sorted, deduplicated
 /// **intern ids** of the conjunct set, with a precomputed hash — so two
@@ -264,20 +247,27 @@ const CACHE_SHARDS: usize = 16;
 /// serializing on a single lock.
 #[derive(Debug, Default)]
 struct SatCache {
-    shards: [Mutex<PrehashedMap<PcKey, SatResult>>; CACHE_SHARDS],
+    shards: [Mutex<PrehashedMap<PcKey, CacheEntry>>; CACHE_SHARDS],
 }
 
+/// A cached verdict and the context frozen by the solve that decided it.
+type CacheEntry = (SatResult, Option<Arc<SolveCtx>>);
+
 impl SatCache {
-    fn shard(&self, key: &PcKey) -> &Mutex<PrehashedMap<PcKey, SatResult>> {
+    fn shard(&self, key: &PcKey) -> &Mutex<PrehashedMap<PcKey, CacheEntry>> {
         &self.shards[(key.precomputed_hash() as usize) % CACHE_SHARDS]
     }
 
     fn get(&self, key: &PcKey) -> Option<SatResult> {
-        lock_unpoisoned(self.shard(key)).get(key).copied()
+        lock_unpoisoned(self.shard(key)).get(key).map(|e| e.0)
     }
 
-    fn insert(&self, key: PcKey, result: SatResult) {
-        lock_unpoisoned(self.shard(&key)).insert(key, result);
+    fn ctx(&self, key: &PcKey) -> Option<Arc<SolveCtx>> {
+        lock_unpoisoned(self.shard(key)).get(key)?.1.clone()
+    }
+
+    fn insert(&self, key: PcKey, result: SatResult, ctx: Option<Arc<SolveCtx>>) {
+        lock_unpoisoned(self.shard(&key)).insert(key, (result, ctx));
     }
 }
 
@@ -344,7 +334,6 @@ impl SimplifyCache {
 pub struct Solver {
     config: SolverConfig,
     cache: SatCache,
-    implication: ImplicationCache,
     simplify_cache: SimplifyCache,
     /// The run-level interrupt installed by the exploration engine (see
     /// [`Solver::set_interrupt`]). One exploration at a time per solver:
@@ -374,7 +363,6 @@ pub struct Solver {
     sat_unknowns: AtomicU64,
     simplify_hits: AtomicU64,
     incremental_hits: AtomicU64,
-    implication_hits: AtomicU64,
     model_nodes: AtomicU64,
     model_tiers_skipped: AtomicU64,
 }
@@ -426,7 +414,6 @@ impl Solver {
             sat_unknowns: self.sat_unknowns.load(Ordering::Relaxed),
             simplify_hits: self.simplify_hits.load(Ordering::Relaxed),
             incremental_hits: self.incremental_hits.load(Ordering::Relaxed),
-            implication_hits: self.implication_hits.load(Ordering::Relaxed),
             model_nodes: self.model_nodes.load(Ordering::Relaxed),
             model_tiers_skipped: self.model_tiers_skipped.load(Ordering::Relaxed),
         }
@@ -680,10 +667,10 @@ impl Solver {
     /// The uninstrumented satisfiability check; returns the verdict and
     /// whether the result cache answered.
     ///
-    /// Probe order on an exact-cache miss: the implication index (cheap,
-    /// sound by witness), then the incremental path (extend the deepest
-    /// frozen ancestor state), then a monolithic solve. Decided verdicts
-    /// flow back into every enabled layer; `Unknown` into none of them.
+    /// On an exact-cache miss the incremental path extends the deepest
+    /// solved ancestor state, then a monolithic solve runs. Decided
+    /// verdicts flow back into the cache and the chain; `Unknown` into
+    /// neither.
     fn check_sat_inner(&self, pc: &PathCondition, key: &PcKey) -> (SatResult, bool) {
         let interrupt = self.interrupt();
         if interrupt.cancel.is_cancelled() {
@@ -701,94 +688,53 @@ impl Solver {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         };
-        // A "hurried" solve — any wall-clock deadline armed — bypasses
-        // the implication index on both the probe and the insert side:
-        // its generalized answers change which queries see budget
-        // artifacts, and its entries must never be minted by solves whose
-        // verdicts time could have influenced.
-        let hurried = budget.deadline.is_some();
-        // The checker sees conjuncts in *structural* order: id order is
-        // mint-order and would leak the exploration schedule into
-        // verdict-affecting heuristics (case-split order etc.).
-        let conjuncts = pc.sorted_conjuncts();
-        if self.config.implication_caching && !hurried {
-            if let Some(hit) = self.implication.probe(key, &conjuncts) {
-                self.implication_hits.fetch_add(1, Ordering::Relaxed);
-                tel().sat_implication_hits.incr();
-                if self.config.caching {
-                    self.cache.insert(key.clone(), hit);
-                }
-                return (hit, false);
-            }
-        }
+        // The monolithic checker sees conjuncts in *structural* order: id
+        // order is mint-order and would leak the exploration schedule
+        // into verdict-affecting heuristics (case-split order etc.).
         let mut capture: Option<CapturedState> = None;
         let result = if self.config.incremental {
             match self.check_sat_incremental(pc, budget, &mut capture) {
                 Some(verdict) => verdict,
-                None => check_conjunction_capturing(&conjuncts, budget, &mut capture),
+                None => check_conjunction_capturing(&pc.sorted_conjuncts(), budget, &mut capture),
             }
-        } else if self.config.implication_caching {
-            // Capturing costs a few `Arc` bumps on clean solves only, and
-            // the capture is how the harvest below recognizes them.
-            check_conjunction_capturing(&conjuncts, budget, &mut capture)
         } else {
-            check_conjunction(&conjuncts, budget)
+            check_conjunction(&pc.sorted_conjuncts(), budget)
         };
         if result == SatResult::Unknown {
             self.sat_unknowns.fetch_add(1, Ordering::Relaxed);
             return (result, false);
         }
+        // Freeze only complete results: an Unsat proof (valid for every
+        // descendant), or a clean Sat with its captured state. A
+        // stateless Sat (decided through a case split) is *not* frozen,
+        // so descendants keep walking to a deeper usable ancestor instead
+        // of stopping at a dead end.
+        let ctx = match (result, capture) {
+            (SatResult::Unsat, _) if self.config.incremental => Some(SolveCtx {
+                verdict: result,
+                state: None,
+            }),
+            (SatResult::Sat, Some(state)) => Some(SolveCtx {
+                verdict: result,
+                state: Some(state),
+            }),
+            _ => None,
+        }
+        .map(Arc::new);
+        if let Some(ctx) = &ctx {
+            pc.freeze_ctx(ctx.clone());
+        }
         if self.config.caching {
-            self.cache.insert(key.clone(), result);
-        }
-        if self.config.implication_caching && !hurried {
-            match result {
-                SatResult::Unsat => self.implication.insert_unsat(key),
-                SatResult::Sat if conjuncts.len() <= HARVEST_MAX_CONJUNCTS => {
-                    // Only witnessed SAT verdicts enter the index — the
-                    // model is what makes subset reuse sound — and the
-                    // witness is read off the captured end-of-solve state
-                    // (equality classes and interval endpoints, one
-                    // verification pass). Only clean Sats carry a capture:
-                    // a case-split Sat would need a fresh model *search*
-                    // per query just to maybe seed the index, a cost that
-                    // dominates branch-heavy workloads with no reuse.
-                    if let Some(state) = capture.as_ref() {
-                        if let Some(m) = harvest_witness(state, &conjuncts) {
-                            self.implication.insert_sat(key, Arc::new(m));
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        if self.config.incremental {
-            // Freeze only complete results: an Unsat proof (valid for
-            // every descendant), or a clean Sat with its captured state.
-            // A stateless Sat (decided through a case split) is *not*
-            // frozen, so descendants keep walking to a deeper usable
-            // ancestor instead of stopping at a dead end.
-            match (result, capture.take()) {
-                (SatResult::Unsat, _) => pc.freeze_ctx(SolveCtx {
-                    verdict: result,
-                    state: None,
-                }),
-                (SatResult::Sat, Some(state)) => pc.freeze_ctx(SolveCtx {
-                    verdict: result,
-                    state: Some(state),
-                }),
-                _ => {}
-            }
+            self.cache.insert(key.clone(), result, ctx);
         }
         (result, false)
     }
 
     /// Attempts to answer a query by extending the deepest already-solved
-    /// ancestor of `pc`. Returns `None` when no usable frozen context
+    /// ancestor of `pc`. Returns `None` when no usable solved context
     /// exists, reuse does not apply (the extension grows the typing
     /// environment), or the seeded solve ends `Unknown` — in every such
-    /// case the caller re-solves monolithically, keeping verdicts
-    /// identical to an incremental-off solver.
+    /// case the caller re-solves monolithically.
     fn check_sat_incremental(
         &self,
         pc: &PathCondition,
@@ -802,7 +748,17 @@ impl Solver {
         if budget.deadline.is_some_and(|d| Instant::now() >= d) {
             return None;
         }
-        let (ctx, prefix_len, delta) = pc.solved_prefix()?;
+        // Ancestors reached through exact-cache hits, or pushed again
+        // after `sat_with` solved them on a discarded chain, carry no
+        // context of their own; the cache entry of their conjunct set
+        // holds the one its filling solve froze.
+        let (ctx, prefix_len, delta) = pc.solved_prefix(|key| {
+            if self.config.caching {
+                self.cache.ctx(key)
+            } else {
+                None
+            }
+        })?;
         if ctx.verdict == SatResult::Unsat {
             // Every extension of an unsatisfiable prefix is unsatisfiable.
             self.note_incremental_hit(prefix_len);
@@ -864,8 +820,7 @@ impl Solver {
     }
 
     /// Deep-budget model search for replay: call after [`Solver::model`]
-    /// fails on a condition that should be satisfiable (e.g. a case-split
-    /// `Sat` whose cheap witness harvest produced nothing). Starts at 8×
+    /// fails on a condition that should be satisfiable. Starts at 8×
     /// the configured node budget and escalates twice more
     /// ([`crate::model::find_model_escalating`]), so the differential
     /// oracle's witness extraction is total modulo (a much larger) budget.
@@ -1039,26 +994,9 @@ mod tests {
         assert!(s.model(&pc).is_none());
     }
 
-    /// Incremental solving without the implication index, so the tests
-    /// below can attribute hits unambiguously.
-    fn incremental_only() -> Solver {
-        Solver::new(SolverConfig {
-            implication_caching: false,
-            ..SolverConfig::optimized()
-        })
-    }
-
-    /// The implication index without incremental solving.
-    fn implication_only() -> Solver {
-        Solver::new(SolverConfig {
-            incremental: false,
-            ..SolverConfig::optimized()
-        })
-    }
-
     #[test]
     fn incremental_reuse_fires_and_freezes_ctx() {
-        let s = incremental_only();
+        let s = Solver::optimized();
         let mut pc = PathCondition::new();
         pc.push(Expr::int(0).le(x(0)));
         assert_eq!(s.check_sat(&pc), SatResult::Sat);
@@ -1076,7 +1014,7 @@ mod tests {
 
     #[test]
     fn unsat_prefix_decides_descendants() {
-        let s = incremental_only();
+        let s = Solver::optimized();
         let mut pc = PathCondition::new();
         pc.push(x(0).eq(Expr::int(1)));
         pc.push(x(0).eq(Expr::int(2)));
@@ -1092,7 +1030,7 @@ mod tests {
 
     #[test]
     fn sat_assume_returns_the_adopted_condition() {
-        let s = incremental_only();
+        let s = Solver::optimized();
         let pc: PathCondition = [Expr::int(0).le(x(0))].into_iter().collect();
         assert_eq!(s.check_sat(&pc), SatResult::Sat);
         let (verdict, pc2) = s.sat_assume(&pc, &x(0).lt(Expr::int(10)));
@@ -1105,67 +1043,27 @@ mod tests {
     }
 
     #[test]
-    fn implication_index_decides_unsat_supersets() {
-        let s = implication_only();
-        let mut pc = PathCondition::new();
-        pc.push(x(0).eq(Expr::int(1)));
-        pc.push(x(0).eq(Expr::int(2)));
-        assert_eq!(s.check_sat(&pc), SatResult::Unsat);
-        let mut pc2 = pc.clone();
-        pc2.push(Expr::int(0).le(x(1)));
-        assert_eq!(s.check_sat(&pc2), SatResult::Unsat);
-        assert_eq!(
-            s.stats().implication_hits,
-            1,
-            "the superset probe must hit the indexed contradiction"
-        );
-    }
-
-    #[test]
-    fn implication_index_decides_via_witness_model() {
-        let s = implication_only();
-        let pc: PathCondition = [Expr::int(0).le(x(0))].into_iter().collect();
+    fn memory_action_pushes_reuse_the_context_of_their_assume() {
+        // A memory action solves its branch constraint through `sat_with`
+        // (freezing the context on a chain it then drops) and pushes the
+        // same constraint onto the live chain, whose fresh node has no
+        // context. The cache entry of that conjunct set still holds it.
+        let s = Solver::optimized();
+        let mut pc: PathCondition = [Expr::int(0).le(x(0))].into_iter().collect();
         assert_eq!(s.check_sat(&pc), SatResult::Sat);
-        // The witness model for `0 ≤ x` also satisfies the *superset*
-        // probe below (model evaluation, not subset structure).
-        let mut pc2 = pc.clone();
-        pc2.push(x(0).lt(Expr::int(10)));
-        assert_eq!(s.check_sat(&pc2), SatResult::Sat);
-        assert_eq!(s.stats().implication_hits, 1);
-        // A subset probe of an indexed SAT set is answered structurally.
-        let pc3: PathCondition = [x(0).lt(Expr::int(10))].into_iter().collect();
-        assert_eq!(s.check_sat(&pc3), SatResult::Sat);
-        assert_eq!(s.stats().implication_hits, 2);
-    }
-
-    #[test]
-    fn armed_deadline_bypasses_the_implication_index() {
-        use crate::interrupt::{CancelToken, Interrupt};
-        use std::time::{Duration, Instant};
-        let s = implication_only();
-        // Armed but nowhere near expiry: verdicts stay correct, yet the
-        // solve counts as hurried and must not touch the index.
-        let far = Instant::now() + Duration::from_secs(3600);
-        s.set_interrupt(Interrupt::new(Some(far), CancelToken::new()));
-        let mut pc = PathCondition::new();
-        pc.push(x(0).eq(Expr::int(1)));
-        pc.push(x(0).eq(Expr::int(2)));
-        assert_eq!(s.check_sat(&pc), SatResult::Unsat);
-        let mut pc2 = pc.clone();
-        pc2.push(Expr::int(0).le(x(1)));
-        assert_eq!(s.check_sat(&pc2), SatResult::Unsat);
-        assert_eq!(
-            s.stats().implication_hits,
-            0,
-            "hurried solves must neither probe nor mint index entries"
-        );
-        s.clear_interrupt();
-        // The hurried verdicts were not indexed: this superset of `pc`
-        // still cannot be answered by implication.
-        let mut pc3 = pc.clone();
-        pc3.push(Expr::int(0).le(x(2)));
-        assert_eq!(s.check_sat(&pc3), SatResult::Unsat);
-        assert_eq!(s.stats().implication_hits, 0);
+        let guard = x(0).lt(Expr::int(10));
+        assert_eq!(s.sat_with(&pc, &guard), SatResult::Sat);
+        pc.push(guard);
+        assert!(!pc.has_solve_ctx(), "the re-pushed node starts empty");
+        pc.push(x(0).ne(Expr::int(3)));
+        let _ = pc.cache_key();
+        let (_, prefix_len, delta) = pc
+            .solved_prefix(|key| s.cache.ctx(key))
+            .expect("the assume's context is reachable by its key");
+        assert_eq!((prefix_len, delta.len()), (2, 1));
+        let before = s.stats().incremental_hits;
+        assert_eq!(s.check_sat(&pc), SatResult::Sat);
+        assert_eq!(s.stats().incremental_hits, before + 1);
     }
 
     #[test]

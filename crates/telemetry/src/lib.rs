@@ -74,7 +74,8 @@ pub mod names {
     /// solve context instead of re-solving the whole conjunction.
     pub const SAT_INCREMENTAL_HITS: &str = "solver.sat_incremental_hits";
     /// Satisfiability queries answered by the implication-aware verdict
-    /// index (UNSAT-subset / SAT-superset / witness-model reuse).
+    /// index. Nothing increments it since the index was removed; the name
+    /// stays for consumers that still read it, as 0.
     pub const SAT_IMPLICATION_HITS: &str = "solver.sat_implication_hits";
     /// Histogram of reused-prefix depth (conjuncts inherited from the
     /// deepest already-solved ancestor) on incremental answers.

@@ -234,13 +234,8 @@ impl Report {
                 self.metrics.counter(names::SAT_UNKNOWNS)
             );
             let incr = self.metrics.counter(names::SAT_INCREMENTAL_HITS);
-            let impl_hits = self.metrics.counter(names::SAT_IMPLICATION_HITS);
-            if incr + impl_hits > 0 {
-                let _ = writeln!(
-                    out,
-                    "sat reuse: incremental {} · implication {}",
-                    incr, impl_hits
-                );
+            if incr > 0 {
+                let _ = writeln!(out, "sat reuse: incremental {incr}");
             }
         }
         let searches = self.metrics.counter(names::MODEL_SEARCHES);

@@ -737,14 +737,13 @@ mod tests {
 
     /// The solver counters both legs must agree on (the general path
     /// also simplifies, so simplification counts differ by design).
-    fn query_counts(solver: &Solver) -> [u64; 6] {
+    fn query_counts(solver: &Solver) -> [u64; 5] {
         let s = solver.stats();
         [
             s.sat_queries,
             s.cache_hits,
             s.sat_unknowns,
             s.incremental_hits,
-            s.implication_hits,
             s.model_searches,
         ]
     }
