@@ -1,6 +1,8 @@
 //! The MiniC memory interpretation function (paper Def. 3.7 for the C
-//! instantiation): interprets blocks and their byte cells pointwise under
-//! a logical environment.
+//! instantiation): interprets blocks and their bytes pointwise under a
+//! logical environment. The symbolic heap keeps runs of bytes; its byte
+//! view (`CSymMemory::cells_iter`) gives each byte as the paper's
+//! `[v, k, n]` triple, and each byte becomes one concrete cell.
 
 use crate::mem::{CConcMemory, CSymMemory};
 use gillian_core::soundness::MemoryInterpretation;
@@ -20,15 +22,15 @@ impl MemoryInterpretation for CInterpretation {
             out.register_block(b, size, perm, freed);
             for (off_e, (v_e, k, n)) in sym.cells_iter(b) {
                 let off = model
-                    .eval(off_e)
+                    .eval(&off_e)
                     .map_err(|e| format!("I_C: offset {off_e} uninterpretable: {e}"))?;
                 let Some(off) = off.as_int() else {
                     return Err(format!("I_C: offset {off_e} interprets to non-integer"));
                 };
                 let v = model
-                    .eval(v_e)
+                    .eval(&v_e)
                     .map_err(|e| format!("I_C: value {v_e} uninterpretable: {e}"))?;
-                if !out.set_cell(b, off, v, *k, *n) {
+                if !out.set_cell(b, off, v, k, n) {
                     return Err(format!("I_C: cells collapse at {b}+{off}"));
                 }
             }
@@ -41,6 +43,7 @@ impl MemoryInterpretation for CInterpretation {
 mod tests {
     use super::*;
     use crate::chunks::Chunk;
+    use gillian_core::memory::SymbolicMemory;
     use gillian_core::soundness::check_action;
     use gillian_gil::{Expr, LVar, Sym, Value};
     use gillian_solver::{PathCondition, Solver};
@@ -83,6 +86,42 @@ mod tests {
             (
                 "loadBytes",
                 Expr::list([b.clone(), Expr::int(0), Expr::int(8)]),
+            ),
+        ];
+        for (action, arg) in cases {
+            let checked = check_action(&CInterpretation, &solver, &m, action, &arg, &pc)
+                .unwrap_or_else(|problems| {
+                    panic!("MA-RS violated for {action}({arg}): {problems:#?}")
+                });
+            assert!(checked > 0, "{action}({arg}): no branch was modelled");
+        }
+    }
+
+    /// The same on bytes copied apart from their run: bytes 4..8 of an
+    /// 8-byte value at the start of a block. A store that meets their
+    /// run must clear them, in the symbolic heap as in the concrete one.
+    #[test]
+    fn c_actions_satisfy_memory_lemmas_on_fragments() {
+        let solver = Solver::optimized();
+        let pc = PathCondition::new();
+        let mut m = CSymMemory::default();
+        m.register_block(blk(0), 16);
+        let b = Expr::Val(Value::Sym(blk(0)));
+        let fragment =
+            Expr::list((4..8).map(|k| Expr::list([Expr::int(1234), Expr::int(k), Expr::int(8)])));
+        let store_bytes = Expr::list([b.clone(), Expr::int(0), fragment]);
+        let mut branches = m.execute_action("storeBytes", &store_bytes, &pc, &solver);
+        let m = branches.pop().expect("one branch").memory;
+        let i8c = Chunk::int(8).to_expr();
+        let cases: Vec<(&str, Expr)> = vec![
+            (
+                "store",
+                Expr::list([i8c.clone(), b.clone(), Expr::int(2), Expr::int(5)]),
+            ),
+            ("load", Expr::list([i8c, b.clone(), Expr::int(0)])),
+            (
+                "loadBytes",
+                Expr::list([b.clone(), Expr::int(0), Expr::int(4)]),
             ),
         ];
         for (action, arg) in cases {

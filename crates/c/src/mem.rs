@@ -8,6 +8,21 @@
 //! to the CompCert concrete memory model" — we do exactly that, so the
 //! concrete and symbolic heaps have the same shape).
 //!
+//! The concrete heap stores those triples literally, one cell per byte.
+//! The symbolic heap stores the bytes at literal offsets as *run
+//! entries*: an entry `(v, k, len, n)` at offset `o` holds the bytes
+//! `[v, k + i, n]` at `o + i` for `i < len`, so a whole stored value is
+//! one entry `(v, 0, n, n)`. Entries are maximal, which keeps the
+//! representation canonical; `[v, k, n]` is the byte view of an entry
+//! (`CSymMemory::cells_iter`), and everything that interprets the heap
+//! reads it pointwise through that view.
+//!
+//! A store of `[lo, hi)` follows one overwrite rule in both heaps
+//! ([`store_span`]): the byte `[v, k, n]` at `o` belongs to the run of
+//! `n` bytes at `o − k`, and every run that meets `[lo, hi)` loses all of
+//! its bytes, including fragments copied apart from their run start by
+//! `storeBytes`.
+//!
 //! ## Actions
 //!
 //! `A_C = {alloc, free, load, store, loadBytes, storeBytes, dropPerm,
@@ -113,6 +128,36 @@ fn wrap_op(chunk: Chunk) -> Option<UnOp> {
         }),
         _ => None,
     }
+}
+
+/// How far a byte's run reaches: a run is at most `u8::MAX` bytes long,
+/// and a byte sits at most `u8::MAX` bytes past its run's start.
+const RUN_REACH: i64 = u8::MAX as i64;
+
+/// The offsets of the bytes that can belong to a run meeting `[lo, hi)`:
+/// a byte `[v, k, n]` at `o` belongs to the run `[o − k, o − k + n)`,
+/// which meets `[lo, hi)` only if `lo − RUN_REACH < o < hi + RUN_REACH`.
+fn overlap_window(lo: i64, hi: i64) -> std::ops::Range<i64> {
+    lo.saturating_sub(RUN_REACH - 1)..hi.saturating_add(RUN_REACH)
+}
+
+/// The overwrite rule both heaps share: the span `[from, to)` of offsets
+/// whose bytes a store of `[lo, hi)` clears. `cells` are the `(o, k, n)`
+/// of the bytes at offsets in [`overlap_window`] (the symbolic heap
+/// passes one per run entry, whose bytes all share a run). Every run
+/// `[o − k, o − k + n)` that meets `[lo, hi)` dies with all its bytes,
+/// wherever they are. Each such run meets `[lo, hi)`, so together with
+/// `[lo, hi)` they form one span.
+fn store_span(lo: i64, hi: i64, cells: impl IntoIterator<Item = (i64, u8, u8)>) -> (i64, i64) {
+    cells.into_iter().fold((lo, hi), |(from, to), (o, k, n)| {
+        let start = o - k as i64;
+        let end = start + n as i64;
+        if start < hi && end > lo {
+            (from.min(start), to.max(end))
+        } else {
+            (from, to)
+        }
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -225,7 +270,7 @@ impl CConcMemory {
         b: Sym,
         action: &str,
     ) -> Result<(), Value> {
-        if off < 0 || off + len > blk.size {
+        if off < 0 || len < 0 || off + len > blk.size {
             Err(ub_value(
                 "out-of-bounds",
                 format!(
@@ -378,20 +423,11 @@ impl ConcreteMemory for CConcMemory {
                 Self::check_bounds(blk, off, chunk.size as i64, b, "store")?;
                 let size = chunk.size;
                 let blk = self.block_mut(b).expect("checked above");
-                // Invalidate every run with a byte in the written range
-                // [off, off + size).
-                let lo = off;
-                let hi = off + size as i64;
-                let mut to_remove: BTreeSet<i64> = BTreeSet::new();
-                for (o, (_, k, n)) in blk.cells.iter() {
-                    let start = o - *k as i64;
-                    if start + *n as i64 > lo && start < hi {
-                        for i in 0..*n as i64 {
-                            to_remove.insert(start + i);
-                        }
-                    }
-                }
-                for o in to_remove {
+                let (lo, hi) = (off, off + size as i64);
+                let window = blk.cells.range(overlap_window(lo, hi));
+                let (from, to) = store_span(lo, hi, window.map(|(o, (_, k, n))| (*o, *k, *n)));
+                let doomed: Vec<i64> = blk.cells.range(from..to).map(|(o, _)| *o).collect();
+                for o in doomed {
                     blk.cells.remove(&o);
                 }
                 for k in 0..size {
@@ -533,16 +569,223 @@ impl ConcreteMemory for CConcMemory {
 // Symbolic memory
 // ---------------------------------------------------------------------
 
+/// Bytes `k .. k + len` of an `n`-byte stored value, at consecutive
+/// offsets: byte `i` of the entry is the memory value `[value, k + i, n]`.
+/// A byte from outside its value (`k ≥ n`, which only `storeBytes` can
+/// write) is an entry of its own.
+#[derive(Clone, Debug, PartialEq)]
+struct Run {
+    value: Expr,
+    k: u8,
+    len: u8,
+    n: u8,
+}
+
+impl Run {
+    /// A whole stored value.
+    fn whole(value: Expr, n: u8) -> Run {
+        Run {
+            value,
+            k: 0,
+            len: n,
+            n,
+        }
+    }
+
+    /// The single byte `[value, k, n]`.
+    fn byte((value, k, n): (Expr, u8, u8)) -> Run {
+        Run {
+            value,
+            k,
+            len: 1,
+            n,
+        }
+    }
+
+    /// The byte view of byte `i` of the entry.
+    fn byte_view(&self, i: u8) -> (Expr, u8, u8) {
+        (self.value.clone(), self.k + i, self.n)
+    }
+
+    /// The entry's bytes from byte `i` on.
+    fn tail_from(&self, i: u8) -> Run {
+        Run {
+            value: self.value.clone(),
+            k: self.k + i,
+            len: self.len - i,
+            n: self.n,
+        }
+    }
+
+    /// Whether `next`, placed right after this entry, continues it: the
+    /// same value, its next bytes. Entries are maximal under this
+    /// relation, which makes the representation canonical. A whole run
+    /// continues nothing and nothing continues it.
+    fn continues(&self, next: &Run) -> bool {
+        next.k < next.n
+            && u16::from(next.k) == u16::from(self.k) + u16::from(self.len)
+            && next.n == self.n
+            && next.value == self.value
+    }
+}
+
+/// A symbolic block. The bytes at literal offsets are maximal [`Run`]
+/// entries keyed by the offset of their first byte; a complete stored
+/// value is exactly an entry `(v, 0, n, n)`. A run stored at a symbolic
+/// offset `base` stays byte-granular: one `[v, k, n]` cell per byte, keyed
+/// by the simplified offset `simplify(base + k)`.
 #[derive(Clone, Debug, PartialEq)]
 struct SymBlock {
     size: i64,
     perm: u8,
     freed: bool,
-    /// Byte cells keyed by *simplified* offset expression.
-    cells: BTreeMap<Expr, (Expr, u8, u8)>,
+    runs: BTreeMap<i64, Run>,
+    sym_cells: BTreeMap<Expr, (Expr, u8, u8)>,
 }
 
-/// The symbolic MiniC memory.
+impl SymBlock {
+    fn new(size: i64) -> SymBlock {
+        SymBlock {
+            size,
+            perm: perm::FREEABLE,
+            freed: false,
+            runs: BTreeMap::new(),
+            sym_cells: BTreeMap::new(),
+        }
+    }
+
+    /// The entry holding the byte at literal offset `o`, with its offset.
+    fn run_at(&self, o: i64) -> Option<(i64, &Run)> {
+        let (&start, run) = self.runs.range(..=o).next_back()?;
+        (o < start + run.len as i64).then_some((start, run))
+    }
+
+    /// The byte at offset `key`.
+    fn byte(&self, key: &Expr) -> Option<(Expr, u8, u8)> {
+        match key.as_int() {
+            Some(o) => self
+                .run_at(o)
+                .map(|(start, run)| run.byte_view((o - start) as u8)),
+            None => self.sym_cells.get(key).cloned(),
+        }
+    }
+
+    /// The bytes at literal offsets in `[lo, hi)`, in offset order.
+    fn literal_bytes(&self, lo: i64, hi: i64) -> impl Iterator<Item = (i64, (Expr, u8, u8))> + '_ {
+        let from = self.run_at(lo).map_or(lo, |(start, _)| start);
+        self.runs
+            .range(from..hi.max(from))
+            .flat_map(|(&start, run)| {
+                (0..run.len).map(move |i| (start + i as i64, run.byte_view(i)))
+            })
+            .filter(move |(o, _)| (lo..hi).contains(o))
+    }
+
+    /// Removes the bytes at literal offsets `[lo, hi)`, cutting the
+    /// entries that straddle either end. Cutting keeps entries maximal:
+    /// each remainder borders the cleared gap.
+    fn clear(&mut self, lo: i64, hi: i64) {
+        if lo >= hi {
+            return;
+        }
+        if let Some((&start, run)) = self.runs.range(..lo).next_back() {
+            let end = start + run.len as i64;
+            if end > lo {
+                let tail = (end > hi).then(|| run.tail_from((hi - start) as u8));
+                self.runs.get_mut(&start).expect("just found").len = (lo - start) as u8;
+                if let Some(tail) = tail {
+                    self.runs.insert(hi, tail);
+                    return;
+                }
+            }
+        }
+        while let Some((&start, _)) = self.runs.range(lo..hi).next() {
+            let run = self.runs.remove(&start).expect("just found");
+            if start + run.len as i64 > hi {
+                self.runs.insert(hi, run.tail_from((hi - start) as u8));
+            }
+        }
+    }
+
+    /// Writes `run` at literal offset `o`, whose bytes are clear, joined
+    /// with a neighbour it continues or that continues it.
+    fn put(&mut self, o: i64, mut run: Run) {
+        let mut start = o;
+        if let Some((&left_start, left)) = self.runs.range(..o).next_back() {
+            if left_start + left.len as i64 == o && left.continues(&run) {
+                run.k = left.k;
+                run.len += left.len;
+                start = left_start;
+            }
+        }
+        let end = start + run.len as i64;
+        if self
+            .runs
+            .get(&end)
+            .is_some_and(|right| run.continues(right))
+        {
+            run.len += self.runs.remove(&end).expect("just found").len;
+        }
+        self.runs.insert(start, run);
+    }
+
+    /// Stores `value` as a whole `n`-byte run at literal offset `lo`,
+    /// clearing what the overwrite rule ([`store_span`]) clears.
+    fn store(&mut self, lo: i64, value: Expr, n: u8) {
+        let hi = lo + n as i64;
+        let window = self.runs.range(overlap_window(lo, hi));
+        let (from, to) = store_span(lo, hi, window.map(|(o, run)| (*o, run.k, run.n)));
+        self.clear(from, to);
+        // A whole run joins no neighbour (`Run::continues`).
+        self.runs.insert(lo, Run::whole(value, n));
+    }
+
+    /// Writes one byte per offset from literal offset `lo` (`None` clears
+    /// the byte), joining consecutive bytes into entries.
+    fn write_bytes(&mut self, lo: i64, bytes: Vec<Option<(Expr, u8, u8)>>) {
+        self.clear(lo, lo + bytes.len() as i64);
+        let mut pending: Option<(i64, Run)> = None;
+        for (i, byte) in bytes.into_iter().enumerate() {
+            let next = byte.map(Run::byte);
+            if let (Some((_, run)), Some(next)) = (&mut pending, &next) {
+                if run.continues(next) {
+                    run.len += 1;
+                    continue;
+                }
+            }
+            if let Some((start, run)) = pending.take() {
+                self.put(start, run);
+            }
+            pending = next.map(|run| (lo + i as i64, run));
+        }
+        if let Some((start, run)) = pending {
+            self.put(start, run);
+        }
+    }
+
+    /// Writes the byte at offset `key`.
+    fn set_byte(&mut self, key: Expr, byte: (Expr, u8, u8)) {
+        match key.as_int() {
+            Some(o) => self.write_bytes(o, vec![Some(byte)]),
+            None => {
+                self.sym_cells.insert(key, byte);
+            }
+        }
+    }
+
+    /// Removes the byte at offset `key`.
+    fn remove_byte(&mut self, key: &Expr) {
+        match key.as_int() {
+            Some(o) => self.clear(o, o + 1),
+            None => {
+                self.sym_cells.remove(key);
+            }
+        }
+    }
+}
+
+/// The symbolic MiniC memory: blocks of [`Run`] entries, whose byte view
+/// is the paper's `[v, k, n]` triples.
 ///
 /// Like [`CConcMemory`], blocks are copy-on-write behind [`Arc`]s, so the
 /// per-branch state clones of symbolic execution stay cheap. Actions
@@ -562,14 +805,21 @@ enum Edit {
     Keep,
     /// Frees the block.
     Free(Sym),
-    /// Stores a run into block `b`: removes the `remove` cells and the
-    /// concrete runs overlapping `size` bytes at `base`, then writes
-    /// `value` as byte `k` of `size` at `insert[k]`. Keys are computed
-    /// when the branch is decided, in the order the solver saw them.
+    /// Stores `value` as a whole run of `size` bytes at literal offset
+    /// `off` of block `b` ([`SymBlock::store`]).
     Store {
         b: Sym,
+        off: i64,
+        size: u8,
+        value: Expr,
+    },
+    /// Stores a run at a symbolic offset, byte by byte: removes the
+    /// `remove` bytes, then writes `value` as byte `k` of `size` at
+    /// `insert[k]`. Keys are computed when the branch is decided, in the
+    /// order the solver saw them.
+    StoreSymbolic {
+        b: Sym,
         remove: Vec<Expr>,
-        base: Expr,
         size: u8,
         insert: Vec<Expr>,
         value: Expr,
@@ -595,33 +845,71 @@ impl CSymMemory {
                 if let Some(blk) = self.block_mut(b) {
                     blk.freed = true;
                     blk.perm = perm::NONE;
-                    blk.cells.clear();
+                    blk.runs.clear();
+                    blk.sym_cells.clear();
                 }
             }
             Edit::Store {
                 b,
+                off,
+                size,
+                value,
+            } => {
+                self.block_mut(b)
+                    .expect("block checked")
+                    .store(off, value, size);
+            }
+            Edit::StoreSymbolic {
+                b,
                 remove,
-                base,
                 size,
                 insert,
                 value,
             } => {
                 let blk = self.block_mut(b).expect("block checked");
                 for key in &remove {
-                    blk.cells.remove(key);
+                    blk.remove_byte(key);
                 }
-                remove_concrete_overlaps(blk, &base, size);
                 for (k, key) in insert.into_iter().enumerate() {
-                    blk.cells.insert(key, (value.clone(), k as u8, size));
+                    blk.set_byte(key, (value.clone(), k as u8, size));
                 }
             }
         }
     }
 }
 
-/// The map keys of the `n` bytes of a run at `base`.
+/// The cell keys of the `n` bytes of a run at the symbolic offset `base`.
 fn run_keys(base: &Expr, n: u8, solver: &Solver, pc: &PathCondition) -> Vec<Expr> {
     (0..n).map(|k| offset_key(base, k, solver, pc)).collect()
+}
+
+/// The edit storing `value` as a `size`-byte run at `base`, over the run
+/// of `old` bytes that starts there, if any: a whole run at a literal
+/// offset, and byte by byte at a symbolic one.
+fn store_edit(
+    b: Sym,
+    base: Expr,
+    old: Option<u8>,
+    size: u8,
+    value: Expr,
+    solver: &Solver,
+    pc: &PathCondition,
+) -> Edit {
+    match base.as_int() {
+        Some(off) => Edit::Store {
+            b,
+            off,
+            size,
+            value,
+        },
+        None => Edit::StoreSymbolic {
+            b,
+            remove: old.map_or_else(Vec::new, |n| run_keys(&base, n, solver, pc)),
+            size,
+            insert: run_keys(&base, size, solver, pc),
+            value,
+        },
+    }
 }
 
 fn expr_args(arg: &Expr, n: usize, action: &str) -> Result<Vec<Expr>, Expr> {
@@ -660,18 +948,9 @@ fn expr_ptr(e: &Expr) -> Option<(Expr, Expr)> {
     }
 }
 
-/// The map key for byte `base + k` of a run: a direct constant fold when
-/// the (already simplified) base offset is a literal integer — the common
-/// case for concrete address arithmetic — and a solver round-trip
-/// otherwise. It must agree exactly with what `simplify` would produce
-/// (the constant folder), or the cell map would key the same byte two
-/// different ways.
+/// The cell key of byte `base + k` of a run at the symbolic offset
+/// `base`: the simplified offset, so that equal offsets share a key.
 fn offset_key(base: &Expr, k: u8, solver: &Solver, pc: &PathCondition) -> Expr {
-    if let Some(o) = base.as_int() {
-        if let Some(sum) = o.checked_add(k as i64) {
-            return Expr::int(sum);
-        }
-    }
     solver.simplify(pc, &base.clone().add(Expr::int(k as i64)))
 }
 
@@ -686,25 +965,14 @@ fn decode_expr(v: &Expr, chunk: Chunk) -> Expr {
 impl CSymMemory {
     /// Direct block registration (for tests).
     pub fn register_block(&mut self, b: Sym, size: i64) {
-        self.blocks_mut().insert(
-            b,
-            Arc::new(SymBlock {
-                size,
-                perm: perm::FREEABLE,
-                freed: false,
-                cells: BTreeMap::new(),
-            }),
-        );
+        self.blocks_mut().insert(b, Arc::new(SymBlock::new(size)));
     }
 
     /// Direct run write (for tests): stores value `v` of `n` bytes at
-    /// concrete offset `off`.
+    /// concrete offset `off`, over whatever bytes were there.
     pub fn set_run(&mut self, b: Sym, off: i64, v: Expr, n: u8) {
         let blk = self.block_mut(b).expect("block registered");
-        for k in 0..n {
-            blk.cells
-                .insert(Expr::int(off + k as i64), (v.clone(), k, n));
-        }
+        blk.write_bytes(off, (0..n).map(|k| Some((v.clone(), k, n))).collect());
     }
 
     /// Iterates blocks (for the interpretation function).
@@ -714,58 +982,67 @@ impl CSymMemory {
             .map(|(b, blk)| (*b, blk.size, blk.perm, blk.freed))
     }
 
-    /// Iterates cells of a block (for the interpretation function).
-    pub fn cells_iter(&self, b: Sym) -> impl Iterator<Item = (&Expr, &(Expr, u8, u8))> {
-        self.blocks
-            .get(&b)
-            .into_iter()
-            .flat_map(|blk| blk.cells.iter())
-    }
-
-    /// The run-start cells (`k == 0`) of a block.
-    fn run_starts(&self, b: Sym) -> Vec<(Expr, Expr, u8)> {
-        self.blocks
-            .get(&b)
-            .map(|blk| {
-                blk.cells
-                    .iter()
-                    .filter(|(_, (_, k, _))| *k == 0)
-                    .map(|(off, (v, _, n))| (off.clone(), v.clone(), *n))
-                    .collect()
-            })
-            .unwrap_or_default()
-    }
-
-    /// True when every cell offset of the block is a literal integer —
-    /// the common case, where accesses at literal offsets can use direct
-    /// map lookups instead of alias branching. Integer literals sort
-    /// before every other expression, so only the last offset is tested.
-    fn all_offsets_literal(&self, b: Sym) -> bool {
-        self.blocks.get(&b).is_some_and(|blk| {
-            blk.cells
-                .keys()
-                .next_back()
-                .is_none_or(|off| off.as_int().is_some())
+    /// The byte view of a block (for the interpretation function): each
+    /// byte's offset and its memory value `[v, k, n]`, in offset order.
+    pub fn cells_iter(&self, b: Sym) -> impl Iterator<Item = (Expr, (Expr, u8, u8))> + '_ {
+        self.blocks.get(&b).into_iter().flat_map(|blk| {
+            let literal = blk
+                .literal_bytes(i64::MIN, i64::MAX)
+                .map(|(o, byte)| (Expr::int(o), byte));
+            let symbolic = blk
+                .sym_cells
+                .iter()
+                .map(|(o, byte)| (o.clone(), byte.clone()));
+            literal.chain(symbolic)
         })
     }
 
+    /// The run starts (bytes with `k == 0`) of a block, as `(offset,
+    /// value, n)`, in offset order.
+    fn run_starts(&self, b: Sym) -> Vec<(Expr, Expr, u8)> {
+        let Some(blk) = self.blocks.get(&b) else {
+            return Vec::new();
+        };
+        let literal = blk
+            .runs
+            .iter()
+            .filter(|(_, run)| run.k == 0)
+            .map(|(o, run)| (Expr::int(*o), run.value.clone(), run.n));
+        let symbolic = blk
+            .sym_cells
+            .iter()
+            .filter(|(_, (_, k, _))| *k == 0)
+            .map(|(off, (v, _, n))| (off.clone(), v.clone(), *n));
+        literal.chain(symbolic).collect()
+    }
+
+    /// True when every byte of the block is at a literal offset — the
+    /// common case, where accesses at literal offsets can use direct map
+    /// lookups instead of alias branching.
+    fn all_offsets_literal(&self, b: Sym) -> bool {
+        self.blocks
+            .get(&b)
+            .is_some_and(|blk| blk.sym_cells.is_empty())
+    }
+
     /// Fast-path candidates for an access at a *literal* offset into a
-    /// block whose cells are all at literal offsets: at most one run can
+    /// block whose bytes are all at literal offsets: at most one run can
     /// match, found by direct lookup instead of scanning every run.
     fn literal_candidates(&self, b: Sym, off: i64) -> Option<Vec<(Expr, Expr, u8)>> {
         if !self.all_offsets_literal(b) {
             return None;
         }
         let blk = self.blocks.get(&b)?;
-        Some(match blk.cells.get(&Expr::int(off)) {
-            Some((v, 0, n)) => vec![(Expr::int(off), v.clone(), *n)],
+        Some(match blk.runs.get(&off) {
+            Some(run) if run.k == 0 => vec![(Expr::int(off), run.value.clone(), run.n)],
             // A mid-run hit or a miss: no run *starts* here; the general
             // machinery then produces the torn/uninitialized error branch.
             _ => Vec::new(),
         })
     }
 
-    /// Checks a complete run of `n` cells for value `v` starting at `base`.
+    /// Checks that the run start `[v, 0, n]` at `base` is followed by the
+    /// rest of its value: at a literal offset, its entry is whole.
     fn run_complete(
         &self,
         b: Sym,
@@ -778,14 +1055,13 @@ impl CSymMemory {
         let Some(blk) = self.blocks.get(&b) else {
             return false;
         };
-        for i in 1..n {
-            let key = offset_key(base, i, solver, pc);
-            match blk.cells.get(&key) {
-                Some((cv, ck, cn)) if cv == v && *ck == i && *cn == n => {}
-                _ => return false,
-            }
+        if let Some(o) = base.as_int() {
+            return blk.runs.get(&o).is_some_and(|run| run.len == n);
         }
-        true
+        (1..n).all(|i| {
+            let key = offset_key(base, i, solver, pc);
+            matches!(blk.byte(&key), Some((cv, ck, cn)) if cv == *v && ck == i && cn == n)
+        })
     }
 
     /// Validity prologue shared by memory accesses: checks the block and
@@ -933,14 +1209,13 @@ impl CSymMemory {
                 format!("load of {} bytes at {b}+{off}", chunk.size),
             ))
         } else {
-            match blk.cells.get(&Expr::int(off)) {
-                Some((v, 0, n))
-                    if *n == chunk.size
-                        && self.run_complete(b, &Expr::int(off), v, *n, solver, pc) =>
-                {
-                    Ok(decode_simplified(v, chunk, pc, solver))
+            match blk.runs.get(&off) {
+                Some(run) if run.k == 0 && run.len == chunk.size && run.n == chunk.size => {
+                    Ok(decode_simplified(&run.value, chunk, pc, solver))
                 }
-                Some((_, 0, _)) => Err(ub_expr("mixed-read", format!("torn load at {b}+{off}"))),
+                Some(run) if run.k == 0 => {
+                    Err(ub_expr("mixed-read", format!("torn load at {b}+{off}")))
+                }
                 // A mid-run hit or a miss: no run starts here.
                 _ => Err(ub_expr(
                     "uninitialized-read",
@@ -980,21 +1255,10 @@ impl CSymMemory {
             ));
         }
         let value = decode_simplified(&args[3], chunk, pc, solver);
-        let base = Expr::int(off);
-        // Only a run *starting* here is replaced wholesale; a mid-run
-        // overwrite is handled by the concrete-overlap removal, as on
-        // the general path's none-of-the-runs branch.
-        let remove = match blk.cells.get(&base) {
-            Some((_, 0, n)) => run_keys(&base, *n, solver, pc),
-            _ => Vec::new(),
-        };
-        let insert = run_keys(&base, chunk.size, solver, pc);
         self.apply(Edit::Store {
             b,
-            remove,
-            base,
+            off,
             size: chunk.size,
-            insert,
             value: value.clone(),
         });
         Ok(literal_gate(
@@ -1353,15 +1617,7 @@ impl SymbolicMemory for CSymMemory {
                     if eq.as_bool() == Some(false) || !solver.sat_with(pc, &eq).possibly_sat() {
                         continue;
                     }
-                    // Concrete partial overlaps with *other* runs go too.
-                    let edit = Edit::Store {
-                        b,
-                        remove: run_keys(&base, n, solver, pc),
-                        insert: run_keys(&base, chunk.size, solver, pc),
-                        base,
-                        size: chunk.size,
-                        value: value.clone(),
-                    };
+                    let edit = store_edit(b, base, Some(n), chunk.size, value.clone(), solver, pc);
                     push_branch(
                         &mut out,
                         pc,
@@ -1372,14 +1628,7 @@ impl SymbolicMemory for CSymMemory {
                 let none_of = solver.simplify(pc, &none_of);
                 if none_of.as_bool() != Some(false) && solver.sat_with(pc, &none_of).possibly_sat()
                 {
-                    let edit = Edit::Store {
-                        b,
-                        remove: Vec::new(),
-                        insert: run_keys(&off, chunk.size, solver, pc),
-                        base: off,
-                        size: chunk.size,
-                        value: value.clone(),
-                    };
+                    let edit = store_edit(b, off, None, chunk.size, value.clone(), solver, pc);
                     push_branch(&mut out, pc, solver, SymBranch::ok_if(edit, value, none_of));
                 }
                 successors(self, out, Self::apply)
@@ -1411,22 +1660,19 @@ impl SymbolicMemory for CSymMemory {
                         ub_expr("use-after-free", format!("loadBytes on freed {b}")),
                     );
                 }
-                if off < 0 || off + len > blk.size {
+                if blk.perm < perm::READABLE {
+                    return err1(self, ub_expr("insufficient-permission", "loadBytes"));
+                }
+                if off < 0 || len < 0 || off + len > blk.size {
                     return err1(
                         self,
                         ub_expr("out-of-bounds", format!("loadBytes at {b}+{off}")),
                     );
                 }
-                let mut bytes = Vec::with_capacity(len as usize);
-                for i in 0..len {
-                    match blk.cells.get(&Expr::int(off + i)) {
-                        Some((v, k, n)) => bytes.push(Expr::list([
-                            v.clone(),
-                            Expr::int(*k as i64),
-                            Expr::int(*n as i64),
-                        ])),
-                        None => bytes.push(Expr::Val(Value::Sym(POISON))),
-                    }
+                let mut bytes = vec![Expr::Val(Value::Sym(POISON)); len as usize];
+                for (o, (v, k, n)) in blk.literal_bytes(off, off + len) {
+                    bytes[(o - off) as usize] =
+                        Expr::list([v, Expr::int(k as i64), Expr::int(n as i64)]);
                 }
                 vec![SymBranch::ok(self, Expr::List(bytes.into()))]
             }
@@ -1494,14 +1740,7 @@ impl SymbolicMemory for CSymMemory {
                     };
                     cells.push(Some((parts[0].clone(), k as u8, n as u8)));
                 }
-                let blk = self.block_mut(b).expect("checked");
-                for (i, cell) in cells.into_iter().enumerate() {
-                    let key = Expr::int(off + i as i64);
-                    match cell {
-                        Some(cell) => blk.cells.insert(key, cell),
-                        None => blk.cells.remove(&key),
-                    };
-                }
+                self.block_mut(b).expect("checked").write_bytes(off, cells);
                 vec![SymBranch::ok(self, Expr::tt())]
             }
             "dropPerm" => {
@@ -1639,7 +1878,10 @@ impl SymbolicMemory for CSymMemory {
     fn lvars(&self) -> BTreeSet<LVar> {
         let mut out = BTreeSet::new();
         for blk in self.blocks.values() {
-            for (off, (v, _, _)) in &blk.cells {
+            for run in blk.runs.values() {
+                out.extend(run.value.lvars());
+            }
+            for (off, (v, _, _)) in &blk.sym_cells {
                 out.extend(off.lvars());
                 out.extend(v.lvars());
             }
@@ -1648,34 +1890,6 @@ impl SymbolicMemory for CSymMemory {
             out.extend(v.lvars());
         }
         out
-    }
-}
-
-/// Removes runs with *concrete* bases that overlap a write of `size` bytes
-/// at `base` (when `base` is concrete). Symbolic partial overlaps are the
-/// documented limitation.
-///
-/// A run is at most `u8::MAX` bytes long, so only runs starting in
-/// `[lo − u8::MAX + 1, hi)` can overlap `[lo, hi)`; integer literals are
-/// contiguous in the `Expr` order, so those are one range query.
-fn remove_concrete_overlaps(blk: &mut SymBlock, base: &Expr, size: u8) {
-    let Some(lo) = base.as_int() else { return };
-    let hi = lo.saturating_add(size as i64);
-    let from = lo.saturating_sub(u8::MAX as i64 - 1);
-    let starts: Vec<(i64, u8)> = blk
-        .cells
-        .range(Expr::int(from)..Expr::int(hi))
-        .filter_map(|(off, (_, k, n))| {
-            let o = off.as_int()?;
-            (*k == 0).then_some((o, *n))
-        })
-        .collect();
-    for (start, n) in starts {
-        if start < hi && start + n as i64 > lo {
-            for i in 0..n as i64 {
-                blk.cells.remove(&Expr::int(start + i));
-            }
-        }
     }
 }
 
@@ -2045,7 +2259,7 @@ mod tests {
             };
             assert_eq!(branches.len(), 1, "{branches:#?}");
             let mem = &branches[0].memory;
-            assert_eq!(mem.blocks[&b].cells.len(), 16);
+            assert_eq!(mem.blocks[&b].runs.len(), 2, "one entry per stored value");
             assert_eq!(Arc::as_ptr(&mem.blocks), blocks, "coded: {coded}");
             assert_eq!(Arc::as_ptr(&mem.blocks[&b]), block, "coded: {coded}");
         }
@@ -2093,105 +2307,209 @@ mod tests {
         assert_eq!(m, snapshot);
     }
 
-    /// The definition the last-key test replaced: a full scan.
-    fn scan_all_offsets_literal(m: &CSymMemory, b: Sym) -> bool {
-        m.blocks
-            .get(&b)
-            .is_some_and(|blk| blk.cells.keys().all(|off| off.as_int().is_some()))
+    fn load_bytes_conc(m: &mut CConcMemory, b: Sym, off: i64, len: i64) -> Value {
+        m.execute_action(
+            "loadBytes",
+            Value::List(vec![Value::Sym(b), Value::Int(off), Value::Int(len)]),
+        )
+        .unwrap()
     }
 
-    /// Integer offsets, other literals, and symbolic offsets.
-    fn arb_offset() -> impl Strategy<Value = Expr> {
-        prop_oneof![
-            4 => (-2i64..12).prop_map(Expr::int),
-            1 => (0u8..3).prop_map(|i| Expr::num(i as f64)),
-            1 => Just(Expr::str("")),
-            1 => (0u64..2).prop_map(|i| Expr::lvar(LVar(i))),
-            1 => (0i64..3).prop_map(|k| Expr::lvar(LVar(0)).add(Expr::int(k))),
-        ]
+    /// Bytes 4..8 of a stored 8-byte value, copied to the start of a
+    /// fresh block, belong to the run starting 4 bytes before it: a store
+    /// that meets that run clears them in both heaps.
+    #[test]
+    fn fragment_bytes_die_with_their_run() {
+        let i8c = Chunk::int(8).to_value();
+        let poison2 = Value::List(vec![Value::Sym(POISON), Value::Sym(POISON)]);
+
+        let mut m = CConcMemory::default();
+        let b0 = alloc_conc(&mut m, 0, 8);
+        let b1 = alloc_conc(&mut m, 1, 16);
+        let store = |b: Sym, off: i64| {
+            Value::List(vec![
+                i8c.clone(),
+                Value::Sym(b),
+                Value::Int(off),
+                Value::Int(1234),
+            ])
+        };
+        m.execute_action("store", store(b0, 0)).unwrap();
+        let fragment = load_bytes_conc(&mut m, b0, 4, 4);
+        m.execute_action(
+            "storeBytes",
+            Value::List(vec![Value::Sym(b1), Value::Int(0), fragment.clone()]),
+        )
+        .unwrap();
+        m.execute_action("store", store(b1, 2)).unwrap();
+        assert_eq!(load_bytes_conc(&mut m, b1, 0, 2), poison2);
+
+        let solver = Solver::optimized();
+        let pc = PathCondition::new();
+        let mut m = CSymMemory::default();
+        m.register_block(b0, 8);
+        m.register_block(b1, 16);
+        let run = |m: CSymMemory, name: &str, arg: Value| {
+            let mut branches = m.execute_action(name, &Expr::Val(arg), &pc, &solver);
+            assert_eq!(branches.len(), 1, "{name}: {branches:#?}");
+            let branch = branches.pop().expect("one branch");
+            let out = branch.outcome.expect("no error");
+            let out = gillian_gil::eval::eval(&Default::default(), &out).expect("ground");
+            (branch.memory, out)
+        };
+        let (m, _) = run(m, "store", store(b0, 0));
+        let (m, bytes) = run(
+            m,
+            "loadBytes",
+            Value::List(vec![Value::Sym(b0), Value::Int(4), Value::Int(4)]),
+        );
+        assert_eq!(bytes, fragment);
+        let (m, _) = run(
+            m,
+            "storeBytes",
+            Value::List(vec![Value::Sym(b1), Value::Int(0), fragment]),
+        );
+        let (m, _) = run(m, "store", store(b1, 2));
+        let (_, bytes) = run(
+            m,
+            "loadBytes",
+            Value::List(vec![Value::Sym(b1), Value::Int(0), Value::Int(2)]),
+        );
+        assert_eq!(bytes, poison2);
     }
 
-    /// The definition the range query replaced: every run start of the
-    /// block is checked for overlap.
-    fn scan_remove_concrete_overlaps(blk: &mut SymBlock, base: &Expr, size: u8) {
-        let Some(lo) = base.as_int() else { return };
-        let hi = lo + size as i64;
-        let starts: Vec<(i64, u8)> = blk
-            .cells
-            .iter()
-            .filter_map(|(off, (_, k, n))| {
-                let o = off.as_int()?;
-                (*k == 0).then_some((o, *n))
-            })
-            .collect();
-        for (start, n) in starts {
-            if start < hi && start + n as i64 > lo {
-                for i in 0..n as i64 {
-                    blk.cells.remove(&Expr::int(start + i));
-                }
+    /// `(offset, k, n)` of bytes reaching one maximal run around a write:
+    /// chunk-sized and maximal run lengths, bytes inside and outside
+    /// their value.
+    fn arb_cell() -> impl Strategy<Value = (i64, u8, u8)> {
+        let offset = prop_oneof![
+            4 => -4i64..24,
+            2 => -300i64..-240,
+            2 => 250i64..300,
+        ];
+        let byte = prop_oneof![
+            3 => (any::<u8>(), proptest::sample::select(vec![1u8, 2, 4, 8]))
+                .prop_map(|(k, n)| (k % n, n)),
+            1 => (any::<u8>(), 250u8..=255),
+            1 => (any::<u8>(), any::<u8>()),
+        ];
+        (offset, byte).prop_map(|(o, (k, n))| (o, k, n))
+    }
+
+    /// The overwrite rule over every byte of the block, as the concrete
+    /// heap applied it before the window: the definition `store_span`
+    /// implements.
+    fn scan_store(bytes: &mut BTreeMap<i64, (Expr, u8, u8)>, lo: i64, v: Expr, n: u8) {
+        let hi = lo + n as i64;
+        let mut doomed = BTreeSet::new();
+        for (o, (_, k, len)) in bytes.iter() {
+            let start = o - *k as i64;
+            if start + *len as i64 > lo && start < hi {
+                doomed.extend(start..start + *len as i64);
             }
+        }
+        for o in doomed {
+            bytes.remove(&o);
+        }
+        for k in 0..n {
+            bytes.insert(lo + k as i64, (v.clone(), k, n));
         }
     }
 
-    /// Cells of well-formed and ill-formed runs: offsets reaching one
-    /// maximal run below the write, chunk-sized and maximal run lengths.
-    fn arb_cell() -> impl Strategy<Value = (Expr, u8, u8)> {
-        let offset = prop_oneof![
-            4 => (-4i64..24).prop_map(Expr::int),
-            2 => (-300i64..-240).prop_map(Expr::int),
-            1 => arb_offset(),
+    /// The maximal entries of a byte view.
+    fn canonical(bytes: &BTreeMap<i64, (Expr, u8, u8)>) -> BTreeMap<i64, Run> {
+        let mut out: BTreeMap<i64, Run> = BTreeMap::new();
+        let mut last: Option<i64> = None;
+        for (&o, byte) in bytes {
+            let byte = Run::byte(byte.clone());
+            if let Some(start) = last {
+                let run = out.get_mut(&start).expect("last entry");
+                if start + run.len as i64 == o && run.continues(&byte) {
+                    run.len += 1;
+                    continue;
+                }
+            }
+            out.insert(o, byte);
+            last = Some(o);
+        }
+        out
+    }
+
+    /// A heap write at a literal offset: a whole stored value, or bytes as
+    /// `storeBytes` writes them — holes and consecutive pieces of values,
+    /// some running past their value's end.
+    #[derive(Clone, Debug)]
+    enum Write {
+        Store(i64, i64, u8),
+        Bytes(i64, Vec<Option<(Expr, u8, u8)>>),
+    }
+
+    fn arb_write() -> impl Strategy<Value = Write> {
+        let piece = prop_oneof![
+            1 => (1usize..3).prop_map(|len| vec![None; len]),
+            3 => (0i64..2, 0u8..9, proptest::sample::select(vec![1u8, 2, 4, 8]), 1u8..5).prop_map(
+                |(v, k, n, len)| (k..k + len).map(|k| Some((Expr::int(v), k, n))).collect()
+            ),
         ];
-        let len = prop_oneof![
-            3 => proptest::sample::select(vec![1u8, 2, 4, 8]),
-            1 => 250u8..=255,
-            1 => any::<u8>(),
-        ];
-        (offset, 0u8..3, len)
+        prop_oneof![
+            1 => (0i64..20, 0i64..2, proptest::sample::select(vec![1u8, 2, 4, 8]))
+                .prop_map(|(o, v, n)| Write::Store(o, v, n)),
+            1 => (0i64..20, proptest::collection::vec(piece, 1..4))
+                .prop_map(|(o, pieces)| Write::Bytes(o, pieces.concat())),
+        ]
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         #[test]
-        fn overlap_range_query_matches_full_scan(
+        fn store_span_window_matches_full_scan(
             cells in proptest::collection::vec(arb_cell(), 0..24),
-            base in prop_oneof![4 => (-8i64..20).prop_map(Expr::int), 1 => arb_offset()],
-            size in proptest::sample::select(vec![1u8, 2, 4, 8]),
+            lo in -8i64..20,
+            n in proptest::sample::select(vec![1u8, 2, 4, 8]),
         ) {
-            let mut blk = SymBlock {
-                size: 16,
-                perm: perm::FREEABLE,
-                freed: false,
-                cells: BTreeMap::new(),
-            };
-            for (off, k, n) in cells {
-                blk.cells.insert(off, (Expr::int(0), k, n));
-            }
-            let mut expected = blk.clone();
-            scan_remove_concrete_overlaps(&mut expected, &base, size);
-            remove_concrete_overlaps(&mut blk, &base, size);
-            prop_assert_eq!(blk, expected);
+            let cells: BTreeMap<i64, (u8, u8)> =
+                cells.into_iter().map(|(o, k, n)| (o, (k, n))).collect();
+            let hi = lo + n as i64;
+            let all = cells.iter().map(|(o, (k, n))| (*o, *k, *n));
+            let window = cells.range(overlap_window(lo, hi)).map(|(o, (k, n))| (*o, *k, *n));
+            prop_assert_eq!(store_span(lo, hi, window), store_span(lo, hi, all));
         }
 
         #[test]
-        fn last_offset_test_matches_full_scan(
-            blocks in proptest::collection::vec(
-                proptest::collection::vec(arb_offset(), 0..6),
-                0..3,
-            ),
-            probe in 0u64..4,
+        fn run_entries_are_the_canonical_byte_view(
+            writes in proptest::collection::vec(arb_write(), 1..8),
         ) {
-            let mut m = CSymMemory::default();
-            for (i, offsets) in blocks.into_iter().enumerate() {
-                let b = blk(i as u64);
-                m.register_block(b, 16);
-                let cells = &mut m.block_mut(b).expect("registered").cells;
-                for off in offsets {
-                    cells.insert(off, (Expr::int(0), 0, 1));
+            let mut blk = SymBlock::new(32);
+            let mut bytes: BTreeMap<i64, (Expr, u8, u8)> = BTreeMap::new();
+            for write in writes {
+                match write {
+                    Write::Store(o, v, n) => {
+                        blk.store(o, Expr::int(v), n);
+                        scan_store(&mut bytes, o, Expr::int(v), n);
+                    }
+                    Write::Bytes(o, new) => {
+                        for (i, byte) in new.iter().enumerate() {
+                            let at = o + i as i64;
+                            match byte {
+                                Some(byte) => bytes.insert(at, byte.clone()),
+                                None => bytes.remove(&at),
+                            };
+                        }
+                        blk.write_bytes(o, new);
+                    }
+                }
+                let view: BTreeMap<i64, (Expr, u8, u8)> =
+                    blk.literal_bytes(i64::MIN, i64::MAX).collect();
+                prop_assert_eq!(&view, &bytes);
+                prop_assert_eq!(&blk.runs, &canonical(&bytes));
+                for o in -1..34 {
+                    let window: Vec<_> = blk.literal_bytes(o, o + 3).collect();
+                    let expected: Vec<_> =
+                        bytes.range(o..o + 3).map(|(o, b)| (*o, b.clone())).collect();
+                    prop_assert_eq!(window, expected);
                 }
             }
-            let b = blk(probe);
-            prop_assert_eq!(m.all_offsets_literal(b), scan_all_offsets_literal(&m, b));
         }
     }
 }
