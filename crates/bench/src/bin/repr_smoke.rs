@@ -114,7 +114,7 @@ fn run_table1_with(bytecode: Option<bool>) -> Workload {
         workers: gillian_bench::workers_from_env(),
         checkpoint: gillian_bench::checkpoint_from_env(),
         bytecode,
-        ..gillian_js::buckets::table1_config()
+        ..gillian_bench::explore_config_from_env(gillian_js::buckets::table1_config())
     };
     accumulate(
         "table1",
@@ -134,7 +134,7 @@ fn run_table2_with(bytecode: Option<bool>) -> Workload {
         workers: gillian_bench::workers_from_env(),
         checkpoint: gillian_bench::checkpoint_from_env(),
         bytecode,
-        ..gillian_c::collections::table2_config()
+        ..gillian_bench::explore_config_from_env(gillian_c::collections::table2_config())
     };
     accumulate(
         "table2",
@@ -264,7 +264,7 @@ fn run_difftest() -> Workload {
         workers: gillian_bench::workers_from_env(),
         journal: gillian_telemetry::Journal::disabled(),
         checkpoint: gillian_bench::checkpoint_from_env(),
-        ..Default::default()
+        ..gillian_bench::explore_config_from_env(Default::default())
     };
     let memcheck = InterpMemoryCheck(WhileInterpretation);
     let mut w = Workload {
@@ -340,7 +340,7 @@ fn run_checkpoint_overhead() -> (Workload, CheckpointOverhead) {
                 workers: gillian_bench::workers_from_env(),
                 journal: gillian_telemetry::Journal::disabled(),
                 checkpoint: checkpoint.clone(),
-                ..Default::default()
+                ..gillian_bench::explore_config_from_env(Default::default())
             };
             let result = gillian_core::explore_with(
                 &prog,
@@ -443,7 +443,7 @@ fn run_profiler_overhead() -> (Workload, ProfilerOverhead) {
                 workers: gillian_bench::workers_from_env(),
                 journal: journal.clone(),
                 checkpoint: gillian_bench::checkpoint_from_env(),
-                ..Default::default()
+                ..gillian_bench::explore_config_from_env(Default::default())
             };
             let result = gillian_core::explore_with(
                 &prog,
@@ -584,7 +584,7 @@ fn run_summary_warm() -> (Workload, SummaryWarm) {
                 journal: gillian_telemetry::Journal::disabled(),
                 checkpoint: gillian_bench::checkpoint_from_env(),
                 summaries: Some(summaries),
-                ..Default::default()
+                ..gillian_bench::explore_config_from_env(Default::default())
             };
             let result = gillian_core::explore_with(
                 &prog,

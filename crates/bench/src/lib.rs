@@ -19,8 +19,11 @@
 //! those two features (see `DESIGN.md` §2 for the substitution argument).
 
 use gillian_core::testing::TestSuiteResult;
+use gillian_core::ExploreConfig;
 use gillian_solver::{Solver, SolverConfig};
+use gillian_telemetry::{journal, live, Journal};
 use std::fmt::Write as _;
+use std::path::PathBuf;
 use std::time::Duration;
 
 /// One rendered row of a table.
@@ -79,6 +82,55 @@ pub fn checkpoint_from_env() -> Option<gillian_core::CheckpointConfig> {
     Some(cfg)
 }
 
+/// `base` with the run plumbing the environment asks for. The engine
+/// crates read no environment, so this is where the bins turn the
+/// `GILLIAN_*` run variables into [`ExploreConfig`] fields:
+///
+/// - `GILLIAN_TRACE`, `GILLIAN_TRACE_CHROME` and `GILLIAN_FOLDED` name the
+///   JSONL, Chrome and folded-stacks sinks of an enabled
+///   [`ExploreConfig::journal`], with `GILLIAN_TRACE_CAP` events per
+///   worker (default [`journal::DEFAULT_CAPACITY`]). With none of the
+///   three set the journal is disabled.
+/// - `GILLIAN_SUMMARIES` set to anything but `0` arms
+///   [`ExploreConfig::summaries`], and `GILLIAN_SUMMARY_FILE` sets
+///   [`ExploreConfig::summary_file`].
+/// - `GILLIAN_LIVE` sets the [`ExploreConfig::live`] path, with frames
+///   every `GILLIAN_LIVE_EVERY_MS` milliseconds (default
+///   [`live::DEFAULT_EVERY_MS`]).
+///
+/// These four fields are replaced whatever `base` held. Each call builds
+/// a fresh journal; clones of the result share it.
+pub fn explore_config_from_env(base: ExploreConfig) -> ExploreConfig {
+    let var = |name: &str| std::env::var(name).ok().filter(|v| !v.is_empty());
+    let num = |name: &str| var(name).and_then(|v| v.parse::<u64>().ok());
+    let sinks = [
+        var("GILLIAN_TRACE"),
+        var("GILLIAN_TRACE_CHROME"),
+        var("GILLIAN_FOLDED"),
+    ];
+    let journal = match sinks {
+        [None, None, None] => Journal::disabled(),
+        [jsonl, chrome, folded] => {
+            let cap = num("GILLIAN_TRACE_CAP").map_or(journal::DEFAULT_CAPACITY, |c| c as usize);
+            let journal = Journal::with_sinks(jsonl, chrome, cap);
+            match folded {
+                Some(path) => journal.with_folded_sink(path),
+                None => journal,
+            }
+        }
+    };
+    let every_ms = num("GILLIAN_LIVE_EVERY_MS").filter(|&ms| ms > 0);
+    ExploreConfig {
+        journal,
+        summaries: Some(std::env::var("GILLIAN_SUMMARIES").is_ok_and(|v| v != "0")),
+        summary_file: std::env::var_os("GILLIAN_SUMMARY_FILE")
+            .filter(|v| !v.is_empty())
+            .map(PathBuf::from),
+        live: var("GILLIAN_LIVE").map(|path| (path, every_ms.unwrap_or(live::DEFAULT_EVERY_MS))),
+        ..base
+    }
+}
+
 /// The optimized solver with incremental solving toggled by environment:
 /// `GILLIAN_INCREMENTAL=0` disables per-prefix solve contexts (any other
 /// value, or unset, keeps them on). A/B harness for `repr_smoke`:
@@ -100,10 +152,10 @@ pub fn table1_rows() -> Vec<Row> {
 
 /// Runs Table 1 with an explicit explorer worker count.
 pub fn table1_rows_with(workers: usize) -> Vec<Row> {
-    let cfg = gillian_core::ExploreConfig {
+    let cfg = ExploreConfig {
         workers,
         deadline: deadline_from_env(),
-        ..gillian_js::buckets::table1_config()
+        ..explore_config_from_env(gillian_js::buckets::table1_config())
     };
     gillian_js::buckets::suite_names()
         .into_iter()
@@ -131,10 +183,10 @@ pub fn table2_rows() -> Vec<Row> {
 
 /// Runs Table 2 with an explicit explorer worker count.
 pub fn table2_rows_with(workers: usize) -> Vec<Row> {
-    let cfg = gillian_core::ExploreConfig {
+    let cfg = ExploreConfig {
         workers,
         deadline: deadline_from_env(),
-        ..gillian_c::collections::table2_config()
+        ..explore_config_from_env(gillian_c::collections::table2_config())
     };
     gillian_c::collections::suite_names()
         .into_iter()

@@ -31,7 +31,7 @@
 //!
 //! - a wall-clock [`ExploreConfig::deadline`] and a cooperative
 //!   [`CancelToken`], checked at every scheduling point and installed into
-//!   the state's solver (via [`GilState::install_interrupt`]) so that long
+//!   the state's solver (found through [`GilState::solver`]) so that long
 //!   satisfiability queries give up with `Unknown` instead of spinning;
 //! - per-path panic isolation: each interpreter step runs under a
 //!   capturing `catch_unwind` (see `panic_guard`), so a panic in a
@@ -50,13 +50,13 @@ use crate::interp::{Config, Final, Outcome, StepOut};
 use crate::panic_guard;
 use crate::state::GilState;
 use gillian_gil::{EvalScratch, InternStats, Prog};
-use gillian_solver::{CancelToken, Interrupt};
+use gillian_solver::{summary, CancelToken, Interrupt, Solver};
 use gillian_telemetry::journal::{clear_path_context, set_path_context};
 use gillian_telemetry::{
     names, registry, Event, Journal, LiveSink, LiveStats, Report, TreeStats, WorkerLog,
 };
 use std::collections::VecDeque;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
@@ -126,12 +126,11 @@ pub struct ExploreConfig {
     /// as truncated and counted in [`ExploreDiagnostics::cancellations`].
     /// The default is a fresh, never-cancelled token.
     pub cancel: CancelToken,
-    /// The run's event journal. The default is [`Journal::from_env`]:
-    /// disabled (free) unless `GILLIAN_TRACE`/`GILLIAN_TRACE_CHROME` is
-    /// set, in which case every run journals path lifecycle, sat
-    /// queries, and memory actions, and appends the merged trace to the
-    /// configured sinks at explore end. Tests and embedders can install
-    /// an explicit journal (e.g. [`Journal::enabled`]) instead.
+    /// The run's event journal. The default is [`Journal::disabled`],
+    /// which costs nothing. An enabled journal (e.g. [`Journal::enabled`]
+    /// or [`Journal::with_sinks`]) records path lifecycle, sat queries
+    /// and memory actions, and appends the merged trace to its sinks at
+    /// run end. Cloning a configuration shares its journal.
     pub journal: Journal,
     /// Crash-safe checkpointing of the frontier (`DESIGN.md` §14):
     /// `None` (the default) writes nothing; otherwise the configured
@@ -152,18 +151,25 @@ pub struct ExploreConfig {
     /// exists for differential testing and A/B benchmarking.
     pub bytecode: Option<bool>,
     /// Procedure-summary reuse (`DESIGN.md` §17): `Some(true)` arms the
-    /// state's summary store for the run (recording clean callee windows,
-    /// splicing them back at applicable `Call` sites), `Some(false)`
-    /// leaves every call executing normally, and `None` (the default)
-    /// defers to the `GILLIAN_SUMMARIES` environment variable — off
-    /// unless set to something other than `0`. Summaries never change a
-    /// path's `(trace, outcome)`: an applied summary replays a proven
-    /// fork-free callee, retiring the whole call as the one `Call`
-    /// command, so only `cmds` (and wall-clock) shrink. With
-    /// `GILLIAN_SUMMARY_FILE` set, armed runs load the store from that
-    /// file at start and persist it back at end (warm runs across
-    /// processes); a corrupt file degrades to cold execution.
+    /// solver's summary store for the run (recording clean callee
+    /// windows, splicing them back at applicable `Call` sites), while
+    /// `Some(false)` and `None` (the default) leave every call executing
+    /// normally. Summaries never change a path's `(trace, outcome)`: an
+    /// applied summary replays a proven fork-free callee, retiring the
+    /// whole call as the one `Call` command, so only `cmds` (and
+    /// wall-clock) shrink.
     pub summaries: Option<bool>,
+    /// The summary file for warm runs across processes (`DESIGN.md` §17).
+    /// A run with [`ExploreConfig::summaries`] armed merges this file into
+    /// the solver's store at start and writes the store back at end. A
+    /// missing or corrupt file degrades to cold execution. `None` (the
+    /// default) keeps summaries in the process.
+    pub summary_file: Option<PathBuf>,
+    /// Live mode (`DESIGN.md` §16): `Some((path, every_ms))` opens a
+    /// [`LiveSink`] on `path` for the run and appends a progress frame
+    /// about every `every_ms` milliseconds, plus a final one. `None` (the
+    /// default) writes nothing and starts no sampler thread.
+    pub live: Option<(String, u64)>,
 }
 
 impl ExploreConfig {
@@ -185,22 +191,15 @@ impl Default for ExploreConfig {
             workers: 1,
             deadline: None,
             cancel: CancelToken::new(),
-            journal: Journal::from_env(),
+            journal: Journal::disabled(),
             checkpoint: None,
             faults: None,
             bytecode: None,
             summaries: None,
+            summary_file: None,
+            live: None,
         }
     }
-}
-
-/// The `GILLIAN_SUMMARIES` resolution used when
-/// [`ExploreConfig::summaries`] is `None`: off unless the variable is set
-/// to something other than `0` (summaries are opt-in, unlike the
-/// default-on bytecode backend — warm reuse is a deliberate choice, and
-/// the cold path stays byte-identical to a build without the feature).
-fn summaries_from_env() -> bool {
-    std::env::var("GILLIAN_SUMMARIES").is_ok_and(|v| v != "0")
 }
 
 /// The outcome of one explored path.
@@ -452,29 +451,29 @@ impl Counters {
     }
 }
 
-/// The sentinel's solver counters at run start (unknown verdicts,
-/// incremental hits, summaries recorded and applied) and
-/// the resumed-from diagnostics: what turns a run's engine counters into
-/// its [`ExploreDiagnostics`], mid-run for a checkpoint or at the end.
-struct Baseline {
-    solver: [u64; 4],
+/// The run's solver, its counters at run start (unknown verdicts,
+/// incremental hits, summaries recorded and applied) and the resumed-from
+/// diagnostics: what turns a run's engine counters into its
+/// [`ExploreDiagnostics`], mid-run for a checkpoint or at the end.
+struct Baseline<'s> {
+    solver: Option<&'s Solver>,
+    start: [u64; 4],
     resumed: ExploreDiagnostics,
 }
 
-impl Baseline {
-    fn solver<S: GilState>(sentinel: &S) -> [u64; 4] {
-        let (reuse, summaries) = (sentinel.solver_reuse(), sentinel.summary_stats());
-        let unknowns = sentinel.unknown_verdicts();
-        [unknowns, reuse, summaries.0, summaries.1]
+impl Baseline<'_> {
+    /// A solver-free (concrete) run counts nothing.
+    fn counters(solver: Option<&Solver>) -> [u64; 4] {
+        solver.map_or([0; 4], |s| {
+            let (stats, summaries) = (s.stats(), s.summaries().stats());
+            let (unknowns, reuse) = (stats.sat_unknowns, stats.incremental_hits);
+            [unknowns, reuse, summaries.recorded, summaries.applied]
+        })
     }
 
-    fn diagnostics<S: GilState>(
-        &self,
-        sentinel: &S,
-        run: ExploreDiagnostics,
-    ) -> ExploreDiagnostics {
-        let now = Baseline::solver(sentinel);
-        let delta = |i: usize| now[i].saturating_sub(self.solver[i]);
+    fn diagnostics(&self, run: ExploreDiagnostics) -> ExploreDiagnostics {
+        let now = Baseline::counters(self.solver);
+        let delta = |i: usize| now[i].saturating_sub(self.start[i]);
         let base = &self.resumed;
         ExploreDiagnostics {
             deadline_hits: run.deadline_hits + base.deadline_hits,
@@ -912,10 +911,10 @@ fn work<S: GilState>(
     std::mem::take(&mut w.finished)
 }
 
-/// Runs `round` with the `GILLIAN_LIVE` sampler beside it when the sink
-/// is armed: a thread that polls the run's counters at the frame
-/// interval and stops as soon as the round returns. Unarmed, the round
-/// runs alone and no thread is spawned.
+/// Runs `round` with the live sampler beside it when
+/// [`ExploreConfig::live`] opened a sink: a thread that polls the run's
+/// counters at the frame interval and stops as soon as the round
+/// returns. Unarmed, the round runs alone and no thread is spawned.
 fn with_live_sampler<T>(
     live: Option<&mut LiveSink>,
     counters: &Counters,
@@ -997,13 +996,13 @@ where
     })
 }
 
-/// The run driver: arms the sentinel's hooks, runs rounds of the worker
-/// loop until the queue drains or a stop ends the run, writes the final
-/// checkpoint, merges, drains, and disarms. `round` runs one round with
-/// `cfg.workers` workers. A run starts from a checkpoint's frontier and
-/// accounting: a fresh run from the trivial one [`seed`] builds, a resumed
-/// run from the file, so its result reads like the tail of one
-/// uninterrupted run.
+/// The run driver: arms the run on the sentinel's solver, runs rounds of
+/// the worker loop until the queue drains or a stop ends the run, writes
+/// the final checkpoint, merges, drains, and disarms. `round` runs one
+/// round with `cfg.workers` workers. A run starts from a checkpoint's
+/// frontier and accounting: a fresh run from the trivial one [`seed`]
+/// builds, a resumed run from the file, so its result reads like the tail
+/// of one uninterrupted run.
 ///
 /// Periodic checkpoints are *stop-the-world* rounds at every worker
 /// count: the first worker past the interval stops the round, every
@@ -1024,21 +1023,29 @@ fn drive<S: GilState>(
     // so racing resolvers store the same value).
     let exec = ExecProg::prepare(prog, cfg.bytecode);
     let interrupt = Interrupt::new(cfg.deadline.map(|d| run_started + d), cfg.cancel.clone());
-    // The sentinel arms the run's interrupt, journal, fault probe and
-    // summaries in the (shared) solver, and disarms them at the end.
-    // Armed summaries load `GILLIAN_SUMMARY_FILE` (when set) inside the
-    // configure hook, so warm entries apply from the first path onward.
-    sentinel.install_interrupt(interrupt.clone());
-    sentinel.install_journal(cfg.journal.clone());
-    if let Some(plan) = &cfg.faults {
-        sentinel.install_fault_probe(plan.probe(cfg.journal.clone()));
-    }
-    let summaries_on = cfg.summaries.unwrap_or_else(summaries_from_env);
-    if summaries_on {
-        sentinel.configure_summaries(prog, true);
+    // Arm the run's interrupt, journal, fault probe and summaries on the
+    // solver every state of the run shares; all four are disarmed at the
+    // end. Armed summaries merge `cfg.summary_file` first, so warm entries
+    // apply from the first path onward; a missing or corrupt file leaves
+    // the run cold, since summaries are a cache, never a dependency.
+    let solver = sentinel.solver();
+    let summaries_on = cfg.summaries == Some(true);
+    if let Some(solver) = solver {
+        solver.set_interrupt(interrupt.clone());
+        solver.set_journal(cfg.journal.clone());
+        if let Some(plan) = &cfg.faults {
+            solver.set_fault_probe(plan.probe(cfg.journal.clone()));
+        }
+        if summaries_on {
+            if let Some(path) = &cfg.summary_file {
+                let _ = solver.summaries().load_file(path);
+            }
+            solver.summaries().arm(summary::program_fingerprints(prog));
+        }
     }
     let baseline = Baseline {
-        solver: Baseline::solver(&sentinel),
+        solver,
+        start: Baseline::counters(solver),
         resumed: start.diagnostics,
     };
     // The run's interner traffic: the calling thread's delta plus each
@@ -1069,7 +1076,10 @@ fn drive<S: GilState>(
         checkpoint_at: checkpoint_every.map(|e| run_started + e),
     };
     let workers = cfg.workers.max(1);
-    let mut live = LiveSink::from_env();
+    let mut live = match &cfg.live {
+        Some((path, every_ms)) => LiveSink::to_path(path, *every_ms),
+        None => None,
+    };
     let mut finished = Vec::new();
     let stop = loop {
         finished.extend(with_live_sampler(
@@ -1085,7 +1095,7 @@ fn drive<S: GilState>(
         else {
             break stop;
         };
-        let diagnostics = baseline.diagnostics(&sentinel, run.counters.diagnostics());
+        let diagnostics = baseline.diagnostics(run.counters.diagnostics());
         run.write_checkpoint(ckpt, &finished, diagnostics, &mut log);
         run.checkpoint_at = checkpoint_every.map(|e| Instant::now() + e);
     };
@@ -1102,7 +1112,7 @@ fn drive<S: GilState>(
     });
     let mut diagnostics = run.counters.diagnostics();
     let checkpointed = wanted.is_some_and(|ckpt| {
-        let mid_run = baseline.diagnostics(&sentinel, diagnostics);
+        let mid_run = baseline.diagnostics(diagnostics);
         run.write_checkpoint(ckpt, &finished, mid_run, &mut log)
     });
     let queue = run.queue.get_mut().unwrap_or_else(PoisonError::into_inner);
@@ -1166,21 +1176,27 @@ fn drive<S: GilState>(
         diagnostics: ExploreDiagnostics::default(),
         report: Report::default(),
     };
-    sentinel.clear_interrupt();
     let delta = InternStats::thread_snapshot().since(&interner_before);
     diagnostics.interner = InternStats {
         mints: counters.intern_mints.into_inner() + delta.mints,
         hits: counters.intern_hits.into_inner() + delta.hits,
         live: InternStats::snapshot().live,
     };
-    result.diagnostics = baseline.diagnostics(&sentinel, diagnostics);
-    if summaries_on {
-        // Disarm (persisting to `GILLIAN_SUMMARY_FILE` when set); entries
-        // stay in the store for the next armed run in this process.
-        sentinel.configure_summaries(prog, false);
-    }
-    if cfg.faults.is_some() {
-        sentinel.clear_fault_probe();
+    result.diagnostics = baseline.diagnostics(diagnostics);
+    if let Some(solver) = solver {
+        solver.clear_interrupt();
+        if summaries_on {
+            // Disarm, persisting to `cfg.summary_file` when set; entries
+            // stay in the store for the next armed run in this process.
+            if let Some(path) = &cfg.summary_file {
+                let _ = solver.summaries().save_file(path);
+            }
+            solver.summaries().disarm();
+        }
+        if cfg.faults.is_some() {
+            solver.clear_fault_probe();
+        }
+        solver.clear_journal();
     }
     drop(log);
     let report = &mut result.report;
@@ -1193,15 +1209,15 @@ fn drive<S: GilState>(
     report.workers = workers as u32;
     report.tree = TreeStats::from_paths(result.paths.iter().map(|p| p.trace.as_slice()));
     report.metrics = registry().snapshot().since(&metrics_before);
-    sentinel.clear_journal();
     result
 }
 
 /// A fresh run from `entry`: the trivial checkpoint, whose frontier is
 /// the entry configuration, plus a pristine clone of the initial state as
-/// the run's sentinel. The sentinel arms and disarms the solver hooks,
-/// provides the solver counters, and stands in as the reported state of
-/// paths whose true state was lost to a panic; it is never stepped.
+/// the run's sentinel. The sentinel's solver is where the driver arms and
+/// disarms the run and reads its solver counters; the sentinel also
+/// stands in as the reported state of paths whose true state was lost to
+/// a panic. It is never stepped.
 fn seed<S: GilState>(entry: &str, initial: S, cfg: &ExploreConfig) -> (S, CheckpointData<S>) {
     let sentinel = initial.clone();
     let start = CheckpointData {
@@ -1244,8 +1260,9 @@ pub struct ResumedExplore<S: GilState> {
 /// search strategy overrides `cfg.strategy`, and exploration continues
 /// under `cfg`'s budgets and worker count with the checkpoint's command
 /// count already spent. `sentinel` plays the role the initial state
-/// plays in [`explore`]: a pristine state for interrupt/journal
-/// installation and panic reporting — it is never stepped.
+/// plays in [`explore`]: its solver is where the run is armed and
+/// disarmed, and it is the reported state of panicked paths. It is never
+/// stepped.
 ///
 /// # Errors
 ///

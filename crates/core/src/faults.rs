@@ -219,7 +219,7 @@ impl FaultPlan {
 
     /// A solver fault probe wired to this plan: draws a point per
     /// satisfiability query from the shared counter, records and journals
-    /// any injection. Install via `GilState::install_fault_probe`.
+    /// any injection. The engine installs it on the run's solver.
     pub fn probe(self: &Arc<Self>, journal: Journal) -> FaultProbe {
         let plan = Arc::clone(self);
         Arc::new(move || {

@@ -12,12 +12,27 @@
 //! semantics is the two conditional-goto rules). Memory actions `α` remain
 //! stringly-typed and are dispatched through
 //! [`GilState::execute_action`].
+//!
+//! Beyond Def. 2.1 the trait carries only what the state model itself
+//! must supply:
+//!
+//! - the lifting hooks of the Call/Return rules (Defs. 2.5/2.6):
+//!   [`GilState::summary_apply`], [`GilState::summary_call`] and
+//!   [`GilState::summary_return`];
+//! - the compiled-code hooks of the bytecode backend, each equivalent to
+//!   its tree-walk counterpart: [`GilState::eval_code`],
+//!   [`GilState::guard_code`], [`GilState::action_code`] and
+//!   [`GilState::execute_action_coded`];
+//! - the checkpoint save/load hooks;
+//! - [`GilState::solver`], the one accessor through which the
+//!   exploration engine owns a run: the engine arms the deadline,
+//!   journal, fault probe and summaries on that solver and disarms them
+//!   at run end. State models never see the run.
 
 use crate::checkpoint::{StateCtx, StateIoError};
 use gillian_gil::serial::{ByteReader, Decoder, Encoder};
-use gillian_gil::{EvalScratch, Expr, ExprCode, Ident, Prog};
-use gillian_solver::{FaultProbe, Interrupt};
-use gillian_telemetry::Journal;
+use gillian_gil::{EvalScratch, Expr, ExprCode, Ident};
+use gillian_solver::Solver;
 
 /// The branching result of a memory action on states: each branch pairs a
 /// successor state with the action outcome (`Err` raises `E(v)`).
@@ -158,42 +173,13 @@ pub trait GilState: Clone + std::fmt::Debug + Sized {
     /// Wraps an engine-generated message as an error value.
     fn error_value(&self, msg: &str) -> Self::V;
 
-    /// Installs the run's cooperative interrupt (wall-clock deadline plus
-    /// cancellation token) into whatever solving machinery this state
-    /// uses, so that long satisfiability queries observe the same limits
-    /// as the exploration loop. The default is a no-op: concrete states
-    /// have no solver and need none.
-    fn install_interrupt(&self, _interrupt: Interrupt) {}
-
-    /// Clears a previously installed interrupt (default no-op).
-    fn clear_interrupt(&self) {}
-
-    /// Installs the run's event journal into this state's solving
-    /// machinery, so satisfiability queries and memory actions are
-    /// journaled alongside the engine's own path events. Same lifecycle
-    /// as [`GilState::install_interrupt`]; the default is a no-op
-    /// (concrete states emit nothing).
-    fn install_journal(&self, _journal: Journal) {}
-
-    /// Clears a previously installed journal (default no-op).
-    fn clear_journal(&self) {}
-
-    /// Monotone count of `Unknown` satisfiability verdicts observed so far
-    /// by this state's solving machinery. The exploration engines diff
-    /// this across a run to report how often a branch was kept only
-    /// because the solver could not decide it. Solver-free (concrete)
-    /// states report `0`.
-    fn unknown_verdicts(&self) -> u64 {
-        0
-    }
-
-    /// Monotone count of incremental solver-reuse hits observed so far
-    /// by this state's solving machinery. The exploration engines diff it
-    /// across a run for the diagnostics report; it is informational only
-    /// and never affects verdicts. Solver-free (concrete) states report
-    /// `0`.
-    fn solver_reuse(&self) -> u64 {
-        0
+    /// The solver this state's path condition is decided by, if any. The
+    /// exploration engine arms a run on it (interrupt, journal, fault
+    /// probe, summaries), reads the run's solver counters from it, and
+    /// disarms it at run end; the state itself never sees the run. The
+    /// default is `None`: concrete states have no solver.
+    fn solver(&self) -> Option<&Solver> {
+        None
     }
 
     /// Serializes this state for a frontier checkpoint
@@ -257,12 +243,6 @@ pub trait GilState: Clone + std::fmt::Debug + Sized {
         ))
     }
 
-    /// Arms (or disarms) procedure-summary recording and application in
-    /// this state's solving machinery for `prog` (`DESIGN.md` §17). Same
-    /// one-run-at-a-time lifecycle as [`GilState::install_interrupt`];
-    /// the default is a no-op — concrete states re-execute every call.
-    fn configure_summaries(&self, _prog: &Prog, _enabled: bool) {}
-
     /// Attempts to answer a call to `callee` with already-evaluated
     /// arguments `args` from a recorded procedure summary. On success the
     /// state has been advanced exactly as executing the callee would have
@@ -284,21 +264,4 @@ pub trait GilState: Clone + std::fmt::Debug + Sized {
     /// the matching [`GilState::summary_call`] if it stayed clean (no
     /// fork, no memory action, no fresh symbol). The default is a no-op.
     fn summary_return(&mut self, _ret: &Self::V, _depth: usize) {}
-
-    /// Monotone `(recorded, applied)` summary counts observed so far by
-    /// this state's solving machinery. The exploration engines diff these
-    /// across a run for the diagnostics report; informational only.
-    /// States without summary support report `(0, 0)`.
-    fn summary_stats(&self) -> (u64, u64) {
-        (0, 0)
-    }
-
-    /// Installs a deterministic fault probe into this state's solving
-    /// machinery (the fault-injection harness, `DESIGN.md` §14). Same
-    /// lifecycle as [`GilState::install_interrupt`]; the default is a
-    /// no-op (solver-free states have nowhere to inject).
-    fn install_fault_probe(&self, _probe: FaultProbe) {}
-
-    /// Clears a previously installed fault probe (default no-op).
-    fn clear_fault_probe(&self) {}
 }

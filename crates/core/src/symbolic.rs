@@ -17,10 +17,10 @@ use crate::restriction::Restrict;
 use crate::state::{GilState, GuardEval};
 use gillian_gil::compile::{EvalScratch, ExprCode, ExprKind};
 use gillian_gil::serial::{self, ByteReader, Decoder, Encoder};
-use gillian_gil::{Expr, Ident, LVar, Prog, Term, Value};
+use gillian_gil::{Expr, Ident, LVar, Term, Value};
 use gillian_solver::summary;
-use gillian_solver::{FaultProbe, Interrupt, PathCondition, SatResult, Solver};
-use gillian_telemetry::{names, registry, Event, Journal};
+use gillian_solver::{PathCondition, SatResult, Solver};
+use gillian_telemetry::{names, registry, Event};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -119,11 +119,6 @@ impl<M: SymbolicMemory> SymbolicState<M> {
             solver,
             probes: Vec::new(),
         }
-    }
-
-    /// The solver handle shared by this state.
-    pub fn solver(&self) -> &Solver {
-        &self.solver
     }
 
     /// The allocator record (inspectable; used for concrete replay).
@@ -479,28 +474,8 @@ impl<M: SymbolicMemory> GilState for SymbolicState<M> {
         self.run_action(name, arg, Some(code))
     }
 
-    fn install_interrupt(&self, interrupt: Interrupt) {
-        self.solver.set_interrupt(interrupt);
-    }
-
-    fn clear_interrupt(&self) {
-        self.solver.clear_interrupt();
-    }
-
-    fn install_journal(&self, journal: Journal) {
-        self.solver.set_journal(journal);
-    }
-
-    fn clear_journal(&self) {
-        self.solver.clear_journal();
-    }
-
-    fn unknown_verdicts(&self) -> u64 {
-        self.solver.stats().sat_unknowns
-    }
-
-    fn solver_reuse(&self) -> u64 {
-        self.solver.stats().incremental_hits
+    fn solver(&self) -> Option<&Solver> {
+        Some(&self.solver)
     }
 
     /// Layout: store, allocator record, path condition, memory. The
@@ -576,34 +551,6 @@ impl<M: SymbolicMemory> GilState for SymbolicState<M> {
         Ok(Arc::new(store))
     }
 
-    fn install_fault_probe(&self, probe: FaultProbe) {
-        self.solver.set_fault_probe(probe);
-    }
-
-    fn clear_fault_probe(&self) {
-        self.solver.clear_fault_probe();
-    }
-
-    fn configure_summaries(&self, prog: &Prog, enabled: bool) {
-        let store = self.solver.summaries();
-        if enabled {
-            // Warm start: merge the persisted store (when configured)
-            // before arming. A missing or corrupt file degrades to cold
-            // execution — summaries are a cache, never a dependency.
-            if let Some(path) = summary::file_from_env() {
-                let _ = store.load_file(&path);
-            }
-            store.arm(summary::program_fingerprints(prog));
-        } else {
-            if store.armed() {
-                if let Some(path) = summary::file_from_env() {
-                    let _ = store.save_file(&path);
-                }
-            }
-            store.disarm();
-        }
-    }
-
     fn summary_apply(&mut self, callee: &Ident, args: &[Expr]) -> Option<Expr> {
         let store = self.solver.summaries();
         if !store.armed() {
@@ -659,11 +606,6 @@ impl<M: SymbolicMemory> GilState for SymbolicState<M> {
             deltas,
             ret.clone(),
         );
-    }
-
-    fn summary_stats(&self) -> (u64, u64) {
-        let stats = self.solver.summaries().stats();
-        (stats.recorded, stats.applied)
     }
 }
 

@@ -126,7 +126,7 @@ fn assert_equiv(
 /// The tentpole battery: {off, on-cold, on-warm-from-disk} over seeded
 /// programs, for one (strategy, bytecode) engine configuration. The warm
 /// leg round-trips the cold leg's harvest through a summary file into a
-/// fresh solver, exactly as `GILLIAN_SUMMARY_FILE` does across processes.
+/// fresh solver, as `ExploreConfig::summary_file` does across processes.
 fn equivalence_battery(strategy: SearchStrategy, bytecode: bool, salt: u64) {
     let base = env_u64("GILLIAN_SUMMARY_SEED", 0);
     let cases = env_u64("GILLIAN_SUMMARY_CASES", 25);
@@ -462,6 +462,58 @@ fn poisoned_store_degrades_to_cold_execution() {
         &path_map(&cold),
         "post-poison cold run",
         &format!("ops: {ops:?}"),
+    );
+}
+
+/// The engine's own load and save of [`ExploreConfig::summary_file`]: a
+/// cold run with the field set writes the file, a run on a fresh solver
+/// with the same field applies what the file holds, and a corrupted file
+/// leaves the next run cold. All three explore the summaries-off
+/// `(trace, outcome)` set.
+#[test]
+fn the_engine_loads_and_saves_the_summary_file() {
+    let base = env_u64("GILLIAN_SUMMARY_SEED", 0);
+    let (mut cold_applied, mut warm_applied) = (0u64, 0u64);
+    for i in 0..10u64 {
+        let seed = base.wrapping_add(0x5C_6000).wrapping_add(i);
+        let (ops, prog) = gen_case(seed);
+        let ctx = format!("seed {seed}\nops: {ops:?}");
+        let run = |cfg: ExploreConfig| {
+            let initial = St::new(Arc::new(Solver::optimized()));
+            explore_with(&prog, "main", initial, cfg)
+        };
+        let want = path_map(&run(config(SearchStrategy::Dfs, true, false)));
+        let path = scratch_path(&format!("engine-{seed}"));
+        let cfg = ExploreConfig {
+            summary_file: Some(path.clone()),
+            ..config(SearchStrategy::Dfs, true, true)
+        };
+
+        let cold = run(cfg.clone());
+        assert!(path.exists(), "{ctx}: the cold run wrote no summary file");
+        assert_equiv(&want, &path_map(&cold), "saving run", &ctx);
+        cold_applied += cold.diagnostics.summaries_applied;
+
+        let warm = run(cfg.clone());
+        assert_equiv(&want, &path_map(&warm), "loading run", &ctx);
+        warm_applied += warm.diagnostics.summaries_applied;
+
+        let mut bytes = std::fs::read(&path).expect("read summary file");
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0x01;
+        std::fs::write(&path, &bytes).expect("corrupt summary file");
+        let poisoned = run(cfg);
+        assert_equiv(&want, &path_map(&poisoned), "run over a corrupt file", &ctx);
+        // The run replaced the corrupt file with its own harvest.
+        let reloaded = SummaryStore::new().load_file(&path);
+        let _ = std::fs::remove_file(&path);
+        assert!(reloaded.is_ok(), "{ctx}: corrupt file not rewritten");
+    }
+    // Loading from the file applies everything the cold runs harvested,
+    // on top of what they applied within the run.
+    assert!(
+        warm_applied > cold_applied,
+        "loading runs applied {warm_applied} summaries, cold runs {cold_applied}"
     );
 }
 

@@ -42,9 +42,9 @@
 //! store following the checkpoint conventions (`DESIGN.md` §14): a magic
 //! header, a format version, an FNV-1a checksum over the payload, one
 //! re-interned post-order term table shared by every entry, and an atomic
-//! tmp+rename write. Loads never panic on untrusted bytes: every failure
-//! is a typed [`SummaryLoadError`], and a poisoned file degrades the run
-//! to cold execution.
+//! write to `<path>.tmp` renamed over `<path>`. Loads never panic on
+//! untrusted bytes: every failure is a typed [`SummaryLoadError`], and a
+//! poisoned file degrades the run to cold execution.
 
 use crate::pathcond::{PathCondition, PcKey};
 use crate::sat::SatResult;
@@ -213,18 +213,6 @@ impl fmt::Display for SummarySaveError {
 
 impl std::error::Error for SummarySaveError {}
 
-/// Environment variable naming the summary persistence file: armed runs
-/// load it at explore start and write it back at explore end. Unset (or
-/// empty) keeps summaries in-process only.
-pub const SUMMARY_FILE_ENV: &str = "GILLIAN_SUMMARY_FILE";
-
-/// The `GILLIAN_SUMMARY_FILE` path, if one is configured.
-pub fn file_from_env() -> Option<std::path::PathBuf> {
-    std::env::var_os(SUMMARY_FILE_ENV)
-        .filter(|v| !v.is_empty())
-        .map(std::path::PathBuf::from)
-}
-
 /// Per-procedure fingerprints of a program: FNV-1a over each procedure's
 /// rendered text (params + body). Summaries are applied only when the
 /// callee's fingerprint matches the one recorded at harvest, so a solver
@@ -245,8 +233,8 @@ pub fn program_fingerprints(prog: &Prog) -> HashMap<Ident, u64> {
 /// store is **disarmed** by default: a disarmed store costs one relaxed
 /// atomic load per call site and neither records nor applies. The
 /// exploration engine arms it (with the active program's procedure
-/// fingerprints) when `ExploreConfig::summaries` / `GILLIAN_SUMMARIES`
-/// asks for it, and disarms it at run end.
+/// fingerprints) when `ExploreConfig::summaries` asks for it, and
+/// disarms it at run end.
 #[derive(Debug, Default)]
 pub struct SummaryStore {
     /// Fast gate consulted by every Call/Return hook.
@@ -572,15 +560,18 @@ impl SummaryStore {
         Ok(out)
     }
 
-    /// Atomically writes the store to `path` (temp file + rename, so a
-    /// crash mid-write never leaves a torn file behind).
+    /// Atomically writes the store to `path`: the bytes go to
+    /// `<path>.tmp`, which is then renamed over `path`, so a crash
+    /// mid-write never leaves a torn file behind. The temporary name
+    /// appends to the whole file name, so no sibling file is touched.
     ///
     /// # Errors
     ///
     /// [`SummarySaveError`] on serialization or filesystem failure.
     pub fn save_file(&self, path: &Path) -> Result<(), SummarySaveError> {
         let bytes = self.encode().map_err(SummarySaveError::Wire)?;
-        let tmp = path.with_extension("tmp");
+        let mut tmp = path.as_os_str().to_os_string();
+        tmp.push(".tmp");
         std::fs::write(&tmp, &bytes).map_err(SummarySaveError::Io)?;
         std::fs::rename(&tmp, path).map_err(SummarySaveError::Io)
     }
@@ -745,6 +736,25 @@ mod tests {
             fresh.try_apply(&"f".into(), &args, &mut call_pc, &solver),
             Some(ret)
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn saving_leaves_a_sibling_tmp_file_alone() {
+        // `suite.gilsum`'s temporary file must not be `suite.tmp`, which
+        // may belong to someone else.
+        let store = armed_store(&["f"]);
+        let (args, pc, deltas, ret) = entry_parts();
+        store.record(&"f".into(), &args, pc, deltas, ret);
+        let dir = std::env::temp_dir().join(format!("gilsum-sibling-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let sibling = dir.join("suite.tmp");
+        std::fs::write(&sibling, b"not a summary file").unwrap();
+        let path = dir.join("suite.gilsum");
+        store.save_file(&path).unwrap();
+        assert_eq!(std::fs::read(&sibling).unwrap(), b"not a summary file");
+        assert_eq!(SummaryStore::new().load_file(&path).unwrap(), 1);
+        assert!(!dir.join("suite.gilsum.tmp").exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -336,30 +336,11 @@ struct JournalInner {
 /// A handle to one run's event journal. Cloning shares the journal.
 ///
 /// The default journal is **disabled**: every emit is a no-op and no
-/// memory is allocated. [`Journal::from_env`] enables it when
-/// `GILLIAN_TRACE` (JSONL path) or `GILLIAN_TRACE_CHROME` (Chrome
-/// `trace_event` path) is set.
+/// memory is allocated. [`Journal::with_sinks`] builds an enabled one
+/// that writes JSONL and Chrome `trace_event` files at run end.
 #[derive(Clone, Debug, Default)]
 pub struct Journal {
     inner: Option<Arc<JournalInner>>,
-}
-
-/// Cached process-level trace configuration from the environment.
-#[allow(clippy::type_complexity)]
-fn env_config() -> &'static (Option<String>, Option<String>, Option<String>, usize) {
-    static CONFIG: OnceLock<(Option<String>, Option<String>, Option<String>, usize)> =
-        OnceLock::new();
-    CONFIG.get_or_init(|| {
-        let var = |name: &str| std::env::var(name).ok().filter(|s| !s.is_empty());
-        let jsonl = var("GILLIAN_TRACE");
-        let chrome = var("GILLIAN_TRACE_CHROME");
-        let folded = var("GILLIAN_FOLDED");
-        let cap = std::env::var("GILLIAN_TRACE_CAP")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(DEFAULT_CAPACITY);
-        (jsonl, chrome, folded, cap)
-    })
 }
 
 impl Journal {
@@ -374,8 +355,7 @@ impl Journal {
         Journal::with_sinks(None, None, DEFAULT_CAPACITY)
     }
 
-    /// An enabled journal writing JSONL to `path` at run end — the same
-    /// construction `GILLIAN_TRACE=path` performs.
+    /// An enabled journal writing JSONL to `path` at run end.
     pub fn jsonl_sink(path: impl Into<String>) -> Journal {
         Journal::with_sinks(Some(path.into()), None, DEFAULT_CAPACITY)
     }
@@ -399,8 +379,7 @@ impl Journal {
 
     /// This journal with a folded-stacks (flamegraph) sink: at run end
     /// the merged journal is profiled into an exploration tree and its
-    /// folded stacks appended to `path` — the `GILLIAN_FOLDED`
-    /// construction. No-op on a disabled journal.
+    /// folded stacks appended to `path`. No-op on a disabled journal.
     pub fn with_folded_sink(mut self, path: impl Into<String>) -> Journal {
         if let Some(inner) = self.inner.take() {
             let mut inner = Arc::try_unwrap(inner).unwrap_or_else(|arc| JournalInner {
@@ -418,22 +397,6 @@ impl Journal {
             self.inner = Some(Arc::new(inner));
         }
         self
-    }
-
-    /// The journal the environment asks for: enabled with the configured
-    /// sinks when `GILLIAN_TRACE`/`GILLIAN_TRACE_CHROME`/`GILLIAN_FOLDED`
-    /// is set, disabled otherwise. A **fresh** journal per call — each
-    /// exploration run merges and appends to the sink files on its own.
-    pub fn from_env() -> Journal {
-        let (jsonl, chrome, folded, cap) = env_config();
-        if jsonl.is_none() && chrome.is_none() && folded.is_none() {
-            return Journal::disabled();
-        }
-        let journal = Journal::with_sinks(jsonl.clone(), chrome.clone(), *cap);
-        match folded {
-            Some(path) => journal.with_folded_sink(path.clone()),
-            None => journal,
-        }
     }
 
     /// True when events are being collected.

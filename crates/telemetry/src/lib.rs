@@ -20,7 +20,8 @@
 //!   interruptions) written to per-worker buffers with monotonic
 //!   timestamps, merged deterministically at explore end. Disabled by
 //!   default ([`Journal::disabled`] is a `None` — emitting is a no-op);
-//!   enabled explicitly or via `GILLIAN_TRACE`.
+//!   enabled by the run's configuration (the bins enable it from
+//!   `GILLIAN_TRACE` and friends).
 //! - [`export`]/[`report`] — sinks. A JSONL trace file
 //!   (`GILLIAN_TRACE=path.jsonl`), a Chrome `trace_event` file for
 //!   `about://tracing` (`GILLIAN_TRACE_CHROME=path.json`), and a human

@@ -1,8 +1,9 @@
 //! Live mode: periodic snapshot-delta frames for a running exploration.
 //!
-//! When `GILLIAN_LIVE=path.jsonl` is set, every exploration emits one JSON
-//! frame roughly every `GILLIAN_LIVE_EVERY_MS` (default 250ms) with the
-//! run's progress — finished paths, frontier size/depth, commands,
+//! With a live sink configured (`ExploreConfig::live` in `gillian-core`;
+//! the bins set it from `GILLIAN_LIVE=path.jsonl` and
+//! `GILLIAN_LIVE_EVERY_MS`), every exploration emits one JSON frame
+//! roughly every interval (default 250ms) with the run's progress — finished paths, frontier size/depth, commands,
 //! paths/sec over the last frame interval — plus the nonzero **counter
 //! deltas** of the metrics registry since the previous frame. The
 //! `gillian-top` binary tails the file and renders an in-place terminal
@@ -28,13 +29,12 @@ use crate::metrics::{registry, MetricsSnapshot};
 use crate::names;
 use crate::now_micros;
 use std::io::Write as _;
-use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// Schema tag stamped into every live frame.
 pub const LIVE_SCHEMA: &str = "gillian-live-v1";
 
-/// Default frame interval when `GILLIAN_LIVE_EVERY_MS` is unset.
+/// The default frame interval, in milliseconds.
 pub const DEFAULT_EVERY_MS: u64 = 250;
 
 /// A progress sample the engine hands to [`LiveSink::tick`]. All fields
@@ -55,20 +55,6 @@ pub struct LiveStats {
     pub workers: u32,
 }
 
-/// Cached `GILLIAN_LIVE` / `GILLIAN_LIVE_EVERY_MS` configuration.
-fn env_config() -> &'static (Option<String>, u64) {
-    static CONFIG: OnceLock<(Option<String>, u64)> = OnceLock::new();
-    CONFIG.get_or_init(|| {
-        let path = std::env::var("GILLIAN_LIVE").ok().filter(|s| !s.is_empty());
-        let every = std::env::var("GILLIAN_LIVE_EVERY_MS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&ms: &u64| ms > 0)
-            .unwrap_or(DEFAULT_EVERY_MS);
-        (path, every)
-    })
-}
-
 /// The live JSONL sink of one exploration run, ticked by the engine's
 /// sampler thread; frames are flushed as they are written so tailing
 /// tools see them promptly.
@@ -84,12 +70,6 @@ pub struct LiveSink {
 }
 
 impl LiveSink {
-    /// The sink `GILLIAN_LIVE` asks for, or `None` (the default).
-    pub fn from_env() -> Option<LiveSink> {
-        let (path, every_ms) = env_config();
-        LiveSink::to_path(path.as_deref()?, *every_ms)
-    }
-
     /// A sink writing frames to `path` every `every_ms` milliseconds.
     /// The process's first open truncates; later runs append.
     pub fn to_path(path: &str, every_ms: u64) -> Option<LiveSink> {

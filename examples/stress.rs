@@ -8,9 +8,18 @@
 //! The final section compares the serial and parallel explorers on a
 //! branch-heavy workload and reports the observed speedup (informational:
 //! it tracks the host's actual core count).
+//!
+//! Every run honours the `GILLIAN_*` run variables (`GILLIAN_TRACE`,
+//! `GILLIAN_TRACE_CHROME`, `GILLIAN_FOLDED`, `GILLIAN_LIVE`, summaries;
+//! see `gillian_bench::explore_config_from_env`).
 
 use gillian::core::explore::ExploreConfig;
 use std::time::{Duration, Instant};
+
+/// A fresh run configuration with the environment's run plumbing.
+fn config() -> ExploreConfig {
+    gillian_bench::explore_config_from_env(ExploreConfig::default())
+}
 
 fn probe(name: &str, run: impl FnOnce() -> (u64, usize, bool)) {
     let start = Instant::now();
@@ -27,7 +36,7 @@ fn main() {
     // While: a triangular-number loop over a large concrete bound with a
     // symbolic seed.
     probe("while/triangular", || {
-        let out = gillian::while_lang::symbolic_test(
+        let out = gillian::while_lang::symbolic_test_with(
             r#"
             proc main() {
                 s := symb();
@@ -42,6 +51,8 @@ fn main() {
                 return total;
             }
         "#,
+            "main",
+            config(),
         )
         .unwrap();
         (out.gil_cmds(), out.result.paths.len(), out.verified())
@@ -74,7 +85,7 @@ fn main() {
             }
             "#
         );
-        let out = gillian::js::symbolic_test(&src).unwrap();
+        let out = gillian::js::symbolic_test_with(&src, "main", config()).unwrap();
         (out.gil_cmds(), out.result.paths.len(), out.verified())
     });
 
@@ -106,7 +117,7 @@ fn main() {
             }
             "#
         );
-        let out = gillian::c::symbolic_test(&src).unwrap();
+        let out = gillian::c::symbolic_test_with(&src, "main", config()).unwrap();
         (out.gil_cmds(), out.result.paths.len(), out.verified())
     });
 
@@ -140,7 +151,7 @@ fn main() {
     let timed = |workers: usize| {
         let cfg = ExploreConfig {
             workers,
-            ..Default::default()
+            ..config()
         };
         let start = Instant::now();
         let out = gillian::while_lang::symbolic_test_with(&wide_src, "main", cfg).unwrap();
@@ -167,7 +178,7 @@ fn main() {
     let start = Instant::now();
     let cfg = ExploreConfig {
         workers,
-        ..Default::default()
+        ..config()
     }
     .with_deadline(tight);
     let out = gillian::while_lang::symbolic_test_with(&wide_src, "main", cfg).unwrap();
@@ -201,11 +212,10 @@ fn main() {
         type St = SymbolicState<WhileSymMemory>;
         let prog = compile_program(&parse_program(&wide_src).expect("parse wide workload"));
         let solver = Arc::new(gillian::solver::Solver::optimized());
-        let cfg = ExploreConfig::default;
-        let baseline = explore_with(&prog, "main", St::new(solver.clone()), cfg());
+        let baseline = explore_with(&prog, "main", St::new(solver.clone()), config());
 
         let ckpt = std::env::temp_dir().join(format!("gillian-stress-{}.ckpt", std::process::id()));
-        let mut kill_cfg = cfg();
+        let mut kill_cfg = config();
         kill_cfg.faults = Some(Arc::new(FaultPlan::seeded(7).kill_at(4000)));
         kill_cfg.checkpoint = Some(CheckpointConfig::at(&ckpt));
         let start = Instant::now();
@@ -217,7 +227,7 @@ fn main() {
             &ckpt,
             &StateCtx::new(solver.clone()),
             St::new(solver.clone()),
-            cfg(),
+            config(),
         )
         .expect("resume from checkpoint");
         let dt = start.elapsed();
