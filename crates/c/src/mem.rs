@@ -51,7 +51,10 @@
 
 use crate::chunks::{Chunk, ChunkKind};
 use crate::values::POISON;
-use gillian_core::memory::{literal_gate, successors, ConcreteMemory, SymBranch, SymbolicMemory};
+use gillian_core::memory::{
+    expr_args, literal_gate, push_branch, successors, value_args, Alias, ArgList, ConcreteMemory,
+    SymBranch, SymbolicMemory,
+};
 use gillian_gil::ops::eval_unop;
 use gillian_gil::{Expr, LVar, Sym, UnOp, Value};
 use gillian_solver::{PathCondition, Solver};
@@ -195,14 +198,9 @@ impl CConcMemory {
     }
 }
 
-fn value_args(arg: &Value, n: usize, action: &str) -> Result<Vec<Value>, Value> {
-    match arg.as_list() {
-        Some(items) if items.len() == n => Ok(items.to_vec()),
-        _ => Err(ub_value(
-            "bad-action-argument",
-            format!("{action}: expected {n}-element list, got {arg}"),
-        )),
-    }
+/// The message of an action whose argument is not an `n`-element list.
+fn arity(action: &str, n: usize, arg: impl std::fmt::Display) -> String {
+    format!("{action}: expected {n}-element list, got {arg}")
 }
 
 fn as_block(v: &Value, action: &str) -> Result<Sym, Value> {
@@ -330,9 +328,12 @@ impl ConcreteMemory for CConcMemory {
     }
 
     fn execute_action(&mut self, name: &str, arg: Value) -> Result<Value, Value> {
+        let args = |n| {
+            value_args(&arg, n).ok_or_else(|| ub_value("bad-action-argument", arity(name, n, &arg)))
+        };
         match name {
             "alloc" => {
-                let args = value_args(&arg, 2, "alloc")?;
+                let args = args(2)?;
                 let b = as_block(&args[0], "alloc")?;
                 let size = as_offset(&args[1], "alloc")?;
                 if size < 0 {
@@ -345,7 +346,7 @@ impl ConcreteMemory for CConcMemory {
                 Ok(args[0].clone())
             }
             "free" => {
-                let args = value_args(&arg, 2, "free")?;
+                let args = args(2)?;
                 let b = as_block(&args[0], "free")?;
                 let off = as_offset(&args[1], "free")?;
                 if off != 0 {
@@ -375,7 +376,7 @@ impl ConcreteMemory for CConcMemory {
                 }
             }
             "load" => {
-                let args = value_args(&arg, 3, "load")?;
+                let args = args(3)?;
                 let chunk = Chunk::from_value(&args[0])
                     .ok_or_else(|| ub_value("bad-action-argument", "load: bad chunk"))?;
                 let b = as_block(&args[1], "load")?;
@@ -412,7 +413,7 @@ impl ConcreteMemory for CConcMemory {
                 decode_value(&v0, chunk)
             }
             "store" => {
-                let args = value_args(&arg, 4, "store")?;
+                let args = args(4)?;
                 let chunk = Chunk::from_value(&args[0])
                     .ok_or_else(|| ub_value("bad-action-argument", "store: bad chunk"))?;
                 let b = as_block(&args[1], "store")?;
@@ -436,7 +437,7 @@ impl ConcreteMemory for CConcMemory {
                 Ok(value)
             }
             "loadBytes" => {
-                let args = value_args(&arg, 3, "loadBytes")?;
+                let args = args(3)?;
                 let b = as_block(&args[0], "loadBytes")?;
                 let off = as_offset(&args[1], "loadBytes")?;
                 let len = as_offset(&args[2], "loadBytes")?;
@@ -457,7 +458,7 @@ impl ConcreteMemory for CConcMemory {
                 Ok(Value::List(out))
             }
             "storeBytes" => {
-                let args = value_args(&arg, 3, "storeBytes")?;
+                let args = args(3)?;
                 let b = as_block(&args[0], "storeBytes")?;
                 let off = as_offset(&args[1], "storeBytes")?;
                 let bytes = args[2]
@@ -488,7 +489,7 @@ impl ConcreteMemory for CConcMemory {
                 Ok(Value::Bool(true))
             }
             "dropPerm" => {
-                let args = value_args(&arg, 2, "dropPerm")?;
+                let args = args(2)?;
                 let b = as_block(&args[0], "dropPerm")?;
                 let p = as_offset(&args[1], "dropPerm")? as u8;
                 let blk = self
@@ -510,7 +511,7 @@ impl ConcreteMemory for CConcMemory {
                 Ok(Value::Int(blk.size))
             }
             "cmpPtr" => {
-                let args = value_args(&arg, 3, "cmpPtr")?;
+                let args = args(3)?;
                 let op = args[0]
                     .as_str()
                     .ok_or_else(|| ub_value("bad-action-argument", "cmpPtr: op"))?
@@ -544,7 +545,7 @@ impl ConcreteMemory for CConcMemory {
                 }
             }
             "globalSet" => {
-                let args = value_args(&arg, 2, "globalSet")?;
+                let args = args(2)?;
                 let name = args[0]
                     .as_str()
                     .ok_or_else(|| ub_value("bad-action-argument", "globalSet: name"))?;
@@ -912,22 +913,6 @@ fn store_edit(
     }
 }
 
-fn expr_args(arg: &Expr, n: usize, action: &str) -> Result<Vec<Expr>, Expr> {
-    let parts: Option<Vec<Expr>> = match arg {
-        Expr::List(es) if es.len() == n => Some(es.to_vec()),
-        Expr::Val(Value::List(vs)) if vs.len() == n => {
-            Some(vs.iter().cloned().map(Expr::Val).collect())
-        }
-        _ => None,
-    };
-    parts.ok_or_else(|| {
-        ub_expr(
-            "bad-action-argument",
-            format!("{action}: expected {n}-element list, got {arg}"),
-        )
-    })
-}
-
 fn expr_block(e: &Expr, action: &str) -> Result<Sym, Expr> {
     match e {
         Expr::Val(Value::Sym(s)) => Ok(*s),
@@ -939,13 +924,8 @@ fn expr_block(e: &Expr, action: &str) -> Result<Sym, Expr> {
 }
 
 fn expr_ptr(e: &Expr) -> Option<(Expr, Expr)> {
-    match e {
-        Expr::List(items) if items.len() == 2 => Some((items[0].clone(), items[1].clone())),
-        Expr::Val(Value::List(items)) if items.len() == 2 => {
-            Some((Expr::Val(items[0].clone()), Expr::Val(items[1].clone())))
-        }
-        _ => None,
-    }
+    let ptr = ArgList::of(e, 2)?;
+    Some((ptr.expr(0), ptr.expr(1)))
 }
 
 /// The cell key of byte `base + k` of a run at the symbolic offset
@@ -1116,21 +1096,6 @@ impl CSymMemory {
     }
 }
 
-/// Pushes a branch unless its constraint is trivially false or unsat.
-fn push_branch<M>(
-    out: &mut Vec<SymBranch<M>>,
-    pc: &PathCondition,
-    solver: &Solver,
-    branch: SymBranch<M>,
-) {
-    if branch.constraint.as_bool() == Some(false) {
-        return;
-    }
-    if solver.sat_with(pc, &branch.constraint).possibly_sat() {
-        out.push(branch);
-    }
-}
-
 /// `simplify(pc, decode_expr(v, chunk))` with the solver round-trip
 /// skipped when it is provably the identity: literals and bare logical
 /// variables are fixpoints of the simplifier, and a literal under a wrap
@@ -1197,7 +1162,7 @@ impl CSymMemory {
         pc: &PathCondition,
         solver: &Solver,
     ) -> Result<Vec<SymBranch<Self>>, Self> {
-        let Ok(args) = expr_args(arg, 3, "load") else {
+        let Some(args) = expr_args(arg, 3) else {
             return Err(self);
         };
         let Some((chunk, b, off, blk)) = self.literal_access(&args, perm::READABLE) else {
@@ -1237,7 +1202,7 @@ impl CSymMemory {
         pc: &PathCondition,
         solver: &Solver,
     ) -> Result<Vec<SymBranch<Self>>, Self> {
-        let Ok(args) = expr_args(arg, 4, "store") else {
+        let Some(args) = expr_args(arg, 4) else {
             return Err(self);
         };
         let Some((chunk, b, off, blk)) = self.literal_access(&args, perm::WRITABLE) else {
@@ -1274,7 +1239,7 @@ impl CSymMemory {
         pc: &PathCondition,
         solver: &Solver,
     ) -> Result<Vec<SymBranch<Self>>, Self> {
-        let Ok(args) = expr_args(arg, 2, "free") else {
+        let Some(args) = expr_args(arg, 2) else {
             return Err(self);
         };
         let (Expr::Val(Value::Sym(b)), Some(off)) = (&args[0], args[1].as_int()) else {
@@ -1306,7 +1271,7 @@ impl CSymMemory {
     /// Returns the single branch's outcome; `None` falls back to the
     /// general path.
     fn literal_cmp_ptr(&self, arg: &Expr) -> Option<Result<Expr, Expr>> {
-        let args = expr_args(arg, 3, "cmpPtr").ok()?;
+        let args = expr_args(arg, 3)?;
         let op = match &args[0] {
             Expr::Val(Value::Str(s)) => s.clone(),
             _ => return None,
@@ -1398,9 +1363,12 @@ impl SymbolicMemory for CSymMemory {
         // `successors` then builds the memories, the last one reusing
         // `self`. Single-branch actions write `self` directly.
         let err1 = |mem: Self, e: Expr| vec![SymBranch::err_if(mem, e, Expr::tt())];
+        let args_of = |n| {
+            expr_args(arg, n).ok_or_else(|| ub_expr("bad-action-argument", arity(name, n, arg)))
+        };
         match name {
             "alloc" => {
-                let args = match expr_args(arg, 2, "alloc") {
+                let args = match args_of(2) {
                     Ok(a) => a,
                     Err(e) => return err1(self, e),
                 };
@@ -1429,7 +1397,7 @@ impl SymbolicMemory for CSymMemory {
                 vec![SymBranch::ok(self, args[0].clone())]
             }
             "free" => {
-                let args = match expr_args(arg, 2, "free") {
+                let args = match args_of(2) {
                     Ok(a) => a,
                     Err(e) => return err1(self, e),
                 };
@@ -1476,7 +1444,7 @@ impl SymbolicMemory for CSymMemory {
                 successors(self, out, Self::apply)
             }
             "load" => {
-                let args = match expr_args(arg, 3, "load") {
+                let args = match args_of(3) {
                     Ok(a) => a,
                     Err(e) => return err1(self, e),
                 };
@@ -1515,18 +1483,15 @@ impl SymbolicMemory for CSymMemory {
                         oob,
                     ),
                 );
-                let mut none_of = in_bounds.clone();
                 let candidates = match off.as_int().and_then(|o| self.literal_candidates(b, o)) {
                     Some(c) => c,
                     None => self.run_starts(b),
                 };
+                let mut alias = Alias::new(&off, Some(&in_bounds), pc, solver);
                 for (base, v, n) in candidates {
-                    let eq =
-                        solver.simplify(pc, &in_bounds.clone().and(off.clone().eq(base.clone())));
-                    none_of = none_of.and(off.clone().ne(base.clone()));
-                    if eq.as_bool() == Some(false) || !solver.sat_with(pc, &eq).possibly_sat() {
+                    let Some(eq) = alias.candidate(&base) else {
                         continue;
-                    }
+                    };
                     if n == chunk.size && self.run_complete(b, &base, &v, n, solver, pc) {
                         let decoded = solver.simplify(pc, &decode_expr(&v, chunk));
                         push_branch(
@@ -1548,7 +1513,7 @@ impl SymbolicMemory for CSymMemory {
                         );
                     }
                 }
-                let none_of = solver.simplify(pc, &none_of);
+                let none_of = alias.none_of();
                 push_branch(
                     &mut out,
                     pc,
@@ -1565,7 +1530,7 @@ impl SymbolicMemory for CSymMemory {
                 successors(self, out, Self::apply)
             }
             "store" => {
-                let args = match expr_args(arg, 4, "store") {
+                let args = match args_of(4) {
                     Ok(a) => a,
                     Err(e) => return err1(self, e),
                 };
@@ -1605,18 +1570,15 @@ impl SymbolicMemory for CSymMemory {
                         oob,
                     ),
                 );
-                let mut none_of = in_bounds.clone();
                 let candidates = match off.as_int().and_then(|o| self.literal_candidates(b, o)) {
                     Some(c) => c,
                     None => self.run_starts(b),
                 };
+                let mut alias = Alias::new(&off, Some(&in_bounds), pc, solver);
                 for (base, _, n) in candidates {
-                    let eq =
-                        solver.simplify(pc, &in_bounds.clone().and(off.clone().eq(base.clone())));
-                    none_of = none_of.and(off.clone().ne(base.clone()));
-                    if eq.as_bool() == Some(false) || !solver.sat_with(pc, &eq).possibly_sat() {
+                    let Some(eq) = alias.candidate(&base) else {
                         continue;
-                    }
+                    };
                     let edit = store_edit(b, base, Some(n), chunk.size, value.clone(), solver, pc);
                     push_branch(
                         &mut out,
@@ -1625,7 +1587,7 @@ impl SymbolicMemory for CSymMemory {
                         SymBranch::ok_if(edit, value.clone(), eq),
                     );
                 }
-                let none_of = solver.simplify(pc, &none_of);
+                let none_of = alias.none_of();
                 if none_of.as_bool() != Some(false) && solver.sat_with(pc, &none_of).possibly_sat()
                 {
                     let edit = store_edit(b, off, None, chunk.size, value.clone(), solver, pc);
@@ -1634,7 +1596,7 @@ impl SymbolicMemory for CSymMemory {
                 successors(self, out, Self::apply)
             }
             "loadBytes" => {
-                let args = match expr_args(arg, 3, "loadBytes") {
+                let args = match args_of(3) {
                     Ok(a) => a,
                     Err(e) => return err1(self, e),
                 };
@@ -1677,7 +1639,7 @@ impl SymbolicMemory for CSymMemory {
                 vec![SymBranch::ok(self, Expr::List(bytes.into()))]
             }
             "storeBytes" => {
-                let args = match expr_args(arg, 3, "storeBytes") {
+                let args = match args_of(3) {
                     Ok(a) => a,
                     Err(e) => return err1(self, e),
                 };
@@ -1723,17 +1685,8 @@ impl SymbolicMemory for CSymMemory {
                         cells.push(None);
                         continue;
                     }
-                    let parts = match &byte {
-                        Expr::List(items) if items.len() == 3 => items.clone(),
-                        Expr::Val(Value::List(items)) if items.len() == 3 => {
-                            items.iter().cloned().map(Expr::Val).collect()
-                        }
-                        _ => {
-                            return err1(
-                                self,
-                                ub_expr("bad-action-argument", "storeBytes: bad byte"),
-                            )
-                        }
+                    let Some(parts) = expr_args(&byte, 3) else {
+                        return err1(self, ub_expr("bad-action-argument", "storeBytes: bad byte"));
                     };
                     let (Some(k), Some(n)) = (parts[1].as_int(), parts[2].as_int()) else {
                         return err1(self, ub_expr("bad-action-argument", "storeBytes: bad byte"));
@@ -1744,7 +1697,7 @@ impl SymbolicMemory for CSymMemory {
                 vec![SymBranch::ok(self, Expr::tt())]
             }
             "dropPerm" => {
-                let args = match expr_args(arg, 2, "dropPerm") {
+                let args = match args_of(2) {
                     Ok(a) => a,
                     Err(e) => return err1(self, e),
                 };
@@ -1789,7 +1742,7 @@ impl SymbolicMemory for CSymMemory {
                 }
             }
             "cmpPtr" => {
-                let args = match expr_args(arg, 3, "cmpPtr") {
+                let args = match args_of(3) {
                     Ok(a) => a,
                     Err(e) => return err1(self, e),
                 };
@@ -1850,7 +1803,7 @@ impl SymbolicMemory for CSymMemory {
                 }
             }
             "globalSet" => {
-                let args = match expr_args(arg, 2, "globalSet") {
+                let args = match args_of(2) {
                     Ok(a) => a,
                     Err(e) => return err1(self, e),
                 };

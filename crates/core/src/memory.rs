@@ -33,11 +33,44 @@
 //! its own copy on its first write ([`successors`] implements the rule).
 //! A single-successor write therefore costs the map operation, not a copy
 //! of the heap.
+//!
+//! ## Building a memory on `SymMap`
+//!
+//! Most symbolic memories are partial maps keyed on symbolic expressions:
+//! While cells are `(property, location) ⇀ value`, MiniJS cells
+//! `(object, key) ⇀ value` and its metadata `location ⇀ tag`. [`SymMap`]
+//! is that map, written once. It groups its entries (by property, by
+//! object, or in the one group `()`) and owns the three things every
+//! action on such a map needs:
+//!
+//! - the group walk ([`SymMap::group`]): the keys of a group, in key
+//!   order, literal keys first;
+//! - the alias decision ([`SymMap::aliases`], built on [`Alias`]): the
+//!   keys an address may equal under the path condition, each with its
+//!   simplified equality, then the simplified constraint that it equals
+//!   none of them. A memory without a `SymMap` (MiniC's byte runs) calls
+//!   [`Alias`] on its own candidates;
+//! - the literal probe ([`SymMap::literal`]): when the address and every
+//!   key of its group are literals, the alias decision folds to a map
+//!   lookup, so a fast path in [`SymbolicMemory::execute_action_coded`]
+//!   resolves the action without it and keeps only the one `sat(pc)`
+//!   query of [`literal_gate`].
+//!
+//! What stays with each memory is what the paper's Def. 2.4 asks of it:
+//! its actions, as a private `Edit` per branch applied through
+//! [`successors`], its action codes and its error values. Arguments are
+//! parsed with [`expr_args`], [`value_args`] or, without copying,
+//! [`ArgList`]; decided branches are kept with [`push_branch`].
 
 use crate::checkpoint::StateIoError;
 use gillian_gil::serial::{ByteReader, Decoder, Encoder};
 use gillian_gil::{Expr, Value};
 use gillian_solver::{PathCondition, Solver};
+use std::sync::Arc;
+
+mod sym_map;
+
+pub use sym_map::{Alias, SymMap};
 
 /// A concrete memory model `M = ⟨|M|, A, ea⟩` (Def. 2.3).
 pub trait ConcreteMemory: Clone + std::fmt::Debug + Default {
@@ -160,6 +193,83 @@ pub fn literal_gate<M>(
     } else {
         Vec::new()
     }
+}
+
+/// Pushes `branch` unless its constraint is the literal `false` or
+/// unsatisfiable with `pc`.
+pub fn push_branch<M>(
+    out: &mut Vec<SymBranch<M>>,
+    pc: &PathCondition,
+    solver: &Solver,
+    branch: SymBranch<M>,
+) {
+    if branch.constraint.as_bool() == Some(false) {
+        return;
+    }
+    if solver.sat_with(pc, &branch.constraint).possibly_sat() {
+        out.push(branch);
+    }
+}
+
+/// A symbolic action's argument list, borrowed rather than copied out:
+/// the bytecode evaluator folds an all-literal list into one
+/// `Value::List`, any other list stays an `Expr::List`.
+pub enum ArgList<'a> {
+    /// A list of expressions.
+    Exprs(&'a [Expr]),
+    /// A folded list of literals.
+    Values(&'a [Value]),
+}
+
+impl<'a> ArgList<'a> {
+    /// The `n` elements of `arg`, if it is an `n`-element list.
+    pub fn of(arg: &'a Expr, n: usize) -> Option<Self> {
+        match arg {
+            Expr::List(es) if es.len() == n => Some(ArgList::Exprs(es)),
+            Expr::Val(Value::List(vs)) if vs.len() == n => Some(ArgList::Values(vs)),
+            _ => None,
+        }
+    }
+
+    /// Element `i`, if it is a literal.
+    pub fn literal(&self, i: usize) -> Option<&'a Value> {
+        match self {
+            ArgList::Exprs(es) => es[i].as_value(),
+            ArgList::Values(vs) => Some(&vs[i]),
+        }
+    }
+
+    /// Element `i`, if it is a literal string.
+    pub fn str(&self, i: usize) -> Option<&'a Arc<str>> {
+        match self.literal(i)? {
+            Value::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// Element `i` as an expression.
+    pub fn expr(&self, i: usize) -> Expr {
+        match self {
+            ArgList::Exprs(es) => es[i].clone(),
+            ArgList::Values(vs) => Expr::Val(vs[i].clone()),
+        }
+    }
+}
+
+/// The `n` elements of a symbolic action's argument list (folded or
+/// not), or `None` when `arg` is not an `n`-element list; the memory
+/// reports that with its own error value.
+pub fn expr_args(arg: &Expr, n: usize) -> Option<Vec<Expr>> {
+    let args = ArgList::of(arg, n)?;
+    Some((0..n).map(|i| args.expr(i)).collect())
+}
+
+/// The `n` elements of a concrete action's argument list, or `None` when
+/// `arg` is not an `n`-element list.
+pub fn value_args(arg: &Value, n: usize) -> Option<Vec<Value>> {
+    arg.as_list()
+        .filter(|items| items.len() == n)
+        .map(<[Value]>::to_vec)
 }
 
 /// A symbolic memory model `M̂ = ⟨|M̂|, A, êa⟩` (Def. 2.4).

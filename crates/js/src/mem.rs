@@ -9,19 +9,27 @@
 //!   stores the class tag, `"Object"`/`"Array"`); an entry in the table is
 //!   what makes a location *an object*.
 //!
-//! Symbolically both components map logical expressions. The model has
-//! eight actions — creation/deletion of objects, retrieval/update/deletion
-//! of properties and metadata, plus property test:
-//! `{newObj, delObj, getProp, setProp, delProp, hasProp, getMeta, setMeta}`.
+//! Symbolically both components map logical expressions: the metadata
+//! table is a [`SymMap`] with one group, the heap a [`SymMap`] grouped by
+//! object. The model has eight actions — creation/deletion of objects,
+//! retrieval/update/deletion of properties and metadata, plus property
+//! test: `{newObj, delObj, getProp, setProp, delProp, hasProp, getMeta,
+//! setMeta}`.
 //!
-//! The symbolic `getProp` implements the paper's `SGetProp` rule: it
-//! branches on the looked-up key equalling each key of the aliased object
-//! (under the path condition), passing the learned equality back to the
-//! state — plus the *absent* branch yielding `undefined` (JS semantics)
-//! under the conjunction of the disequalities.
+//! Every action but `newObj` first resolves its address against the
+//! objects, and a property action then resolves its key against the
+//! object's keys under the object equality ([`Effect`]). The symbolic
+//! `getProp` is the paper's `SGetProp` rule: one branch per key the
+//! looked-up key may equal, plus the *absent* branch yielding `undefined`
+//! (JS semantics) under the conjunction of the disequalities. On the
+//! bytecode backend, a literal address and key over literal tables take
+//! a fast path.
 
 use crate::values::undefined_expr;
-use gillian_core::memory::{literal_gate, successors, ConcreteMemory, SymBranch, SymbolicMemory};
+use gillian_core::memory::{
+    expr_args, literal_gate, push_branch, successors, value_args, ConcreteMemory, SymBranch,
+    SymMap, SymbolicMemory,
+};
 use gillian_gil::{Expr, LVar, Value};
 use gillian_solver::{PathCondition, Solver};
 use std::collections::{BTreeMap, BTreeSet};
@@ -62,6 +70,11 @@ fn err_expr(msg: impl Into<String>) -> Expr {
     Expr::list([Expr::str("JSError"), Expr::str(msg.into())])
 }
 
+/// The message of an action whose argument is not an `n`-element list.
+fn arity(action: &str, n: usize, arg: impl std::fmt::Display) -> String {
+    format!("{action}: expected {n}-element argument list, got {arg}")
+}
+
 /// A concrete MiniJS memory: heap cells plus metadata table.
 ///
 /// Both tables are copy-on-write behind [`Arc`]s: cloning the memory (the
@@ -95,15 +108,6 @@ impl JsConcMemory {
     }
 }
 
-fn value_args(arg: &Value, n: usize, action: &str) -> Result<Vec<Value>, Value> {
-    match arg.as_list() {
-        Some(items) if items.len() == n => Ok(items.to_vec()),
-        _ => Err(err_value(format!(
-            "{action}: expected {n}-element argument list, got {arg}"
-        ))),
-    }
-}
-
 impl ConcreteMemory for JsConcMemory {
     // Concrete dispatch keeps the default (name-keyed) coded delegation:
     // the concrete actions are dominated by their BTreeMap operations, so
@@ -113,9 +117,10 @@ impl ConcreteMemory for JsConcMemory {
     }
 
     fn execute_action(&mut self, name: &str, arg: Value) -> Result<Value, Value> {
+        let args = |n| value_args(&arg, n).ok_or_else(|| err_value(arity(name, n, &arg)));
         match name {
             "newObj" => {
-                let args = value_args(&arg, 2, "newObj")?;
+                let args = args(2)?;
                 if self.meta.contains_key(&args[0]) {
                     return Err(err_value(format!("newObj: {} already exists", args[0])));
                 }
@@ -134,7 +139,7 @@ impl ConcreteMemory for JsConcMemory {
                 Ok(Value::Bool(true))
             }
             "getProp" => {
-                let args = value_args(&arg, 2, "getProp")?;
+                let args = args(2)?;
                 if !self.meta.contains_key(&args[0]) {
                     return Err(err_value(format!("getProp: {} is not an object", args[0])));
                 }
@@ -145,7 +150,7 @@ impl ConcreteMemory for JsConcMemory {
                     .unwrap_or_else(crate::values::undefined_value))
             }
             "setProp" => {
-                let args = value_args(&arg, 3, "setProp")?;
+                let args = args(3)?;
                 if !self.meta.contains_key(&args[0]) {
                     return Err(err_value(format!("setProp: {} is not an object", args[0])));
                 }
@@ -154,7 +159,7 @@ impl ConcreteMemory for JsConcMemory {
                 Ok(args[2].clone())
             }
             "delProp" => {
-                let args = value_args(&arg, 2, "delProp")?;
+                let args = args(2)?;
                 if !self.meta.contains_key(&args[0]) {
                     return Err(err_value(format!("delProp: {} is not an object", args[0])));
                 }
@@ -163,7 +168,7 @@ impl ConcreteMemory for JsConcMemory {
                 Ok(Value::Bool(true))
             }
             "hasProp" => {
-                let args = value_args(&arg, 2, "hasProp")?;
+                let args = args(2)?;
                 if !self.meta.contains_key(&args[0]) {
                     return Err(err_value(format!("hasProp: {} is not an object", args[0])));
                 }
@@ -177,7 +182,7 @@ impl ConcreteMemory for JsConcMemory {
                 .cloned()
                 .ok_or_else(|| err_value(format!("getMeta: {arg} is not an object"))),
             "setMeta" => {
-                let args = value_args(&arg, 2, "setMeta")?;
+                let args = args(2)?;
                 if !self.meta.contains_key(&args[0]) {
                     return Err(err_value(format!("setMeta: {} is not an object", args[0])));
                 }
@@ -196,8 +201,8 @@ impl ConcreteMemory for JsConcMemory {
 /// write.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct JsSymMemory {
-    meta: std::sync::Arc<BTreeMap<Expr, Expr>>,
-    cells: std::sync::Arc<BTreeMap<(Expr, Expr), Expr>>,
+    meta: SymMap<(), Expr>,
+    cells: SymMap<Expr, Expr>,
 }
 
 /// The memory effect of one symbolic branch, decided before the branch's
@@ -214,6 +219,75 @@ enum Edit {
     DelCell(Expr, Expr),
 }
 
+/// What an action other than `newObj` does once its address has resolved
+/// to an object: the branch's edit and outcome value. The general path
+/// and the literal fast path share it, so they differ only in how they
+/// resolve.
+#[derive(Clone, Copy)]
+enum Effect {
+    /// An object action: its argument is the bare location (`None`) or an
+    /// `n`-element list starting with it; the effect sees the arguments,
+    /// the object's location and its metadata.
+    Object(Option<usize>, fn(&[Expr], &Expr, &Expr) -> (Edit, Expr)),
+    /// A property action on key `args[1]` of an `n`-element list: the
+    /// effect sees the arguments, the object's location and the cell the
+    /// key resolved to.
+    Property(usize, fn(&[Expr], &Expr, Cell<'_>) -> (Edit, Expr)),
+}
+
+/// The cell a key resolved to: its stored key and value, or `None` when
+/// the key is absent.
+type Cell<'a> = Option<(&'a Expr, &'a Expr)>;
+
+impl Effect {
+    fn of(code: u16) -> Option<Effect> {
+        Some(match code {
+            code::DEL_OBJ => {
+                Effect::Object(None, |_, loc, _| (Edit::DelObj(loc.clone()), Expr::tt()))
+            }
+            code::GET_META => Effect::Object(None, |_, _, meta| (Edit::Keep, meta.clone())),
+            code::SET_META => Effect::Object(Some(2), |args, loc, _| {
+                (Edit::SetMeta(loc.clone(), args[1].clone()), args[1].clone())
+            }),
+            // Absent keys read as `undefined` (JS semantics).
+            code::GET_PROP => Effect::Property(2, |_, _, found| {
+                let value = found.map_or_else(undefined_expr, |(_, v)| v.clone());
+                (Edit::Keep, value)
+            }),
+            // Overwrite keeps the stored key expression, extend inserts
+            // the looked-up one.
+            code::SET_PROP => Effect::Property(3, |args, loc, found| {
+                let key = found.map_or(&args[1], |(k, _)| k).clone();
+                (
+                    Edit::SetCell(loc.clone(), key, args[2].clone()),
+                    args[2].clone(),
+                )
+            }),
+            // Deleting an absent property is a no-op, like JS.
+            code::DEL_PROP => Effect::Property(2, |_, loc, found| {
+                let edit = found.map_or(Edit::Keep, |(k, _)| Edit::DelCell(loc.clone(), k.clone()));
+                (edit, Expr::tt())
+            }),
+            code::HAS_PROP => {
+                Effect::Property(2, |_, _, found| (Edit::Keep, Expr::bool(found.is_some())))
+            }
+            _ => return None,
+        })
+    }
+
+    /// The argument list, or its expected length on a wrong arity.
+    fn args(self, arg: &Expr) -> Result<Vec<Expr>, usize> {
+        match self {
+            Effect::Object(None, _) => Ok(vec![arg.clone()]),
+            Effect::Object(Some(n), _) | Effect::Property(n, _) => expr_args(arg, n).ok_or(n),
+        }
+    }
+}
+
+fn not_an_object(action: &str, el: &Expr) -> Expr {
+    err_expr(format!("{action}: {el} is not an object"))
+}
+
 impl JsSymMemory {
     /// Number of live objects.
     pub fn object_count(&self) -> usize {
@@ -222,17 +296,17 @@ impl JsSymMemory {
 
     /// Direct insertion for tests.
     pub fn insert_object(&mut self, loc: Expr, meta: Expr) -> Option<Expr> {
-        std::sync::Arc::make_mut(&mut self.meta).insert(loc, meta)
+        self.meta.insert((), loc, meta)
     }
 
     /// Direct cell insertion for tests.
     pub fn insert_cell(&mut self, loc: Expr, key: Expr, value: Expr) -> Option<Expr> {
-        std::sync::Arc::make_mut(&mut self.cells).insert((loc, key), value)
+        self.cells.insert(loc, key, value)
     }
 
     /// Iterates over objects (for the interpretation function).
     pub fn objects(&self) -> impl Iterator<Item = (&Expr, &Expr)> {
-        self.meta.iter()
+        self.meta.iter().map(|((_, loc), meta)| (loc, meta))
     }
 
     /// Iterates over heap cells (for the interpretation function).
@@ -240,366 +314,67 @@ impl JsSymMemory {
         self.cells.iter()
     }
 
-    /// The keys defined on object `loc` (syntactically keyed cells), in
-    /// order: an object's cells are contiguous in the map and start at
-    /// `(loc, Expr::LEAST)`.
-    fn keys_of(&self, loc: &Expr) -> Vec<Expr> {
-        self.cells
-            .range((loc.clone(), Expr::LEAST)..)
-            .take_while(|((l, _), _)| l == loc)
-            .map(|((_, k), _)| k.clone())
-            .collect()
-    }
-
     /// Applies a branch's memory effect (see [`Edit`]).
     fn apply(&mut self, edit: Edit) {
         match edit {
             Edit::Keep => {}
             Edit::SetMeta(loc, meta) => {
-                std::sync::Arc::make_mut(&mut self.meta).insert(loc, meta);
+                self.meta.insert((), loc, meta);
             }
             Edit::DelObj(loc) => {
-                std::sync::Arc::make_mut(&mut self.meta).remove(&loc);
-                let keys = self.keys_of(&loc);
-                if !keys.is_empty() {
-                    let cells = std::sync::Arc::make_mut(&mut self.cells);
-                    for key in keys {
-                        cells.remove(&(loc.clone(), key));
-                    }
-                }
+                self.meta.remove(&(), &loc);
+                self.cells.remove_group(&loc);
             }
             Edit::SetCell(loc, key, value) => {
-                std::sync::Arc::make_mut(&mut self.cells).insert((loc, key), value);
+                self.cells.insert(loc, key, value);
             }
             Edit::DelCell(loc, key) => {
-                std::sync::Arc::make_mut(&mut self.cells).remove(&(loc, key));
+                self.cells.remove(&loc, &key);
             }
         }
     }
 
-    /// Matches `el` against the registered object locations: the feasible
-    /// `(location, equality constraint)` pairs plus the
-    /// not-any-object constraint.
-    fn match_objects(
-        &self,
-        el: &Expr,
-        pc: &PathCondition,
-        solver: &Solver,
-    ) -> (Vec<(Expr, Expr)>, Expr) {
-        let mut matches = Vec::new();
-        let mut none_of = Expr::tt();
-        for loc in self.meta.keys() {
-            let eq = solver.simplify(pc, &el.clone().eq(loc.clone()));
-            if eq.as_bool() != Some(false) && solver.sat_with(pc, &eq).possibly_sat() {
-                matches.push((loc.clone(), eq));
-            }
-            none_of = none_of.and(el.clone().ne(loc.clone()));
-        }
-        (matches, solver.simplify(pc, &none_of))
-    }
-
-    /// Matches key `ek` against the keys of object `loc`.
-    fn match_keys(
-        &self,
-        loc: &Expr,
-        ek: &Expr,
-        under: &Expr,
-        pc: &PathCondition,
-        solver: &Solver,
-    ) -> (Vec<(Expr, Expr)>, Expr) {
-        let mut matches = Vec::new();
-        let mut none_of = under.clone();
-        for key in self.keys_of(loc) {
-            let eq = solver.simplify(pc, &under.clone().and(ek.clone().eq(key.clone())));
-            if eq.as_bool() != Some(false) && solver.sat_with(pc, &eq).possibly_sat() {
-                matches.push((key.clone(), eq));
-            }
-            none_of = none_of.and(ek.clone().ne(key.clone()));
-        }
-        (matches, solver.simplify(pc, &none_of))
-    }
-
-    // ---- literal fast paths (bytecode backend only) -----------------
-    //
-    // When the looked-up location/key and every registered location/key
-    // are literals, each equality in `match_objects`/`match_keys` folds
-    // syntactically: the matched branch's constraint is the literal
-    // `true`, every other candidate folds to `false`, and the
-    // none-of-them disequality conjunction folds to `false` (a match
-    // exists) or `true` (no match). `eval_binop(Eq)` is total and
-    // `Value`'s derived `Eq`/`Ord` agree, so a `BTreeMap` hit is *the
-    // same decision* the solver's constant folder would make. The branch
-    // set is therefore decided without the solver — except for one
-    // residual probe: `push_branch` gates the surviving branch on
-    // `sat(pc ∧ true)`, which [`literal_gate`] preserves so an unsat
-    // path condition yields the same empty branch set on both paths.
-    // These helpers are reachable only from `execute_action_coded` (the
-    // bytecode backend); the tree walk stays a byte-identical reference.
-
-    /// Resolves a literal location against a fully-literal object table:
-    /// `Some(found)` when the match folds for every registered object,
-    /// `None` when any side is symbolic and `match_objects` must run.
-    /// Literals sort before every non-literal, so the table is fully
-    /// literal exactly when its last location is.
-    fn literal_object(&self, el: &Expr) -> Option<Option<Expr>> {
-        let all_literal = matches!(self.meta.keys().next_back(), None | Some(Expr::Val(_)));
-        if !matches!(el, Expr::Val(_)) || !all_literal {
-            return None;
-        }
-        Some(self.meta.get_key_value(el).map(|(loc, _)| loc.clone()))
-    }
-
-    /// Resolves a literal key against object `loc` when all of its keys
-    /// are literal; `None` falls back to `match_keys`. The object's
-    /// literal keys sort before its symbolic ones, so one probe at
-    /// `(loc, Expr::least_symbolic())` finds a symbolic key if any.
-    fn literal_key(&self, loc: &Expr, ek: &Expr) -> Option<Option<Expr>> {
-        if !matches!(ek, Expr::Val(_)) {
-            return None;
-        }
-        let first_symbolic = self
-            .cells
-            .range((loc.clone(), Expr::least_symbolic().clone())..)
-            .next();
-        if first_symbolic.is_some_and(|((l, _), _)| l == loc) {
-            return None;
-        }
-        Some(
-            self.cells
-                .get_key_value(&(loc.clone(), ek.clone()))
-                .map(|((_, k), _)| k.clone()),
-        )
-    }
-
-    /// The non-object error branch shared by the literal fast paths.
-    fn literal_not_obj(
-        self,
-        action: &str,
-        el: &Expr,
-        pc: &PathCondition,
-        solver: &Solver,
-    ) -> Vec<SymBranch<Self>> {
-        literal_gate(
-            pc,
-            solver,
-            vec![SymBranch::err_if(
-                self,
-                err_expr(format!("{action}: {el} is not an object")),
-                Expr::tt(),
-            )],
-        )
-    }
-
-    // Every fast path owns the memory: the one branch it builds takes
-    // `self` (a write mutates it in place), and `Err(self)` hands it back
-    // untouched for the general path.
-
-    fn fast_del_obj(
+    /// The literal fast path of every action but `newObj` (bytecode
+    /// backend only): when the address, the key and every object and key
+    /// they meet are literals, the alias decisions fold to the map
+    /// lookups of [`SymMap::literal`], and the one surviving branch keeps
+    /// only the general path's `sat(pc)` query ([`literal_gate`]). It
+    /// owns the memory: the branch takes `self` (a write mutates it in
+    /// place), and `Err(self)` hands it back untouched for the general
+    /// path.
+    fn fast_action(
         mut self,
-        el: &Expr,
-        pc: &PathCondition,
-        solver: &Solver,
-    ) -> Result<Vec<SymBranch<Self>>, Self> {
-        Ok(match self.literal_object(el) {
-            None => return Err(self),
-            Some(Some(loc)) => {
-                self.apply(Edit::DelObj(loc));
-                literal_gate(
-                    pc,
-                    solver,
-                    vec![SymBranch::ok_if(self, Expr::tt(), Expr::tt())],
-                )
-            }
-            Some(None) => self.literal_not_obj("delObj", el, pc, solver),
-        })
-    }
-
-    fn fast_get_prop(
-        self,
+        effect: Effect,
+        name: &str,
         arg: &Expr,
         pc: &PathCondition,
         solver: &Solver,
     ) -> Result<Vec<SymBranch<Self>>, Self> {
-        let Ok(args) = expr_args(arg, 2, "getProp") else {
+        let Ok(args) = effect.args(arg) else {
             return Err(self);
         };
-        let (el, ek) = (&args[0], &args[1]);
-        let loc = match self.literal_object(el) {
+        let (edit, value) = match self.meta.literal(&(), &args[0]) {
             None => return Err(self),
-            Some(Some(loc)) => loc,
-            Some(None) => return Ok(self.literal_not_obj("getProp", el, pc, solver)),
+            Some(None) => {
+                let err = not_an_object(name, &args[0]);
+                let branch = SymBranch::err_if(self, err, Expr::tt());
+                return Ok(literal_gate(pc, solver, vec![branch]));
+            }
+            Some(Some((loc, meta))) => match effect {
+                Effect::Object(_, act) => act(&args, loc, meta),
+                Effect::Property(_, act) => match self.cells.literal(loc, &args[1]) {
+                    None => return Err(self),
+                    Some(found) => act(&args, loc, found),
+                },
+            },
         };
-        let value = match self.literal_key(&loc, ek) {
-            None => return Err(self),
-            Some(Some(key)) => self.cells[&(loc, key)].clone(),
-            // Absent key reads as `undefined` (JS semantics).
-            Some(None) => undefined_expr(),
-        };
+        self.apply(edit);
         Ok(literal_gate(
             pc,
             solver,
             vec![SymBranch::ok_if(self, value, Expr::tt())],
         ))
     }
-
-    fn fast_set_prop(
-        mut self,
-        arg: &Expr,
-        pc: &PathCondition,
-        solver: &Solver,
-    ) -> Result<Vec<SymBranch<Self>>, Self> {
-        let Ok(args) = expr_args(arg, 3, "setProp") else {
-            return Err(self);
-        };
-        let (el, ek, ev) = (&args[0], &args[1], &args[2]);
-        let loc = match self.literal_object(el) {
-            None => return Err(self),
-            Some(Some(loc)) => loc,
-            Some(None) => return Ok(self.literal_not_obj("setProp", el, pc, solver)),
-        };
-        // Overwrite keeps the stored key expression, extend inserts the
-        // looked-up one — content-identical here (both fold equal).
-        let Some(key) = self.literal_key(&loc, ek) else {
-            return Err(self);
-        };
-        self.apply(Edit::SetCell(
-            loc,
-            key.unwrap_or_else(|| ek.clone()),
-            ev.clone(),
-        ));
-        Ok(literal_gate(
-            pc,
-            solver,
-            vec![SymBranch::ok_if(self, ev.clone(), Expr::tt())],
-        ))
-    }
-
-    fn fast_del_prop(
-        mut self,
-        arg: &Expr,
-        pc: &PathCondition,
-        solver: &Solver,
-    ) -> Result<Vec<SymBranch<Self>>, Self> {
-        let Ok(args) = expr_args(arg, 2, "delProp") else {
-            return Err(self);
-        };
-        let (el, ek) = (&args[0], &args[1]);
-        let loc = match self.literal_object(el) {
-            None => return Err(self),
-            Some(Some(loc)) => loc,
-            Some(None) => return Ok(self.literal_not_obj("delProp", el, pc, solver)),
-        };
-        match self.literal_key(&loc, ek) {
-            None => return Err(self),
-            Some(Some(key)) => self.apply(Edit::DelCell(loc, key)),
-            // Deleting an absent property is a no-op, like JS.
-            Some(None) => {}
-        }
-        Ok(literal_gate(
-            pc,
-            solver,
-            vec![SymBranch::ok_if(self, Expr::tt(), Expr::tt())],
-        ))
-    }
-
-    fn fast_has_prop(
-        self,
-        arg: &Expr,
-        pc: &PathCondition,
-        solver: &Solver,
-    ) -> Result<Vec<SymBranch<Self>>, Self> {
-        let Ok(args) = expr_args(arg, 2, "hasProp") else {
-            return Err(self);
-        };
-        let (el, ek) = (&args[0], &args[1]);
-        let loc = match self.literal_object(el) {
-            None => return Err(self),
-            Some(Some(loc)) => loc,
-            Some(None) => return Ok(self.literal_not_obj("hasProp", el, pc, solver)),
-        };
-        let Some(found) = self.literal_key(&loc, ek) else {
-            return Err(self);
-        };
-        Ok(literal_gate(
-            pc,
-            solver,
-            vec![SymBranch::ok_if(
-                self,
-                Expr::bool(found.is_some()),
-                Expr::tt(),
-            )],
-        ))
-    }
-
-    fn fast_get_meta(
-        self,
-        el: &Expr,
-        pc: &PathCondition,
-        solver: &Solver,
-    ) -> Result<Vec<SymBranch<Self>>, Self> {
-        Ok(match self.literal_object(el) {
-            None => return Err(self),
-            Some(Some(loc)) => {
-                let meta = self.meta[&loc].clone();
-                literal_gate(pc, solver, vec![SymBranch::ok_if(self, meta, Expr::tt())])
-            }
-            Some(None) => self.literal_not_obj("getMeta", el, pc, solver),
-        })
-    }
-
-    fn fast_set_meta(
-        mut self,
-        arg: &Expr,
-        pc: &PathCondition,
-        solver: &Solver,
-    ) -> Result<Vec<SymBranch<Self>>, Self> {
-        let Ok(args) = expr_args(arg, 2, "setMeta") else {
-            return Err(self);
-        };
-        let (el, em) = (&args[0], &args[1]);
-        Ok(match self.literal_object(el) {
-            None => return Err(self),
-            Some(Some(loc)) => {
-                self.apply(Edit::SetMeta(loc, em.clone()));
-                literal_gate(
-                    pc,
-                    solver,
-                    vec![SymBranch::ok_if(self, em.clone(), Expr::tt())],
-                )
-            }
-            Some(None) => self.literal_not_obj("setMeta", el, pc, solver),
-        })
-    }
-}
-
-/// Pushes a branch unless its constraint is trivially false or unsat.
-fn push_branch<M>(
-    out: &mut Vec<SymBranch<M>>,
-    pc: &PathCondition,
-    solver: &Solver,
-    branch: SymBranch<M>,
-) {
-    if branch.constraint.as_bool() == Some(false) {
-        return;
-    }
-    if solver.sat_with(pc, &branch.constraint).possibly_sat() {
-        out.push(branch);
-    }
-}
-
-fn expr_args(arg: &Expr, n: usize, action: &str) -> Result<Vec<Expr>, Expr> {
-    let parts: Option<Vec<Expr>> = match arg {
-        Expr::List(es) if es.len() == n => Some(es.to_vec()),
-        Expr::Val(Value::List(vs)) if vs.len() == n => {
-            Some(vs.iter().cloned().map(Expr::Val).collect())
-        }
-        _ => None,
-    };
-    parts.ok_or_else(|| {
-        err_expr(format!(
-            "{action}: expected {n}-element argument list, got {arg}"
-        ))
-    })
 }
 
 impl SymbolicMemory for JsSymMemory {
@@ -619,18 +394,12 @@ impl SymbolicMemory for JsSymMemory {
         pc: &PathCondition,
         solver: &Solver,
     ) -> Vec<SymBranch<Self>> {
-        // `newObj` never consults the solver, and a fast helper declines
+        // `newObj` never consults the solver, and the fast path declines
         // whenever anything symbolic is involved; both fall back to the
         // general tree-walk implementation.
-        let fast = match code {
-            code::DEL_OBJ => self.fast_del_obj(arg, pc, solver),
-            code::GET_PROP => self.fast_get_prop(arg, pc, solver),
-            code::SET_PROP => self.fast_set_prop(arg, pc, solver),
-            code::DEL_PROP => self.fast_del_prop(arg, pc, solver),
-            code::HAS_PROP => self.fast_has_prop(arg, pc, solver),
-            code::GET_META => self.fast_get_meta(arg, pc, solver),
-            code::SET_META => self.fast_set_meta(arg, pc, solver),
-            _ => Err(self),
+        let fast = match Effect::of(code) {
+            Some(effect) => self.fast_action(effect, name, arg, pc, solver),
+            None => Err(self),
         };
         fast.unwrap_or_else(|mem| mem.execute_action(name, arg, pc, solver))
     }
@@ -642,224 +411,67 @@ impl SymbolicMemory for JsSymMemory {
         pc: &PathCondition,
         solver: &Solver,
     ) -> Vec<SymBranch<Self>> {
-        // Branches are decided first, as edits; `successors` then builds
-        // their memories, the last one reusing `self`.
-        let mut out: Vec<SymBranch<Edit>> = Vec::new();
-        match name {
-            "newObj" => {
-                let args = match expr_args(arg, 2, "newObj") {
-                    Ok(a) => a,
-                    Err(e) => return vec![SymBranch::err_if(self, e, Expr::tt())],
+        let err1 = |mem, e| vec![SymBranch::err_if(mem, e, Expr::tt())];
+        let effect = match js_action_code(name) {
+            None => return err1(self, err_expr(format!("unknown JS action {name}"))),
+            Some(code::NEW_OBJ) => {
+                let Some(args) = expr_args(arg, 2) else {
+                    return err1(self, err_expr(arity(name, 2, arg)));
                 };
                 // Locations come from the allocator, so existence folds.
-                if self.meta.contains_key(&args[0]) {
-                    return vec![SymBranch::err_if(
-                        self,
-                        err_expr(format!("newObj: {} already exists", args[0])),
-                        Expr::tt(),
-                    )];
+                if self.meta.get(&(), &args[0]).is_some() {
+                    let err = err_expr(format!("newObj: {} already exists", args[0]));
+                    return err1(self, err);
                 }
                 let new = Edit::SetMeta(args[0].clone(), args[1].clone());
-                out.push(SymBranch::ok(new, args[0].clone()));
+                return successors(self, vec![SymBranch::ok(new, args[0].clone())], Self::apply);
             }
-            "delObj" => {
-                let el = arg.clone();
-                let (matches, none_of) = self.match_objects(&el, pc, solver);
-                for (loc, eq) in matches {
-                    let del = SymBranch::ok_if(Edit::DelObj(loc), Expr::tt(), eq);
-                    push_branch(&mut out, pc, solver, del);
+            Some(code) => Effect::of(code).expect("every action but newObj has an effect"),
+        };
+        let args = match effect.args(arg) {
+            Ok(args) => args,
+            Err(n) => return err1(self, err_expr(arity(name, n, arg))),
+        };
+        // Branches are decided first, as edits; `successors` then builds
+        // their memories, the last one reusing `self`. Every decided
+        // branch is pushed through `push_branch`, which asks again (an
+        // exact-cache hit).
+        let mut out = Vec::new();
+        let el = &args[0];
+        let (objects, not_obj) = self.meta.aliases(&(), el, None, pc, solver);
+        for (loc, meta, obj_eq) in objects {
+            match effect {
+                Effect::Object(_, act) => {
+                    let (edit, value) = act(&args, loc, meta);
+                    push_branch(&mut out, pc, solver, SymBranch::ok_if(edit, value, obj_eq));
                 }
-                push_branch(
-                    &mut out,
-                    pc,
-                    solver,
-                    SymBranch::err_if(
-                        Edit::Keep,
-                        err_expr(format!("delObj: {el} is not an object")),
-                        none_of,
-                    ),
-                );
-            }
-            "getProp" => {
-                let args = match expr_args(arg, 2, "getProp") {
-                    Ok(a) => a,
-                    Err(e) => return vec![SymBranch::err_if(self, e, Expr::tt())],
-                };
-                let (el, ek) = (args[0].clone(), args[1].clone());
-                let (objs, not_obj) = self.match_objects(&el, pc, solver);
-                for (loc, obj_eq) in objs {
-                    // [SGetProp - Branch - Found] per key, plus the absent
-                    // branch yielding `undefined`.
-                    let (keys, none_key) = self.match_keys(&loc, &ek, &obj_eq, pc, solver);
-                    for (key, eq) in keys {
-                        let value = self.cells[&(loc.clone(), key)].clone();
-                        push_branch(
-                            &mut out,
-                            pc,
-                            solver,
-                            SymBranch::ok_if(Edit::Keep, value, eq),
-                        );
+                // [SGetProp - Branch - Found] per key, plus the absent
+                // branch.
+                Effect::Property(_, act) => {
+                    let (keys, absent) =
+                        self.cells.aliases(loc, &args[1], Some(&obj_eq), pc, solver);
+                    for (key, value, eq) in keys {
+                        let (edit, value) = act(&args, loc, Some((key, value)));
+                        push_branch(&mut out, pc, solver, SymBranch::ok_if(edit, value, eq));
                     }
-                    let absent = SymBranch::ok_if(Edit::Keep, undefined_expr(), none_key);
-                    push_branch(&mut out, pc, solver, absent);
+                    let (edit, value) = act(&args, loc, None);
+                    push_branch(&mut out, pc, solver, SymBranch::ok_if(edit, value, absent));
                 }
-                push_branch(
-                    &mut out,
-                    pc,
-                    solver,
-                    SymBranch::err_if(
-                        Edit::Keep,
-                        err_expr(format!("getProp: {el} is not an object")),
-                        not_obj,
-                    ),
-                );
-            }
-            "setProp" => {
-                let args = match expr_args(arg, 3, "setProp") {
-                    Ok(a) => a,
-                    Err(e) => return vec![SymBranch::err_if(self, e, Expr::tt())],
-                };
-                let (el, ek, ev) = (args[0].clone(), args[1].clone(), args[2].clone());
-                let (objs, not_obj) = self.match_objects(&el, pc, solver);
-                for (loc, obj_eq) in objs {
-                    let (keys, none_key) = self.match_keys(&loc, &ek, &obj_eq, pc, solver);
-                    for (key, eq) in keys {
-                        let set = Edit::SetCell(loc.clone(), key, ev.clone());
-                        push_branch(&mut out, pc, solver, SymBranch::ok_if(set, ev.clone(), eq));
-                    }
-                    let extend = Edit::SetCell(loc, ek.clone(), ev.clone());
-                    let extend = SymBranch::ok_if(extend, ev.clone(), none_key);
-                    push_branch(&mut out, pc, solver, extend);
-                }
-                push_branch(
-                    &mut out,
-                    pc,
-                    solver,
-                    SymBranch::err_if(
-                        Edit::Keep,
-                        err_expr(format!("setProp: {el} is not an object")),
-                        not_obj,
-                    ),
-                );
-            }
-            "delProp" => {
-                let args = match expr_args(arg, 2, "delProp") {
-                    Ok(a) => a,
-                    Err(e) => return vec![SymBranch::err_if(self, e, Expr::tt())],
-                };
-                let (el, ek) = (args[0].clone(), args[1].clone());
-                let (objs, not_obj) = self.match_objects(&el, pc, solver);
-                for (loc, obj_eq) in objs {
-                    let (keys, none_key) = self.match_keys(&loc, &ek, &obj_eq, pc, solver);
-                    for (key, eq) in keys {
-                        let del = SymBranch::ok_if(Edit::DelCell(loc.clone(), key), Expr::tt(), eq);
-                        push_branch(&mut out, pc, solver, del);
-                    }
-                    // Deleting an absent property is a no-op, like JS.
-                    let absent = SymBranch::ok_if(Edit::Keep, Expr::tt(), none_key);
-                    push_branch(&mut out, pc, solver, absent);
-                }
-                push_branch(
-                    &mut out,
-                    pc,
-                    solver,
-                    SymBranch::err_if(
-                        Edit::Keep,
-                        err_expr(format!("delProp: {el} is not an object")),
-                        not_obj,
-                    ),
-                );
-            }
-            "hasProp" => {
-                let args = match expr_args(arg, 2, "hasProp") {
-                    Ok(a) => a,
-                    Err(e) => return vec![SymBranch::err_if(self, e, Expr::tt())],
-                };
-                let (el, ek) = (args[0].clone(), args[1].clone());
-                let (objs, not_obj) = self.match_objects(&el, pc, solver);
-                for (loc, obj_eq) in objs {
-                    let (keys, none_key) = self.match_keys(&loc, &ek, &obj_eq, pc, solver);
-                    for (_, eq) in keys {
-                        push_branch(
-                            &mut out,
-                            pc,
-                            solver,
-                            SymBranch::ok_if(Edit::Keep, Expr::tt(), eq),
-                        );
-                    }
-                    let absent = SymBranch::ok_if(Edit::Keep, Expr::ff(), none_key);
-                    push_branch(&mut out, pc, solver, absent);
-                }
-                push_branch(
-                    &mut out,
-                    pc,
-                    solver,
-                    SymBranch::err_if(
-                        Edit::Keep,
-                        err_expr(format!("hasProp: {el} is not an object")),
-                        not_obj,
-                    ),
-                );
-            }
-            "getMeta" => {
-                let el = arg.clone();
-                let (objs, not_obj) = self.match_objects(&el, pc, solver);
-                for (loc, obj_eq) in objs {
-                    let meta = self.meta[&loc].clone();
-                    push_branch(
-                        &mut out,
-                        pc,
-                        solver,
-                        SymBranch::ok_if(Edit::Keep, meta, obj_eq),
-                    );
-                }
-                push_branch(
-                    &mut out,
-                    pc,
-                    solver,
-                    SymBranch::err_if(
-                        Edit::Keep,
-                        err_expr(format!("getMeta: {el} is not an object")),
-                        not_obj,
-                    ),
-                );
-            }
-            "setMeta" => {
-                let args = match expr_args(arg, 2, "setMeta") {
-                    Ok(a) => a,
-                    Err(e) => return vec![SymBranch::err_if(self, e, Expr::tt())],
-                };
-                let (el, em) = (args[0].clone(), args[1].clone());
-                let (objs, not_obj) = self.match_objects(&el, pc, solver);
-                for (loc, obj_eq) in objs {
-                    let set = SymBranch::ok_if(Edit::SetMeta(loc, em.clone()), em.clone(), obj_eq);
-                    push_branch(&mut out, pc, solver, set);
-                }
-                push_branch(
-                    &mut out,
-                    pc,
-                    solver,
-                    SymBranch::err_if(
-                        Edit::Keep,
-                        err_expr(format!("setMeta: {el} is not an object")),
-                        not_obj,
-                    ),
-                );
-            }
-            other => {
-                return vec![SymBranch::err_if(
-                    self,
-                    err_expr(format!("unknown JS action {other}")),
-                    Expr::tt(),
-                )]
             }
         }
+        let err = not_an_object(name, el);
+        push_branch(
+            &mut out,
+            pc,
+            solver,
+            SymBranch::err_if(Edit::Keep, err, not_obj),
+        );
         successors(self, out, Self::apply)
     }
 
     fn lvars(&self) -> BTreeSet<LVar> {
         let mut out = BTreeSet::new();
-        for (loc, meta) in self.meta.iter() {
+        for ((_, loc), meta) in self.meta.iter() {
             out.extend(loc.lvars());
             out.extend(meta.lvars());
         }
@@ -877,8 +489,6 @@ mod tests {
     use super::*;
     use crate::values::undefined_value;
     use gillian_gil::Sym;
-    use proptest::prelude::*;
-    use std::sync::Arc;
 
     fn loc(i: u64) -> Value {
         Value::Sym(Sym(Sym::FIRST_FRESH + i))
@@ -1031,18 +641,14 @@ mod tests {
         // The general path and the literal fast path alike.
         for coded in [false, true] {
             let (m, l) = one_object();
-            let (meta, cells) = (Arc::as_ptr(&m.meta), Arc::as_ptr(&m.cells));
+            let (meta, cells) = (m.meta.as_ptr(), m.cells.as_ptr());
             let branches = if coded {
                 m.execute_action_coded(code::SET_PROP, "setProp", &set(&l), &pc, &solver)
             } else {
                 m.execute_action("setProp", &set(&l), &pc, &solver)
             };
             assert_eq!(branches.len(), 1);
-            assert_eq!(
-                Arc::as_ptr(&branches[0].memory.cells),
-                cells,
-                "coded: {coded}"
-            );
+            assert_eq!(branches[0].memory.cells.as_ptr(), cells, "coded: {coded}");
             let mem = branches.into_iter().next().unwrap().memory;
             let retag = Expr::list([l, Expr::str("Array")]);
             let branches = if coded {
@@ -1051,11 +657,7 @@ mod tests {
                 mem.execute_action("setMeta", &retag, &pc, &solver)
             };
             assert_eq!(branches.len(), 1);
-            assert_eq!(
-                Arc::as_ptr(&branches[0].memory.meta),
-                meta,
-                "coded: {coded}"
-            );
+            assert_eq!(branches[0].memory.meta.as_ptr(), meta, "coded: {coded}");
         }
     }
 
@@ -1086,85 +688,5 @@ mod tests {
         let branches = m.clone().execute_action("delObj", &l, &pc, &solver);
         assert_eq!(branches[0].memory.object_count(), 0);
         assert_eq!(m, snapshot);
-    }
-
-    // The definitions the ordered-map lookups replaced: full scans.
-
-    fn scan_keys_of(m: &JsSymMemory, loc: &Expr) -> Vec<Expr> {
-        m.cells
-            .keys()
-            .filter(|(l, _)| l == loc)
-            .map(|(_, k)| k.clone())
-            .collect()
-    }
-
-    fn scan_literal_object(m: &JsSymMemory, el: &Expr) -> Option<Option<Expr>> {
-        let all_literal = m.meta.keys().all(|e| matches!(e, Expr::Val(_)));
-        if !matches!(el, Expr::Val(_)) || !all_literal {
-            return None;
-        }
-        Some(m.meta.get_key_value(el).map(|(loc, _)| loc.clone()))
-    }
-
-    fn scan_literal_key(m: &JsSymMemory, loc: &Expr, ek: &Expr) -> Option<Option<Expr>> {
-        if !matches!(ek, Expr::Val(_)) {
-            return None;
-        }
-        let mut found = None;
-        for (l, k) in m.cells.keys() {
-            if l == loc {
-                if !matches!(k, Expr::Val(_)) {
-                    return None;
-                }
-                if k == ek {
-                    found = Some(k.clone());
-                }
-            }
-        }
-        Some(found)
-    }
-
-    /// Literal and symbolic locations.
-    fn arb_loc() -> impl Strategy<Value = Expr> {
-        prop_oneof![
-            3 => (0u64..4).prop_map(|i| Expr::Val(loc(i))),
-            1 => (0u64..2).prop_map(|i| Expr::lvar(LVar(i))),
-        ]
-    }
-
-    /// Literal keys of several types, and symbolic keys.
-    fn arb_key() -> impl Strategy<Value = Expr> {
-        prop_oneof![
-            2 => (0u8..4).prop_map(|i| Expr::str(format!("k{i}"))),
-            2 => (0u8..4).prop_map(|i| Expr::num(i as f64)),
-            1 => (0i64..2).prop_map(Expr::int),
-            1 => (0u64..3).prop_map(|i| Expr::lvar(LVar(i))),
-            1 => (0u64..2).prop_map(|i| Expr::lvar(LVar(i)).add(Expr::int(1))),
-            1 => Just(Expr::pvar("")),
-        ]
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
-
-        #[test]
-        fn ordered_lookups_match_full_scans(
-            objects in proptest::collection::vec(arb_loc(), 0..5),
-            cells in proptest::collection::vec((arb_loc(), arb_key()), 0..12),
-            probes in proptest::collection::vec((arb_loc(), arb_key()), 1..6),
-        ) {
-            let mut m = JsSymMemory::default();
-            for l in objects {
-                m.insert_object(l, Expr::str("Object"));
-            }
-            for (i, (l, k)) in cells.into_iter().enumerate() {
-                m.insert_cell(l, k, Expr::int(i as i64));
-            }
-            for (l, k) in probes {
-                prop_assert_eq!(m.keys_of(&l), scan_keys_of(&m, &l));
-                prop_assert_eq!(m.literal_object(&l), scan_literal_object(&m, &l));
-                prop_assert_eq!(m.literal_key(&l, &k), scan_literal_key(&m, &l, &k));
-            }
-        }
     }
 }

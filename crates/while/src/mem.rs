@@ -11,35 +11,29 @@
 //! (rules `S-Lookup` and `S-Mutate-{Present,Absent}` of Fig. 3), learning
 //! the corresponding equalities/disequalities into the path condition.
 //!
-//! ## Key order
-//!
-//! The symbolic memory keys its cells `(property, location)`: a
-//! property's cells are contiguous, so the locations defining it are one
-//! range walk from `(p, Expr::LEAST)`, in ascending location order, and
-//! within them the literal locations come before the symbolic ones.
-//!
-//! ## Coded fast paths
-//!
-//! `execute_action_coded` (the bytecode backend) resolves `lookup` and
-//! `mutate` without alias branching when the address is a literal and no
-//! symbolic location defines the property. Every equality the general
-//! path would build then folds to a literal, so the branch set is fixed
-//! by a map lookup; the one solver query the general path still issues,
-//! `sat(pc ∧ true)`, is kept through `gillian_core::memory::literal_gate`.
-//! Anything else, and every `dispose`, takes the general path. The
-//! tree-walk `execute_action` never takes a fast path and is the
-//! byte-identical reference the fast paths are tested against.
+//! The symbolic memory is a [`SymMap`] grouped by property, so the
+//! locations defining a property are one group. `lookup` and `mutate`
+//! have literal fast paths on the bytecode backend; `dispose`, which
+//! aliases the address against every location, has none.
 
 use gillian_core::checkpoint::StateIoError;
-use gillian_core::memory::{literal_gate, successors, ConcreteMemory, SymBranch, SymbolicMemory};
+use gillian_core::memory::{
+    expr_args, literal_gate, push_branch, successors, value_args, Alias, ArgList, ConcreteMemory,
+    SymBranch, SymMap, SymbolicMemory,
+};
 use gillian_gil::serial::{self, ByteReader, Decoder, Encoder};
 use gillian_gil::{Expr, Value};
 use gillian_solver::{PathCondition, Solver};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 fn err_value(msg: impl Into<String>) -> Value {
     Value::str(msg.into())
+}
+
+/// The message of an action whose argument is not an `n`-element list.
+fn arity(action: &str, n: usize, arg: impl std::fmt::Display) -> String {
+    format!("{action}: expected {n}-element argument list, got {arg}")
 }
 
 /// A concrete While memory: `(location, property) ⇀ value`
@@ -71,22 +65,13 @@ impl WhileConcMemory {
     }
 }
 
-/// Destructures an action argument list.
-fn value_args(arg: &Value, n: usize, action: &str) -> Result<Vec<Value>, Value> {
-    match arg.as_list() {
-        Some(items) if items.len() == n => Ok(items.to_vec()),
-        _ => Err(err_value(format!(
-            "{action}: expected {n}-element argument list, got {arg}"
-        ))),
-    }
-}
-
 impl ConcreteMemory for WhileConcMemory {
     fn execute_action(&mut self, name: &str, arg: Value) -> Result<Value, Value> {
+        let args = |n| value_args(&arg, n).ok_or_else(|| err_value(arity(name, n, &arg)));
         match name {
             // [C-Lookup]  µ = _ ⊎ l.p ↦ v  ⟹  µ.lookup([l,p]) ⇝ (µ, v)
             "lookup" => {
-                let args = value_args(&arg, 2, "lookup")?;
+                let args = args(2)?;
                 let prop = args[1]
                     .as_str()
                     .ok_or_else(|| err_value("lookup: property must be a string"))?;
@@ -97,7 +82,7 @@ impl ConcreteMemory for WhileConcMemory {
             }
             // [C-Mutate-Present] / [C-Mutate-Absent]
             "mutate" => {
-                let args = value_args(&arg, 3, "mutate")?;
+                let args = args(3)?;
                 let prop = args[1]
                     .as_str()
                     .ok_or_else(|| err_value("mutate: property must be a string"))?;
@@ -125,11 +110,10 @@ mod code {
 }
 
 /// A symbolic While memory: `(property, location expression) ⇀
-/// expression` (copy-on-write behind an [`Arc`]; key order in the module
-/// docs).
+/// expression`, grouped by property (module docs).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct WhileSymMemory {
-    cells: Arc<BTreeMap<(Arc<str>, Expr), Expr>>,
+    cells: SymMap<Arc<str>, Expr>,
 }
 
 impl WhileSymMemory {
@@ -145,7 +129,7 @@ impl WhileSymMemory {
 
     /// Direct cell insertion (for tests).
     pub fn insert(&mut self, loc: Expr, prop: impl AsRef<str>, value: Expr) -> Option<Expr> {
-        Arc::make_mut(&mut self.cells).insert((Arc::from(prop.as_ref()), loc), value)
+        self.cells.insert(Arc::from(prop.as_ref()), loc, value)
     }
 
     /// Iterates over the `(location, property, value)` cells, grouped by
@@ -156,55 +140,21 @@ impl WhileSymMemory {
             .map(|((prop, loc), value)| (loc, prop.as_ref(), value))
     }
 
-    /// The locations that define property `p`, in ascending order.
-    fn locs_with(&self, prop: &Arc<str>) -> Vec<Expr> {
-        self.cells
-            .range((prop.clone(), Expr::LEAST)..)
-            .take_while(|((p, _), _)| p == prop)
-            .map(|((_, l), _)| l.clone())
-            .collect()
-    }
-
-    /// All distinct locations in the memory.
-    fn locs(&self) -> Vec<Expr> {
-        let mut out: Vec<Expr> = self.cells.keys().map(|(_, l)| l.clone()).collect();
-        out.sort();
-        out.dedup();
-        out
-    }
-
     fn apply(&mut self, edit: Edit) {
         match edit {
             Edit::Keep => {}
             Edit::Put(loc, prop, value) => {
-                Arc::make_mut(&mut self.cells).insert((prop, loc), value);
+                self.cells.insert(prop, loc, value);
             }
-            Edit::Dispose(loc) => Arc::make_mut(&mut self.cells).retain(|(_, l), _| l != &loc),
+            Edit::Dispose(loc) => self.cells.retain(|_, l, _| l != &loc),
         }
     }
 
     // ---- literal fast paths (bytecode backend only) -----------------
     //
-    // A map hit is the decision the general path's folded `el = loc`
-    // makes: `eval_binop(Eq)` is `Value`'s derived equality, which the
-    // map's order agrees with. Each helper owns the memory: the one
-    // branch it builds takes `self` (a write mutates it in place), and
-    // `Err(self)` hands it back untouched for the general path.
-
-    /// The cell key of a literal address for property `prop`, or `None`
-    /// when a symbolic location defines `prop`: those sort after the
-    /// literal ones, so one probe at `(prop, Expr::least_symbolic())`
-    /// finds the first if there is one.
-    fn literal_key(&self, el: &Value, prop: &Arc<str>) -> Option<(Arc<str>, Expr)> {
-        let first_symbolic = self
-            .cells
-            .range((prop.clone(), Expr::least_symbolic().clone())..)
-            .next();
-        if first_symbolic.is_some_and(|((p, _), _)| p == prop) {
-            return None;
-        }
-        Some((prop.clone(), Expr::Val(el.clone())))
-    }
+    // Each helper owns the memory: the one branch it builds takes `self`
+    // (a write mutates it in place), and `Err(self)` hands it back
+    // untouched for the general path.
 
     fn fast_lookup(
         self,
@@ -215,19 +165,18 @@ impl WhileSymMemory {
         let Some(args) = ArgList::of(arg, 2) else {
             return Err(self);
         };
-        let Some((el, prop)) = args.literal(0).zip(args.prop(1)) else {
+        let Some((el, prop)) = args.literal(0).zip(args.str(1)) else {
             return Err(self);
         };
-        let Some(key) = self.literal_key(el, prop) else {
-            return Err(self);
+        let el = Expr::Val(el.clone());
+        let value = match self.cells.literal(prop, &el) {
+            None => return Err(self),
+            Some(found) => found.map(|(_, value)| value.clone()),
         };
-        let branch = match self.cells.get(&key) {
-            Some(value) => {
-                let value = value.clone();
-                SymBranch::ok_if(self, value, Expr::tt())
-            }
+        let branch = match value {
+            Some(value) => SymBranch::ok_if(self, value, Expr::tt()),
             None => {
-                let msg = format!("lookup: no property {prop} at {}", key.1);
+                let msg = format!("lookup: no property {prop} at {el}");
                 SymBranch::err_if(self, Expr::str(msg), Expr::tt())
             }
         };
@@ -243,66 +192,21 @@ impl WhileSymMemory {
         let Some(args) = ArgList::of(arg, 3) else {
             return Err(self);
         };
-        let Some((el, prop)) = args.literal(0).zip(args.prop(1)) else {
+        let Some((el, prop)) = args.literal(0).zip(args.str(1)) else {
             return Err(self);
         };
-        let Some(key) = self.literal_key(el, prop) else {
+        let el = Expr::Val(el.clone());
+        if self.cells.literal(prop, &el).is_none() {
             return Err(self);
-        };
+        }
         // Present overwrites in place; absent extends.
         let value = args.expr(2);
-        Arc::make_mut(&mut self.cells).insert(key, value.clone());
+        self.cells.insert(prop.clone(), el, value.clone());
         Ok(literal_gate(
             pc,
             solver,
             vec![SymBranch::ok_if(self, value, Expr::tt())],
         ))
-    }
-}
-
-/// An action's argument list, borrowed rather than copied out: the
-/// bytecode evaluator folds an all-literal list into one `Value::List`,
-/// any other list stays an `Expr::List`.
-enum ArgList<'a> {
-    Exprs(&'a [Expr]),
-    Values(&'a [Value]),
-}
-
-impl<'a> ArgList<'a> {
-    /// The `n` elements of `arg`, if it is an `n`-element list.
-    fn of(arg: &'a Expr, n: usize) -> Option<Self> {
-        match arg {
-            Expr::List(es) if es.len() == n => Some(ArgList::Exprs(es)),
-            Expr::Val(Value::List(vs)) if vs.len() == n => Some(ArgList::Values(vs)),
-            _ => None,
-        }
-    }
-
-    /// Element `i`, if it is a literal.
-    fn literal(&self, i: usize) -> Option<&'a Value> {
-        match self {
-            ArgList::Exprs(es) => match &es[i] {
-                Expr::Val(v) => Some(v),
-                _ => None,
-            },
-            ArgList::Values(vs) => Some(&vs[i]),
-        }
-    }
-
-    /// Element `i`, if it is a literal string (a property name).
-    fn prop(&self, i: usize) -> Option<&'a Arc<str>> {
-        match self.literal(i)? {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Element `i` as an expression.
-    fn expr(&self, i: usize) -> Expr {
-        match self {
-            ArgList::Exprs(es) => es[i].clone(),
-            ArgList::Values(vs) => Expr::Val(vs[i].clone()),
-        }
     }
 }
 
@@ -316,28 +220,18 @@ enum Edit {
     Dispose(Expr),
 }
 
-fn expr_args(arg: &Expr, n: usize, action: &str) -> Result<Vec<Expr>, Expr> {
-    let parts: Option<Vec<Expr>> = match arg {
-        Expr::List(es) if es.len() == n => Some(es.to_vec()),
-        Expr::Val(Value::List(vs)) if vs.len() == n => {
-            Some(vs.iter().cloned().map(Expr::Val).collect())
+/// The address and static property of a `lookup` (`n = 2`) or `mutate`
+/// (`n = 3`), with the whole argument list.
+fn prop_args(arg: &Expr, n: usize, action: &str) -> Result<(Vec<Expr>, Arc<str>), Expr> {
+    let args = expr_args(arg, n).ok_or_else(|| Expr::str(arity(action, n, arg)))?;
+    let prop = match &args[1] {
+        Expr::Val(Value::Str(s)) => s.clone(),
+        other => {
+            let msg = format!("{action}: property must be a literal string, got {other}");
+            return Err(Expr::str(msg));
         }
-        _ => None,
     };
-    parts.ok_or_else(|| {
-        Expr::str(format!(
-            "{action}: expected {n}-element argument list, got {arg}"
-        ))
-    })
-}
-
-fn static_prop(e: &Expr, action: &str) -> Result<Arc<str>, Expr> {
-    match e {
-        Expr::Val(Value::Str(s)) => Ok(s.clone()),
-        other => Err(Expr::str(format!(
-            "{action}: property must be a literal string, got {other}"
-        ))),
-    }
+    Ok((args, prop))
 }
 
 impl SymbolicMemory for WhileSymMemory {
@@ -347,8 +241,8 @@ impl SymbolicMemory for WhileSymMemory {
 
     fn save(&self, enc: &mut Encoder, out: &mut Vec<u8>) -> Result<(), StateIoError> {
         serial::put_len(out, self.cells.len(), "while memory cells")?;
-        // BTreeMap iteration is canonical order, so equal memories encode
-        // to equal bytes.
+        // Iteration is canonical order, so equal memories encode to equal
+        // bytes.
         for ((prop, loc), value) in self.cells.iter() {
             enc.write_expr(out, loc)?;
             serial::put_str(out, prop)?;
@@ -359,16 +253,14 @@ impl SymbolicMemory for WhileSymMemory {
 
     fn load(dec: &Decoder, r: &mut ByteReader<'_>) -> Result<Self, StateIoError> {
         let n = r.count()?;
-        let mut cells = BTreeMap::new();
+        let mut mem = WhileSymMemory::default();
         for _ in 0..n {
             let loc = dec.read_expr(r)?;
             let prop: Arc<str> = Arc::from(r.str()?);
             let value = dec.read_expr(r)?;
-            cells.insert((prop, loc), value);
+            mem.cells.insert(prop, loc, value);
         }
-        Ok(WhileSymMemory {
-            cells: Arc::new(cells),
-        })
+        Ok(mem)
     }
 
     fn action_code(&self, name: &str) -> Option<u16> {
@@ -403,82 +295,64 @@ impl SymbolicMemory for WhileSymMemory {
         solver: &Solver,
     ) -> Vec<SymBranch<Self>> {
         // Branches are decided first, as edits; `successors` then builds
-        // their memories, the last one reusing `self`.
+        // their memories, the last one reusing `self`. An alias decided
+        // feasible is pushed without asking again.
         let mut branches = Vec::new();
         match name {
             // [S-Lookup]: branch on every location potentially equal to the
             // address; learn the equality. The residual branch (equal to
             // none) is the "property not found" error.
             "lookup" => {
-                let (el, prop) = match expr_args(arg, 2, "lookup")
-                    .and_then(|a| Ok((a[0].clone(), static_prop(&a[1], "lookup")?)))
-                {
+                let (args, prop) = match prop_args(arg, 2, "lookup") {
                     Ok(x) => x,
                     Err(e) => return vec![SymBranch::err_if(self, e, Expr::tt())],
                 };
-                let mut none_of = Expr::tt();
-                for loc in self.locs_with(&prop) {
-                    let eq = solver.simplify(pc, &el.clone().eq(loc.clone()));
-                    if eq.as_bool() != Some(false) && solver.sat_with(pc, &eq).possibly_sat() {
-                        let value = self.cells[&(prop.clone(), loc.clone())].clone();
-                        branches.push(SymBranch::ok_if(Edit::Keep, value, eq));
-                    }
-                    none_of = none_of.and(el.clone().ne(loc));
+                let el = &args[0];
+                let (found, none_of) = self.cells.aliases(&prop, el, None, pc, solver);
+                for (_, value, eq) in found {
+                    branches.push(SymBranch::ok_if(Edit::Keep, value.clone(), eq));
                 }
-                let none_of = solver.simplify(pc, &none_of);
-                if none_of.as_bool() != Some(false) && solver.sat_with(pc, &none_of).possibly_sat()
-                {
-                    branches.push(SymBranch::err_if(
-                        Edit::Keep,
-                        Expr::str(format!("lookup: no property {prop} at {el}")),
-                        none_of,
-                    ));
-                }
+                let msg = Expr::str(format!("lookup: no property {prop} at {el}"));
+                push_branch(
+                    &mut branches,
+                    pc,
+                    solver,
+                    SymBranch::err_if(Edit::Keep, msg, none_of),
+                );
             }
             // [S-Mutate-Present] / [S-Mutate-Absent]
             "mutate" => {
-                let (el, prop, ev) = match expr_args(arg, 3, "mutate")
-                    .and_then(|a| Ok((a[0].clone(), static_prop(&a[1], "mutate")?, a[2].clone())))
-                {
+                let (args, prop) = match prop_args(arg, 3, "mutate") {
                     Ok(x) => x,
                     Err(e) => return vec![SymBranch::err_if(self, e, Expr::tt())],
                 };
-                let mut none_of = Expr::tt();
-                for loc in self.locs_with(&prop) {
-                    let eq = solver.simplify(pc, &el.clone().eq(loc.clone()));
-                    if eq.as_bool() != Some(false) && solver.sat_with(pc, &eq).possibly_sat() {
-                        let put = Edit::Put(loc.clone(), prop.clone(), ev.clone());
-                        branches.push(SymBranch::ok_if(put, ev.clone(), eq));
-                    }
-                    none_of = none_of.and(el.clone().ne(loc));
+                let (el, ev) = (&args[0], &args[2]);
+                let (found, none_of) = self.cells.aliases(&prop, el, None, pc, solver);
+                for (loc, _, eq) in found {
+                    let put = Edit::Put(loc.clone(), prop.clone(), ev.clone());
+                    branches.push(SymBranch::ok_if(put, ev.clone(), eq));
                 }
                 // Absent: the address defines no `p` yet; extend.
-                let none_of = solver.simplify(pc, &none_of);
-                if none_of.as_bool() != Some(false) && solver.sat_with(pc, &none_of).possibly_sat()
-                {
-                    branches.push(SymBranch::ok_if(
-                        Edit::Put(el, prop, ev.clone()),
-                        ev,
-                        none_of,
-                    ));
-                }
+                let put = Edit::Put(el.clone(), prop, ev.clone());
+                push_branch(
+                    &mut branches,
+                    pc,
+                    solver,
+                    SymBranch::ok_if(put, ev.clone(), none_of),
+                );
             }
             // [S-Dispose]: branch on aliasing with each known location.
             "dispose" => {
-                let el = arg.clone();
-                let mut none_of = Expr::tt();
-                for loc in self.locs() {
-                    let eq = solver.simplify(pc, &el.clone().eq(loc.clone()));
-                    if eq.as_bool() != Some(false) && solver.sat_with(pc, &eq).possibly_sat() {
-                        branches.push(SymBranch::ok_if(Edit::Dispose(loc.clone()), Expr::tt(), eq));
+                let locs: BTreeSet<&Expr> = self.cells.iter().map(|((_, l), _)| l).collect();
+                let mut alias = Alias::new(arg, None, pc, solver);
+                for loc in locs {
+                    if let Some(eq) = alias.candidate(loc) {
+                        let dispose = Edit::Dispose(loc.clone());
+                        branches.push(SymBranch::ok_if(dispose, Expr::tt(), eq));
                     }
-                    none_of = none_of.and(el.clone().ne(loc));
                 }
-                let none_of = solver.simplify(pc, &none_of);
-                if none_of.as_bool() != Some(false) && solver.sat_with(pc, &none_of).possibly_sat()
-                {
-                    branches.push(SymBranch::ok_if(Edit::Keep, Expr::tt(), none_of));
-                }
+                let keep = SymBranch::ok_if(Edit::Keep, Expr::tt(), alias.none_of());
+                push_branch(&mut branches, pc, solver, keep);
             }
             other => {
                 return vec![SymBranch::err_if(
@@ -491,8 +365,8 @@ impl SymbolicMemory for WhileSymMemory {
         successors(self, branches, Self::apply)
     }
 
-    fn lvars(&self) -> std::collections::BTreeSet<gillian_gil::LVar> {
-        let mut out = std::collections::BTreeSet::new();
+    fn lvars(&self) -> BTreeSet<gillian_gil::LVar> {
+        let mut out = BTreeSet::new();
         for ((_, loc), val) in self.cells.iter() {
             out.extend(loc.lvars());
             out.extend(val.lvars());
@@ -633,11 +507,11 @@ mod tests {
         let mut m = WhileSymMemory::default();
         let l = Expr::Val(sym(0));
         m.insert(l.clone(), "a", Expr::int(1));
-        let cells = Arc::as_ptr(&m.cells);
+        let cells = m.cells.as_ptr();
         let branches = m.execute_action("mutate", &mutate(&l, 2), &pc, &solver);
         assert_eq!(branches.len(), 1);
         assert_eq!(branches[0].outcome, Ok(Expr::int(2)));
-        assert_eq!(Arc::as_ptr(&branches[0].memory.cells), cells);
+        assert_eq!(branches[0].memory.cells.as_ptr(), cells);
     }
 
     #[test]
@@ -694,11 +568,11 @@ mod tests {
         let mut m = WhileSymMemory::default();
         let l = Expr::Val(sym(0));
         m.insert(l.clone(), "a", Expr::int(1));
-        let cells = Arc::as_ptr(&m.cells);
+        let cells = m.cells.as_ptr();
         let branches = coded(m, "mutate", &mutate(&l, 2), &pc, &solver);
         assert_eq!(branches.len(), 1);
         assert_eq!(branches[0].outcome, Ok(Expr::int(2)));
-        assert_eq!(Arc::as_ptr(&branches[0].memory.cells), cells);
+        assert_eq!(branches[0].memory.cells.as_ptr(), cells);
         assert_eq!(solver.stats().simplifications, 0, "no alias decision");
         assert_eq!(solver.stats().sat_queries, 1, "the one literal gate");
     }

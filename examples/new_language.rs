@@ -18,7 +18,7 @@
 //! Run with: `cargo run --example new_language`
 
 use gillian::core::explore::ExploreConfig;
-use gillian::core::memory::{ConcreteMemory, SymBranch, SymbolicMemory};
+use gillian::core::memory::{push_branch, ConcreteMemory, SymBranch, SymbolicMemory};
 use gillian::core::testing::run_test_with_replay;
 use gillian::gil::{Cmd, Expr, Proc, Prog, TypeTag, Value};
 use gillian::solver::{PathCondition, Solver};
@@ -94,23 +94,22 @@ impl SymbolicMemory for SymCounters {
             }
             "read" => vec![SymBranch::ok(self, current)],
             "decr" => {
+                // `push_branch` keeps a branch only when its constraint is
+                // satisfiable with the path condition.
                 let mut out = Vec::new();
                 let zero = solver.simplify(pc, &current.clone().eq(Expr::int(0)));
                 let nonzero = solver.simplify(pc, &zero.clone().not());
-                if zero.as_bool() != Some(false) && solver.sat_with(pc, &zero).possibly_sat() {
-                    out.push(SymBranch::err_if(
-                        self.clone(),
-                        Expr::str(format!("counter {key} went negative")),
-                        zero,
-                    ));
-                }
-                if nonzero.as_bool() != Some(false) && solver.sat_with(pc, &nonzero).possibly_sat()
-                {
-                    // The last branch writes into the memory itself.
-                    let next = solver.simplify(pc, &current.sub(Expr::int(1)));
-                    self.0.insert(key.to_string(), next.clone());
-                    out.push(SymBranch::ok_if(self, next, nonzero));
-                }
+                let negative = Expr::str(format!("counter {key} went negative"));
+                push_branch(
+                    &mut out,
+                    pc,
+                    solver,
+                    SymBranch::err_if(self.clone(), negative, zero),
+                );
+                // The last branch writes into the memory itself.
+                let next = solver.simplify(pc, &current.sub(Expr::int(1)));
+                self.0.insert(key.to_string(), next.clone());
+                push_branch(&mut out, pc, solver, SymBranch::ok_if(self, next, nonzero));
                 out
             }
             other => vec![SymBranch::err_if(
