@@ -129,15 +129,17 @@ pub(crate) struct Atoms {
     /// `(a, b, strict)` with both sides typed `Int`.
     int_cmps: Vec<(Expr, Expr, bool)>,
     /// `(term, literal, term_on_left, strict)` with `Num` typing.
-    num_cmps: Vec<(Expr, f64, bool, bool)>,
+    num_cmps: Vec<NumCmp>,
     /// Disjunctions for case splitting.
     ors: Vec<(Expr, Expr)>,
-    /// Anything else — kept, re-simplified each closure round.
-    opaque: Vec<Expr>,
     /// Equalities already merged into the union-find, preserved so that
     /// feedback recursion (`atoms_to_exprs`) does not lose them.
     uf_eqs: Vec<(Expr, Expr)>,
 }
+
+/// A `Num` comparison against a literal: `(term, literal, term_on_left,
+/// strict)`.
+type NumCmp = (Expr, f64, bool, bool);
 
 /// Flattens and classifies one simplified conjunct. Returns `false` on an
 /// immediately false conjunct.
@@ -243,8 +245,22 @@ fn check_conjunction_inner(
     check_rec(&env, simplified, budget, &mut cases, 0, capture)
 }
 
+/// The layer of [`check_extension`] that answered an incremental query.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Extension {
+    /// A delta without equalities or disjunctions, propagated through the
+    /// frozen union-find (or refuted by its type facts alone).
+    Fast,
+    /// A delta with equalities, merged into a copy of the frozen
+    /// union-find (or refuted by the residual-disequality rule).
+    Equalities,
+    /// The frozen residual re-solved together with the delta.
+    SeededFull,
+}
+
 /// Solves a frozen prefix state extended by `delta` (the conjuncts pushed
-/// since the prefix was solved), without re-solving the prefix.
+/// since the prefix was solved), without re-solving the prefix, and says
+/// which layer answered.
 ///
 /// Returns `None` when incremental reuse does not apply — the extension
 /// changes the typing environment, so prefix conjuncts could simplify
@@ -263,44 +279,231 @@ pub(crate) fn check_extension(
     delta: &[Expr],
     budget: SatBudget,
     capture: &mut Option<CapturedState>,
-) -> Option<SatResult> {
-    // Typing gate: absorb the delta into a copy of the captured
-    // environment. An inconsistency is a verdict (the monolithic solve
-    // over the union would derive the same conflict); any *growth* means
-    // reuse is off the table.
+) -> Option<(SatResult, Extension)> {
+    let (env, simplified) = match delta_conjuncts(seed, delta) {
+        Ok(prepared) => prepared,
+        Err(answer) => return answer.map(|v| (v, Extension::Fast)),
+    };
+    let mut fresh = Atoms::default();
+    for c in &simplified {
+        if !classify(&env, c.clone(), &mut fresh) {
+            return Some((SatResult::Unsat, Extension::Fast));
+        }
+    }
+    let answer = if fresh.eqs.is_empty() && fresh.ors.is_empty() {
+        fast_extend(seed, &env, fresh, capture).map(|v| (v, Extension::Fast))
+    } else if refutes_residual_neq(seed, &env, &fresh.eqs) {
+        Some((SatResult::Unsat, Extension::Equalities))
+    } else if fresh.ors.is_empty() {
+        extend_by_equalities(seed, &env, fresh, capture).map(|v| (v, Extension::Equalities))
+    } else {
+        None
+    };
+    if answer.is_some() {
+        return answer;
+    }
+    let verdict = seeded_full(seed, &env, simplified, budget, capture);
+    Some((verdict, Extension::SeededFull))
+}
+
+/// The typing gate and simplification shared by every extension layer:
+/// absorbs the delta into a copy of the captured environment and returns
+/// it with the delta's simplified conjuncts. An inconsistency is a verdict
+/// (`Err(Some(Unsat))`: the monolithic solve over the union would derive
+/// the same conflict); any *growth* means reuse is off the table
+/// (`Err(None)`).
+fn delta_conjuncts(
+    seed: &CapturedState,
+    delta: &[Expr],
+) -> Result<(TypeEnv, Vec<Expr>), Option<SatResult>> {
     let mut env = (*seed.env).clone();
     let mut consistent = true;
     for c in delta {
         consistent &= absorb_type_fact(&mut env, c);
     }
     if !consistent {
-        return Some(SatResult::Unsat);
+        return Err(Some(SatResult::Unsat));
     }
     if env != *seed.env {
-        return None;
+        return Err(None);
     }
     absorb_usage_types(&mut env, delta);
     if env != *seed.env {
-        return None;
+        return Err(None);
     }
     // Mirror the monolithic pipeline's ordering: conjuncts are sorted
     // structurally before simplification, so the delta's relative order
     // here matches its relative order in a whole-set solve.
     let mut sorted: Vec<Expr> = delta.to_vec();
     sorted.sort_unstable();
-    let simplified: Vec<Expr> = sorted.iter().map(|c| simplify(&env, c)).collect();
-    if let Some(verdict) = fast_extend(seed, &env, &simplified, capture) {
-        return Some(verdict);
-    }
-    // General seeded path: re-serialize the prefix's residual atoms
-    // (equalities drained into the union-find are re-emitted, so nothing
-    // is lost) and run the full checker over residual + delta. Closure
-    // over the residual converges immediately — it is already a fixpoint
-    // — so the cost is dominated by the delta.
+    let simplified = sorted.iter().map(|c| simplify(&env, c)).collect();
+    Ok((env, simplified))
+}
+
+/// The seeded full check: re-serializes the prefix's residual atoms
+/// (equalities drained into the union-find are re-emitted, so nothing is
+/// lost) and runs the full checker over residual + delta. Closure over
+/// the residual converges immediately — it is already a fixpoint — so the
+/// cost is dominated by the delta, plus re-classifying and re-propagating
+/// the whole residual.
+fn seeded_full(
+    seed: &CapturedState,
+    env: &TypeEnv,
+    simplified: Vec<Expr>,
+    budget: SatBudget,
+    capture: &mut Option<CapturedState>,
+) -> SatResult {
     let mut exprs = atoms_to_exprs(&seed.atoms, 0);
     exprs.extend(simplified);
     let mut cases = budget.split_cases;
-    Some(check_rec(&env, exprs, budget, &mut cases, 0, Some(capture)))
+    check_rec(env, exprs, budget, &mut cases, 0, Some(capture))
+}
+
+/// What rewriting one classified atom through the union-find gives.
+enum Rewrite<T> {
+    /// The atom keeps its kind, possibly with rewritten sides.
+    Kept(T),
+    /// The atom became true.
+    Dropped,
+    /// The atom became false.
+    Refuted,
+    /// The atom changed shape: the closure loop re-classifies this
+    /// conjunct, and the incremental extensions fall back.
+    Requeue(Expr),
+}
+
+/// Substitutes class representatives into `e` and re-simplifies it: the
+/// closure loop's per-atom rewrite, which the incremental extensions
+/// share so that every path rewrites an atom identically.
+fn rewrite(env: &TypeEnv, uf: &UnionFind, e: &Expr) -> Expr {
+    simplify(env, &uf.apply(e))
+}
+
+fn rewrite_neq(env: &TypeEnv, uf: &UnionFind, (a, b): &(Expr, Expr)) -> Rewrite<(Expr, Expr)> {
+    let e = rewrite(env, uf, &a.clone().eq(b.clone()));
+    match e.as_bool() {
+        Some(true) => Rewrite::Refuted,
+        Some(false) => Rewrite::Dropped,
+        None => match e {
+            Expr::Bin(BinOp::Eq, a, b) if uf.same_class(&a, &b) => Rewrite::Refuted,
+            Expr::Bin(BinOp::Eq, a, b) => Rewrite::Kept(((*a).clone(), (*b).clone())),
+            e => Rewrite::Requeue(e.not()),
+        },
+    }
+}
+
+fn rewrite_int_cmp(
+    env: &TypeEnv,
+    uf: &UnionFind,
+    (a, b, strict): &(Expr, Expr, bool),
+) -> Rewrite<(Expr, Expr, bool)> {
+    let e = rewrite(env, uf, &cmp_expr(a, b, *strict));
+    match e.as_bool() {
+        Some(true) => Rewrite::Dropped,
+        Some(false) => Rewrite::Refuted,
+        None => match e {
+            Expr::Bin(op @ (BinOp::Lt | BinOp::Leq), a, b) => {
+                Rewrite::Kept(((*a).clone(), (*b).clone(), op == BinOp::Lt))
+            }
+            e => Rewrite::Requeue(e),
+        },
+    }
+}
+
+/// Rewrites the *full* comparison: a negated occurrence of the same atom
+/// put `cmp = false` into the equality engine, and the whole-node
+/// representative lookup detects the collision (which the Num domains
+/// cannot, because ¬(a<b) admits NaN).
+fn rewrite_num_cmp(env: &TypeEnv, uf: &UnionFind, cmp: &NumCmp) -> Rewrite<NumCmp> {
+    let full = num_cmp_expr(cmp);
+    let e = rewrite(env, uf, &full);
+    match e.as_bool() {
+        Some(true) => Rewrite::Dropped,
+        Some(false) => Rewrite::Refuted,
+        None if e == full && rewrite(env, uf, &cmp.0) == cmp.0 => Rewrite::Kept(cmp.clone()),
+        None => Rewrite::Requeue(e),
+    }
+}
+
+/// Rewrites the *strict subterms* of one side of an equality already
+/// merged into the union-find (e.g. `(0 < x) = false` with `x = 5`
+/// elsewhere: the inner `x` must fold for the contradiction to surface).
+fn rewrite_strict_subterms(env: &TypeEnv, uf: &UnionFind, e: &Expr) -> Expr {
+    let substituted = match e {
+        Expr::Un(op, x) => Expr::Un(*op, uf.apply(x).into()),
+        Expr::Bin(op, x, y) => Expr::Bin(*op, uf.apply(x).into(), uf.apply(y).into()),
+        leaf => leaf.clone(),
+    };
+    simplify(env, &substituted)
+}
+
+/// One closure round over the atoms of one kind: rewrites each through
+/// `rule`, keeping kept atoms in place and queueing reshaped ones for
+/// re-classification. Returns `false` on a refutation.
+fn rewrite_atoms<T>(
+    items: &mut Vec<T>,
+    requeue: &mut Vec<Expr>,
+    rule: impl Fn(&T) -> Rewrite<T>,
+) -> bool {
+    for item in std::mem::take(items) {
+        match rule(&item) {
+            Rewrite::Kept(t) => items.push(t),
+            Rewrite::Dropped => {}
+            Rewrite::Refuted => return false,
+            Rewrite::Requeue(e) => requeue.push(e),
+        }
+    }
+    true
+}
+
+/// Rewrites a delta's atoms of one kind for an incremental extension,
+/// pushing the kept ones onto `out`. `Err` carries the extension's answer:
+/// `Unsat` on a refutation, `None` (fall back) when an atom changed shape.
+fn extend_atoms<T>(
+    items: &[T],
+    out: &mut Vec<T>,
+    rule: impl Fn(&T) -> Rewrite<T>,
+) -> Result<(), Option<SatResult>> {
+    for item in items {
+        match rule(item) {
+            Rewrite::Kept(t) => out.push(t),
+            Rewrite::Dropped => {}
+            Rewrite::Refuted => return Err(Some(SatResult::Unsat)),
+            Rewrite::Requeue(_) => return Err(None),
+        }
+    }
+    Ok(())
+}
+
+/// Carries a frozen residual's atoms of one kind into an equality
+/// extension: atoms that `touched` accepts are rewritten through `rule`
+/// and pushed onto both `out` and `rewritten`, the rest are copied.
+/// `Err` as for [`extend_atoms`], except that a dropped atom also falls
+/// back. Returns whether any atom was rewritten.
+fn carry_residual<T: Clone>(
+    items: &[T],
+    out: &mut Vec<T>,
+    rewritten: &mut Vec<T>,
+    touched: impl Fn(&T) -> bool,
+    rule: impl Fn(&T) -> Rewrite<T>,
+) -> Result<bool, Option<SatResult>> {
+    let mut any = false;
+    for item in items {
+        if !touched(item) {
+            out.push(item.clone());
+            continue;
+        }
+        match rule(item) {
+            Rewrite::Kept(t) => {
+                rewritten.push(t.clone());
+                out.push(t);
+                any = true;
+            }
+            Rewrite::Refuted => return Err(Some(SatResult::Unsat)),
+            Rewrite::Dropped | Rewrite::Requeue(_) => return Err(None),
+        }
+    }
+    Ok(any)
 }
 
 /// The incremental fast path: when the delta contains only ordering and
@@ -314,86 +517,32 @@ pub(crate) fn check_extension(
 fn fast_extend(
     seed: &CapturedState,
     env: &TypeEnv,
-    delta: &[Expr],
+    fresh: Atoms,
     capture: &mut Option<CapturedState>,
 ) -> Option<SatResult> {
-    let mut fresh = Atoms::default();
-    for c in delta {
-        if !classify(env, c.clone(), &mut fresh) {
-            return Some(SatResult::Unsat);
-        }
-    }
-    let uf = &*seed.uf;
-    if !fresh.eqs.is_empty()
-        || !fresh.ors.is_empty()
-        || !fresh.opaque.is_empty()
-        || !fresh.uf_eqs.is_empty()
-    {
-        return refutes_residual_neq(seed, env, &fresh.eqs).then_some(SatResult::Unsat);
-    }
     // One rewrite round is the fixpoint here: with no new equalities the
     // union-find is exactly the frozen one, so a second round would see
     // unchanged representatives.
-    let mut d_neqs: Vec<(Expr, Expr)> = Vec::new();
-    let mut d_int: Vec<(Expr, Expr, bool)> = Vec::new();
-    let mut d_num: Vec<(Expr, f64, bool, bool)> = Vec::new();
-    for (a, b) in fresh.neqs {
-        let e = simplify(env, &uf.apply(&Expr::Bin(BinOp::Eq, a.into(), b.into())));
-        match e.as_bool() {
-            Some(true) => return Some(SatResult::Unsat),
-            Some(false) => {}
-            None => {
-                if let Expr::Bin(BinOp::Eq, a, b) = e {
-                    if uf.same_class(&a, &b) {
-                        return Some(SatResult::Unsat);
-                    }
-                    d_neqs.push(((*a).clone(), (*b).clone()));
-                } else {
-                    return None;
-                }
-            }
-        }
-    }
-    for (a, b, strict) in fresh.int_cmps {
-        let op = if strict { BinOp::Lt } else { BinOp::Leq };
-        let e = simplify(env, &uf.apply(&Expr::Bin(op, a.into(), b.into())));
-        match e.as_bool() {
-            Some(true) => {}
-            Some(false) => return Some(SatResult::Unsat),
-            None => {
-                if let Expr::Bin(op2 @ (BinOp::Lt | BinOp::Leq), a, b) = e {
-                    d_int.push(((*a).clone(), (*b).clone(), op2 == BinOp::Lt));
-                } else {
-                    return None;
-                }
-            }
-        }
-    }
-    for (t, x, left, strict) in fresh.num_cmps {
-        let op = if strict { BinOp::Lt } else { BinOp::Leq };
-        let full = if left {
-            t.clone().bin(op, Expr::num(x))
-        } else {
-            Expr::num(x).bin(op, t.clone())
-        };
-        let e = simplify(env, &uf.apply(&full));
-        match e.as_bool() {
-            Some(true) => {}
-            Some(false) => return Some(SatResult::Unsat),
-            None => {
-                let nt = simplify(env, &uf.apply(&t));
-                if nt == t && e == full {
-                    d_num.push((nt, x, left, strict));
-                } else {
-                    return None;
-                }
-            }
-        }
+    let uf = &*seed.uf;
+    let mut added = Atoms::default();
+    let rewritten = extend_atoms(&fresh.neqs, &mut added.neqs, |p| rewrite_neq(env, uf, p))
+        .and_then(|()| {
+            extend_atoms(&fresh.int_cmps, &mut added.int_cmps, |c| {
+                rewrite_int_cmp(env, uf, c)
+            })
+        })
+        .and_then(|()| {
+            extend_atoms(&fresh.num_cmps, &mut added.num_cmps, |c| {
+                rewrite_num_cmp(env, uf, c)
+            })
+        });
+    if let Err(answer) = rewritten {
+        return answer;
     }
 
     let mut ints = (*seed.ints).clone();
     let mut nums = (*seed.nums).clone();
-    for (a, b, strict) in &d_int {
+    for (a, b, strict) in &added.int_cmps {
         if !ints.assert_cmp(a, b, *strict) {
             return Some(SatResult::Unsat);
         }
@@ -403,18 +552,10 @@ fn fast_extend(
     // now lie on an endpoint the delta narrowed to — exactly when the
     // monolithic solve (which asserts them after all comparisons) would
     // narrow further.
-    for (a, b) in seed.atoms.neqs.iter().chain(&d_neqs) {
-        match (a.as_int(), b.as_int()) {
-            (Some(n), None) if !ints.assert_ne_const(b, n) => {
-                return Some(SatResult::Unsat);
-            }
-            (None, Some(n)) if !ints.assert_ne_const(a, n) => {
-                return Some(SatResult::Unsat);
-            }
-            _ => {}
-        }
+    if !assert_int_neqs(&mut ints, seed.atoms.neqs.iter().chain(&added.neqs)) {
+        return Some(SatResult::Unsat);
     }
-    for (t, x, left, strict) in &d_num {
+    for (t, x, left, strict) in &added.num_cmps {
         if !nums.assert_cmp_const(t, *x, *left, *strict) {
             return Some(SatResult::Unsat);
         }
@@ -423,37 +564,16 @@ fn fast_extend(
         return Some(SatResult::Unsat);
     }
 
-    // Learning parity: the captured solve ended with nothing left to
-    // learn, so only delta-driven narrowing can newly trigger the
-    // singleton or mask-identity rules — and either trigger needs a full
-    // closure re-run.
-    for (t, itv) in ints.narrowed_terms() {
-        if itv.lo == itv.hi && uf.value_of(t) != Some(Value::Int(itv.lo)) {
-            return None;
-        }
-    }
-    let delta_exprs: Vec<Expr> = atoms_to_exprs(
-        &Atoms {
-            neqs: d_neqs.clone(),
-            int_cmps: d_int.clone(),
-            num_cmps: d_num.clone(),
-            ..Atoms::default()
-        },
-        0,
-    );
     let mut sites: Vec<(Expr, Expr, i64)> = seed.mask_sites.to_vec();
-    collect_mask_sites(&delta_exprs, &mut sites);
-    for (sub, x, mask) in &sites {
-        let itv = ints.query(x);
-        if itv.lo >= 0 && itv.hi <= *mask && !uf.same_class(sub, x) {
-            return None;
-        }
+    collect_mask_sites(&atoms_to_exprs(&added, 0), &mut sites);
+    if would_learn(&ints, uf, &sites) {
+        return None;
     }
 
     let mut atoms = (*seed.atoms).clone();
-    atoms.neqs.extend(d_neqs);
-    atoms.int_cmps.extend(d_int);
-    atoms.num_cmps.extend(d_num);
+    atoms.neqs.extend(added.neqs);
+    atoms.int_cmps.extend(added.int_cmps);
+    atoms.num_cmps.extend(added.num_cmps);
     *capture = Some(CapturedState {
         env: seed.env.clone(),
         uf: seed.uf.clone(),
@@ -465,19 +585,242 @@ fn fast_extend(
     Some(SatResult::Sat)
 }
 
+/// The equality extension: a delta with equalities (and no disjunctions
+/// or `Num` comparisons) is merged into a copy of the frozen union-find,
+/// and only the residual atoms that mention a *moved* representative — a
+/// class root that the merge put under another root or a literal — are
+/// rewritten, by the closure loop's own rule. This is the first closure
+/// round of the seeded full check, which then converges; the frozen
+/// interval domain is extended in place unless a rewritten comparison or
+/// a class newly pinned to an `Int` literal changes what the domain is
+/// built from, in which case it is rebuilt exactly as the full check
+/// builds it.
+///
+/// Returns `None`, and the seeded full check runs, whenever a second
+/// closure round or the learning rules could change the outcome: a
+/// rewrite changes an atom's shape or drops it, touches a `Num`
+/// comparison or a strict subterm of a merged equality, or a singleton
+/// interval or mask identity becomes learnable.
+fn extend_by_equalities(
+    seed: &CapturedState,
+    env: &TypeEnv,
+    fresh: Atoms,
+    capture: &mut Option<CapturedState>,
+) -> Option<SatResult> {
+    if !fresh.num_cmps.is_empty() {
+        return None;
+    }
+    let frozen = &*seed.uf;
+    let mut uf = frozen.clone();
+    for (a, b) in &fresh.eqs {
+        if !uf.union(a, b) {
+            return Some(SatResult::Unsat);
+        }
+    }
+    // Residual atoms were rewritten through the frozen union-find, so the
+    // only subterms whose representative the merge changes are the old
+    // representatives of the merged classes.
+    let mut moved: Vec<Expr> = Vec::new();
+    for side in fresh.eqs.iter().flat_map(|(a, b)| [a, b]) {
+        let r = frozen.repr(side);
+        if !matches!(r, Expr::Val(_)) && uf.repr(&r) != r && !moved.contains(&r) {
+            moved.push(r);
+        }
+    }
+    let mentions = |e: &Expr| {
+        let mut hit = false;
+        if !moved.is_empty() {
+            e.visit(&mut |sub| hit = hit || moved.contains(sub));
+        }
+        hit
+    };
+    let mentions_strictly = |e: &Expr| match e {
+        Expr::Un(_, x) => mentions(x),
+        Expr::Bin(_, x, y) => mentions(x) || mentions(y),
+        _ => false,
+    };
+    // An atom is rewritten as one node `a ⋈ b`, which can itself be a
+    // moved representative: `¬(a < b)` merges `a < b` with `false`.
+    let moved_node = |side: &dyn Fn(&Expr, &Expr) -> bool| {
+        moved
+            .iter()
+            .any(|m| matches!(m, Expr::Bin(_, x, y) if side(x, y)))
+    };
+    let touches =
+        |a: &Expr, b: &Expr| mentions(a) || mentions(b) || moved_node(&|x, y| x == a && y == b);
+    if seed
+        .atoms
+        .num_cmps
+        .iter()
+        .any(|(t, ..)| mentions(t) || moved_node(&|x, y| x == t || y == t))
+        || seed
+            .atoms
+            .uf_eqs
+            .iter()
+            .any(|(a, b)| mentions_strictly(a) || mentions_strictly(b))
+        || fresh.eqs.iter().any(|(a, b)| {
+            rewrite_strict_subterms(env, &uf, a) != *a || rewrite_strict_subterms(env, &uf, b) != *b
+        })
+    {
+        return None;
+    }
+
+    let mut atoms = Atoms {
+        num_cmps: seed.atoms.num_cmps.clone(),
+        uf_eqs: seed.atoms.uf_eqs.clone(),
+        ..Atoms::default()
+    };
+    // Everything the extended residual gains, for the mask-site scan.
+    let mut added = Atoms::default();
+    let carried = carry_residual(
+        &seed.atoms.neqs,
+        &mut atoms.neqs,
+        &mut added.neqs,
+        |(a, b)| touches(a, b),
+        |p| rewrite_neq(env, &uf, p),
+    )
+    .and_then(|_| {
+        carry_residual(
+            &seed.atoms.int_cmps,
+            &mut atoms.int_cmps,
+            &mut added.int_cmps,
+            |(a, b, _)| touches(a, b),
+            |c| rewrite_int_cmp(env, &uf, c),
+        )
+    });
+    let rewrote_cmps = match carried {
+        Ok(rewrote_cmps) => rewrote_cmps,
+        Err(answer) => return answer,
+    };
+    let mut delta = Atoms::default();
+    let rewritten = extend_atoms(&fresh.neqs, &mut delta.neqs, |p| rewrite_neq(env, &uf, p))
+        .and_then(|()| {
+            extend_atoms(&fresh.int_cmps, &mut delta.int_cmps, |c| {
+                rewrite_int_cmp(env, &uf, c)
+            })
+        });
+    if let Err(answer) = rewritten {
+        return answer;
+    }
+    atoms.neqs.extend(delta.neqs.iter().cloned());
+    atoms.int_cmps.extend(delta.int_cmps.iter().cloned());
+    atoms.uf_eqs.extend(fresh.eqs.iter().cloned());
+
+    // A class newly pinned to an `Int` literal adds literal bindings,
+    // which the full check asserts between comparisons and disequalities.
+    let pinned = moved
+        .iter()
+        .any(|r| matches!(uf.value_of(r), Some(Value::Int(_))));
+    let (ints, nums) = if rewrote_cmps || pinned {
+        match propagate_intervals(&atoms, &uf) {
+            Some((ints, nums)) => (ints, Arc::new(nums)),
+            None => return Some(SatResult::Unsat),
+        }
+    } else {
+        let mut ints = (*seed.ints).clone();
+        for (a, b, strict) in &delta.int_cmps {
+            if !ints.assert_cmp(a, b, *strict) {
+                return Some(SatResult::Unsat);
+            }
+        }
+        // As in the fast path, every disequality is re-asserted.
+        if !assert_int_neqs(&mut ints, &atoms.neqs) || !ints.consistent() {
+            return Some(SatResult::Unsat);
+        }
+        (ints, seed.nums.clone())
+    };
+
+    added.neqs.extend(delta.neqs);
+    added.int_cmps.extend(delta.int_cmps);
+    added.uf_eqs = fresh.eqs;
+    let mut sites: Vec<(Expr, Expr, i64)> = seed.mask_sites.to_vec();
+    collect_mask_sites(&atoms_to_exprs(&added, 0), &mut sites);
+    if would_learn(&ints, &uf, &sites) {
+        return None;
+    }
+    *capture = Some(CapturedState {
+        env: seed.env.clone(),
+        uf: Arc::new(uf),
+        atoms: Arc::new(atoms),
+        ints: Arc::new(ints),
+        nums,
+        mask_sites: sites.into(),
+    });
+    Some(SatResult::Sat)
+}
+
 /// True when some delta equality `a = b` rewrites, through the frozen
 /// union-find, onto a residual disequality `a' ≠ b'`: merging the two
 /// sides closes `r ≠ r`, which is what the general path would derive
 /// after re-solving the whole residual.
 fn refutes_residual_neq(seed: &CapturedState, env: &TypeEnv, eqs: &[(Expr, Expr)]) -> bool {
     eqs.iter().any(|(a, b)| {
-        let a = simplify(env, &seed.uf.apply(a));
-        let b = simplify(env, &seed.uf.apply(b));
+        let a = rewrite(env, &seed.uf, a);
+        let b = rewrite(env, &seed.uf, b);
         seed.atoms
             .neqs
             .iter()
             .any(|(x, y)| (*x == a && *y == b) || (*x == b && *y == a))
     })
+}
+
+/// Learning parity for the incremental extensions: the frozen solve
+/// ended with nothing left to learn, so only what an extension narrowed
+/// or merged can newly trigger the singleton or mask-identity rule — and
+/// either trigger needs a full closure re-run.
+fn would_learn(ints: &IntDomain, uf: &UnionFind, sites: &[(Expr, Expr, i64)]) -> bool {
+    ints.narrowed_terms()
+        .any(|(t, itv)| itv.lo == itv.hi && uf.value_of(t) != Some(Value::Int(itv.lo)))
+        || sites.iter().any(|(sub, x, mask)| {
+            let itv = ints.query(x);
+            itv.lo >= 0 && itv.hi <= *mask && !uf.same_class(sub, x)
+        })
+}
+
+/// Builds the interval domains of a closed atom set in the checker's one
+/// assertion order — comparisons, literal classes, disequalities with a
+/// literal side, `Num` bounds — then revalidates stored intervals against
+/// structural bounds that tightened after they were asserted. `None` on a
+/// contradiction.
+fn propagate_intervals(atoms: &Atoms, uf: &UnionFind) -> Option<(IntDomain, NumDomain)> {
+    let mut ints = IntDomain::new();
+    for (a, b, strict) in &atoms.int_cmps {
+        if !ints.assert_cmp(a, b, *strict) {
+            return None;
+        }
+    }
+    for (t, v) in uf.literal_bindings() {
+        if let Value::Int(n) = v {
+            if !ints.assert_eq_const(&t, n) {
+                return None;
+            }
+        }
+    }
+    if !assert_int_neqs(&mut ints, &atoms.neqs) {
+        return None;
+    }
+    let mut nums = NumDomain::new();
+    for (t, x, left, strict) in &atoms.num_cmps {
+        if !nums.assert_cmp_const(t, *x, *left, *strict) {
+            return None;
+        }
+    }
+    ints.consistent().then_some((ints, nums))
+}
+
+/// Asserts every disequality with an integer literal side into `ints`
+/// (it narrows an interval only at an endpoint). `false` on a
+/// contradiction.
+fn assert_int_neqs<'a>(
+    ints: &mut IntDomain,
+    neqs: impl IntoIterator<Item = &'a (Expr, Expr)>,
+) -> bool {
+    neqs.into_iter()
+        .all(|(a, b)| match (a.as_int(), b.as_int()) {
+            (Some(n), None) => ints.assert_ne_const(b, n),
+            (None, Some(n)) => ints.assert_ne_const(a, n),
+            _ => true,
+        })
 }
 
 fn check_rec(
@@ -517,130 +860,33 @@ fn check_rec(
             atoms.uf_eqs.push((a, b));
         }
         // Rewrite remaining atoms through class representatives.
-        let rewrite = |e: &Expr, uf: &UnionFind| -> Expr {
-            let substituted = e.subst(&|sub| {
-                let r = uf.repr(sub);
-                (r != *sub).then_some(r)
-            });
-            simplify(env, &substituted)
-        };
-        let mut changed = false;
         let mut requeue: Vec<Expr> = Vec::new();
-        for (a, b) in std::mem::take(&mut atoms.neqs) {
-            let e = rewrite(&Expr::Bin(BinOp::Eq, a.into(), b.into()), &uf);
-            match e.as_bool() {
-                Some(true) => return SatResult::Unsat,
-                Some(false) => {}
-                None => {
-                    if let Expr::Bin(BinOp::Eq, a, b) = e {
-                        if uf.same_class(&a, &b) {
-                            return SatResult::Unsat;
-                        }
-                        atoms.neqs.push(((*a).clone(), (*b).clone()));
-                    } else {
-                        requeue.push(e.not());
-                        changed = true;
-                    }
-                }
-            }
+        if !rewrite_atoms(&mut atoms.neqs, &mut requeue, |p| rewrite_neq(env, &uf, p))
+            || !rewrite_atoms(&mut atoms.int_cmps, &mut requeue, |c| {
+                rewrite_int_cmp(env, &uf, c)
+            })
+            || !rewrite_atoms(&mut atoms.num_cmps, &mut requeue, |c| {
+                rewrite_num_cmp(env, &uf, c)
+            })
+        {
+            return SatResult::Unsat;
         }
-        for (a, b, strict) in std::mem::take(&mut atoms.int_cmps) {
-            let op = if strict { BinOp::Lt } else { BinOp::Leq };
-            let e = rewrite(&Expr::Bin(op, a.into(), b.into()), &uf);
-            match e.as_bool() {
-                Some(true) => {}
-                Some(false) => return SatResult::Unsat,
-                None => {
-                    if let Expr::Bin(op2 @ (BinOp::Lt | BinOp::Leq), a, b) = e {
-                        atoms
-                            .int_cmps
-                            .push(((*a).clone(), (*b).clone(), op2 == BinOp::Lt));
-                    } else {
-                        requeue.push(e);
-                        changed = true;
-                    }
-                }
-            }
-        }
-        for (t, x, left, strict) in std::mem::take(&mut atoms.num_cmps) {
-            // Rewrite the *full* comparison: a negated occurrence of the
-            // same atom put `cmp = false` into the equality engine, and
-            // the whole-node representative lookup detects the collision
-            // (which the Num domains cannot, because ¬(a<b) admits NaN).
-            let op = if strict { BinOp::Lt } else { BinOp::Leq };
-            let full = if left {
-                t.clone().bin(op, Expr::num(x))
-            } else {
-                Expr::num(x).bin(op, t.clone())
-            };
-            let e = rewrite(&full, &uf);
-            match e.as_bool() {
-                Some(true) => {}
-                Some(false) => return SatResult::Unsat,
-                None => {
-                    let nt = rewrite(&t, &uf);
-                    if nt == t && e == full {
-                        atoms.num_cmps.push((nt, x, left, strict));
-                    } else {
-                        requeue.push(e);
-                        changed = true;
-                    }
-                }
-            }
-        }
-        for o in std::mem::take(&mut atoms.opaque) {
-            let e = rewrite(&o, &uf);
-            match e.as_bool() {
-                Some(true) => {}
-                Some(false) => return SatResult::Unsat,
-                None => {
-                    // A rewritten opaque atom may have become structured.
-                    requeue.push(e);
-                }
-            }
-        }
-        // Rewrite the *strict subterms* of equalities already merged into
-        // the union-find (e.g. `(0 < x) = false` with `x = 5` elsewhere:
-        // the inner x must fold for the contradiction to surface).
         for (a, b) in atoms.uf_eqs.clone() {
             if !rewritten_uf_eqs.insert((a.clone(), b.clone())) {
                 continue;
             }
-            let inner = |e: &Expr, uf: &UnionFind| -> Expr {
-                let substituted = match e {
-                    Expr::Un(op, x) => Expr::Un(
-                        *op,
-                        x.subst(&|s| {
-                            let r = uf.repr(s);
-                            (r != *s).then_some(r)
-                        })
-                        .into(),
-                    ),
-                    Expr::Bin(op, x, y) => {
-                        let f = |s: &Expr| {
-                            let r = uf.repr(s);
-                            (r != *s).then_some(r)
-                        };
-                        Expr::Bin(*op, x.subst(&f).into(), y.subst(&f).into())
-                    }
-                    leaf => leaf.clone(),
-                };
-                simplify(env, &substituted)
-            };
-            let a2 = inner(&a, &uf);
-            let b2 = inner(&b, &uf);
+            let a2 = rewrite_strict_subterms(env, &uf, &a);
+            let b2 = rewrite_strict_subterms(env, &uf, &b);
             if a2 != a || b2 != b {
                 let e = simplify(env, &a2.eq(b2));
                 match e.as_bool() {
                     Some(true) => {}
                     Some(false) => return SatResult::Unsat,
-                    None => {
-                        requeue.push(e);
-                        changed = true;
-                    }
+                    None => requeue.push(e),
                 }
             }
         }
+        let changed = !requeue.is_empty();
         for e in requeue {
             if !classify(env, e, &mut atoms) {
                 return SatResult::Unsat;
@@ -661,42 +907,9 @@ fn check_rec(
     }
 
     // Interval reasoning.
-    let mut ints = IntDomain::new();
-    let mut nums = NumDomain::new();
-    for (a, b, strict) in &atoms.int_cmps {
-        if !ints.assert_cmp(a, b, *strict) {
-            return SatResult::Unsat;
-        }
-    }
-    // Feed literal equalities/disequalities involving Int-typed terms.
-    for (t, v) in uf.literal_bindings() {
-        if let Value::Int(n) = v {
-            if !ints.assert_eq_const(&t, n) {
-                return SatResult::Unsat;
-            }
-        }
-    }
-    for (a, b) in &atoms.neqs {
-        match (a.as_int(), b.as_int()) {
-            (Some(n), None) if !ints.assert_ne_const(b, n) => {
-                return SatResult::Unsat;
-            }
-            (None, Some(n)) if !ints.assert_ne_const(a, n) => {
-                return SatResult::Unsat;
-            }
-            _ => {}
-        }
-    }
-    for (t, x, left, strict) in &atoms.num_cmps {
-        if !nums.assert_cmp_const(t, *x, *left, *strict) {
-            return SatResult::Unsat;
-        }
-    }
-    // Revalidate stored intervals against structural bounds that may have
-    // tightened after the constraints were asserted.
-    if !ints.consistent() {
+    let Some((ints, nums)) = propagate_intervals(&atoms, &uf) else {
         return SatResult::Unsat;
-    }
+    };
 
     // Singleton intervals induce equalities (e.g. `0 ≤ n ∧ n ≤ 0` pins
     // `n = 0`); feed them back through substitution closure so opaque
@@ -804,22 +1017,29 @@ fn atoms_to_exprs(atoms: &Atoms, skip_ors: usize) -> Vec<Expr> {
         out.push(a.clone().ne(b.clone()));
     }
     for (a, b, strict) in &atoms.int_cmps {
-        let op = if *strict { BinOp::Lt } else { BinOp::Leq };
-        out.push(a.clone().bin(op, b.clone()));
+        out.push(cmp_expr(a, b, *strict));
     }
-    for (t, x, left, strict) in &atoms.num_cmps {
-        let op = if *strict { BinOp::Lt } else { BinOp::Leq };
-        out.push(if *left {
-            t.clone().bin(op, Expr::num(*x))
-        } else {
-            Expr::num(*x).bin(op, t.clone())
-        });
+    for cmp in &atoms.num_cmps {
+        out.push(num_cmp_expr(cmp));
     }
     for (a, b) in atoms.ors.iter().skip(skip_ors) {
         out.push(a.clone().or(b.clone()));
     }
-    out.extend(atoms.opaque.iter().cloned());
     out
+}
+
+/// `a < b` when `strict`, else `a ≤ b`.
+fn cmp_expr(a: &Expr, b: &Expr, strict: bool) -> Expr {
+    let op = if strict { BinOp::Lt } else { BinOp::Leq };
+    a.clone().bin(op, b.clone())
+}
+
+fn num_cmp_expr((t, x, left, strict): &NumCmp) -> Expr {
+    if *left {
+        cmp_expr(t, &Expr::num(*x), *strict)
+    } else {
+        cmp_expr(&Expr::num(*x), t, *strict)
+    }
 }
 
 #[cfg(test)]
@@ -1058,7 +1278,7 @@ mod residual_neq_tests {
                 None => (term(other.0), term(other.1)),
             };
             let delta = vec![a.eq(b)];
-            let Some(extended) = check_extension(&seed, &delta, budget, &mut None) else {
+            let Some((extended, _)) = check_extension(&seed, &delta, budget, &mut None) else {
                 return Ok(());
             };
             let env = &*seed.env;
@@ -1077,6 +1297,190 @@ mod residual_neq_tests {
             if refutes_residual_neq(&seed, env, &fresh.eqs) {
                 prop_assert_eq!(general, SatResult::Unsat);
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod equality_extension_tests {
+    use super::*;
+    use gillian_gil::LVar;
+    use proptest::prelude::*;
+
+    fn v(i: u8) -> Expr {
+        Expr::lvar(LVar(u64::from(i % 4)))
+    }
+
+    /// The literal `c`, an `Int` or a `Num`.
+    fn lit(num: bool, c: i64) -> Expr {
+        if num {
+            Expr::num(c as f64)
+        } else {
+            Expr::int(c)
+        }
+    }
+
+    /// `x_i + c`, or `x_i` when `c` is 0.
+    fn off(num: bool, i: u8, c: i64) -> Expr {
+        if c == 0 {
+            v(i)
+        } else {
+            v(i).add(lit(num, c))
+        }
+    }
+
+    /// `(kind, i, c, j, d)`: one atom over `x0..x3`.
+    type Spec = (u8, u8, i64, u8, i64);
+
+    fn spec() -> impl Strategy<Value = Spec> {
+        (0u8..7, 0u8..4, -3i64..4, 0u8..4, -3i64..4)
+    }
+
+    /// A prefix atom: an offset equality or disequality, a literal pin or
+    /// its negation, an offset comparison or a literal bound.
+    fn atom(num: bool, (kind, i, c, j, d): Spec) -> Expr {
+        match kind {
+            0 => off(num, i, c).eq(off(num, j, d)),
+            1 => off(num, i, c).ne(off(num, j, d)),
+            2 => v(i).eq(lit(num, c)),
+            3 => v(i).ne(lit(num, c)),
+            4 => off(num, i, c).lt(off(num, j, d)),
+            5 => v(i).le(lit(num, c)),
+            _ => lit(num, c).le(v(i)),
+        }
+    }
+
+    /// An equality delta: an offset equality (the then-arm of a
+    /// membership guard), a literal pin, a variable equality, or a
+    /// negated comparison (over `Num`, which the simplifier cannot flip
+    /// because of NaN, it merges the comparison with `false`).
+    fn equality(num: bool, (kind, i, c, j, d): Spec) -> Expr {
+        match kind % 4 {
+            0 => off(num, i, c).eq(off(num, j, d)),
+            1 => v(i).eq(lit(num, c)),
+            2 => v(i).eq(v(j)),
+            _ => off(num, i, c).lt(off(num, j, d)).not(),
+        }
+    }
+
+    /// The four variables typed `Int` (or `Num`), then `atoms`, in the
+    /// structural order the solver sorts a condition into.
+    fn condition(num: bool, atoms: impl IntoIterator<Item = Expr>) -> Vec<Expr> {
+        let ty = if num { TypeTag::Num } else { TypeTag::Int };
+        let mut out: Vec<Expr> = (0..4)
+            .map(|i| v(i).type_of().eq(Expr::type_tag(ty)))
+            .collect();
+        out.extend(atoms);
+        out.sort_unstable();
+        out
+    }
+
+    fn solve(conjuncts: &[Expr]) -> Option<CapturedState> {
+        let mut capture = None;
+        check_conjunction_capturing(conjuncts, SatBudget::default(), &mut capture);
+        capture
+    }
+
+    /// The equality extension's answer for `delta`, or `None` when it
+    /// does not apply or falls back.
+    fn extend(
+        seed: &CapturedState,
+        delta: &Expr,
+        capture: &mut Option<CapturedState>,
+    ) -> Option<(SatResult, TypeEnv, Vec<Expr>)> {
+        let (env, simplified) = delta_conjuncts(seed, std::slice::from_ref(delta)).ok()?;
+        let mut fresh = Atoms::default();
+        let classified = simplified
+            .iter()
+            .all(|c| classify(&env, c.clone(), &mut fresh));
+        if !classified || fresh.eqs.is_empty() || !fresh.ors.is_empty() {
+            return None;
+        }
+        let verdict = extend_by_equalities(seed, &env, fresh, capture)?;
+        Some((verdict, env, simplified))
+    }
+
+    #[test]
+    fn offset_guards_extend_the_frozen_state() {
+        // Three distinct elements, then the then-arm of a membership
+        // guard `x0 + 3 = x1 + -2`, then one more comparison.
+        let off = |i, c| off(false, i, c);
+        let prefix = condition(
+            false,
+            [
+                off(0, 3).ne(off(1, -2)),
+                off(0, 3).ne(off(2, 1)),
+                off(1, -2).ne(off(2, 1)),
+                off(0, 3).lt(off(2, 1)),
+            ],
+        );
+        let seed = solve(&prefix).expect("the prefix solves cleanly");
+        let mut next = None;
+        let guard = off(0, 3).eq(off(2, 1)).not();
+        let (verdict, ..) = extend(&seed, &off(1, 2).eq(v(2)), &mut next)
+            .expect("an offset equality takes the equality extension");
+        assert_eq!(verdict, SatResult::Sat);
+        let next = next.expect("a Sat extension freezes its state");
+        // The merged state refutes the else-arm of the same guard.
+        let closed = off(1, 2).ne(v(2));
+        assert_eq!(
+            check_extension(&next, &[closed], SatBudget::default(), &mut None),
+            Some((SatResult::Unsat, Extension::Fast))
+        );
+        assert_eq!(
+            check_extension(&next, &[guard], SatBudget::default(), &mut None)
+                .map(|(verdict, _)| verdict),
+            Some(SatResult::Sat)
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// An equality delta on a random solved prefix: the equality
+        /// extension and the seeded full check, each from its own fresh
+        /// solve of the prefix, give the same verdict, and their frozen
+        /// states give the same verdict on one more delta.
+        #[test]
+        fn equality_extension_matches_the_seeded_full_check(
+            num in any::<bool>(),
+            prefix in proptest::collection::vec(spec(), 1..8),
+            first in spec(),
+            second in spec(),
+            pick in 0usize..8,
+        ) {
+            // Half the negated comparisons negate one of the prefix's own,
+            // so that the merged node is a residual atom.
+            let cmps: Vec<Expr> = prefix
+                .iter()
+                .filter(|s| s.0 == 4)
+                .map(|s| atom(num, *s))
+                .collect();
+            let delta = match cmps.get(pick) {
+                Some(cmp) if first.0 % 4 == 3 => cmp.clone().not(),
+                _ => equality(num, first),
+            };
+            let conjuncts = condition(num, prefix.into_iter().map(|s| atom(num, s)));
+            let (Some(ours), Some(theirs)) = (solve(&conjuncts), solve(&conjuncts)) else {
+                return Ok(());
+            };
+            let budget = SatBudget::default();
+            let (mut ours_next, mut theirs_next) = (None, None);
+            let Some((extended, env, simplified)) = extend(&ours, &delta, &mut ours_next) else {
+                return Ok(());
+            };
+            let full = seeded_full(&theirs, &env, simplified, budget, &mut theirs_next);
+            prop_assert_eq!(extended, full, "on {:?} extended by {}", conjuncts, delta);
+            let (Some(ours_next), Some(theirs_next)) = (ours_next, theirs_next) else {
+                return Ok(());
+            };
+            let more = [atom(num, second)];
+            let ours2 = check_extension(&ours_next, &more, budget, &mut None).map(|(v, _)| v);
+            let theirs2 = check_extension(&theirs_next, &more, budget, &mut None).map(|(v, _)| v);
+            prop_assert_eq!(
+                ours2, theirs2,
+                "on {:?} extended by {} then {}", conjuncts, delta, more[0]
+            );
         }
     }
 }

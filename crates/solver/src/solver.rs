@@ -12,7 +12,8 @@ use crate::interrupt::Interrupt;
 use crate::model::{escalation_tiers, find_model_tiers, Model, ModelBudget, SearchWork};
 use crate::pathcond::{PathCondition, PcEnv, PcKey};
 use crate::sat::{
-    check_conjunction, check_conjunction_capturing, check_extension, SatBudget, SatResult,
+    check_conjunction, check_conjunction_capturing, check_extension, Extension, SatBudget,
+    SatResult,
 };
 use crate::simplify;
 use gillian_gil::Expr;
@@ -187,6 +188,11 @@ pub struct SolverStats {
     /// Queries answered by extending a frozen per-prefix solve context
     /// instead of re-solving the whole conjunction.
     pub incremental_hits: u64,
+    /// The part of [`SolverStats::incremental_hits`] answered by the
+    /// equality extension: a delta with equalities merged into a copy of
+    /// the frozen union-find (or refuted by the residual-disequality
+    /// rule) instead of re-solving the residual.
+    pub equality_extension_hits: u64,
     /// Search-tree nodes the model searches visited.
     pub model_nodes: u64,
     /// Escalation tiers the model searches skipped because an earlier
@@ -203,6 +209,10 @@ struct Tel {
     sat_cache_hits: &'static Counter,
     sat_unknowns: &'static Counter,
     sat_incremental_hits: &'static Counter,
+    sat_reuse_unsat_prefix: &'static Counter,
+    sat_reuse_fast: &'static Counter,
+    sat_reuse_equalities: &'static Counter,
+    sat_reuse_seeded_full: &'static Counter,
     sat_prefix_depth: &'static Histogram,
     model_searches: &'static Counter,
     model_search_failures: &'static Counter,
@@ -219,6 +229,10 @@ fn tel() -> &'static Tel {
         sat_cache_hits: registry().counter(names::SAT_CACHE_HITS),
         sat_unknowns: registry().counter(names::SAT_UNKNOWNS),
         sat_incremental_hits: registry().counter(names::SAT_INCREMENTAL_HITS),
+        sat_reuse_unsat_prefix: registry().counter(names::SAT_REUSE_UNSAT_PREFIX),
+        sat_reuse_fast: registry().counter(names::SAT_REUSE_FAST),
+        sat_reuse_equalities: registry().counter(names::SAT_REUSE_EQUALITIES),
+        sat_reuse_seeded_full: registry().counter(names::SAT_REUSE_SEEDED_FULL),
         sat_prefix_depth: registry().histogram(names::SAT_PREFIX_DEPTH),
         model_searches: registry().counter(names::MODEL_SEARCHES),
         model_search_failures: registry().counter(names::MODEL_SEARCH_FAILURES),
@@ -363,6 +377,7 @@ pub struct Solver {
     sat_unknowns: AtomicU64,
     simplify_hits: AtomicU64,
     incremental_hits: AtomicU64,
+    equality_extension_hits: AtomicU64,
     model_nodes: AtomicU64,
     model_tiers_skipped: AtomicU64,
 }
@@ -414,6 +429,7 @@ impl Solver {
             sat_unknowns: self.sat_unknowns.load(Ordering::Relaxed),
             simplify_hits: self.simplify_hits.load(Ordering::Relaxed),
             incremental_hits: self.incremental_hits.load(Ordering::Relaxed),
+            equality_extension_hits: self.equality_extension_hits.load(Ordering::Relaxed),
             model_nodes: self.model_nodes.load(Ordering::Relaxed),
             model_tiers_skipped: self.model_tiers_skipped.load(Ordering::Relaxed),
         }
@@ -510,7 +526,15 @@ impl Solver {
     /// bail out cooperatively so the engine can park their path as
     /// truncated instead of hanging the run.
     pub fn interrupted(&self) -> bool {
-        self.interrupt().interrupted()
+        lock_unpoisoned(&self.interrupt).interrupted()
+    }
+
+    /// Whether the installed interrupt is cancelled, and its deadline,
+    /// read in place: the per-query paths need only these two fields, not
+    /// a clone of the token.
+    fn interrupt_state(&self) -> (bool, Option<Instant>) {
+        let interrupt = lock_unpoisoned(&self.interrupt);
+        (interrupt.cancel.is_cancelled(), interrupt.deadline)
     }
 
     /// Simplifies an expression under the typing facts of `pc` (identity
@@ -656,7 +680,7 @@ impl Solver {
     /// even for cached keys (prompt-shutdown semantics), and the full
     /// path handles that.
     fn probe_sat_cache(&self, key: &PcKey) -> Option<SatResult> {
-        if !self.config.caching || self.interrupt().cancel.is_cancelled() {
+        if !self.config.caching || self.interrupt_state().0 {
             return None;
         }
         let hit = self.cache.get(key)?;
@@ -672,8 +696,8 @@ impl Solver {
     /// verdicts flow back into the cache and the chain; `Unknown` into
     /// neither.
     fn check_sat_inner(&self, pc: &PathCondition, key: &PcKey) -> (SatResult, bool) {
-        let interrupt = self.interrupt();
-        if interrupt.cancel.is_cancelled() {
+        let (cancelled, deadline) = self.interrupt_state();
+        if cancelled {
             self.sat_unknowns.fetch_add(1, Ordering::Relaxed);
             return (SatResult::Unknown, false);
         }
@@ -684,7 +708,7 @@ impl Solver {
             }
         }
         let mut budget = self.config.sat_budget;
-        budget.deadline = match (budget.deadline, interrupt.deadline) {
+        budget.deadline = match (budget.deadline, deadline) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         };
@@ -759,28 +783,37 @@ impl Solver {
                 None
             }
         })?;
-        if ctx.verdict == SatResult::Unsat {
-            // Every extension of an unsatisfiable prefix is unsatisfiable.
-            self.note_incremental_hit(prefix_len);
-            return Some(SatResult::Unsat);
-        }
-        if delta.is_empty() {
-            self.note_incremental_hit(prefix_len);
+        // Every extension of an unsatisfiable prefix is unsatisfiable; an
+        // empty delta (reachable with caching off) is the prefix itself.
+        if ctx.verdict == SatResult::Unsat || delta.is_empty() {
+            self.note_incremental_hit(prefix_len, tel().sat_reuse_unsat_prefix);
             return Some(ctx.verdict);
         }
         let seed = ctx.state.as_ref()?;
-        let verdict = check_extension(seed, &delta, budget, capture)?;
+        let (verdict, layer) = check_extension(seed, &delta, budget, capture)?;
         if verdict == SatResult::Unknown {
             return None;
         }
-        self.note_incremental_hit(prefix_len);
+        let t = tel();
+        let counter = match layer {
+            Extension::Fast => t.sat_reuse_fast,
+            Extension::Equalities => {
+                self.equality_extension_hits.fetch_add(1, Ordering::Relaxed);
+                t.sat_reuse_equalities
+            }
+            Extension::SeededFull => t.sat_reuse_seeded_full,
+        };
+        self.note_incremental_hit(prefix_len, counter);
         Some(verdict)
     }
 
-    fn note_incremental_hit(&self, prefix_len: usize) {
+    /// Counts an incremental answer, in the total and in the counter of
+    /// the layer that gave it.
+    fn note_incremental_hit(&self, prefix_len: usize, layer: &Counter) {
         self.incremental_hits.fetch_add(1, Ordering::Relaxed);
         let t = tel();
         t.sat_incremental_hits.incr();
+        layer.incr();
         t.sat_prefix_depth.record(prefix_len as u64);
     }
 

@@ -72,8 +72,22 @@ pub mod names {
     /// `Unknown` satisfiability verdicts.
     pub const SAT_UNKNOWNS: &str = "solver.sat_unknowns";
     /// Satisfiability queries answered by extending a frozen per-prefix
-    /// solve context instead of re-solving the whole conjunction.
+    /// solve context instead of re-solving the whole conjunction: the sum
+    /// of the four `SAT_REUSE_*` layer counters.
     pub const SAT_INCREMENTAL_HITS: &str = "solver.sat_incremental_hits";
+    /// Incremental answers read off a frozen context's own verdict: an
+    /// unsatisfiable prefix (or, with caching off, an empty delta).
+    pub const SAT_REUSE_UNSAT_PREFIX: &str = "solver.sat_reuse_unsat_prefix";
+    /// Incremental answers of the fast extension: a delta without
+    /// equalities or disjunctions, propagated through the frozen state.
+    pub const SAT_REUSE_FAST: &str = "solver.sat_reuse_fast";
+    /// Incremental answers of the equality extension: a delta with
+    /// equalities merged into a copy of the frozen union-find (including
+    /// the residual-disequality rule's refutations).
+    pub const SAT_REUSE_EQUALITIES: &str = "solver.sat_reuse_equalities";
+    /// Incremental answers of the seeded full check, which re-solves the
+    /// frozen residual together with the delta.
+    pub const SAT_REUSE_SEEDED_FULL: &str = "solver.sat_reuse_seeded_full";
     /// Satisfiability queries answered by the implication-aware verdict
     /// index. Nothing increments it since the index was removed; the name
     /// stays for consumers that still read it, as 0.

@@ -235,7 +235,14 @@ impl Report {
             );
             let incr = self.metrics.counter(names::SAT_INCREMENTAL_HITS);
             if incr > 0 {
-                let _ = writeln!(out, "sat reuse: incremental {incr}");
+                let _ = writeln!(
+                    out,
+                    "sat reuse: incremental {incr} · unsat prefix {} · fast {} · equalities {} · seeded full {}",
+                    self.metrics.counter(names::SAT_REUSE_UNSAT_PREFIX),
+                    self.metrics.counter(names::SAT_REUSE_FAST),
+                    self.metrics.counter(names::SAT_REUSE_EQUALITIES),
+                    self.metrics.counter(names::SAT_REUSE_SEEDED_FULL)
+                );
             }
         }
         let searches = self.metrics.counter(names::MODEL_SEARCHES);
@@ -563,6 +570,31 @@ mod tests {
         let text = report.render();
         assert!(
             text.contains("summary reuse: recorded 3 · applied 2 · missed 0 · escaped 0"),
+            "{text}"
+        );
+    }
+
+    /// The sat-reuse line splits the incremental answers by the seeded
+    /// layer that gave them.
+    #[test]
+    fn render_splits_sat_reuse_by_layer() {
+        use crate::{names, registry};
+        let before = registry().snapshot();
+        registry().counter(names::SAT_QUERIES).add(10);
+        registry().counter(names::SAT_INCREMENTAL_HITS).add(6);
+        registry().counter(names::SAT_REUSE_UNSAT_PREFIX).add(1);
+        registry().counter(names::SAT_REUSE_FAST).add(2);
+        registry().counter(names::SAT_REUSE_EQUALITIES).add(2);
+        registry().counter(names::SAT_REUSE_SEEDED_FULL).add(1);
+        let report = Report {
+            metrics: registry().snapshot().since(&before),
+            ..Default::default()
+        };
+        let text = report.render();
+        assert!(
+            text.contains(
+                "sat reuse: incremental 6 · unsat prefix 1 · fast 2 · equalities 2 · seeded full 1"
+            ),
             "{text}"
         );
     }
