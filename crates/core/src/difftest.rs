@@ -23,8 +23,9 @@
 //!
 //! Model extraction is *total modulo budget*: paths whose condition the
 //! configured model search cannot crack are retried with escalated
-//! budgets ([`gillian_solver::Solver::model_for_replay`]) before being
-//! reported — never silently — as [`DifftestReport::skipped`].
+//! budgets, in the same search ([`gillian_solver::Solver::witness`]),
+//! before being reported — never silently — as
+//! [`DifftestReport::skipped`].
 
 use crate::concrete::ConcreteState;
 use crate::explore::{explore, explore_with, ExploreConfig, ExploreOutcome};
@@ -248,20 +249,14 @@ where
             continue;
         }
         // Witness extraction with escalation: the configured budget
-        // first, then progressively larger fresh searches. Only when
-        // every tier fails is the path skipped — and reported.
-        let (model, via_fallback) = match solver.model(&path.state.pc) {
-            Some(m) => (m, false),
-            None => match solver.model_for_replay(&path.state.pc) {
-                Some(m) => (m, true),
-                None => {
-                    report.skipped.push(SkippedPath {
-                        trace: path.trace.clone(),
-                        reason: "no-model",
-                    });
-                    continue;
-                }
-            },
+        // first, then progressively larger budgets. Only when every tier
+        // fails is the path skipped — and reported.
+        let Some((model, via_fallback)) = solver.witness(&path.state.pc) else {
+            report.skipped.push(SkippedPath {
+                trace: path.trace.clone(),
+                reason: "no-model",
+            });
+            continue;
         };
         if via_fallback {
             report.fallback_models += 1;

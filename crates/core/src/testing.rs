@@ -112,7 +112,7 @@ pub fn run_test<M: SymbolicMemory>(
         let pc = path.state.pc.clone();
         // Fall back to the escalated search when the configured budget
         // fails: an unmodelled true positive is a report nobody can act on.
-        let model = solver.model(&pc).or_else(|| solver.model_for_replay(&pc));
+        let model = solver.witness(&pc).map(|(m, _)| m);
         let script = model
             .as_ref()
             .map(|m| script_from_model(&path.state, m))

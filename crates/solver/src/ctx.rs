@@ -13,7 +13,8 @@
 //! technique Soteria reports as a headline optimization).
 
 use crate::intervals::{IntDomain, NumDomain};
-use crate::sat::{Atoms, SatResult};
+use crate::persistent::PVec;
+use crate::sat::{Residual, SatResult};
 use crate::typing::TypeEnv;
 use crate::uf::UnionFind;
 use gillian_gil::{BinOp, Expr};
@@ -32,34 +33,44 @@ pub(crate) struct SolveCtx {
     pub(crate) state: Option<CapturedState>,
 }
 
-/// The solver state at the end of a clean `Sat` solve, shared
-/// copy-on-extend: every field sits behind an `Arc`, so freezing a
-/// context costs refcount bumps for whatever the extension did not touch
-/// (the union-find in particular is shared untouched by the fast path).
-#[derive(Clone, Debug)]
+/// The solver state at the end of a clean `Sat` solve.
+///
+/// Every part is persistent, so an extension shares what it does not
+/// touch and holds only its delta: the residual atoms, ordering edges and
+/// mask sites are append-only segment lists ([`PVec`]) to which an
+/// extension adds one segment per kind it grows, and the interval maps and
+/// the union-find are shared bases under small overlays
+/// ([`crate::persistent::PMap`]). The fast path shares the union-find and
+/// every residual kind whole; the equality extension copies only the
+/// residual kinds in which it rewrites an atom.
+#[derive(Debug)]
 pub(crate) struct CapturedState {
     /// The typing environment the solve ran under.
     pub(crate) env: Arc<TypeEnv>,
     /// Equality classes after substitution closure.
-    pub(crate) uf: Arc<UnionFind>,
+    pub(crate) uf: UnionFind,
     /// Residual atoms (equalities drained into `uf`, no disjunctions).
-    pub(crate) atoms: Arc<Atoms>,
+    pub(crate) atoms: Residual,
     /// Integer interval/difference domain after propagation.
-    pub(crate) ints: Arc<IntDomain>,
+    pub(crate) ints: IntDomain,
     /// Float literal-bound domain.
-    pub(crate) nums: Arc<NumDomain>,
+    pub(crate) nums: NumDomain,
     /// Candidate mask-identity sites `(x & m, x, m)` occurring anywhere
     /// in the captured atoms, so the incremental fast path can re-check
     /// the mask-learning trigger without re-scanning every atom tree.
-    pub(crate) mask_sites: Arc<[(Expr, Expr, i64)]>,
+    pub(crate) mask_sites: PVec<MaskSite>,
 }
 
-/// Collects candidate mask-identity sites `(x & m, x, m)` (with `m+1` a
-/// power of two) from the given expressions, deduplicated by site. The
-/// satisfiability checker learns `x & m = x` once the interval of `x`
-/// fits inside the mask; the captured site list lets an incremental
-/// extension re-test exactly those triggers.
-pub(crate) fn collect_mask_sites(exprs: &[Expr], out: &mut Vec<(Expr, Expr, i64)>) {
+/// A mask-identity site `(x & m, x, m)`.
+pub(crate) type MaskSite = (Expr, Expr, i64);
+
+/// Appends to `sites` the candidate mask-identity sites `(x & m, x, m)`
+/// (with `m+1` a power of two) of the given expressions that it does not
+/// hold yet. The satisfiability checker learns `x & m = x` once the
+/// interval of `x` fits inside the mask; the captured site list lets an
+/// incremental extension re-test exactly those triggers.
+pub(crate) fn collect_mask_sites(exprs: &[Expr], sites: &mut PVec<MaskSite>) {
+    let mut found: Vec<MaskSite> = Vec::new();
     for e in exprs {
         e.visit(&mut |sub| {
             if let Expr::Bin(BinOp::BitAnd, a, b) = sub {
@@ -70,11 +81,12 @@ pub(crate) fn collect_mask_sites(exprs: &[Expr], out: &mut Vec<(Expr, Expr, i64)
                 };
                 if mask >= 0
                     && (mask.wrapping_add(1) & mask) == 0
-                    && !out.iter().any(|(s, _, _)| s == sub)
+                    && !found.iter().chain(sites.iter()).any(|(s, _, _)| s == sub)
                 {
-                    out.push((sub.clone(), x.clone(), mask));
+                    found.push((sub.clone(), x.clone(), mask));
                 }
             }
         });
     }
+    sites.extend(found);
 }

@@ -9,8 +9,8 @@
 //! Integers and floats are kept in separate domains; mixed comparisons do
 //! not arise (GIL arithmetic is not mixed-type).
 
+use crate::persistent::{PMap, PVec};
 use gillian_gil::{BinOp, Expr};
-use std::collections::BTreeMap;
 
 /// An inclusive integer interval.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -63,10 +63,14 @@ struct Edge {
 }
 
 /// The integer interval domain: per-term intervals plus ordering edges.
+///
+/// Both are persistent, so a clone shares them and an extension of a
+/// frozen domain holds only the intervals it narrows and the edges it
+/// adds.
 #[derive(Clone, Debug, Default)]
 pub struct IntDomain {
-    itv: BTreeMap<Expr, IntItv>,
-    edges: Vec<Edge>,
+    itv: PMap<Expr, IntItv>,
+    edges: PVec<Edge>,
 }
 
 /// Decomposes `e` as the affine form `a·base + c` (defaults to
@@ -426,7 +430,9 @@ impl IntDomain {
         // keep the checker total on adversarial cycles.
         for _ in 0..64 {
             let mut changed = false;
-            for e in self.edges.clone() {
+            // A clone of the edge list is a refcount bump: propagation
+            // narrows intervals but adds no edge.
+            for e in self.edges.clone().iter() {
                 let ia = self.interval(&e.a);
                 let ib = self.interval(&e.b);
                 let delta = if e.strict { 1 } else { 0 };
@@ -469,6 +475,21 @@ impl IntDomain {
     #[must_use]
     pub fn consistent(&self) -> bool {
         self.itv.keys().all(|t| !self.interval(t).is_empty())
+    }
+
+    /// A copy that shares nothing with `self`.
+    #[cfg(test)]
+    pub(crate) fn unshared(&self) -> IntDomain {
+        IntDomain {
+            itv: self.itv.unshared(),
+            edges: self.edges.unshared(),
+        }
+    }
+
+    /// Overlay entries of the interval map and segments of the edge list.
+    #[cfg(test)]
+    pub(crate) fn sharing(&self) -> (usize, usize) {
+        (self.itv.overlay_len(), self.edges.segments())
     }
 
     /// The current interval of a term (after affine decomposition).
@@ -523,7 +544,7 @@ impl NumItv {
 /// constrained here is implicitly non-NaN (NaN falsifies every comparison).
 #[derive(Clone, Debug, Default)]
 pub struct NumDomain {
-    bounds: BTreeMap<Expr, NumItv>,
+    bounds: PMap<Expr, NumItv>,
 }
 
 impl NumDomain {
@@ -566,6 +587,14 @@ impl NumDomain {
     /// All narrowed terms, for model seeding.
     pub fn narrowed_terms(&self) -> impl Iterator<Item = (&Expr, NumItv)> {
         self.bounds.iter().map(|(e, b)| (e, *b))
+    }
+
+    /// A copy that shares nothing with `self`.
+    #[cfg(test)]
+    pub(crate) fn unshared(&self) -> NumDomain {
+        NumDomain {
+            bounds: self.bounds.unshared(),
+        }
     }
 }
 

@@ -141,7 +141,7 @@ pub(crate) struct SearchWork {
 
 /// Attempts to find a verified model of the conjunction.
 pub fn find_model(conjuncts: &[Expr], budget: ModelBudget) -> Option<Model> {
-    find_model_tiers(conjuncts, &[budget], &mut SearchWork::default())
+    find_model_tiers(conjuncts, &[budget], &mut SearchWork::default()).map(|(m, _)| m)
 }
 
 /// Finds a model under escalating budgets: the given budget first, then
@@ -161,6 +161,7 @@ pub fn find_model_escalating(conjuncts: &[Expr], budget: ModelBudget) -> Option<
         &escalation_tiers(budget),
         &mut SearchWork::default(),
     )
+    .map(|(m, _)| m)
 }
 
 /// The budgets [`find_model_escalating`] tries, in order.
@@ -174,7 +175,8 @@ pub(crate) fn escalation_tiers(budget: ModelBudget) -> [ModelBudget; 3] {
 }
 
 /// Runs the search at each budget in `tiers` until one finds a model,
-/// preparing the budget-independent part once.
+/// preparing the budget-independent part once. Returns the model with the
+/// index of the tier that found it.
 ///
 /// Stops early at the first [`Tier::Exhausted`]: every later tier would
 /// search the very same tree and fail the same way, so the answer equals
@@ -183,7 +185,7 @@ pub(crate) fn find_model_tiers(
     conjuncts: &[Expr],
     tiers: &[ModelBudget],
     work: &mut SearchWork,
-) -> Option<Model> {
+) -> Option<(Model, usize)> {
     let prepared = prepare(conjuncts);
     for (i, &budget) in tiers.iter().enumerate() {
         let outcome = match &prepared {
@@ -191,7 +193,7 @@ pub(crate) fn find_model_tiers(
             Err(early) => early.clone(),
         };
         match outcome {
-            Tier::Found(m) => return Some(m),
+            Tier::Found(m) => return Some((m, i)),
             Tier::Exhausted => {
                 work.tiers_skipped += (tiers.len() - 1 - i) as u64;
                 return None;

@@ -1,13 +1,25 @@
-//! A persistent (immutable, structurally shared) set of `u64` keys.
+//! Persistent (immutable, structurally shared) collections.
 //!
-//! Backing store for [`PathCondition`](crate::PathCondition)'s conjunct
-//! dedup index: path conditions are snapshotted at every branch point, so
-//! the index must clone in O(1) and insert in O(log n) while sharing
-//! structure with its ancestors. This is a bitmapped 32-way trie (a HAMT
-//! whose "hash" is the key itself — interner term ids are dense and
-//! unique, so no hashing is needed), hand-written because the workspace
-//! vendors no persistent-collection crates.
+//! Path conditions and frozen solver states are snapshotted at every
+//! branch point and extended by a few entries each, so their collections
+//! must clone in O(1) and share structure with their ancestors. The
+//! workspace vendors no persistent-collection crates, so three are
+//! hand-written here:
+//!
+//! - [`PSet`], a set of `u64` keys: the conjunct dedup index of a
+//!   [`PathCondition`](crate::PathCondition). A bitmapped 32-way trie (a
+//!   HAMT whose "hash" is the key itself — interner term ids are dense and
+//!   unique, so no hashing is needed).
+//! - [`PVec`], an append-only sequence of shared segments: the residual
+//!   atoms, ordering edges and mask sites of a frozen solve state.
+//! - [`PMap`], an ordered map as a shared base plus a small private
+//!   overlay: the interval maps and the union-find of a frozen solve
+//!   state.
+//!
+//! A [`PVec`] or [`PMap`] that nobody else shares is written in place,
+//! so building a new one costs what a `Vec` or `BTreeMap` costs.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Bits consumed per trie level.
@@ -218,6 +230,289 @@ impl PSet {
     }
 }
 
+/// Most segments a [`PVec`] chains before an append compacts it into one.
+const MAX_SEGMENTS: usize = 16;
+
+/// One segment of a [`PVec`]: its own items after those of `prev`.
+#[derive(Debug)]
+struct Segment<T> {
+    items: Vec<T>,
+    /// Items in the segments before this one.
+    before: usize,
+    /// Segments in the chain that ends here, this one included.
+    depth: usize,
+    prev: Option<Arc<Segment<T>>>,
+}
+
+/// An append-only sequence whose clones share their segments: `clone()`
+/// is O(1), and appending to a shared vector adds one segment that holds
+/// only the new items. Appending to a vector that nobody shares writes
+/// into its last segment in place. An append that would chain more than
+/// 16 segments copies the whole sequence into one, so iteration visits at
+/// most 16 segments.
+#[derive(Debug)]
+pub struct PVec<T> {
+    last: Option<Arc<Segment<T>>>,
+}
+
+impl<T> Clone for PVec<T> {
+    fn clone(&self) -> Self {
+        PVec {
+            last: self.last.clone(),
+        }
+    }
+}
+
+impl<T> Default for PVec<T> {
+    fn default() -> Self {
+        PVec { last: None }
+    }
+}
+
+impl<T: Clone> PVec<T> {
+    /// The empty sequence.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of items.
+    pub fn len(&self) -> usize {
+        self.last.as_ref().map_or(0, |s| s.before + s.items.len())
+    }
+
+    /// True when there are no items.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Appends one item.
+    pub fn push(&mut self, item: T) {
+        self.extend(std::iter::once(item));
+    }
+
+    /// Appends `items` in order. Other clones of this vector are
+    /// unaffected; an empty `items` leaves the segments as they are.
+    pub fn extend(&mut self, items: impl IntoIterator<Item = T>) {
+        let mut items = items.into_iter().peekable();
+        if items.peek().is_none() {
+            return;
+        }
+        if let Some(last) = self.last.as_mut().and_then(Arc::get_mut) {
+            last.items.extend(items);
+            return;
+        }
+        let (before, depth) = self.last.as_ref().map_or((0, 0), |s| (self.len(), s.depth));
+        self.last = Some(Arc::new(if depth == MAX_SEGMENTS {
+            let mut all = self.to_vec();
+            all.extend(items);
+            Segment {
+                items: all,
+                before: 0,
+                depth: 1,
+                prev: None,
+            }
+        } else {
+            Segment {
+                items: items.collect(),
+                before,
+                depth: depth + 1,
+                prev: self.last.take(),
+            }
+        }));
+    }
+
+    /// The items, in order.
+    pub fn iter(&self) -> Iter<'_, T> {
+        let mut segments: [&[T]; MAX_SEGMENTS] = [&[]; MAX_SEGMENTS];
+        let mut count = 0;
+        let mut cur = self.last.as_deref();
+        while let Some(s) = cur {
+            segments[s.depth - 1] = &s.items;
+            count = count.max(s.depth);
+            cur = s.prev.as_deref();
+        }
+        Iter {
+            segments,
+            count,
+            next: 0,
+            current: [].iter(),
+        }
+    }
+
+    /// The items, copied into one `Vec`.
+    pub fn to_vec(&self) -> Vec<T> {
+        let mut out = Vec::with_capacity(self.len());
+        out.extend(self.iter().cloned());
+        out
+    }
+
+    /// A copy in one segment that shares nothing with `self`.
+    #[cfg(test)]
+    pub(crate) fn unshared(&self) -> PVec<T> {
+        PVec::from(self.to_vec())
+    }
+
+    /// Segments chained, for tests of the compaction.
+    #[cfg(test)]
+    pub(crate) fn segments(&self) -> usize {
+        self.last.as_ref().map_or(0, |s| s.depth)
+    }
+}
+
+impl<T> From<Vec<T>> for PVec<T> {
+    /// One segment holding `items`, without spare capacity.
+    fn from(mut items: Vec<T>) -> Self {
+        if items.is_empty() {
+            return PVec { last: None };
+        }
+        items.shrink_to_fit();
+        PVec {
+            last: Some(Arc::new(Segment {
+                items,
+                before: 0,
+                depth: 1,
+                prev: None,
+            })),
+        }
+    }
+}
+
+impl<'a, T: Clone> IntoIterator for &'a PVec<T> {
+    type Item = &'a T;
+    type IntoIter = Iter<'a, T>;
+
+    fn into_iter(self) -> Iter<'a, T> {
+        self.iter()
+    }
+}
+
+/// The items of a [`PVec`], oldest segment first.
+pub struct Iter<'a, T> {
+    segments: [&'a [T]; MAX_SEGMENTS],
+    count: usize,
+    next: usize,
+    current: std::slice::Iter<'a, T>,
+}
+
+impl<'a, T> Iterator for Iter<'a, T> {
+    type Item = &'a T;
+
+    fn next(&mut self) -> Option<&'a T> {
+        loop {
+            if let Some(item) = self.current.next() {
+                return Some(item);
+            }
+            if self.next == self.count {
+                return None;
+            }
+            self.current = self.segments[self.next].iter();
+            self.next += 1;
+        }
+    }
+}
+
+/// Entries a [`PMap`]'s overlay holds before it is folded into a private
+/// copy of the base.
+const MAX_OVERLAY: usize = 8;
+
+/// An ordered map as a shared base plus a small private overlay:
+/// `clone()` shares the base, and inserting into a clone writes to its
+/// overlay, which is folded into a private copy of the base once it holds
+/// more than 8 entries. A map whose base nobody else shares is written in
+/// place. Entries are never removed, and iteration is in key order.
+#[derive(Debug)]
+pub struct PMap<K, V> {
+    base: Option<Arc<BTreeMap<K, V>>>,
+    /// Entries that shadow or add to `base`.
+    overlay: BTreeMap<K, V>,
+}
+
+impl<K: Clone, V: Clone> Clone for PMap<K, V> {
+    fn clone(&self) -> Self {
+        PMap {
+            base: self.base.clone(),
+            overlay: self.overlay.clone(),
+        }
+    }
+}
+
+impl<K, V> Default for PMap<K, V> {
+    fn default() -> Self {
+        PMap {
+            base: None,
+            overlay: BTreeMap::new(),
+        }
+    }
+}
+
+impl<K: Ord + Clone, V: Clone + PartialEq> PMap<K, V> {
+    /// The empty map.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The value stored for `key`.
+    pub fn get(&self, key: &K) -> Option<&V> {
+        self.overlay
+            .get(key)
+            .or_else(|| self.base.as_ref()?.get(key))
+    }
+
+    /// Stores `value` for `key`. Other clones of this map are unaffected;
+    /// storing the value a key already has changes nothing.
+    pub fn insert(&mut self, key: K, value: V) {
+        if self.get(&key) == Some(&value) {
+            return;
+        }
+        let base = self.base.get_or_insert_with(Default::default);
+        if let Some(base) = Arc::get_mut(base) {
+            base.extend(std::mem::take(&mut self.overlay));
+            base.insert(key, value);
+            return;
+        }
+        self.overlay.insert(key, value);
+        if self.overlay.len() > MAX_OVERLAY {
+            Arc::make_mut(base).extend(std::mem::take(&mut self.overlay));
+        }
+    }
+
+    /// The entries in key order.
+    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
+        let mut base = self.base.iter().flat_map(|b| b.iter()).peekable();
+        let mut overlay = self.overlay.iter().peekable();
+        std::iter::from_fn(move || match (base.peek(), overlay.peek()) {
+            (Some((bk, _)), Some((ok, _))) if bk < ok => base.next(),
+            (Some((bk, _)), Some((ok, _))) if bk == ok => {
+                base.next();
+                overlay.next()
+            }
+            (_, Some(_)) => overlay.next(),
+            (_, None) => base.next(),
+        })
+    }
+
+    /// The keys in order.
+    pub fn keys(&self) -> impl Iterator<Item = &K> {
+        self.iter().map(|(k, _)| k)
+    }
+
+    /// A copy without overlay that shares nothing with `self`.
+    #[cfg(test)]
+    pub(crate) fn unshared(&self) -> PMap<K, V> {
+        let mut out = PMap::new();
+        for (k, v) in self.iter() {
+            out.insert(k.clone(), v.clone());
+        }
+        out
+    }
+
+    /// Entries in the private overlay, for tests of the compaction.
+    #[cfg(test)]
+    pub(crate) fn overlay_len(&self) -> usize {
+        self.overlay.len()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,6 +593,158 @@ mod tests {
         assert!(!s.contains(10_001 + (1 << 50)));
         for k in 0..10_000u64 {
             assert!(!s.insert(k), "re-insert of {k} must report present");
+        }
+    }
+}
+
+#[cfg(test)]
+mod shared_tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    #[test]
+    fn appends_to_a_shared_vector_leave_the_original() {
+        let mut a = PVec::from(vec![1, 2, 3]);
+        let snapshot = a.clone();
+        a.extend([4, 5]);
+        a.push(6);
+        assert_eq!(snapshot.to_vec(), [1, 2, 3]);
+        assert_eq!(a.to_vec(), [1, 2, 3, 4, 5, 6]);
+        assert_eq!(a.len(), 6);
+        let mut b = snapshot.clone();
+        b.extend(std::iter::empty());
+        assert!(Arc::ptr_eq(
+            b.last.as_ref().unwrap(),
+            snapshot.last.as_ref().unwrap()
+        ));
+        assert!(PVec::<u8>::from(Vec::new()).is_empty());
+    }
+
+    #[test]
+    fn chains_compact_at_the_segment_cap() {
+        let mut v = PVec::new();
+        let mut snapshots = Vec::new();
+        for i in 0..40 {
+            snapshots.push(v.clone());
+            v.push(i);
+            let depth = v.last.as_ref().unwrap().depth;
+            assert!(depth <= MAX_SEGMENTS, "{depth} segments after {i}");
+        }
+        assert_eq!(v.to_vec(), (0..40).collect::<Vec<_>>());
+        for (n, s) in snapshots.iter().enumerate() {
+            assert_eq!(s.to_vec(), (0..n as i32).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn overlays_shadow_the_shared_base() {
+        let mut a = PMap::new();
+        for k in 0..20 {
+            a.insert(k, k * 10);
+        }
+        let snapshot = a.clone();
+        a.insert(5, 0);
+        a.insert(100, 1);
+        assert_eq!(a.get(&5), Some(&0));
+        assert_eq!(snapshot.get(&5), Some(&50));
+        assert_eq!(snapshot.get(&100), None);
+        let keys: Vec<i32> = a.keys().copied().collect();
+        let mut expected: Vec<i32> = (0..20).collect();
+        expected.push(100);
+        assert_eq!(keys, expected);
+        // Storing an unchanged value does not grow the overlay.
+        let mut b = snapshot.clone();
+        b.insert(3, 30);
+        assert!(b.overlay.is_empty());
+    }
+
+    /// One step on a model: append a run, or snapshot (clone) a version.
+    #[derive(Clone, Debug)]
+    enum VecOp {
+        Extend(Vec<u8>),
+        Fork(usize),
+    }
+
+    fn vec_op() -> impl Strategy<Value = VecOp> {
+        prop_oneof![
+            3 => proptest::collection::vec(any::<u8>(), 0..4).prop_map(VecOp::Extend),
+            1 => (0usize..64).prop_map(VecOp::Fork),
+        ]
+    }
+
+    /// One step on a map: insert into the current version, or continue
+    /// from an earlier one.
+    #[derive(Clone, Debug)]
+    enum MapOp {
+        Insert(u8, u8),
+        Fork(usize),
+    }
+
+    fn map_op() -> impl Strategy<Value = MapOp> {
+        prop_oneof![
+            4 => (0u8..40, 0u8..4).prop_map(|(k, v)| MapOp::Insert(k, v)),
+            1 => (0usize..64).prop_map(MapOp::Fork),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every version of a `PVec` reads as its `Vec` model, across
+        /// forks and past several segment compactions.
+        #[test]
+        fn pvec_matches_a_vec(ops in proptest::collection::vec(vec_op(), 1..120)) {
+            let mut versions: Vec<(PVec<u8>, Vec<u8>)> = vec![(PVec::new(), Vec::new())];
+            let (mut cur, mut model) = (PVec::new(), Vec::new());
+            for op in ops {
+                match op {
+                    VecOp::Extend(items) => {
+                        cur.extend(items.iter().copied());
+                        model.extend(items);
+                        versions.push((cur.clone(), model.clone()));
+                    }
+                    VecOp::Fork(i) => {
+                        let (v, m) = versions[i % versions.len()].clone();
+                        cur = v;
+                        model = m;
+                    }
+                }
+            }
+            for (v, m) in &versions {
+                prop_assert_eq!(v.len(), m.len());
+                prop_assert_eq!(&v.iter().copied().collect::<Vec<u8>>(), m);
+            }
+        }
+
+        /// Every version of a `PMap` reads as its `BTreeMap` model, in key
+        /// order, across forks and overlay compactions.
+        #[test]
+        fn pmap_matches_a_btree_map(ops in proptest::collection::vec(map_op(), 1..120)) {
+            let mut versions: Vec<(PMap<u8, u8>, BTreeMap<u8, u8>)> =
+                vec![(PMap::new(), BTreeMap::new())];
+            let (mut cur, mut model) = (PMap::new(), BTreeMap::new());
+            for op in ops {
+                match op {
+                    MapOp::Insert(k, v) => {
+                        cur.insert(k, v);
+                        model.insert(k, v);
+                        versions.push((cur.clone(), model.clone()));
+                    }
+                    MapOp::Fork(i) => {
+                        let (v, m) = versions[i % versions.len()].clone();
+                        cur = v;
+                        model = m;
+                    }
+                }
+            }
+            for (v, m) in &versions {
+                let got: Vec<(u8, u8)> = v.iter().map(|(k, x)| (*k, *x)).collect();
+                let want: Vec<(u8, u8)> = m.iter().map(|(k, x)| (*k, *x)).collect();
+                prop_assert_eq!(got, want);
+                for k in 0u8..40 {
+                    prop_assert_eq!(v.get(&k), m.get(&k));
+                }
+            }
         }
     }
 }

@@ -14,8 +14,9 @@
 //! The result is three-valued; `Unknown` is treated as "possibly SAT" by
 //! the engine (see the crate docs for why this is the sound direction).
 
-use crate::ctx::{collect_mask_sites, CapturedState};
+use crate::ctx::{collect_mask_sites, CapturedState, MaskSite};
 use crate::intervals::{IntDomain, NumDomain};
+use crate::persistent::PVec;
 use crate::simplify::simplify;
 use crate::typing::{absorb_type_fact, infer, TypeEnv};
 use crate::uf::UnionFind;
@@ -119,11 +120,9 @@ fn absorb_usage_types(env: &mut TypeEnv, conjuncts: &[Expr]) {
     }
 }
 
-/// The classified atoms of a conjunction. `pub(crate)` (with private
-/// fields) so a clean solve's residual atoms can be frozen inside a
-/// [`CapturedState`] and extended by a later incremental query.
+/// The classified atoms of a conjunction, as the checker rewrites them.
 #[derive(Clone, Debug, Default)]
-pub(crate) struct Atoms {
+struct Atoms {
     eqs: Vec<(Expr, Expr)>,
     neqs: Vec<(Expr, Expr)>,
     /// `(a, b, strict)` with both sides typed `Int`.
@@ -140,6 +139,48 @@ pub(crate) struct Atoms {
 /// A `Num` comparison against a literal: `(term, literal, term_on_left,
 /// strict)`.
 type NumCmp = (Expr, f64, bool, bool);
+
+/// The residual atoms of a clean solve, frozen inside a [`CapturedState`]
+/// in shared append-only segments, so that an incremental extension holds
+/// only the atoms it adds or rewrites. A clean solve leaves no pending
+/// equality (they are drained into the union-find) and no disjunction.
+#[derive(Clone, Debug)]
+pub(crate) struct Residual {
+    neqs: PVec<(Expr, Expr)>,
+    int_cmps: PVec<(Expr, Expr, bool)>,
+    num_cmps: PVec<NumCmp>,
+    /// Equalities merged into the union-find, as in [`Atoms`].
+    uf_eqs: PVec<(Expr, Expr)>,
+}
+
+impl Residual {
+    /// Freezes the atoms a clean solve ends with, one segment per kind.
+    fn freeze(atoms: Atoms) -> Residual {
+        debug_assert!(atoms.ors.is_empty(), "a clean solve split no disjunction");
+        // Pending equalities remain only when closure ran no round at all;
+        // `atoms_to_exprs` serializes them just before the merged ones.
+        let mut uf_eqs = atoms.eqs;
+        uf_eqs.extend(atoms.uf_eqs);
+        Residual {
+            neqs: atoms.neqs.into(),
+            int_cmps: atoms.int_cmps.into(),
+            num_cmps: atoms.num_cmps.into(),
+            uf_eqs: uf_eqs.into(),
+        }
+    }
+
+    /// Re-serialises the residual in the order [`atoms_to_exprs`] gives
+    /// the atoms it was frozen from.
+    fn to_exprs(&self) -> Vec<Expr> {
+        serialize(
+            self.uf_eqs.iter(),
+            self.neqs.iter(),
+            self.int_cmps.iter(),
+            self.num_cmps.iter(),
+            [].iter(),
+        )
+    }
+}
 
 /// Flattens and classifies one simplified conjunct. Returns `false` on an
 /// immediately false conjunct.
@@ -353,7 +394,7 @@ fn seeded_full(
     budget: SatBudget,
     capture: &mut Option<CapturedState>,
 ) -> SatResult {
-    let mut exprs = atoms_to_exprs(&seed.atoms, 0);
+    let mut exprs = seed.atoms.to_exprs();
     exprs.extend(simplified);
     let mut cases = budget.split_cases;
     check_rec(env, exprs, budget, &mut cases, 0, Some(capture))
@@ -476,20 +517,23 @@ fn extend_atoms<T>(
 }
 
 /// Carries a frozen residual's atoms of one kind into an equality
-/// extension: atoms that `touched` accepts are rewritten through `rule`
-/// and pushed onto both `out` and `rewritten`, the rest are copied.
+/// extension. When `touched` accepts none of them, the frozen segments are
+/// shared whole. Otherwise the atoms are copied in order, those `touched`
+/// accepts rewritten through `rule` and also pushed onto `rewritten`.
 /// `Err` as for [`extend_atoms`], except that a dropped atom also falls
-/// back. Returns whether any atom was rewritten.
+/// back. Returns the carried atoms and whether any was rewritten.
 fn carry_residual<T: Clone>(
-    items: &[T],
-    out: &mut Vec<T>,
+    items: &PVec<T>,
     rewritten: &mut Vec<T>,
     touched: impl Fn(&T) -> bool,
     rule: impl Fn(&T) -> Rewrite<T>,
-) -> Result<bool, Option<SatResult>> {
-    let mut any = false;
-    for item in items {
-        if !touched(item) {
+) -> Result<(PVec<T>, bool), Option<SatResult>> {
+    let Some(first) = items.iter().position(&touched) else {
+        return Ok((items.clone(), false));
+    };
+    let mut out: Vec<T> = Vec::with_capacity(items.len());
+    for (i, item) in items.iter().enumerate() {
+        if i < first || (i > first && !touched(item)) {
             out.push(item.clone());
             continue;
         }
@@ -497,23 +541,22 @@ fn carry_residual<T: Clone>(
             Rewrite::Kept(t) => {
                 rewritten.push(t.clone());
                 out.push(t);
-                any = true;
             }
             Rewrite::Refuted => return Err(Some(SatResult::Unsat)),
             Rewrite::Dropped | Rewrite::Requeue(_) => return Err(None),
         }
     }
-    Ok(any)
+    Ok((out.into(), true))
 }
 
 /// The incremental fast path: when the delta contains only ordering and
 /// disequality atoms (no equalities, disjunctions, or boolean atoms), the
 /// equality classes cannot change, so the delta atoms are rewritten once
 /// through the frozen union-find and asserted into clones of the interval
-/// domains. Returns `None` whenever anything would require re-running
-/// closure — a structural escape under rewriting, a newly pinned
-/// singleton interval, a newly enabled mask identity — so the verdict
-/// stays identical to a monolithic solve.
+/// domains (which share the frozen ones). Returns `None` whenever anything
+/// would require re-running closure — a structural escape under
+/// rewriting, a newly pinned singleton interval, a newly enabled mask
+/// identity — so the verdict stays identical to a monolithic solve.
 fn fast_extend(
     seed: &CapturedState,
     env: &TypeEnv,
@@ -523,7 +566,7 @@ fn fast_extend(
     // One rewrite round is the fixpoint here: with no new equalities the
     // union-find is exactly the frozen one, so a second round would see
     // unchanged representatives.
-    let uf = &*seed.uf;
+    let uf = &seed.uf;
     let mut added = Atoms::default();
     let rewritten = extend_atoms(&fresh.neqs, &mut added.neqs, |p| rewrite_neq(env, uf, p))
         .and_then(|()| {
@@ -540,8 +583,8 @@ fn fast_extend(
         return answer;
     }
 
-    let mut ints = (*seed.ints).clone();
-    let mut nums = (*seed.nums).clone();
+    let mut ints = seed.ints.clone();
+    let mut nums = seed.nums.clone();
     for (a, b, strict) in &added.int_cmps {
         if !ints.assert_cmp(a, b, *strict) {
             return Some(SatResult::Unsat);
@@ -564,29 +607,29 @@ fn fast_extend(
         return Some(SatResult::Unsat);
     }
 
-    let mut sites: Vec<(Expr, Expr, i64)> = seed.mask_sites.to_vec();
+    let mut sites = seed.mask_sites.clone();
     collect_mask_sites(&atoms_to_exprs(&added, 0), &mut sites);
     if would_learn(&ints, uf, &sites) {
         return None;
     }
 
-    let mut atoms = (*seed.atoms).clone();
+    let mut atoms = seed.atoms.clone();
     atoms.neqs.extend(added.neqs);
     atoms.int_cmps.extend(added.int_cmps);
     atoms.num_cmps.extend(added.num_cmps);
     *capture = Some(CapturedState {
         env: seed.env.clone(),
         uf: seed.uf.clone(),
-        atoms: Arc::new(atoms),
-        ints: Arc::new(ints),
-        nums: Arc::new(nums),
-        mask_sites: sites.into(),
+        atoms,
+        ints,
+        nums,
+        mask_sites: sites,
     });
     Some(SatResult::Sat)
 }
 
 /// The equality extension: a delta with equalities (and no disjunctions
-/// or `Num` comparisons) is merged into a copy of the frozen union-find,
+/// or `Num` comparisons) is merged into a clone of the frozen union-find,
 /// and only the residual atoms that mention a *moved* representative — a
 /// class root that the merge put under another root or a literal — are
 /// rewritten, by the closure loop's own rule. This is the first closure
@@ -610,7 +653,7 @@ fn extend_by_equalities(
     if !fresh.num_cmps.is_empty() {
         return None;
     }
-    let frozen = &*seed.uf;
+    let frozen = &seed.uf;
     let mut uf = frozen.clone();
     for (a, b) in &fresh.eqs {
         if !uf.union(a, b) {
@@ -665,32 +708,32 @@ fn extend_by_equalities(
         return None;
     }
 
-    let mut atoms = Atoms {
-        num_cmps: seed.atoms.num_cmps.clone(),
-        uf_eqs: seed.atoms.uf_eqs.clone(),
-        ..Atoms::default()
-    };
     // Everything the extended residual gains, for the mask-site scan.
     let mut added = Atoms::default();
     let carried = carry_residual(
         &seed.atoms.neqs,
-        &mut atoms.neqs,
         &mut added.neqs,
         |(a, b)| touches(a, b),
         |p| rewrite_neq(env, &uf, p),
     )
-    .and_then(|_| {
-        carry_residual(
+    .and_then(|(neqs, _)| {
+        let (int_cmps, rewrote_cmps) = carry_residual(
             &seed.atoms.int_cmps,
-            &mut atoms.int_cmps,
             &mut added.int_cmps,
             |(a, b, _)| touches(a, b),
             |c| rewrite_int_cmp(env, &uf, c),
-        )
+        )?;
+        Ok((neqs, int_cmps, rewrote_cmps))
     });
-    let rewrote_cmps = match carried {
-        Ok(rewrote_cmps) => rewrote_cmps,
+    let (neqs, int_cmps, rewrote_cmps) = match carried {
+        Ok(carried) => carried,
         Err(answer) => return answer,
+    };
+    let mut atoms = Residual {
+        neqs,
+        int_cmps,
+        num_cmps: seed.atoms.num_cmps.clone(),
+        uf_eqs: seed.atoms.uf_eqs.clone(),
     };
     let mut delta = Atoms::default();
     let rewritten = extend_atoms(&fresh.neqs, &mut delta.neqs, |p| rewrite_neq(env, &uf, p))
@@ -712,12 +755,12 @@ fn extend_by_equalities(
         .iter()
         .any(|r| matches!(uf.value_of(r), Some(Value::Int(_))));
     let (ints, nums) = if rewrote_cmps || pinned {
-        match propagate_intervals(&atoms, &uf) {
-            Some((ints, nums)) => (ints, Arc::new(nums)),
+        match propagate_intervals(&atoms.int_cmps, &atoms.neqs, &atoms.num_cmps, &uf) {
+            Some(domains) => domains,
             None => return Some(SatResult::Unsat),
         }
     } else {
-        let mut ints = (*seed.ints).clone();
+        let mut ints = seed.ints.clone();
         for (a, b, strict) in &delta.int_cmps {
             if !ints.assert_cmp(a, b, *strict) {
                 return Some(SatResult::Unsat);
@@ -733,18 +776,18 @@ fn extend_by_equalities(
     added.neqs.extend(delta.neqs);
     added.int_cmps.extend(delta.int_cmps);
     added.uf_eqs = fresh.eqs;
-    let mut sites: Vec<(Expr, Expr, i64)> = seed.mask_sites.to_vec();
+    let mut sites = seed.mask_sites.clone();
     collect_mask_sites(&atoms_to_exprs(&added, 0), &mut sites);
     if would_learn(&ints, &uf, &sites) {
         return None;
     }
     *capture = Some(CapturedState {
         env: seed.env.clone(),
-        uf: Arc::new(uf),
-        atoms: Arc::new(atoms),
-        ints: Arc::new(ints),
+        uf,
+        atoms,
+        ints,
         nums,
-        mask_sites: sites.into(),
+        mask_sites: sites,
     });
     Some(SatResult::Sat)
 }
@@ -768,7 +811,7 @@ fn refutes_residual_neq(seed: &CapturedState, env: &TypeEnv, eqs: &[(Expr, Expr)
 /// ended with nothing left to learn, so only what an extension narrowed
 /// or merged can newly trigger the singleton or mask-identity rule — and
 /// either trigger needs a full closure re-run.
-fn would_learn(ints: &IntDomain, uf: &UnionFind, sites: &[(Expr, Expr, i64)]) -> bool {
+fn would_learn(ints: &IntDomain, uf: &UnionFind, sites: &PVec<MaskSite>) -> bool {
     ints.narrowed_terms()
         .any(|(t, itv)| itv.lo == itv.hi && uf.value_of(t) != Some(Value::Int(itv.lo)))
         || sites.iter().any(|(sub, x, mask)| {
@@ -782,9 +825,14 @@ fn would_learn(ints: &IntDomain, uf: &UnionFind, sites: &[(Expr, Expr, i64)]) ->
 /// literal side, `Num` bounds — then revalidates stored intervals against
 /// structural bounds that tightened after they were asserted. `None` on a
 /// contradiction.
-fn propagate_intervals(atoms: &Atoms, uf: &UnionFind) -> Option<(IntDomain, NumDomain)> {
+fn propagate_intervals<'a>(
+    int_cmps: impl IntoIterator<Item = &'a (Expr, Expr, bool)>,
+    neqs: impl IntoIterator<Item = &'a (Expr, Expr)>,
+    num_cmps: impl IntoIterator<Item = &'a NumCmp>,
+    uf: &UnionFind,
+) -> Option<(IntDomain, NumDomain)> {
     let mut ints = IntDomain::new();
-    for (a, b, strict) in &atoms.int_cmps {
+    for (a, b, strict) in int_cmps {
         if !ints.assert_cmp(a, b, *strict) {
             return None;
         }
@@ -796,11 +844,11 @@ fn propagate_intervals(atoms: &Atoms, uf: &UnionFind) -> Option<(IntDomain, NumD
             }
         }
     }
-    if !assert_int_neqs(&mut ints, &atoms.neqs) {
+    if !assert_int_neqs(&mut ints, neqs) {
         return None;
     }
     let mut nums = NumDomain::new();
-    for (t, x, left, strict) in &atoms.num_cmps {
+    for (t, x, left, strict) in num_cmps {
         if !nums.assert_cmp_const(t, *x, *left, *strict) {
             return None;
         }
@@ -907,7 +955,9 @@ fn check_rec(
     }
 
     // Interval reasoning.
-    let Some((ints, nums)) = propagate_intervals(&atoms, &uf) else {
+    let Some((ints, nums)) =
+        propagate_intervals(&atoms.int_cmps, &atoms.neqs, &atoms.num_cmps, &uf)
+    else {
         return SatResult::Unsat;
     };
 
@@ -990,16 +1040,15 @@ fn check_rec(
     // freeze for incremental extension.
     if depth < 8 {
         if let Some(slot) = capture {
-            let residual = atoms_to_exprs(&atoms, 0);
-            let mut mask_sites = Vec::new();
-            collect_mask_sites(&residual, &mut mask_sites);
+            let mut mask_sites = PVec::new();
+            collect_mask_sites(&atoms_to_exprs(&atoms, 0), &mut mask_sites);
             *slot = Some(CapturedState {
                 env: Arc::new(env.clone()),
-                uf: Arc::new(uf),
-                atoms: Arc::new(atoms),
-                ints: Arc::new(ints),
-                nums: Arc::new(nums),
-                mask_sites: mask_sites.into(),
+                uf,
+                atoms: Residual::freeze(atoms),
+                ints,
+                nums,
+                mask_sites,
             });
         }
     }
@@ -1009,20 +1058,38 @@ fn check_rec(
 /// Re-serialises atoms into expressions (skipping the first `skip_ors`
 /// disjunctions, which the caller is splitting on).
 fn atoms_to_exprs(atoms: &Atoms, skip_ors: usize) -> Vec<Expr> {
+    serialize(
+        atoms.eqs.iter().chain(&atoms.uf_eqs),
+        &atoms.neqs,
+        &atoms.int_cmps,
+        &atoms.num_cmps,
+        atoms.ors.iter().skip(skip_ors),
+    )
+}
+
+/// Serialises atoms kind by kind: equalities, disequalities, `Int` and
+/// `Num` comparisons, disjunctions.
+fn serialize<'a>(
+    eqs: impl IntoIterator<Item = &'a (Expr, Expr)>,
+    neqs: impl IntoIterator<Item = &'a (Expr, Expr)>,
+    int_cmps: impl IntoIterator<Item = &'a (Expr, Expr, bool)>,
+    num_cmps: impl IntoIterator<Item = &'a NumCmp>,
+    ors: impl IntoIterator<Item = &'a (Expr, Expr)>,
+) -> Vec<Expr> {
     let mut out = Vec::new();
-    for (a, b) in atoms.eqs.iter().chain(&atoms.uf_eqs) {
+    for (a, b) in eqs {
         out.push(a.clone().eq(b.clone()));
     }
-    for (a, b) in &atoms.neqs {
+    for (a, b) in neqs {
         out.push(a.clone().ne(b.clone()));
     }
-    for (a, b, strict) in &atoms.int_cmps {
+    for (a, b, strict) in int_cmps {
         out.push(cmp_expr(a, b, *strict));
     }
-    for cmp in &atoms.num_cmps {
+    for cmp in num_cmps {
         out.push(num_cmp_expr(cmp));
     }
-    for (a, b) in atoms.ors.iter().skip(skip_ors) {
+    for (a, b) in ors {
         out.push(a.clone().or(b.clone()));
     }
     out
@@ -1283,7 +1350,7 @@ mod residual_neq_tests {
             };
             let env = &*seed.env;
             let simplified: Vec<Expr> = delta.iter().map(|c| simplify(env, c)).collect();
-            let mut exprs = atoms_to_exprs(&seed.atoms, 0);
+            let mut exprs = seed.atoms.to_exprs();
             exprs.extend(simplified.iter().cloned());
             let mut cases = budget.split_cases;
             let general = check_rec(env, exprs, budget, &mut cases, 0, None);
@@ -1482,5 +1549,163 @@ mod equality_extension_tests {
                 "on {:?} extended by {} then {}", conjuncts, delta, more[0]
             );
         }
+    }
+}
+
+#[cfg(test)]
+mod shared_state_tests {
+    use super::*;
+    use gillian_gil::LVar;
+    use proptest::prelude::*;
+
+    /// Variables per condition: enough that a chain narrows and merges
+    /// more terms than an overlay holds.
+    const VARS: u64 = 12;
+
+    fn v(i: u8) -> Expr {
+        Expr::lvar(LVar(u64::from(i) % VARS))
+    }
+
+    /// `x_i + c`, or `x_i` when `c` is 0.
+    fn off(i: u8, c: i64) -> Expr {
+        if c == 0 {
+            v(i)
+        } else {
+            v(i).add(Expr::int(c))
+        }
+    }
+
+    /// `(kind, i, c, j, d)`: one delta conjunct over `x0..x11`.
+    type Step = (u8, u8, i64, u8, i64);
+
+    fn step() -> impl Strategy<Value = Step> {
+        (0u8..12, 0u8..12, -3i64..4, 0u8..12, -3i64..4)
+    }
+
+    /// Kinds 0–8 take the fast path (orderings, bounds, disequalities),
+    /// 9–11 the equality extension (offset equalities, pins, variable
+    /// equalities).
+    fn conjunct((kind, i, c, j, d): Step) -> Expr {
+        match kind {
+            0 | 1 => off(i, c).lt(off(j, d)),
+            2 | 3 => v(i).le(Expr::int(40 + c)),
+            4 | 5 => Expr::int(-40 + d).le(v(i)),
+            6 | 7 => off(i, c).ne(off(j, d)),
+            8 => v(i).ne(Expr::int(c)),
+            9 => off(i, c).eq(off(j, d)),
+            10 => v(i).eq(Expr::int(c * 5)),
+            _ => v(i).eq(v(j)),
+        }
+    }
+
+    /// A copy of `state` that shares nothing: the copying representation
+    /// that frozen states had before they were persistent.
+    fn unshared(state: &CapturedState) -> CapturedState {
+        let atoms = &state.atoms;
+        CapturedState {
+            env: Arc::new((*state.env).clone()),
+            uf: state.uf.unshared(),
+            atoms: Residual {
+                neqs: atoms.neqs.unshared(),
+                int_cmps: atoms.int_cmps.unshared(),
+                num_cmps: atoms.num_cmps.unshared(),
+                uf_eqs: atoms.uf_eqs.unshared(),
+            },
+            ints: state.ints.unshared(),
+            nums: state.nums.unshared(),
+            mask_sites: state.mask_sites.unshared(),
+        }
+    }
+
+    /// The residual's serialization, the narrowed intervals and the
+    /// literal classes of a frozen state.
+    type Observed = (Vec<Expr>, Vec<(Expr, i64, i64)>, Vec<(Expr, Value)>);
+
+    /// Everything an extension's answer can depend on, in iteration order.
+    fn observe(state: &CapturedState) -> Observed {
+        (
+            state.atoms.to_exprs(),
+            state
+                .ints
+                .narrowed_terms()
+                .map(|(e, i)| (e.clone(), i.lo, i.hi))
+                .collect(),
+            state.uf.literal_bindings(),
+        )
+    }
+
+    /// The deepest segment chain and fullest overlay a chain reached, and
+    /// the number of chains, over every case.
+    static DEEPEST: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    static FULLEST: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// One frozen state extended through a chain of mixed fast and
+        /// equality deltas, each step from the state the last `Sat` step
+        /// froze: at every step the extension answers as the same
+        /// extension of an unshared copy of the seed (the copying
+        /// representation), with the same layer, and freezes a state that
+        /// reads the same, down to the residual's serialization order, the
+        /// interval map's key order and the literal classes.
+        ///
+        /// The seeded full check from the same seed is not an oracle here:
+        /// on chains this long a frozen state need not be closed, so the
+        /// fast path and the equality extension answer `Sat` on some steps
+        /// where re-solving the residual refutes it (ROADMAP item 2).
+        #[test]
+        fn shared_state_chains_match_the_copying_representation(
+            prefix in proptest::collection::vec(step(), 0..4),
+            steps in proptest::collection::vec(proptest::collection::vec(step(), 1..3), 40..80),
+        ) {
+            let int = |i: u8| v(i).type_of().eq(Expr::type_tag(TypeTag::Int));
+            let mut conjuncts: Vec<Expr> = (0..VARS as u8).map(int).collect();
+            conjuncts.extend(prefix.into_iter().map(conjunct));
+            conjuncts.sort_unstable();
+            let budget = SatBudget::default();
+            let mut capture = None;
+            check_conjunction_capturing(&conjuncts, budget, &mut capture);
+            let Some(mut state) = capture else {
+                return Ok(());
+            };
+            for delta in steps {
+                let delta: Vec<Expr> = delta.into_iter().map(conjunct).collect();
+                let flat = unshared(&state);
+                let (mut next, mut flat_next) = (None, None);
+                let ours = check_extension(&state, &delta, budget, &mut next);
+                let copying = check_extension(&flat, &delta, budget, &mut flat_next);
+                prop_assert_eq!(ours, copying, "on {:?} then {:?}", state.atoms.to_exprs(), delta);
+                match (next, flat_next) {
+                    (Some(next), Some(flat_next)) => {
+                        prop_assert_eq!(observe(&next), observe(&flat_next));
+                        let (overlay, edges) = next.ints.sharing();
+                        let atoms = &next.atoms;
+                        let segments = [
+                            atoms.neqs.segments(),
+                            atoms.int_cmps.segments(),
+                            atoms.uf_eqs.segments(),
+                            edges,
+                        ]
+                        .into_iter()
+                        .max()
+                        .unwrap_or(0);
+                        DEEPEST.fetch_max(segments, std::sync::atomic::Ordering::Relaxed);
+                        FULLEST.fetch_max(overlay, std::sync::atomic::Ordering::Relaxed);
+                        state = next;
+                    }
+                    (next, flat_next) => prop_assert_eq!(next.is_some(), flat_next.is_some()),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn chains_cross_every_compaction_threshold() {
+        shared_state_chains_match_the_copying_representation();
+        let deepest = DEEPEST.load(std::sync::atomic::Ordering::Relaxed);
+        let fullest = FULLEST.load(std::sync::atomic::Ordering::Relaxed);
+        assert!(deepest >= 16, "segment chains reached only {deepest}");
+        assert!(fullest >= 8, "interval overlays reached only {fullest}");
     }
 }

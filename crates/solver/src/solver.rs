@@ -850,6 +850,7 @@ impl Solver {
             return None;
         }
         self.search_model(pc, &[self.config.model_budget])
+            .map(|(m, _)| m)
     }
 
     /// Deep-budget model search for replay: call after [`Solver::model`]
@@ -861,16 +862,41 @@ impl Solver {
         if pc.is_trivially_false() {
             return None;
         }
-        let base = self.config.model_budget;
-        let escalated = ModelBudget {
-            max_nodes: base.max_nodes.saturating_mul(8),
-            candidates_per_var: base.candidates_per_var.saturating_mul(4),
-        };
-        self.search_model(pc, &escalation_tiers(escalated))
+        self.search_model(pc, &self.replay_tiers()).map(|(m, _)| m)
     }
 
-    /// One counted model search over the budget `tiers`.
-    fn search_model(&self, pc: &PathCondition, tiers: &[ModelBudget]) -> Option<Model> {
+    /// A witness of the path condition for reporting or replay: the
+    /// configured budget, then [`Solver::model_for_replay`]'s escalated
+    /// tiers, in one search. The flag is `true` when an escalated tier
+    /// found the model.
+    ///
+    /// The answer is that of [`Solver::model`] falling back to
+    /// [`Solver::model_for_replay`], but the search is prepared once, and
+    /// when the configured budget covers the whole search space without a
+    /// model the escalated tiers, which would search the same tree, are
+    /// skipped.
+    pub fn witness(&self, pc: &PathCondition) -> Option<(Model, bool)> {
+        if pc.is_trivially_false() {
+            return None;
+        }
+        let [second, third, fourth] = self.replay_tiers();
+        self.search_model(pc, &[self.config.model_budget, second, third, fourth])
+            .map(|(m, tier)| (m, tier > 0))
+    }
+
+    /// The budget tiers of [`Solver::model_for_replay`]: 8× the configured
+    /// node budget and 4× its candidates, escalated twice more.
+    fn replay_tiers(&self) -> [ModelBudget; 3] {
+        let base = self.config.model_budget;
+        escalation_tiers(ModelBudget {
+            max_nodes: base.max_nodes.saturating_mul(8),
+            candidates_per_var: base.candidates_per_var.saturating_mul(4),
+        })
+    }
+
+    /// One counted model search over the budget `tiers`; the model comes
+    /// with the index of the tier that found it.
+    fn search_model(&self, pc: &PathCondition, tiers: &[ModelBudget]) -> Option<(Model, usize)> {
         let mut work = SearchWork::default();
         let model = find_model_tiers(&pc.conjuncts(), tiers, &mut work);
         self.model_searches.fetch_add(1, Ordering::Relaxed);

@@ -8,16 +8,17 @@
 //! precise enough for the equalities produced by symbolic execution (mostly
 //! `lvar = literal` and `lvar = lvar`).
 
+use crate::persistent::PMap;
 use gillian_gil::{Expr, Value};
-use std::collections::BTreeMap;
 
 /// A union-find over expressions, tracking a literal value per class when
-/// one is known.
+/// one is known. Its maps are persistent, so a clone that merges a few
+/// classes shares everything else with the original.
 #[derive(Clone, Debug, Default)]
 pub struct UnionFind {
-    parent: BTreeMap<Expr, Expr>,
+    parent: PMap<Expr, Expr>,
     /// Literal representative of each root's class, if any.
-    value: BTreeMap<Expr, Value>,
+    value: PMap<Expr, Value>,
 }
 
 impl UnionFind {
@@ -129,7 +130,7 @@ impl UnionFind {
             }
         }
         // Roots holding values but never appearing as children.
-        for (root, v) in &self.value {
+        for (root, v) in self.value.iter() {
             if !out.iter().any(|(e, _)| e == root) && !matches!(root, Expr::Val(_)) {
                 out.push((root.clone(), v.clone()));
             }
@@ -137,6 +138,15 @@ impl UnionFind {
         out.sort();
         out.dedup();
         out
+    }
+
+    /// A copy that shares nothing with `self`.
+    #[cfg(test)]
+    pub(crate) fn unshared(&self) -> UnionFind {
+        UnionFind {
+            parent: self.parent.unshared(),
+            value: self.value.unshared(),
+        }
     }
 
     /// Tests whether `a` and `b` are known equal.

@@ -95,8 +95,8 @@ pub mod names {
     /// Histogram of reused-prefix depth (conjuncts inherited from the
     /// deepest already-solved ancestor) on incremental answers.
     pub const SAT_PREFIX_DEPTH: &str = "solver.sat_reused_prefix_depth";
-    /// Counter-model searches (`Solver::model` and
-    /// `Solver::model_for_replay`).
+    /// Counter-model searches (`Solver::model`,
+    /// `Solver::model_for_replay` and `Solver::witness`).
     pub const MODEL_SEARCHES: &str = "solver.model_searches";
     /// Model searches that ended without a model.
     pub const MODEL_SEARCH_FAILURES: &str = "solver.model_search_failures";
@@ -113,8 +113,8 @@ pub mod names {
     /// Paths the differential oracle could not check (truncated, engine
     /// error, or no witness model even after budget escalation).
     pub const DIFFTEST_SKIPPED: &str = "difftest.skipped_paths";
-    /// Witness models the oracle obtained only through the escalated
-    /// fallback search (`Solver::model_for_replay`).
+    /// Witness models the oracle obtained only through an escalated
+    /// tier of `Solver::witness`.
     pub const DIFFTEST_FALLBACK_MODELS: &str = "difftest.fallback_models";
     /// Interner nodes minted (allocations performed).
     pub const INTERN_MINTS: &str = "intern.mints";

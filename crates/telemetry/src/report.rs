@@ -45,32 +45,45 @@ pub struct TreeStats {
 
 impl TreeStats {
     /// Computes tree stats from finished-path branch traces.
+    ///
+    /// The interior nodes are the distinct proper prefixes of the traces.
+    /// In sorted order, the proper prefixes a trace shares with any
+    /// earlier trace are exactly those it shares with its predecessor, so
+    /// one pass over the longest common prefixes of neighbours counts
+    /// them. The widest fork is one more than the largest successor index
+    /// on any trace.
     pub fn from_paths<'a>(paths: impl IntoIterator<Item = &'a [u32]>) -> TreeStats {
-        let mut leaves = 0u64;
-        let mut depth_sum = 0u64;
-        let mut max_depth = 0u32;
-        // Interior node → widest successor index seen beneath it.
-        let mut nodes: BTreeMap<&[u32], u32> = BTreeMap::new();
-        let mut stats = TreeStats::default();
-        for path in paths {
-            leaves += 1;
-            depth_sum += path.len() as u64;
-            max_depth = max_depth.max(path.len() as u32);
-            for cut in 0..path.len() {
-                let arms = nodes.entry(&path[..cut]).or_insert(0);
-                *arms = (*arms).max(path[cut] + 1);
-            }
+        let mut sorted: Vec<&[u32]> = paths.into_iter().collect();
+        sorted.sort_unstable();
+        let leaves = sorted.len() as u64;
+        let depth_sum: u64 = sorted.iter().map(|p| p.len() as u64).sum();
+        let mut interior = 0u64;
+        let mut prev: &[u32] = &[];
+        for (i, path) in sorted.iter().enumerate() {
+            let seen = if i == 0 {
+                0
+            } else {
+                let lcp = prev.iter().zip(*path).take_while(|(a, b)| a == b).count();
+                path.len().min(lcp + 1).min(prev.len())
+            };
+            interior += (path.len() - seen) as u64;
+            prev = path;
         }
-        stats.leaves = leaves;
-        stats.max_depth = max_depth;
-        stats.mean_depth = if leaves == 0 {
-            0.0
-        } else {
-            depth_sum as f64 / leaves as f64
-        };
-        stats.interior = nodes.len() as u64;
-        stats.max_arms = nodes.values().copied().max().unwrap_or(0);
-        stats
+        TreeStats {
+            leaves,
+            max_depth: sorted.iter().map(|p| p.len() as u32).max().unwrap_or(0),
+            mean_depth: if leaves == 0 {
+                0.0
+            } else {
+                depth_sum as f64 / leaves as f64
+            },
+            interior,
+            max_arms: sorted
+                .iter()
+                .flat_map(|p| p.iter())
+                .max()
+                .map_or(0, |&arm| arm + 1),
+        }
     }
 }
 
@@ -693,5 +706,52 @@ mod tests {
         assert!(text.contains("(root)"), "{text}");
         assert!(text.contains("main"), "{text}");
         assert!(!text.contains("WARNING"), "{text}");
+    }
+}
+
+#[cfg(test)]
+mod tree_stats_tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The definition: every proper prefix of every trace is an interior
+    /// node, whose widest fork is its largest successor index plus one.
+    fn by_prefix_map(paths: &[Vec<u32>]) -> (u64, u32) {
+        let mut nodes: BTreeMap<&[u32], u32> = BTreeMap::new();
+        for path in paths {
+            for cut in 0..path.len() {
+                let arms = nodes.entry(&path[..cut]).or_insert(0);
+                *arms = (*arms).max(path[cut] + 1);
+            }
+        }
+        (
+            nodes.len() as u64,
+            nodes.values().copied().max().unwrap_or(0),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The one-pass counts equal the prefix map's, on trace sets with
+        /// duplicates and traces that are prefixes of one another.
+        #[test]
+        fn one_pass_matches_the_prefix_map(
+            traces in proptest::collection::vec(
+                proptest::collection::vec(0u32..3, 0..7),
+                0..12,
+            ),
+            cuts in proptest::collection::vec((0usize..12, 0usize..7), 0..6),
+        ) {
+            let mut paths = traces.clone();
+            for (i, cut) in cuts {
+                if let Some(t) = traces.get(i) {
+                    paths.push(t[..cut.min(t.len())].to_vec());
+                }
+            }
+            let stats = TreeStats::from_paths(paths.iter().map(|p| p.as_slice()));
+            prop_assert_eq!((stats.interior, stats.max_arms), by_prefix_map(&paths));
+            prop_assert_eq!(stats.leaves, paths.len() as u64);
+        }
     }
 }

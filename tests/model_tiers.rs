@@ -6,7 +6,10 @@
 //! that on the final path conditions of fixed-seed generated programs over
 //! the While and MiniC memory models: the conditions the differential
 //! oracle really searches, including the wrapping-infeasible ones that no
-//! tier can crack.
+//! tier can crack. On the same conditions it checks that
+//! `Solver::witness`, one search over the configured budget and the replay
+//! tiers, answers as `Solver::model` falling back to
+//! `Solver::model_for_replay` does.
 
 use gillian::c::CInterpretation;
 use gillian::core::explore::{explore_with, ExploreConfig};
@@ -16,7 +19,7 @@ use gillian::core::soundness::MemoryInterpretation;
 use gillian::core::symbolic::SymbolicState;
 use gillian::gil::Expr;
 use gillian::solver::model::find_model;
-use gillian::solver::{find_model_escalating, ModelBudget, Solver};
+use gillian::solver::{find_model_escalating, ModelBudget, PathCondition, Solver, SolverConfig};
 use gillian::telemetry::Journal;
 use gillian::while_lang::WhileInterpretation;
 use std::sync::Arc;
@@ -106,14 +109,52 @@ fn assert_exact(conditions: &[Vec<Expr>], dialect: &str) {
     assert!(failures > 0, "{dialect}: every condition has a model");
 }
 
+/// Checks that `witness` gives the model and the fallback flag of the
+/// two-search sequence, in one search, and that the battery reaches the
+/// fallback.
+fn assert_witness_exact(conditions: &[Vec<Expr>], dialect: &str) {
+    let mut fallbacks = 0;
+    for base in BASES {
+        let solver = Solver::new(SolverConfig {
+            model_budget: base,
+            ..SolverConfig::optimized()
+        });
+        for cs in conditions {
+            let pc: PathCondition = cs.iter().cloned().collect();
+            let two_searches = solver
+                .model(&pc)
+                .map(|m| (m, false))
+                .or_else(|| solver.model_for_replay(&pc).map(|m| (m, true)));
+            let before = solver.stats().model_searches;
+            let witness = solver.witness(&pc);
+            assert_eq!(
+                solver.stats().model_searches - before,
+                u64::from(!pc.is_trivially_false()),
+                "{dialect}: a witness is one search"
+            );
+            assert_eq!(
+                witness, two_searches,
+                "{dialect}: witness at {base:?} diverged from model then model_for_replay on {cs:?}"
+            );
+            fallbacks += usize::from(matches!(witness, Some((_, true))));
+        }
+    }
+    assert!(
+        fallbacks > 0,
+        "{dialect}: no witness needs an escalated tier"
+    );
+}
+
 #[test]
 fn escalation_is_exact_on_while_path_conditions() {
     let conditions = final_path_conditions::<WhileInterpretation>(MemDialect::While, 0x77_0000);
     assert_exact(&conditions, "While");
+    assert_witness_exact(&conditions, "While");
 }
 
 #[test]
 fn escalation_is_exact_on_c_path_conditions() {
     let conditions = final_path_conditions::<CInterpretation>(MemDialect::C, 0xC_0000);
     assert_exact(&conditions, "C");
+    assert_witness_exact(&conditions, "C");
 }
