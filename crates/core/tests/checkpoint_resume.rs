@@ -401,6 +401,72 @@ fn canned_v1_checkpoint_reports_bad_version() {
     }
 }
 
+/// The value a checkpoint's diagnostics record under `name`, read from the
+/// raw bytes (each diagnostic is its name string followed by a `u64`), so
+/// a name this build's decoder skips can still be checked.
+fn raw_diagnostic(bytes: &[u8], name: &str) -> Option<u64> {
+    let at = bytes
+        .windows(name.len())
+        .position(|w| w == name.as_bytes())?;
+    let value = bytes.get(at + name.len()..at + name.len() + 8)?;
+    Some(u64::from_le_bytes(value.try_into().ok()?))
+}
+
+/// A version-2 checkpoint written by a build that still had procedure
+/// summaries, from a run with them armed and killed mid-run (generated
+/// program seed 928, fault plan `kill_at(17)`). Its diagnostics carry
+/// `summaries_recorded` and `summaries_applied` entries, which this build
+/// no longer knows: the decoder skips them, and resuming must reach
+/// exactly the `(trace, outcome)` set of a fresh run. Command counts are
+/// not compared, since a spliced call retired its callee as one command.
+#[test]
+fn checkpoint_written_with_summaries_armed_resumes() {
+    let bytes: &[u8] = include_bytes!("fixtures/checkpoint_v2_summaries.bin");
+    assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 2);
+    for name in ["summaries_recorded", "summaries_applied"] {
+        assert!(
+            raw_diagnostic(bytes, name).is_some_and(|v| v > 0),
+            "fixture lost its nonzero {name}"
+        );
+    }
+    let (_, prog) = gen_case(928);
+    let fresh = explore_with(
+        &prog,
+        "main",
+        St::new(Arc::new(Solver::optimized())),
+        config(SearchStrategy::Dfs, 1),
+    );
+    let outcomes = |set: BTreeSet<(Vec<u32>, String, u64)>| -> BTreeSet<(Vec<u32>, String)> {
+        set.into_iter().map(|(t, o, _)| (t, o)).collect()
+    };
+    let want = outcomes(path_set(&fresh));
+
+    let path = ckpt_path("v2-summaries");
+    std::fs::write(&path, bytes).expect("write fixture copy");
+    let solver = Arc::new(Solver::optimized());
+    let ctx = StateCtx::new(solver.clone());
+    let resumed = explore_resume(
+        &prog,
+        &path,
+        &ctx,
+        St::new(solver),
+        config(SearchStrategy::Dfs, 1),
+    );
+    let _ = std::fs::remove_file(&path);
+    let resumed = resumed.expect("fixture resumes");
+    assert!(
+        !resumed.prior.is_empty() && !resumed.result.paths.is_empty(),
+        "fixture should hold both completed and pending paths"
+    );
+    let mut got: BTreeSet<(Vec<u32>, String)> = resumed
+        .prior
+        .iter()
+        .map(|p| (p.trace.clone(), p.outcome.clone()))
+        .collect();
+    got.extend(outcomes(path_set(&resumed.result)));
+    assert_eq!(got, want, "resumed path set differs from a fresh run");
+}
+
 /// Resuming from a file that never existed is a clean I/O error.
 #[test]
 fn resume_from_missing_file_is_clean() {
