@@ -498,167 +498,6 @@ fn run_profiler_overhead() -> (Workload, ProfilerOverhead) {
     )
 }
 
-/// The cold-vs-warm legs of the summary-reuse measurement.
-struct SummaryWarm {
-    cold_secs: f64,
-    warm_secs: f64,
-    /// Summary entries the warm legs preload from disk.
-    entries: usize,
-    /// Call sites answered by splicing across the warm legs.
-    applied: u64,
-}
-
-impl SummaryWarm {
-    fn speedup(&self) -> f64 {
-        self.cold_secs / self.warm_secs.max(1e-9)
-    }
-}
-
-/// The `summary_warm` battery program: 64 calls to straight-line leaf
-/// procedures (15 dependent arithmetic commands each) on a symbolic
-/// argument, followed by three nested one-or-two-sided guards (4 paths).
-/// Every call window is summarizable — no fork, no memory, no fresh
-/// symbol inside a leaf — so a warm run splices all 64 sites per path
-/// where a cold run re-executes ~16 commands per call.
-fn summary_prog() -> gillian_gil::Prog {
-    use gillian_gil::{Cmd, Expr, Proc, Prog};
-    let mut procs = Vec::new();
-    for j in 0..8i64 {
-        let mut body = vec![Cmd::assign("t", Expr::pvar("a").add(Expr::pvar("b")))];
-        for k in 0..14 {
-            body.push(Cmd::assign(
-                "t",
-                Expr::pvar("t").mul(Expr::int(3)).add(Expr::int(k + j)),
-            ));
-        }
-        body.push(Cmd::Return(Expr::pvar("t")));
-        procs.push(Proc::new(format!("leaf{j}"), ["a", "b"], body));
-    }
-    let mut body = vec![Cmd::isym("x", 0), Cmd::assign("acc", Expr::int(0))];
-    for c in 0..64i64 {
-        body.push(Cmd::call_static(
-            "r",
-            format!("leaf{}", c % 8),
-            vec![Expr::pvar("x").add(Expr::int(c)), Expr::int(c)],
-        ));
-    }
-    body.push(Cmd::assign("acc", Expr::pvar("r")));
-    for k in [5i64, 9, 13] {
-        let skip = body.len() + 2;
-        body.push(Cmd::IfGoto(Expr::pvar("x").lt(Expr::int(k)), skip));
-        body.push(Cmd::assign("acc", Expr::pvar("acc").add(Expr::int(1))));
-    }
-    body.push(Cmd::Return(Expr::pvar("acc")));
-    procs.push(Proc::new("main", [], body));
-    Prog::from_procs(procs)
-}
-
-/// The `summary_warm` workload: repeated verification of the call-heavy
-/// straight-line program above, cold and warm in one process. A harvest
-/// pass records the program's summaries and persists them with
-/// `SummaryStore::save_file`; the warm legs then model a fresh process:
-/// a brand-new solver, the store preloaded from that file, summaries
-/// armed — so each warm leg prices the load too. The cold legs run
-/// summaries-off on an equally fresh solver. Interleaved best-of-3
-/// (noise only adds time), path and command counts cross-checked —
-/// summaries must never change what is explored, only skip re-executing
-/// summarized callees — and the warm legs must actually splice
-/// (`applied > 0`). The reported workload row is the warm leg; the
-/// `summary_warm` JSON section carries the A/B.
-fn run_summary_warm() -> (Workload, SummaryWarm) {
-    use gillian_core::symbolic::SymbolicState;
-    use gillian_while::WhileSymMemory;
-
-    const ITERS: usize = 40;
-    let prog = summary_prog();
-    let path =
-        std::env::temp_dir().join(format!("gillian-bench-summ-{}.gilsum", std::process::id()));
-    let battery = |solver: &std::sync::Arc<gillian_solver::Solver>,
-                   summaries: bool|
-     -> (usize, u64, u64, f64) {
-        let started = std::time::Instant::now();
-        let (mut paths, mut cmds, mut applied) = (0usize, 0u64, 0u64);
-        for _ in 0..ITERS {
-            let cfg = gillian_core::ExploreConfig {
-                workers: gillian_bench::workers_from_env(),
-                journal: gillian_telemetry::Journal::disabled(),
-                checkpoint: gillian_bench::checkpoint_from_env(),
-                summaries: Some(summaries),
-                ..gillian_bench::explore_config_from_env(Default::default())
-            };
-            let result = gillian_core::explore_with(
-                &prog,
-                "main",
-                SymbolicState::<WhileSymMemory>::new(solver.clone()),
-                cfg,
-            );
-            assert!(!result.bounded(), "summary workload must be exhaustive");
-            paths += result.paths.len();
-            cmds += result.total_cmds;
-            applied += result.diagnostics.summaries_applied;
-        }
-        (paths, cmds, applied, started.elapsed().as_secs_f64())
-    };
-    // Harvest pass (untimed): record the battery's summaries and persist
-    // them; doubles as the interner/allocator warm-up the other overhead
-    // workloads do.
-    let harvest_solver = std::sync::Arc::new(gillian_bench::solver_from_env());
-    battery(&harvest_solver, true);
-    let entries = harvest_solver.summaries().len();
-    harvest_solver
-        .summaries()
-        .save_file(&path)
-        .expect("persist harvested summaries");
-    // Interleaved best-of-3, each leg on a brand-new solver so the warm
-    // side's only advantage is the store it loads from disk.
-    let (mut cold_secs, mut warm_secs) = (f64::INFINITY, f64::INFINITY);
-    let (mut paths_cold, mut cmds_cold) = (0, 0);
-    let (mut paths_warm, mut cmds_warm, mut applied) = (0, 0, 0);
-    for _ in 0..3 {
-        let cold = std::sync::Arc::new(gillian_bench::solver_from_env());
-        let (p, c, _, secs) = battery(&cold, false);
-        (paths_cold, cmds_cold) = (p, c);
-        cold_secs = cold_secs.min(secs);
-        // The warm leg's clock covers the preload too: a real warm
-        // process pays the deserialization before it saves anything.
-        let warm = std::sync::Arc::new(gillian_bench::solver_from_env());
-        let started = std::time::Instant::now();
-        warm.summaries()
-            .load_file(&path)
-            .expect("reload harvested summaries");
-        let (p, c, a, _) = battery(&warm, true);
-        (paths_warm, cmds_warm, applied) = (p, c, a);
-        warm_secs = warm_secs.min(started.elapsed().as_secs_f64());
-    }
-    let _ = std::fs::remove_file(&path);
-    assert_eq!(
-        paths_cold, paths_warm,
-        "summary reuse perturbed the explored path set"
-    );
-    assert!(applied > 0, "warm legs never applied a summary");
-    assert!(
-        cmds_warm <= cmds_cold,
-        "summary reuse grew total commands ({cmds_warm} > {cmds_cold})"
-    );
-    let w = Workload {
-        name: "summary_warm",
-        tests: ITERS,
-        gil_cmds: cmds_warm,
-        paths: paths_warm,
-        secs: warm_secs,
-        baseline_secs: None,
-    };
-    (
-        w,
-        SummaryWarm {
-            cold_secs,
-            warm_secs,
-            entries,
-            applied,
-        },
-    )
-}
-
 /// Peak resident set size in bytes, from `/proc/self/status` (`VmHWM`).
 /// Returns 0 where procfs is unavailable.
 fn peak_rss_bytes() -> u64 {
@@ -707,7 +546,6 @@ fn render_json(
     ab: &[BytecodeAb],
     ckpt: &CheckpointOverhead,
     prof: &ProfilerOverhead,
-    summ: &SummaryWarm,
     interner: &InternStats,
     rss: u64,
 ) -> String {
@@ -803,27 +641,6 @@ fn render_json(
     writeln!(
         out,
         concat!(
-            "  \"summary_warm\": {{\"cold_secs\": {:.4}, ",
-            "\"warm_secs\": {:.4}, \"entries\": {}, \"applied\": {}, ",
-            "\"speedup\": {:.2}, \"methodology\": ",
-            "\"best-of-3 interleaved legs repeatedly verifying the same ",
-            "call-heavy straight-line-callee program after an untimed ",
-            "harvest pass that persists the summary store; every leg ",
-            "runs on a brand-new solver, the warm legs reload the store ",
-            "from disk inside their timed window (modelling a fresh warm ",
-            "process), and path counts are cross-checked — speedup is ",
-            "indicative, not a gate\"}},"
-        ),
-        summ.cold_secs,
-        summ.warm_secs,
-        summ.entries,
-        summ.applied,
-        summ.speedup()
-    )
-    .unwrap();
-    writeln!(
-        out,
-        concat!(
             "  \"interner\": {{\"mints\": {}, \"hits\": {}, ",
             "\"hit_rate\": {:.4}, \"live\": {}}},"
         ),
@@ -914,14 +731,12 @@ fn main() {
     let run_started = std::time::Instant::now();
     let (ckpt_workload, ckpt) = run_checkpoint_overhead();
     let (prof_workload, prof) = run_profiler_overhead();
-    let (summ_workload, summ) = run_summary_warm();
     let workloads = [
         run_table1(),
         run_table2(),
         run_difftest(),
         ckpt_workload,
         prof_workload,
-        summ_workload,
         run_compile_cost(),
     ];
     let ab = run_bytecode_ab();
@@ -934,7 +749,7 @@ fn main() {
     let interner = InternStats::snapshot().since(&before);
     let rss = peak_rss_bytes();
 
-    let json = render_json(&workloads, &ab, &ckpt, &prof, &summ, &interner, rss);
+    let json = render_json(&workloads, &ab, &ckpt, &prof, &interner, rss);
     let out_path =
         std::env::var("BENCH_REPR_OUT").unwrap_or_else(|_| "BENCH_repr.json".to_string());
     std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("write {out_path}: {e}"));
@@ -983,14 +798,6 @@ fn main() {
         prof.on_secs,
         prof.overhead_pct(),
         prof.events
-    );
-    println!(
-        "summary warm: cold {:.3}s vs warm-from-disk {:.3}s ({:.2}x, {} entries, {} applied)",
-        summ.cold_secs,
-        summ.warm_secs,
-        summ.speedup(),
-        summ.entries,
-        summ.applied
     );
     println!("wrote {out_path}");
     println!("\n{}", report.render());

@@ -23,7 +23,6 @@ use gillian_core::ExploreConfig;
 use gillian_solver::{Solver, SolverConfig};
 use gillian_telemetry::{journal, live, Journal};
 use std::fmt::Write as _;
-use std::path::PathBuf;
 use std::time::Duration;
 
 /// One rendered row of a table.
@@ -91,14 +90,12 @@ pub fn checkpoint_from_env() -> Option<gillian_core::CheckpointConfig> {
 ///   [`ExploreConfig::journal`], with `GILLIAN_TRACE_CAP` events per
 ///   worker (default [`journal::DEFAULT_CAPACITY`]). With none of the
 ///   three set the journal is disabled.
-/// - `GILLIAN_SUMMARIES` set to anything but `0` arms
-///   [`ExploreConfig::summaries`], and `GILLIAN_SUMMARY_FILE` sets
-///   [`ExploreConfig::summary_file`].
 /// - `GILLIAN_LIVE` sets the [`ExploreConfig::live`] path, with frames
 ///   every `GILLIAN_LIVE_EVERY_MS` milliseconds (default
 ///   [`live::DEFAULT_EVERY_MS`]).
 ///
-/// These four fields are replaced whatever `base` held. Each call builds
+/// These six variables are the whole list; the two fields are replaced
+/// whatever `base` held. Each call builds
 /// a fresh journal; clones of the result share it.
 pub fn explore_config_from_env(base: ExploreConfig) -> ExploreConfig {
     let var = |name: &str| std::env::var(name).ok().filter(|v| !v.is_empty());
@@ -122,10 +119,6 @@ pub fn explore_config_from_env(base: ExploreConfig) -> ExploreConfig {
     let every_ms = num("GILLIAN_LIVE_EVERY_MS").filter(|&ms| ms > 0);
     ExploreConfig {
         journal,
-        summaries: Some(std::env::var("GILLIAN_SUMMARIES").is_ok_and(|v| v != "0")),
-        summary_file: std::env::var_os("GILLIAN_SUMMARY_FILE")
-            .filter(|v| !v.is_empty())
-            .map(PathBuf::from),
         live: var("GILLIAN_LIVE").map(|path| (path, every_ms.unwrap_or(live::DEFAULT_EVERY_MS))),
         ..base
     }

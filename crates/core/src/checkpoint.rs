@@ -336,15 +336,13 @@ fn read_trace(r: &mut ByteReader) -> Result<Vec<u32>, WireError> {
     Ok(trace)
 }
 
-fn diag_pairs(d: &ExploreDiagnostics) -> [(&'static str, u64); 7] {
+fn diag_pairs(d: &ExploreDiagnostics) -> [(&'static str, u64); 5] {
     [
         ("deadline_hits", d.deadline_hits as u64),
         ("cancellations", d.cancellations as u64),
         ("engine_errors", d.engine_errors as u64),
         ("unknown_verdicts", d.unknown_verdicts),
         ("incremental_hits", d.incremental_hits),
-        ("summaries_recorded", d.summaries_recorded),
-        ("summaries_applied", d.summaries_applied),
     ]
 }
 
@@ -482,16 +480,14 @@ pub fn decode_checkpoint<S: GilState>(
     for _ in 0..n {
         let name = r.str()?;
         let v = r.u64()?;
-        // Unknown names are skipped: a same-version file never has any,
-        // but tolerating them keeps minor additions non-breaking.
+        // Unknown names are skipped, so a counter the engine has since
+        // dropped (or will add) leaves same-version files readable.
         match name {
             "deadline_hits" => diagnostics.deadline_hits = v as usize,
             "cancellations" => diagnostics.cancellations = v as usize,
             "engine_errors" => diagnostics.engine_errors = v as usize,
             "unknown_verdicts" => diagnostics.unknown_verdicts = v,
             "incremental_hits" => diagnostics.incremental_hits = v,
-            "summaries_recorded" => diagnostics.summaries_recorded = v,
-            "summaries_applied" => diagnostics.summaries_applied = v,
             _ => {}
         }
     }

@@ -433,43 +433,30 @@ fn block_compiled<S: GilState>(
                     let v = state.error_value(&format!("unknown procedure {callee}"));
                     return vec![err_done(state, v)];
                 };
-                // Summary fast path, mirroring the tree walk exactly: an
-                // applicable summary splices the callee's post-state and
-                // the call retires as this one charged instruction.
-                if let Some(v) = state.summary_apply(&callee, &arg_vs) {
-                    state.set_var(lhs, v);
-                    idx += 1;
-                } else {
-                    state.summary_call(&callee, &arg_vs, stack.len() + 1);
-                    let new_store = state.make_store(&compiled.by_pid(np).params, arg_vs);
-                    let caller_store = state.store().clone();
-                    shadow.push(pid);
-                    stack.push(Frame {
-                        caller: std::mem::replace(&mut proc, callee),
-                        ret_var: lhs.clone(),
-                        store: caller_store,
-                        ret_idx: idx + 1,
-                    });
-                    state.set_store(new_store);
-                    cur = Some(np);
-                    idx = 0;
-                }
+                let new_store = state.make_store(&compiled.by_pid(np).params, arg_vs);
+                let caller_store = state.store().clone();
+                shadow.push(pid);
+                stack.push(Frame {
+                    caller: std::mem::replace(&mut proc, callee),
+                    ret_var: lhs.clone(),
+                    store: caller_store,
+                    ret_idx: idx + 1,
+                });
+                state.set_store(new_store);
+                cur = Some(np);
+                idx = 0;
             }
             Instr::Return { code } => match state.eval_code(code, scratch) {
-                Ok(v) => {
-                    // Harvest hook (same site as the tree walk's).
-                    state.summary_return(&v, stack.len());
-                    match stack.pop() {
-                        Some(frame) => {
-                            state.set_store(frame.store);
-                            state.set_var(&frame.ret_var, v);
-                            proc = frame.caller;
-                            idx = frame.ret_idx;
-                            cur = shadow.pop().or_else(|| compiled.pid(&proc));
-                        }
-                        None => return vec![done(state, Outcome::Normal(v))],
+                Ok(v) => match stack.pop() {
+                    Some(frame) => {
+                        state.set_store(frame.store);
+                        state.set_var(&frame.ret_var, v);
+                        proc = frame.caller;
+                        idx = frame.ret_idx;
+                        cur = shadow.pop().or_else(|| compiled.pid(&proc));
                     }
-                }
+                    None => return vec![done(state, Outcome::Normal(v))],
+                },
                 Err(v) => return vec![err_done(state, v)],
             },
             Instr::Fail { code } => match state.eval_code(code, scratch) {

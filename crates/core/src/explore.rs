@@ -50,13 +50,13 @@ use crate::interp::{Config, Final, Outcome, StepOut};
 use crate::panic_guard;
 use crate::state::GilState;
 use gillian_gil::{EvalScratch, InternStats, Prog};
-use gillian_solver::{summary, CancelToken, Interrupt, Solver};
+use gillian_solver::{CancelToken, Interrupt, Solver};
 use gillian_telemetry::journal::{clear_path_context, set_path_context};
 use gillian_telemetry::{
     names, registry, Event, Journal, LiveSink, LiveStats, Report, TreeStats, WorkerLog,
 };
 use std::collections::VecDeque;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
@@ -150,21 +150,11 @@ pub struct ExploreConfig {
     /// produce identical `(trace, outcome, cmds)` path sets; the switch
     /// exists for differential testing and A/B benchmarking.
     pub bytecode: Option<bool>,
-    /// Procedure-summary reuse (`DESIGN.md` §17): `Some(true)` arms the
-    /// solver's summary store for the run (recording clean callee
-    /// windows, splicing them back at applicable `Call` sites), while
-    /// `Some(false)` and `None` (the default) leave every call executing
-    /// normally. Summaries never change a path's `(trace, outcome)`: an
-    /// applied summary replays a proven fork-free callee, retiring the
-    /// whole call as the one `Call` command, so only `cmds` (and
-    /// wall-clock) shrink.
+    /// Retired: procedure summaries were removed (`DESIGN.md` §17) and
+    /// nothing reads this field. It remains only because the benchmark's
+    /// runner names it in a struct literal, and goes with the next change
+    /// to the benchmark.
     pub summaries: Option<bool>,
-    /// The summary file for warm runs across processes (`DESIGN.md` §17).
-    /// A run with [`ExploreConfig::summaries`] armed merges this file into
-    /// the solver's store at start and writes the store back at end. A
-    /// missing or corrupt file degrades to cold execution. `None` (the
-    /// default) keeps summaries in the process.
-    pub summary_file: Option<PathBuf>,
     /// Live mode (`DESIGN.md` §16): `Some((path, every_ms))` opens a
     /// [`LiveSink`] on `path` for the run and appends a progress frame
     /// about every `every_ms` milliseconds, plus a final one. `None` (the
@@ -196,7 +186,6 @@ impl Default for ExploreConfig {
             faults: None,
             bytecode: None,
             summaries: None,
-            summary_file: None,
             live: None,
         }
     }
@@ -291,16 +280,6 @@ pub struct ExploreDiagnostics {
     /// Telemetry only, so this does not affect
     /// [`ExploreDiagnostics::is_clean`].
     pub incremental_hits: u64,
-    /// Procedure summaries harvested during this run (clean callee
-    /// windows recorded into the solver's summary store). Telemetry only,
-    /// like [`ExploreDiagnostics::incremental_hits`]: recording never
-    /// changes a verdict, so this does not affect
-    /// [`ExploreDiagnostics::is_clean`].
-    pub summaries_recorded: u64,
-    /// `Call` sites answered by splicing a recorded summary instead of
-    /// re-executing the callee. Telemetry only — an applied summary
-    /// preserves the path's `(trace, outcome)` exactly.
-    pub summaries_applied: u64,
     /// Interner activity attributed to this run: the sum of the
     /// **thread-local** [`InternStats`] deltas of the calling thread and
     /// every worker thread, with `live` read globally at run end. Diffing
@@ -451,23 +430,22 @@ impl Counters {
     }
 }
 
-/// The run's solver, its counters at run start (unknown verdicts,
-/// incremental hits, summaries recorded and applied) and the resumed-from
+/// The run's solver, its counters at run start (unknown verdicts and
+/// incremental hits) and the resumed-from
 /// diagnostics: what turns a run's engine counters into its
 /// [`ExploreDiagnostics`], mid-run for a checkpoint or at the end.
 struct Baseline<'s> {
     solver: Option<&'s Solver>,
-    start: [u64; 4],
+    start: [u64; 2],
     resumed: ExploreDiagnostics,
 }
 
 impl Baseline<'_> {
     /// A solver-free (concrete) run counts nothing.
-    fn counters(solver: Option<&Solver>) -> [u64; 4] {
-        solver.map_or([0; 4], |s| {
-            let (stats, summaries) = (s.stats(), s.summaries().stats());
-            let (unknowns, reuse) = (stats.sat_unknowns, stats.incremental_hits);
-            [unknowns, reuse, summaries.recorded, summaries.applied]
+    fn counters(solver: Option<&Solver>) -> [u64; 2] {
+        solver.map_or([0; 2], |s| {
+            let stats = s.stats();
+            [stats.sat_unknowns, stats.incremental_hits]
         })
     }
 
@@ -481,8 +459,6 @@ impl Baseline<'_> {
             engine_errors: run.engine_errors + base.engine_errors,
             unknown_verdicts: delta(0) + base.unknown_verdicts,
             incremental_hits: delta(1) + base.incremental_hits,
-            summaries_recorded: delta(2) + base.summaries_recorded,
-            summaries_applied: delta(3) + base.summaries_applied,
             interner: run.interner,
         }
     }
@@ -1023,24 +999,14 @@ fn drive<S: GilState>(
     // so racing resolvers store the same value).
     let exec = ExecProg::prepare(prog, cfg.bytecode);
     let interrupt = Interrupt::new(cfg.deadline.map(|d| run_started + d), cfg.cancel.clone());
-    // Arm the run's interrupt, journal, fault probe and summaries on the
-    // solver every state of the run shares; all four are disarmed at the
-    // end. Armed summaries merge `cfg.summary_file` first, so warm entries
-    // apply from the first path onward; a missing or corrupt file leaves
-    // the run cold, since summaries are a cache, never a dependency.
+    // Arm the run's interrupt, journal and fault probe on the solver every
+    // state of the run shares; all three are disarmed at the end.
     let solver = sentinel.solver();
-    let summaries_on = cfg.summaries == Some(true);
     if let Some(solver) = solver {
         solver.set_interrupt(interrupt.clone());
         solver.set_journal(cfg.journal.clone());
         if let Some(plan) = &cfg.faults {
             solver.set_fault_probe(plan.probe(cfg.journal.clone()));
-        }
-        if summaries_on {
-            if let Some(path) = &cfg.summary_file {
-                let _ = solver.summaries().load_file(path);
-            }
-            solver.summaries().arm(summary::program_fingerprints(prog));
         }
     }
     let baseline = Baseline {
@@ -1185,14 +1151,6 @@ fn drive<S: GilState>(
     result.diagnostics = baseline.diagnostics(diagnostics);
     if let Some(solver) = solver {
         solver.clear_interrupt();
-        if summaries_on {
-            // Disarm, persisting to `cfg.summary_file` when set; entries
-            // stay in the store for the next armed run in this process.
-            if let Some(path) = &cfg.summary_file {
-                let _ = solver.summaries().save_file(path);
-            }
-            solver.summaries().disarm();
-        }
         if cfg.faults.is_some() {
             solver.clear_fault_probe();
         }

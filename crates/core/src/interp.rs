@@ -189,17 +189,6 @@ pub fn step<S: GilState>(prog: &Prog, cfg: Config<S>) -> Vec<StepOut<S>> {
                 let v = state.error_value(&format!("unknown procedure {callee}"));
                 return vec![err_done(state, v)];
             };
-            // Summary fast path (`DESIGN.md` §17): a recorded summary that
-            // applies under the current condition splices the callee's
-            // post-state — the path condition was advanced inside
-            // `summary_apply`, the return value binds here, and the callee
-            // is never entered. The whole call retires as this one
-            // command, exactly like any other single-successor step.
-            if let Some(v) = state.summary_apply(&callee, &arg_vs) {
-                state.set_var(lhs, v);
-                return vec![next(state, stack, proc, idx + 1)];
-            }
-            state.summary_call(&callee, &arg_vs, stack.len() + 1);
             let new_store = state.make_store(&callee_proc.params, arg_vs);
             let caller_store = state.store().clone();
             stack.push(Frame {
@@ -213,20 +202,14 @@ pub fn step<S: GilState>(prog: &Prog, cfg: Config<S>) -> Vec<StepOut<S>> {
         }
         // [Return] / [Top Return]
         Cmd::Return(e) => match state.eval(e) {
-            Ok(v) => {
-                // Harvest hook: a clean window for the returning frame
-                // becomes a recorded summary (no-op for concrete states
-                // and disarmed stores).
-                state.summary_return(&v, stack.len());
-                match stack.pop() {
-                    Some(frame) => {
-                        state.set_store(frame.store);
-                        state.set_var(&frame.ret_var, v);
-                        vec![next(state, stack, frame.caller, frame.ret_idx)]
-                    }
-                    None => vec![done(state, Outcome::Normal(v))],
+            Ok(v) => match stack.pop() {
+                Some(frame) => {
+                    state.set_store(frame.store);
+                    state.set_var(&frame.ret_var, v);
+                    vec![next(state, stack, frame.caller, frame.ret_idx)]
                 }
-            }
+                None => vec![done(state, Outcome::Normal(v))],
+            },
             Err(v) => vec![err_done(state, v)],
         },
         // [Fail]

@@ -16,9 +16,6 @@
 //! Beyond Def. 2.1 the trait carries only what the state model itself
 //! must supply:
 //!
-//! - the lifting hooks of the Call/Return rules (Defs. 2.5/2.6):
-//!   [`GilState::summary_apply`], [`GilState::summary_call`] and
-//!   [`GilState::summary_return`];
 //! - the compiled-code hooks of the bytecode backend, each equivalent to
 //!   its tree-walk counterpart: [`GilState::eval_code`],
 //!   [`GilState::guard_code`], [`GilState::action_code`] and
@@ -26,8 +23,8 @@
 //! - the checkpoint save/load hooks;
 //! - [`GilState::solver`], the one accessor through which the
 //!   exploration engine owns a run: the engine arms the deadline,
-//!   journal, fault probe and summaries on that solver and disarms them
-//!   at run end. State models never see the run.
+//!   journal and fault probe on that solver and disarms them at run end.
+//!   State models never see the run.
 
 use crate::checkpoint::{StateCtx, StateIoError};
 use gillian_gil::serial::{ByteReader, Decoder, Encoder};
@@ -175,7 +172,7 @@ pub trait GilState: Clone + std::fmt::Debug + Sized {
 
     /// The solver this state's path condition is decided by, if any. The
     /// exploration engine arms a run on it (interrupt, journal, fault
-    /// probe, summaries), reads the run's solver counters from it, and
+    /// probe), reads the run's solver counters from it, and
     /// disarms it at run end; the state itself never sees the run. The
     /// default is `None`: concrete states have no solver.
     fn solver(&self) -> Option<&Solver> {
@@ -242,26 +239,4 @@ pub trait GilState: Clone + std::fmt::Debug + Sized {
             std::any::type_name::<Self::Store>(),
         ))
     }
-
-    /// Attempts to answer a call to `callee` with already-evaluated
-    /// arguments `args` from a recorded procedure summary. On success the
-    /// state has been advanced exactly as executing the callee would have
-    /// (path-condition deltas spliced) and the return value is produced
-    /// without re-execution; `None` falls through to the normal call
-    /// path. The default (concrete states, states without summary
-    /// support) never answers.
-    fn summary_apply(&mut self, _callee: &Ident, _args: &[Self::V]) -> Option<Self::V> {
-        None
-    }
-
-    /// Notes that a call frame for `callee` was pushed at stack depth
-    /// `depth` with arguments `args`, opening a summary-harvest window.
-    /// The default is a no-op.
-    fn summary_call(&mut self, _callee: &Ident, _args: &[Self::V], _depth: usize) {}
-
-    /// Notes that the frame at stack depth `depth` is returning `ret`
-    /// normally; a summary-capable state harvests the window opened by
-    /// the matching [`GilState::summary_call`] if it stayed clean (no
-    /// fork, no memory action, no fresh symbol). The default is a no-op.
-    fn summary_return(&mut self, _ret: &Self::V, _depth: usize) {}
 }

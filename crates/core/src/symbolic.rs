@@ -18,8 +18,7 @@ use crate::state::{GilState, GuardEval};
 use gillian_gil::compile::{EvalScratch, ExprCode, ExprKind};
 use gillian_gil::serial::{self, ByteReader, Decoder, Encoder};
 use gillian_gil::{Expr, Ident, LVar, Term, Value};
-use gillian_solver::summary;
-use gillian_solver::{PathCondition, SatResult, Solver};
+use gillian_solver::{PathCondition, Solver};
 use gillian_telemetry::{names, registry, Event};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -47,27 +46,6 @@ thread_local! {
     static TL_ACTION_SAMPLE: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-/// An open summary-harvest window (`DESIGN.md` §17): a call frame whose
-/// execution has, so far, stayed summarizable — no fork, no memory
-/// action, no fresh symbol. Windows nest with the call stack; any
-/// footprint escape poisons every open window at once (the escape is
-/// inside all of them).
-#[derive(Clone, Debug)]
-struct CallProbe {
-    /// Stack depth of the frame this window belongs to (matched against
-    /// the depth the engine reports at `Return`).
-    depth: usize,
-    callee: Ident,
-    /// The call's evaluated arguments (interned; summaries require exact
-    /// term identity at application).
-    args: Vec<Expr>,
-    /// The path condition at call entry. Its conjunct count marks where
-    /// the callee's deltas start; the condition itself becomes the
-    /// summary's entry condition on harvest. Persistent representation:
-    /// the clone is O(1).
-    entry_pc: PathCondition,
-}
-
 /// A symbolic variable store `ρ̂ : X ⇀ Ê`.
 pub type SymStore = BTreeMap<Ident, Expr>;
 
@@ -89,11 +67,6 @@ pub struct SymbolicState<M> {
     /// The path condition `π̂`.
     pub pc: PathCondition,
     solver: Arc<Solver>,
-    /// Open summary-harvest windows, innermost last. Empty whenever the
-    /// solver's summary store is disarmed (the hooks gate on it), and
-    /// deliberately not checkpointed — windows open across a crash are
-    /// simply not harvested on resume.
-    probes: Vec<CallProbe>,
 }
 
 impl<M: SymbolicMemory> SymbolicState<M> {
@@ -105,7 +78,6 @@ impl<M: SymbolicMemory> SymbolicState<M> {
             alloc: SymAllocator::new(),
             pc: PathCondition::new(),
             solver,
-            probes: Vec::new(),
         }
     }
 
@@ -117,7 +89,6 @@ impl<M: SymbolicMemory> SymbolicState<M> {
             alloc: SymAllocator::new(),
             pc: PathCondition::new(),
             solver,
-            probes: Vec::new(),
         }
     }
 
@@ -129,47 +100,8 @@ impl<M: SymbolicMemory> SymbolicState<M> {
     /// Conjoins a constraint onto the path condition without checking
     /// satisfiability (used by harnesses encoding preconditions).
     pub fn assume_unchecked(&mut self, e: Expr) {
-        // A harness-injected assumption inside a call window is not part
-        // of the callee's own effect: poison rather than mis-record it.
-        self.poison_probes();
         let e = self.solver.simplify(&self.pc, &e);
         self.pc.push(e);
-    }
-
-    /// Shared tail of [`GilState::branch_on`] and
-    /// [`GilState::guard_code`] on the symbolic-guard path: summary
-    /// windows survive a branch only when it was a *proven* one-sided
-    /// decision — exactly one side alive with an exact `Sat` verdict (the
-    /// dead side being proven `Unsat` by its elimination). A fork, or a
-    /// survivor kept only on an `Unknown` verdict, poisons every open
-    /// window in every surviving state: the recorded deltas would not be
-    /// the unique proven continuation under the entry condition.
-    fn prune_probes_after_branch(out: &mut [(Self, bool)], v_then: SatResult, v_else: SatResult) {
-        match out {
-            [] => {}
-            [(st, taken)] => {
-                let sole = if *taken { v_then } else { v_else };
-                if sole != SatResult::Sat {
-                    st.poison_probes();
-                }
-            }
-            many => {
-                for (st, _) in many.iter_mut() {
-                    st.poison_probes();
-                }
-            }
-        }
-    }
-
-    /// Invalidates every open summary-harvest window (a footprint escape:
-    /// fork, memory action, fresh symbol, or external pc mutation
-    /// happened inside all of them). No-cost when no window is open.
-    fn poison_probes(&mut self) {
-        if !self.probes.is_empty() {
-            let n = self.probes.len() as u64;
-            self.probes.clear();
-            self.solver.summaries().note_escaped(n);
-        }
     }
 
     /// The shared body of [`GilState::execute_action`] and
@@ -190,7 +122,6 @@ impl<M: SymbolicMemory> SymbolicState<M> {
             alloc,
             pc,
             solver,
-            probes,
         } = self;
         let journal_on = solver.journal_enabled();
         let timer = (journal_on
@@ -218,11 +149,11 @@ impl<M: SymbolicMemory> SymbolicState<M> {
         }
         let mut out = Vec::with_capacity(branches.len());
         let n = branches.len();
-        let mut rest = Some((store, alloc, pc, solver, probes));
+        let mut rest = Some((store, alloc, pc, solver));
         for (i, b) in branches.into_iter().enumerate() {
             // The last branch takes the rest of the state by move — the
             // common single-branch action never pays a state clone.
-            let (store, alloc, pc, solver, probes) = if i + 1 == n {
+            let (store, alloc, pc, solver) = if i + 1 == n {
                 rest.take()
                     .expect("state consumed once, on the last branch")
             } else {
@@ -234,12 +165,7 @@ impl<M: SymbolicMemory> SymbolicState<M> {
                 alloc,
                 pc,
                 solver,
-                probes,
             };
-            // A memory action is a heap-footprint escape on every branch:
-            // a summary replays no memory effect, so no window spanning
-            // an action may be harvested.
-            st.poison_probes();
             let constraint = st.solver.simplify(&st.pc, &b.constraint);
             if constraint.as_bool() == Some(false) {
                 continue;
@@ -329,19 +255,14 @@ impl<M: SymbolicMemory> GilState for SymbolicState<M> {
             st.pc = pc_else;
             out.push((st, false));
         }
-        Self::prune_probes_after_branch(&mut out, v_then, v_else);
         Ok(out)
     }
 
     fn fresh_usym(&mut self, site: u32) -> Expr {
-        // Splicing a summary skips the callee's allocator increments, so
-        // a window spanning an allocation can never be harvested.
-        self.poison_probes();
         Expr::Val(Value::Sym(self.alloc.alloc_usym(site)))
     }
 
     fn fresh_isym(&mut self, site: u32) -> Expr {
-        self.poison_probes();
         Expr::LVar(self.alloc.alloc_isym(site))
     }
 
@@ -457,7 +378,6 @@ impl<M: SymbolicMemory> GilState for SymbolicState<M> {
             st.pc = pc_else;
             out.push((st, false));
         }
-        Self::prune_probes_after_branch(&mut out, v_then, v_else);
         GuardEval::Fork(out)
     }
 
@@ -518,7 +438,6 @@ impl<M: SymbolicMemory> GilState for SymbolicState<M> {
             alloc: SymAllocator::from_parts(next_sym, next_lvar, isym_trace),
             pc,
             solver: ctx.solver.clone(),
-            probes: Vec::new(),
         })
     }
 
@@ -550,63 +469,6 @@ impl<M: SymbolicMemory> GilState for SymbolicState<M> {
         }
         Ok(Arc::new(store))
     }
-
-    fn summary_apply(&mut self, callee: &Ident, args: &[Expr]) -> Option<Expr> {
-        let store = self.solver.summaries();
-        if !store.armed() {
-            return None;
-        }
-        store.try_apply(callee, args, &mut self.pc, &self.solver)
-    }
-
-    fn summary_call(&mut self, callee: &Ident, args: &[Expr], depth: usize) {
-        if !self.solver.summaries().armed() || args.len() > summary::MAX_ARGS {
-            return;
-        }
-        self.probes.push(CallProbe {
-            depth,
-            callee: callee.clone(),
-            args: args.to_vec(),
-            entry_pc: self.pc.clone(),
-        });
-    }
-
-    fn summary_return(&mut self, ret: &Expr, depth: usize) {
-        if self.probes.is_empty() {
-            return;
-        }
-        // Windows deeper than this return belong to frames that no longer
-        // exist (e.g. a checkpoint restored mid-call); drop them.
-        while self.probes.last().is_some_and(|p| p.depth > depth) {
-            self.probes.pop();
-        }
-        let Some(probe) = self.probes.last() else {
-            return;
-        };
-        if probe.depth != depth {
-            return;
-        }
-        let probe = self
-            .probes
-            .pop()
-            .expect("probe for this depth checked just above");
-        let entry_len = probe.entry_pc.len();
-        let conjuncts = self.pc.conjuncts();
-        if conjuncts.len() < entry_len {
-            return;
-        }
-        // Everything the callee window added, in push order: with the
-        // window clean, these are the callee's entire effect beyond the
-        // return value.
-        let deltas = conjuncts[entry_len..].to_vec();
-        self.solver.summaries().record(
-            &probe.callee,
-            &probe.args,
-            probe.entry_pc,
-            deltas,
-            ret.clone(),
-        );
-    }
 }
 
 impl<M: SymbolicMemory> Restrict for SymbolicState<M> {
@@ -614,8 +476,6 @@ impl<M: SymbolicMemory> Restrict for SymbolicState<M> {
     /// `⟨µ̂, ρ̂, ξ̂, π̂⟩ ⇃ ⟨-, -, ξ̂′, π̂′⟩ = ⟨µ̂, ρ̂, ξ̂ ⇃ ξ̂′, π̂ ∧ π̂′⟩`.
     fn restrict(&self, other: &Self) -> Self {
         let mut st = self.clone();
-        // Restriction rewrites the pc from outside any call window.
-        st.poison_probes();
         st.alloc = st.alloc.restrict(&other.alloc);
         st.pc.extend(&other.pc);
         st

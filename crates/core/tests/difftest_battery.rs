@@ -50,18 +50,17 @@ fn env_u64(name: &str, default: u64) -> u64 {
         .unwrap_or(default)
 }
 
-fn battery_config(strategy: SearchStrategy, bytecode: bool, summaries: bool) -> ExploreConfig {
+fn battery_config(strategy: SearchStrategy, bytecode: bool) -> ExploreConfig {
     ExploreConfig {
         strategy,
         workers: env_u64("GILLIAN_WORKERS", 1) as usize,
         bytecode: Some(bytecode),
-        summaries: Some(summaries),
         journal: Journal::disabled(),
         ..Default::default()
     }
 }
 
-fn run_battery(strategy: SearchStrategy, bytecode: bool, summaries: bool, salt: u64) {
+fn run_battery(strategy: SearchStrategy, bytecode: bool, salt: u64) {
     let base = env_u64("GILLIAN_DIFFTEST_SEED", 0);
     let cases = env_u64("GILLIAN_DIFFTEST_CASES", 100);
     let solver = Arc::new(Solver::optimized());
@@ -74,7 +73,7 @@ fn run_battery(strategy: SearchStrategy, bytecode: bool, summaries: bool, salt: 
             &prog,
             "main",
             solver.clone(),
-            battery_config(strategy, bytecode, summaries),
+            battery_config(strategy, bytecode),
         );
         assert!(
             report.agreed(),
@@ -105,12 +104,12 @@ fn run_battery(strategy: SearchStrategy, bytecode: bool, summaries: bool, salt: 
 
 #[test]
 fn engine_battery_dfs() {
-    run_battery(SearchStrategy::Dfs, false, false, 0x5EED_0000);
+    run_battery(SearchStrategy::Dfs, false, 0x5EED_0000);
 }
 
 #[test]
 fn engine_battery_bfs() {
-    run_battery(SearchStrategy::Bfs, false, false, 0x5EED_1000);
+    run_battery(SearchStrategy::Bfs, false, 0x5EED_1000);
 }
 
 /// The same oracle with the register-bytecode backend forced on for both
@@ -119,25 +118,10 @@ fn engine_battery_bfs() {
 /// so a bytecode-only failure pinpoints a compiler bug by seed.
 #[test]
 fn engine_battery_dfs_bytecode() {
-    run_battery(SearchStrategy::Dfs, true, false, 0x5EED_0000);
+    run_battery(SearchStrategy::Dfs, true, 0x5EED_0000);
 }
 
 #[test]
 fn engine_battery_bfs_bytecode() {
-    run_battery(SearchStrategy::Bfs, true, false, 0x5EED_1000);
-}
-
-/// The same oracle with procedure summaries armed: the symbolic side may
-/// splice cached post-states at `helper` call sites, and every spliced
-/// path must still replay concretely — same outcome, return value, and
-/// final store under the model. Uses the same seeds as the cold legs, so
-/// a summaries-only failure pinpoints a splice bug by seed.
-#[test]
-fn engine_battery_dfs_summaries() {
-    run_battery(SearchStrategy::Dfs, false, true, 0x5EED_0000);
-}
-
-#[test]
-fn engine_battery_bfs_summaries() {
-    run_battery(SearchStrategy::Bfs, false, true, 0x5EED_1000);
+    run_battery(SearchStrategy::Bfs, true, 0x5EED_1000);
 }

@@ -65,7 +65,6 @@ fn budgets() -> Vec<(&'static str, ExploreConfig)> {
         workers: 1,
         journal: Journal::disabled(),
         bytecode: Some(true),
-        summaries: Some(false),
         ..Default::default()
     };
     vec![

@@ -44,7 +44,6 @@ pub mod persistent;
 pub mod sat;
 pub mod simplify;
 pub mod solver;
-pub mod summary;
 pub mod typing;
 pub mod uf;
 
@@ -54,4 +53,3 @@ pub use pathcond::{PathCondition, PcKey};
 pub use persistent::PSet;
 pub use sat::SatResult;
 pub use solver::{FaultProbe, SatFault, Simplification, Solver, SolverConfig, SolverStats};
-pub use summary::{SummaryEntry, SummaryLoadError, SummarySaveError, SummaryStats, SummaryStore};

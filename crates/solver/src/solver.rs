@@ -366,10 +366,6 @@ pub struct Solver {
     /// Fast-path mirror of `fault_probe.is_some()`: production runs pay
     /// one relaxed load, not a lock, per query.
     fault_on: AtomicBool,
-    /// Per-procedure summary store (see [`crate::summary`]); disarmed by
-    /// default and armed by the exploration engine for the duration of a
-    /// run, with the same one-run-at-a-time lifecycle as the interrupt.
-    summaries: crate::summary::SummaryStore,
     sat_queries: AtomicU64,
     cache_hits: AtomicU64,
     simplifications: AtomicU64,
@@ -444,14 +440,6 @@ impl Solver {
     /// serves one exploration at a time.
     pub fn set_interrupt(&self, interrupt: Interrupt) {
         *lock_unpoisoned(&self.interrupt) = interrupt;
-    }
-
-    /// The solver's per-procedure summary store (see [`crate::summary`]).
-    /// Shared by every worker of a run; the exploration engine arms it
-    /// when `ExploreConfig::summaries` asks for warm call reuse and
-    /// disarms it at run end.
-    pub fn summaries(&self) -> &crate::summary::SummaryStore {
-        &self.summaries
     }
 
     /// Removes any installed interrupt (idempotent).

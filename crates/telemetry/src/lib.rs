@@ -159,19 +159,6 @@ pub mod names {
     /// one-time fill of each site's cache, so misses ≈ distinct
     /// compiled action sites executed).
     pub const EXEC_IC_MISSES: &str = "exec.ic_misses";
-    /// Procedure summaries harvested from clean call returns (no fork,
-    /// no memory action, no fresh symbol inside the callee window).
-    pub const SUMMARY_RECORDED: &str = "summary.recorded";
-    /// Call sites answered by splicing a recorded summary post-state
-    /// instead of re-executing the callee.
-    pub const SUMMARY_APPLIED: &str = "summary.applied";
-    /// Call sites that had candidate summaries but failed the
-    /// applicability check (arguments, subsumption, typing environment,
-    /// or a delta verdict deviation) and fell through to execution.
-    pub const SUMMARY_MISSED: &str = "summary.missed";
-    /// Open call windows invalidated by a footprint escape (fork, memory
-    /// action, fresh symbol) before the frame returned.
-    pub const SUMMARY_ESCAPED: &str = "summary.escaped";
     /// Journal events lost to ring-buffer wrap or shared-buffer
     /// shedding, process-wide (per-run counts live on the journal; this
     /// counter is what the report and the live console surface).

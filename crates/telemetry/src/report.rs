@@ -269,16 +269,6 @@ impl Report {
                 self.metrics.counter(names::MODEL_TIERS_SKIPPED)
             );
         }
-        let recorded = self.metrics.counter(names::SUMMARY_RECORDED);
-        let applied = self.metrics.counter(names::SUMMARY_APPLIED);
-        let missed = self.metrics.counter(names::SUMMARY_MISSED);
-        let escaped = self.metrics.counter(names::SUMMARY_ESCAPED);
-        if recorded + applied + missed + escaped > 0 {
-            let _ = writeln!(
-                out,
-                "summary reuse: recorded {recorded} · applied {applied} · missed {missed} · escaped {escaped}"
-            );
-        }
         let replays = self.metrics.counter(names::DIFFTEST_REPLAYS);
         let divergences = self.metrics.counter(names::DIFFTEST_DIVERGENCES);
         let skipped = self.metrics.counter(names::DIFFTEST_SKIPPED);
@@ -560,31 +550,6 @@ mod tests {
         assert!(text.contains("slowest sat queries"));
         assert!(text.contains("memory actions by language"));
         assert!(text.contains("WARNING: journal ring buffers dropped 3"));
-    }
-
-    /// The summary-reuse line is a conditional section: absent from an
-    /// untouched-run render (the common case must stay compact) and
-    /// rendered verbatim from the four `summary.*` counters otherwise.
-    #[test]
-    fn render_includes_summary_reuse_only_when_counters_moved() {
-        use crate::{names, registry};
-        let before = registry().snapshot();
-        let mut report = Report {
-            metrics: registry().snapshot().since(&before),
-            ..Default::default()
-        };
-        assert!(
-            !report.render().contains("summary reuse"),
-            "an idle run must not render the summary section"
-        );
-        registry().counter(names::SUMMARY_RECORDED).add(3);
-        registry().counter(names::SUMMARY_APPLIED).add(2);
-        report.metrics = registry().snapshot().since(&before);
-        let text = report.render();
-        assert!(
-            text.contains("summary reuse: recorded 3 · applied 2 · missed 0 · escaped 0"),
-            "{text}"
-        );
     }
 
     /// The sat-reuse line splits the incremental answers by the seeded

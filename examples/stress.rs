@@ -10,8 +10,8 @@
 //! it tracks the host's actual core count).
 //!
 //! Every run honours the `GILLIAN_*` run variables (`GILLIAN_TRACE`,
-//! `GILLIAN_TRACE_CHROME`, `GILLIAN_FOLDED`, `GILLIAN_LIVE`, summaries;
-//! see `gillian_bench::explore_config_from_env`).
+//! `GILLIAN_TRACE_CHROME`, `GILLIAN_FOLDED`, `GILLIAN_LIVE`; see
+//! `gillian_bench::explore_config_from_env`).
 
 use gillian::core::explore::ExploreConfig;
 use std::time::{Duration, Instant};

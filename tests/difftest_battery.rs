@@ -31,11 +31,10 @@ fn env_u64(name: &str, default: u64) -> u64 {
         .unwrap_or(default)
 }
 
-fn battery_config(strategy: SearchStrategy, summaries: bool) -> ExploreConfig {
+fn battery_config(strategy: SearchStrategy) -> ExploreConfig {
     ExploreConfig {
         strategy,
         workers: env_u64("GILLIAN_WORKERS", 1) as usize,
-        summaries: Some(summaries),
         journal: Journal::disabled(),
         ..Default::default()
     }
@@ -43,13 +42,8 @@ fn battery_config(strategy: SearchStrategy, summaries: bool) -> ExploreConfig {
 
 /// Runs one sub-battery: `GILLIAN_DIFFTEST_CASES` programs of `dialect`,
 /// memory-checked through `interp`, asserting zero divergences.
-fn run_battery<I>(
-    dialect: MemDialect,
-    strategy: SearchStrategy,
-    summaries: bool,
-    salt: u64,
-    interp: I,
-) where
+fn run_battery<I>(dialect: MemDialect, strategy: SearchStrategy, salt: u64, interp: I)
+where
     I: MemoryInterpretation,
     I::Symbolic: SymbolicMemory,
     I::Concrete: ConcreteMemory + PartialEq + std::fmt::Debug,
@@ -67,7 +61,7 @@ fn run_battery<I>(
             &prog,
             "main",
             solver.clone(),
-            battery_config(strategy, summaries),
+            battery_config(strategy),
             &memcheck,
         );
         assert!(
@@ -100,7 +94,6 @@ fn while_battery_dfs() {
     run_battery::<WhileInterpretation>(
         MemDialect::While,
         SearchStrategy::Dfs,
-        false,
         0x77_0000,
         WhileInterpretation,
     );
@@ -111,7 +104,6 @@ fn while_battery_bfs() {
     run_battery::<WhileInterpretation>(
         MemDialect::While,
         SearchStrategy::Bfs,
-        false,
         0x77_1000,
         WhileInterpretation,
     );
@@ -122,7 +114,6 @@ fn c_battery_dfs() {
     run_battery::<CInterpretation>(
         MemDialect::C,
         SearchStrategy::Dfs,
-        false,
         0xC_0000,
         CInterpretation,
     );
@@ -133,35 +124,7 @@ fn c_battery_bfs() {
     run_battery::<CInterpretation>(
         MemDialect::C,
         SearchStrategy::Bfs,
-        false,
         0xC_1000,
-        CInterpretation,
-    );
-}
-
-/// The same oracles with procedure summaries armed: `helper` windows are
-/// the only summarizable ones (memory actions poison their window), and
-/// every spliced path must still replay concretely — including the final
-/// memory under the instantiation's interpretation function. Uses the
-/// same seeds as the cold DFS legs.
-#[test]
-fn while_battery_dfs_summaries() {
-    run_battery::<WhileInterpretation>(
-        MemDialect::While,
-        SearchStrategy::Dfs,
-        true,
-        0x77_0000,
-        WhileInterpretation,
-    );
-}
-
-#[test]
-fn c_battery_dfs_summaries() {
-    run_battery::<CInterpretation>(
-        MemDialect::C,
-        SearchStrategy::Dfs,
-        true,
-        0xC_0000,
         CInterpretation,
     );
 }

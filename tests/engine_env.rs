@@ -11,9 +11,8 @@ use gillian::solver::Solver;
 use gillian::while_lang::{compile_program, parse_program, WhileSymMemory};
 use std::sync::Arc;
 
-/// Clean, fork-free callee windows: each call would be recorded as a
-/// summary with summaries armed, and the repeated ones applied.
-const CALL_HEAVY: &str = r#"
+/// Nested calls around one symbolic branch: two paths.
+const PROGRAM: &str = r#"
     proc inc(x) { y := x + 1; return y; }
     proc twice(x) { a := inc(x); b := inc(a); return b; }
     proc main() {
@@ -30,15 +29,12 @@ const CALL_HEAVY: &str = r#"
 fn default_config_ignores_the_run_variables() {
     let dir = std::env::temp_dir().join(format!("gillian-engine-env-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create temp dir");
-    let summary_file = dir.join("run.gilsum");
     let trace = dir.join("run.jsonl");
     let live = dir.join("run.live.jsonl");
-    std::env::set_var("GILLIAN_SUMMARIES", "1");
-    std::env::set_var("GILLIAN_SUMMARY_FILE", &summary_file);
     std::env::set_var("GILLIAN_TRACE", &trace);
     std::env::set_var("GILLIAN_LIVE", &live);
 
-    let prog = compile_program(&parse_program(CALL_HEAVY).expect("parse"));
+    let prog = compile_program(&parse_program(PROGRAM).expect("parse"));
     let solver = Arc::new(Solver::optimized());
     for run in 0..2 {
         let initial = SymbolicState::<WhileSymMemory>::new(solver.clone());
@@ -46,15 +42,11 @@ fn default_config_ignores_the_run_variables() {
         assert!(!result.bounded(), "run {run} must explore exhaustively");
         assert_eq!(result.paths.len(), 2, "run {run}");
         assert_eq!(
-            result.diagnostics.summaries_recorded, 0,
-            "run {run}: summaries armed from the environment"
-        );
-        assert_eq!(
             result.report.trace_path, None,
             "run {run}: journal enabled from the environment"
         );
     }
-    for file in [&summary_file, &trace, &live] {
+    for file in [&trace, &live] {
         assert!(!file.exists(), "{} was written", file.display());
     }
     let _ = std::fs::remove_dir_all(&dir);

@@ -1,9 +1,8 @@
 //! Every run leaves its solver disarmed. The engine arms a run on the
-//! state's solver (deadline, journal, fault probe, summaries) and must
-//! clear all four at run end, whichever entry point started the run and
-//! however it stopped. A solver left armed would answer later queries
-//! `Unknown`, keep journaling into a finished run, or keep splicing
-//! summaries into runs that never asked for them.
+//! state's solver (deadline, journal, fault probe) and must clear all
+//! three at run end, whichever entry point started the run and however
+//! it stopped. A solver left armed would answer later queries `Unknown`
+//! or keep journaling into a finished run.
 
 use gillian::core::checkpoint::StateCtx;
 use gillian::core::explore::{explore, explore_resume, explore_with, ExploreConfig};
@@ -19,7 +18,7 @@ use std::time::Duration;
 
 type St = SymbolicState<WhileSymMemory>;
 
-/// Four symbolic branches around clean calls: 16 paths, enough
+/// Four symbolic branches around calls: 16 paths, enough
 /// scheduling points for a kill to land mid-run.
 const PROGRAM: &str = r#"
     proc inc(x) { y := x + 1; return y; }
@@ -37,20 +36,19 @@ const PROGRAM: &str = r#"
 "#;
 
 /// A run armed with everything the engine can install: an already
-/// expired deadline, a fault plan that answers every query `Unknown`, an
-/// enabled journal and summaries.
+/// expired deadline, a fault plan that answers every query `Unknown` and
+/// an enabled journal.
 fn armed_config() -> ExploreConfig {
     ExploreConfig {
         deadline: Some(Duration::ZERO),
         faults: Some(Arc::new(FaultPlan::seeded(3).with_unknown_rate(1 << 16))),
         journal: Journal::enabled(),
-        summaries: Some(true),
         ..ExploreConfig::default()
     }
 }
 
 /// `solver` answers a query it has never seen `Sat`, and has no journal
-/// or summaries armed.
+/// armed.
 fn assert_disarmed(solver: &Solver, query: i64, how: &str) {
     let x = Expr::lvar(LVar(1_000 + query as u64));
     let pc = PathCondition::new();
@@ -63,7 +61,6 @@ fn assert_disarmed(solver: &Solver, query: i64, how: &str) {
         "{how}: the solver still carries the run's interrupt or fault probe"
     );
     assert!(!solver.journal_enabled(), "{how}: journal left installed");
-    assert!(!solver.summaries().armed(), "{how}: summaries left armed");
 }
 
 #[test]

@@ -112,7 +112,6 @@ fn configs() -> Vec<(String, SolverConfig)> {
 fn explore_config() -> ExploreConfig {
     ExploreConfig {
         workers: 1,
-        summaries: Some(false),
         ..ExploreConfig::default()
     }
 }
