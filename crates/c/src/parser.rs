@@ -17,6 +17,7 @@
 
 use crate::ast::{CBinOp, CExpr, CFunc, CModule, CStmt, CUnOp, LValue};
 use crate::types::{CType, StructDef};
+use gillian_gil::parser::MAX_EXPR_DEPTH;
 use std::fmt;
 
 /// A MiniC parse error with position information.
@@ -164,6 +165,8 @@ struct Parser<'a> {
     lexer: Lexer<'a>,
     tok: Tok,
     tok_at: usize,
+    /// Current nesting depth (see [`Parser::nested`]).
+    depth: usize,
 }
 
 const TYPE_KEYWORDS: &[&str] = &["void", "char", "short", "int", "long", "double", "struct"];
@@ -172,7 +175,12 @@ impl<'a> Parser<'a> {
     fn new(src: &'a str) -> Result<Self, ParseError> {
         let mut lexer = Lexer { src, pos: 0 };
         let (tok, tok_at) = lexer.next()?;
-        Ok(Parser { lexer, tok, tok_at })
+        Ok(Parser {
+            lexer,
+            tok,
+            tok_at,
+            depth: 0,
+        })
     }
 
     fn bump(&mut self) -> Result<Tok, ParseError> {
@@ -183,6 +191,23 @@ impl<'a> Parser<'a> {
 
     fn err<T>(&self, msg: impl Into<String>) -> Result<T, ParseError> {
         Err(self.lexer.err_at(self.tok_at, msg))
+    }
+
+    /// Runs `f` one nesting level deeper (parentheses, a prefix operator,
+    /// a statement), refusing to pass [`MAX_EXPR_DEPTH`]: deeper input
+    /// would overflow the recursive descent's stack, which aborts the
+    /// process instead of returning a [`ParseError`].
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth >= MAX_EXPR_DEPTH {
+            return self.err(format!("nesting deeper than {MAX_EXPR_DEPTH} levels"));
+        }
+        self.depth += 1;
+        let out = f(self);
+        self.depth -= 1;
+        out
     }
 
     fn is_punct(&self, p: &str) -> bool {
@@ -256,81 +281,73 @@ impl<'a> Parser<'a> {
     // ---- expressions ---------------------------------------------------
 
     fn expr(&mut self) -> Result<CExpr, ParseError> {
-        self.or_expr()
+        self.nested(|p| p.binary(0))
     }
 
-    fn bin_level(
-        &mut self,
-        next: impl Fn(&mut Self) -> Result<CExpr, ParseError>,
-        table: &[(&str, CBinOp)],
-    ) -> Result<CExpr, ParseError> {
-        let mut e = next(self)?;
-        'outer: loop {
-            for (tok, op) in table {
-                if self.eat_punct(tok)? {
-                    let rhs = next(self)?;
-                    e = CExpr::Bin(*op, Box::new(e), Box::new(rhs));
-                    continue 'outer;
-                }
-            }
-            return Ok(e);
+    /// The binary operator at the current token and its precedence
+    /// (higher binds tighter). Every binary operator is left-associative.
+    fn binop(&self) -> Option<(CBinOp, u8)> {
+        let Tok::Punct(p) = &self.tok else {
+            return None;
+        };
+        Some(match *p {
+            "||" => (CBinOp::Or, 0),
+            "&&" => (CBinOp::And, 1),
+            "|" => (CBinOp::BitOr, 2),
+            "^" => (CBinOp::BitXor, 3),
+            "&" => (CBinOp::BitAnd, 4),
+            "==" => (CBinOp::Eq, 5),
+            "!=" => (CBinOp::Ne, 5),
+            "<=" => (CBinOp::Le, 6),
+            ">=" => (CBinOp::Ge, 6),
+            "<" => (CBinOp::Lt, 6),
+            ">" => (CBinOp::Gt, 6),
+            "<<" => (CBinOp::Shl, 7),
+            ">>" => (CBinOp::Shr, 7),
+            "+" => (CBinOp::Add, 8),
+            "-" => (CBinOp::Sub, 8),
+            "*" => (CBinOp::Mul, 9),
+            "/" => (CBinOp::Div, 9),
+            "%" => (CBinOp::Mod, 9),
+            _ => return None,
+        })
+    }
+
+    /// Precedence climbing: a chain of binary operators binding at least
+    /// as tightly as `min`. It takes one frame per operator instead of one
+    /// per precedence level, which keeps the stack each parenthesis
+    /// nesting costs small enough for [`MAX_EXPR_DEPTH`] levels.
+    fn binary(&mut self, min: u8) -> Result<CExpr, ParseError> {
+        let mut e = self.unary_expr()?;
+        while let Some((op, prec)) = self.binop().filter(|&(_, prec)| prec >= min) {
+            self.bump()?;
+            let rhs = self.binary(prec + 1)?;
+            e = CExpr::Bin(op, Box::new(e), Box::new(rhs));
         }
-    }
-
-    fn or_expr(&mut self) -> Result<CExpr, ParseError> {
-        self.bin_level(Self::and_expr, &[("||", CBinOp::Or)])
-    }
-    fn and_expr(&mut self) -> Result<CExpr, ParseError> {
-        self.bin_level(Self::bitor_expr, &[("&&", CBinOp::And)])
-    }
-    fn bitor_expr(&mut self) -> Result<CExpr, ParseError> {
-        self.bin_level(Self::bitxor_expr, &[("|", CBinOp::BitOr)])
-    }
-    fn bitxor_expr(&mut self) -> Result<CExpr, ParseError> {
-        self.bin_level(Self::bitand_expr, &[("^", CBinOp::BitXor)])
-    }
-    fn bitand_expr(&mut self) -> Result<CExpr, ParseError> {
-        self.bin_level(Self::eq_expr, &[("&", CBinOp::BitAnd)])
-    }
-    fn eq_expr(&mut self) -> Result<CExpr, ParseError> {
-        self.bin_level(Self::rel_expr, &[("==", CBinOp::Eq), ("!=", CBinOp::Ne)])
-    }
-    fn rel_expr(&mut self) -> Result<CExpr, ParseError> {
-        self.bin_level(
-            Self::shift_expr,
-            &[
-                ("<=", CBinOp::Le),
-                (">=", CBinOp::Ge),
-                ("<", CBinOp::Lt),
-                (">", CBinOp::Gt),
-            ],
-        )
-    }
-    fn shift_expr(&mut self) -> Result<CExpr, ParseError> {
-        self.bin_level(Self::add_expr, &[("<<", CBinOp::Shl), (">>", CBinOp::Shr)])
-    }
-    fn add_expr(&mut self) -> Result<CExpr, ParseError> {
-        self.bin_level(Self::mul_expr, &[("+", CBinOp::Add), ("-", CBinOp::Sub)])
-    }
-    fn mul_expr(&mut self) -> Result<CExpr, ParseError> {
-        self.bin_level(
-            Self::unary_expr,
-            &[("*", CBinOp::Mul), ("/", CBinOp::Div), ("%", CBinOp::Mod)],
-        )
+        Ok(e)
     }
 
     fn unary_expr(&mut self) -> Result<CExpr, ParseError> {
         if self.eat_punct("-")? {
-            return Ok(CExpr::Un(CUnOp::Neg, Box::new(self.unary_expr()?)));
+            return Ok(CExpr::Un(
+                CUnOp::Neg,
+                Box::new(self.nested(Self::unary_expr)?),
+            ));
         }
         if self.eat_punct("!")? {
-            return Ok(CExpr::Un(CUnOp::Not, Box::new(self.unary_expr()?)));
+            return Ok(CExpr::Un(
+                CUnOp::Not,
+                Box::new(self.nested(Self::unary_expr)?),
+            ));
         }
         if self.eat_punct("~")? {
-            return Ok(CExpr::Un(CUnOp::BitNot, Box::new(self.unary_expr()?)));
+            return Ok(CExpr::Un(
+                CUnOp::BitNot,
+                Box::new(self.nested(Self::unary_expr)?),
+            ));
         }
         if self.eat_punct("*")? {
-            return Ok(CExpr::Deref(Box::new(self.unary_expr()?)));
+            return Ok(CExpr::Deref(Box::new(self.nested(Self::unary_expr)?)));
         }
         // `(T)e` cast vs parenthesised expression: look for a type keyword.
         if self.is_punct("(") {
@@ -339,7 +356,7 @@ impl<'a> Parser<'a> {
             if self.at_type() {
                 let t = self.ctype()?;
                 self.expect_punct(")")?;
-                let e = self.unary_expr()?;
+                let e = self.nested(Self::unary_expr)?;
                 return Ok(CExpr::Cast(t, Box::new(e)));
             }
             // Rewind: plain parenthesised expression handled by postfix.
@@ -425,6 +442,70 @@ impl<'a> Parser<'a> {
     }
 
     fn stmt(&mut self) -> Result<CStmt, ParseError> {
+        self.nested(Self::stmt_inner)
+    }
+
+    /// Dispatches compound statements to a function each, so the frame
+    /// each level of statement nesting keeps on the stack stays small.
+    fn stmt_inner(&mut self) -> Result<CStmt, ParseError> {
+        if self.eat_kw("if")? {
+            self.if_stmt()
+        } else if self.eat_kw("while")? {
+            self.while_stmt()
+        } else if self.eat_kw("for")? {
+            self.for_stmt()
+        } else {
+            self.flat_stmt()
+        }
+    }
+
+    fn if_stmt(&mut self) -> Result<CStmt, ParseError> {
+        self.expect_punct("(")?;
+        let cond = self.expr()?;
+        self.expect_punct(")")?;
+        let then = self.block_or_single()?;
+        let otherwise = if self.eat_kw("else")? {
+            if self.is_kw("if") {
+                vec![self.stmt()?]
+            } else {
+                self.block_or_single()?
+            }
+        } else {
+            Vec::new()
+        };
+        Ok(CStmt::If {
+            cond,
+            then,
+            otherwise,
+        })
+    }
+
+    fn while_stmt(&mut self) -> Result<CStmt, ParseError> {
+        self.expect_punct("(")?;
+        let cond = self.expr()?;
+        self.expect_punct(")")?;
+        let body = self.block_or_single()?;
+        Ok(CStmt::While { cond, body })
+    }
+
+    fn for_stmt(&mut self) -> Result<CStmt, ParseError> {
+        self.expect_punct("(")?;
+        let init = self.stmt()?; // consumes `;`
+        let cond = self.expr()?;
+        self.expect_punct(";")?;
+        let step = self.simple_stmt_no_semi()?;
+        self.expect_punct(")")?;
+        let body = self.block_or_single()?;
+        Ok(CStmt::For {
+            init: Box::new(init),
+            cond,
+            step: Box::new(step),
+            body,
+        })
+    }
+
+    /// A statement that nests no statements.
+    fn flat_stmt(&mut self) -> Result<CStmt, ParseError> {
         if self.at_type() {
             let t = self.ctype()?;
             let name = self.ident()?;
@@ -435,48 +516,6 @@ impl<'a> Parser<'a> {
             };
             self.expect_punct(";")?;
             return Ok(CStmt::Decl(t, name, init));
-        }
-        if self.eat_kw("if")? {
-            self.expect_punct("(")?;
-            let cond = self.expr()?;
-            self.expect_punct(")")?;
-            let then = self.block_or_single()?;
-            let otherwise = if self.eat_kw("else")? {
-                if self.is_kw("if") {
-                    vec![self.stmt()?]
-                } else {
-                    self.block_or_single()?
-                }
-            } else {
-                Vec::new()
-            };
-            return Ok(CStmt::If {
-                cond,
-                then,
-                otherwise,
-            });
-        }
-        if self.eat_kw("while")? {
-            self.expect_punct("(")?;
-            let cond = self.expr()?;
-            self.expect_punct(")")?;
-            let body = self.block_or_single()?;
-            return Ok(CStmt::While { cond, body });
-        }
-        if self.eat_kw("for")? {
-            self.expect_punct("(")?;
-            let init = self.stmt()?; // consumes `;`
-            let cond = self.expr()?;
-            self.expect_punct(";")?;
-            let step = self.simple_stmt_no_semi()?;
-            self.expect_punct(")")?;
-            let body = self.block_or_single()?;
-            return Ok(CStmt::For {
-                init: Box::new(init),
-                cond,
-                step: Box::new(step),
-                body,
-            });
         }
         if self.eat_kw("break")? {
             self.expect_punct(";")?;

@@ -50,8 +50,9 @@ type PResult<T> = Result<T, ParseError>;
 /// stack overflow in the recursive-descent parser (which would abort the
 /// whole process — unrecoverable, unlike a [`ParseError`]). 128 levels fit
 /// comfortably in a 2 MiB thread stack even for unoptimized builds, where
-/// each level of the descent costs several KiB of frame.
-const MAX_EXPR_DEPTH: usize = 128;
+/// each level of the descent costs several KiB of frame. The While, MiniJS
+/// and MiniC parsers use the same limit.
+pub const MAX_EXPR_DEPTH: usize = 128;
 
 impl<'a> P<'a> {
     fn new(src: &'a str) -> Self {

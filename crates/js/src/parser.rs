@@ -15,6 +15,7 @@
 //! unary (`!`, `-`, `typeof`) < postfix (`.p`, `[e]`, call).
 
 use crate::ast::{BinOp, Expr, Function, Module, Stmt, UnOp};
+use gillian_gil::parser::MAX_EXPR_DEPTH;
 use std::fmt;
 
 /// A MiniJS parse error with position information.
@@ -177,13 +178,20 @@ struct Parser<'a> {
     lexer: Lexer<'a>,
     tok: Tok,
     tok_at: usize,
+    /// Current nesting depth (see [`Parser::nested`]).
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
     fn new(src: &'a str) -> Result<Self, ParseError> {
         let mut lexer = Lexer { src, pos: 0 };
         let (tok, tok_at) = lexer.next()?;
-        Ok(Parser { lexer, tok, tok_at })
+        Ok(Parser {
+            lexer,
+            tok,
+            tok_at,
+            depth: 0,
+        })
     }
 
     fn bump(&mut self) -> Result<Tok, ParseError> {
@@ -194,6 +202,23 @@ impl<'a> Parser<'a> {
 
     fn err<T>(&self, msg: impl Into<String>) -> Result<T, ParseError> {
         Err(self.lexer.err_at(self.tok_at, msg))
+    }
+
+    /// Runs `f` one nesting level deeper (parentheses, a prefix operator,
+    /// a statement), refusing to pass [`MAX_EXPR_DEPTH`]: deeper input
+    /// would overflow the recursive descent's stack, which aborts the
+    /// process instead of returning a [`ParseError`].
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth >= MAX_EXPR_DEPTH {
+            return self.err(format!("nesting deeper than {MAX_EXPR_DEPTH} levels"));
+        }
+        self.depth += 1;
+        let out = f(self);
+        self.depth -= 1;
+        out
     }
 
     fn is_punct(&self, p: &str) -> bool {
@@ -240,96 +265,65 @@ impl<'a> Parser<'a> {
     // ---- expressions ---------------------------------------------------
 
     fn expr(&mut self) -> Result<Expr, ParseError> {
-        self.or_expr()
+        self.nested(|p| p.binary(0))
     }
 
-    fn or_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut e = self.and_expr()?;
-        while self.eat_punct("||")? {
-            e = Expr::Bin(BinOp::Or, Box::new(e), Box::new(self.and_expr()?));
-        }
-        Ok(e)
+    /// The binary operator at the current token and its precedence
+    /// (higher binds tighter). Every binary operator is left-associative.
+    fn binop(&self) -> Option<(BinOp, u8)> {
+        let Tok::Punct(p) = &self.tok else {
+            return None;
+        };
+        Some(match *p {
+            "||" => (BinOp::Or, 0),
+            "&&" => (BinOp::And, 1),
+            "===" | "==" => (BinOp::StrictEq, 2),
+            "!==" | "!=" => (BinOp::StrictNeq, 2),
+            "<=" => (BinOp::Leq, 3),
+            ">=" => (BinOp::Geq, 3),
+            "<" => (BinOp::Lt, 3),
+            ">" => (BinOp::Gt, 3),
+            "+" => (BinOp::Add, 4),
+            "-" => (BinOp::Sub, 4),
+            "*" => (BinOp::Mul, 5),
+            "/" => (BinOp::Div, 5),
+            "%" => (BinOp::Mod, 5),
+            _ => return None,
+        })
     }
 
-    fn and_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut e = self.eq_expr()?;
-        while self.eat_punct("&&")? {
-            e = Expr::Bin(BinOp::And, Box::new(e), Box::new(self.eq_expr()?));
-        }
-        Ok(e)
-    }
-
-    fn eq_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut e = self.rel_expr()?;
-        loop {
-            let op = if self.eat_punct("===")? || self.eat_punct("==")? {
-                BinOp::StrictEq
-            } else if self.eat_punct("!==")? || self.eat_punct("!=")? {
-                BinOp::StrictNeq
-            } else {
-                return Ok(e);
-            };
-            e = Expr::Bin(op, Box::new(e), Box::new(self.rel_expr()?));
-        }
-    }
-
-    fn rel_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut e = self.add_expr()?;
-        loop {
-            let op = if self.eat_punct("<=")? {
-                BinOp::Leq
-            } else if self.eat_punct(">=")? {
-                BinOp::Geq
-            } else if self.eat_punct("<")? {
-                BinOp::Lt
-            } else if self.eat_punct(">")? {
-                BinOp::Gt
-            } else {
-                return Ok(e);
-            };
-            e = Expr::Bin(op, Box::new(e), Box::new(self.add_expr()?));
-        }
-    }
-
-    fn add_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut e = self.mul_expr()?;
-        loop {
-            let op = if self.eat_punct("+")? {
-                BinOp::Add
-            } else if self.eat_punct("-")? {
-                BinOp::Sub
-            } else {
-                return Ok(e);
-            };
-            e = Expr::Bin(op, Box::new(e), Box::new(self.mul_expr()?));
-        }
-    }
-
-    fn mul_expr(&mut self) -> Result<Expr, ParseError> {
+    /// Precedence climbing: a chain of binary operators binding at least
+    /// as tightly as `min`. It takes one frame per operator instead of one
+    /// per precedence level, which keeps the stack each parenthesis
+    /// nesting costs small enough for [`MAX_EXPR_DEPTH`] levels.
+    fn binary(&mut self, min: u8) -> Result<Expr, ParseError> {
         let mut e = self.unary_expr()?;
-        loop {
-            let op = if self.eat_punct("*")? {
-                BinOp::Mul
-            } else if self.eat_punct("/")? {
-                BinOp::Div
-            } else if self.eat_punct("%")? {
-                BinOp::Mod
-            } else {
-                return Ok(e);
-            };
-            e = Expr::Bin(op, Box::new(e), Box::new(self.unary_expr()?));
+        while let Some((op, prec)) = self.binop().filter(|&(_, prec)| prec >= min) {
+            self.bump()?;
+            let rhs = self.binary(prec + 1)?;
+            e = Expr::Bin(op, Box::new(e), Box::new(rhs));
         }
+        Ok(e)
     }
 
     fn unary_expr(&mut self) -> Result<Expr, ParseError> {
         if self.eat_punct("!")? {
-            return Ok(Expr::Un(UnOp::Not, Box::new(self.unary_expr()?)));
+            return Ok(Expr::Un(
+                UnOp::Not,
+                Box::new(self.nested(Self::unary_expr)?),
+            ));
         }
         if self.eat_punct("-")? {
-            return Ok(Expr::Un(UnOp::Neg, Box::new(self.unary_expr()?)));
+            return Ok(Expr::Un(
+                UnOp::Neg,
+                Box::new(self.nested(Self::unary_expr)?),
+            ));
         }
         if self.eat_kw("typeof")? {
-            return Ok(Expr::Un(UnOp::TypeOf, Box::new(self.unary_expr()?)));
+            return Ok(Expr::Un(
+                UnOp::TypeOf,
+                Box::new(self.nested(Self::unary_expr)?),
+            ));
         }
         self.postfix_expr()
     }
@@ -472,6 +466,70 @@ impl<'a> Parser<'a> {
     }
 
     fn stmt(&mut self) -> Result<Stmt, ParseError> {
+        self.nested(Self::stmt_inner)
+    }
+
+    /// Dispatches compound statements to a function each, so the frame
+    /// each level of statement nesting keeps on the stack stays small.
+    fn stmt_inner(&mut self) -> Result<Stmt, ParseError> {
+        if self.eat_kw("if")? {
+            self.if_stmt()
+        } else if self.eat_kw("while")? {
+            self.while_stmt()
+        } else if self.eat_kw("for")? {
+            self.for_stmt()
+        } else {
+            self.flat_stmt()
+        }
+    }
+
+    fn if_stmt(&mut self) -> Result<Stmt, ParseError> {
+        self.expect_punct("(")?;
+        let cond = self.expr()?;
+        self.expect_punct(")")?;
+        let then = self.block_or_single()?;
+        let otherwise = if self.eat_kw("else")? {
+            if self.is_kw("if") {
+                vec![self.stmt()?]
+            } else {
+                self.block_or_single()?
+            }
+        } else {
+            Vec::new()
+        };
+        Ok(Stmt::If {
+            cond,
+            then,
+            otherwise,
+        })
+    }
+
+    fn while_stmt(&mut self) -> Result<Stmt, ParseError> {
+        self.expect_punct("(")?;
+        let cond = self.expr()?;
+        self.expect_punct(")")?;
+        let body = self.block_or_single()?;
+        Ok(Stmt::While { cond, body })
+    }
+
+    fn for_stmt(&mut self) -> Result<Stmt, ParseError> {
+        self.expect_punct("(")?;
+        let init = self.stmt()?; // consumes the `;`
+        let cond = self.expr()?;
+        self.expect_punct(";")?;
+        let step = self.simple_stmt_no_semi()?;
+        self.expect_punct(")")?;
+        let body = self.block_or_single()?;
+        Ok(Stmt::For {
+            init: Box::new(init),
+            cond,
+            step: Box::new(step),
+            body,
+        })
+    }
+
+    /// A statement that nests no statements.
+    fn flat_stmt(&mut self) -> Result<Stmt, ParseError> {
         if self.eat_kw("var")? {
             let name = self.ident()?;
             let init = if self.eat_punct("=")? {
@@ -481,48 +539,6 @@ impl<'a> Parser<'a> {
             };
             self.expect_punct(";")?;
             return Ok(Stmt::VarDecl(name, init));
-        }
-        if self.eat_kw("if")? {
-            self.expect_punct("(")?;
-            let cond = self.expr()?;
-            self.expect_punct(")")?;
-            let then = self.block_or_single()?;
-            let otherwise = if self.eat_kw("else")? {
-                if self.is_kw("if") {
-                    vec![self.stmt()?]
-                } else {
-                    self.block_or_single()?
-                }
-            } else {
-                Vec::new()
-            };
-            return Ok(Stmt::If {
-                cond,
-                then,
-                otherwise,
-            });
-        }
-        if self.eat_kw("while")? {
-            self.expect_punct("(")?;
-            let cond = self.expr()?;
-            self.expect_punct(")")?;
-            let body = self.block_or_single()?;
-            return Ok(Stmt::While { cond, body });
-        }
-        if self.eat_kw("for")? {
-            self.expect_punct("(")?;
-            let init = self.stmt()?; // consumes the `;`
-            let cond = self.expr()?;
-            self.expect_punct(";")?;
-            let step = self.simple_stmt_no_semi()?;
-            self.expect_punct(")")?;
-            let body = self.block_or_single()?;
-            return Ok(Stmt::For {
-                init: Box::new(init),
-                cond,
-                step: Box::new(step),
-                body,
-            });
         }
         if self.eat_kw("break")? {
             self.expect_punct(";")?;

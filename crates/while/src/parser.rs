@@ -20,6 +20,7 @@
 //! `[e, …]`, and the builtins `len`, `hd`, `tl`, `nth`, `rev`, `typeof`.
 
 use crate::ast::{Function, Module, Stmt};
+use gillian_gil::parser::MAX_EXPR_DEPTH;
 use gillian_gil::{BinOp, Expr, UnOp};
 use std::fmt;
 
@@ -193,13 +194,20 @@ struct Parser<'a> {
     lexer: Lexer<'a>,
     tok: Tok,
     tok_at: usize,
+    /// Current nesting depth (see [`Parser::nested`]).
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
     fn new(src: &'a str) -> Result<Self, ParseError> {
         let mut lexer = Lexer::new(src);
         let (tok, tok_at) = lexer.next()?;
-        Ok(Parser { lexer, tok, tok_at })
+        Ok(Parser {
+            lexer,
+            tok,
+            tok_at,
+            depth: 0,
+        })
     }
 
     fn bump(&mut self) -> Result<Tok, ParseError> {
@@ -210,6 +218,23 @@ impl<'a> Parser<'a> {
 
     fn err<T>(&self, msg: impl Into<String>) -> Result<T, ParseError> {
         Err(self.lexer.err_at(self.tok_at, msg))
+    }
+
+    /// Runs `f` one nesting level deeper (parentheses, a prefix operator,
+    /// a statement), refusing to pass [`MAX_EXPR_DEPTH`]: deeper input
+    /// would overflow the recursive descent's stack, which aborts the
+    /// process instead of returning a [`ParseError`].
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth >= MAX_EXPR_DEPTH {
+            return self.err(format!("nesting deeper than {MAX_EXPR_DEPTH} levels"));
+        }
+        self.depth += 1;
+        let out = f(self);
+        self.depth -= 1;
+        out
     }
 
     fn is_punct(&self, p: &str) -> bool {
@@ -252,7 +277,7 @@ impl<'a> Parser<'a> {
     // ---- expressions ----------------------------------------------------
 
     fn expr(&mut self) -> Result<Expr, ParseError> {
-        self.or_expr()
+        self.nested(Self::or_expr)
     }
 
     fn or_expr(&mut self) -> Result<Expr, ParseError> {
@@ -273,7 +298,7 @@ impl<'a> Parser<'a> {
 
     fn not_expr(&mut self) -> Result<Expr, ParseError> {
         if self.eat_kw("not")? {
-            Ok(self.not_expr()?.not())
+            Ok(self.nested(Self::not_expr)?.not())
         } else {
             self.cmp_expr()
         }
@@ -331,7 +356,7 @@ impl<'a> Parser<'a> {
 
     fn unary_expr(&mut self) -> Result<Expr, ParseError> {
         if self.eat_punct("-")? {
-            Ok(self.unary_expr()?.un(UnOp::Neg))
+            Ok(self.nested(Self::unary_expr)?.un(UnOp::Neg))
         } else {
             self.primary()
         }
@@ -401,29 +426,48 @@ impl<'a> Parser<'a> {
     }
 
     fn stmt(&mut self) -> Result<Stmt, ParseError> {
+        self.nested(Self::stmt_inner)
+    }
+
+    /// Dispatches compound statements to a function each, so the frame
+    /// each level of statement nesting keeps on the stack stays small.
+    fn stmt_inner(&mut self) -> Result<Stmt, ParseError> {
         if self.eat_kw("if")? {
-            self.expect_punct("(")?;
-            let cond = self.expr()?;
-            self.expect_punct(")")?;
-            let then = self.block()?;
-            let otherwise = if self.eat_kw("else")? {
-                self.block()?
-            } else {
-                Vec::new()
-            };
-            return Ok(Stmt::If {
-                cond,
-                then,
-                otherwise,
-            });
+            self.if_stmt()
+        } else if self.eat_kw("while")? {
+            self.while_stmt()
+        } else {
+            self.flat_stmt()
         }
-        if self.eat_kw("while")? {
-            self.expect_punct("(")?;
-            let cond = self.expr()?;
-            self.expect_punct(")")?;
-            let body = self.block()?;
-            return Ok(Stmt::While { cond, body });
-        }
+    }
+
+    fn if_stmt(&mut self) -> Result<Stmt, ParseError> {
+        self.expect_punct("(")?;
+        let cond = self.expr()?;
+        self.expect_punct(")")?;
+        let then = self.block()?;
+        let otherwise = if self.eat_kw("else")? {
+            self.block()?
+        } else {
+            Vec::new()
+        };
+        Ok(Stmt::If {
+            cond,
+            then,
+            otherwise,
+        })
+    }
+
+    fn while_stmt(&mut self) -> Result<Stmt, ParseError> {
+        self.expect_punct("(")?;
+        let cond = self.expr()?;
+        self.expect_punct(")")?;
+        let body = self.block()?;
+        Ok(Stmt::While { cond, body })
+    }
+
+    /// A statement that nests no statements.
+    fn flat_stmt(&mut self) -> Result<Stmt, ParseError> {
         if self.eat_kw("return")? {
             let e = self.expr()?;
             self.expect_punct(";")?;
