@@ -431,9 +431,9 @@ impl Counters {
 }
 
 /// The run's solver, its counters at run start (unknown verdicts and
-/// incremental hits) and the resumed-from
-/// diagnostics: what turns a run's engine counters into its
-/// [`ExploreDiagnostics`], mid-run for a checkpoint or at the end.
+/// incremental hits) and the resumed-from diagnostics: what turns a
+/// run's engine counters into its [`ExploreDiagnostics`], mid-run for a
+/// checkpoint or at the end.
 struct Baseline<'s> {
     solver: Option<&'s Solver>,
     start: [u64; 2],
