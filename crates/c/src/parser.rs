@@ -327,27 +327,23 @@ impl<'a> Parser<'a> {
         Ok(e)
     }
 
+    /// The operand of a prefix operator, one nesting level deeper.
+    fn operand(&mut self) -> Result<Box<CExpr>, ParseError> {
+        Ok(Box::new(self.nested(Self::unary_expr)?))
+    }
+
     fn unary_expr(&mut self) -> Result<CExpr, ParseError> {
         if self.eat_punct("-")? {
-            return Ok(CExpr::Un(
-                CUnOp::Neg,
-                Box::new(self.nested(Self::unary_expr)?),
-            ));
+            return Ok(CExpr::Un(CUnOp::Neg, self.operand()?));
         }
         if self.eat_punct("!")? {
-            return Ok(CExpr::Un(
-                CUnOp::Not,
-                Box::new(self.nested(Self::unary_expr)?),
-            ));
+            return Ok(CExpr::Un(CUnOp::Not, self.operand()?));
         }
         if self.eat_punct("~")? {
-            return Ok(CExpr::Un(
-                CUnOp::BitNot,
-                Box::new(self.nested(Self::unary_expr)?),
-            ));
+            return Ok(CExpr::Un(CUnOp::BitNot, self.operand()?));
         }
         if self.eat_punct("*")? {
-            return Ok(CExpr::Deref(Box::new(self.nested(Self::unary_expr)?)));
+            return Ok(CExpr::Deref(self.operand()?));
         }
         // `(T)e` cast vs parenthesised expression: look for a type keyword.
         if self.is_punct("(") {
@@ -356,8 +352,7 @@ impl<'a> Parser<'a> {
             if self.at_type() {
                 let t = self.ctype()?;
                 self.expect_punct(")")?;
-                let e = self.nested(Self::unary_expr)?;
-                return Ok(CExpr::Cast(t, Box::new(e)));
+                return Ok(CExpr::Cast(t, self.operand()?));
             }
             // Rewind: plain parenthesised expression handled by postfix.
             self.lexer.pos = save.0;

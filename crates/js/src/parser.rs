@@ -306,24 +306,20 @@ impl<'a> Parser<'a> {
         Ok(e)
     }
 
+    /// The operand of a prefix operator, one nesting level deeper.
+    fn operand(&mut self) -> Result<Box<Expr>, ParseError> {
+        Ok(Box::new(self.nested(Self::unary_expr)?))
+    }
+
     fn unary_expr(&mut self) -> Result<Expr, ParseError> {
         if self.eat_punct("!")? {
-            return Ok(Expr::Un(
-                UnOp::Not,
-                Box::new(self.nested(Self::unary_expr)?),
-            ));
+            return Ok(Expr::Un(UnOp::Not, self.operand()?));
         }
         if self.eat_punct("-")? {
-            return Ok(Expr::Un(
-                UnOp::Neg,
-                Box::new(self.nested(Self::unary_expr)?),
-            ));
+            return Ok(Expr::Un(UnOp::Neg, self.operand()?));
         }
         if self.eat_kw("typeof")? {
-            return Ok(Expr::Un(
-                UnOp::TypeOf,
-                Box::new(self.nested(Self::unary_expr)?),
-            ));
+            return Ok(Expr::Un(UnOp::TypeOf, self.operand()?));
         }
         self.postfix_expr()
     }
