@@ -22,14 +22,9 @@
 //! per-prefix contexts (see [`gillian_bench::solver_from_env`]), so
 //! before/after throughput comparisons need no rebuild.
 //!
-//! Bytecode A/B: the main table rows honour `GILLIAN_BYTECODE` (the
-//! register-bytecode evaluator, on by default; `=0` falls back to the
-//! reference tree walk). Independently of that toggle, the run measures
-//! both backends on table1 and table2 — interleaved best-of-3 with path
-//! counts cross-checked — and records the side-by-side paths/sec in the
-//! JSON's `bytecode_ab` section. The `compile_cost` workload prices the
-//! one-shot bytecode compilation of every suite program eagerly (the
-//! engine amortizes it lazily per procedure).
+//! Bytecode: the `compile_cost` workload prices the one-shot bytecode
+//! compilation of every suite program eagerly (the engine amortizes it
+//! lazily per procedure).
 //!
 //! Crash safety: `GILLIAN_CHECKPOINT=path.bin` arms frontier
 //! checkpointing for every workload (interruption-triggered by default;
@@ -107,13 +102,10 @@ fn accumulate(
     w
 }
 
-/// `bytecode: None` defers to the process-wide `GILLIAN_BYTECODE` toggle
-/// (on by default); the A/B legs pass `Some(..)` to force one backend.
-fn run_table1_with(bytecode: Option<bool>) -> Workload {
+fn run_table1() -> Workload {
     let cfg = gillian_core::ExploreConfig {
         workers: gillian_bench::workers_from_env(),
         checkpoint: gillian_bench::checkpoint_from_env(),
-        bytecode,
         ..gillian_bench::explore_config_from_env(gillian_js::buckets::table1_config())
     };
     accumulate(
@@ -125,15 +117,10 @@ fn run_table1_with(bytecode: Option<bool>) -> Workload {
     )
 }
 
-fn run_table1() -> Workload {
-    run_table1_with(None)
-}
-
-fn run_table2_with(bytecode: Option<bool>) -> Workload {
+fn run_table2() -> Workload {
     let cfg = gillian_core::ExploreConfig {
         workers: gillian_bench::workers_from_env(),
         checkpoint: gillian_bench::checkpoint_from_env(),
-        bytecode,
         ..gillian_bench::explore_config_from_env(gillian_c::collections::table2_config())
     };
     accumulate(
@@ -143,66 +130,6 @@ fn run_table2_with(bytecode: Option<bool>) -> Workload {
             gillian_c::collections::run_row(s, gillian_bench::solver_from_env, cfg.clone())
         }),
     )
-}
-
-fn run_table2() -> Workload {
-    run_table2_with(None)
-}
-
-/// One table's bytecode-off vs bytecode-on measurement.
-struct BytecodeAb {
-    name: &'static str,
-    off_secs: f64,
-    on_secs: f64,
-    paths: usize,
-}
-
-impl BytecodeAb {
-    fn off_pps(&self) -> f64 {
-        self.paths as f64 / self.off_secs.max(1e-9)
-    }
-
-    fn on_pps(&self) -> f64 {
-        self.paths as f64 / self.on_secs.max(1e-9)
-    }
-
-    fn speedup(&self) -> f64 {
-        self.off_secs / self.on_secs.max(1e-9)
-    }
-}
-
-/// The bytecode A/B: table1 and table2 with the evaluator backend forced
-/// off then on, interleaved best-of-3 (noise only adds time), with the
-/// path counts cross-checked — the backends must explore identical path
-/// sets, so the throughput ratio is a pure evaluator comparison. Runs
-/// after the main workloads, so both legs see a warm interner.
-fn run_bytecode_ab() -> Vec<BytecodeAb> {
-    type TableRun = fn(Option<bool>) -> Workload;
-    let legs: [(&'static str, TableRun); 2] =
-        [("table1", run_table1_with), ("table2", run_table2_with)];
-    legs.iter()
-        .map(|&(name, run)| {
-            let (mut off_secs, mut on_secs) = (f64::INFINITY, f64::INFINITY);
-            let mut paths = 0usize;
-            for _ in 0..3 {
-                let off = run(Some(false));
-                let on = run(Some(true));
-                assert_eq!(
-                    off.paths, on.paths,
-                    "{name}: backends explored different path counts"
-                );
-                off_secs = off_secs.min(off.secs);
-                on_secs = on_secs.min(on.secs);
-                paths = on.paths;
-            }
-            BytecodeAb {
-                name,
-                off_secs,
-                on_secs,
-                paths,
-            }
-        })
-        .collect()
 }
 
 /// The `compile_cost` workload: the one-shot price of compiling every
@@ -543,7 +470,6 @@ fn json_workload(out: &mut String, w: &Workload) {
 
 fn render_json(
     workloads: &[Workload],
-    ab: &[BytecodeAb],
     ckpt: &CheckpointOverhead,
     prof: &ProfilerOverhead,
     interner: &InternStats,
@@ -573,28 +499,6 @@ fn render_json(
     for (i, w) in workloads.iter().enumerate() {
         json_workload(&mut out, w);
         out.push_str(if i + 1 < workloads.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"bytecode_ab\": [\n");
-    for (i, leg) in ab.iter().enumerate() {
-        write!(
-            out,
-            concat!(
-                "    {{\"name\": \"{}\", \"paths\": {}, ",
-                "\"off_secs\": {:.4}, \"off_paths_per_sec\": {:.1}, ",
-                "\"on_secs\": {:.4}, \"on_paths_per_sec\": {:.1}, ",
-                "\"speedup\": {:.2}}}"
-            ),
-            leg.name,
-            leg.paths,
-            leg.off_secs,
-            leg.off_pps(),
-            leg.on_secs,
-            leg.on_pps(),
-            leg.speedup()
-        )
-        .unwrap();
-        out.push_str(if i + 1 < ab.len() { ",\n" } else { "\n" });
     }
     out.push_str("  ],\n");
     writeln!(
@@ -739,7 +643,6 @@ fn main() {
         prof_workload,
         run_compile_cost(),
     ];
-    let ab = run_bytecode_ab();
     let report = Report {
         wall_micros: run_started.elapsed().as_micros() as u64,
         workers: gillian_bench::workers_from_env() as u32,
@@ -749,7 +652,7 @@ fn main() {
     let interner = InternStats::snapshot().since(&before);
     let rss = peak_rss_bytes();
 
-    let json = render_json(&workloads, &ab, &ckpt, &prof, &interner, rss);
+    let json = render_json(&workloads, &ckpt, &prof, &interner, rss);
     let out_path =
         std::env::var("BENCH_REPR_OUT").unwrap_or_else(|_| "BENCH_repr.json".to_string());
     std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("write {out_path}: {e}"));
@@ -765,16 +668,6 @@ fn main() {
             w.paths,
             w.secs,
             w.paths_per_sec(),
-        );
-    }
-    for leg in &ab {
-        println!(
-            "bytecode A/B {}: off {:.0} paths/sec vs on {:.0} paths/sec ({:.2}x, {} paths both legs)",
-            leg.name,
-            leg.off_pps(),
-            leg.on_pps(),
-            leg.speedup(),
-            leg.paths
         );
     }
     let denom = (interner.mints + interner.hits).max(1);
@@ -821,14 +714,6 @@ fn main() {
                 speedup >= 1.5,
                 "{}: speedup {speedup:.2}x below the 1.5x gate",
                 w.name,
-            );
-        }
-        for leg in &ab {
-            assert!(
-                leg.speedup() >= 1.5,
-                "bytecode A/B {}: {:.2}x below the 1.5x gate",
-                leg.name,
-                leg.speedup()
             );
         }
     }

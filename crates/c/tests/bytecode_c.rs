@@ -1,16 +1,18 @@
 //! Bytecode-vs-tree-walk equivalence on the MiniC memory: every shipped
-//! Collections test, plus the §4.2 bug-finding harnesses, explored on
-//! both evaluator backends. The C literal fast paths
-//! (`execute_action_coded`) are reachable only from the bytecode backend,
-//! so this battery is what pins them to the general actions: identical
-//! `(trace, outcome kind, cmds)` sets and, per path, an equal final
-//! memory.
+//! Collections test, plus the §4.2 bug-finding harnesses, explored on the
+//! compiled bytecode and enumerated by the reference tree walk
+//! (`interp::all_paths`). The C literal fast paths
+//! (`execute_action_coded`) are reachable only from the bytecode, so this
+//! battery is what pins them to the general actions the tree walk calls:
+//! identical `(trace, outcome kind, cmds)` sets and, per path, an equal
+//! final memory.
 
 mod common;
 
 use gillian_c::collections::{self, buggy_prog};
 use gillian_c::CSymMemory;
-use gillian_core::explore::{explore_with, ExploreConfig, ExploreResult};
+use gillian_core::explore::{explore_with, ExploreResult};
+use gillian_core::interp::all_paths;
 use gillian_core::symbolic::SymbolicState;
 use gillian_gil::Prog;
 use gillian_solver::Solver;
@@ -36,17 +38,21 @@ fn paths(result: &ExploreResult<St>) -> Vec<(PathKey, &CSymMemory)> {
     out
 }
 
-/// Explores `entry` on both backends and compares the runs; returns the
-/// number of paths.
-fn assert_backends_agree(label: &str, prog: &Prog, entry: &str, solver: &Arc<Solver>) -> usize {
-    let run = |bytecode| {
-        let cfg = ExploreConfig {
-            bytecode: Some(bytecode),
-            ..collections::table2_config()
-        };
-        explore_with(prog, entry, St::new(solver.clone()), cfg)
-    };
-    let (tree, byte) = (run(false), run(true));
+/// Explores `entry` on the bytecode, compares the run with the reference
+/// enumeration and returns it.
+fn assert_backends_agree(
+    label: &str,
+    prog: &Prog,
+    entry: &str,
+    solver: &Arc<Solver>,
+) -> ExploreResult<St> {
+    let cfg = collections::table2_config();
+    let tree = all_paths(prog, entry, St::new(solver.clone()), cfg.max_cmds_per_path);
+    let byte = explore_with(prog, entry, St::new(solver.clone()), cfg);
+    assert!(
+        !byte.truncated && byte.dropped_paths == 0,
+        "{label}: the exploration hit a budget"
+    );
     let (tree_paths, byte_paths) = (paths(&tree), paths(&byte));
     let tree_keys: Vec<_> = tree_paths.iter().map(|(k, _)| k).collect();
     let byte_keys: Vec<_> = byte_paths.iter().map(|(k, _)| k).collect();
@@ -55,7 +61,7 @@ fn assert_backends_agree(label: &str, prog: &Prog, entry: &str, solver: &Arc<Sol
         assert_eq!(tm, bm, "{label}: final memories differ on {key:?}");
     }
     assert_eq!(tree.total_cmds, byte.total_cmds, "{label}");
-    tree.paths.len()
+    byte
 }
 
 #[test]
@@ -65,7 +71,10 @@ fn collections_bytecode_matches_treewalk() {
     for suite in collections::suite_names() {
         let (prog, entries) = collections::suite_prog(suite).expect("suite compiles");
         for entry in &entries {
-            total += assert_backends_agree(&format!("{suite}::{entry}"), &prog, entry, &solver);
+            let label = format!("{suite}::{entry}");
+            total += assert_backends_agree(&label, &prog, entry, &solver)
+                .paths
+                .len();
             tests += 1;
         }
     }
@@ -79,14 +88,8 @@ fn bug_harnesses_bytecode_matches_treewalk() {
     let mut errors = 0;
     for (i, (lib, harness)) in common::all().into_iter().enumerate() {
         let prog = buggy_prog(lib, harness).expect("harness compiles");
-        assert_backends_agree(&format!("harness {i}"), &prog, "main", &solver);
-        let cfg = ExploreConfig {
-            bytecode: Some(true),
-            ..collections::table2_config()
-        };
-        errors += explore_with(&prog, "main", St::new(solver.clone()), cfg)
-            .errors()
-            .count();
+        let byte = assert_backends_agree(&format!("harness {i}"), &prog, "main", &solver);
+        errors += byte.errors().count();
     }
     assert!(errors > 0, "the harnesses reach their bugs");
 }

@@ -1,4 +1,4 @@
-//! The bytecode execution backend: block dispatch over compiled GIL.
+//! The execution backend: block dispatch over compiled GIL.
 //!
 //! [`step_block`] is the engine's inner loop. Where [`crate::interp::step`]
 //! executes exactly one command and hands every successor back to the
@@ -7,19 +7,20 @@
 //! [`gillian_gil::compile`] — and only surfaces when the path forks,
 //! finishes, or exhausts its block budget. The worklist round-trip,
 //! configuration re-destructuring, and per-command panic-guard entry that
-//! dominate straight-line cost in the tree walk are paid once per block
-//! instead of once per command.
+//! a command-at-a-time loop would pay per command are paid once per block.
 //!
 //! ## Exact equivalence contract
 //!
-//! Both backends must produce the same `(trace, outcome, cmds)` triple for
-//! every path, on every program, under every state model:
+//! The tree walk of [`crate::interp`] is the reference semantics (paper
+//! Fig. 1), and this backend must produce the same `(trace, outcome,
+//! cmds)` triple for every path, on every program, under every state
+//! model, as [`crate::interp::all_paths`] enumerates over it:
 //!
 //! - **Traces.** A branch-trace entry is pushed only when a step yields
 //!   more than one successor. The block loop continues in place *only* on
 //!   single-successor steps, so it forks exactly where the tree walk
 //!   forks — and returns the fork to the explorer, which applies the same
-//!   trace rule to both backends.
+//!   trace rule as the reference.
 //! - **Command accounting.** The loop publishes its progress through a
 //!   caller-supplied atomic *before* executing each command: when the
 //!   block returns (or panics out through the explorer's panic guard),
@@ -33,6 +34,9 @@
 //!   default to the tree-walk methods and are overridden only by
 //!   implementations that promise exact agreement.
 //!
+//! The backend batteries (`bytecode_equiv` and the While, MiniJS and
+//! MiniC `bytecode_*` tests) check this contract against `all_paths`.
+//!
 //! ## Inline caches
 //!
 //! Memory-action sites carry a per-site [`AtomicU32`] inline cache mapping
@@ -42,27 +46,16 @@
 //! invalidated: programs are immutable after compile and an exploration
 //! binds a single memory model, so a resolved code can never go stale.
 //!
-//! ## The escape hatch
-//!
-//! `GILLIAN_BYTECODE=0` (or [`ExploreConfig::bytecode`] `Some(false)`)
-//! keeps the tree walk alive behind the same block interface:
-//! [`ExecProg::prepare`] then skips compilation and `step_block` drives
-//! [`crate::interp::step`] one command at a time with identical
-//! accounting. Every equivalence battery runs both backends
-//! differentially through this switch.
-//!
-//! [`ExploreConfig::bytecode`]: crate::explore::ExploreConfig::bytecode
 //! [`Instr`]: gillian_gil::compile::Instr
 //! [`AtomicU32`]: std::sync::atomic::AtomicU32
 
-use crate::interp::{self, Config, Final, Frame, Outcome, StepOut};
+use crate::interp::{Config, Final, Frame, Outcome, StepOut};
 use crate::state::{GilState, GuardEval};
 use gillian_gil::compile::{CompiledProg, EvalScratch, Instr, IC_BIAS, IC_NO_CODE, IC_UNRESOLVED};
-use gillian_gil::{Ident, Prog};
+use gillian_gil::Ident;
 use gillian_solver::Interrupt;
 use gillian_telemetry::{names, registry, Counter, Histogram};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::sync::OnceLock;
 
 /// Upper bound on commands retired per [`step_block`] call. Large enough
@@ -188,42 +181,6 @@ fn render_stack<S: GilState>(stack: &[Frame<S>], proc: &Ident) -> String {
     out
 }
 
-/// Whether the bytecode backend is enabled by the environment:
-/// `GILLIAN_BYTECODE=0` disables it, anything else (including unset)
-/// enables it.
-pub fn bytecode_from_env() -> bool {
-    std::env::var("GILLIAN_BYTECODE").map_or(true, |v| v != "0")
-}
-
-/// A program prepared for execution: the compiled bytecode when the
-/// backend is on, or nothing (tree walk) when it is off. Cheap to clone —
-/// the compiled program is shared behind an [`Arc`] so parallel workers
-/// share one instruction stream (and its inline caches).
-#[derive(Clone, Debug, Default)]
-pub struct ExecProg {
-    compiled: Option<Arc<CompiledProg>>,
-}
-
-impl ExecProg {
-    /// Prepares `prog` for execution. `bytecode` forces the backend on or
-    /// off; `None` defers to [`bytecode_from_env`]. Compilation is
-    /// memoized on the program ([`Prog::bytecode`]) — a suite exploring
-    /// the same program hundreds of times compiles once and shares the
-    /// warm inline caches — and counted under `exec.compiles` when the
-    /// memo is cold.
-    pub fn prepare(prog: &Prog, bytecode: Option<bool>) -> ExecProg {
-        let on = bytecode.unwrap_or_else(bytecode_from_env);
-        ExecProg {
-            compiled: on.then(|| prog.bytecode()),
-        }
-    }
-
-    /// True when the bytecode backend is active.
-    pub fn bytecode(&self) -> bool {
-        self.compiled.is_some()
-    }
-}
-
 fn done<S: GilState>(state: S, outcome: Outcome<S::V>) -> StepOut<S> {
     StepOut::Done(Final { state, outcome })
 }
@@ -241,9 +198,9 @@ fn next<S: GilState>(state: S, stack: Vec<Frame<S>>, proc: Ident, idx: usize) ->
     })
 }
 
-/// Executes up to `limit` commands from `cfg`, returning the successors of
-/// the last command executed (exactly as [`crate::interp::step`] would for
-/// that command).
+/// Executes up to `limit` commands of `compiled` from `cfg`, returning the
+/// successors of the last command executed (exactly as
+/// [`crate::interp::step`] would for that command).
 ///
 /// `limit` must be at least 1 and must already be clamped to the path and
 /// total command budgets — the block never checks them itself. `progress`
@@ -254,14 +211,12 @@ fn next<S: GilState>(state: S, stack: Vec<Frame<S>>, proc: Ident, idx: usize) ->
 /// evaluation. `interrupt` is the run's deadline/cancel pair: the block
 /// polls it between commands and surfaces its in-flight configuration
 /// early when it fires, so the explorer's scheduling-point checks stay
-/// per-command responsive exactly as under the tree walk. `profile`, when
-/// present, accumulates per-call-stack exclusive time segments for the
-/// exploration profiler (see [`BlockProfile`]); pass `None` on untraced
-/// runs to keep the block loop timer-free.
-#[allow(clippy::too_many_arguments)]
+/// per-command responsive. `profile`, when present, accumulates
+/// per-call-stack exclusive time segments for the exploration profiler
+/// (see [`BlockProfile`]); pass `None` on untraced runs to keep the block
+/// loop timer-free.
 pub fn step_block<S: GilState>(
-    prog: &Prog,
-    exec: &ExecProg,
+    compiled: &CompiledProg,
     cfg: Config<S>,
     limit: u64,
     interrupt: &Interrupt,
@@ -270,60 +225,17 @@ pub fn step_block<S: GilState>(
     profile: Option<&mut BlockProfile>,
 ) -> Vec<StepOut<S>> {
     debug_assert!(limit >= 1, "block budget must admit at least one command");
-    match &exec.compiled {
-        Some(compiled) => {
-            let outs = block_compiled(compiled, cfg, limit, interrupt, progress, scratch, profile);
-            let charged = progress.load(Ordering::Relaxed);
-            exec_blocks().incr();
-            exec_cmds().add(charged);
-            block_cmds_histogram().record(charged);
-            outs
-        }
-        None => block_tree(prog, cfg, limit, interrupt, progress, profile),
-    }
+    let outs = block(compiled, cfg, limit, interrupt, progress, scratch, profile);
+    let charged = progress.load(Ordering::Relaxed);
+    exec_blocks().incr();
+    exec_cmds().add(charged);
+    block_cmds_histogram().record(charged);
+    outs
 }
 
-/// The escape-hatch block: drives the tree walk one command at a time,
-/// continuing in place on single-successor steps so the explorer sees the
-/// same block interface (and pays the same per-block worklist costs) under
-/// both backends.
-fn block_tree<S: GilState>(
-    prog: &Prog,
-    mut cfg: Config<S>,
-    limit: u64,
-    interrupt: &Interrupt,
-    progress: &AtomicU64,
-    mut profile: Option<&mut BlockProfile>,
-) -> Vec<StepOut<S>> {
-    let mut charged = 0u64;
-    loop {
-        if let Some(p) = profile.as_deref_mut() {
-            p.observe((cfg.stack.len(), u32::MAX), charged, || {
-                render_stack(&cfg.stack, &cfg.proc)
-            });
-        }
-        charged += 1;
-        progress.store(charged, Ordering::Relaxed);
-        let mut outs = interp::step(prog, cfg);
-        if outs.len() == 1
-            && matches!(outs[0], StepOut::Next(_))
-            && charged < limit
-            && !interrupt.interrupted()
-        {
-            let Some(StepOut::Next(c)) = outs.pop() else {
-                unreachable!("just matched a single Next");
-            };
-            cfg = c;
-            continue;
-        }
-        return outs;
-    }
-}
-
-/// The compiled block: direct dispatch over [`Instr`], mirroring
+/// The block loop: direct dispatch over [`Instr`], mirroring
 /// [`crate::interp::step`] arm-for-arm.
-#[allow(clippy::too_many_arguments)]
-fn block_compiled<S: GilState>(
+fn block<S: GilState>(
     compiled: &CompiledProg,
     cfg: Config<S>,
     limit: u64,
@@ -545,8 +457,9 @@ fn block_compiled<S: GilState>(
 mod tests {
     use super::*;
     use crate::concrete::ConcreteState;
+    use crate::interp;
     use crate::memory::ConcreteMemory;
-    use gillian_gil::{Cmd, Expr, Proc, Value};
+    use gillian_gil::{Cmd, Expr, Proc, Prog, Value};
 
     #[derive(Clone, Debug, Default)]
     struct NoMem;
@@ -558,48 +471,54 @@ mod tests {
 
     type St = ConcreteState<NoMem>;
 
-    /// Runs `prog` to completion under both backends with the given block
-    /// limit, asserting identical outcomes and command charges.
+    /// Runs `prog` to completion in blocks of at most `limit` commands,
+    /// asserting the outcome and command charge of the reference tree
+    /// walk ([`interp::all_paths`]).
     fn run_both(prog: &Prog, limit: u64) -> (Outcome<Value>, u64) {
-        let mut results = Vec::new();
-        for bytecode in [false, true] {
-            let exec = ExecProg::prepare(prog, Some(bytecode));
-            let progress = AtomicU64::new(0);
-            let mut scratch = EvalScratch::new();
-            let mut pending = vec![Config::entry("main", St::new())];
-            let mut cmds = 0u64;
-            let mut finals = Vec::new();
-            let mut fuel = 10_000;
-            while let Some(cfg) = pending.pop() {
-                fuel -= 1;
-                assert!(fuel > 0, "runaway test program");
-                progress.store(0, Ordering::Relaxed);
-                let outs = step_block(
-                    prog,
-                    &exec,
-                    cfg,
-                    limit,
-                    &Interrupt::default(),
-                    &progress,
-                    &mut scratch,
-                    None,
-                );
-                cmds += progress.load(Ordering::Relaxed);
-                for out in outs {
-                    match out {
-                        StepOut::Next(c) => pending.push(c),
-                        StepOut::Done(f) => finals.push(f),
-                    }
+        let compiled = prog.bytecode();
+        let progress = AtomicU64::new(0);
+        let mut scratch = EvalScratch::new();
+        let mut pending = vec![Config::entry("main", St::new())];
+        let mut cmds = 0u64;
+        let mut finals = Vec::new();
+        let mut fuel = 10_000;
+        while let Some(cfg) = pending.pop() {
+            fuel -= 1;
+            assert!(fuel > 0, "runaway test program");
+            progress.store(0, Ordering::Relaxed);
+            let outs = step_block(
+                &compiled,
+                cfg,
+                limit,
+                &Interrupt::default(),
+                &progress,
+                &mut scratch,
+                None,
+            );
+            cmds += progress.load(Ordering::Relaxed);
+            for out in outs {
+                match out {
+                    StepOut::Next(c) => pending.push(c),
+                    StepOut::Done(f) => finals.push(f),
                 }
             }
-            assert_eq!(finals.len(), 1, "concrete execution is deterministic");
-            results.push((finals.pop().unwrap().outcome, cmds));
         }
-        let tree = results.remove(0);
-        let byte = results.remove(0);
-        assert_eq!(tree.0, byte.0, "outcomes must agree across backends");
-        assert_eq!(tree.1, byte.1, "command charges must agree across backends");
-        byte
+        assert_eq!(finals.len(), 1, "concrete execution is deterministic");
+        let outcome = finals.pop().unwrap().outcome;
+        let reference = interp::all_paths(prog, "main", St::new(), 10_000);
+        let [path] = &reference.paths[..] else {
+            panic!("the reference found {} paths", reference.paths.len());
+        };
+        assert_eq!(
+            path.outcome,
+            outcome.clone().into(),
+            "outcomes must agree with the reference"
+        );
+        assert_eq!(
+            reference.total_cmds, cmds,
+            "command charges must agree with the reference"
+        );
+        (outcome, cmds)
     }
 
     fn call_prog() -> Prog {
@@ -671,13 +590,12 @@ mod tests {
     #[test]
     fn unknown_entry_procedure_errors() {
         let prog = Prog::from_procs([Proc::new("main", [], vec![Cmd::Vanish])]);
-        let exec = ExecProg::prepare(&prog, Some(true));
+        let compiled = prog.bytecode();
         let progress = AtomicU64::new(0);
         let mut scratch = EvalScratch::new();
         let cfg = Config::entry("nope", St::new());
         let outs = step_block(
-            &prog,
-            &exec,
+            &compiled,
             cfg,
             BLOCK_MAX,
             &Interrupt::default(),
@@ -699,12 +617,11 @@ mod tests {
     #[test]
     fn block_limit_cuts_exactly_and_resumes() {
         let prog = call_prog();
-        let exec = ExecProg::prepare(&prog, Some(true));
+        let compiled = prog.bytecode();
         let progress = AtomicU64::new(0);
         let mut scratch = EvalScratch::new();
         let outs = step_block(
-            &prog,
-            &exec,
+            &compiled,
             Config::entry("main", St::new()),
             2,
             &Interrupt::default(),
@@ -729,12 +646,11 @@ mod tests {
             [],
             vec![Cmd::action("r", "poke", Expr::int(1))],
         )]);
-        let exec = ExecProg::prepare(&prog, Some(true));
+        let compiled = prog.bytecode();
         let progress = AtomicU64::new(0);
         let mut scratch = EvalScratch::new();
         let outs = step_block(
-            &prog,
-            &exec,
+            &compiled,
             Config::entry("main", St::new()),
             BLOCK_MAX,
             &Interrupt::default(),
@@ -744,18 +660,9 @@ mod tests {
         );
         assert_eq!(outs.len(), 1, "NoMem action errors deterministically");
         // The site's cache is now resolved to "no dense code".
-        let compiled = exec.compiled.as_ref().unwrap();
         let Instr::Action { ic, .. } = &compiled.proc("main").unwrap().body[0] else {
             panic!("expected an action instruction");
         };
         assert_eq!(ic.load(Ordering::Relaxed), IC_NO_CODE);
-    }
-
-    #[test]
-    fn env_toggle_selects_backend() {
-        // `prepare(.., Some(_))` must ignore the environment entirely.
-        let prog = call_prog();
-        assert!(ExecProg::prepare(&prog, Some(true)).bytecode());
-        assert!(!ExecProg::prepare(&prog, Some(false)).bytecode());
     }
 }

@@ -4,10 +4,9 @@
 //! unrolling loops up to a bound (paper §1: "Gillian symbolically
 //! executes these tests, exploring all paths and unrolling loops up to a
 //! bound"). The inner loop is the compiled-bytecode block dispatch of
-//! [`crate::exec`] by default, with the [`crate::interp`] tree walk as
-//! the reference backend (`GILLIAN_BYTECODE=0` /
-//! [`ExploreConfig::bytecode`]). Per-path and global command budgets
-//! keep exploration total; hitting a budget truncates the path and is
+//! [`crate::exec`]; the [`crate::interp`] tree walk is the reference it
+//! is tested against ([`crate::interp::all_paths`]), not a run-time
+//! choice. Per-path and global command budgets keep exploration total; hitting a budget truncates the path and is
 //! reported (a truncated run yields a *bounded* verification guarantee
 //! only).
 //!
@@ -44,11 +43,12 @@
 use crate::checkpoint::{
     self, CheckpointConfig, CheckpointData, FrontierItem, PathSummary, ResumeError, StateCtx,
 };
-use crate::exec::{step_block, BlockProfile, ExecProg, BLOCK_MAX};
+use crate::exec::{step_block, BlockProfile, BLOCK_MAX};
 use crate::faults::{FaultKind, FaultPlan};
 use crate::interp::{Config, Final, Outcome, StepOut};
 use crate::panic_guard;
 use crate::state::GilState;
+use gillian_gil::compile::CompiledProg;
 use gillian_gil::{EvalScratch, InternStats, Prog};
 use gillian_solver::{CancelToken, Interrupt, Solver};
 use gillian_telemetry::journal::{clear_path_context, set_path_context};
@@ -143,12 +143,10 @@ pub struct ExploreConfig {
     /// fire at engine scheduling points and solver queries. Testing
     /// machinery — never install one in production runs.
     pub faults: Option<Arc<FaultPlan>>,
-    /// Execution backend selection (`DESIGN.md` §15): `Some(true)` runs
-    /// the compiled register bytecode, `Some(false)` the reference tree
-    /// walk, and `None` (the default) defers to the `GILLIAN_BYTECODE`
-    /// environment variable (on unless set to `0`). Both backends
-    /// produce identical `(trace, outcome, cmds)` path sets; the switch
-    /// exists for differential testing and A/B benchmarking.
+    /// Retired: the compiled bytecode is the only execution backend
+    /// (`DESIGN.md` §15) and nothing reads this field. It remains only
+    /// because the benchmark's runner names it in a struct literal, and
+    /// goes with the next change to the benchmark.
     pub bytecode: Option<bool>,
     /// Retired: procedure summaries were removed (`DESIGN.md` §17) and
     /// nothing reads this field. It remains only because the benchmark's
@@ -475,8 +473,7 @@ struct Queue<S: GilState> {
 /// What the workers of one run share. The driver keeps it across
 /// checkpoint rounds, so budgets and accounting carry over unchanged.
 struct SharedExplorer<'a, S: GilState> {
-    prog: &'a Prog,
-    exec: &'a ExecProg,
+    compiled: &'a CompiledProg,
     cfg: &'a ExploreConfig,
     entry: &'a str,
     interrupt: Interrupt,
@@ -800,20 +797,20 @@ fn work<S: GilState>(
         }
         let caught = {
             let (scratch, progress, prof) = (&mut scratch, &progress, profile.as_mut());
-            let (prog, exec, interrupt) = (run.prog, run.exec, &run.interrupt);
+            let (compiled, interrupt) = (run.compiled, &run.interrupt);
             panic_guard::catch(move || {
                 if inject_panic {
                     panic!("injected fault: path panic");
                 }
                 step_block(
-                    prog, exec, config, allowed, interrupt, progress, scratch, prof,
+                    compiled, config, allowed, interrupt, progress, scratch, prof,
                 )
             })
         };
         // Commands the block charged — published *before* each command
         // runs, so a panic mid-block still bills every command up to and
         // including the one that died (`max(1)` covers an injected panic
-        // ahead of the first command, which the tree walk charges as one).
+        // ahead of the first command, which the reference charges as one).
         let charged = progress.load(Ordering::Relaxed);
         let consumed = charged.max(1);
         let cmds = cmds + consumed;
@@ -997,7 +994,7 @@ fn drive<S: GilState>(
     // One compiled program for the whole run: workers share the
     // instruction stream and its inline caches (resolution is idempotent,
     // so racing resolvers store the same value).
-    let exec = ExecProg::prepare(prog, cfg.bytecode);
+    let compiled = prog.bytecode();
     let interrupt = Interrupt::new(cfg.deadline.map(|d| run_started + d), cfg.cancel.clone());
     // Arm the run's interrupt, journal and fault probe on the solver every
     // state of the run shares; all three are disarmed at the end.
@@ -1022,8 +1019,7 @@ fn drive<S: GilState>(
     log.emit_with(|| Event::PathStarted { path: Vec::new() });
     let checkpoint_every = cfg.checkpoint.as_ref().and_then(|c| c.every);
     let mut run = SharedExplorer {
-        prog,
-        exec: &exec,
+        compiled: &compiled,
         cfg: &cfg,
         entry: &start.entry,
         interrupt,
@@ -1363,7 +1359,7 @@ pub fn replay_path<S: GilState>(
     trace: &[u32],
     max_cmds: u64,
 ) -> Result<PathResult<S>, ReplayError> {
-    let exec = ExecProg::prepare(prog, None);
+    let compiled = prog.bytecode();
     let mut scratch = EvalScratch::new();
     let progress = AtomicU64::new(0);
     // Replay has no deadline or cancellation; the default interrupt never
@@ -1380,8 +1376,7 @@ pub fn replay_path<S: GilState>(
         let limit = BLOCK_MAX.min(max_cmds - cmds);
         progress.store(0, Ordering::Relaxed);
         let mut outs = step_block(
-            prog,
-            &exec,
+            &compiled,
             config,
             limit,
             &interrupt,

@@ -7,13 +7,13 @@
 //! several successor configurations (conditional gotos and branching
 //! memory actions); concrete states return exactly one.
 //!
-//! [`step`] is the **reference backend**: the explorer's default inner
-//! loop is the compiled-bytecode block dispatch of [`crate::exec`],
-//! which must agree with `step` command-for-command (same successors,
-//! same outcomes, same error text — see `exec`'s equivalence contract).
-//! This tree walk stays authoritative for the semantics, serves as the
-//! differential oracle in the bytecode batteries, and remains selectable
-//! at run time via `GILLIAN_BYTECODE=0`.
+//! [`step`] is the **reference semantics**, not a run-time backend: the
+//! explorer always runs the compiled-bytecode block dispatch of
+//! [`crate::exec`], which must agree with `step` command-for-command
+//! (same successors, same outcomes, same error text — see `exec`'s
+//! equivalence contract). [`all_paths`] enumerates every path of a
+//! program over `step`; the backend batteries compare each exploration
+//! against it.
 //!
 //! ## Panic contract
 //!
@@ -21,16 +21,18 @@
 //! tool-developer code — [`SymbolicMemory`] actions and the hosted
 //! expression evaluator — which may. The interpreter does *not* catch
 //! those panics: it promises only not to corrupt any state it did not
-//! consume (it takes configurations by value). Isolation is layered above:
-//! [`explore`](crate::explore) wraps each `step` call in a panic guard, so
-//! a panicking memory action kills one path (reported as
-//! [`ExploreOutcome::EngineError`](crate::explore::ExploreOutcome)), never
-//! the whole exploration.
+//! consume (it takes configurations by value). [`all_paths`] catches
+//! nothing either. Isolation is layered above the bytecode loop:
+//! [`explore`](crate::explore) wraps each block in a panic guard, so a
+//! panicking memory action kills one path (reported as
+//! [`ExploreOutcome::EngineError`]), never the whole exploration.
 //!
 //! [`SymbolicMemory`]: crate::memory::SymbolicMemory
 
+use crate::explore::{ExploreOutcome, ExploreResult, PathResult};
 use crate::state::GilState;
 use gillian_gil::{Cmd, Ident, Prog};
+use gillian_telemetry::Report;
 
 /// A non-continuation outcome `o ∈ O` of a finished path.
 #[derive(Clone, Debug, PartialEq)]
@@ -250,6 +252,66 @@ pub fn step<S: GilState>(prog: &Prog, cfg: Config<S>) -> Vec<StepOut<S>> {
     }
 }
 
+/// Every path of `prog` from `entry`, enumerated depth-first over
+/// [`step`]: the reference an exploration of the compiled program must
+/// reproduce. A branch-trace entry is pushed only when a step yields more
+/// than one successor, every step charges one command, and a path that
+/// has executed `max_cmds_per_path` commands ends as
+/// [`ExploreOutcome::Truncated`] (marking the result truncated), as
+/// [`explore`](crate::explore::explore) ends it. No other budget, deadline
+/// or panic guard applies, so call it only on programs whose paths are
+/// few enough to enumerate.
+pub fn all_paths<S: GilState>(
+    prog: &Prog,
+    entry: &str,
+    initial: S,
+    max_cmds_per_path: u64,
+) -> ExploreResult<S> {
+    let mut pending = vec![(Config::entry(entry, initial), 0u64, Vec::new())];
+    let (mut paths, mut total_cmds) = (Vec::new(), 0u64);
+    while let Some((cfg, cmds, trace)) = pending.pop() {
+        if cmds >= max_cmds_per_path {
+            paths.push(PathResult {
+                state: cfg.state,
+                outcome: ExploreOutcome::Truncated,
+                cmds,
+                trace,
+            });
+            continue;
+        }
+        let (cmds, outs) = (cmds + 1, step(prog, cfg));
+        total_cmds += 1;
+        let branching = outs.len() > 1;
+        for (i, out) in outs.into_iter().enumerate() {
+            let mut trace = trace.clone();
+            if branching {
+                trace.push(i as u32);
+            }
+            match out {
+                StepOut::Next(c) => pending.push((c, cmds, trace)),
+                StepOut::Done(Final { state, outcome }) => paths.push(PathResult {
+                    state,
+                    outcome: outcome.into(),
+                    cmds,
+                    trace,
+                }),
+            }
+        }
+    }
+    let truncated = paths
+        .iter()
+        .any(|p| matches!(p.outcome, ExploreOutcome::Truncated));
+    ExploreResult {
+        paths,
+        total_cmds,
+        truncated,
+        dropped_paths: 0,
+        killed: false,
+        diagnostics: Default::default(),
+        report: Report::default(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,22 +329,15 @@ mod tests {
 
     type St = ConcreteState<NoMem>;
 
-    fn run_to_end(prog: &Prog, entry: &str) -> Final<St> {
-        let mut pending = vec![Config::entry(entry, St::new())];
-        let mut finals = Vec::new();
-        let mut steps = 0;
-        while let Some(cfg) = pending.pop() {
-            steps += 1;
-            assert!(steps < 10_000, "runaway test program");
-            for out in step(prog, cfg) {
-                match out {
-                    StepOut::Next(c) => pending.push(c),
-                    StepOut::Done(f) => finals.push(f),
-                }
-            }
-        }
-        assert_eq!(finals.len(), 1, "concrete execution is deterministic");
-        finals.pop().unwrap()
+    fn run_to_end(prog: &Prog, entry: &str) -> PathResult<St> {
+        let mut result = all_paths(prog, entry, St::new(), 10_000);
+        assert!(!result.truncated, "runaway test program");
+        assert_eq!(result.paths.len(), 1, "concrete execution is deterministic");
+        result.paths.pop().unwrap()
+    }
+
+    fn is_error(path: PathResult<St>) -> bool {
+        matches!(path.outcome, ExploreOutcome::Error(_))
     }
 
     #[test]
@@ -297,7 +352,7 @@ mod tests {
             ],
         )]);
         let f = run_to_end(&prog, "main");
-        assert_eq!(f.outcome, Outcome::Normal(Value::Int(42)));
+        assert_eq!(f.outcome, ExploreOutcome::Normal(Value::Int(42)));
     }
 
     #[test]
@@ -323,7 +378,7 @@ mod tests {
             ),
         ]);
         let f = run_to_end(&prog, "main");
-        assert_eq!(f.outcome, Outcome::Normal(Value::Int(43)));
+        assert_eq!(f.outcome, ExploreOutcome::Normal(Value::Int(43)));
     }
 
     #[test]
@@ -339,7 +394,7 @@ mod tests {
             ],
         )]);
         let f = run_to_end(&prog, "main");
-        assert_eq!(f.outcome, Outcome::Normal(Value::Bool(true)));
+        assert_eq!(f.outcome, ExploreOutcome::Normal(Value::Bool(true)));
     }
 
     #[test]
@@ -347,10 +402,13 @@ mod tests {
         let fail = Prog::from_procs([Proc::new("main", [], vec![Cmd::Fail(Expr::str("boom"))])]);
         assert_eq!(
             run_to_end(&fail, "main").outcome,
-            Outcome::Error(Value::str("boom"))
+            ExploreOutcome::Error(Value::str("boom"))
         );
         let vanish = Prog::from_procs([Proc::new("main", [], vec![Cmd::Vanish])]);
-        assert_eq!(run_to_end(&vanish, "main").outcome, Outcome::Vanished);
+        assert_eq!(
+            run_to_end(&vanish, "main").outcome,
+            ExploreOutcome::Vanished
+        );
     }
 
     #[test]
@@ -372,7 +430,7 @@ mod tests {
             Proc::new("id", ["v"], vec![Cmd::Return(Expr::pvar("v"))]),
         ]);
         let f = run_to_end(&prog, "main");
-        assert_eq!(f.outcome, Outcome::Normal(Value::Int(9)));
+        assert_eq!(f.outcome, ExploreOutcome::Normal(Value::Int(9)));
     }
 
     #[test]
@@ -382,13 +440,13 @@ mod tests {
             [],
             vec![Cmd::assign("x", Expr::pvar("missing"))],
         )]);
-        assert!(run_to_end(&prog, "main").outcome.is_error());
+        assert!(is_error(run_to_end(&prog, "main")));
         let oob = Prog::from_procs([Proc::new(
             "main",
             [],
             vec![Cmd::assign("x", Expr::int(1).div(Expr::int(0)))],
         )]);
-        assert!(run_to_end(&oob, "main").outcome.is_error());
+        assert!(is_error(run_to_end(&oob, "main")));
     }
 
     #[test]
@@ -398,6 +456,6 @@ mod tests {
             [],
             vec![Cmd::call_static("r", "nope", vec![])],
         )]);
-        assert!(run_to_end(&prog, "main").outcome.is_error());
+        assert!(is_error(run_to_end(&prog, "main")));
     }
 }

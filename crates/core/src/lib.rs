@@ -59,7 +59,7 @@ pub use difftest::{
     run_differential, run_differential_with, DifftestReport, Divergence, InterpMemoryCheck,
     MemoryCheck, MismatchClass, NoMemoryCheck, SkippedPath,
 };
-pub use exec::{bytecode_from_env, step_block, BlockProfile, ExecProg, BLOCK_MAX};
+pub use exec::{step_block, BlockProfile, BLOCK_MAX};
 pub use explore::{
     explore_resume, explore_with, replay_path, ExploreConfig, ExploreDiagnostics, ExploreOutcome,
     ExploreResult, PathResult, ReplayError, ResumedExplore, SearchStrategy,

@@ -316,8 +316,8 @@ pub trait SymbolicMemory: Clone + std::fmt::Debug + Default + Send {
     /// set must be identical to `execute_action(name, arg, pc, solver)`;
     /// the default delegates. Implementations may use the pre-resolved
     /// code to skip string dispatch and take literal-argument fast paths
-    /// that are unreachable from the tree-walk backend (keeping that
-    /// backend a byte-identical differential reference). The While,
+    /// that are unreachable from the tree walk (keeping it a
+    /// byte-identical differential reference). The While,
     /// MiniJS and MiniC memories all do: when the address and every
     /// location it could alias are literals, they resolve the action by
     /// map lookup and keep only the general path's one `sat(pc)` query

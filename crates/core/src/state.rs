@@ -122,7 +122,7 @@ pub trait GilState: Clone + std::fmt::Debug + Sized {
     /// [`ExprCode::source`] exactly — same values, same errors, same
     /// error order. The default does precisely that by delegating to the
     /// tree walk, so states that never override it (test doubles, hosted
-    /// states) run unchanged under both backends.
+    /// states) agree with the reference by construction.
     ///
     /// # Errors
     ///

@@ -1,9 +1,9 @@
 //! Bytecode-vs-tree-walk differential battery: seeded random GIL programs
-//! (the same `generate.rs` seed scheme the CSC difftest uses) explored
-//! twice — once on the reference tree-walking evaluator, once on the
-//! compiled register bytecode — across DFS/BFS and 1–4 workers. The two
-//! backends must produce *identical* path identities: same branch traces,
-//! same outcome kinds, same per-path command counts, same totals. The
+//! (the same `generate.rs` seed scheme the CSC difftest uses) explored on
+//! the compiled register bytecode across DFS/BFS and 1–4 workers, and
+//! enumerated by the reference tree walk (`interp::all_paths`). The two
+//! must produce *identical* path identities: same branch traces, same
+//! outcome kinds, same per-path command counts, same totals. The
 //! bytecode compiler is a pure representation change (`DESIGN.md` §15);
 //! any divergence here is a compiler bug, not a semantic choice.
 //!
@@ -12,14 +12,10 @@
 //! - `GILLIAN_BYTECODE_SEED`  — base seed (default 0); case `i` runs with
 //!   seed `base + salt + i`, printed on failure.
 //! - `GILLIAN_BYTECODE_CASES` — programs per engine config (default 40).
-//!
-//! `GILLIAN_BYTECODE` (the process-wide backend toggle) is deliberately
-//! overridden here: both legs force the backend through
-//! [`ExploreConfig::bytecode`], so the battery checks both sides no
-//! matter how the environment is set.
 
 use gillian_core::explore::{explore_with, ExploreConfig, ExploreResult, SearchStrategy};
 use gillian_core::generate::{build_prog, gen_ops, MemDialect, Rng};
+use gillian_core::interp::all_paths;
 use gillian_core::memory::{SymBranch, SymbolicMemory};
 use gillian_core::symbolic::SymbolicState;
 use gillian_gil::Expr;
@@ -64,11 +60,10 @@ fn path_set(result: &ExploreResult<St>) -> BTreeSet<(Vec<u32>, String, u64)> {
         .collect()
 }
 
-fn config(strategy: SearchStrategy, workers: usize, bytecode: bool) -> ExploreConfig {
+fn config(strategy: SearchStrategy, workers: usize) -> ExploreConfig {
     ExploreConfig {
         strategy,
         workers,
-        bytecode: Some(bytecode),
         journal: Journal::disabled(),
         ..Default::default()
     }
@@ -83,17 +78,17 @@ fn run_battery(strategy: SearchStrategy, workers: usize, salt: u64) {
         let seed = base.wrapping_add(salt).wrapping_add(i);
         let ops = gen_ops(&mut Rng::new(seed), 16, MemDialect::None);
         let prog = build_prog(&ops, MemDialect::None);
-        let tree = explore_with(
+        let cfg = config(strategy, workers);
+        let tree = all_paths(
             &prog,
             "main",
             St::new(solver.clone()),
-            config(strategy, workers, false),
+            cfg.max_cmds_per_path,
         );
-        let byte = explore_with(
-            &prog,
-            "main",
-            St::new(solver.clone()),
-            config(strategy, workers, true),
+        let byte = explore_with(&prog, "main", St::new(solver.clone()), cfg);
+        assert!(
+            !byte.truncated && byte.dropped_paths == 0,
+            "seed {seed}: the exploration hit a budget\nops: {ops:?}"
         );
         assert_eq!(
             path_set(&tree),

@@ -314,7 +314,8 @@ fn fault_schedule_is_deterministic() {
 
 /// Every way of damaging a checkpoint file must produce a clean, typed
 /// error — truncation at *every* length, bad magic, a patched version,
-/// and byte flips — and never a panic.
+/// and byte flips — and never a panic. Damage re-sealed under a fresh
+/// checksum may decode; then resuming from it must not panic either.
 #[test]
 fn corrupted_checkpoints_fail_cleanly() {
     let solver = Arc::new(Solver::optimized());
@@ -379,6 +380,58 @@ fn corrupted_checkpoints_fail_cleanly() {
         }
         let _ = decode_checkpoint::<St>(&bad, &ctx);
     }
+
+    // Damage that passes the checksum reaches the structure decoder:
+    // every payload byte of a checkpoint with pending and completed paths,
+    // under each mask, re-sealed. Decoding returns a typed result, and
+    // whatever decodes resumes on its program without a panic.
+    let fixture: &[u8] = include_bytes!("fixtures/checkpoint_v2_summaries.bin");
+    let (_, prog) = gen_case(928);
+    let resume_path = ckpt_path("mutated");
+    let (mut decoded, mut refused, mut resumed_cmds) = (0usize, 0usize, 0u64);
+    for i in 20..fixture.len() {
+        for mask in [0x01u8, 0x02, 0x10, 0x80, 0xff] {
+            let mut bad = fixture.to_vec();
+            bad[i] ^= mask;
+            let sum = fnv1a(&bad[20..]);
+            bad[12..20].copy_from_slice(&sum.to_le_bytes());
+            let Ok(data) = decode_checkpoint::<St>(&bad, &ctx) else {
+                refused += 1;
+                continue;
+            };
+            decoded += 1;
+            std::fs::write(&resume_path, &bad).expect("write mutated checkpoint");
+            // The budget counts the commands the checkpoint already spent.
+            let cfg = ExploreConfig {
+                max_total_cmds: data.total_cmds.saturating_add(200),
+                ..config(SearchStrategy::Dfs, 1)
+            };
+            let resumed = explore_resume(&prog, &resume_path, &ctx, St::new(solver.clone()), cfg)
+                .unwrap_or_else(|e| panic!("byte {i} ^ {mask:#x}: decoded, then {e}"));
+            assert_eq!(
+                resumed.result.engine_errors().count(),
+                0,
+                "byte {i} ^ {mask:#x}: resuming panicked"
+            );
+            resumed_cmds += resumed.result.total_cmds.saturating_sub(data.total_cmds);
+        }
+    }
+    let _ = std::fs::remove_file(&resume_path);
+    eprintln!(
+        "checkpoint mutation sweep: {decoded} decoded, {refused} refused, \
+         {resumed_cmds} commands resumed"
+    );
+    assert!(
+        decoded > 0 && refused > 0 && resumed_cmds > 0,
+        "the sweep should decode, refuse and resume"
+    );
+}
+
+/// FNV-1a, the checkpoint checksum, to re-seal a damaged payload.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 /// A canned version-1 checkpoint (written before the bytecode resume

@@ -50,17 +50,16 @@ fn env_u64(name: &str, default: u64) -> u64 {
         .unwrap_or(default)
 }
 
-fn battery_config(strategy: SearchStrategy, bytecode: bool) -> ExploreConfig {
+fn battery_config(strategy: SearchStrategy) -> ExploreConfig {
     ExploreConfig {
         strategy,
         workers: env_u64("GILLIAN_WORKERS", 1) as usize,
-        bytecode: Some(bytecode),
         journal: Journal::disabled(),
         ..Default::default()
     }
 }
 
-fn run_battery(strategy: SearchStrategy, bytecode: bool, salt: u64) {
+fn run_battery(strategy: SearchStrategy, salt: u64) {
     let base = env_u64("GILLIAN_DIFFTEST_SEED", 0);
     let cases = env_u64("GILLIAN_DIFFTEST_CASES", 100);
     let solver = Arc::new(Solver::optimized());
@@ -73,7 +72,7 @@ fn run_battery(strategy: SearchStrategy, bytecode: bool, salt: u64) {
             &prog,
             "main",
             solver.clone(),
-            battery_config(strategy, bytecode),
+            battery_config(strategy),
         );
         assert!(
             report.agreed(),
@@ -104,24 +103,10 @@ fn run_battery(strategy: SearchStrategy, bytecode: bool, salt: u64) {
 
 #[test]
 fn engine_battery_dfs() {
-    run_battery(SearchStrategy::Dfs, false, 0x5EED_0000);
+    run_battery(SearchStrategy::Dfs, 0x5EED_0000);
 }
 
 #[test]
 fn engine_battery_bfs() {
-    run_battery(SearchStrategy::Bfs, false, 0x5EED_1000);
-}
-
-/// The same oracle with the register-bytecode backend forced on for both
-/// the symbolic exploration *and* the concrete replays (the replay config
-/// inherits the toggle). Uses the same seeds as the tree-walk legs above,
-/// so a bytecode-only failure pinpoints a compiler bug by seed.
-#[test]
-fn engine_battery_dfs_bytecode() {
-    run_battery(SearchStrategy::Dfs, true, 0x5EED_0000);
-}
-
-#[test]
-fn engine_battery_bfs_bytecode() {
-    run_battery(SearchStrategy::Bfs, true, 0x5EED_1000);
+    run_battery(SearchStrategy::Bfs, 0x5EED_1000);
 }

@@ -64,7 +64,6 @@ fn budgets() -> Vec<(&'static str, ExploreConfig)> {
     let base = ExploreConfig {
         workers: 1,
         journal: Journal::disabled(),
-        bytecode: Some(true),
         ..Default::default()
     };
     vec![

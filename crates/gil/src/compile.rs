@@ -22,7 +22,7 @@
 //!   identity: `pc == idx`. This is load-bearing — call frames, branch
 //!   traces, and checkpoints identify program points by `(proc, idx)`,
 //!   and the identity map keeps those identities byte-compatible between
-//!   the bytecode and tree-walk backends.
+//!   the bytecode and the reference tree walk.
 //! - **Inline caches.** Every `Action` site carries an [`AtomicU32`]
 //!   inline cache resolving the stringly-named memory action to the
 //!   memory model's dense action code on first execution. Programs are

@@ -1,11 +1,13 @@
 //! Bytecode-vs-tree-walk equivalence on the MiniJS memory: every shipped
-//! Buckets test explored on both evaluator backends. The JS literal fast
-//! paths (`execute_action_coded`) are reachable only from the bytecode
-//! backend, so this battery is what pins them to the general actions:
+//! Buckets test explored on the compiled bytecode and enumerated by the
+//! reference tree walk (`interp::all_paths`). The JS literal fast paths
+//! (`execute_action_coded`) are reachable only from the bytecode, so this
+//! battery is what pins them to the general actions the tree walk calls:
 //! identical `(trace, outcome kind, cmds)` sets and, per path, an equal
 //! final memory.
 
-use gillian_core::explore::{explore_with, ExploreConfig, ExploreResult};
+use gillian_core::explore::{explore_with, ExploreResult};
+use gillian_core::interp::all_paths;
 use gillian_core::symbolic::SymbolicState;
 use gillian_js::{buckets, JsSymMemory};
 use gillian_solver::Solver;
@@ -49,15 +51,15 @@ fn buckets_bytecode_matches_treewalk() {
     for suite in buckets::suite_names() {
         let (prog, entries) = buckets::suite_prog(suite);
         for entry in &entries {
-            let run = |bytecode| {
-                let cfg = ExploreConfig {
-                    bytecode: Some(bytecode),
-                    ..buckets::table1_config()
-                };
-                explore_with(&prog, entry, St::new(solver.clone()), cfg)
-            };
-            let tree = run(false);
-            assert_same_paths(&format!("{suite}::{entry}"), &tree, &run(true));
+            let label = format!("{suite}::{entry}");
+            let cfg = buckets::table1_config();
+            let tree = all_paths(&prog, entry, St::new(solver.clone()), cfg.max_cmds_per_path);
+            let byte = explore_with(&prog, entry, St::new(solver.clone()), cfg);
+            assert!(
+                !byte.truncated && byte.dropped_paths == 0,
+                "{label}: the exploration hit a budget"
+            );
+            assert_same_paths(&label, &tree, &byte);
             tests += 1;
             total += tree.paths.len();
         }

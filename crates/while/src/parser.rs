@@ -216,6 +216,13 @@ impl<'a> Parser<'a> {
         Ok(std::mem::replace(&mut self.tok, next))
     }
 
+    /// Moves back to the token starting at byte `at`.
+    fn rewind(&mut self, at: usize) -> Result<(), ParseError> {
+        self.lexer.pos = at;
+        self.bump()?;
+        Ok(())
+    }
+
     fn err<T>(&self, msg: impl Into<String>) -> Result<T, ParseError> {
         Err(self.lexer.err_at(self.tok_at, msg))
     }
@@ -520,15 +527,16 @@ impl<'a> Parser<'a> {
             self.expect_punct(";")?;
             return Ok(Stmt::New { lhs: name, props });
         }
-        // Call, symb, lookup, or plain expression.
+        // `symb()`, a call `f(..)` or a lookup `v.p`; any other right-hand
+        // side, builtins and `not` included, is an expression.
         if let Tok::Ident(id) = self.tok.clone() {
-            // Peek for `id(` → call/symb, or `id.p` (lookup) handled below
-            // through expression restriction: lookups must be `x := v.p`.
-            let save_tok = self.tok.clone();
             let save_at = self.tok_at;
             self.bump()?;
-            if self.is_punct("(") {
-                self.bump()?;
+            let builtin = matches!(
+                id.as_str(),
+                "len" | "hd" | "tl" | "rev" | "typeof" | "nth" | "not" | "true" | "false"
+            );
+            if !builtin && self.eat_punct("(")? {
                 if id == "symb" {
                     self.expect_punct(")")?;
                     self.expect_punct(";")?;
@@ -551,8 +559,7 @@ impl<'a> Parser<'a> {
                     args,
                 });
             }
-            if self.is_punct(".") {
-                self.bump()?;
+            if !builtin && self.eat_punct(".")? {
                 let prop = self.ident()?;
                 self.expect_punct(";")?;
                 return Ok(Stmt::Lookup {
@@ -561,82 +568,11 @@ impl<'a> Parser<'a> {
                     prop,
                 });
             }
-            // Not a call or lookup: rewind-ish by re-parsing as expression
-            // starting from the identifier we consumed.
-            let rest_expr = self.expr_continued_from_ident(save_tok, save_at)?;
-            self.expect_punct(";")?;
-            return Ok(Stmt::Assign(name, rest_expr));
+            self.rewind(save_at)?;
         }
         let e = self.expr()?;
         self.expect_punct(";")?;
         Ok(Stmt::Assign(name, e))
-    }
-
-    /// Continues an expression whose first token (an identifier) was
-    /// already consumed. Rebuilds precedence from the comparison level.
-    fn expr_continued_from_ident(
-        &mut self,
-        ident_tok: Tok,
-        _at: usize,
-    ) -> Result<Expr, ParseError> {
-        let Tok::Ident(id) = ident_tok else {
-            return self.err("internal: expected identifier token");
-        };
-        let mut e = match id.as_str() {
-            "true" => Expr::tt(),
-            "false" => Expr::ff(),
-            _ => Expr::pvar(id),
-        };
-        // mul level
-        loop {
-            if self.eat_punct("*")? {
-                e = e.mul(self.unary_expr()?);
-            } else if self.eat_punct("/")? {
-                e = e.div(self.unary_expr()?);
-            } else if self.eat_punct("%")? {
-                e = e.rem(self.unary_expr()?);
-            } else {
-                break;
-            }
-        }
-        // add level
-        loop {
-            if self.eat_punct("+")? {
-                e = e.add(self.mul_expr()?);
-            } else if self.eat_punct("-")? {
-                e = e.sub(self.mul_expr()?);
-            } else {
-                break;
-            }
-        }
-        // cmp level
-        let op = match &self.tok {
-            Tok::Punct(q @ ("=" | "==" | "!=" | "<" | "<=" | ">" | ">=")) => {
-                Some(if *q == "==" { "=" } else { *q })
-            }
-            _ => None,
-        };
-        if let Some(op) = op {
-            self.bump()?;
-            let rhs = self.add_expr()?;
-            e = match op {
-                "=" => e.eq(rhs),
-                "!=" => e.ne(rhs),
-                "<" => e.lt(rhs),
-                "<=" => e.le(rhs),
-                ">" => e.gt(rhs),
-                ">=" => e.ge(rhs),
-                _ => unreachable!(),
-            };
-        }
-        // and/or level
-        while self.eat_kw("and")? {
-            e = e.and(self.not_expr()?);
-        }
-        while self.eat_kw("or")? {
-            e = e.or(self.and_expr()?);
-        }
-        Ok(e)
     }
 
     fn function(&mut self) -> Result<Function, ParseError> {
@@ -739,6 +675,25 @@ mod tests {
             panic!()
         };
         assert_eq!(y, &Expr::pvar("b"));
+        // A builtin or `not` at the head of the right-hand side starts an
+        // expression, not a procedure call.
+        let l = || Expr::pvar("l");
+        for (src, want) in [
+            ("x := len(l);", l().un(UnOp::LstLen)),
+            ("x := not y;", Expr::pvar("y").not()),
+            ("x := hd(l) + 1;", l().un(UnOp::LstHead).add(Expr::int(1))),
+            (
+                r#"x := typeof(v) = "Int";"#,
+                Expr::pvar("v").un(UnOp::TypeOf).eq(Expr::str("Int")),
+            ),
+        ] {
+            let m = parse_program(&format!("proc f(l, v, y) {{ {src} return x; }}")).unwrap();
+            assert_eq!(
+                m.functions[0].body[0],
+                Stmt::Assign("x".into(), want),
+                "{src}"
+            );
+        }
     }
 
     #[test]

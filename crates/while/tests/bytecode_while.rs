@@ -1,19 +1,21 @@
 //! Bytecode-vs-tree-walk equivalence over *memory-bearing* programs: the
 //! seeded `generate.rs` While dialect (`lookup`/`mutate`/`dispose` over
-//! symbolic locations) explored on both evaluator backends. The engine's
+//! symbolic locations) explored on the compiled bytecode and enumerated
+//! by the reference tree walk (`interp::all_paths`). The engine's
 //! own battery (`crates/core/tests/bytecode_equiv.rs`) covers the pure
 //! fragment; this one makes sure compiled action arguments — the lists
 //! the bytecode evaluator folds in value space — reach the While memory
 //! model bit-for-bit, across DFS/BFS and serial/parallel exploration.
 //! The While literal fast paths (`execute_action_coded`) are reachable
-//! only from the bytecode backend, so this battery also pins them to the
-//! general actions: identical `(trace, outcome kind, cmds)` sets and, per
+//! only from the bytecode, so this battery also pins them to the general
+//! actions the tree walk calls: identical `(trace, outcome kind, cmds)` sets and, per
 //! path, an equal outcome value and final memory.
 
 use gillian_core::explore::{
     explore_with, ExploreConfig, ExploreOutcome, ExploreResult, SearchStrategy,
 };
 use gillian_core::generate::{build_prog, gen_ops, MemDialect, Rng};
+use gillian_core::interp::all_paths;
 use gillian_core::symbolic::SymbolicState;
 use gillian_gil::Expr;
 use gillian_solver::Solver;
@@ -49,11 +51,10 @@ fn sorted_paths(
     out
 }
 
-fn config(strategy: SearchStrategy, workers: usize, bytecode: bool) -> ExploreConfig {
+fn config(strategy: SearchStrategy, workers: usize) -> ExploreConfig {
     ExploreConfig {
         strategy,
         workers,
-        bytecode: Some(bytecode),
         ..Default::default()
     }
 }
@@ -67,17 +68,17 @@ fn run_battery(strategy: SearchStrategy, workers: usize, salt: u64) {
         let seed = base.wrapping_add(salt).wrapping_add(i);
         let ops = gen_ops(&mut Rng::new(seed), 14, MemDialect::While);
         let prog = build_prog(&ops, MemDialect::While);
-        let tree = explore_with(
+        let cfg = config(strategy, workers);
+        let tree = all_paths(
             &prog,
             "main",
             St::new(solver.clone()),
-            config(strategy, workers, false),
+            cfg.max_cmds_per_path,
         );
-        let byte = explore_with(
-            &prog,
-            "main",
-            St::new(solver.clone()),
-            config(strategy, workers, true),
+        let byte = explore_with(&prog, "main", St::new(solver.clone()), cfg);
+        assert!(
+            !byte.truncated && byte.dropped_paths == 0,
+            "seed {seed}: the exploration hit a budget\nops: {ops:?}"
         );
         let (tree_paths, byte_paths) = (sorted_paths(&tree), sorted_paths(&byte));
         let tree_keys: Vec<_> = tree_paths.iter().map(|(k, ..)| k).collect();
