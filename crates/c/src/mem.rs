@@ -52,8 +52,8 @@
 use crate::chunks::{Chunk, ChunkKind};
 use crate::values::POISON;
 use gillian_core::memory::{
-    expr_args, literal_gate, push_branch, successors, value_args, Alias, ArgList, ConcreteMemory,
-    SymBranch, SymbolicMemory,
+    decide, expr_args, successors, value_args, Alias, ArgList, ConcreteMemory, SymBranch,
+    SymbolicMemory,
 };
 use gillian_gil::ops::eval_unop;
 use gillian_gil::{Expr, LVar, Sym, UnOp, Value};
@@ -1128,9 +1128,9 @@ impl CSymMemory {
     // direct map lookup, as in `literal_candidates`), its equality
     // constraint folds to the literal `true`, and the out-of-bounds and
     // none-of-the-runs constraints fold to `false`. The branch set is a
-    // single branch decided without the solver — except the one residual
-    // [`literal_gate`] probe and, for values that are not simplifier
-    // fixpoints, the same decode `simplify` the general path issues.
+    // single branch that keeps the path condition, decided without the
+    // solver — except, for values that are not simplifier fixpoints, the
+    // same decode `simplify` the general path issues.
     // These helpers are reachable only from `execute_action_coded` (the
     // bytecode backend); the tree walk stays a byte-identical reference.
 
@@ -1188,12 +1188,11 @@ impl CSymMemory {
                 )),
             }
         };
-        let branch = SymBranch {
+        Ok(vec![SymBranch {
             memory: self,
             outcome,
-            constraint: Expr::tt(),
-        };
-        Ok(literal_gate(pc, solver, vec![branch]))
+            pc: pc.clone(),
+        }])
     }
 
     fn fast_store(
@@ -1213,11 +1212,7 @@ impl CSymMemory {
                 "out-of-bounds",
                 format!("store of {} bytes at {b}+{off}", chunk.size),
             );
-            return Ok(literal_gate(
-                pc,
-                solver,
-                vec![SymBranch::err_if(self, oob, Expr::tt())],
-            ));
+            return Ok(vec![SymBranch::err(self, oob, pc.clone())]);
         }
         let value = decode_simplified(&args[3], chunk, pc, solver);
         self.apply(Edit::Store {
@@ -1226,19 +1221,10 @@ impl CSymMemory {
             size: chunk.size,
             value: value.clone(),
         });
-        Ok(literal_gate(
-            pc,
-            solver,
-            vec![SymBranch::ok_if(self, value, Expr::tt())],
-        ))
+        Ok(vec![SymBranch::ok(self, value, pc.clone())])
     }
 
-    fn fast_free(
-        mut self,
-        arg: &Expr,
-        pc: &PathCondition,
-        solver: &Solver,
-    ) -> Result<Vec<SymBranch<Self>>, Self> {
+    fn fast_free(mut self, arg: &Expr, pc: &PathCondition) -> Result<Vec<SymBranch<Self>>, Self> {
         let Some(args) = expr_args(arg, 2) else {
             return Err(self);
         };
@@ -1250,17 +1236,14 @@ impl CSymMemory {
             Some(blk) if !blk.freed && blk.perm >= perm::FREEABLE => {}
             _ => return Err(self),
         }
-        let branch = if off == 0 {
+        let pc = pc.clone();
+        Ok(vec![if off == 0 {
             self.apply(Edit::Free(b));
-            SymBranch::ok_if(self, Expr::tt(), Expr::tt())
+            SymBranch::ok(self, Expr::tt(), pc)
         } else {
-            SymBranch::err_if(
-                self,
-                ub_expr("bad-free", format!("free of {b} at nonzero offset {off}")),
-                Expr::tt(),
-            )
-        };
-        Ok(literal_gate(pc, solver, vec![branch]))
+            let ub = ub_expr("bad-free", format!("free of {b} at nonzero offset {off}"));
+            SymBranch::err(self, ub, pc)
+        }])
     }
 
     /// `cmpPtr` on two fully-literal pointers: every comparison folds
@@ -1335,12 +1318,12 @@ impl SymbolicMemory for CSymMemory {
         let fast = match code {
             code::LOAD => self.fast_load(arg, pc, solver),
             code::STORE => self.fast_store(arg, pc, solver),
-            code::FREE => self.fast_free(arg, pc, solver),
+            code::FREE => self.fast_free(arg, pc),
             code::CMP_PTR => match self.literal_cmp_ptr(arg) {
                 Some(outcome) => Ok(vec![SymBranch {
                     memory: self,
                     outcome,
-                    constraint: Expr::tt(),
+                    pc: pc.clone(),
                 }]),
                 None => Err(self),
             },
@@ -1362,7 +1345,8 @@ impl SymbolicMemory for CSymMemory {
         // Multi-branch actions decide their branches first, as edits;
         // `successors` then builds the memories, the last one reusing
         // `self`. Single-branch actions write `self` directly.
-        let err1 = |mem: Self, e: Expr| vec![SymBranch::err_if(mem, e, Expr::tt())];
+        let err1 = |mem: Self, e: Expr| vec![SymBranch::err(mem, e, pc.clone())];
+        let ok1 = |mem: Self, v: Expr| vec![SymBranch::ok(mem, v, pc.clone())];
         let args_of = |n| {
             expr_args(arg, n).ok_or_else(|| ub_expr("bad-action-argument", arity(name, n, arg)))
         };
@@ -1394,7 +1378,7 @@ impl SymbolicMemory for CSymMemory {
                     return err1(self, ub_expr("bad-alloc", format!("block {b} exists")));
                 }
                 self.register_block(b, size);
-                vec![SymBranch::ok(self, args[0].clone())]
+                ok1(self, args[0].clone())
             }
             "free" => {
                 let args = match args_of(2) {
@@ -1425,22 +1409,13 @@ impl SymbolicMemory for CSymMemory {
                 let mut out = Vec::new();
                 let zero = solver.simplify(pc, &off.clone().eq(Expr::int(0)));
                 let nonzero = solver.simplify(pc, &zero.clone().not());
-                push_branch(
-                    &mut out,
-                    pc,
-                    solver,
-                    SymBranch::ok_if(Edit::Free(b), Expr::tt(), zero),
-                );
-                push_branch(
-                    &mut out,
-                    pc,
-                    solver,
-                    SymBranch::err_if(
-                        Edit::Keep,
-                        ub_expr("bad-free", format!("free of {b} at nonzero offset {off}")),
-                        nonzero,
-                    ),
-                );
+                if let Some(pc) = decide(pc, solver, &zero) {
+                    out.push(SymBranch::ok(Edit::Free(b), Expr::tt(), pc));
+                }
+                if let Some(pc) = decide(pc, solver, &nonzero) {
+                    let ub = ub_expr("bad-free", format!("free of {b} at nonzero offset {off}"));
+                    out.push(SymBranch::err(Edit::Keep, ub, pc));
+                }
                 successors(self, out, Self::apply)
             }
             "load" => {
@@ -1470,63 +1445,41 @@ impl SymbolicMemory for CSymMemory {
                     Err(e) => return err1(self, e),
                 };
                 let mut out = Vec::new();
-                push_branch(
-                    &mut out,
-                    pc,
-                    solver,
-                    SymBranch::err_if(
+                if let Some(pc) = decide(pc, solver, &oob) {
+                    let msg = format!("load of {} bytes at {b}+{off}", chunk.size);
+                    out.push(SymBranch::err(
                         Edit::Keep,
-                        ub_expr(
-                            "out-of-bounds",
-                            format!("load of {} bytes at {b}+{off}", chunk.size),
-                        ),
-                        oob,
-                    ),
-                );
+                        ub_expr("out-of-bounds", msg),
+                        pc,
+                    ));
+                }
                 let candidates = match off.as_int().and_then(|o| self.literal_candidates(b, o)) {
                     Some(c) => c,
                     None => self.run_starts(b),
                 };
                 let mut alias = Alias::new(&off, Some(&in_bounds), pc, solver);
                 for (base, v, n) in candidates {
-                    let Some(eq) = alias.candidate(&base) else {
+                    let Some((_, next)) = alias.candidate(&base) else {
                         continue;
                     };
-                    if n == chunk.size && self.run_complete(b, &base, &v, n, solver, pc) {
-                        let decoded = solver.simplify(pc, &decode_expr(&v, chunk));
-                        push_branch(
-                            &mut out,
-                            pc,
-                            solver,
-                            SymBranch::ok_if(Edit::Keep, decoded, eq),
-                        );
-                    } else {
-                        push_branch(
-                            &mut out,
-                            pc,
-                            solver,
-                            SymBranch::err_if(
-                                Edit::Keep,
-                                ub_expr("mixed-read", format!("torn load at {b}+{off}")),
-                                eq,
-                            ),
-                        );
-                    }
+                    out.push(
+                        if n == chunk.size && self.run_complete(b, &base, &v, n, solver, pc) {
+                            let decoded = solver.simplify(pc, &decode_expr(&v, chunk));
+                            SymBranch::ok(Edit::Keep, decoded, next)
+                        } else {
+                            let ub = ub_expr("mixed-read", format!("torn load at {b}+{off}"));
+                            SymBranch::err(Edit::Keep, ub, next)
+                        },
+                    );
                 }
-                let none_of = alias.none_of();
-                push_branch(
-                    &mut out,
-                    pc,
-                    solver,
-                    SymBranch::err_if(
+                if let Some(pc) = decide(pc, solver, &alias.none_of()) {
+                    let msg = format!("load at {b}+{off} reads uninitialized bytes");
+                    out.push(SymBranch::err(
                         Edit::Keep,
-                        ub_expr(
-                            "uninitialized-read",
-                            format!("load at {b}+{off} reads uninitialized bytes"),
-                        ),
-                        none_of,
-                    ),
-                );
+                        ub_expr("uninitialized-read", msg),
+                        pc,
+                    ));
+                }
                 successors(self, out, Self::apply)
             }
             "store" => {
@@ -1557,41 +1510,29 @@ impl SymbolicMemory for CSymMemory {
                     Err(e) => return err1(self, e),
                 };
                 let mut out = Vec::new();
-                push_branch(
-                    &mut out,
-                    pc,
-                    solver,
-                    SymBranch::err_if(
+                if let Some(pc) = decide(pc, solver, &oob) {
+                    let msg = format!("store of {} bytes at {b}+{off}", chunk.size);
+                    out.push(SymBranch::err(
                         Edit::Keep,
-                        ub_expr(
-                            "out-of-bounds",
-                            format!("store of {} bytes at {b}+{off}", chunk.size),
-                        ),
-                        oob,
-                    ),
-                );
+                        ub_expr("out-of-bounds", msg),
+                        pc,
+                    ));
+                }
                 let candidates = match off.as_int().and_then(|o| self.literal_candidates(b, o)) {
                     Some(c) => c,
                     None => self.run_starts(b),
                 };
                 let mut alias = Alias::new(&off, Some(&in_bounds), pc, solver);
                 for (base, _, n) in candidates {
-                    let Some(eq) = alias.candidate(&base) else {
+                    let Some((_, next)) = alias.candidate(&base) else {
                         continue;
                     };
                     let edit = store_edit(b, base, Some(n), chunk.size, value.clone(), solver, pc);
-                    push_branch(
-                        &mut out,
-                        pc,
-                        solver,
-                        SymBranch::ok_if(edit, value.clone(), eq),
-                    );
+                    out.push(SymBranch::ok(edit, value.clone(), next));
                 }
-                let none_of = alias.none_of();
-                if none_of.as_bool() != Some(false) && solver.sat_with(pc, &none_of).possibly_sat()
-                {
+                if let Some(next) = decide(pc, solver, &alias.none_of()) {
                     let edit = store_edit(b, off, None, chunk.size, value.clone(), solver, pc);
-                    push_branch(&mut out, pc, solver, SymBranch::ok_if(edit, value, none_of));
+                    out.push(SymBranch::ok(edit, value, next));
                 }
                 successors(self, out, Self::apply)
             }
@@ -1636,7 +1577,7 @@ impl SymbolicMemory for CSymMemory {
                     bytes[(o - off) as usize] =
                         Expr::list([v, Expr::int(k as i64), Expr::int(n as i64)]);
                 }
-                vec![SymBranch::ok(self, Expr::List(bytes.into()))]
+                ok1(self, Expr::List(bytes.into()))
             }
             "storeBytes" => {
                 let args = match args_of(3) {
@@ -1694,7 +1635,7 @@ impl SymbolicMemory for CSymMemory {
                     cells.push(Some((parts[0].clone(), k as u8, n as u8)));
                 }
                 self.block_mut(b).expect("checked").write_bytes(off, cells);
-                vec![SymBranch::ok(self, Expr::tt())]
+                ok1(self, Expr::tt())
             }
             "dropPerm" => {
                 let args = match args_of(2) {
@@ -1714,7 +1655,7 @@ impl SymbolicMemory for CSymMemory {
                 let blk = self.block_mut(b).expect("checked");
                 blk.perm = blk.perm.min(p as u8);
                 let result = Expr::int(blk.perm as i64);
-                vec![SymBranch::ok(self, result)]
+                ok1(self, result)
             }
             "checkPerm" => {
                 let b = match expr_block(arg, "checkPerm") {
@@ -1722,7 +1663,7 @@ impl SymbolicMemory for CSymMemory {
                     Err(e) => return err1(self, e),
                 };
                 let p = self.blocks.get(&b).map(|blk| blk.perm as i64).unwrap_or(-1);
-                vec![SymBranch::ok(self, Expr::int(p))]
+                ok1(self, Expr::int(p))
             }
             "sizeBlock" => {
                 let b = match expr_block(arg, "sizeBlock") {
@@ -1732,7 +1673,7 @@ impl SymbolicMemory for CSymMemory {
                 match self.blocks.get(&b) {
                     Some(blk) if !blk.freed => {
                         let size = Expr::int(blk.size);
-                        vec![SymBranch::ok(self, size)]
+                        ok1(self, size)
                     }
                     Some(_) => err1(
                         self,
@@ -1757,11 +1698,11 @@ impl SymbolicMemory for CSymMemory {
                 match op.as_str() {
                     "eq" => {
                         let eq = solver.simplify(pc, &args[1].clone().eq(args[2].clone()));
-                        vec![SymBranch::ok(self, eq)]
+                        ok1(self, eq)
                     }
                     "ne" => {
                         let ne = solver.simplify(pc, &args[1].clone().ne(args[2].clone()));
-                        vec![SymBranch::ok(self, ne)]
+                        ok1(self, ne)
                     }
                     "lt" | "le" => {
                         // Blocks are literal symbols, so this decides
@@ -1783,7 +1724,7 @@ impl SymbolicMemory for CSymMemory {
                                 match self.blocks.get(&blk) {
                                     Some(info) if !info.freed => {
                                         let cmp = if op == "lt" { o1.lt(o2) } else { o1.le(o2) };
-                                        vec![SymBranch::ok(self, solver.simplify(pc, &cmp))]
+                                        ok1(self, solver.simplify(pc, &cmp))
                                     }
                                     _ => err1(
                                         self,
@@ -1812,7 +1753,7 @@ impl SymbolicMemory for CSymMemory {
                     _ => return err1(self, ub_expr("bad-action-argument", "globalSet: name")),
                 };
                 Arc::make_mut(&mut self.globals).insert(name, args[1].clone());
-                vec![SymBranch::ok(self, args[1].clone())]
+                ok1(self, args[1].clone())
             }
             "globalGet" => {
                 let name = match arg {
@@ -1820,7 +1761,7 @@ impl SymbolicMemory for CSymMemory {
                     _ => return err1(self, ub_expr("bad-action-argument", "globalGet: name")),
                 };
                 match self.globals.get(&name).cloned() {
-                    Some(v) => vec![SymBranch::ok(self, v)],
+                    Some(v) => ok1(self, v),
                     None => err1(self, ub_expr("invalid-global", name)),
                 }
             }

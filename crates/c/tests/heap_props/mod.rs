@@ -6,8 +6,8 @@
 //! - [`coded_matches_general`]: the literal fast paths of
 //!   `CSymMemory::execute_action_coded` against the general
 //!   `execute_action`, with a fresh solver per leg: equal branch lists
-//!   (outcome, constraint, memory and its byte view) and equal solver
-//!   query counts.
+//!   (outcome, successor condition, memory and its byte view) and equal
+//!   raw solver query counts.
 //! - [`symbolic_matches_concrete`]: on literal arguments the symbolic and
 //!   concrete heaps agree action by action, in outcome and in the
 //!   whole-block `loadBytes` view of every block.
@@ -222,16 +222,16 @@ fn coded(
     }
 }
 
-/// The solver counters both legs must agree on: the queries that miss
-/// the exact cache, and how those were answered. A general-path store
-/// asks each branch's satisfiability twice, deciding the branch and then
-/// pushing it, and the second ask is always a cache hit; the fast path
-/// asks once. The general path also simplifies (offsets, bounds, decoded
-/// values), so simplification counts differ by design.
-fn query_counts(solver: &Solver) -> [u64; 4] {
+/// The solver counters both legs must agree on, raw: each leg asks once
+/// per branch it decides, and neither asks about a branch whose
+/// constraint folds to a literal. The general path also simplifies
+/// (offsets, bounds, decoded values), so simplification counts differ by
+/// design.
+fn query_counts(solver: &Solver) -> [u64; 5] {
     let s = solver.stats();
     [
-        s.sat_queries - s.cache_hits,
+        s.sat_queries,
+        s.cache_hits,
         s.incremental_hits,
         s.sat_unknowns,
         s.model_searches,
@@ -259,7 +259,7 @@ pub fn coded_matches_general(actions: Vec<(Action, bool)>, pc: u8) -> Result<(),
         prop_assert_eq!(general.len(), fast.len(), "{}({})", name, arg);
         for (g, c) in general.iter().zip(&fast) {
             prop_assert_eq!(&g.outcome, &c.outcome, "{}({})", name, arg);
-            prop_assert_eq!(&g.constraint, &c.constraint, "{}({})", name, arg);
+            prop_assert_eq!(&g.pc, &c.pc, "{}({})", name, arg);
             prop_assert_eq!(
                 byte_view(&g.memory),
                 byte_view(&c.memory),

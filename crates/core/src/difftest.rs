@@ -417,10 +417,10 @@ mod tests {
             self,
             _: &str,
             arg: &Expr,
-            _: &PathCondition,
+            pc: &PathCondition,
             _: &Solver,
         ) -> Vec<SymBranch<Self>> {
-            vec![SymBranch::ok(EchoSym, arg.clone())]
+            vec![SymBranch::ok(EchoSym, arg.clone(), pc.clone())]
         }
     }
     #[derive(Clone, Debug, Default)]

@@ -1432,13 +1432,13 @@ mod tests {
             self,
             name: &str,
             _: &Expr,
-            _: &PathCondition,
+            pc: &PathCondition,
             _: &Solver,
         ) -> Vec<SymBranch<Self>> {
             vec![SymBranch {
                 memory: NoMem,
                 outcome: Err(Expr::str(format!("no actions ({name})"))),
-                constraint: Expr::tt(),
+                pc: pc.clone(),
             }]
         }
     }
@@ -1606,12 +1606,12 @@ mod tests {
             self,
             _: &str,
             _: &Expr,
-            _: &PathCondition,
+            pc: &PathCondition,
             _: &Solver,
         ) -> Vec<SymBranch<Self>> {
             vec![
-                SymBranch::err_if(TwoErrMem, Expr::str("first"), Expr::tt()),
-                SymBranch::err_if(TwoErrMem, Expr::str("second"), Expr::tt()),
+                SymBranch::err(TwoErrMem, Expr::str("first"), pc.clone()),
+                SymBranch::err(TwoErrMem, Expr::str("second"), pc.clone()),
             ]
         }
     }
@@ -1689,10 +1689,10 @@ mod strategy_tests {
             self,
             _: &str,
             arg: &Expr,
-            _: &PathCondition,
+            pc: &PathCondition,
             _: &Solver,
         ) -> Vec<SymBranch<Self>> {
-            vec![SymBranch::ok(NoMem, arg.clone())]
+            vec![SymBranch::ok(NoMem, arg.clone(), pc.clone())]
         }
     }
 
@@ -1903,13 +1903,13 @@ mod resilience_tests {
             self,
             name: &str,
             arg: &Expr,
-            _: &PathCondition,
+            pc: &PathCondition,
             _: &Solver,
         ) -> Vec<SymBranch<Self>> {
             if name == "boom" {
                 panic!("boom action");
             }
-            vec![SymBranch::ok(BoomMem, arg.clone())]
+            vec![SymBranch::ok(BoomMem, arg.clone(), pc.clone())]
         }
     }
 
@@ -2053,14 +2053,14 @@ mod resilience_tests {
             self,
             name: &str,
             arg: &Expr,
-            _: &PathCondition,
+            pc: &PathCondition,
             _: &Solver,
         ) -> Vec<SymBranch<Self>> {
             if name == "boom" {
                 self.armed.store(true, Ordering::Relaxed);
                 panic!("armed boom");
             }
-            vec![SymBranch::ok(self.clone(), arg.clone())]
+            vec![SymBranch::ok(self.clone(), arg.clone(), pc.clone())]
         }
     }
 

@@ -16,11 +16,24 @@
 //! outcome `E(v)` — this is how, e.g., MiniC surfaces undefined behaviour.
 //!
 //! A *symbolic* action returns a set of branches, each with an outcome
-//! (value or error), the learned constraint to conjoin onto the path
-//! condition, and the successor memory (Def. 2.4's
-//! `µ̂.α(ê, π̂) ⇝ (µ̂′, ê′, π̂′)`). The memory is responsible for only
-//! returning branches whose constraint is satisfiable with the current
-//! path condition — it receives the solver for exactly that purpose.
+//! (value or error), the successor memory and the successor's path
+//! condition (Def. 2.4's `µ̂.α(ê, π̂) ⇝ (µ̂′, ê′, π̂′)`, with the
+//! condition already conjoined: `π̂ ∧ π̂′`). The memory is responsible for
+//! only returning branches whose constraint is satisfiable with the
+//! current path condition — it receives the solver for exactly that
+//! purpose — and the engine adopts each branch's condition without
+//! asking again (Def. 2.6, `[Action]`).
+//!
+//! ## Each branch is decided once
+//!
+//! The engine keeps one invariant: the path condition of a live state
+//! has been decided. It is empty, or the query that extended it checked
+//! it (a guard's `branch_on`, a harness's `SymbolicState::assume`, an
+//! action's branch). A memory therefore asks the solver at most once per
+//! branch, through [`decide`]: a constraint that simplifies to a literal
+//! needs no query at all, any other is conjoined and checked, and the
+//! checked condition is the one the successor keeps. A branch the memory
+//! decided is never asked about again.
 //!
 //! ## Ownership of successor memories
 //!
@@ -53,14 +66,13 @@
 //! - the literal probe ([`SymMap::literal`]): when the address and every
 //!   key of its group are literals, the alias decision folds to a map
 //!   lookup, so a fast path in [`SymbolicMemory::execute_action_coded`]
-//!   resolves the action without it and keeps only the one `sat(pc)`
-//!   query of [`literal_gate`].
+//!   resolves the action without it and without a solver query.
 //!
 //! What stays with each memory is what the paper's Def. 2.4 asks of it:
 //! its actions, as a private `Edit` per branch applied through
 //! [`successors`], its action codes and its error values. Arguments are
 //! parsed with [`expr_args`], [`value_args`] or, without copying,
-//! [`ArgList`]; decided branches are kept with [`push_branch`].
+//! [`ArgList`]; branch constraints are decided with [`decide`].
 
 use crate::checkpoint::StateIoError;
 use gillian_gil::serial::{ByteReader, Decoder, Encoder};
@@ -109,36 +121,29 @@ pub struct SymBranch<M> {
     /// The value outcome `ê′`: `Ok` continues execution, `Err` raises the
     /// GIL error outcome `E(v)`.
     pub outcome: Result<Expr, Expr>,
-    /// The learned constraint `π̂′`, conjoined onto the path condition of
-    /// the state (Def. 2.6, `[Action]` case).
-    pub constraint: Expr,
+    /// The successor's path condition `π̂ ∧ π̂′`, decided: the state's own
+    /// condition when the branch learned nothing, otherwise the condition
+    /// [`decide`] checked. The engine adopts it as it is (Def. 2.6,
+    /// `[Action]` case).
+    pub pc: PathCondition,
 }
 
 impl<M> SymBranch<M> {
-    /// A successful branch with no learned constraint.
-    pub fn ok(memory: M, value: Expr) -> Self {
+    /// A successful branch under the decided condition `pc`.
+    pub fn ok(memory: M, value: Expr, pc: PathCondition) -> Self {
         SymBranch {
             memory,
             outcome: Ok(value),
-            constraint: Expr::tt(),
+            pc,
         }
     }
 
-    /// A successful branch with a learned constraint.
-    pub fn ok_if(memory: M, value: Expr, constraint: Expr) -> Self {
-        SymBranch {
-            memory,
-            outcome: Ok(value),
-            constraint,
-        }
-    }
-
-    /// An error branch with a learned constraint.
-    pub fn err_if(memory: M, error: Expr, constraint: Expr) -> Self {
+    /// An error branch under the decided condition `pc`.
+    pub fn err(memory: M, error: Expr, pc: PathCondition) -> Self {
         SymBranch {
             memory,
             outcome: Err(error),
-            constraint,
+            pc,
         }
     }
 }
@@ -169,46 +174,35 @@ pub fn successors<M: Clone, E>(
             SymBranch {
                 memory: m,
                 outcome: b.outcome,
-                constraint: b.constraint,
+                pc: b.pc,
             }
         })
         .collect()
 }
 
-/// The one decision probe a literal fast path in
-/// [`SymbolicMemory::execute_action_coded`] keeps. Its branches'
-/// constraints are the literal `true`, which the general path would gate
-/// on `sat_with(pc, true)`. That is exactly the query `sat(pc)`, because
-/// `simplify(pc, true)` is the identity and [`PathCondition::push`] drops
-/// literal `true`; so solver query counts and cache state stay those of
-/// the general path. An unsat path condition yields the same empty branch
-/// set as the general path.
-pub fn literal_gate<M>(
-    pc: &PathCondition,
-    solver: &Solver,
-    branches: Vec<SymBranch<M>>,
-) -> Vec<SymBranch<M>> {
-    if solver.check_sat(pc).possibly_sat() {
-        branches
-    } else {
-        Vec::new()
+/// Decides a branch under `pc`, a condition the engine has already
+/// decided (the [`SymbolicMemory::execute_action`] precondition):
+/// `constraint` is simplified under `pc`, conjoined and checked, and the
+/// checked condition is returned for the successor to keep; `None` when
+/// it is unsatisfiable. A constraint that simplifies to a literal, or to
+/// a conjunct `pc` already has, asks nothing: `true` and the conjunct
+/// keep `pc`, `false` drops the branch.
+pub fn decide(pc: &PathCondition, solver: &Solver, constraint: &Expr) -> Option<PathCondition> {
+    // `simplify` is the identity on literals in every tier.
+    let constraint = match constraint.as_bool() {
+        Some(_) => constraint.clone(),
+        None => solver.simplify(pc, constraint),
+    };
+    if let Some(keep) = constraint.as_bool() {
+        return keep.then(|| pc.clone());
     }
-}
-
-/// Pushes `branch` unless its constraint is the literal `false` or
-/// unsatisfiable with `pc`.
-pub fn push_branch<M>(
-    out: &mut Vec<SymBranch<M>>,
-    pc: &PathCondition,
-    solver: &Solver,
-    branch: SymBranch<M>,
-) {
-    if branch.constraint.as_bool() == Some(false) {
-        return;
+    let mut next = pc.clone();
+    next.push(constraint);
+    // A conjunct `pc` already holds is pushed as nothing: still decided.
+    if next.len() == pc.len() {
+        return Some(next);
     }
-    if solver.sat_with(pc, &branch.constraint).possibly_sat() {
-        out.push(branch);
-    }
+    solver.check_sat(&next).possibly_sat().then_some(next)
 }
 
 /// A symbolic action's argument list, borrowed rather than copied out:
@@ -289,9 +283,12 @@ pub trait SymbolicMemory: Clone + std::fmt::Debug + Default + Send {
     /// Executes action `name` with (simplified) symbolic argument `arg`
     /// under path condition `pc`, returning all feasible branches.
     ///
-    /// Implementations should use `solver` to prune branches whose
-    /// constraint is unsatisfiable with `pc` (the engine conjoins the
-    /// returned constraints without re-checking).
+    /// Precondition: `pc` is decided. The engine runs actions only on
+    /// live states, whose condition the query that created them checked
+    /// (module docs), so a branch that learns nothing keeps `pc` without
+    /// asking. Implementations decide every other branch with `solver`,
+    /// once ([`decide`], [`Alias`]), and return the checked condition in
+    /// [`SymBranch::pc`]; the engine adopts it without re-checking.
     ///
     /// The memory is consumed: the last branch's successor reuses it and
     /// earlier branches get copy-on-write clones (module docs). Callers
@@ -320,8 +317,10 @@ pub trait SymbolicMemory: Clone + std::fmt::Debug + Default + Send {
     /// byte-identical differential reference). The While,
     /// MiniJS and MiniC memories all do: when the address and every
     /// location it could alias are literals, they resolve the action by
-    /// map lookup and keep only the general path's one `sat(pc)` query
-    /// ([`literal_gate`]). Consumes the memory like [`SymbolicMemory::execute_action`].
+    /// map lookup, and the one branch keeps `pc`, as the general path's
+    /// folded alias decision does, without a query. Same precondition as
+    /// [`SymbolicMemory::execute_action`], and consumes the memory like
+    /// it.
     fn execute_action_coded(
         self,
         _code: u16,
@@ -377,10 +376,10 @@ mod tests {
             self,
             _: &str,
             arg: &Expr,
-            _: &PathCondition,
+            pc: &PathCondition,
             _: &Solver,
         ) -> Vec<SymBranch<Self>> {
-            vec![SymBranch::ok(Nop, arg.clone())]
+            vec![SymBranch::ok(Nop, arg.clone(), pc.clone())]
         }
     }
 
@@ -389,7 +388,7 @@ mod tests {
         let mem = std::sync::Arc::new(vec![0u8]);
         let ptr = std::sync::Arc::as_ptr(&mem);
         let edits = (1..=3u8)
-            .map(|e| SymBranch::ok(e, Expr::int(e.into())))
+            .map(|e| SymBranch::ok(e, Expr::int(e.into()), PathCondition::new()))
             .collect();
         let out = successors(mem, edits, |m, e| std::sync::Arc::make_mut(m).push(e));
         let contents: Vec<&[u8]> = out.iter().map(|b| b.memory.as_slice()).collect();
@@ -405,10 +404,30 @@ mod tests {
 
     #[test]
     fn sym_branch_constructors() {
-        let b = SymBranch::ok(Nop, Expr::int(1));
-        assert_eq!(b.constraint, Expr::tt());
+        let b = SymBranch::ok(Nop, Expr::int(1), PathCondition::new());
+        assert!(b.pc.is_empty());
         assert!(b.outcome.is_ok());
-        let e = SymBranch::err_if(Nop, Expr::str("boom"), Expr::ff());
+        let e = SymBranch::err(Nop, Expr::str("boom"), PathCondition::new());
         assert!(e.outcome.is_err());
+    }
+
+    #[test]
+    fn literal_constraints_are_decided_without_a_query() {
+        let solver = Solver::optimized();
+        let x = Expr::lvar(gillian_gil::LVar(0));
+        let pc: PathCondition = [x.clone().lt(Expr::int(5))].into_iter().collect();
+        assert!(solver.check_sat(&pc).possibly_sat());
+        let before = solver.stats().sat_queries;
+        assert_eq!(decide(&pc, &solver, &Expr::tt()), Some(pc.clone()));
+        assert_eq!(decide(&pc, &solver, &Expr::ff()), None);
+        assert_eq!(solver.stats().sat_queries, before);
+        let next = decide(&pc, &solver, &x.clone().gt(Expr::int(2))).expect("feasible");
+        assert_eq!(next.len(), 2);
+        assert!(
+            next.has_solve_ctx(),
+            "the successor keeps the checked chain"
+        );
+        assert_eq!(decide(&pc, &solver, &x.gt(Expr::int(9))), None);
+        assert_eq!(solver.stats().sat_queries, before + 2);
     }
 }

@@ -1,6 +1,7 @@
 //! The symbolic partial map the memories share (module docs of
 //! [`crate::memory`]: "Building a memory on `SymMap`").
 
+use super::decide;
 use gillian_gil::Expr;
 use gillian_solver::{PathCondition, Solver};
 use std::collections::{btree_map, BTreeMap};
@@ -117,8 +118,9 @@ impl<G: Ord + Clone, V: Clone> SymMap<G, V> {
 
     /// The alias decision of `addr` over the keys of `group` (see
     /// [`Alias`]): every entry `addr` may equal, with its equality
-    /// constraint, in key order, then the simplified constraint that
-    /// `addr` equals none of the keys.
+    /// constraint and the decided condition that conjoins it, in key
+    /// order, then the simplified constraint that `addr` equals none of
+    /// the keys.
     pub fn aliases<'a>(
         &'a self,
         group: &'a G,
@@ -126,11 +128,14 @@ impl<G: Ord + Clone, V: Clone> SymMap<G, V> {
         under: Option<&Expr>,
         pc: &PathCondition,
         solver: &Solver,
-    ) -> (Vec<(&'a Expr, &'a V, Expr)>, Expr) {
+    ) -> (Vec<(&'a Expr, &'a V, Expr, PathCondition)>, Expr) {
         let mut alias = Alias::new(addr, under, pc, solver);
         let matches = self
             .group(group)
-            .filter_map(|(k, v)| Some((k, v, alias.candidate(k)?)))
+            .filter_map(|(k, v)| {
+                let (eq, pc) = alias.candidate(k)?;
+                Some((k, v, eq, pc))
+            })
             .collect();
         (matches, alias.none_of())
     }
@@ -146,12 +151,13 @@ impl<G: Ord + Clone, V: Clone> SymMap<G, V> {
 /// path condition, and under what constraint it equals none of them.
 ///
 /// For each candidate `k`, [`Alias::candidate`] simplifies `addr = k`,
-/// conjoined after `under` when given, and keeps it when it is not the
-/// literal `false` and is satisfiable with the path condition. The
-/// none-of constraint starts at `under` (or `true`) and conjoins
-/// `addr ≠ k` for every candidate, feasible or not; [`Alias::none_of`]
-/// simplifies it. Whether to ask its satisfiability is the caller's
-/// choice (pushing it through [`crate::memory::push_branch`] does).
+/// conjoined after `under` when given, and decides it once
+/// ([`crate::memory::decide`]): a literal asks nothing, anything else is
+/// checked, and a feasible candidate comes with the checked condition,
+/// which its branch keeps. The none-of constraint starts at `under` (or
+/// `true`) and conjoins `addr ≠ k` for every candidate, feasible or not;
+/// [`Alias::none_of`] simplifies it, and the caller decides it when its
+/// query order calls for it.
 ///
 /// The decision is lazy, one candidate per call, so a caller may do its
 /// own solver work between candidates and keep the order of its queries.
@@ -183,9 +189,10 @@ impl<'a> Alias<'a> {
         }
     }
 
-    /// Decides candidate `key`: the simplified constraint under which the
-    /// address equals it, when that is feasible.
-    pub fn candidate(&mut self, key: &Expr) -> Option<Expr> {
+    /// Decides candidate `key`: when the address may equal it, the
+    /// simplified constraint under which it does, and the decided
+    /// condition that conjoins it.
+    pub fn candidate(&mut self, key: &Expr) -> Option<(Expr, PathCondition)> {
         let eq = self.addr.clone().eq(key.clone());
         let eq = match self.under {
             Some(under) => under.clone().and(eq),
@@ -194,9 +201,8 @@ impl<'a> Alias<'a> {
         let eq = self.solver.simplify(self.pc, &eq);
         let none_of = std::mem::replace(&mut self.none_of, Expr::tt());
         self.none_of = none_of.and(self.addr.clone().ne(key.clone()));
-        let feasible =
-            eq.as_bool() != Some(false) && self.solver.sat_with(self.pc, &eq).possibly_sat();
-        feasible.then_some(eq)
+        let pc = decide(self.pc, self.solver, &eq)?;
+        Some((eq, pc))
     }
 
     /// The simplified constraint under which the address equals none of
@@ -345,6 +351,7 @@ mod tests {
                     prop_assert_eq!(matches.len(), 1);
                     prop_assert_eq!((matches[0].0, matches[0].1), (k, v));
                     prop_assert_eq!(&matches[0].2, &Expr::tt());
+                    prop_assert_eq!(&matches[0].3, &pc);
                     prop_assert_eq!(none_of, Expr::ff());
                 }
                 None => {
@@ -363,7 +370,7 @@ mod tests {
         m.insert((), loc(0), 10);
         m.insert((), loc(1), 11);
         let (matches, none_of) = m.aliases(&(), &x, None, &pc, &solver);
-        let keys: Vec<&Expr> = matches.iter().map(|(k, _, _)| *k).collect();
+        let keys: Vec<&Expr> = matches.iter().map(|(k, ..)| *k).collect();
         assert_eq!(keys, [&loc(0), &loc(1)]);
         assert_eq!(matches[0].2, x.clone().eq(loc(0)));
         let want = Expr::tt()
@@ -374,11 +381,12 @@ mod tests {
         let under = x.clone().ne(loc(1));
         let mut alias = Alias::new(&x, Some(&under), &pc, &solver);
         assert_eq!(alias.candidate(&loc(1)), None, "excluded by `under`");
-        let eq = alias.candidate(&loc(0)).expect("feasible");
+        let (eq, decided) = alias.candidate(&loc(0)).expect("feasible");
         assert_eq!(
             eq,
             solver.simplify(&pc, &under.clone().and(x.clone().eq(loc(0))))
         );
+        assert_eq!(decided.conjuncts(), [solver.simplify(&pc, &eq)]);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! and *empirical* checkers for the lemmas and the end-to-end theorem:
 //!
 //! - [`check_action`] exercises MA-RS/MA-RC on a single symbolic action:
-//!   every branch's learned constraint is modelled, the symbolic memory is
+//!   every branch's path condition is modelled, the symbolic memory is
 //!   interpreted through the model, the concrete action is run, and the
 //!   outcomes (and, on success, the memories after it) are compared under
 //!   the model.
@@ -116,9 +116,7 @@ where
     // needs the pre-state.
     let branches = sym_mem.clone().execute_action(action, arg, pc, solver);
     for branch in branches {
-        let mut pc2 = pc.clone();
-        pc2.push(branch.constraint.clone());
-        let Some(model) = solver.model(&pc2) else {
+        let Some(model) = solver.model(&branch.pc) else {
             continue; // no model within budget: nothing to check
         };
         let mut needed = sym_mem.lvars();
@@ -338,10 +336,14 @@ mod tests {
             self,
             _: &str,
             arg: &Expr,
-            _: &PathCondition,
+            pc: &PathCondition,
             _: &Solver,
         ) -> Vec<crate::memory::SymBranch<Self>> {
-            vec![crate::memory::SymBranch::ok(NoSymMem, arg.clone())]
+            vec![crate::memory::SymBranch::ok(
+                NoSymMem,
+                arg.clone(),
+                pc.clone(),
+            )]
         }
     }
     #[derive(Clone, Debug, Default, PartialEq)]

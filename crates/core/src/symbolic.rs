@@ -8,11 +8,12 @@
 //! Expression evaluation substitutes store bindings and simplifies through
 //! the solver; `assume` (inside [`GilState::branch_on`]) strengthens the
 //! path condition when satisfiable; actions delegate to the parameter
-//! memory and conjoin the learned constraint (Def. 2.6, `[Action]`).
+//! memory, and each successor adopts the path condition its branch
+//! decided, `π̂ ∧ π̂′` (Def. 2.6, `[Action]`).
 
 use crate::allocator::SymAllocator;
 use crate::checkpoint::{StateCtx, StateIoError};
-use crate::memory::SymbolicMemory;
+use crate::memory::{decide, SymbolicMemory};
 use crate::restriction::Restrict;
 use crate::state::{GilState, GuardEval};
 use gillian_gil::compile::{EvalScratch, ExprCode, ExprKind};
@@ -64,7 +65,11 @@ pub struct SymbolicState<M> {
     pub memory: M,
     store: SharedSymStore,
     alloc: SymAllocator,
-    /// The path condition `π̂`.
+    /// The path condition `π̂`. Every push site keeps it decided: the
+    /// empty condition, and each extension made by a query that checked
+    /// it (`branch_on`, [`SymbolicState::assume`], an action's branches),
+    /// so actions run under it without asking again (`memory` module
+    /// docs). [`Restrict::restrict`] is the one exception.
     pub pc: PathCondition,
     solver: Arc<Solver>,
 }
@@ -97,11 +102,16 @@ impl<M: SymbolicMemory> SymbolicState<M> {
         &self.alloc
     }
 
-    /// Conjoins a constraint onto the path condition without checking
-    /// satisfiability (used by harnesses encoding preconditions).
-    pub fn assume_unchecked(&mut self, e: Expr) {
-        let e = self.solver.simplify(&self.pc, &e);
-        self.pc.push(e);
+    /// Conjoins a constraint onto the path condition, deciding it as an
+    /// action's branch is decided ([`decide`]); used by harnesses encoding
+    /// preconditions. Returns `false`, leaving the state as it was, when
+    /// the constraint is unsatisfiable with it.
+    pub fn assume(&mut self, e: &Expr) -> bool {
+        let Some(pc) = decide(&self.pc, &self.solver, e) else {
+            return false;
+        };
+        self.pc = pc;
+        true
     }
 
     /// The shared body of [`GilState::execute_action`] and
@@ -149,28 +159,25 @@ impl<M: SymbolicMemory> SymbolicState<M> {
         }
         let mut out = Vec::with_capacity(branches.len());
         let n = branches.len();
-        let mut rest = Some((store, alloc, pc, solver));
+        let mut rest = Some((store, alloc, solver));
         for (i, b) in branches.into_iter().enumerate() {
             // The last branch takes the rest of the state by move — the
             // common single-branch action never pays a state clone.
-            let (store, alloc, pc, solver) = if i + 1 == n {
+            let (store, alloc, solver) = if i + 1 == n {
                 rest.take()
                     .expect("state consumed once, on the last branch")
             } else {
                 rest.clone().expect("state live until the last branch")
             };
-            let mut st = SymbolicState {
+            // The memory decided the branch's condition; the successor
+            // adopts it, and the frozen solve context with it.
+            let st = SymbolicState {
                 memory: b.memory,
                 store,
                 alloc,
-                pc,
+                pc: b.pc,
                 solver,
             };
-            let constraint = st.solver.simplify(&st.pc, &b.constraint);
-            if constraint.as_bool() == Some(false) {
-                continue;
-            }
-            st.pc.push(constraint);
             out.push((st, b.outcome));
         }
         out
@@ -474,6 +481,11 @@ impl<M: SymbolicMemory> GilState for SymbolicState<M> {
 impl<M: SymbolicMemory> Restrict for SymbolicState<M> {
     /// State restriction of the lifted model (Def. 3.9):
     /// `⟨µ̂, ρ̂, ξ̂, π̂⟩ ⇃ ⟨-, -, ξ̂′, π̂′⟩ = ⟨µ̂, ρ̂, ξ̂ ⇃ ξ̂′, π̂ ∧ π̂′⟩`.
+    ///
+    /// The conjunction is not decided, so the result breaks the decided
+    /// path-condition invariant: restriction serves the soundness laws
+    /// (`restriction` module) and their tests, and the engine never runs
+    /// a restricted state.
     fn restrict(&self, other: &Self) -> Self {
         let mut st = self.clone();
         st.alloc = st.alloc.restrict(&other.alloc);
@@ -497,18 +509,15 @@ mod tests {
             self,
             name: &str,
             arg: &Expr,
-            _pc: &PathCondition,
+            pc: &PathCondition,
             _solver: &Solver,
         ) -> Vec<SymBranch<Self>> {
+            let pc = pc.clone();
             match name {
-                "set" => vec![SymBranch::ok(Cell(Some(arg.clone())), Expr::tt())],
+                "set" => vec![SymBranch::ok(Cell(Some(arg.clone())), Expr::tt(), pc)],
                 "get" => match &self.0 {
-                    Some(e) => vec![SymBranch::ok(self.clone(), e.clone())],
-                    None => vec![SymBranch {
-                        memory: self.clone(),
-                        outcome: Err(Expr::str("empty cell")),
-                        constraint: Expr::tt(),
-                    }],
+                    Some(e) => vec![SymBranch::ok(self.clone(), e.clone(), pc)],
+                    None => vec![SymBranch::err(self.clone(), Expr::str("empty cell"), pc)],
                 },
                 _ => vec![],
             }
@@ -584,7 +593,9 @@ mod tests {
     fn branch_on_prunes_infeasible() {
         let mut st = state();
         let x = st.fresh_isym(0);
-        st.assume_unchecked(x.clone().eq(Expr::int(3)));
+        assert!(st.assume(&x.clone().eq(Expr::int(3))));
+        assert!(!st.assume(&x.clone().eq(Expr::int(4))), "unsat is refused");
+        assert_eq!(st.pc.len(), 1, "and leaves the condition as it was");
         st.set_var(&"x".into(), x);
         let branches = st.branch_on(&Expr::pvar("x").lt(Expr::int(5))).unwrap();
         assert_eq!(branches.len(), 1);
@@ -632,7 +643,7 @@ mod tests {
         let mut a = state();
         let mut b = state();
         let x = b.fresh_isym(0);
-        b.assume_unchecked(x.clone().eq(Expr::int(1)));
+        assert!(b.assume(&x.clone().eq(Expr::int(1))));
         let r = a.restrict(&b);
         assert!(r.pc.conjuncts().contains(&x.eq(Expr::int(1))));
         // Idempotence on states (pc set union semantics).

@@ -301,13 +301,13 @@ mod tests {
             self,
             name: &str,
             _: &Expr,
-            _: &PathCondition,
+            pc: &PathCondition,
             _: &Solver,
         ) -> Vec<SymBranch<Self>> {
             vec![SymBranch {
                 memory: NoSymMem,
                 outcome: Err(Expr::str(format!("no actions ({name})"))),
-                constraint: Expr::tt(),
+                pc: pc.clone(),
             }]
         }
     }

@@ -43,10 +43,10 @@ impl SymbolicMemory for EchoSym {
         self,
         _: &str,
         arg: &Expr,
-        _: &PathCondition,
+        pc: &PathCondition,
         _: &Solver,
     ) -> Vec<SymBranch<Self>> {
-        vec![SymBranch::ok(EchoSym, arg.clone())]
+        vec![SymBranch::ok(EchoSym, arg.clone(), pc.clone())]
     }
 
     fn save(&self, _enc: &mut Encoder, _out: &mut Vec<u8>) -> Result<(), StateIoError> {

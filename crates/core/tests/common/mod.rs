@@ -24,10 +24,10 @@ impl SymbolicMemory for NoMem {
         self,
         _: &str,
         arg: &Expr,
-        _: &PathCondition,
+        pc: &PathCondition,
         _: &Solver,
     ) -> Vec<SymBranch<Self>> {
-        vec![SymBranch::ok(NoMem, arg.clone())]
+        vec![SymBranch::ok(NoMem, arg.clone(), pc.clone())]
     }
 }
 

@@ -26,10 +26,10 @@ impl SymbolicMemory for EchoSym {
         self,
         _: &str,
         arg: &Expr,
-        _: &PathCondition,
+        pc: &PathCondition,
         _: &Solver,
     ) -> Vec<SymBranch<Self>> {
-        vec![SymBranch::ok(EchoSym, arg.clone())]
+        vec![SymBranch::ok(EchoSym, arg.clone(), pc.clone())]
     }
 }
 

@@ -45,17 +45,21 @@ impl SymbolicMemory for SymCell {
         self,
         name: &str,
         arg: &Expr,
-        _pc: &PathCondition,
+        pc: &PathCondition,
         _solver: &Solver,
     ) -> Vec<SymBranch<Self>> {
         match name {
-            "set" => vec![SymBranch::ok(SymCell(Some(arg.clone())), Expr::tt())],
+            "set" => vec![SymBranch::ok(
+                SymCell(Some(arg.clone())),
+                Expr::tt(),
+                pc.clone(),
+            )],
             "get" => match &self.0 {
-                Some(e) => vec![SymBranch::ok(self.clone(), e.clone())],
-                None => vec![SymBranch::err_if(
+                Some(e) => vec![SymBranch::ok(self.clone(), e.clone(), pc.clone())],
+                None => vec![SymBranch::err(
                     self.clone(),
                     Expr::str("empty cell"),
-                    Expr::tt(),
+                    pc.clone(),
                 )],
             },
             _ => vec![],
@@ -76,20 +80,25 @@ impl SymbolicMemory for OffByOneCell {
         self,
         name: &str,
         arg: &Expr,
-        _pc: &PathCondition,
+        pc: &PathCondition,
         _solver: &Solver,
     ) -> Vec<SymBranch<Self>> {
         match name {
-            "set" => vec![SymBranch::ok(OffByOneCell(Some(arg.clone())), Expr::tt())],
+            "set" => vec![SymBranch::ok(
+                OffByOneCell(Some(arg.clone())),
+                Expr::tt(),
+                pc.clone(),
+            )],
             "get" => match &self.0 {
                 Some(e) => vec![SymBranch::ok(
                     self.clone(),
                     e.clone().add(Expr::int(1)), // BUG
+                    pc.clone(),
                 )],
-                None => vec![SymBranch::err_if(
+                None => vec![SymBranch::err(
                     self.clone(),
                     Expr::str("empty cell"),
-                    Expr::tt(),
+                    pc.clone(),
                 )],
             },
             _ => vec![],
@@ -111,14 +120,19 @@ impl SymbolicMemory for NoErrorCell {
         self,
         name: &str,
         arg: &Expr,
-        _pc: &PathCondition,
+        pc: &PathCondition,
         _solver: &Solver,
     ) -> Vec<SymBranch<Self>> {
         match name {
-            "set" => vec![SymBranch::ok(NoErrorCell(Some(arg.clone())), Expr::tt())],
+            "set" => vec![SymBranch::ok(
+                NoErrorCell(Some(arg.clone())),
+                Expr::tt(),
+                pc.clone(),
+            )],
             "get" => vec![SymBranch::ok(
                 self.clone(),
                 self.0.clone().unwrap_or(Expr::int(0)), // BUG: never errors
+                pc.clone(),
             )],
             _ => vec![],
         }
@@ -264,10 +278,10 @@ impl SymbolicMemory for EchoMem {
         self,
         _: &str,
         arg: &Expr,
-        _: &PathCondition,
+        pc: &PathCondition,
         _: &Solver,
     ) -> Vec<SymBranch<Self>> {
-        vec![SymBranch::ok(EchoMem, arg.clone())]
+        vec![SymBranch::ok(EchoMem, arg.clone(), pc.clone())]
     }
 }
 
@@ -279,13 +293,13 @@ impl SymbolicMemory for PanickingMem {
         self,
         name: &str,
         arg: &Expr,
-        _: &PathCondition,
+        pc: &PathCondition,
         _: &Solver,
     ) -> Vec<SymBranch<Self>> {
         if name == "boom" {
             panic!("injected memory fault");
         }
-        vec![SymBranch::ok(PanickingMem, arg.clone())]
+        vec![SymBranch::ok(PanickingMem, arg.clone(), pc.clone())]
     }
 }
 
@@ -300,7 +314,7 @@ impl SymbolicMemory for SpinMem {
         self,
         name: &str,
         arg: &Expr,
-        _: &PathCondition,
+        pc: &PathCondition,
         solver: &Solver,
     ) -> Vec<SymBranch<Self>> {
         if name == "spin" {
@@ -309,7 +323,7 @@ impl SymbolicMemory for SpinMem {
                 std::hint::spin_loop();
             }
         }
-        vec![SymBranch::ok(SpinMem, arg.clone())]
+        vec![SymBranch::ok(SpinMem, arg.clone(), pc.clone())]
     }
 }
 

@@ -20,10 +20,10 @@ impl SymbolicMemory for NoMem {
         self,
         _: &str,
         arg: &Expr,
-        _: &PathCondition,
+        pc: &PathCondition,
         _: &Solver,
     ) -> Vec<SymBranch<Self>> {
-        vec![SymBranch::ok(NoMem, arg.clone())]
+        vec![SymBranch::ok(NoMem, arg.clone(), pc.clone())]
     }
 }
 
@@ -53,7 +53,7 @@ fn state_with(picks: &[bool]) -> SymbolicState<NoMem> {
     let mut st = SymbolicState::<NoMem>::new(Arc::new(Solver::optimized()));
     for (i, take) in picks.iter().enumerate() {
         if *take {
-            st.assume_unchecked(universe[i % universe.len()].clone());
+            assert!(st.assume(&universe[i % universe.len()]));
         }
     }
     st

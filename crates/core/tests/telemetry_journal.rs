@@ -177,11 +177,11 @@ impl SymbolicMemory for SlowMem {
         self,
         _: &str,
         arg: &Expr,
-        _: &PathCondition,
+        pc: &PathCondition,
         _: &Solver,
     ) -> Vec<SymBranch<Self>> {
         std::thread::sleep(Duration::from_millis(5));
-        vec![SymBranch::ok(SlowMem, arg.clone())]
+        vec![SymBranch::ok(SlowMem, arg.clone(), pc.clone())]
     }
 }
 

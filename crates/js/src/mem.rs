@@ -27,8 +27,7 @@
 
 use crate::values::undefined_expr;
 use gillian_core::memory::{
-    expr_args, literal_gate, push_branch, successors, value_args, ConcreteMemory, SymBranch,
-    SymMap, SymbolicMemory,
+    decide, expr_args, successors, value_args, ConcreteMemory, SymBranch, SymMap, SymbolicMemory,
 };
 use gillian_gil::{Expr, LVar, Value};
 use gillian_solver::{PathCondition, Solver};
@@ -338,17 +337,16 @@ impl JsSymMemory {
     /// backend only): when the address, the key and every object and key
     /// they meet are literals, the alias decisions fold to the map
     /// lookups of [`SymMap::literal`], and the one surviving branch keeps
-    /// only the general path's `sat(pc)` query ([`literal_gate`]). It
-    /// owns the memory: the branch takes `self` (a write mutates it in
-    /// place), and `Err(self)` hands it back untouched for the general
-    /// path.
+    /// `pc` without a query, as the folded decisions of the general path
+    /// do. It owns the memory: the branch takes `self` (a write mutates
+    /// it in place), and `Err(self)` hands it back untouched for the
+    /// general path.
     fn fast_action(
         mut self,
         effect: Effect,
         name: &str,
         arg: &Expr,
         pc: &PathCondition,
-        solver: &Solver,
     ) -> Result<Vec<SymBranch<Self>>, Self> {
         let Ok(args) = effect.args(arg) else {
             return Err(self);
@@ -357,8 +355,7 @@ impl JsSymMemory {
             None => return Err(self),
             Some(None) => {
                 let err = not_an_object(name, &args[0]);
-                let branch = SymBranch::err_if(self, err, Expr::tt());
-                return Ok(literal_gate(pc, solver, vec![branch]));
+                return Ok(vec![SymBranch::err(self, err, pc.clone())]);
             }
             Some(Some((loc, meta))) => match effect {
                 Effect::Object(_, act) => act(&args, loc, meta),
@@ -369,11 +366,7 @@ impl JsSymMemory {
             },
         };
         self.apply(edit);
-        Ok(literal_gate(
-            pc,
-            solver,
-            vec![SymBranch::ok_if(self, value, Expr::tt())],
-        ))
+        Ok(vec![SymBranch::ok(self, value, pc.clone())])
     }
 }
 
@@ -398,7 +391,7 @@ impl SymbolicMemory for JsSymMemory {
         // whenever anything symbolic is involved; both fall back to the
         // general tree-walk implementation.
         let fast = match Effect::of(code) {
-            Some(effect) => self.fast_action(effect, name, arg, pc, solver),
+            Some(effect) => self.fast_action(effect, name, arg, pc),
             None => Err(self),
         };
         fast.unwrap_or_else(|mem| mem.execute_action(name, arg, pc, solver))
@@ -411,7 +404,7 @@ impl SymbolicMemory for JsSymMemory {
         pc: &PathCondition,
         solver: &Solver,
     ) -> Vec<SymBranch<Self>> {
-        let err1 = |mem, e| vec![SymBranch::err_if(mem, e, Expr::tt())];
+        let err1 = |mem, e| vec![SymBranch::err(mem, e, pc.clone())];
         let effect = match js_action_code(name) {
             None => return err1(self, err_expr(format!("unknown JS action {name}"))),
             Some(code::NEW_OBJ) => {
@@ -424,7 +417,8 @@ impl SymbolicMemory for JsSymMemory {
                     return err1(self, err);
                 }
                 let new = Edit::SetMeta(args[0].clone(), args[1].clone());
-                return successors(self, vec![SymBranch::ok(new, args[0].clone())], Self::apply);
+                let new = SymBranch::ok(new, args[0].clone(), pc.clone());
+                return successors(self, vec![new], Self::apply);
             }
             Some(code) => Effect::of(code).expect("every action but newObj has an effect"),
         };
@@ -433,39 +427,36 @@ impl SymbolicMemory for JsSymMemory {
             Err(n) => return err1(self, err_expr(arity(name, n, arg))),
         };
         // Branches are decided first, as edits; `successors` then builds
-        // their memories, the last one reusing `self`. Every decided
-        // branch is pushed through `push_branch`, which asks again (an
-        // exact-cache hit).
+        // their memories, the last one reusing `self`. Each is decided
+        // once, and keeps the condition its query checked.
         let mut out = Vec::new();
         let el = &args[0];
         let (objects, not_obj) = self.meta.aliases(&(), el, None, pc, solver);
-        for (loc, meta, obj_eq) in objects {
+        for (loc, meta, obj_eq, obj_pc) in objects {
             match effect {
                 Effect::Object(_, act) => {
                     let (edit, value) = act(&args, loc, meta);
-                    push_branch(&mut out, pc, solver, SymBranch::ok_if(edit, value, obj_eq));
+                    out.push(SymBranch::ok(edit, value, obj_pc));
                 }
                 // [SGetProp - Branch - Found] per key, plus the absent
-                // branch.
+                // branch, each decided under the object's equality.
                 Effect::Property(_, act) => {
                     let (keys, absent) =
                         self.cells.aliases(loc, &args[1], Some(&obj_eq), pc, solver);
-                    for (key, value, eq) in keys {
+                    for (key, value, _, key_pc) in keys {
                         let (edit, value) = act(&args, loc, Some((key, value)));
-                        push_branch(&mut out, pc, solver, SymBranch::ok_if(edit, value, eq));
+                        out.push(SymBranch::ok(edit, value, key_pc));
                     }
-                    let (edit, value) = act(&args, loc, None);
-                    push_branch(&mut out, pc, solver, SymBranch::ok_if(edit, value, absent));
+                    if let Some(absent_pc) = decide(pc, solver, &absent) {
+                        let (edit, value) = act(&args, loc, None);
+                        out.push(SymBranch::ok(edit, value, absent_pc));
+                    }
                 }
             }
         }
-        let err = not_an_object(name, el);
-        push_branch(
-            &mut out,
-            pc,
-            solver,
-            SymBranch::err_if(Edit::Keep, err, not_obj),
-        );
+        if let Some(pc) = decide(pc, solver, &not_obj) {
+            out.push(SymBranch::err(Edit::Keep, not_an_object(name, el), pc));
+        }
         successors(self, out, Self::apply)
     }
 
@@ -589,7 +580,7 @@ mod tests {
         let branches = m.execute_action("getProp", &Expr::list([l, Expr::str("a")]), &pc, &solver);
         assert_eq!(branches.len(), 1);
         assert_eq!(branches[0].outcome, Ok(Expr::num(1.0)));
-        assert_eq!(branches[0].constraint.as_bool(), Some(true));
+        assert_eq!(branches[0].pc, pc, "and learns nothing");
     }
 
     #[test]

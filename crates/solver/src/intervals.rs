@@ -300,10 +300,12 @@ impl IntDomain {
                     hi: m.div_euclid(a), // floor
                 }
             } else {
-                IntItv {
-                    lo: m.div_euclid(a), // div_euclid by a negative ceils
-                    hi: i64::MAX,
-                }
+                // div_euclid by a negative ceils; `i64::MIN / -1`
+                // overflows and narrows nothing.
+                let Some(lo) = m.checked_div_euclid(a) else {
+                    return true;
+                };
+                IntItv { lo, hi: i64::MAX }
             }
         } else {
             // d + δ ≤ a·base + c  ⇔  a·base ≥ d - c + δ
@@ -316,10 +318,11 @@ impl IntDomain {
                     hi: i64::MAX,
                 }
             } else {
-                IntItv {
-                    lo: i64::MIN,
-                    hi: -ceil_div(m, -a), // floor(m / a) for negative a
-                }
+                // floor(m / a) for negative a; overflow narrows nothing.
+                let Some(hi) = a.checked_neg().and_then(|n| ceil_div(m, n).checked_neg()) else {
+                    return true;
+                };
+                IntItv { lo: i64::MIN, hi }
             }
         };
         if !self.constrain(base.clone(), itv) {
@@ -332,13 +335,14 @@ impl IntDomain {
     #[must_use]
     pub fn assert_eq_const(&mut self, t: &Expr, n: i64) -> bool {
         let (base, a, c) = affine(t);
-        let Some(m) = n.checked_sub(c) else {
+        // `i64::MIN / -1` overflows: narrow nothing, which is sound
+        // (`x = i64::MIN` satisfies `-x = i64::MIN` under wrapping).
+        let Some((m, target)) = n.checked_sub(c).and_then(|m| Some((m, m.checked_div(a)?))) else {
             return true;
         };
         if m % a != 0 {
             return false; // no integer solution
         }
-        let target = m / a;
         if !self.constrain(
             base,
             IntItv {
@@ -355,13 +359,13 @@ impl IntDomain {
     #[must_use]
     pub fn assert_ne_const(&mut self, t: &Expr, n: i64) -> bool {
         let (base, a, c) = affine(t);
-        let Some(m) = n.checked_sub(c) else {
+        // Overflow narrows nothing, as in `assert_eq_const`.
+        let Some((m, n)) = n.checked_sub(c).and_then(|m| Some((m, m.checked_div(a)?))) else {
             return true;
         };
         if m % a != 0 {
             return true; // the affine term can never equal n
         }
-        let n = m / a;
         let cur = self.interval(&base);
         let next = if cur.lo == n && cur.hi == n {
             return false;
@@ -826,6 +830,22 @@ mod division_tests {
         assert_eq!(d.query(&q), IntItv::top());
         assert!(d.assert_cmp(&Expr::int(1), &q, false));
         assert!(d.consistent());
+    }
+
+    #[test]
+    fn negated_min_narrows_nothing() {
+        // `-x` against `i64::MIN`: the quotient `i64::MIN / -1` overflows.
+        // Under wrapping `x = i64::MIN` satisfies each atom, so none may
+        // narrow, panic or refute.
+        let min = Expr::int(i64::MIN);
+        for neg in [x(0).mul(Expr::int(-1)), Expr::int(0).sub(x(0))] {
+            let mut d = IntDomain::new();
+            assert!(d.assert_eq_const(&neg, i64::MIN));
+            assert!(d.assert_ne_const(&neg, i64::MIN));
+            assert!(d.assert_cmp(&neg, &min, false));
+            assert!(d.assert_cmp(&min, &neg, false));
+            assert_eq!(d.query(&x(0)), IntItv::top(), "{neg}");
+        }
     }
 
     #[test]

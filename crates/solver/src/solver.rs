@@ -760,10 +760,9 @@ impl Solver {
         if budget.deadline.is_some_and(|d| Instant::now() >= d) {
             return None;
         }
-        // Ancestors reached through exact-cache hits, or pushed again
-        // after `sat_with` solved them on a discarded chain, carry no
-        // context of their own; the cache entry of their conjunct set
-        // holds the one its filling solve froze.
+        // Ancestors reached through exact-cache hits carry no context of
+        // their own; the cache entry of their conjunct set holds the one
+        // its filling solve froze.
         let (ctx, prefix_len, delta) = pc.solved_prefix(|key| {
             if self.config.caching {
                 self.cache.ctx(key)
@@ -1087,30 +1086,6 @@ mod tests {
             pc2.has_solve_ctx(),
             "the returned condition carries the context this query froze"
         );
-    }
-
-    #[test]
-    fn memory_action_pushes_reuse_the_context_of_their_assume() {
-        // A memory action solves its branch constraint through `sat_with`
-        // (freezing the context on a chain it then drops) and pushes the
-        // same constraint onto the live chain, whose fresh node has no
-        // context. The cache entry of that conjunct set still holds it.
-        let s = Solver::optimized();
-        let mut pc: PathCondition = [Expr::int(0).le(x(0))].into_iter().collect();
-        assert_eq!(s.check_sat(&pc), SatResult::Sat);
-        let guard = x(0).lt(Expr::int(10));
-        assert_eq!(s.sat_with(&pc, &guard), SatResult::Sat);
-        pc.push(guard);
-        assert!(!pc.has_solve_ctx(), "the re-pushed node starts empty");
-        pc.push(x(0).ne(Expr::int(3)));
-        let _ = pc.cache_key();
-        let (_, prefix_len, delta) = pc
-            .solved_prefix(|key| s.cache.ctx(key))
-            .expect("the assume's context is reachable by its key");
-        assert_eq!((prefix_len, delta.len()), (2, 1));
-        let before = s.stats().incremental_hits;
-        assert_eq!(s.check_sat(&pc), SatResult::Sat);
-        assert_eq!(s.stats().incremental_hits, before + 1);
     }
 
     #[test]

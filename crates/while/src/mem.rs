@@ -18,8 +18,8 @@
 
 use gillian_core::checkpoint::StateIoError;
 use gillian_core::memory::{
-    expr_args, literal_gate, push_branch, successors, value_args, Alias, ArgList, ConcreteMemory,
-    SymBranch, SymMap, SymbolicMemory,
+    decide, expr_args, successors, value_args, Alias, ArgList, ConcreteMemory, SymBranch, SymMap,
+    SymbolicMemory,
 };
 use gillian_gil::serial::{self, ByteReader, Decoder, Encoder};
 use gillian_gil::{Expr, Value};
@@ -156,12 +156,7 @@ impl WhileSymMemory {
     // (a write mutates it in place), and `Err(self)` hands it back
     // untouched for the general path.
 
-    fn fast_lookup(
-        self,
-        arg: &Expr,
-        pc: &PathCondition,
-        solver: &Solver,
-    ) -> Result<Vec<SymBranch<Self>>, Self> {
+    fn fast_lookup(self, arg: &Expr, pc: &PathCondition) -> Result<Vec<SymBranch<Self>>, Self> {
         let Some(args) = ArgList::of(arg, 2) else {
             return Err(self);
         };
@@ -173,22 +168,17 @@ impl WhileSymMemory {
             None => return Err(self),
             Some(found) => found.map(|(_, value)| value.clone()),
         };
-        let branch = match value {
-            Some(value) => SymBranch::ok_if(self, value, Expr::tt()),
+        let pc = pc.clone();
+        Ok(vec![match value {
+            Some(value) => SymBranch::ok(self, value, pc),
             None => {
                 let msg = format!("lookup: no property {prop} at {el}");
-                SymBranch::err_if(self, Expr::str(msg), Expr::tt())
+                SymBranch::err(self, Expr::str(msg), pc)
             }
-        };
-        Ok(literal_gate(pc, solver, vec![branch]))
+        }])
     }
 
-    fn fast_mutate(
-        mut self,
-        arg: &Expr,
-        pc: &PathCondition,
-        solver: &Solver,
-    ) -> Result<Vec<SymBranch<Self>>, Self> {
+    fn fast_mutate(mut self, arg: &Expr, pc: &PathCondition) -> Result<Vec<SymBranch<Self>>, Self> {
         let Some(args) = ArgList::of(arg, 3) else {
             return Err(self);
         };
@@ -202,11 +192,7 @@ impl WhileSymMemory {
         // Present overwrites in place; absent extends.
         let value = args.expr(2);
         self.cells.insert(prop.clone(), el, value.clone());
-        Ok(literal_gate(
-            pc,
-            solver,
-            vec![SymBranch::ok_if(self, value, Expr::tt())],
-        ))
+        Ok(vec![SymBranch::ok(self, value, pc.clone())])
     }
 }
 
@@ -280,8 +266,8 @@ impl SymbolicMemory for WhileSymMemory {
         solver: &Solver,
     ) -> Vec<SymBranch<Self>> {
         let fast = match code {
-            code::LOOKUP => self.fast_lookup(arg, pc, solver),
-            code::MUTATE => self.fast_mutate(arg, pc, solver),
+            code::LOOKUP => self.fast_lookup(arg, pc),
+            code::MUTATE => self.fast_mutate(arg, pc),
             _ => Err(self),
         };
         fast.unwrap_or_else(|mem| mem.execute_action(name, arg, pc, solver))
@@ -295,8 +281,9 @@ impl SymbolicMemory for WhileSymMemory {
         solver: &Solver,
     ) -> Vec<SymBranch<Self>> {
         // Branches are decided first, as edits; `successors` then builds
-        // their memories, the last one reusing `self`. An alias decided
-        // feasible is pushed without asking again.
+        // their memories, the last one reusing `self`. Each is decided
+        // once, and keeps the condition its query checked.
+        let err1 = |mem, e| vec![SymBranch::err(mem, e, pc.clone())];
         let mut branches = Vec::new();
         match name {
             // [S-Lookup]: branch on every location potentially equal to the
@@ -305,62 +292,51 @@ impl SymbolicMemory for WhileSymMemory {
             "lookup" => {
                 let (args, prop) = match prop_args(arg, 2, "lookup") {
                     Ok(x) => x,
-                    Err(e) => return vec![SymBranch::err_if(self, e, Expr::tt())],
+                    Err(e) => return err1(self, e),
                 };
                 let el = &args[0];
                 let (found, none_of) = self.cells.aliases(&prop, el, None, pc, solver);
-                for (_, value, eq) in found {
-                    branches.push(SymBranch::ok_if(Edit::Keep, value.clone(), eq));
+                for (_, value, _, pc) in found {
+                    branches.push(SymBranch::ok(Edit::Keep, value.clone(), pc));
                 }
-                let msg = Expr::str(format!("lookup: no property {prop} at {el}"));
-                push_branch(
-                    &mut branches,
-                    pc,
-                    solver,
-                    SymBranch::err_if(Edit::Keep, msg, none_of),
-                );
+                if let Some(pc) = decide(pc, solver, &none_of) {
+                    let msg = Expr::str(format!("lookup: no property {prop} at {el}"));
+                    branches.push(SymBranch::err(Edit::Keep, msg, pc));
+                }
             }
             // [S-Mutate-Present] / [S-Mutate-Absent]
             "mutate" => {
                 let (args, prop) = match prop_args(arg, 3, "mutate") {
                     Ok(x) => x,
-                    Err(e) => return vec![SymBranch::err_if(self, e, Expr::tt())],
+                    Err(e) => return err1(self, e),
                 };
                 let (el, ev) = (&args[0], &args[2]);
                 let (found, none_of) = self.cells.aliases(&prop, el, None, pc, solver);
-                for (loc, _, eq) in found {
+                for (loc, _, _, pc) in found {
                     let put = Edit::Put(loc.clone(), prop.clone(), ev.clone());
-                    branches.push(SymBranch::ok_if(put, ev.clone(), eq));
+                    branches.push(SymBranch::ok(put, ev.clone(), pc));
                 }
                 // Absent: the address defines no `p` yet; extend.
-                let put = Edit::Put(el.clone(), prop, ev.clone());
-                push_branch(
-                    &mut branches,
-                    pc,
-                    solver,
-                    SymBranch::ok_if(put, ev.clone(), none_of),
-                );
+                if let Some(pc) = decide(pc, solver, &none_of) {
+                    let put = Edit::Put(el.clone(), prop, ev.clone());
+                    branches.push(SymBranch::ok(put, ev.clone(), pc));
+                }
             }
             // [S-Dispose]: branch on aliasing with each known location.
             "dispose" => {
                 let locs: BTreeSet<&Expr> = self.cells.iter().map(|((_, l), _)| l).collect();
                 let mut alias = Alias::new(arg, None, pc, solver);
                 for loc in locs {
-                    if let Some(eq) = alias.candidate(loc) {
+                    if let Some((_, pc)) = alias.candidate(loc) {
                         let dispose = Edit::Dispose(loc.clone());
-                        branches.push(SymBranch::ok_if(dispose, Expr::tt(), eq));
+                        branches.push(SymBranch::ok(dispose, Expr::tt(), pc));
                     }
                 }
-                let keep = SymBranch::ok_if(Edit::Keep, Expr::tt(), alias.none_of());
-                push_branch(&mut branches, pc, solver, keep);
+                if let Some(pc) = decide(pc, solver, &alias.none_of()) {
+                    branches.push(SymBranch::ok(Edit::Keep, Expr::tt(), pc));
+                }
             }
-            other => {
-                return vec![SymBranch::err_if(
-                    self,
-                    Expr::str(format!("unknown While action {other}")),
-                    Expr::tt(),
-                )]
-            }
+            other => return err1(self, Expr::str(format!("unknown While action {other}"))),
         }
         successors(self, branches, Self::apply)
     }
@@ -416,7 +392,7 @@ mod tests {
         let branches = m.execute_action("lookup", &Expr::list([l, Expr::str("a")]), &pc, &solver);
         assert_eq!(branches.len(), 1, "literal locations do not alias-branch");
         assert_eq!(branches[0].outcome, Ok(Expr::int(1)));
-        assert_eq!(branches[0].constraint, Expr::tt());
+        assert_eq!(branches[0].pc, pc, "and learn nothing");
     }
 
     #[test]
@@ -574,7 +550,7 @@ mod tests {
         assert_eq!(branches[0].outcome, Ok(Expr::int(2)));
         assert_eq!(branches[0].memory.cells.as_ptr(), cells);
         assert_eq!(solver.stats().simplifications, 0, "no alias decision");
-        assert_eq!(solver.stats().sat_queries, 1, "the one literal gate");
+        assert_eq!(solver.stats().sat_queries, 0, "pc is already decided");
     }
 
     #[test]
@@ -721,7 +697,7 @@ mod tests {
                 prop_assert_eq!(general.len(), fast.len());
                 for (g, c) in general.iter().zip(&fast) {
                     prop_assert_eq!(&g.outcome, &c.outcome);
-                    prop_assert_eq!(&g.constraint, &c.constraint);
+                    prop_assert_eq!(&g.pc, &c.pc);
                     prop_assert_eq!(&g.memory, &c.memory);
                 }
                 prop_assert_eq!(query_counts(&general_solver), query_counts(&coded_solver));

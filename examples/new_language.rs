@@ -18,7 +18,7 @@
 //! Run with: `cargo run --example new_language`
 
 use gillian::core::explore::ExploreConfig;
-use gillian::core::memory::{push_branch, ConcreteMemory, SymBranch, SymbolicMemory};
+use gillian::core::memory::{decide, ConcreteMemory, SymBranch, SymbolicMemory};
 use gillian::core::testing::run_test_with_replay;
 use gillian::gil::{Cmd, Expr, Proc, Prog, TypeTag, Value};
 use gillian::solver::{PathCondition, Solver};
@@ -79,10 +79,10 @@ impl SymbolicMemory for SymCounters {
         solver: &Solver,
     ) -> Vec<SymBranch<Self>> {
         let Expr::Val(Value::Str(key)) = arg else {
-            return vec![SymBranch::err_if(
+            return vec![SymBranch::err(
                 self,
                 Expr::str("counter names are literal strings"),
-                Expr::tt(),
+                pc.clone(),
             )];
         };
         let current = self.0.get(key.as_ref()).cloned().unwrap_or(Expr::int(0));
@@ -90,32 +90,32 @@ impl SymbolicMemory for SymCounters {
             "incr" => {
                 let next = solver.simplify(pc, &current.add(Expr::int(1)));
                 self.0.insert(key.to_string(), next.clone());
-                vec![SymBranch::ok(self, next)]
+                vec![SymBranch::ok(self, next, pc.clone())]
             }
-            "read" => vec![SymBranch::ok(self, current)],
+            "read" => vec![SymBranch::ok(self, current, pc.clone())],
             "decr" => {
-                // `push_branch` keeps a branch only when its constraint is
-                // satisfiable with the path condition.
+                // `decide` asks the solver once per branch and returns the
+                // path condition the successor keeps, or `None` when the
+                // constraint is unsatisfiable with the path condition.
                 let mut out = Vec::new();
                 let zero = solver.simplify(pc, &current.clone().eq(Expr::int(0)));
                 let nonzero = solver.simplify(pc, &zero.clone().not());
-                let negative = Expr::str(format!("counter {key} went negative"));
-                push_branch(
-                    &mut out,
-                    pc,
-                    solver,
-                    SymBranch::err_if(self.clone(), negative, zero),
-                );
+                if let Some(pc) = decide(pc, solver, &zero) {
+                    let negative = Expr::str(format!("counter {key} went negative"));
+                    out.push(SymBranch::err(self.clone(), negative, pc));
+                }
                 // The last branch writes into the memory itself.
-                let next = solver.simplify(pc, &current.sub(Expr::int(1)));
-                self.0.insert(key.to_string(), next.clone());
-                push_branch(&mut out, pc, solver, SymBranch::ok_if(self, next, nonzero));
+                if let Some(taken) = decide(pc, solver, &nonzero) {
+                    let next = solver.simplify(pc, &current.sub(Expr::int(1)));
+                    self.0.insert(key.to_string(), next.clone());
+                    out.push(SymBranch::ok(self, next, taken));
+                }
                 out
             }
-            other => vec![SymBranch::err_if(
+            other => vec![SymBranch::err(
                 self,
                 Expr::str(format!("unknown action {other}")),
-                Expr::tt(),
+                pc.clone(),
             )],
         }
     }

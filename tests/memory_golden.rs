@@ -6,12 +6,14 @@
 //! test compares both with `fixtures/memory_golden.txt`: for a few
 //! hundred fixed `(memory, action, argument, path condition)` cases per
 //! language, drawn from a seeded generator, it records every branch's
-//! outcome, constraint and successor memory, and the solver counters of
-//! each run. Cases cover literal and symbolic addresses, keys and
-//! offsets, folded (`Value::List`) and unfolded argument lists, wrong
-//! arities and an unsat path condition. Every case runs through
+//! outcome, learned constraint and successor memory, and the solver
+//! counters of each run. Cases cover literal and symbolic addresses,
+//! keys and offsets, folded (`Value::List`) and unfolded argument lists,
+//! wrong arities and an unsat path condition. Every case runs through
 //! `execute_action` on a fresh solver, and through `execute_action_coded`
-//! on another when the action has a code.
+//! on another when the action has a code. Each solver first decides the
+//! case's path condition, as the engine has before any action runs; an
+//! unsat one runs no action.
 //!
 //! Memories are rendered through their public views, not their internal
 //! maps: While `cells()`, MiniJS `objects()` and `heap_cells()`, MiniC
@@ -35,7 +37,7 @@ use gillian_core::Rng;
 use gillian_gil::{Expr, LVar, Sym, TypeTag, Value};
 use gillian_js::values::undefined_expr;
 use gillian_js::JsSymMemory;
-use gillian_solver::{PathCondition, Solver};
+use gillian_solver::{PathCondition, Solver, SolverStats};
 use gillian_while::WhileSymMemory;
 use std::fmt::Write as _;
 
@@ -77,17 +79,18 @@ fn bad_arity(mut parts: Vec<Expr>, rng: &mut Rng, fold: bool) -> Expr {
     arg_list(parts, fold)
 }
 
-/// The solver counters a case records, per leg.
-fn counters(solver: &Solver) -> String {
+/// The solver counters a case records, per leg: the traffic since
+/// `base`.
+fn counters(solver: &Solver, base: &SolverStats) -> String {
     let s = solver.stats();
     format!(
         "q={} hit={} unk={} inc={} models={} simp={}",
-        s.sat_queries,
-        s.cache_hits,
-        s.sat_unknowns,
-        s.incremental_hits,
-        s.model_searches,
-        s.simplifications
+        s.sat_queries - base.sat_queries,
+        s.cache_hits - base.cache_hits,
+        s.sat_unknowns - base.sat_unknowns,
+        s.incremental_hits - base.incremental_hits,
+        s.model_searches - base.model_searches,
+        s.simplifications - base.simplifications
     )
 }
 
@@ -142,24 +145,37 @@ impl View for CSymMemory {
     }
 }
 
+/// The constraint a branch learned: the conjunct its condition adds to
+/// the case's `pc`, or `true` when it keeps `pc`.
+fn learned(pc: &PathCondition, branch: &PathCondition) -> Expr {
+    match branch.conjuncts().get(pc.len()) {
+        Some(added) => added.clone(),
+        None => Expr::tt(),
+    }
+}
+
 /// Renders the branches of one leg into `out`, and their `Debug` forms
 /// into `exact`.
 fn render_leg<M: View>(
     out: &mut String,
     exact: &mut String,
     leg: &str,
+    pc: &PathCondition,
     branches: &[SymBranch<M>],
     solver: &Solver,
+    base: &SolverStats,
 ) {
-    let _ = writeln!(out, "  {leg}: {} [{}]", branches.len(), counters(solver));
+    let n = branches.len();
+    let _ = writeln!(out, "  {leg}: {n} [{}]", counters(solver, base));
     for b in branches {
         let (kind, value) = match &b.outcome {
             Ok(v) => ("ok", v),
             Err(e) => ("err", e),
         };
         let (mem, mem_debug) = b.memory.view();
-        let _ = writeln!(out, "    {kind} {value} | {} | {mem}", b.constraint);
-        let _ = write!(exact, "{:?}{:?}{mem_debug}", b.outcome, b.constraint);
+        let constraint = learned(pc, &b.pc);
+        let _ = writeln!(out, "    {kind} {value} | {constraint} | {mem}");
+        let _ = write!(exact, "{:?}{constraint:?}{mem_debug}", b.outcome);
     }
 }
 
@@ -182,13 +198,27 @@ fn render_case<M: SymbolicMemory + View>(
     }
     let _ = writeln!(out, "  mem: {shown}");
     let mut exact = format!("{arg:?}");
-    let solver = Solver::optimized();
-    let general = mem.clone().execute_action(name, arg, &pc(), &solver);
-    render_leg(out, &mut exact, "general", &general, &solver);
+    // An action runs only under a decided condition (the precondition of
+    // `execute_action`): each leg decides the case's condition on its
+    // fresh solver first, as the engine has, and records the action's
+    // own traffic after that. Under an unsat condition no action runs.
+    let mut run_leg = |leg: &str, code: Option<u16>| {
+        let (solver, pc) = (Solver::optimized(), pc());
+        if !solver.check_sat(&pc).possibly_sat() {
+            let _ = writeln!(out, "  {leg}: not run, unsat");
+            return;
+        }
+        let base = solver.stats();
+        let mem = mem.clone();
+        let branches = match code {
+            Some(code) => mem.execute_action_coded(code, name, arg, &pc, &solver),
+            None => mem.execute_action(name, arg, &pc, &solver),
+        };
+        render_leg(out, &mut exact, leg, &pc, &branches, &solver, &base);
+    };
+    run_leg("general", None);
     if let Some(code) = mem.action_code(name) {
-        let solver = Solver::optimized();
-        let coded = mem.execute_action_coded(code, name, arg, &pc(), &solver);
-        render_leg(out, &mut exact, "coded", &coded, &solver);
+        run_leg("coded", Some(code));
     }
     let _ = writeln!(out, "  digest: {:016x}", digest(&exact));
 }
