@@ -7,15 +7,15 @@
 use crate::allocator::ConcAllocator;
 use crate::memory::ConcreteMemory;
 use crate::state::{GilState, GuardEval};
-use gillian_gil::eval::{eval, Store};
-use gillian_gil::{EvalScratch, Expr, ExprCode, Ident, Value};
+use gillian_gil::eval::eval;
+use gillian_gil::{EvalScratch, Expr, ExprCode, Frame, Ident, Value};
 
 /// A concrete GIL state `⟨µ, ρ, ξ⟩` over memory model `M`.
 #[derive(Clone, Debug, Default)]
 pub struct ConcreteState<M> {
     /// The language memory `µ`.
     pub memory: M,
-    store: Store,
+    store: Frame<Value>,
     alloc: ConcAllocator,
 }
 
@@ -24,7 +24,7 @@ impl<M: ConcreteMemory> ConcreteState<M> {
     pub fn new() -> Self {
         ConcreteState {
             memory: M::default(),
-            store: Store::new(),
+            store: Frame::new(),
             alloc: ConcAllocator::new(),
         }
     }
@@ -34,7 +34,7 @@ impl<M: ConcreteMemory> ConcreteState<M> {
     pub fn with_script(script: impl IntoIterator<Item = Value>) -> Self {
         ConcreteState {
             memory: M::default(),
-            store: Store::new(),
+            store: Frame::new(),
             alloc: ConcAllocator::scripted(script),
         }
     }
@@ -43,7 +43,7 @@ impl<M: ConcreteMemory> ConcreteState<M> {
     pub fn with_memory(memory: M) -> Self {
         ConcreteState {
             memory,
-            store: Store::new(),
+            store: Frame::new(),
             alloc: ConcAllocator::new(),
         }
     }
@@ -56,26 +56,21 @@ impl<M: ConcreteMemory> ConcreteState<M> {
 
 impl<M: ConcreteMemory> GilState for ConcreteState<M> {
     type V = Value;
-    type Store = Store;
 
     fn eval(&self, e: &Expr) -> Result<Value, Value> {
         eval(&self.store, e).map_err(|err| Value::str(err.0))
     }
 
     fn set_var(&mut self, x: &Ident, v: Value) {
-        self.store.set(x.as_ref(), v);
+        self.store.set(x, v);
     }
 
-    fn store(&self) -> &Store {
+    fn store(&self) -> &Frame<Value> {
         &self.store
     }
 
-    fn set_store(&mut self, store: Store) {
+    fn set_store(&mut self, store: Frame<Value>) {
         self.store = store;
-    }
-
-    fn make_store(&self, params: &[Ident], args: Vec<Value>) -> Store {
-        params.iter().cloned().zip(args).collect()
     }
 
     fn resolve_proc(&self, v: &Value) -> Result<Ident, Value> {
@@ -124,6 +119,10 @@ impl<M: ConcreteMemory> GilState for ConcreteState<M> {
             Ok(other) => GuardEval::Fail(Value::str(format!("non-boolean guard {other}"))),
             Err(err) => GuardEval::Fail(Value::str(err.0)),
         }
+    }
+
+    fn set_slot(&mut self, slot: u32, v: Value) {
+        self.store.set_slot(slot, v);
     }
 
     fn action_code(&self, name: &str) -> Option<u16> {

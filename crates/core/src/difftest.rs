@@ -34,8 +34,8 @@ use crate::soundness::{complete_model, MemoryInterpretation};
 use crate::state::GilState;
 use crate::symbolic::SymbolicState;
 use crate::testing::script_from_model;
-use gillian_gil::{LVar, Prog, Value};
-use gillian_solver::Solver;
+use gillian_gil::{Expr, Frame, Ident, LVar, Prog, Value};
+use gillian_solver::{Model, Solver};
 use gillian_telemetry::{names, registry, Journal};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -346,26 +346,18 @@ where
         // outcome kinds agreed: after a divergent prefix the stores
         // legitimately differ.
         if !diverged && path.outcome.kind() == cpath.outcome.kind() {
-            for (x, se) in path.state.store().iter() {
-                let cv = cpath.state.store().get(x.as_ref());
-                match (model.eval(se), cv) {
-                    (Ok(sv), Some(cv)) if &sv == cv => {}
-                    (sv, cv) => {
-                        diverged = true;
-                        report.divergences.push(Divergence {
-                            class: MismatchClass::Store,
-                            trace: path.trace.clone(),
-                            script: script.clone(),
-                            symbolic: match sv {
-                                Ok(v) => v.to_string(),
-                                Err(e) => format!("{se} (uninterpretable: {e})"),
-                            },
-                            concrete: cv.map_or("unbound".into(), |v| v.to_string()),
-                            detail: format!("store binding {x} differs"),
-                        });
-                        break;
-                    }
-                }
+            if let Some((x, symbolic, concrete)) =
+                store_mismatch(&model, path.state.store(), cpath.state.store())
+            {
+                diverged = true;
+                report.divergences.push(Divergence {
+                    class: MismatchClass::Store,
+                    trace: path.trace.clone(),
+                    script: script.clone(),
+                    symbolic,
+                    concrete,
+                    detail: format!("store binding {x} differs"),
+                });
             }
         }
         // 3. Final memory through the interpretation hook.
@@ -398,6 +390,34 @@ where
             .add(report.fallback_models as u64);
     }
     report
+}
+
+/// The first binding on which two final stores disagree under `model`:
+/// a symbolic binding, in name order, whose value differs or that the
+/// concrete store lacks, else a concrete binding the symbolic store lacks.
+/// Returns the variable and each side rendered (`unbound` when absent).
+fn store_mismatch(
+    model: &Model,
+    sym: &Frame<Expr>,
+    conc: &Frame<Value>,
+) -> Option<(Ident, String, String)> {
+    for (x, se) in sym.iter() {
+        let cv = conc.get(x);
+        match (model.eval(se), cv) {
+            (Ok(sv), Some(cv)) if &sv == cv => {}
+            (sv, cv) => {
+                let symbolic = match sv {
+                    Ok(v) => v.to_string(),
+                    Err(e) => format!("{se} (uninterpretable: {e})"),
+                };
+                let concrete = cv.map_or("unbound".into(), |v| v.to_string());
+                return Some((x.clone(), symbolic, concrete));
+            }
+        }
+    }
+    conc.iter()
+        .find(|(x, _)| sym.get(x).is_none())
+        .map(|(x, cv)| (x.clone(), "unbound".into(), cv.to_string()))
 }
 
 #[cfg(test)]
@@ -438,6 +458,30 @@ mod tests {
             Arc::new(Solver::optimized()),
             ExploreConfig::default(),
         )
+    }
+
+    #[test]
+    fn store_check_reports_a_binding_only_the_concrete_store_has() {
+        let bind = |pairs: &[(&str, i64)]| -> Frame<Value> {
+            pairs
+                .iter()
+                .map(|(x, n)| (Ident::from(*x), Value::Int(*n)))
+                .collect()
+        };
+        let lift = |f: &Frame<Value>| -> Frame<Expr> {
+            f.iter()
+                .map(|(x, v)| (x.clone(), Expr::Val(v.clone())))
+                .collect()
+        };
+        let mismatch = |sym: &Frame<Value>, conc: &Frame<Value>| {
+            store_mismatch(&Model::default(), &lift(sym), conc)
+                .map(|(x, s, c)| format!("{x}: {s} vs {c}"))
+        };
+        let one = bind(&[("x", 1)]);
+        let two = bind(&[("x", 1), ("y", 2)]);
+        assert_eq!(mismatch(&one, &two).as_deref(), Some("y: unbound vs 2"));
+        assert_eq!(mismatch(&two, &one).as_deref(), Some("y: 2 vs unbound"));
+        assert_eq!(mismatch(&two, &two), None);
     }
 
     #[test]

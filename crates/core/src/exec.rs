@@ -37,6 +37,19 @@
 //! The backend batteries (`bytecode_equiv` and the While, MiniJS and
 //! MiniC `bytecode_*` tests) check this contract against `all_paths`.
 //!
+//! ## Frame slots
+//!
+//! Compiled code names variables by slot in its procedure's
+//! [`Layout`], so the loop keeps the state's frame laid out by the layout
+//! of the procedure executing. A call builds the callee frame in the
+//! callee's layout from its parameter slots; the loop checks the layout
+//! (one pointer compare) only at block entry and after a return, and
+//! moves the frame onto it by name when it differs — a frame built
+//! outside compiled code, such as the empty entry frame or a decoded
+//! checkpoint frame. A frame binding a variable its procedure lacks
+//! (possible only in a damaged checkpoint) cannot be laid out; its
+//! commands run on the tree walk, which keeps the binding.
+//!
 //! ## Inline caches
 //!
 //! Memory-action sites carry a per-site [`AtomicU32`] inline cache mapping
@@ -51,12 +64,14 @@
 
 use crate::interp::{Config, Final, Frame, Outcome, StepOut};
 use crate::state::{GilState, GuardEval};
-use gillian_gil::compile::{CompiledProg, EvalScratch, Instr, IC_BIAS, IC_NO_CODE, IC_UNRESOLVED};
-use gillian_gil::Ident;
+use gillian_gil::compile::{
+    CompiledProc, CompiledProg, EvalScratch, Instr, IC_BIAS, IC_NO_CODE, IC_UNRESOLVED,
+};
+use gillian_gil::{Ident, Layout};
 use gillian_solver::Interrupt;
 use gillian_telemetry::{names, registry, Counter, Histogram};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Upper bound on commands retired per [`step_block`] call. Large enough
 /// to amortize dispatch overhead over straight-line runs, small enough
@@ -198,6 +213,34 @@ fn next<S: GilState>(state: S, stack: Vec<Frame<S>>, proc: Ident, idx: usize) ->
     })
 }
 
+/// Lays the state's frame out by `layout`: a pointer compare when it
+/// already is, a move by name otherwise. False when the frame binds a
+/// variable `layout` lacks.
+fn rebind<S: GilState>(state: &mut S, layout: &Arc<Layout>) -> bool {
+    if Arc::ptr_eq(state.store().layout(), layout) {
+        return true;
+    }
+    match state.store().relayout(layout) {
+        Some(frame) => {
+            state.set_store(frame);
+            true
+        }
+        None => false,
+    }
+}
+
+/// The slot a return into `caller` at `ret_idx` writes: the left-hand side
+/// of the call just before `ret_idx` when it names `ret_var` (always so
+/// for frames compiled code pushed), else the slot of `ret_var` by name.
+fn ret_slot(caller: &CompiledProc, ret_idx: usize, ret_var: &Ident) -> Option<u32> {
+    if let Some(Instr::Call { lhs, .. }) = ret_idx.checked_sub(1).and_then(|i| caller.body.get(i)) {
+        if caller.layout.name(*lhs) == ret_var {
+            return Some(*lhs);
+        }
+    }
+    caller.layout.slot(ret_var)
+}
+
 /// Executes up to `limit` commands of `compiled` from `cfg`, returning the
 /// successors of the last command executed (exactly as
 /// [`crate::interp::step`] would for that command).
@@ -260,6 +303,8 @@ fn block<S: GilState>(
     // within the block skip the name lookup. Frames pushed by earlier
     // blocks fall back to `pid(frame.caller)`.
     let mut shadow: Vec<u32> = Vec::new();
+    // Whether the frame is known to be laid out by `cur`'s layout.
+    let mut laid_out = false;
     let mut charged = 0u64;
     loop {
         if let Some(p) = profile.as_deref_mut() {
@@ -273,15 +318,30 @@ fn block<S: GilState>(
             let v = state.error_value(&format!("unknown procedure {proc}"));
             return vec![err_done(state, v)];
         };
-        let body = &compiled.by_pid(pid).body;
-        let Some(instr) = body.get(idx) else {
+        let cp = compiled.by_pid(pid);
+        if !laid_out {
+            if !rebind(&mut state, &cp.layout) {
+                let cfg = Config {
+                    state,
+                    stack,
+                    proc,
+                    idx,
+                };
+                return crate::interp::step_in(
+                    &|f| compiled.pid(f).map(|p| compiled.source(p)),
+                    cfg,
+                );
+            }
+            laid_out = true;
+        }
+        let Some(instr) = cp.body.get(idx) else {
             let v = state.error_value(&format!("fell off the end of {proc} at {idx}"));
             return vec![err_done(state, v)];
         };
         match instr {
             Instr::Assign { lhs, code } => match state.eval_code(code, scratch) {
                 Ok(v) => {
-                    state.set_var(lhs, v);
+                    state.set_slot(*lhs, v);
                     idx += 1;
                 }
                 Err(v) => return vec![err_done(state, v)],
@@ -345,12 +405,14 @@ fn block<S: GilState>(
                     let v = state.error_value(&format!("unknown procedure {callee}"));
                     return vec![err_done(state, v)];
                 };
-                let new_store = state.make_store(&compiled.by_pid(np).params, arg_vs);
+                let callee_cp = compiled.by_pid(np);
+                let new_store =
+                    gillian_gil::Frame::bind(&callee_cp.layout, &callee_cp.param_slots, arg_vs);
                 let caller_store = state.store().clone();
                 shadow.push(pid);
                 stack.push(Frame {
                     caller: std::mem::replace(&mut proc, callee),
-                    ret_var: lhs.clone(),
+                    ret_var: cp.layout.name(*lhs).clone(),
                     store: caller_store,
                     ret_idx: idx + 1,
                 });
@@ -362,10 +424,20 @@ fn block<S: GilState>(
                 Ok(v) => match stack.pop() {
                     Some(frame) => {
                         state.set_store(frame.store);
-                        state.set_var(&frame.ret_var, v);
                         proc = frame.caller;
                         idx = frame.ret_idx;
                         cur = shadow.pop().or_else(|| compiled.pid(&proc));
+                        let slot = cur
+                            .map(|p| compiled.by_pid(p))
+                            .filter(|caller| rebind(&mut state, &caller.layout))
+                            .and_then(|caller| ret_slot(caller, idx, &frame.ret_var));
+                        match slot {
+                            Some(slot) => state.set_slot(slot, v),
+                            None => {
+                                state.set_var(&frame.ret_var, v);
+                                laid_out = false;
+                            }
+                        }
                     }
                     None => return vec![done(state, Outcome::Normal(v))],
                 },
@@ -414,7 +486,7 @@ fn block<S: GilState>(
                         let (mut st, outcome) = branches.pop().expect("len checked");
                         match outcome {
                             Ok(v) => {
-                                st.set_var(lhs, v);
+                                st.set_slot(*lhs, v);
                                 state = st;
                                 idx += 1;
                             }
@@ -426,7 +498,7 @@ fn block<S: GilState>(
                             .into_iter()
                             .map(|(mut st, outcome)| match outcome {
                                 Ok(v) => {
-                                    st.set_var(lhs, v);
+                                    st.set_slot(*lhs, v);
                                     next(st, stack.clone(), proc.clone(), idx + 1)
                                 }
                                 Err(v) => err_done(st, v),
@@ -437,12 +509,12 @@ fn block<S: GilState>(
             }
             Instr::USym { lhs, site } => {
                 let v = state.fresh_usym(*site);
-                state.set_var(lhs, v);
+                state.set_slot(*lhs, v);
                 idx += 1;
             }
             Instr::ISym { lhs, site } => {
                 let v = state.fresh_isym(*site);
-                state.set_var(lhs, v);
+                state.set_slot(*lhs, v);
                 idx += 1;
             }
             Instr::Skip => idx += 1,

@@ -927,8 +927,7 @@ fn threaded_round<S>(
 ) -> Vec<PathResult<S>>
 where
     S: GilState + Send,
-    S::V: Send,
-    S::Store: Send,
+    S::V: Send + Sync,
 {
     if run.cfg.workers <= 1 {
         return work(run, sentinel, log);
@@ -1232,8 +1231,7 @@ pub fn explore_resume<S>(
 ) -> Result<ResumedExplore<S>, ResumeError>
 where
     S: GilState + Send,
-    S::V: Send,
-    S::Store: Send,
+    S::V: Send + Sync,
 {
     let mut data: CheckpointData<S> = checkpoint::load_checkpoint(path, ctx)?;
     cfg.strategy = data.strategy;
@@ -1287,8 +1285,7 @@ pub fn explore<S: GilState>(
 pub fn explore_with<S>(prog: &Prog, entry: &str, initial: S, cfg: ExploreConfig) -> ExploreResult<S>
 where
     S: GilState + Send,
-    S::V: Send,
-    S::Store: Send,
+    S::V: Send + Sync,
 {
     let (sentinel, start) = seed(entry, initial, &cfg);
     drive(prog, sentinel, start, cfg, threaded_round)

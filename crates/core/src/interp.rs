@@ -31,7 +31,7 @@
 
 use crate::explore::{ExploreOutcome, ExploreResult, PathResult};
 use crate::state::GilState;
-use gillian_gil::{Cmd, Ident, Prog};
+use gillian_gil::{Cmd, Ident, Proc, Prog};
 use gillian_telemetry::Report;
 
 /// A non-continuation outcome `o ∈ O` of a finished path.
@@ -62,7 +62,7 @@ pub struct Frame<S: GilState> {
     /// Variable receiving the return value.
     pub ret_var: Ident,
     /// The caller's store `ρ`.
-    pub store: S::Store,
+    pub store: gillian_gil::Frame<S::V>,
     /// Index to resume at in the caller.
     pub ret_idx: usize,
 }
@@ -83,8 +83,7 @@ pub struct Config<S: GilState> {
 impl<S: GilState> Config<S> {
     /// The initial configuration: `⟨σ, ⟨f⟩, 0⟩` with an empty store.
     pub fn entry(proc: impl AsRef<str>, mut state: S) -> Self {
-        let empty = state.make_store(&[], vec![]);
-        state.set_store(empty);
+        state.set_store(gillian_gil::Frame::new());
         Config {
             state,
             stack: Vec::new(),
@@ -123,13 +122,21 @@ fn err_done<S: GilState>(state: S, v: S::V) -> StepOut<S> {
 /// Executes the command at `cfg`'s program point, returning all successor
 /// configurations / finished paths (Fig. 1, one match arm per rule).
 pub fn step<S: GilState>(prog: &Prog, cfg: Config<S>) -> Vec<StepOut<S>> {
+    step_in(&|f| prog.proc(f), cfg)
+}
+
+/// [`step`] over the procedures `procs` resolves by name.
+pub(crate) fn step_in<'p, S: GilState>(
+    procs: &impl Fn(&str) -> Option<&'p Proc>,
+    cfg: Config<S>,
+) -> Vec<StepOut<S>> {
     let Config {
         mut state,
         mut stack,
         proc,
         idx,
     } = cfg;
-    let Some(p) = prog.proc(&proc) else {
+    let Some(p) = procs(&proc) else {
         let v = state.error_value(&format!("unknown procedure {proc}"));
         return vec![err_done(state, v)];
     };
@@ -187,11 +194,11 @@ pub fn step<S: GilState>(prog: &Prog, cfg: Config<S>) -> Vec<StepOut<S>> {
                     Err(v) => return vec![err_done(state, v)],
                 }
             }
-            let Some(callee_proc) = prog.proc(&callee) else {
+            let Some(callee_proc) = procs(&callee) else {
                 let v = state.error_value(&format!("unknown procedure {callee}"));
                 return vec![err_done(state, v)];
             };
-            let new_store = state.make_store(&callee_proc.params, arg_vs);
+            let new_store = gillian_gil::Frame::from_params(&callee_proc.params, arg_vs);
             let caller_store = state.store().clone();
             stack.push(Frame {
                 caller: proc,

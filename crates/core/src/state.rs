@@ -18,8 +18,8 @@
 //!
 //! - the compiled-code hooks of the bytecode backend, each equivalent to
 //!   its tree-walk counterpart: [`GilState::eval_code`],
-//!   [`GilState::guard_code`], [`GilState::action_code`] and
-//!   [`GilState::execute_action_coded`];
+//!   [`GilState::guard_code`], [`GilState::set_slot`],
+//!   [`GilState::action_code`] and [`GilState::execute_action_coded`];
 //! - the checkpoint save/load hooks;
 //! - [`GilState::solver`], the one accessor through which the
 //!   exploration engine owns a run: the engine arms the deadline,
@@ -28,7 +28,7 @@
 
 use crate::checkpoint::{StateCtx, StateIoError};
 use gillian_gil::serial::{ByteReader, Decoder, Encoder};
-use gillian_gil::{EvalScratch, Expr, ExprCode, Ident};
+use gillian_gil::{EvalScratch, Expr, ExprCode, Frame, Ident};
 use gillian_solver::Solver;
 
 /// The branching result of a memory action on states: each branch pairs a
@@ -58,11 +58,14 @@ pub enum GuardEval<S: GilState> {
 /// [`Expr`] symbolically. Errors are values of the same type (they flow
 /// into the GIL error outcome `E(v)`), hence the pervasive
 /// `Result<Self::V, Self::V>`.
+///
+/// The variable store `ρ` is a [`Frame`] of `V`s. Compiled code reads and
+/// writes it by slot, in the layout of the procedure executing; the block
+/// loop lays the frame out by that layout before it runs the procedure's
+/// code, and the tree walk addresses it by name.
 pub trait GilState: Clone + std::fmt::Debug + Sized {
     /// The values stored in and produced by this state.
     type V: Clone + std::fmt::Debug + std::fmt::Display;
-    /// The variable store representation.
-    type Store: Clone + std::fmt::Debug + Default;
 
     /// Evaluates an expression in the state's store (`evalₑ`).
     ///
@@ -76,14 +79,10 @@ pub trait GilState: Clone + std::fmt::Debug + Sized {
     fn set_var(&mut self, x: &Ident, v: Self::V);
 
     /// The current store (`getStore`).
-    fn store(&self) -> &Self::Store;
+    fn store(&self) -> &Frame<Self::V>;
 
     /// Replaces the store (`setStore`).
-    fn set_store(&mut self, store: Self::Store);
-
-    /// Builds a callee store binding `params` to `args` positionally
-    /// (missing arguments are left unbound; extra arguments are dropped).
-    fn make_store(&self, params: &[Ident], args: Vec<Self::V>) -> Self::Store;
+    fn set_store(&mut self, store: Frame<Self::V>);
 
     /// Extracts a procedure identifier from an evaluated callee value.
     ///
@@ -144,6 +143,15 @@ pub trait GilState: Clone + std::fmt::Debug + Sized {
             Ok(branches) => GuardEval::Fork(branches),
             Err(v) => GuardEval::Fail(v),
         }
+    }
+
+    /// Assigns `v` to the variable in slot `slot` of the store's layout
+    /// (the bytecode backend's `setVarₓ`). Must agree with
+    /// [`GilState::set_var`] on that variable; the default delegates by
+    /// name.
+    fn set_slot(&mut self, slot: u32, v: Self::V) {
+        let x = self.store().layout().name(slot).clone();
+        self.set_var(&x, v);
     }
 
     /// The dense code this state's memory model assigns to action `name`,
@@ -216,13 +224,13 @@ pub trait GilState: Clone + std::fmt::Debug + Sized {
     /// Reports [`StateIoError`] when the store does not support
     /// serialization.
     fn save_store(
-        _store: &Self::Store,
+        _store: &Frame<Self::V>,
         _enc: &mut Encoder,
         _out: &mut Vec<u8>,
     ) -> Result<(), StateIoError> {
-        Err(StateIoError::Unsupported(
-            std::any::type_name::<Self::Store>(),
-        ))
+        Err(StateIoError::Unsupported(std::any::type_name::<
+            Frame<Self::V>,
+        >()))
     }
 
     /// Rebuilds a store from its [`GilState::save_store`] encoding.
@@ -234,9 +242,9 @@ pub trait GilState: Clone + std::fmt::Debug + Sized {
         _ctx: &StateCtx,
         _dec: &Decoder,
         _r: &mut ByteReader<'_>,
-    ) -> Result<Self::Store, StateIoError> {
-        Err(StateIoError::Unsupported(
-            std::any::type_name::<Self::Store>(),
-        ))
+    ) -> Result<Frame<Self::V>, StateIoError> {
+        Err(StateIoError::Unsupported(std::any::type_name::<
+            Frame<Self::V>,
+        >()))
     }
 }

@@ -18,10 +18,9 @@ use crate::restriction::Restrict;
 use crate::state::{GilState, GuardEval};
 use gillian_gil::compile::{EvalScratch, ExprCode, ExprKind};
 use gillian_gil::serial::{self, ByteReader, Decoder, Encoder};
-use gillian_gil::{Expr, Ident, LVar, Term, Value};
+use gillian_gil::{Expr, Frame, Ident, LVar, Term, Value};
 use gillian_solver::{PathCondition, Solver};
 use gillian_telemetry::{names, registry, Event};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// The always-on action-latency histogram, fetched from the telemetry
@@ -47,23 +46,15 @@ thread_local! {
     static TL_ACTION_SAMPLE: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-/// A symbolic variable store `ρ̂ : X ⇀ Ê`.
-pub type SymStore = BTreeMap<Ident, Expr>;
-
-/// The store handle threaded through the interpreter: copy-on-write
-/// behind an [`Arc`], so the per-branch state clones and per-call frame
-/// saves of symbolic execution are O(1) refcount bumps. Straight-line
-/// writes mutate in place (`Arc::make_mut`) and pay one map clone only on
-/// the first write after a snapshot — and error/vanish branches, which
-/// never write, pay nothing.
-pub type SharedSymStore = Arc<SymStore>;
-
 /// A symbolic GIL state `⟨µ̂, ρ̂, ξ̂, π̂⟩` over symbolic memory model `M`.
 #[derive(Clone, Debug)]
 pub struct SymbolicState<M> {
     /// The language symbolic memory `µ̂`.
     pub memory: M,
-    store: SharedSymStore,
+    /// The symbolic store `ρ̂ : X ⇀ Ê`, copy-on-write: branch clones and
+    /// saved caller frames are refcount bumps, and error or vanish
+    /// branches, which never write, pay nothing for theirs.
+    store: Frame<Expr>,
     alloc: SymAllocator,
     /// The path condition `π̂`. Every push site keeps it decided: the
     /// empty condition, and each extension made by a query that checked
@@ -79,7 +70,7 @@ impl<M: SymbolicMemory> SymbolicState<M> {
     pub fn new(solver: Arc<Solver>) -> Self {
         SymbolicState {
             memory: M::default(),
-            store: SharedSymStore::default(),
+            store: Frame::new(),
             alloc: SymAllocator::new(),
             pc: PathCondition::new(),
             solver,
@@ -90,7 +81,7 @@ impl<M: SymbolicMemory> SymbolicState<M> {
     pub fn with_memory(solver: Arc<Solver>, memory: M) -> Self {
         SymbolicState {
             memory,
-            store: SharedSymStore::default(),
+            store: Frame::new(),
             alloc: SymAllocator::new(),
             pc: PathCondition::new(),
             solver,
@@ -112,6 +103,14 @@ impl<M: SymbolicMemory> SymbolicState<M> {
         };
         self.pc = pc;
         true
+    }
+
+    /// The error value for reading the unbound variable in slot `slot`.
+    fn unbound(&self, slot: u32) -> Expr {
+        Expr::str(format!(
+            "unbound variable {}",
+            self.store.layout().name(slot)
+        ))
     }
 
     /// The shared body of [`GilState::execute_action`] and
@@ -186,7 +185,6 @@ impl<M: SymbolicMemory> SymbolicState<M> {
 
 impl<M: SymbolicMemory> GilState for SymbolicState<M> {
     type V = Expr;
-    type Store = SharedSymStore;
 
     fn eval(&self, e: &Expr) -> Result<Expr, Expr> {
         // Substitute program variables by their store bindings; an unbound
@@ -196,7 +194,7 @@ impl<M: SymbolicMemory> GilState for SymbolicState<M> {
         // untouched subtree, so evaluation never deep-copies terms.
         let unbound = std::cell::RefCell::new(None);
         let substituted = e.subst(&|sub| match sub {
-            Expr::PVar(x) => match self.store.get(x.as_ref() as &str) {
+            Expr::PVar(x) => match self.store.get(x) {
                 Some(bound) => Some(bound.clone()),
                 None => {
                     unbound.borrow_mut().get_or_insert_with(|| x.clone());
@@ -212,19 +210,19 @@ impl<M: SymbolicMemory> GilState for SymbolicState<M> {
     }
 
     fn set_var(&mut self, x: &Ident, v: Expr) {
-        Arc::make_mut(&mut self.store).insert(x.clone(), v);
+        self.store.set(x, v);
     }
 
-    fn store(&self) -> &SharedSymStore {
+    fn store(&self) -> &Frame<Expr> {
         &self.store
     }
 
-    fn set_store(&mut self, store: SharedSymStore) {
+    fn set_store(&mut self, store: Frame<Expr>) {
         self.store = store;
     }
 
-    fn make_store(&self, params: &[Ident], args: Vec<Expr>) -> SharedSymStore {
-        Arc::new(params.iter().cloned().zip(args).collect())
+    fn set_slot(&mut self, slot: u32, v: Expr) {
+        self.store.set_slot(slot, v);
     }
 
     fn resolve_proc(&self, v: &Expr) -> Result<Ident, Expr> {
@@ -291,12 +289,12 @@ impl<M: SymbolicMemory> GilState for SymbolicState<M> {
             // variables are *kept* symbolically), but simplification may
             // still depend on the path condition's typing environment.
             ExprKind::Closed(_) => Ok(self.solver.simplify(&self.pc, code.source())),
-            ExprKind::Var(x) => match self.store.get(x.as_ref() as &str) {
+            ExprKind::Var(x) => match self.store.get_slot(*x) {
                 // `simplify` is the identity on literals and variables in
                 // every tier; the call (and its memo probe) is elided.
                 Some(bound @ (Expr::Val(_) | Expr::PVar(_) | Expr::LVar(_))) => Ok(bound.clone()),
                 Some(bound) => Ok(self.solver.simplify(&self.pc, bound)),
-                None => Err(Expr::str(format!("unbound variable {x}"))),
+                None => Err(self.unbound(*x)),
             },
             // Rebuild exactly what `Expr::subst` would: a fresh interned
             // term for the substituted variable side, the original term
@@ -308,7 +306,7 @@ impl<M: SymbolicMemory> GilState for SymbolicState<M> {
                 lit_term,
                 var_on_left,
                 ..
-            } => match self.store.get(var.as_ref() as &str) {
+            } => match self.store.get_slot(*var) {
                 // Both sides literal: every tier constant-folds via
                 // `eval_binop` and returns the residual node on failure
                 // *before* any other rewrite, so the fold is computed
@@ -336,7 +334,7 @@ impl<M: SymbolicMemory> GilState for SymbolicState<M> {
                     };
                     Ok(self.solver.simplify(&self.pc, &e))
                 }
-                None => Err(Expr::str(format!("unbound variable {var}"))),
+                None => Err(self.unbound(*var)),
             },
             // The general case runs the register program symbolically:
             // literal subresults fold in value space (no substitution
@@ -346,7 +344,7 @@ impl<M: SymbolicMemory> GilState for SymbolicState<M> {
             // `simplify(pc, subst(e))` for every tier.
             ExprKind::Reg(rp) => {
                 let e = rp
-                    .run_symbolic(|x| self.store.get(x.as_ref() as &str).cloned(), scratch)
+                    .run_symbolic(&self.store, scratch)
                     .map_err(|x| Expr::str(format!("unbound variable {x}")))?;
                 // Fully folded results are already in `simplify`-normal
                 // form (identity on literals/variables in every tier).
@@ -449,12 +447,12 @@ impl<M: SymbolicMemory> GilState for SymbolicState<M> {
     }
 
     fn save_store(
-        store: &SharedSymStore,
+        store: &Frame<Expr>,
         enc: &mut Encoder,
         out: &mut Vec<u8>,
     ) -> Result<(), StateIoError> {
         serial::put_len(out, store.len(), "symbolic store")?;
-        // BTreeMap iteration is canonical, so equal stores encode equally.
+        // Frames iterate in name order, so equal stores encode equally.
         for (x, e) in store.iter() {
             serial::put_str(out, x)?;
             enc.write_expr(out, e)?;
@@ -466,15 +464,15 @@ impl<M: SymbolicMemory> GilState for SymbolicState<M> {
         _ctx: &StateCtx,
         dec: &Decoder,
         r: &mut ByteReader<'_>,
-    ) -> Result<SharedSymStore, StateIoError> {
+    ) -> Result<Frame<Expr>, StateIoError> {
         let n = r.count()?;
-        let mut store = SymStore::new();
+        let mut store = Vec::with_capacity(n.min(1024));
         for _ in 0..n {
             let x = Ident::from(r.str()?);
             let e = dec.read_expr(r)?;
-            store.insert(x, e);
+            store.push((x, e));
         }
-        Ok(Arc::new(store))
+        Ok(store.into_iter().collect())
     }
 }
 

@@ -23,6 +23,14 @@
 //!   traces, and checkpoints identify program points by `(proc, idx)`,
 //!   and the identity map keeps those identities byte-compatible between
 //!   the bytecode and the reference tree walk.
+//! - **Frame slots.** Each procedure gets a [`Layout`]: its parameters
+//!   and every variable it assigns or reads, sorted by name. Compiled code
+//!   names a variable by its slot in that layout alone — instruction
+//!   targets, [`ExprKind::Var`]/[`ExprKind::Bin1`] and [`EOp::Load`] — and
+//!   reads and writes a [`Frame`] laid out the same way by index. Error
+//!   text takes the name back from the frame's layout. Slots are numbered
+//!   by first occurrence while a body compiles, then renumbered to name
+//!   order once the walk has seen every variable.
 //! - **Inline caches.** Every `Action` site carries an [`AtomicU32`]
 //!   inline cache resolving the stringly-named memory action to the
 //!   memory model's dense action code on first execution. Programs are
@@ -39,14 +47,17 @@
 //! and removing a non-erroring subtree cannot change which error fires
 //! first among the rest.
 
-use crate::eval::{eval, Store};
+use crate::eval::eval_closed;
 use crate::expr::{Expr, LVar};
+use crate::frame::{Frame, Layout};
+use crate::hashing::FxBuildHasher;
 use crate::intern::Term;
 use crate::ops::{eval_binop, eval_lstcat, eval_strcat, eval_unop, BinOp, EvalError, UnOp};
 use crate::prog::{Cmd, Ident, Label, Proc, Prog};
 use crate::value::Value;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::AtomicU32;
+use std::sync::Arc;
 
 /// Inline-cache sentinel: the action at this site has not been resolved.
 pub const IC_UNRESOLVED: u32 = 0;
@@ -112,8 +123,8 @@ pub enum Operand {
 pub enum EOp {
     /// `dst := ρ(var)`; errors with "unbound variable" like the tree walk.
     Load {
-        /// The program variable to read.
-        var: Ident,
+        /// The slot of the program variable to read.
+        var: u32,
         /// Destination register.
         dst: u32,
     },
@@ -191,13 +202,25 @@ pub struct RegProg {
 }
 
 /// Stack-discipline register allocator used while flattening.
-struct Builder {
+struct Builder<'s> {
     ops: Vec<EOp>,
     next: u32,
     max: u32,
+    slot: &'s mut dyn FnMut(&Ident) -> u32,
 }
 
-impl Builder {
+/// True when `e` mentions no program variable.
+fn closed(e: &Expr) -> bool {
+    match e {
+        Expr::Val(_) | Expr::LVar(_) => true,
+        Expr::PVar(_) => false,
+        Expr::Un(_, t) => closed(t),
+        Expr::Bin(_, a, b) => closed(a) && closed(b),
+        Expr::List(es) | Expr::StrCat(es) | Expr::LstCat(es) => es.iter().all(closed),
+    }
+}
+
+impl Builder<'_> {
     fn alloc(&mut self) -> u32 {
         let r = self.next;
         self.next += 1;
@@ -240,8 +263,8 @@ impl Builder {
         // subtree that provably never errors cannot reorder the errors
         // that remain. Erroring closed subtrees keep their positional ops
         // below, so the first-error position is preserved exactly.
-        if !matches!(e, Expr::Val(_)) && e.pvars().is_empty() {
-            if let Ok(v) = eval(&Store::new(), e) {
+        if !matches!(e, Expr::Val(_)) && closed(e) {
+            if let Ok(v) = eval_closed(e) {
                 return self.put_const(v, want);
             }
         }
@@ -249,10 +272,8 @@ impl Builder {
             Expr::Val(v) => self.put_const(v.clone(), want),
             Expr::PVar(x) => {
                 let dst = self.place(want);
-                self.ops.push(EOp::Load {
-                    var: x.clone(),
-                    dst,
-                });
+                let var = (self.slot)(x);
+                self.ops.push(EOp::Load { var, dst });
                 Operand::Reg(dst)
             }
             Expr::LVar(x) => {
@@ -306,6 +327,21 @@ impl Builder {
     }
 }
 
+/// The slot of `x` in a layout that must list it.
+fn slot_in(layout: &Layout, x: &str) -> u32 {
+    layout
+        .slot(x)
+        .unwrap_or_else(|| panic!("variable {x} is not in the layout"))
+}
+
+/// Reads slot `var` of a concrete store, with the tree walk's error for an
+/// unbound variable.
+fn load(store: &Frame<Value>, var: u32) -> Result<&Value, EvalError> {
+    store
+        .get_slot(var)
+        .ok_or_else(|| EvalError::new(format!("unbound variable {}", store.layout().name(var))))
+}
+
 fn operand<'a>(regs: &'a [Value], o: &'a Operand) -> &'a Value {
     match o {
         Operand::Reg(r) => &regs[*r as usize],
@@ -314,12 +350,22 @@ fn operand<'a>(regs: &'a [Value], o: &'a Operand) -> &'a Value {
 }
 
 impl RegProg {
-    /// Flattens an expression into register ops.
-    pub fn flatten(e: &Expr) -> RegProg {
+    /// Flattens an expression into register ops, naming its variables by
+    /// their slots in `layout`.
+    ///
+    /// # Panics
+    ///
+    /// When `layout` lacks a program variable of `e`.
+    pub fn flatten(e: &Expr, layout: &Layout) -> RegProg {
+        RegProg::build(e, &mut |x| slot_in(layout, x))
+    }
+
+    fn build(e: &Expr, slot: &mut dyn FnMut(&Ident) -> u32) -> RegProg {
         let mut b = Builder {
             ops: Vec::new(),
             next: 0,
             max: 0,
+            slot,
         };
         let out = b.flatten(e, None);
         RegProg {
@@ -334,22 +380,19 @@ impl RegProg {
         &self.ops
     }
 
-    /// Evaluates the flattened expression against a concrete store.
+    /// Evaluates the flattened expression against a concrete store laid
+    /// out by the layout it was flattened against.
     ///
     /// # Errors
     ///
     /// Exactly the errors of [`crate::eval::eval`] on the source
     /// expression, in the same order.
-    pub fn run(&self, store: &Store, scratch: &mut EvalScratch) -> Result<Value, EvalError> {
+    pub fn run(&self, store: &Frame<Value>, scratch: &mut EvalScratch) -> Result<Value, EvalError> {
         let regs = scratch.regs(self.max_regs);
         for op in &self.ops {
             match op {
                 EOp::Load { var, dst } => {
-                    let v = store
-                        .get(var)
-                        .cloned()
-                        .ok_or_else(|| EvalError::new(format!("unbound variable {var}")))?;
-                    regs[*dst as usize] = v;
+                    regs[*dst as usize] = load(store, *var)?.clone();
                 }
                 EOp::LVarErr { var, .. } => {
                     return Err(EvalError::new(format!(
@@ -414,7 +457,7 @@ impl RegProg {
     /// reports. Logical variables are kept symbolic, not errors.
     pub fn run_symbolic(
         &self,
-        lookup: impl Fn(&Ident) -> Option<Expr>,
+        store: &Frame<Expr>,
         scratch: &mut EvalScratch,
     ) -> Result<Expr, Ident> {
         // Registers obey stack discipline: each is written before it is
@@ -432,8 +475,10 @@ impl RegProg {
         for op in &self.ops {
             match op {
                 EOp::Load { var, dst } => {
-                    let v = lookup(var).ok_or_else(|| var.clone())?;
-                    regs[*dst as usize] = v;
+                    let v = store
+                        .get_slot(*var)
+                        .ok_or_else(|| store.layout().name(*var).clone())?;
+                    regs[*dst as usize] = v.clone();
                 }
                 EOp::LVarErr { var, dst } => {
                     regs[*dst as usize] = Expr::LVar(*var);
@@ -542,14 +587,14 @@ pub enum ExprKind {
     /// *or* error — is fixed at compile time. (Symbolically it may still
     /// depend on the path condition and is re-simplified per path.)
     Closed(Result<Value, EvalError>),
-    /// A bare variable read.
-    Var(Ident),
+    /// A bare variable read, by slot.
+    Var(u32),
     /// `x op lit` / `lit op x` — the fused one-variable binop.
     Bin1 {
         /// The binary operator.
         op: BinOp,
-        /// The program variable side.
-        var: Ident,
+        /// The slot of the program variable side.
+        var: u32,
         /// The literal side, pre-extracted.
         lit: Value,
         /// The literal side's original interned term, reused when the
@@ -575,16 +620,25 @@ pub struct ExprCode {
 }
 
 impl ExprCode {
-    /// Compiles one expression site.
-    pub fn new(e: &Expr) -> ExprCode {
+    /// Compiles one expression site, naming its variables by their slots
+    /// in `layout`.
+    ///
+    /// # Panics
+    ///
+    /// When `layout` lacks a program variable of `e`.
+    pub fn new(e: &Expr, layout: &Layout) -> ExprCode {
+        ExprCode::build(e, &mut |x| slot_in(layout, x))
+    }
+
+    fn build(e: &Expr, slot: &mut dyn FnMut(&Ident) -> u32) -> ExprCode {
         let kind = match e {
             Expr::Val(v) => ExprKind::Lit(v.clone()),
-            _ if e.pvars().is_empty() => ExprKind::Closed(eval(&Store::new(), e)),
-            Expr::PVar(x) => ExprKind::Var(x.clone()),
+            _ if closed(e) => ExprKind::Closed(eval_closed(e)),
+            Expr::PVar(x) => ExprKind::Var(slot(x)),
             Expr::Bin(op, a, b) => match (&**a, &**b) {
                 (Expr::PVar(x), Expr::Val(v)) => ExprKind::Bin1 {
                     op: *op,
-                    var: x.clone(),
+                    var: slot(x),
                     lit: v.clone(),
                     lit_term: b.clone(),
                     var_on_left: true,
@@ -592,15 +646,15 @@ impl ExprCode {
                 },
                 (Expr::Val(v), Expr::PVar(x)) => ExprKind::Bin1 {
                     op: *op,
-                    var: x.clone(),
+                    var: slot(x),
                     lit: v.clone(),
                     lit_term: a.clone(),
                     var_on_left: false,
                     div_nz: false,
                 },
-                _ => ExprKind::Reg(RegProg::flatten(e)),
+                _ => ExprKind::Reg(RegProg::build(e, slot)),
             },
-            _ => ExprKind::Reg(RegProg::flatten(e)),
+            _ => ExprKind::Reg(RegProg::build(e, slot)),
         };
         ExprCode {
             source: e.clone(),
@@ -618,24 +672,22 @@ impl ExprCode {
         &self.kind
     }
 
-    /// Evaluates against a concrete store — same results, same errors,
-    /// same error order as [`crate::eval::eval`] on [`Self::source`].
+    /// Evaluates against a concrete store laid out by the layout the site
+    /// was compiled against — same results, same errors, same error order
+    /// as [`crate::eval::eval`] on [`Self::source`].
     ///
     /// # Errors
     ///
     /// Exactly the [`EvalError`]s of the tree walk.
     pub fn eval_concrete(
         &self,
-        store: &Store,
+        store: &Frame<Value>,
         scratch: &mut EvalScratch,
     ) -> Result<Value, EvalError> {
         match &self.kind {
             ExprKind::Lit(v) => Ok(v.clone()),
             ExprKind::Closed(r) => r.clone(),
-            ExprKind::Var(x) => store
-                .get(x)
-                .cloned()
-                .ok_or_else(|| EvalError::new(format!("unbound variable {x}"))),
+            ExprKind::Var(x) => load(store, *x).cloned(),
             ExprKind::Bin1 {
                 op,
                 var,
@@ -646,9 +698,7 @@ impl ExprCode {
             } => {
                 // The literal side never errors, so the variable lookup is
                 // always the first (and only) possible pre-operator error.
-                let v = store
-                    .get(var)
-                    .ok_or_else(|| EvalError::new(format!("unbound variable {var}")))?;
+                let v = load(store, *var)?;
                 if *div_nz {
                     if let (Value::Int(a), Value::Int(b)) = (v, lit) {
                         return Ok(Value::Int(a.wrapping_div(*b)));
@@ -671,8 +721,8 @@ impl ExprCode {
 pub enum Instr {
     /// Fused eval+assign: `x := e`.
     Assign {
-        /// Assigned variable.
-        lhs: Ident,
+        /// Slot of the assigned variable.
+        lhs: u32,
         /// Compiled right-hand side.
         code: ExprCode,
     },
@@ -690,8 +740,8 @@ pub enum Instr {
     },
     /// Procedure call.
     Call {
-        /// Variable receiving the return value.
-        lhs: Ident,
+        /// Slot of the variable receiving the return value.
+        lhs: u32,
         /// Compiled callee expression.
         code: ExprCode,
         /// Compiled argument expressions, in order.
@@ -713,8 +763,8 @@ pub enum Instr {
     Vanish,
     /// Memory action `x := α(e)` with a per-site inline cache.
     Action {
-        /// Variable receiving the action result.
-        lhs: Ident,
+        /// Slot of the variable receiving the action result.
+        lhs: u32,
         /// The stringly-typed action name (the IC's fallback key).
         name: Ident,
         /// Compiled argument expression.
@@ -727,15 +777,15 @@ pub enum Instr {
     },
     /// Fresh uninterpreted symbol.
     USym {
-        /// Variable receiving the symbol.
-        lhs: Ident,
+        /// Slot of the variable receiving the symbol.
+        lhs: u32,
         /// Allocation site id.
         site: u32,
     },
     /// Fresh interpreted symbol.
     ISym {
-        /// Variable receiving the symbol.
-        lhs: Ident,
+        /// Slot of the variable receiving the symbol.
+        lhs: u32,
         /// Allocation site id.
         site: u32,
     },
@@ -759,8 +809,11 @@ pub struct ProcHint {
 pub struct CompiledProc {
     /// The procedure name.
     pub name: Ident,
-    /// Parameter names, in order.
-    pub params: Vec<Ident>,
+    /// The procedure's variables: parameters, assigned and read, sorted by
+    /// name. Every slot operand of [`Self::body`] indexes it.
+    pub layout: Arc<Layout>,
+    /// The slot of each parameter, in parameter order.
+    pub param_slots: Vec<u32>,
     /// The instruction vector (`pc == idx` into the source body).
     pub body: Vec<Instr>,
 }
@@ -807,16 +860,51 @@ impl CompiledProg {
     pub fn proc(&self, name: &str) -> Option<&CompiledProc> {
         self.pid(name).map(|p| self.by_pid(p))
     }
+
+    /// The source of the procedure with dense id `pid`.
+    pub fn source(&self, pid: u32) -> &Proc {
+        &self.procs[pid as usize].src
+    }
 }
 
-fn compile_cmd(cmd: &Cmd, by_name: &BTreeMap<Ident, u32>) -> Instr {
+/// Numbers a procedure's variables while its body compiles: slots in
+/// first-occurrence order during the walk, renumbered to name order by
+/// [`Slots::finish`].
+#[derive(Default)]
+struct Slots(HashMap<Ident, u32, FxBuildHasher>);
+
+impl Slots {
+    fn slot(&mut self, x: &Ident) -> u32 {
+        if let Some(&s) = self.0.get(x) {
+            return s;
+        }
+        let s = self.0.len() as u32;
+        self.0.insert(x.clone(), s);
+        s
+    }
+
+    /// The layout, and the map from first-occurrence slots to its slots.
+    fn finish(self) -> (Layout, Vec<u32>) {
+        let mut order: Vec<(Ident, u32)> = self.0.into_iter().collect();
+        order.sort_unstable();
+        let mut renumber = vec![0; order.len()];
+        for (slot, (_, first)) in order.iter().enumerate() {
+            renumber[*first as usize] = slot as u32;
+        }
+        let names = order.into_iter().map(|(x, _)| x).collect();
+        (Layout::from_sorted(names), renumber)
+    }
+}
+
+fn compile_cmd(cmd: &Cmd, by_name: &BTreeMap<Ident, u32>, slots: &mut Slots) -> Instr {
+    let mut code = |e: &Expr| ExprCode::build(e, &mut |x| slots.slot(x));
     match cmd {
         Cmd::Assign(x, e) => Instr::Assign {
-            lhs: x.clone(),
-            code: ExprCode::new(e),
+            code: code(e),
+            lhs: slots.slot(x),
         },
         Cmd::IfGoto(e, j) => Instr::CmpGoto {
-            code: ExprCode::new(e),
+            code: code(e),
             target: *j,
         },
         Cmd::Goto(j) => Instr::Goto { target: *j },
@@ -829,42 +917,96 @@ fn compile_cmd(cmd: &Cmd, by_name: &BTreeMap<Ident, u32>) -> Instr {
                 _ => None,
             };
             Instr::Call {
-                lhs: lhs.clone(),
-                code: ExprCode::new(proc),
-                args: args.iter().map(ExprCode::new).collect(),
+                code: code(proc),
+                args: args.iter().map(&mut code).collect(),
+                lhs: slots.slot(lhs),
                 hint,
             }
         }
-        Cmd::Return(e) => Instr::Return {
-            code: ExprCode::new(e),
-        },
-        Cmd::Fail(e) => Instr::Fail {
-            code: ExprCode::new(e),
-        },
+        Cmd::Return(e) => Instr::Return { code: code(e) },
+        Cmd::Fail(e) => Instr::Fail { code: code(e) },
         Cmd::Vanish => Instr::Vanish,
         Cmd::Action { lhs, name, arg } => Instr::Action {
-            lhs: lhs.clone(),
+            code: code(arg),
+            lhs: slots.slot(lhs),
             name: name.clone(),
-            code: ExprCode::new(arg),
             ic: AtomicU32::new(IC_UNRESOLVED),
         },
         Cmd::USym { lhs, site } => Instr::USym {
-            lhs: lhs.clone(),
+            lhs: slots.slot(lhs),
             site: *site,
         },
         Cmd::ISym { lhs, site } => Instr::ISym {
-            lhs: lhs.clone(),
+            lhs: slots.slot(lhs),
             site: *site,
         },
         Cmd::Skip => Instr::Skip,
     }
 }
 
+impl RegProg {
+    fn renumber(&mut self, to: &[u32]) {
+        for op in &mut self.ops {
+            if let EOp::Load { var, .. } = op {
+                *var = to[*var as usize];
+            }
+        }
+    }
+}
+
+impl ExprCode {
+    fn renumber(&mut self, to: &[u32]) {
+        match &mut self.kind {
+            ExprKind::Var(x) | ExprKind::Bin1 { var: x, .. } => *x = to[*x as usize],
+            ExprKind::Reg(rp) => rp.renumber(to),
+            ExprKind::Lit(_) | ExprKind::Closed(_) => {}
+        }
+    }
+}
+
+impl Instr {
+    fn renumber(&mut self, to: &[u32]) {
+        match self {
+            Instr::Assign { lhs, code } | Instr::Action { lhs, code, .. } => {
+                *lhs = to[*lhs as usize];
+                code.renumber(to);
+            }
+            Instr::Call {
+                lhs, code, args, ..
+            } => {
+                *lhs = to[*lhs as usize];
+                code.renumber(to);
+                args.iter_mut().for_each(|a| a.renumber(to));
+            }
+            Instr::USym { lhs, .. } | Instr::ISym { lhs, .. } => *lhs = to[*lhs as usize],
+            Instr::CmpGoto { code, .. } | Instr::Return { code } | Instr::Fail { code } => {
+                code.renumber(to)
+            }
+            Instr::Goto { .. } | Instr::Vanish | Instr::Skip => {}
+        }
+    }
+}
+
 fn compile_proc(p: &Proc, by_name: &BTreeMap<Ident, u32>) -> CompiledProc {
+    let mut slots = Slots::default();
+    let mut param_slots: Vec<u32> = p.params.iter().map(|x| slots.slot(x)).collect();
+    let mut body: Vec<Instr> = p
+        .body
+        .iter()
+        .map(|c| compile_cmd(c, by_name, &mut slots))
+        .collect();
+    let (layout, to) = slots.finish();
+    for s in &mut param_slots {
+        *s = to[*s as usize];
+    }
+    for instr in &mut body {
+        instr.renumber(&to);
+    }
     CompiledProc {
         name: p.name.clone(),
-        params: p.params.clone(),
-        body: p.body.iter().map(|c| compile_cmd(c, by_name)).collect(),
+        layout: Arc::new(layout),
+        param_slots,
+        body,
     }
 }
 
@@ -949,49 +1091,62 @@ impl Prog {
 mod tests {
     use super::*;
 
-    fn store() -> Store {
-        let mut s = Store::new();
-        s.set("x", Value::Int(10));
-        s.set("y", Value::Int(3));
-        s.set("name", Value::str("gil"));
-        s.set("xs", Value::List(vec![Value::Int(1), Value::Int(2)]));
-        s
+    use crate::eval::eval;
+
+    fn store() -> Frame<Value> {
+        [
+            ("x", Value::Int(10)),
+            ("y", Value::Int(3)),
+            ("name", Value::str("gil")),
+            ("xs", Value::List(vec![Value::Int(1), Value::Int(2)])),
+        ]
+        .into_iter()
+        .map(|(x, v)| (x.into(), v))
+        .collect()
+    }
+
+    /// A layout covering the test store and the variables of `e`, and the
+    /// test store laid out by it.
+    fn laid_out(e: &Expr) -> (Arc<Layout>, Frame<Value>) {
+        let st = store();
+        let names = st.iter().map(|(x, _)| x.clone()).chain(e.pvars());
+        let layout = Arc::new(Layout::new(names));
+        let st = st.relayout(&layout).expect("the layout covers the store");
+        (layout, st)
     }
 
     /// The compiled evaluator must agree with the tree walk — values,
     /// error text, and first-error choice — on every expression.
     fn assert_agrees(e: &Expr) {
-        let st = store();
+        let (layout, st) = laid_out(e);
         let mut scratch = EvalScratch::new();
-        let code = ExprCode::new(e);
+        let code = ExprCode::new(e, &layout);
         let tree = eval(&st, e);
         let flat = code.eval_concrete(&st, &mut scratch);
         assert_eq!(flat, tree, "compiled vs tree walk on {e}");
         // The general register path must agree too, even when `new`
         // picked a fused kind.
-        let rp = RegProg::flatten(e);
+        let rp = RegProg::flatten(e, &layout);
         assert_eq!(rp.run(&st, &mut scratch), tree, "RegProg on {e}");
+    }
+
+    fn code(e: &Expr) -> ExprCode {
+        ExprCode::new(e, &laid_out(e).0)
     }
 
     #[test]
     fn fused_kinds_are_selected() {
+        assert!(matches!(code(&Expr::int(3)).kind(), ExprKind::Lit(_)));
         assert!(matches!(
-            ExprCode::new(&Expr::int(3)).kind(),
-            ExprKind::Lit(_)
-        ));
-        assert!(matches!(
-            ExprCode::new(&Expr::int(1).add(Expr::int(2))).kind(),
+            code(&Expr::int(1).add(Expr::int(2))).kind(),
             ExprKind::Closed(Ok(_))
         ));
         assert!(matches!(
-            ExprCode::new(&Expr::int(1).div(Expr::int(0))).kind(),
+            code(&Expr::int(1).div(Expr::int(0))).kind(),
             ExprKind::Closed(Err(_))
         ));
-        assert!(matches!(
-            ExprCode::new(&Expr::pvar("x")).kind(),
-            ExprKind::Var(_)
-        ));
-        match ExprCode::new(&Expr::pvar("x").div(Expr::int(2))).kind() {
+        assert!(matches!(code(&Expr::pvar("x")).kind(), ExprKind::Var(_)));
+        match code(&Expr::pvar("x").div(Expr::int(2))).kind() {
             ExprKind::Bin1 {
                 var_on_left: true,
                 div_nz: true,
@@ -999,7 +1154,7 @@ mod tests {
             } => {}
             other => panic!("expected guarded Bin1, got {other:?}"),
         }
-        match ExprCode::new(&Expr::int(7).lt(Expr::pvar("x"))).kind() {
+        match code(&Expr::int(7).lt(Expr::pvar("x"))).kind() {
             ExprKind::Bin1 {
                 var_on_left: false,
                 div_nz: false,
@@ -1008,7 +1163,7 @@ mod tests {
             other => panic!("expected mirrored Bin1, got {other:?}"),
         }
         assert!(matches!(
-            ExprCode::new(&Expr::pvar("x").add(Expr::pvar("y"))).kind(),
+            code(&Expr::pvar("x").add(Expr::pvar("y"))).kind(),
             ExprKind::Reg(_)
         ));
     }
@@ -1076,7 +1231,7 @@ mod tests {
             Expr::pvar("x").add(Expr::pvar("y")),
         ]);
         assert_agrees(&e);
-        let rp = RegProg::flatten(&e);
+        let rp = RegProg::flatten(&e, &laid_out(&e).0);
         assert!(rp.max_regs >= 3, "window needs at least three registers");
     }
 
@@ -1085,7 +1240,7 @@ mod tests {
         let e = Expr::pvar("x").add(Expr::int(2).mul(Expr::int(21)));
         // Any non-Reg kind means a fused strategy consumed the constant
         // subtree entirely, which is even better.
-        if let ExprKind::Reg(rp) = ExprCode::new(&e).kind() {
+        if let ExprKind::Reg(rp) = code(&e).kind() {
             assert!(
                 rp.ops()
                     .iter()
@@ -1098,10 +1253,13 @@ mod tests {
 
     #[test]
     fn scratch_is_reusable_across_programs() {
-        let st = store();
+        let (layout, st) = laid_out(&Expr::nil());
         let mut scratch = EvalScratch::new();
-        let a = ExprCode::new(&Expr::pvar("x").add(Expr::pvar("y")).mul(Expr::pvar("x")));
-        let b = ExprCode::new(&Expr::list([Expr::pvar("y"), Expr::pvar("x")]));
+        let a = ExprCode::new(
+            &Expr::pvar("x").add(Expr::pvar("y")).mul(Expr::pvar("x")),
+            &layout,
+        );
+        let b = ExprCode::new(&Expr::list([Expr::pvar("y"), Expr::pvar("x")]), &layout);
         for _ in 0..3 {
             assert_eq!(a.eval_concrete(&st, &mut scratch), Ok(Value::Int(130)));
             assert_eq!(
@@ -1146,6 +1304,34 @@ mod tests {
             }
             other => panic!("expected hinted call, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn procedures_name_variables_by_slots_of_a_sorted_layout() {
+        let prog = Prog::from_procs([Proc::new(
+            "main",
+            ["n", "b"],
+            vec![
+                Cmd::assign("x", Expr::pvar("n").add(Expr::int(1))),
+                Cmd::call_static("r", "main", vec![Expr::pvar("x"), Expr::pvar("a")]),
+                Cmd::Return(Expr::pvar("r")),
+            ],
+        )]);
+        let cp = compile(&prog);
+        let main = cp.proc("main").unwrap();
+        let names: Vec<&str> = main.layout.names().iter().map(|x| x.as_ref()).collect();
+        assert_eq!(names, ["a", "b", "n", "r", "x"]);
+        assert_eq!(main.param_slots, [2, 1]);
+        let Instr::Assign { lhs, code } = &main.body[0] else {
+            panic!("expected an assignment");
+        };
+        assert_eq!(*lhs, 4);
+        assert!(matches!(code.kind(), ExprKind::Bin1 { var: 2, .. }));
+        let Instr::Call { lhs, args, .. } = &main.body[1] else {
+            panic!("expected a call");
+        };
+        assert_eq!(*lhs, 3);
+        assert!(matches!(args[1].kind(), ExprKind::Var(0)));
     }
 
     #[test]

@@ -6,88 +6,9 @@
 //! (see `gillian-solver`).
 
 use crate::expr::Expr;
+use crate::frame::Frame;
 use crate::ops::{eval_binop, eval_lstcat, eval_strcat, eval_unop, EvalError};
 use crate::value::Value;
-use std::collections::BTreeMap;
-use std::sync::Arc;
-
-/// A concrete variable store `ρ : X ⇀ V`.
-///
-/// A thin wrapper over an ordered map so iteration (and therefore error
-/// messages and debugging output) is deterministic.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Store(BTreeMap<Arc<str>, Value>);
-
-impl Store {
-    /// Creates an empty store.
-    pub fn new() -> Self {
-        Store::default()
-    }
-
-    /// Looks up a variable.
-    pub fn get(&self, x: &str) -> Option<&Value> {
-        self.0.get(x)
-    }
-
-    /// Binds a variable, returning any previous value.
-    pub fn set(&mut self, x: impl AsRef<str>, v: Value) -> Option<Value> {
-        self.0.insert(Arc::from(x.as_ref()), v)
-    }
-
-    /// Iterates over the bindings in variable order.
-    pub fn iter(&self) -> impl Iterator<Item = (&Arc<str>, &Value)> {
-        self.0.iter()
-    }
-
-    /// Number of bound variables.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// True when no variables are bound.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    /// Serialises the store as a GIL list of `[name, value]` pairs — the
-    /// representation used by the `getStore`/`setStore` actions (paper
-    /// footnote 2).
-    pub fn to_value(&self) -> Value {
-        Value::List(
-            self.0
-                .iter()
-                .map(|(k, v)| Value::List(vec![Value::str(k.as_ref()), v.clone()]))
-                .collect(),
-        )
-    }
-
-    /// Rebuilds a store from the `[[name, value], …]` serialisation.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the value is not a list of `[string, value]` pairs.
-    pub fn from_value(v: &Value) -> Result<Self, EvalError> {
-        let items = v
-            .as_list()
-            .ok_or_else(|| EvalError::new("store serialisation must be a list"))?;
-        let mut store = Store::new();
-        for item in items {
-            match item.as_list() {
-                Some([Value::Str(name), value]) => {
-                    store.set(name.as_ref(), value.clone());
-                }
-                _ => return Err(EvalError::new("store entry must be [name, value]")),
-            }
-        }
-        Ok(store)
-    }
-}
-
-impl FromIterator<(Arc<str>, Value)> for Store {
-    fn from_iter<I: IntoIterator<Item = (Arc<str>, Value)>>(iter: I) -> Self {
-        Store(iter.into_iter().collect())
-    }
-}
 
 /// Evaluates an expression in a concrete store.
 ///
@@ -95,31 +16,39 @@ impl FromIterator<(Arc<str>, Value)> for Store {
 ///
 /// Returns [`EvalError`] for unbound program variables, logical variables,
 /// and operator domain violations.
-pub fn eval(store: &Store, e: &Expr) -> Result<Value, EvalError> {
+pub fn eval(store: &Frame<Value>, e: &Expr) -> Result<Value, EvalError> {
+    eval_in(&|x| store.get(x), e)
+}
+
+/// Evaluates an expression with no store: every program variable is
+/// unbound.
+///
+/// # Errors
+///
+/// As [`eval`] in the empty store.
+pub fn eval_closed(e: &Expr) -> Result<Value, EvalError> {
+    eval_in(&|_| None, e)
+}
+
+fn eval_in<'s>(lookup: &impl Fn(&str) -> Option<&'s Value>, e: &Expr) -> Result<Value, EvalError> {
+    let eval = |e: &Expr| eval_in(lookup, e);
     match e {
         Expr::Val(v) => Ok(v.clone()),
-        Expr::PVar(x) => store
-            .get(x)
+        Expr::PVar(x) => lookup(x)
             .cloned()
             .ok_or_else(|| EvalError::new(format!("unbound variable {x}"))),
         Expr::LVar(x) => Err(EvalError::new(format!(
             "logical variable {x} in concrete evaluation"
         ))),
-        Expr::Un(op, e) => eval_unop(*op, &eval(store, e)?),
-        Expr::Bin(op, a, b) => eval_binop(*op, &eval(store, a)?, &eval(store, b)?),
-        Expr::List(es) => es.iter().map(|e| eval(store, e)).collect(),
+        Expr::Un(op, e) => eval_unop(*op, &eval(e)?),
+        Expr::Bin(op, a, b) => eval_binop(*op, &eval(a)?, &eval(b)?),
+        Expr::List(es) => es.iter().map(eval).collect(),
         Expr::StrCat(es) => {
-            let vs: Vec<Value> = es
-                .iter()
-                .map(|e| eval(store, e))
-                .collect::<Result<_, _>>()?;
+            let vs: Vec<Value> = es.iter().map(eval).collect::<Result<_, _>>()?;
             eval_strcat(&vs)
         }
         Expr::LstCat(es) => {
-            let vs: Vec<Value> = es
-                .iter()
-                .map(|e| eval(store, e))
-                .collect::<Result<_, _>>()?;
+            let vs: Vec<Value> = es.iter().map(eval).collect::<Result<_, _>>()?;
             eval_lstcat(&vs)
         }
     }
@@ -130,11 +59,11 @@ mod tests {
     use super::*;
     use crate::expr::LVar;
 
-    fn store() -> Store {
-        let mut s = Store::new();
-        s.set("x", Value::Int(10));
-        s.set("name", Value::str("gil"));
-        s
+    fn store() -> Frame<Value> {
+        [("x", Value::Int(10)), ("name", Value::str("gil"))]
+            .into_iter()
+            .map(|(x, v)| (x.into(), v))
+            .collect()
     }
 
     #[test]
@@ -162,12 +91,5 @@ mod tests {
         );
         let s = Expr::StrCat(vec![Expr::pvar("name"), Expr::str("!")].into());
         assert_eq!(eval(&store(), &s).unwrap(), Value::str("gil!"));
-    }
-
-    #[test]
-    fn store_round_trips_through_value() {
-        let s = store();
-        let v = s.to_value();
-        assert_eq!(Store::from_value(&v).unwrap(), s);
     }
 }

@@ -14,6 +14,8 @@
 //! - concrete evaluation of operators ([`ops`]) and expressions
 //!   ([`eval`]), shared between the concrete interpreter and the
 //!   solver's constant folder;
+//! - variable stores laid out in slots ([`Frame`], [`Layout`]), shared by
+//!   the concrete and symbolic states and by compiled code;
 //! - a pretty-printer ([`std::fmt::Display`] on all syntax) and a text
 //!   parser ([`parser`]) for the `.gil` format.
 //!
@@ -41,6 +43,7 @@
 pub mod compile;
 pub mod eval;
 pub mod expr;
+pub mod frame;
 pub mod hashing;
 pub mod intern;
 pub mod ops;
@@ -53,6 +56,7 @@ pub use compile::{
     compile, CompiledProc, CompiledProg, EvalScratch, ExprCode, ExprKind, Instr, ProcHint,
 };
 pub use expr::{Expr, LVar};
+pub use frame::{Frame, Layout};
 pub use hashing::{FxBuildHasher, PrehashedBuildHasher};
 pub use intern::{ExprList, InternStats, Term};
 pub use ops::{BinOp, EvalError, UnOp};

@@ -16,20 +16,35 @@
 //! 3. **Commands** — every [`Cmd`] variant compiles to the expected
 //!    [`Instr`] shape, one instruction per command (`pc == idx`), with
 //!    call hints and inline caches in their documented initial states.
+//!
+//! Compiled sites name variables by slot, so each row is compiled against
+//! a layout covering its store and its expression, and evaluated over its
+//! store laid out the same way.
 
 use gillian_gil::compile::{
     compile, EvalScratch, ExprCode, ExprKind, Instr, RegProg, IC_UNRESOLVED,
 };
-use gillian_gil::eval::{eval, Store};
-use gillian_gil::{BinOp, Cmd, Expr, LVar, Proc, Prog, UnOp, Value};
+use gillian_gil::eval::eval;
+use gillian_gil::{BinOp, Cmd, Expr, Frame, LVar, Layout, Proc, Prog, UnOp, Value};
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
+
+type Store = Frame<Value>;
 
 fn store(bindings: &[(&str, Value)]) -> Store {
-    let mut s = Store::new();
-    for (x, v) in bindings {
-        s.set(x, v.clone());
-    }
-    s
+    bindings
+        .iter()
+        .map(|(x, v)| (Arc::from(*x), v.clone()))
+        .collect()
+}
+
+/// A layout covering `st` and the variables of `e`, and `st` laid out by
+/// it.
+fn laid_out(st: &Store, e: &Expr) -> (Arc<Layout>, Store) {
+    let names = st.iter().map(|(x, _)| x.clone()).chain(e.pvars());
+    let layout = Arc::new(Layout::new(names));
+    let st = st.relayout(&layout).expect("the layout covers the store");
+    (layout, st)
 }
 
 /// The expression table: name, expression, store. The oracle outcome is
@@ -161,7 +176,8 @@ fn compiled_expressions_match_treewalk() {
     let mut scratch = EvalScratch::new();
     for (name, e, st) in expr_table() {
         let oracle = eval(&st, &e);
-        let site = ExprCode::new(&e);
+        let (layout, st) = laid_out(&st, &e);
+        let site = ExprCode::new(&e, &layout);
         let via_site = site.eval_concrete(&st, &mut scratch);
         assert_eq!(
             oracle.as_ref().map_err(|err| err.to_string()),
@@ -170,7 +186,7 @@ fn compiled_expressions_match_treewalk() {
         );
         // Force the general register path even where ExprCode would have
         // picked a specialized strategy — the fallback must agree too.
-        let via_reg = RegProg::flatten(&e).run(&st, &mut scratch);
+        let via_reg = RegProg::flatten(&e, &layout).run(&st, &mut scratch);
         assert_eq!(
             oracle.as_ref().map_err(|err| err.to_string()),
             via_reg.as_ref().map_err(|err| err.to_string()),
@@ -191,7 +207,7 @@ fn contains_cat(e: &Expr) -> bool {
     }
 }
 
-/// `run_symbolic` over a fully-literal lookup: rows whose tree walk
+/// `run_symbolic` over a fully-literal store: rows whose tree walk
 /// succeeds and contain no concatenation must fold to exactly
 /// `Expr::Val(oracle value)`; rows whose first failure is an unbound
 /// variable must report that same variable.
@@ -199,9 +215,14 @@ fn contains_cat(e: &Expr) -> bool {
 fn run_symbolic_folds_literal_stores() {
     let mut scratch = EvalScratch::new();
     for (name, e, st) in expr_table() {
-        let rp = RegProg::flatten(&e);
-        let lookup = |x: &gillian_gil::Ident| st.get(x).cloned().map(Expr::Val);
-        let sym = rp.run_symbolic(lookup, &mut scratch);
+        let (layout, st) = laid_out(&st, &e);
+        let rp = RegProg::flatten(&e, &layout);
+        let sym_store: Frame<Expr> = st
+            .iter()
+            .map(|(x, v)| (x.clone(), Expr::Val(v.clone())))
+            .collect();
+        let sym_store = sym_store.relayout(&layout).expect("same names");
+        let sym = rp.run_symbolic(&sym_store, &mut scratch);
         match eval(&st, &e) {
             Ok(v) => {
                 if !contains_cat(&e) {
@@ -290,7 +311,7 @@ fn every_cmd_variant_compiles_to_expected_shape() {
 
     match &main.body[0] {
         Instr::Assign { lhs, code } => {
-            assert_eq!(lhs.as_ref(), "x");
+            assert_eq!(main.layout.name(*lhs).as_ref(), "x");
             assert!(matches!(code.kind(), ExprKind::Lit(Value::Int(1))));
         }
         other => panic!("Assign compiled to {other:?}"),
@@ -333,7 +354,7 @@ fn every_cmd_variant_compiles_to_expected_shape() {
     }
     match &main.body[6] {
         Instr::Action { lhs, name, ic, .. } => {
-            assert_eq!(lhs.as_ref(), "m");
+            assert_eq!(main.layout.name(*lhs).as_ref(), "m");
             assert_eq!(name.as_ref(), "lookup");
             assert_eq!(ic.load(Ordering::Relaxed), IC_UNRESOLVED);
         }
@@ -354,7 +375,7 @@ fn every_cmd_variant_compiles_to_expected_shape() {
     assert_ne!(main_pid, helper_pid);
     assert!(main_pid < 2 && helper_pid < 2);
     assert_eq!(compiled.by_pid(main_pid).name.as_ref(), "main");
-    assert_eq!(compiled.by_pid(helper_pid).params.len(), 1);
+    assert_eq!(compiled.by_pid(helper_pid).param_slots.len(), 1);
     assert_eq!(compiled.pid("absent"), None);
     assert!(compiled.proc("absent").is_none());
 }
@@ -411,7 +432,7 @@ fn expr_code_strategy_selection() {
         ),
     ];
     for (name, e, check) in rows {
-        let code = ExprCode::new(&e);
+        let code = ExprCode::new(&e, &Layout::new(e.pvars()));
         assert!(check(code.kind()), "row {name:?}: got {:?}", code.kind());
         assert_eq!(code.source(), &e, "row {name:?}: source must be preserved");
     }

@@ -16,7 +16,7 @@ use crate::intervals::{IntDomain, NumDomain};
 use crate::simplify::simplify;
 use crate::typing::{absorb_type_fact, infer, TypeEnv};
 use crate::uf::UnionFind;
-use gillian_gil::eval::{eval, Store};
+use gillian_gil::eval::eval_closed;
 use gillian_gil::ops::{eval_binop, eval_lstcat, eval_strcat, eval_unop};
 use gillian_gil::{BinOp, EvalError, Expr, LVar, Sym, TypeTag, Value};
 use std::collections::{BTreeMap, BTreeSet};
@@ -82,9 +82,9 @@ fn eval_in(assignment: &BTreeMap<LVar, Value>, e: &Expr) -> Result<Value, EvalEr
         Expr::Val(v) => Ok(v.clone()),
         Expr::LVar(x) => match assignment.get(x) {
             Some(v) => Ok(v.clone()),
-            None => eval(&Store::new(), e),
+            None => eval_closed(e),
         },
-        Expr::PVar(_) => eval(&Store::new(), e),
+        Expr::PVar(_) => eval_closed(e),
         Expr::Un(op, a) => eval_unop(*op, &eval_in(assignment, a)?),
         Expr::Bin(op, a, b) => eval_binop(*op, &eval_in(assignment, a)?, &eval_in(assignment, b)?),
         Expr::List(es) => all(es).map(Value::List),

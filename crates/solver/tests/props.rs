@@ -9,7 +9,7 @@
 //! against the concrete evaluator (the same operator semantics the
 //! interpreter runs).
 
-use gillian_gil::eval::{eval, Store};
+use gillian_gil::eval::eval_closed;
 use gillian_gil::{BinOp, Expr, LVar, Sym, TypeTag, UnOp, Value};
 use gillian_solver::model::{find_model, Model, ModelBudget};
 use gillian_solver::sat::{check_conjunction, SatBudget};
@@ -190,7 +190,7 @@ fn eval_under(e: &Expr, vals: &[Value]) -> Result<Value, String> {
         Expr::LVar(LVar(i)) => Some(Expr::Val(vals[*i as usize].clone())),
         _ => None,
     });
-    eval(&Store::new(), &closed).map_err(|err| err.0)
+    eval_closed(&closed).map_err(|err| err.0)
 }
 
 proptest! {
@@ -274,7 +274,7 @@ proptest! {
             Expr::LVar(x) => model.get(*x).map(|v| Expr::Val(v.clone())),
             _ => None,
         });
-        prop_assert_eq!(model.eval(&e), eval(&Store::new(), &substituted), "{} under {}", e, model);
+        prop_assert_eq!(model.eval(&e), eval_closed(&substituted), "{} under {}", e, model);
     }
 
     /// The typed equality decision: expressions of provably different
