@@ -104,7 +104,6 @@ fn accumulate(
 
 fn run_table1() -> Workload {
     let cfg = gillian_core::ExploreConfig {
-        workers: gillian_bench::workers_from_env(),
         checkpoint: gillian_bench::checkpoint_from_env(),
         ..gillian_bench::explore_config_from_env(gillian_js::buckets::table1_config())
     };
@@ -119,7 +118,6 @@ fn run_table1() -> Workload {
 
 fn run_table2() -> Workload {
     let cfg = gillian_core::ExploreConfig {
-        workers: gillian_bench::workers_from_env(),
         checkpoint: gillian_bench::checkpoint_from_env(),
         ..gillian_bench::explore_config_from_env(gillian_c::collections::table2_config())
     };
@@ -188,7 +186,6 @@ fn run_difftest() -> Workload {
     const PROGRAMS: usize = 60;
     let solver = std::sync::Arc::new(gillian_bench::solver_from_env());
     let cfg = gillian_core::ExploreConfig {
-        workers: gillian_bench::workers_from_env(),
         journal: gillian_telemetry::Journal::disabled(),
         checkpoint: gillian_bench::checkpoint_from_env(),
         ..gillian_bench::explore_config_from_env(Default::default())
@@ -264,12 +261,11 @@ fn run_checkpoint_overhead() -> (Workload, CheckpointOverhead) {
             let ops = gen_ops(&mut Rng::new(SEED + i), 14, MemDialect::While);
             let prog = build_prog(&ops, MemDialect::While);
             let cfg = gillian_core::ExploreConfig {
-                workers: gillian_bench::workers_from_env(),
                 journal: gillian_telemetry::Journal::disabled(),
                 checkpoint: checkpoint.clone(),
                 ..gillian_bench::explore_config_from_env(Default::default())
             };
-            let result = gillian_core::explore_with(
+            let result = gillian_core::explore(
                 &prog,
                 "main",
                 SymbolicState::<WhileSymMemory>::new(solver.clone()),
@@ -367,12 +363,11 @@ fn run_profiler_overhead() -> (Workload, ProfilerOverhead) {
                 gillian_telemetry::Journal::disabled()
             };
             let cfg = gillian_core::ExploreConfig {
-                workers: gillian_bench::workers_from_env(),
                 journal: journal.clone(),
                 checkpoint: gillian_bench::checkpoint_from_env(),
                 ..gillian_bench::explore_config_from_env(Default::default())
             };
-            let result = gillian_core::explore_with(
+            let result = gillian_core::explore(
                 &prog,
                 "main",
                 SymbolicState::<WhileSymMemory>::new(solver.clone()),
@@ -645,7 +640,6 @@ fn main() {
     ];
     let report = Report {
         wall_micros: run_started.elapsed().as_micros() as u64,
-        workers: gillian_bench::workers_from_env() as u32,
         metrics: registry().snapshot().since(&metrics_before),
         ..Default::default()
     };

@@ -21,7 +21,6 @@ fn main() {
     if std::env::var("BENCH_REPORT").as_deref() == Ok("1") {
         let report = gillian_telemetry::Report {
             wall_micros: started.elapsed().as_micros() as u64,
-            workers: gillian_bench::workers_from_env() as u32,
             metrics: gillian_telemetry::registry().snapshot().since(&before),
             ..Default::default()
         };

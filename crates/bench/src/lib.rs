@@ -44,15 +44,6 @@ fn fmt_duration(d: Duration) -> String {
     format!("{:.2}s", d.as_secs_f64())
 }
 
-/// Explorer worker count taken from the `GILLIAN_WORKERS` environment
-/// variable (default 1 — one worker, inline on the calling thread).
-pub fn workers_from_env() -> usize {
-    std::env::var("GILLIAN_WORKERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
-}
-
 /// Per-suite wall-clock deadline taken from the `GILLIAN_DEADLINE_MS`
 /// environment variable (default: none). With a deadline set, an
 /// over-budget suite comes back truncated — and is *reported* as such by
@@ -87,8 +78,8 @@ pub fn checkpoint_from_env() -> Option<gillian_core::CheckpointConfig> {
 ///
 /// - `GILLIAN_TRACE`, `GILLIAN_TRACE_CHROME` and `GILLIAN_FOLDED` name the
 ///   JSONL, Chrome and folded-stacks sinks of an enabled
-///   [`ExploreConfig::journal`], with `GILLIAN_TRACE_CAP` events per
-///   worker (default [`journal::DEFAULT_CAPACITY`]). With none of the
+///   [`ExploreConfig::journal`], with `GILLIAN_TRACE_CAP` events in the
+///   engine's ring (default [`journal::DEFAULT_CAPACITY`]). With none of the
 ///   three set the journal is disabled.
 /// - `GILLIAN_LIVE` sets the [`ExploreConfig::live`] path, with frames
 ///   every `GILLIAN_LIVE_EVERY_MS` milliseconds (default
@@ -137,16 +128,9 @@ pub fn solver_from_env() -> Solver {
     Solver::new(cfg)
 }
 
-/// Runs Table 1 (Buckets under MiniJS), with both engine configurations
-/// and the [`workers_from_env`] worker count.
+/// Runs Table 1 (Buckets under MiniJS), with both engine configurations.
 pub fn table1_rows() -> Vec<Row> {
-    table1_rows_with(workers_from_env())
-}
-
-/// Runs Table 1 with an explicit explorer worker count.
-pub fn table1_rows_with(workers: usize) -> Vec<Row> {
     let cfg = ExploreConfig {
-        workers,
         deadline: deadline_from_env(),
         ..explore_config_from_env(gillian_js::buckets::table1_config())
     };
@@ -168,16 +152,9 @@ pub fn table1_rows_with(workers: usize) -> Vec<Row> {
         .collect()
 }
 
-/// Runs Table 2 (Collections under MiniC) with the [`workers_from_env`]
-/// worker count.
+/// Runs Table 2 (Collections under MiniC).
 pub fn table2_rows() -> Vec<Row> {
-    table2_rows_with(workers_from_env())
-}
-
-/// Runs Table 2 with an explicit explorer worker count.
-pub fn table2_rows_with(workers: usize) -> Vec<Row> {
     let cfg = ExploreConfig {
-        workers,
         deadline: deadline_from_env(),
         ..explore_config_from_env(gillian_c::collections::table2_config())
     };
@@ -297,28 +274,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parallel_table2_row_matches_serial() {
-        // End-to-end check on a real guest-language suite: the parallel
-        // explorer must verify the same tests, execute the same command
-        // count, and stay clean — only wall-clock may differ.
-        let serial_cfg = gillian_c::collections::table2_config();
-        let parallel_cfg = gillian_core::ExploreConfig {
-            workers: 4,
-            ..serial_cfg.clone()
-        };
-        let serial = gillian_c::collections::run_row("slist", Solver::optimized, serial_cfg);
-        let parallel = gillian_c::collections::run_row("slist", Solver::optimized, parallel_cfg);
-        assert_clean(&serial);
-        assert_clean(&parallel);
-        assert_eq!(serial.tests, parallel.tests);
-        assert_eq!(serial.gil_cmds, parallel.gil_cmds);
-    }
-
-    #[test]
     fn incremental_matches_monolithic_on_table_suites() {
         // Real guest-language workloads (one Table 1 suite, one Table 2
-        // suite), serial and 4-worker: the incremental per-prefix
-        // contexts must change nothing
+        // suite): the incremental per-prefix contexts must change nothing
         // observable — same tests verified, same command counts, same
         // path counts, clean on both sides.
         let monolithic = || {
@@ -327,37 +285,29 @@ mod tests {
                 ..SolverConfig::optimized()
             })
         };
-        for workers in [1usize, 4] {
-            let js_cfg = gillian_core::ExploreConfig {
-                workers,
-                ..gillian_js::buckets::table1_config()
-            };
-            let c_cfg = gillian_core::ExploreConfig {
-                workers,
-                ..gillian_c::collections::table2_config()
-            };
-            let legs = [
-                gillian_js::buckets::run_row("dict", monolithic, js_cfg.clone()),
-                gillian_js::buckets::run_row("dict", Solver::optimized, js_cfg),
-                gillian_c::collections::run_row("slist", monolithic, c_cfg.clone()),
-                gillian_c::collections::run_row("slist", Solver::optimized, c_cfg),
-            ];
-            for leg in &legs {
-                assert_clean(leg);
-            }
-            for pair in legs.chunks(2) {
-                assert_eq!(pair[0].tests, pair[1].tests, "workers={workers}");
-                assert_eq!(
-                    pair[0].gil_cmds, pair[1].gil_cmds,
-                    "{}: incremental solving changed the executed commands (workers={workers})",
-                    pair[0].name
-                );
-                assert_eq!(
-                    pair[0].paths, pair[1].paths,
-                    "{}: incremental solving changed the explored paths (workers={workers})",
-                    pair[0].name
-                );
-            }
+        let js_cfg = gillian_js::buckets::table1_config();
+        let c_cfg = gillian_c::collections::table2_config();
+        let legs = [
+            gillian_js::buckets::run_row("dict", monolithic, js_cfg.clone()),
+            gillian_js::buckets::run_row("dict", Solver::optimized, js_cfg),
+            gillian_c::collections::run_row("slist", monolithic, c_cfg.clone()),
+            gillian_c::collections::run_row("slist", Solver::optimized, c_cfg),
+        ];
+        for leg in &legs {
+            assert_clean(leg);
+        }
+        for pair in legs.chunks(2) {
+            assert_eq!(pair[0].tests, pair[1].tests);
+            assert_eq!(
+                pair[0].gil_cmds, pair[1].gil_cmds,
+                "{}: incremental solving changed the executed commands",
+                pair[0].name
+            );
+            assert_eq!(
+                pair[0].paths, pair[1].paths,
+                "{}: incremental solving changed the explored paths",
+                pair[0].name
+            );
         }
     }
 

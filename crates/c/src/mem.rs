@@ -268,7 +268,7 @@ impl CConcMemory {
         b: Sym,
         action: &str,
     ) -> Result<(), Value> {
-        if off < 0 || len < 0 || off + len > blk.size {
+        if off < 0 || len < 0 || off.checked_add(len).is_none_or(|end| end > blk.size) {
             Err(ub_value(
                 "out-of-bounds",
                 format!(
@@ -1566,7 +1566,7 @@ impl SymbolicMemory for CSymMemory {
                 if blk.perm < perm::READABLE {
                     return err1(self, ub_expr("insufficient-permission", "loadBytes"));
                 }
-                if off < 0 || len < 0 || off + len > blk.size {
+                if off < 0 || len < 0 || off.checked_add(len).is_none_or(|end| end > blk.size) {
                     return err1(
                         self,
                         ub_expr("out-of-bounds", format!("loadBytes at {b}+{off}")),
@@ -1612,7 +1612,7 @@ impl SymbolicMemory for CSymMemory {
                 if blk.perm < perm::WRITABLE {
                     return err1(self, ub_expr("insufficient-permission", "storeBytes"));
                 }
-                if off < 0 || off + len > blk.size {
+                if off < 0 || off.checked_add(len).is_none_or(|end| end > blk.size) {
                     return err1(
                         self,
                         ub_expr("out-of-bounds", format!("storeBytes at {b}+{off}")),

@@ -11,7 +11,7 @@ mod common;
 
 use gillian_c::collections::{self, buggy_prog};
 use gillian_c::CSymMemory;
-use gillian_core::explore::{explore_with, ExploreResult};
+use gillian_core::explore::{explore, ExploreResult};
 use gillian_core::interp::all_paths;
 use gillian_core::symbolic::SymbolicState;
 use gillian_gil::Prog;
@@ -48,7 +48,7 @@ fn assert_backends_agree(
 ) -> ExploreResult<St> {
     let cfg = collections::table2_config();
     let tree = all_paths(prog, entry, St::new(solver.clone()), cfg.max_cmds_per_path);
-    let byte = explore_with(prog, entry, St::new(solver.clone()), cfg);
+    let byte = explore(prog, entry, St::new(solver.clone()), cfg);
     assert!(
         !byte.truncated && byte.dropped_paths == 0,
         "{label}: the exploration hit a budget"

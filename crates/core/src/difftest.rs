@@ -28,7 +28,7 @@
 //! [`DifftestReport::skipped`].
 
 use crate::concrete::ConcreteState;
-use crate::explore::{explore, explore_with, ExploreConfig, ExploreOutcome};
+use crate::explore::{explore, ExploreConfig, ExploreOutcome};
 use crate::memory::{ConcreteMemory, SymbolicMemory};
 use crate::soundness::{complete_model, MemoryInterpretation};
 use crate::state::GilState;
@@ -206,10 +206,9 @@ where
 
 /// Runs the differential oracle with a memory comparison hook.
 ///
-/// The symbolic exploration honours `cfg` (including `workers` and
-/// `strategy`); every concrete replay runs serially with the same
-/// budgets and a disabled journal (replays are deterministic and not
-/// part of the run's trace).
+/// The symbolic exploration honours `cfg` (including `strategy`); every
+/// concrete replay runs with the same budgets and a disabled journal
+/// (replays are deterministic and not part of the run's trace).
 pub fn run_differential_with<M, C, K>(
     prog: &Prog,
     entry: &str,
@@ -223,9 +222,8 @@ where
     K: MemoryCheck<M, C>,
 {
     let initial = SymbolicState::<M>::new(solver.clone());
-    let sym = explore_with(prog, entry, initial, cfg.clone());
+    let sym = explore(prog, entry, initial, cfg.clone());
     let mut conc_cfg = cfg.clone();
-    conc_cfg.workers = 1;
     conc_cfg.journal = Journal::disabled();
     let mut report = DifftestReport {
         sym_paths: sym.paths.len(),

@@ -250,7 +250,7 @@ fn ret_slot(caller: &CompiledProc, ret_idx: usize, ret_var: &Ident) -> Option<u3
 /// is the crash-safe accounting channel: it is set to `n` immediately
 /// before the `n`-th command of the block executes, so the caller can read
 /// the exact charge even if the command panics out through a guard.
-/// `scratch` is the per-worker register file for compiled expression
+/// `scratch` is the run's register file for compiled expression
 /// evaluation. `interrupt` is the run's deadline/cancel pair: the block
 /// polls it between commands and surfaces its in-flight configuration
 /// early when it fires, so the explorer's scheduling-point checks stay

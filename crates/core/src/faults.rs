@@ -66,7 +66,7 @@ const SALT_UNKNOWN: u64 = 0x756e6b6e; // "unkn"
 const SALT_LATENCY: u64 = 0x6c617465; // "late"
 
 /// A deterministic fault-injection plan. Install one via
-/// `ExploreConfig::faults`; the exploration workers and the solver draw
+/// `ExploreConfig::faults`; the exploration loop and the solver draw
 /// scheduling points from it.
 #[derive(Debug, Default)]
 pub struct FaultPlan {

@@ -61,7 +61,7 @@ pub use difftest::{
 };
 pub use exec::{step_block, BlockProfile, BLOCK_MAX};
 pub use explore::{
-    explore_resume, explore_with, replay_path, ExploreConfig, ExploreDiagnostics, ExploreOutcome,
+    explore, explore_resume, replay_path, ExploreConfig, ExploreDiagnostics, ExploreOutcome,
     ExploreResult, PathResult, ReplayError, ResumedExplore, SearchStrategy,
 };
 pub use faults::{FaultKind, FaultPlan};

@@ -267,12 +267,7 @@ pub fn value_args(arg: &Value, n: usize) -> Option<Vec<Value>> {
 }
 
 /// A symbolic memory model `M̂ = ⟨|M̂|, A, êa⟩` (Def. 2.4).
-///
-/// `Send` is a supertrait because symbolic states (which own their memory)
-/// migrate between worker threads when [`crate::explore::explore_with`]
-/// runs several workers. Memories are values, not shared
-/// structures, so this costs implementations nothing in practice.
-pub trait SymbolicMemory: Clone + std::fmt::Debug + Default + Send {
+pub trait SymbolicMemory: Clone + std::fmt::Debug + Default {
     /// The instantiation's language tag, used by telemetry to label this
     /// memory's action latencies in traces and reports (`while`,
     /// `minijs`, `minic`, …).

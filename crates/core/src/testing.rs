@@ -17,9 +17,7 @@
 //!   Theorem 3.6: symbolic testing has no false positives).
 
 use crate::concrete::ConcreteState;
-use crate::explore::{
-    explore, explore_with, ExploreConfig, ExploreDiagnostics, ExploreOutcome, ExploreResult,
-};
+use crate::explore::{explore, ExploreConfig, ExploreDiagnostics, ExploreOutcome, ExploreResult};
 use crate::memory::{ConcreteMemory, SymbolicMemory};
 use crate::symbolic::SymbolicState;
 use gillian_gil::{Prog, Value};
@@ -106,7 +104,7 @@ pub fn run_test<M: SymbolicMemory>(
     cfg: ExploreConfig,
 ) -> SymTestOutcome<M> {
     let initial = SymbolicState::<M>::new(solver.clone());
-    let result = explore_with(prog, entry, initial, cfg);
+    let result = explore(prog, entry, initial, cfg);
     let mut bugs = Vec::new();
     for path in result.errors() {
         let pc = path.state.pc.clone();

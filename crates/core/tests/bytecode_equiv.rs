@@ -1,6 +1,6 @@
 //! Bytecode-vs-tree-walk differential battery: seeded random GIL programs
 //! (the same `generate.rs` seed scheme the CSC difftest uses) explored on
-//! the compiled register bytecode across DFS/BFS and 1–4 workers, and
+//! the compiled register bytecode under DFS and BFS, and
 //! enumerated by the reference tree walk (`interp::all_paths`). The two
 //! must produce *identical* path identities: same branch traces, same
 //! outcome kinds, same per-path command counts, same totals. The
@@ -13,7 +13,7 @@
 //!   seed `base + salt + i`, printed on failure.
 //! - `GILLIAN_BYTECODE_CASES` — programs per engine config (default 40).
 
-use gillian_core::explore::{explore_with, ExploreConfig, ExploreResult, SearchStrategy};
+use gillian_core::explore::{explore, ExploreConfig, ExploreResult, SearchStrategy};
 use gillian_core::generate::{build_prog, gen_ops, MemDialect, Rng};
 use gillian_core::interp::all_paths;
 use gillian_core::memory::{SymBranch, SymbolicMemory};
@@ -60,16 +60,15 @@ fn path_set(result: &ExploreResult<St>) -> BTreeSet<(Vec<u32>, String, u64)> {
         .collect()
 }
 
-fn config(strategy: SearchStrategy, workers: usize) -> ExploreConfig {
+fn config(strategy: SearchStrategy) -> ExploreConfig {
     ExploreConfig {
         strategy,
-        workers,
         journal: Journal::disabled(),
         ..Default::default()
     }
 }
 
-fn run_battery(strategy: SearchStrategy, workers: usize, salt: u64) {
+fn run_battery(strategy: SearchStrategy, salt: u64) {
     let base = env_u64("GILLIAN_BYTECODE_SEED", 0);
     let cases = env_u64("GILLIAN_BYTECODE_CASES", 40);
     let solver = Arc::new(Solver::optimized());
@@ -78,14 +77,14 @@ fn run_battery(strategy: SearchStrategy, workers: usize, salt: u64) {
         let seed = base.wrapping_add(salt).wrapping_add(i);
         let ops = gen_ops(&mut Rng::new(seed), 16, MemDialect::None);
         let prog = build_prog(&ops, MemDialect::None);
-        let cfg = config(strategy, workers);
+        let cfg = config(strategy);
         let tree = all_paths(
             &prog,
             "main",
             St::new(solver.clone()),
             cfg.max_cmds_per_path,
         );
-        let byte = explore_with(&prog, "main", St::new(solver.clone()), cfg);
+        let byte = explore(&prog, "main", St::new(solver.clone()), cfg);
         assert!(
             !byte.truncated && byte.dropped_paths == 0,
             "seed {seed}: the exploration hit a budget\nops: {ops:?}"
@@ -93,7 +92,7 @@ fn run_battery(strategy: SearchStrategy, workers: usize, salt: u64) {
         assert_eq!(
             path_set(&tree),
             path_set(&byte),
-            "seed {seed} ({strategy:?}, {workers} workers): bytecode \
+            "seed {seed} ({strategy:?}): bytecode \
              diverged from tree walk\nops: {ops:?}"
         );
         assert_eq!(
@@ -108,29 +107,15 @@ fn run_battery(strategy: SearchStrategy, workers: usize, salt: u64) {
         paths += tree.paths.len();
     }
     assert!(paths > 0, "battery explored nothing");
-    eprintln!("bytecode battery ({strategy:?}, {workers} workers): {paths} paths agreed");
+    eprintln!("bytecode battery ({strategy:?}): {paths} paths agreed");
 }
 
 #[test]
 fn bytecode_matches_treewalk_dfs_serial() {
-    run_battery(SearchStrategy::Dfs, 1, 0xB17E_0000);
+    run_battery(SearchStrategy::Dfs, 0xB17E_0000);
 }
 
 #[test]
 fn bytecode_matches_treewalk_bfs_serial() {
-    run_battery(SearchStrategy::Bfs, 1, 0xB17E_1000);
-}
-
-#[test]
-fn bytecode_matches_treewalk_dfs_parallel() {
-    for workers in 2..=4 {
-        run_battery(SearchStrategy::Dfs, workers, 0xB17E_2000 + workers as u64);
-    }
-}
-
-#[test]
-fn bytecode_matches_treewalk_bfs_parallel() {
-    for workers in 2..=4 {
-        run_battery(SearchStrategy::Bfs, workers, 0xB17E_3000 + workers as u64);
-    }
+    run_battery(SearchStrategy::Bfs, 0xB17E_1000);
 }

@@ -4,8 +4,7 @@
 //! The core property: for any seeded program, killing the explorer at any
 //! scheduling point and resuming from its checkpoint yields *exactly* the
 //! uninterrupted run's path set — same branch-trace identities, same
-//! outcomes, same per-path command counts — across both engines (serial
-//! DFS/BFS and the parallel explorer).
+//! outcomes, same per-path command counts — under DFS and BFS.
 //!
 //! Reproducibility knobs (environment variables):
 //!
@@ -17,7 +16,7 @@
 
 use gillian_core::checkpoint::{decode_checkpoint, ResumeError, StateCtx, StateIoError};
 use gillian_core::explore::{
-    explore_resume, explore_with, ExploreConfig, ExploreResult, SearchStrategy,
+    explore, explore_resume, ExploreConfig, ExploreResult, SearchStrategy,
 };
 use gillian_core::faults::FaultPlan;
 use gillian_core::generate::{build_prog, gen_ops, GenOp, MemDialect, Rng};
@@ -85,10 +84,9 @@ fn ckpt_path(tag: &str) -> PathBuf {
     dir.join(format!("gillian-ckpt-{pid}-{seq}-{tag}.bin"))
 }
 
-fn config(strategy: SearchStrategy, workers: usize) -> ExploreConfig {
+fn config(strategy: SearchStrategy) -> ExploreConfig {
     ExploreConfig {
         strategy,
-        workers,
         journal: Journal::disabled(),
         ..Default::default()
     }
@@ -112,7 +110,7 @@ fn gen_case(seed: u64) -> (Vec<GenOp>, Prog) {
 
 /// Kill the run at every Nth scheduling point and check that resume
 /// reconstructs exactly the uninterrupted path set.
-fn kill_resume_battery(strategy: SearchStrategy, workers: usize, salt: u64) {
+fn kill_resume_battery(strategy: SearchStrategy, salt: u64) {
     let base = env_u64("GILLIAN_CHECKPOINT_SEED", 0);
     let cases = env_u64("GILLIAN_CHECKPOINT_CASES", 3);
     let solver = Arc::new(Solver::optimized());
@@ -125,9 +123,9 @@ fn kill_resume_battery(strategy: SearchStrategy, workers: usize, salt: u64) {
         // it counts the scheduling points the run draws, which bounds the
         // kill sweep.
         let probe_plan = Arc::new(FaultPlan::seeded(seed));
-        let mut cfg = config(strategy, workers);
+        let mut cfg = config(strategy);
         cfg.faults = Some(probe_plan.clone());
-        let baseline = explore_with(&prog, "main", St::new(solver.clone()), cfg);
+        let baseline = explore(&prog, "main", St::new(solver.clone()), cfg);
         assert!(
             !baseline.bounded(),
             "seed {seed}: baseline run should be exhaustive\nops: {ops:?}"
@@ -139,12 +137,12 @@ fn kill_resume_battery(strategy: SearchStrategy, workers: usize, salt: u64) {
         let step = (points / 12).max(1);
         let mut k = 0u64;
         while k <= points {
-            let path = ckpt_path(&format!("kill-{seed}-{k}-w{workers}"));
+            let path = ckpt_path(&format!("kill-{seed}-{k}"));
             let plan = Arc::new(FaultPlan::seeded(seed).kill_at(k));
-            let mut cfg = config(strategy, workers);
+            let mut cfg = config(strategy);
             cfg.faults = Some(plan);
             cfg.checkpoint = Some(CheckpointConfig::at(&path));
-            let cut = explore_with(&prog, "main", St::new(solver.clone()), cfg);
+            let cut = explore(&prog, "main", St::new(solver.clone()), cfg);
             if cut.killed {
                 kills += 1;
                 let resumed = explore_resume(
@@ -152,10 +150,10 @@ fn kill_resume_battery(strategy: SearchStrategy, workers: usize, salt: u64) {
                     &path,
                     &ctx,
                     St::new(solver.clone()),
-                    config(strategy, workers),
+                    config(strategy),
                 )
                 .unwrap_or_else(|e| {
-                    panic!("seed {seed} kill@{k} w{workers}: resume failed: {e}\nops: {ops:?}")
+                    panic!("seed {seed} kill@{k}: resume failed: {e}\nops: {ops:?}")
                 });
                 // Disjoint union of (paths finished before the kill) and
                 // (paths explored by the continuation) == baseline.
@@ -163,33 +161,31 @@ fn kill_resume_battery(strategy: SearchStrategy, workers: usize, salt: u64) {
                 for p in &resumed.prior {
                     assert!(
                         got.insert((p.trace.clone(), p.outcome.clone(), p.cmds)),
-                        "seed {seed} kill@{k} w{workers}: duplicate prior path {:?}",
+                        "seed {seed} kill@{k}: duplicate prior path {:?}",
                         p.trace
                     );
                 }
                 for p in path_set(&resumed.result) {
                     assert!(
                         got.insert(p.clone()),
-                        "seed {seed} kill@{k} w{workers}: path {p:?} in both prior and resumed"
+                        "seed {seed} kill@{k}: path {p:?} in both prior and resumed"
                     );
                 }
                 assert_eq!(
                     got, want,
-                    "seed {seed} kill@{k} w{workers} ({strategy:?}): \
+                    "seed {seed} kill@{k} ({strategy:?}): \
                      resumed path set differs from uninterrupted run\nops: {ops:?}"
                 );
-                if workers <= 1 {
-                    assert_eq!(
-                        resumed.result.total_cmds, baseline.total_cmds,
-                        "seed {seed} kill@{k}: command accounting diverged across resume"
-                    );
-                }
+                assert_eq!(
+                    resumed.result.total_cmds, baseline.total_cmds,
+                    "seed {seed} kill@{k}: command accounting diverged across resume"
+                );
             } else {
                 // Kill point past the end: the run completed untouched.
                 assert_eq!(
                     path_set(&cut),
                     want,
-                    "seed {seed} kill@{k} w{workers}: unkilled run perturbed by the harness"
+                    "seed {seed} kill@{k}: unkilled run perturbed by the harness"
                 );
             }
             let _ = std::fs::remove_file(&path);
@@ -197,60 +193,56 @@ fn kill_resume_battery(strategy: SearchStrategy, workers: usize, salt: u64) {
         }
     }
     assert!(kills > 0, "battery never managed to kill a run");
-    eprintln!("kill/resume battery ({strategy:?}, workers={workers}): {kills} kills resumed");
+    eprintln!("kill/resume battery ({strategy:?}): {kills} kills resumed");
 }
 
 #[test]
 fn kill_resume_equivalence_dfs_serial() {
-    kill_resume_battery(SearchStrategy::Dfs, 1, 0xC0_0000);
+    kill_resume_battery(SearchStrategy::Dfs, 0xC0_0000);
 }
 
 #[test]
 fn kill_resume_equivalence_bfs_serial() {
-    kill_resume_battery(SearchStrategy::Bfs, 1, 0xC1_0000);
+    kill_resume_battery(SearchStrategy::Bfs, 0xC1_0000);
+}
+
+/// Two more DFS sweeps on their own seeds.
+#[test]
+fn kill_resume_equivalence_dfs_seeds_c2() {
+    kill_resume_battery(SearchStrategy::Dfs, 0xC2_0000);
 }
 
 #[test]
-fn kill_resume_equivalence_parallel_2() {
-    kill_resume_battery(SearchStrategy::Dfs, 2, 0xC2_0000);
-}
-
-#[test]
-fn kill_resume_equivalence_parallel_4() {
-    kill_resume_battery(SearchStrategy::Dfs, 4, 0xC3_0000);
+fn kill_resume_equivalence_dfs_seeds_c3() {
+    kill_resume_battery(SearchStrategy::Dfs, 0xC3_0000);
 }
 
 /// Interval checkpointing must not perturb the result — only record it.
-/// A zero interval is the adversarial case: it checkpoints at every
-/// serial scheduling point and forces the parallel engine through its
-/// stop-the-world restart round after every step.
+/// A zero interval is the adversarial case: it checkpoints after every
+/// step.
 #[test]
 fn interval_checkpointing_does_not_perturb_results() {
     let solver = Arc::new(Solver::optimized());
-    for workers in [1usize, 4] {
-        let (ops, prog) = gen_case(env_u64("GILLIAN_CHECKPOINT_SEED", 0) ^ 0xD0);
-        let baseline = explore_with(
-            &prog,
-            "main",
-            St::new(solver.clone()),
-            config(SearchStrategy::Dfs, workers),
-        );
-        let path = ckpt_path(&format!("interval-w{workers}"));
-        let mut cfg = config(SearchStrategy::Dfs, workers);
-        cfg.checkpoint = Some(CheckpointConfig::at(&path).with_interval(Duration::ZERO));
-        let ticked = explore_with(&prog, "main", St::new(solver.clone()), cfg);
-        assert_eq!(
-            path_set(&ticked),
-            path_set(&baseline),
-            "workers={workers}: interval checkpointing changed the result\nops: {ops:?}"
-        );
-        assert!(!ticked.killed);
-        assert!(
-            path.exists(),
-            "workers={workers}: no checkpoint file written"
-        );
-        let _ = std::fs::remove_file(&path);
-    }
+    let (ops, prog) = gen_case(env_u64("GILLIAN_CHECKPOINT_SEED", 0) ^ 0xD0);
+    let baseline = explore(
+        &prog,
+        "main",
+        St::new(solver.clone()),
+        config(SearchStrategy::Dfs),
+    );
+    let path = ckpt_path("interval");
+    let mut cfg = config(SearchStrategy::Dfs);
+    cfg.checkpoint = Some(CheckpointConfig::at(&path).with_interval(Duration::ZERO));
+    let ticked = explore(&prog, "main", St::new(solver.clone()), cfg);
+    assert_eq!(
+        path_set(&ticked),
+        path_set(&baseline),
+        "interval checkpointing changed the result\nops: {ops:?}"
+    );
+    assert_eq!(ticked.total_cmds, baseline.total_cmds);
+    assert!(!ticked.killed);
+    assert!(path.exists(), "no checkpoint file written");
+    let _ = std::fs::remove_file(&path);
 }
 
 /// A kill with no checkpoint configured must degrade gracefully: the
@@ -259,9 +251,9 @@ fn interval_checkpointing_does_not_perturb_results() {
 fn kill_without_checkpoint_drains_frontier() {
     let solver = Arc::new(Solver::optimized());
     let (ops, prog) = gen_case(env_u64("GILLIAN_CHECKPOINT_SEED", 0) ^ 0xE0);
-    let mut cfg = config(SearchStrategy::Dfs, 1);
+    let mut cfg = config(SearchStrategy::Dfs);
     cfg.faults = Some(Arc::new(FaultPlan::seeded(7).kill_at(3)));
-    let r = explore_with(&prog, "main", St::new(solver), cfg);
+    let r = explore(&prog, "main", St::new(solver), cfg);
     assert!(r.killed, "kill@3 did not fire\nops: {ops:?}");
     assert!(
         r.bounded(),
@@ -289,9 +281,9 @@ fn fault_schedule_is_deterministic() {
                 .with_unknown_rate(3000)
                 .with_latency(1500, Duration::from_micros(10)),
         );
-        let mut cfg = config(SearchStrategy::Dfs, 1);
+        let mut cfg = config(SearchStrategy::Dfs);
         cfg.faults = Some(plan.clone());
-        let r = explore_with(&prog, "main", St::new(Arc::new(Solver::optimized())), cfg);
+        let r = explore(&prog, "main", St::new(Arc::new(Solver::optimized())), cfg);
         (plan.rendered_log(), plan.points_drawn(), path_set(&r))
     };
     let (log_a, points_a, paths_a) = run(42);
@@ -322,10 +314,10 @@ fn corrupted_checkpoints_fail_cleanly() {
     let ctx = StateCtx::new(solver.clone());
     let (ops, prog) = gen_case(env_u64("GILLIAN_CHECKPOINT_SEED", 0) ^ 0xAB);
     let path = ckpt_path("corrupt");
-    let mut cfg = config(SearchStrategy::Dfs, 1);
+    let mut cfg = config(SearchStrategy::Dfs);
     cfg.faults = Some(Arc::new(FaultPlan::seeded(1).kill_at(5)));
     cfg.checkpoint = Some(CheckpointConfig::at(&path));
-    let r = explore_with(&prog, "main", St::new(solver.clone()), cfg);
+    let r = explore(&prog, "main", St::new(solver.clone()), cfg);
     assert!(r.killed, "kill@5 did not fire\nops: {ops:?}");
     let bytes = std::fs::read(&path).expect("checkpoint file");
     let _ = std::fs::remove_file(&path);
@@ -404,7 +396,7 @@ fn corrupted_checkpoints_fail_cleanly() {
             // The budget counts the commands the checkpoint already spent.
             let cfg = ExploreConfig {
                 max_total_cmds: data.total_cmds.saturating_add(200),
-                ..config(SearchStrategy::Dfs, 1)
+                ..config(SearchStrategy::Dfs)
             };
             let resumed = explore_resume(&prog, &resume_path, &ctx, St::new(solver.clone()), cfg)
                 .unwrap_or_else(|e| panic!("byte {i} ^ {mask:#x}: decoded, then {e}"));
@@ -483,11 +475,11 @@ fn checkpoint_written_with_summaries_armed_resumes() {
         );
     }
     let (_, prog) = gen_case(928);
-    let fresh = explore_with(
+    let fresh = explore(
         &prog,
         "main",
         St::new(Arc::new(Solver::optimized())),
-        config(SearchStrategy::Dfs, 1),
+        config(SearchStrategy::Dfs),
     );
     let outcomes = |set: BTreeSet<(Vec<u32>, String, u64)>| -> BTreeSet<(Vec<u32>, String)> {
         set.into_iter().map(|(t, o, _)| (t, o)).collect()
@@ -503,7 +495,7 @@ fn checkpoint_written_with_summaries_armed_resumes() {
         &path,
         &ctx,
         St::new(solver),
-        config(SearchStrategy::Dfs, 1),
+        config(SearchStrategy::Dfs),
     );
     let _ = std::fs::remove_file(&path);
     let resumed = resumed.expect("fixture resumes");
@@ -531,7 +523,7 @@ fn resume_from_missing_file_is_clean() {
         &ckpt_path("missing"),
         &ctx,
         St::new(solver),
-        config(SearchStrategy::Dfs, 1),
+        config(SearchStrategy::Dfs),
     );
     assert!(matches!(err, Err(ResumeError::Io(_))));
 }

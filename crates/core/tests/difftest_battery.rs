@@ -7,8 +7,6 @@
 //! - `GILLIAN_DIFFTEST_SEED`  — base seed (default 0); case `i` runs with
 //!   seed `base + i`, so a failing case prints the exact seed to rerun.
 //! - `GILLIAN_DIFFTEST_CASES` — programs per sub-battery (default 100).
-//! - `GILLIAN_WORKERS`        — symbolic exploration workers (default 1);
-//!   CI runs the battery under both 1 and 4.
 
 use gillian_core::difftest::run_differential;
 use gillian_core::explore::{ExploreConfig, SearchStrategy};
@@ -53,7 +51,6 @@ fn env_u64(name: &str, default: u64) -> u64 {
 fn battery_config(strategy: SearchStrategy) -> ExploreConfig {
     ExploreConfig {
         strategy,
-        workers: env_u64("GILLIAN_WORKERS", 1) as usize,
         journal: Journal::disabled(),
         ..Default::default()
     }

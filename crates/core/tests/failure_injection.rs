@@ -10,7 +10,7 @@
 //! the run completes under its deadline, the faulty path is reported as an
 //! engine error (or deadline-truncated), and sibling paths are unaffected.
 
-use gillian_core::explore::{explore, explore_with, ExploreConfig, ExploreOutcome, ExploreResult};
+use gillian_core::explore::{explore, ExploreConfig, ExploreOutcome, ExploreResult};
 use gillian_core::memory::{ConcreteMemory, SymBranch, SymbolicMemory};
 use gillian_core::soundness::{check_action, check_program, MemoryInterpretation};
 use gillian_core::symbolic::SymbolicState;
@@ -432,22 +432,6 @@ fn injected_panic_is_isolated_serial() {
 }
 
 #[test]
-fn injected_panic_is_isolated_parallel() {
-    let prog = faulty_branch_program("boom");
-    let expected = reference_siblings(&prog, "N(#x0)");
-
-    for workers in [2, 4] {
-        let start = Instant::now();
-        let mut cfg = ExploreConfig::default().with_deadline(Duration::from_secs(2));
-        cfg.workers = workers;
-        let res = explore_with(&prog, "main", fresh::<PanickingMem>(), cfg);
-        assert!(start.elapsed() < Duration::from_secs(2));
-        assert_eq!(res.diagnostics.engine_errors, 1, "workers={workers}");
-        assert_eq!(siblings(&res), expected, "workers={workers}");
-    }
-}
-
-#[test]
 fn injected_spin_loop_is_reeled_in_serial() {
     let prog = faulty_branch_program("spin");
     let expected = reference_siblings(&prog, "N(#x0)");
@@ -472,28 +456,4 @@ fn injected_spin_loop_is_reeled_in_serial() {
         expected,
         "sibling verdicts must be unaffected"
     );
-}
-
-#[test]
-fn injected_spin_loop_is_reeled_in_parallel() {
-    let prog = faulty_branch_program("spin");
-    let expected = reference_siblings(&prog, "N(#x0)");
-
-    for workers in [2, 4] {
-        let start = Instant::now();
-        let mut cfg = ExploreConfig::default().with_deadline(Duration::from_millis(250));
-        cfg.workers = workers;
-        let res = explore_with(&prog, "main", fresh::<SpinMem>(), cfg);
-        assert!(
-            start.elapsed() < Duration::from_secs(2),
-            "workers={workers}"
-        );
-        assert!(res.truncated, "workers={workers}");
-        assert!(
-            res.diagnostics.deadline_hits >= 1,
-            "workers={workers}: {:?}",
-            res.diagnostics
-        );
-        assert_eq!(siblings(&res), expected, "workers={workers}");
-    }
 }

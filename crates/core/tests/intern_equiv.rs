@@ -14,12 +14,12 @@
 //!   sets, same outcomes, same command counts.
 //! - **sharing vs rebuilding** — running the same program twice reuses
 //!   interned nodes the second time (the interner is global), which must
-//!   not perturb results across engines or worker counts.
+//!   not perturb results.
 
 mod common;
 
 use common::{build_prog, op_strategy, state_with, summary};
-use gillian_core::explore::{explore, explore_with, ExploreConfig};
+use gillian_core::explore::{explore, ExploreConfig};
 use gillian_solver::{Solver, SolverConfig};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -79,8 +79,8 @@ proptest! {
             ExploreConfig::default(),
         );
         let first_summary = summary(&first);
-        // Warm legs: every term of the program is now interned, so these
-        // runs are maximal-sharing replays, serial and parallel.
+        // Warm leg: every term of the program is now interned, so this
+        // run is a maximal-sharing replay.
         let again = explore(
             &prog,
             "main",
@@ -89,20 +89,5 @@ proptest! {
         );
         prop_assert_eq!(&summary(&again), &first_summary);
         prop_assert_eq!(again.total_cmds, first.total_cmds);
-        for workers in [2usize, 4] {
-            let par = explore_with(
-                &prog,
-                "main",
-                state_with(Arc::new(Solver::optimized())),
-                ExploreConfig { workers, ..Default::default() },
-            );
-            prop_assert_eq!(
-                &summary(&par),
-                &first_summary,
-                "warm parallel ({}) diverged",
-                workers
-            );
-            prop_assert_eq!(par.total_cmds, first.total_cmds);
-        }
     }
 }

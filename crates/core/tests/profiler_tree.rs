@@ -1,10 +1,10 @@
 //! Exploration-profiler properties (DESIGN.md §16):
 //!
 //! 1. **Schedule independence** — the exploration tree reconstructed
-//!    from the merged journal depends only on the program: 1 worker and
-//!    4 workers produce the same node set, fork arms, outcomes, leaf
-//!    counts, command attribution, and folded-stack keys. Only the
-//!    timing numbers may differ.
+//!    from the merged journal depends only on the program: DFS and BFS
+//!    produce the same node set, fork arms, outcomes, leaf counts,
+//!    command attribution, and folded-stack keys. Only the timing
+//!    numbers may differ.
 //! 2. **Folded-stacks coverage** — on a fixed-seed generated program,
 //!    every finished path's branch trace appears as a folded stack, and
 //!    the folded sink writes a parseable `stack value` line per key.
@@ -16,7 +16,7 @@
 mod common;
 
 use common::{state, Op};
-use gillian_core::explore::{explore, explore_with, ExploreConfig};
+use gillian_core::explore::{explore, ExploreConfig, SearchStrategy};
 use gillian_core::generate::{gen_ops, MemDialect, Rng};
 use gillian_telemetry::{EventRecord, ExploreTree, Journal};
 
@@ -30,18 +30,14 @@ fn wide_ops() -> Vec<Op> {
     ops
 }
 
-fn run_journaled(prog: &gillian_gil::Prog, workers: usize) -> (usize, Vec<EventRecord>) {
+fn run_journaled(prog: &gillian_gil::Prog, strategy: SearchStrategy) -> (usize, Vec<EventRecord>) {
     let journal = Journal::enabled();
     let cfg = ExploreConfig {
-        workers,
+        strategy,
         journal: journal.clone(),
         ..Default::default()
     };
-    let r = if workers > 1 {
-        explore_with(prog, "main", state(), cfg)
-    } else {
-        explore(prog, "main", state(), cfg)
-    };
+    let r = explore(prog, "main", state(), cfg);
     (r.paths.len(), journal.last_run().to_vec())
 }
 
@@ -66,12 +62,12 @@ fn shape(tree: &ExploreTree) -> Vec<NodeShape> {
 #[test]
 fn profile_tree_is_schedule_independent() {
     let prog = common::build_prog(&wide_ops());
-    let (paths1, serial) = run_journaled(&prog, 1);
-    let (paths4, par) = run_journaled(&prog, 4);
+    let (paths1, dfs) = run_journaled(&prog, SearchStrategy::Dfs);
+    let (paths4, bfs) = run_journaled(&prog, SearchStrategy::Bfs);
     assert_eq!(paths1, 256);
     assert_eq!(paths4, 256);
-    let t1 = ExploreTree::from_records(&serial);
-    let t4 = ExploreTree::from_records(&par);
+    let t1 = ExploreTree::from_records(&dfs);
+    let t4 = ExploreTree::from_records(&bfs);
     assert_eq!(
         shape(&t1),
         shape(&t4),

@@ -2,8 +2,8 @@
 //!
 //! The equivalence batteries compare order-normalized path sets under
 //! budgets that never bind, so they cannot see *which* paths a binding
-//! budget keeps, or the order one worker explores them in. This test can:
-//! twenty fixed branching programs, each explored by one worker under
+//! budget keeps, or the order the explorer visits them in. This test can:
+//! twenty fixed branching programs, each explored under
 //! DFS and BFS, with no binding budget and with each budget made to bind
 //! in turn (`max_paths`, `max_total_cmds`, `max_cmds_per_path`,
 //! `max_pending`). For every run it records the `(trace, outcome kind,
@@ -62,7 +62,6 @@ fn programs() -> Vec<Vec<Op>> {
 /// The budget legs: one that never binds, then each limit made small.
 fn budgets() -> Vec<(&'static str, ExploreConfig)> {
     let base = ExploreConfig {
-        workers: 1,
         journal: Journal::disabled(),
         ..Default::default()
     };

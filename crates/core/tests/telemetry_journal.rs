@@ -1,10 +1,9 @@
 //! Event-journal properties (DESIGN.md §11):
 //!
 //! 1. **Schedule independence** — the merged journal's path ids and fork
-//!    edges depend only on the program, not on the worker count or
-//!    scheduling: 1 worker and 4 workers produce identical finished-path
-//!    sets and fork-edge sets, and repeated 4-worker runs are
-//!    *identical* after the deterministic merge.
+//!    edges depend only on the program, not on the search order: DFS and
+//!    BFS produce identical finished-path sets and fork-edge sets, and
+//!    repeated runs produce *identical* journals.
 //! 2. **JSONL round-trip** — a run traced through an explicit
 //!    [`Journal::jsonl_sink`] writes a schema-valid JSONL file with
 //!    exactly one `path_finished` record per reported path.
@@ -17,7 +16,7 @@
 mod common;
 
 use common::{build_prog, state, Op};
-use gillian_core::explore::{explore, explore_with, ExploreConfig};
+use gillian_core::explore::{explore, ExploreConfig, SearchStrategy};
 use gillian_core::memory::{SymBranch, SymbolicMemory};
 use gillian_core::symbolic::SymbolicState;
 use gillian_gil::{Cmd, Expr, Proc, Prog};
@@ -63,50 +62,45 @@ fn fork_set(events: &[EventRecord]) -> Vec<(Vec<u32>, u32)> {
     out
 }
 
-fn run_journaled(workers: usize) -> (usize, Vec<EventRecord>) {
+fn run_journaled(strategy: SearchStrategy) -> (usize, Vec<EventRecord>) {
     let journal = Journal::enabled();
     let cfg = ExploreConfig {
-        workers,
+        strategy,
         journal: journal.clone(),
         ..Default::default()
     };
     let prog = build_prog(&wide_ops());
-    let r = if workers > 1 {
-        explore_with(&prog, "main", state(), cfg)
-    } else {
-        explore(&prog, "main", state(), cfg)
-    };
+    let r = explore(&prog, "main", state(), cfg);
     (r.paths.len(), journal.last_run().to_vec())
 }
 
 #[test]
 fn merged_journal_is_schedule_independent() {
-    let (paths1, serial) = run_journaled(1);
-    let (paths4, par) = run_journaled(4);
+    let (paths1, dfs) = run_journaled(SearchStrategy::Dfs);
+    let (paths2, bfs) = run_journaled(SearchStrategy::Bfs);
     assert_eq!(paths1, 1024);
-    assert_eq!(paths4, 1024);
+    assert_eq!(paths2, 1024);
     assert_eq!(
-        finished_set(&serial),
-        finished_set(&par),
+        finished_set(&dfs),
+        finished_set(&bfs),
         "finished-path sets must not depend on scheduling"
     );
     assert_eq!(
-        fork_set(&serial),
-        fork_set(&par),
+        fork_set(&dfs),
+        fork_set(&bfs),
         "fork edges must not depend on scheduling"
     );
-    // The deterministic merge goes further than set equality: repeated
-    // parallel runs produce the same event sequence modulo timestamps,
-    // sequence numbers, and worker attribution.
+    // Repeated runs go further than set equality: they produce the same
+    // event sequence modulo timestamps and sequence numbers.
     let strip = |events: &[EventRecord]| -> Vec<(String, Option<Vec<u32>>)> {
         events
             .iter()
             .map(|r| (r.event.kind().to_string(), r.event.path().cloned()))
             .collect()
     };
-    let (_, again) = run_journaled(4);
+    let (_, again) = run_journaled(SearchStrategy::Dfs);
     assert_eq!(
-        strip(&par),
+        strip(&dfs),
         strip(&again),
         "the merged event order must be deterministic"
     );
@@ -206,13 +200,12 @@ fn deadline_hit_names_a_recorded_path() {
     let prog = Prog::from_procs([Proc::new("main", [], body)]);
     let journal = Journal::enabled();
     let cfg = ExploreConfig {
-        workers: 1,
         journal: journal.clone(),
         ..Default::default()
     }
     .with_deadline(Duration::from_millis(40));
     let state = SymbolicState::<SlowMem>::new(Arc::new(Solver::optimized()));
-    let r = explore_with(&prog, "main", state, cfg);
+    let r = explore(&prog, "main", state, cfg);
     assert!(r.diagnostics.deadline_hits > 0, "the deadline never fired");
     let events = journal.last_run();
     let hits: Vec<&Vec<u32>> = events
@@ -222,7 +215,7 @@ fn deadline_hit_names_a_recorded_path() {
             _ => None,
         })
         .collect();
-    assert_eq!(hits.len(), 1, "one worker hits the deadline once");
+    assert_eq!(hits.len(), 1, "the run hits the deadline once");
     assert!(
         r.paths.iter().any(|p| &p.trace == hits[0]),
         "the deadline hit names {:?}, which the run did not record",

@@ -13,7 +13,7 @@
 //!   time (load-const+op fusion), so no register traffic is spent on them.
 //! - **Register expressions.** Expressions too complex for a fused form
 //!   are flattened post-order into a [`RegProg`]: a short sequence of
-//!   register ops evaluated over a reusable per-worker register bank
+//!   register ops evaluated over a reusable per-run register bank
 //!   ([`EvalScratch`]). Transient values live in that arena and are
 //!   overwritten in place on the next evaluation instead of allocating a
 //!   fresh spine of `Value`s per visit.
@@ -68,10 +68,10 @@ pub const IC_NO_CODE: u32 = 1;
 /// (so codes never collide with the two sentinels).
 pub const IC_BIAS: u32 = 2;
 
-/// The per-worker register bank backing [`RegProg`] evaluation — the
-/// bytecode backend's bump arena. Registers are allocated once, grown to
-/// the widest expression seen, and overwritten in place on every
-/// evaluation; nothing is freed until the worker retires.
+/// The register bank backing [`RegProg`] evaluation — the bytecode
+/// backend's bump arena, one per exploration run. Registers are allocated
+/// once, grown to the widest expression seen, and overwritten in place on
+/// every evaluation; nothing is freed until the run ends.
 #[derive(Debug, Default)]
 pub struct EvalScratch {
     regs: Vec<Value>,
@@ -849,7 +849,8 @@ impl CompiledProg {
     }
 
     /// The compiled procedure with dense id `pid`, compiling it on first
-    /// use (thread-safe; concurrent workers race benignly on the init).
+    /// use (thread-safe, so a shared program compiles each procedure
+    /// once).
     pub fn by_pid(&self, pid: u32) -> &CompiledProc {
         let slot = &self.procs[pid as usize];
         slot.compiled

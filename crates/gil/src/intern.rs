@@ -378,9 +378,9 @@ fn stats() -> &'static Counters {
 thread_local! {
     /// Per-thread mint/hit counters, for exact no-allocation assertions
     /// that must not observe other threads' interning — and for exact
-    /// per-run attribution: the explorers sum per-worker deltas of these
-    /// instead of diffing the process-global counters, which concurrent
-    /// runs would pollute.
+    /// per-run attribution: the explorer takes the calling thread's delta
+    /// of these instead of diffing the process-global counters, which
+    /// concurrent runs would pollute.
     static TL_MINTS: Cell<u64> = const { Cell::new(0) };
     static TL_HITS: Cell<u64> = const { Cell::new(0) };
     /// Lookup counter driving the 1-in-[`LOOKUP_SAMPLE`] latency probe.

@@ -6,7 +6,7 @@
 //! identical `(trace, outcome kind, cmds)` sets and, per path, an equal
 //! final memory.
 
-use gillian_core::explore::{explore_with, ExploreResult};
+use gillian_core::explore::{explore, ExploreResult};
 use gillian_core::interp::all_paths;
 use gillian_core::symbolic::SymbolicState;
 use gillian_js::{buckets, JsSymMemory};
@@ -54,7 +54,7 @@ fn buckets_bytecode_matches_treewalk() {
             let label = format!("{suite}::{entry}");
             let cfg = buckets::table1_config();
             let tree = all_paths(&prog, entry, St::new(solver.clone()), cfg.max_cmds_per_path);
-            let byte = explore_with(&prog, entry, St::new(solver.clone()), cfg);
+            let byte = explore(&prog, entry, St::new(solver.clone()), cfg);
             assert!(
                 !byte.truncated && byte.dropped_paths == 0,
                 "{label}: the exploration hit a budget"

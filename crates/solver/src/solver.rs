@@ -242,8 +242,8 @@ fn tel() -> &'static Tel {
 }
 
 /// Number of lock shards in the SAT result cache. Sixteen keeps lock
-/// contention negligible for the worker counts the parallel explorer uses
-/// while costing nothing in the single-threaded case.
+/// contention negligible for a solver shared between a few threads while
+/// costing nothing in the single-threaded case.
 const CACHE_SHARDS: usize = 16;
 
 /// A sharded, thread-safe memo table from canonicalized conjunct sets to
@@ -254,11 +254,10 @@ const CACHE_SHARDS: usize = 16;
 /// Keys come from [`PathCondition::cache_key`]: the sorted, deduplicated
 /// **intern ids** of the conjunct set, with a precomputed hash — so two
 /// sibling paths that accumulated the same constraints in different
-/// orders (common under the parallel explorer, where subtree exploration
-/// order is nondeterministic) still share one cache entry, and probing
-/// never re-hashes whole expression trees. Sharding by the precomputed
-/// hash lets concurrent workers probe and fill the cache without
-/// serializing on a single lock.
+/// orders still share one cache entry, and probing never re-hashes whole
+/// expression trees. Sharding by the precomputed hash lets concurrent
+/// threads probe and fill the cache without serializing on a single
+/// lock.
 #[derive(Debug, Default)]
 struct SatCache {
     shards: [Mutex<PrehashedMap<PcKey, CacheEntry>>; CACHE_SHARDS],
@@ -341,9 +340,9 @@ impl SimplifyCache {
 ///
 /// Interior-mutable **and thread-safe**: `&Solver` is threaded through
 /// symbolic memories and the interpreter, and one solver (behind an
-/// `Arc`) is shared by every worker of the parallel explorer — the result
-/// cache uses sharded locks and the statistics are atomics, so concurrent
-/// paths share each other's SAT verdicts.
+/// `Arc`) is shared by every state of a run, and may be shared between
+/// threads — the result cache uses sharded locks and the statistics are
+/// atomics.
 #[derive(Debug, Default)]
 pub struct Solver {
     config: SolverConfig,
@@ -378,8 +377,7 @@ pub struct Solver {
     model_tiers_skipped: AtomicU64,
 }
 
-/// Compile-time guarantee that the solver can be shared across the
-/// parallel explorer's workers.
+/// Compile-time guarantee that the solver can be shared across threads.
 const _: fn() = || {
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Solver>();

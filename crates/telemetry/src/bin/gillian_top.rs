@@ -1,7 +1,7 @@
 //! `gillian-top` — a live terminal dashboard for a running exploration.
 //!
 //! Tails the `GILLIAN_LIVE` JSONL file (snapshot-delta frames emitted by
-//! the engines, schema `gillian-live-v1`) and renders an in-place
+//! the engines, schema `gillian-live-v2`) and renders an in-place
 //! dashboard: paths/sec, frontier size and depth, command throughput,
 //! and the hottest counter deltas of the last frame. Zero dependencies —
 //! plain ANSI escapes, the crate's own JSON parser.
@@ -28,7 +28,6 @@ struct Frame {
     depth: u64,
     cmds: u64,
     paths_per_sec: f64,
-    workers: u64,
     is_final: bool,
     counters: Vec<(String, u64)>,
 }
@@ -60,7 +59,6 @@ fn parse_frame(line: &str) -> Option<Frame> {
             .get("paths_per_sec")
             .and_then(Value::as_f64)
             .unwrap_or(0.0),
-        workers: num("workers"),
         is_final: matches!(v.get("final"), Some(Value::Bool(true))),
         counters,
     })
@@ -73,10 +71,9 @@ fn render(frame: &Frame, history: &[f64]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "gillian-top · frame {} · wall {:.1}s · {} worker(s){}",
+        "gillian-top · frame {} · wall {:.1}s{}",
         frame.seq,
         frame.wall_micros as f64 / 1e6,
-        frame.workers,
         if frame.is_final { " · FINISHED" } else { "" }
     );
     let _ = writeln!(

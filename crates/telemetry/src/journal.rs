@@ -272,9 +272,8 @@ impl Event {
 pub struct EventRecord {
     /// Microseconds since the process telemetry epoch.
     pub ts_micros: u64,
-    /// The emitting worker (0 = the engine/main thread, 1..=N = explorer
-    /// workers, [`SHARED_WORKER`] = shared components such as the
-    /// solver).
+    /// The emitting log (0 = the engine's worker loop, [`SHARED_WORKER`] =
+    /// shared components such as the solver).
     pub worker: u32,
     /// Per-worker emission sequence number.
     pub seq: u64,

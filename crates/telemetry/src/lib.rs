@@ -32,8 +32,7 @@
 //! Path identity is the **branch trace** — the successor index chosen at
 //! every branching step from the entry — rendered as `"0.1.0"` (empty
 //! string for the root). Branch traces are schedule-independent, so the
-//! merged journal names the same paths whether a run used one worker or
-//! eight.
+//! merged journal names the same paths whatever the search order.
 
 pub mod export;
 pub mod journal;

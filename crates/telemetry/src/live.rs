@@ -14,14 +14,17 @@
 //! round; no sampler thread is spawned, no clock is read and nothing is
 //! written.
 //!
-//! Frame schema (`gillian-live-v1`), one JSON object per line:
+//! Frame schema (`gillian-live-v2`), one JSON object per line:
 //!
 //! ```json
-//! {"type":"live_frame","schema":"gillian-live-v1","seq":3,
+//! {"type":"live_frame","schema":"gillian-live-v2","seq":3,
 //!  "ts_micros":1234,"wall_micros":750123,"paths":128,"pending":17,
-//!  "depth":9,"cmds":40960,"paths_per_sec":170.7,"workers":4,
+//!  "depth":9,"cmds":40960,"paths_per_sec":170.7,
 //!  "final":false,"counters":{"solver.sat_queries":512}}
 //! ```
+//!
+//! `v2` dropped `v1`'s `"workers"` key: exploration always runs on one
+//! thread.
 
 use crate::export;
 use crate::json::ObjWriter;
@@ -32,7 +35,7 @@ use std::io::Write as _;
 use std::time::{Duration, Instant};
 
 /// Schema tag stamped into every live frame.
-pub const LIVE_SCHEMA: &str = "gillian-live-v1";
+pub const LIVE_SCHEMA: &str = "gillian-live-v2";
 
 /// The default frame interval, in milliseconds.
 pub const DEFAULT_EVERY_MS: u64 = 250;
@@ -51,8 +54,6 @@ pub struct LiveStats {
     pub depth: u32,
     /// Commands executed so far.
     pub cmds: u64,
-    /// Workers driving the run.
-    pub workers: u32,
 }
 
 /// The live JSONL sink of one exploration run, ticked by the engine's
@@ -140,7 +141,6 @@ impl LiveSink {
             .u64("depth", stats.depth as u64)
             .u64("cmds", stats.cmds)
             .f64("paths_per_sec", (paths_per_sec * 10.0).round() / 10.0)
-            .u64("workers", stats.workers as u64)
             .bool("final", final_frame)
             .raw("counters", &counters.finish())
             .finish();
@@ -185,7 +185,6 @@ pub fn validate_live(text: &str) -> Result<u64, String> {
             "depth",
             "cmds",
             "paths_per_sec",
-            "workers",
         ] {
             if v.get(field).is_none() {
                 return Err(format!("line {lineno}: frame missing \"{field}\""));
@@ -223,7 +222,6 @@ mod tests {
             pending: 5,
             depth: 3,
             cmds: 40,
-            workers: 1,
         }));
         // Second tick inside the interval: suppressed.
         assert!(!sink.tick(&LiveStats::default()));
@@ -233,7 +231,6 @@ mod tests {
             pending: 0,
             depth: 0,
             cmds: 99,
-            workers: 1,
         });
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(validate_live(&text).unwrap(), 2);

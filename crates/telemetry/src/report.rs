@@ -135,8 +135,6 @@ impl LangActionRow {
 pub struct Report {
     /// Wall-clock time of the run (µs).
     pub wall_micros: u64,
-    /// Workers the run used (1 when it ran inline on the calling thread).
-    pub workers: u32,
     /// This run's metric deltas (histograms are process-wide over the
     /// run's wall-clock window; counters likewise).
     pub metrics: MetricsSnapshot,
@@ -225,10 +223,9 @@ impl Report {
         let _ = writeln!(out, "== exploration report ==");
         let _ = writeln!(
             out,
-            "paths: {} leaves · wall: {:.1}ms · workers: {}",
+            "paths: {} leaves · wall: {:.1}ms",
             self.tree.leaves,
             self.wall_micros as f64 / 1000.0,
-            self.workers
         );
         let _ = writeln!(
             out,

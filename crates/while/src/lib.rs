@@ -73,11 +73,10 @@ pub fn symbolic_test_entry(
 }
 
 /// As [`symbolic_test_entry`], with explicit exploration limits — in
-/// particular [`ExploreConfig::workers`], which selects the parallel
-/// explorer when greater than one, and the resilience knobs
-/// [`ExploreConfig::deadline`] (wall-clock budget: over-budget paths come
-/// back truncated, with the overrun counted in the result's diagnostics)
-/// and [`ExploreConfig::cancel`] (cooperative cancellation from another
+/// particular the resilience knobs [`ExploreConfig::deadline`]
+/// (wall-clock budget: over-budget paths come back truncated, with the
+/// overrun counted in the result's diagnostics) and
+/// [`ExploreConfig::cancel`] (cooperative cancellation from another
 /// thread).
 ///
 /// # Errors

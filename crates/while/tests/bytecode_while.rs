@@ -5,14 +5,14 @@
 //! own battery (`crates/core/tests/bytecode_equiv.rs`) covers the pure
 //! fragment; this one makes sure compiled action arguments — the lists
 //! the bytecode evaluator folds in value space — reach the While memory
-//! model bit-for-bit, across DFS/BFS and serial/parallel exploration.
+//! model bit-for-bit, under DFS and BFS.
 //! The While literal fast paths (`execute_action_coded`) are reachable
 //! only from the bytecode, so this battery also pins them to the general
 //! actions the tree walk calls: identical `(trace, outcome kind, cmds)` sets and, per
 //! path, an equal outcome value and final memory.
 
 use gillian_core::explore::{
-    explore_with, ExploreConfig, ExploreOutcome, ExploreResult, SearchStrategy,
+    explore, ExploreConfig, ExploreOutcome, ExploreResult, SearchStrategy,
 };
 use gillian_core::generate::{build_prog, gen_ops, MemDialect, Rng};
 use gillian_core::interp::all_paths;
@@ -51,15 +51,7 @@ fn sorted_paths(
     out
 }
 
-fn config(strategy: SearchStrategy, workers: usize) -> ExploreConfig {
-    ExploreConfig {
-        strategy,
-        workers,
-        ..Default::default()
-    }
-}
-
-fn run_battery(strategy: SearchStrategy, workers: usize, salt: u64) {
+fn run_battery(strategy: SearchStrategy, salt: u64) {
     let base = env_u64("GILLIAN_BYTECODE_SEED", 0);
     let cases = env_u64("GILLIAN_BYTECODE_CASES", 25);
     let solver = Arc::new(Solver::optimized());
@@ -68,14 +60,17 @@ fn run_battery(strategy: SearchStrategy, workers: usize, salt: u64) {
         let seed = base.wrapping_add(salt).wrapping_add(i);
         let ops = gen_ops(&mut Rng::new(seed), 14, MemDialect::While);
         let prog = build_prog(&ops, MemDialect::While);
-        let cfg = config(strategy, workers);
+        let cfg = ExploreConfig {
+            strategy,
+            ..Default::default()
+        };
         let tree = all_paths(
             &prog,
             "main",
             St::new(solver.clone()),
             cfg.max_cmds_per_path,
         );
-        let byte = explore_with(&prog, "main", St::new(solver.clone()), cfg);
+        let byte = explore(&prog, "main", St::new(solver.clone()), cfg);
         assert!(
             !byte.truncated && byte.dropped_paths == 0,
             "seed {seed}: the exploration hit a budget\nops: {ops:?}"
@@ -85,7 +80,7 @@ fn run_battery(strategy: SearchStrategy, workers: usize, salt: u64) {
         let byte_keys: Vec<_> = byte_paths.iter().map(|(k, ..)| k).collect();
         assert_eq!(
             tree_keys, byte_keys,
-            "seed {seed} ({strategy:?}, {workers} workers): bytecode \
+            "seed {seed} ({strategy:?}): bytecode \
              diverged from tree walk on While memory\nops: {ops:?}"
         );
         for ((key, t_out, t_mem), (_, b_out, b_mem)) in tree_paths.iter().zip(&byte_paths) {
@@ -99,19 +94,11 @@ fn run_battery(strategy: SearchStrategy, workers: usize, salt: u64) {
         paths += tree.paths.len();
     }
     assert!(paths > 0, "battery explored nothing");
-    eprintln!("while bytecode battery ({strategy:?}, {workers} workers): {paths} paths agreed");
+    eprintln!("while bytecode battery ({strategy:?}): {paths} paths agreed");
 }
 
 #[test]
 fn while_bytecode_matches_treewalk_serial() {
-    run_battery(SearchStrategy::Dfs, 1, 0x3317_0000);
-    run_battery(SearchStrategy::Bfs, 1, 0x3317_1000);
-}
-
-#[test]
-fn while_bytecode_matches_treewalk_parallel() {
-    for workers in 2..=4 {
-        run_battery(SearchStrategy::Dfs, workers, 0x3317_2000 + workers as u64);
-        run_battery(SearchStrategy::Bfs, workers, 0x3317_3000 + workers as u64);
-    }
+    run_battery(SearchStrategy::Dfs, 0x3317_0000);
+    run_battery(SearchStrategy::Bfs, 0x3317_1000);
 }

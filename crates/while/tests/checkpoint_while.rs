@@ -5,7 +5,7 @@
 //! exercised: store, call frames, allocator, path condition, and memory.
 
 use gillian_core::checkpoint::StateCtx;
-use gillian_core::explore::{explore_resume, explore_with, ExploreConfig, SearchStrategy};
+use gillian_core::explore::{explore, explore_resume, ExploreConfig, SearchStrategy};
 use gillian_core::faults::FaultPlan;
 use gillian_core::symbolic::SymbolicState;
 use gillian_core::CheckpointConfig;
@@ -70,7 +70,7 @@ fn while_heap_survives_kill_and_resume() {
     let solver = Arc::new(Solver::optimized());
     let ctx = StateCtx::new(solver.clone());
     for strategy in [SearchStrategy::Dfs, SearchStrategy::Bfs] {
-        let baseline = explore_with(&prog, "main", St::new(solver.clone()), cfg(strategy));
+        let baseline = explore(&prog, "main", St::new(solver.clone()), cfg(strategy));
         assert!(
             !baseline.bounded(),
             "{strategy:?}: baseline must be exhaustive"
@@ -90,7 +90,7 @@ fn while_heap_survives_kill_and_resume() {
             let mut killed_cfg = cfg(strategy);
             killed_cfg.faults = Some(Arc::new(FaultPlan::seeded(k).kill_at(k)));
             killed_cfg.checkpoint = Some(CheckpointConfig::at(&path));
-            let cut = explore_with(&prog, "main", St::new(solver.clone()), killed_cfg);
+            let cut = explore(&prog, "main", St::new(solver.clone()), killed_cfg);
             if !cut.killed {
                 let got = path_set(
                     cut.paths

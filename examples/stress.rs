@@ -5,15 +5,21 @@
 //!
 //! Run with: `cargo run --release --example stress`
 //!
-//! The final section compares the serial and parallel explorers on a
-//! branch-heavy workload and reports the observed speedup (informational:
-//! it tracks the host's actual core count).
+//! The final sections run a branch-heavy workload under a deadline too
+//! tight to finish, then killed and resumed from a checkpoint, and print
+//! the uninterrupted run's exploration profile.
 //!
 //! Every run honours the `GILLIAN_*` run variables (`GILLIAN_TRACE`,
 //! `GILLIAN_TRACE_CHROME`, `GILLIAN_FOLDED`, `GILLIAN_LIVE`; see
 //! `gillian_bench::explore_config_from_env`).
 
-use gillian::core::explore::ExploreConfig;
+use gillian::core::checkpoint::StateCtx;
+use gillian::core::explore::{explore, ExploreConfig};
+use gillian::core::faults::FaultPlan;
+use gillian::core::symbolic::SymbolicState;
+use gillian::core::{explore_resume, CheckpointConfig};
+use gillian::while_lang::{compile_program, parse_program, WhileSymMemory};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A fresh run configuration with the environment's run plumbing.
@@ -121,9 +127,8 @@ fn main() {
         (out.gil_cmds(), out.result.paths.len(), out.verified())
     });
 
-    // Serial vs. parallel explorer on a branch-heavy While workload: ten
-    // independent symbolic branches → 1024 paths, each with real loop work,
-    // so workers always have paths to steal.
+    // A branch-heavy While workload: ten independent symbolic branches →
+    // 1024 paths, each with real loop work.
     let wide_src = {
         let mut body = String::new();
         for i in 0..10 {
@@ -148,39 +153,13 @@ fn main() {
             "#
         )
     };
-    let timed = |workers: usize| {
-        let cfg = ExploreConfig {
-            workers,
-            ..config()
-        };
-        let start = Instant::now();
-        let out = gillian::while_lang::symbolic_test_with(&wide_src, "main", cfg).unwrap();
-        assert!(out.verified(), "wide workload must verify");
-        (start.elapsed(), out)
-    };
-    let (t1, out1) = timed(1);
-    let (cmds1, paths1) = (out1.gil_cmds(), out1.result.paths.len());
-    let workers = std::thread::available_parallelism().map_or(4, |n| n.get().max(2));
-    let (tn, outn) = timed(workers);
-    let (cmdsn, pathsn) = (outn.gil_cmds(), outn.result.paths.len());
-    assert_eq!(paths1, pathsn, "parallel must find the same path count");
-    assert_eq!(cmds1, cmdsn, "parallel must execute the same command count");
-    println!(
-        "parallel/wide          {cmds1:>10} cmds {paths1:>5} paths  serial {t1:>8.2?}  \
-         {workers} workers {tn:>8.2?}  speedup {:.2}x",
-        t1.as_secs_f64() / tn.as_secs_f64().max(1e-9)
-    );
 
     // Resilience probe: the same wide workload under a deadline too tight
     // to finish. The run must come back promptly, marked truncated, with
     // the overrun counted in the diagnostics — not hang or panic.
     let tight = Duration::from_millis(5);
     let start = Instant::now();
-    let cfg = ExploreConfig {
-        workers,
-        ..config()
-    }
-    .with_deadline(tight);
+    let cfg = config().with_deadline(tight);
     let out = gillian::while_lang::symbolic_test_with(&wide_src, "main", cfg).unwrap();
     let dt = start.elapsed();
     assert!(
@@ -201,66 +180,61 @@ fn main() {
     // deterministic fault harness with a checkpoint armed, then resumed
     // from the file. The union of paths finished before the kill and
     // paths explored after resume must equal the uninterrupted run.
-    {
-        use gillian::core::checkpoint::StateCtx;
-        use gillian::core::faults::FaultPlan;
-        use gillian::core::symbolic::SymbolicState;
-        use gillian::core::{explore_resume, explore_with, CheckpointConfig};
-        use gillian::while_lang::{compile_program, parse_program, WhileSymMemory};
-        use std::sync::Arc;
+    type St = SymbolicState<WhileSymMemory>;
+    let prog = compile_program(&parse_program(&wide_src).expect("parse wide workload"));
+    let solver = Arc::new(gillian::solver::Solver::optimized());
+    let baseline = explore(&prog, "main", St::new(solver.clone()), config());
+    assert!(
+        baseline.errors().next().is_none() && !baseline.truncated,
+        "wide workload must verify"
+    );
 
-        type St = SymbolicState<WhileSymMemory>;
-        let prog = compile_program(&parse_program(&wide_src).expect("parse wide workload"));
-        let solver = Arc::new(gillian::solver::Solver::optimized());
-        let baseline = explore_with(&prog, "main", St::new(solver.clone()), config());
+    let ckpt = std::env::temp_dir().join(format!("gillian-stress-{}.ckpt", std::process::id()));
+    let mut kill_cfg = config();
+    kill_cfg.faults = Some(Arc::new(FaultPlan::seeded(7).kill_at(4000)));
+    kill_cfg.checkpoint = Some(CheckpointConfig::at(&ckpt));
+    let start = Instant::now();
+    let cut = explore(&prog, "main", St::new(solver.clone()), kill_cfg);
+    assert!(cut.killed, "the injected kill must fire mid-run");
 
-        let ckpt = std::env::temp_dir().join(format!("gillian-stress-{}.ckpt", std::process::id()));
-        let mut kill_cfg = config();
-        kill_cfg.faults = Some(Arc::new(FaultPlan::seeded(7).kill_at(4000)));
-        kill_cfg.checkpoint = Some(CheckpointConfig::at(&ckpt));
-        let start = Instant::now();
-        let cut = explore_with(&prog, "main", St::new(solver.clone()), kill_cfg);
-        assert!(cut.killed, "the injected kill must fire mid-run");
-
-        let resumed = explore_resume(
-            &prog,
-            &ckpt,
-            &StateCtx::new(solver.clone()),
-            St::new(solver.clone()),
-            config(),
-        )
-        .expect("resume from checkpoint");
-        let dt = start.elapsed();
-        assert_eq!(
-            resumed.prior.len() + resumed.result.paths.len(),
-            baseline.paths.len(),
-            "prior ∪ resumed must cover the uninterrupted path set"
-        );
-        assert_eq!(
-            resumed.result.total_cmds, baseline.total_cmds,
-            "command accounting must survive the crash"
-        );
-        let _ = std::fs::remove_file(&ckpt);
-        println!(
-            "crash/resume           {:>10} cmds {:>5} paths  kill+resume {dt:>8.2?}  \
-             ({} finished pre-kill, {} post-resume)",
-            resumed.result.total_cmds,
-            baseline.paths.len(),
-            resumed.prior.len(),
-            resumed.result.paths.len(),
-        );
-    }
+    let resumed = explore_resume(
+        &prog,
+        &ckpt,
+        &StateCtx::new(solver.clone()),
+        St::new(solver.clone()),
+        config(),
+    )
+    .expect("resume from checkpoint");
+    let dt = start.elapsed();
+    assert_eq!(
+        resumed.prior.len() + resumed.result.paths.len(),
+        baseline.paths.len(),
+        "prior ∪ resumed must cover the uninterrupted path set"
+    );
+    assert_eq!(
+        resumed.result.total_cmds, baseline.total_cmds,
+        "command accounting must survive the crash"
+    );
+    let _ = std::fs::remove_file(&ckpt);
+    println!(
+        "crash/resume           {:>10} cmds {:>5} paths  kill+resume {dt:>8.2?}  \
+         ({} finished pre-kill, {} post-resume)",
+        resumed.result.total_cmds,
+        baseline.paths.len(),
+        resumed.prior.len(),
+        resumed.result.paths.len(),
+    );
 
     // Hash-consing telemetry: the cumulative interner picture after every
-    // probe above, plus the slice attributed to the last run alone (from
-    // its diagnostics delta).
+    // probe above, plus the slice attributed to the uninterrupted wide run
+    // alone (from its diagnostics delta).
     let total = gillian::gil::InternStats::snapshot();
     println!("interner/total         {total}");
-    println!("interner/last-run      {}", d.interner);
+    println!("interner/wide-run      {}", baseline.diagnostics.interner);
 
-    // Exploration profile of the parallel wide run: per-run metric
+    // Exploration profile of the uninterrupted wide run: per-run metric
     // deltas, branch-tree shape, and — when `GILLIAN_TRACE` or
     // `GILLIAN_TRACE_CHROME` is set — the slowest sat queries and the
     // per-language action latency table from the event journal.
-    println!("\n{}", outn.result.report.render());
+    println!("\n{}", baseline.report.render());
 }

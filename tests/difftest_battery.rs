@@ -10,8 +10,6 @@
 //!   sub-battery runs with seed `base + salt + i` and a failing case
 //!   prints the exact seed and op list to rerun.
 //! - `GILLIAN_DIFFTEST_CASES` — programs per sub-battery (default 100).
-//! - `GILLIAN_WORKERS`        — symbolic exploration workers (default 1);
-//!   CI runs the battery under both 1 and 4.
 
 use gillian::c::CInterpretation;
 use gillian::core::difftest::{run_differential_with, InterpMemoryCheck};
@@ -34,7 +32,6 @@ fn env_u64(name: &str, default: u64) -> u64 {
 fn battery_config(strategy: SearchStrategy) -> ExploreConfig {
     ExploreConfig {
         strategy,
-        workers: env_u64("GILLIAN_WORKERS", 1) as usize,
         journal: Journal::disabled(),
         ..Default::default()
     }

@@ -58,7 +58,6 @@ type Sym = SymbolicState<EchoSym>;
 
 fn config() -> ExploreConfig {
     ExploreConfig {
-        workers: 1,
         journal: Journal::disabled(),
         ..ExploreConfig::default()
     }

@@ -12,7 +12,7 @@
 //! `Solver::model_for_replay` does.
 
 use gillian::c::CInterpretation;
-use gillian::core::explore::{explore_with, ExploreConfig};
+use gillian::core::explore::{explore, ExploreConfig};
 use gillian::core::generate::{build_prog, gen_ops, MemDialect, Rng};
 use gillian::core::memory::SymbolicMemory;
 use gillian::core::soundness::MemoryInterpretation;
@@ -52,12 +52,11 @@ where
         let ops = gen_ops(&mut Rng::new(seed), 14, dialect);
         let prog = build_prog(&ops, dialect);
         let cfg = ExploreConfig {
-            workers: 1,
             journal: Journal::disabled(),
             ..Default::default()
         };
         let initial = SymbolicState::<I::Symbolic>::new(solver.clone());
-        let result = explore_with(&prog, "main", initial, cfg);
+        let result = explore(&prog, "main", initial, cfg);
         out.extend(result.paths.iter().map(|p| p.state.pc.conjuncts()));
     }
     out

@@ -17,7 +17,7 @@
 //! explore different path counts with incremental solving on and off.
 
 use gillian::core::difftest::{run_differential_with, InterpMemoryCheck};
-use gillian::core::explore::{explore_with, ExploreConfig};
+use gillian::core::explore::{explore, ExploreConfig};
 use gillian::core::generate::{build_prog, gen_ops, MemDialect, Rng};
 use gillian::core::symbolic::SymbolicState;
 use gillian::solver::{Solver, SolverConfig};
@@ -44,13 +44,6 @@ fn configs() -> Vec<(String, SolverConfig)> {
     out
 }
 
-fn explore_config() -> ExploreConfig {
-    ExploreConfig {
-        workers: 1,
-        ..ExploreConfig::default()
-    }
-}
-
 #[test]
 fn every_solver_configuration_replays_the_same_paths() {
     let memcheck = InterpMemoryCheck(WhileInterpretation);
@@ -63,7 +56,7 @@ fn every_solver_configuration_replays_the_same_paths() {
                 &prog,
                 "main",
                 Arc::new(Solver::new(cfg)),
-                explore_config(),
+                ExploreConfig::default(),
                 &memcheck,
             );
             assert!(
@@ -81,7 +74,7 @@ fn every_solver_configuration_replays_the_same_paths() {
             }
             if seed == 1715 {
                 let initial = SymbolicState::<WhileSymMemory>::new(Arc::new(Solver::new(cfg)));
-                let result = explore_with(&prog, "main", initial, explore_config());
+                let result = explore(&prog, "main", initial, ExploreConfig::default());
                 assert!(
                     result
                         .paths

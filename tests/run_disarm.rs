@@ -5,7 +5,7 @@
 //! or keep journaling into a finished run.
 
 use gillian::core::checkpoint::StateCtx;
-use gillian::core::explore::{explore, explore_resume, explore_with, ExploreConfig};
+use gillian::core::explore::{explore, explore_resume, ExploreConfig};
 use gillian::core::faults::FaultPlan;
 use gillian::core::symbolic::SymbolicState;
 use gillian::core::CheckpointConfig;
@@ -72,13 +72,14 @@ fn every_entry_point_disarms_its_solver() {
     assert!(result.bounded(), "the expired deadline must bound the run");
     assert_disarmed(&solver, 1, "explore");
 
+    // The same run without the deadline stops only when its queue drains.
     let solver = Arc::new(Solver::optimized());
     let cfg = ExploreConfig {
-        workers: 4,
+        deadline: None,
         ..armed_config()
     };
-    explore_with(&prog, "main", St::new(solver.clone()), cfg);
-    assert_disarmed(&solver, 2, "explore_with at 4 workers");
+    explore(&prog, "main", St::new(solver.clone()), cfg);
+    assert_disarmed(&solver, 2, "explore run to the end");
 
     // A checkpoint to resume from: a healthy run killed mid-way.
     let ckpt = std::env::temp_dir().join(format!("gillian-disarm-{}.ckpt", std::process::id()));
@@ -87,7 +88,7 @@ fn every_entry_point_disarms_its_solver() {
         checkpoint: Some(CheckpointConfig::at(&ckpt)),
         ..ExploreConfig::default()
     };
-    let cut = explore_with(&prog, "main", St::new(Arc::new(Solver::optimized())), kill);
+    let cut = explore(&prog, "main", St::new(Arc::new(Solver::optimized())), kill);
     assert!(cut.killed, "the injected kill must fire mid-run");
 
     let solver = Arc::new(Solver::optimized());

@@ -10,7 +10,7 @@
 //! queries through the equality extension.
 
 use gillian::core::difftest::{run_differential_with, InterpMemoryCheck};
-use gillian::core::explore::{explore_with, ExploreConfig, ExploreOutcome};
+use gillian::core::explore::{explore, ExploreConfig, ExploreOutcome};
 use gillian::core::symbolic::SymbolicState;
 use gillian::solver::{Solver, SolverConfig};
 use gillian::while_lang::{
@@ -109,13 +109,6 @@ fn configs() -> Vec<(String, SolverConfig)> {
     out
 }
 
-fn explore_config() -> ExploreConfig {
-    ExploreConfig {
-        workers: 1,
-        ..ExploreConfig::default()
-    }
-}
-
 #[test]
 fn every_solver_configuration_explores_the_same_sorted_list_paths() {
     let module = parse_program(SORTED_LIST).expect("the program parses");
@@ -125,7 +118,7 @@ fn every_solver_configuration_explores_the_same_sorted_list_paths() {
     for (name, cfg) in configs() {
         let solver = Arc::new(Solver::new(cfg));
         let initial = SymbolicState::<WhileSymMemory>::new(solver.clone());
-        let result = explore_with(&prog, "main", initial, explore_config());
+        let result = explore(&prog, "main", initial, ExploreConfig::default());
         assert!(!result.truncated, "{name}: the budgets must not bind");
         let mut paths: PathSet = result
             .paths
@@ -157,7 +150,7 @@ fn every_solver_configuration_explores_the_same_sorted_list_paths() {
             &prog,
             "main",
             Arc::new(Solver::new(cfg)),
-            explore_config(),
+            ExploreConfig::default(),
             &memcheck,
         );
         assert!(
